@@ -70,10 +70,10 @@ fn window_queries(c: &mut Criterion) {
     let smallest = *windows.first().unwrap();
     let largest = *windows.last().unwrap();
     group.bench_with_input(BenchmarkId::new("steps", smallest), &smallest, |b, &w| {
-        b.iter(|| black_box(h.quantile_window(0.5, w).unwrap()))
+        b.iter(|| black_box(h.quantile_in_window(w, 0.5).unwrap()))
     });
     group.bench_with_input(BenchmarkId::new("steps", largest), &largest, |b, &w| {
-        b.iter(|| black_box(h.quantile_window(0.5, w).unwrap()))
+        b.iter(|| black_box(h.quantile_in_window(w, 0.5).unwrap()))
     });
     group.finish();
 }

@@ -44,9 +44,9 @@ fn main() {
         for &w in &windows {
             let t = Instant::now();
             let out = engine
-                .rank_query_window(
-                    (0.5 * (w as f64 * scale.step_items as f64 + scale.step_items as f64)) as u64,
+                .rank_in_window(
                     w,
+                    (0.5 * (w as f64 * scale.step_items as f64 + scale.step_items as f64)) as u64,
                 )
                 .unwrap()
                 .expect("aligned window must answer");

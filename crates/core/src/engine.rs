@@ -13,16 +13,19 @@
 //! `T = H ∪ R` by [`HistStreamQuantiles::quantile`] /
 //! [`HistStreamQuantiles::rank_query`]; cheap in-memory answers with error
 //! `O(εN)` by the `*_quick` variants; partition-aligned window queries by
-//! the `*_window` variants.
+//! the `*_in_window` variants. All of them build a scope and a probe
+//! source and run the one path in [`crate::query`]; the engine adds only
+//! the self-healing recovery around it.
 
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hsq_storage::{corruption_in, is_transient, BlockCache, BlockDevice, FileId, Item};
+use hsq_storage::{corruption_in, is_transient, BlockDevice, FileId, Item};
 
+use crate::bounds::SourceView;
 use crate::config::HsqConfig;
-use crate::query::{QueryContext, QueryOutcome};
+use crate::query::{source_views, FanIn, PartitionProbes, ProbeState, QueryOutcome, QueryScope};
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::warehouse::{PinGuard, StoredPartition, UpdateReport, Warehouse};
 
@@ -298,120 +301,98 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.warehouse.io_barrier()
     }
 
-    fn context(
+    /// The live scope over `window` (`None` = the full union, `Some(w)` =
+    /// the newest `w` archived steps; the stream is always included) and
+    /// the partitions to probe. `None` if the window does not align with
+    /// partition boundaries (§2.4: windowed queries are supported "if the
+    /// window sizes are aligned with the partition boundaries").
+    /// Quarantined partitions are excluded; outcomes widen by the full
+    /// quarantined mass instead — conservative but sound for any window.
+    fn scope<'a>(
+        &'a self,
+        window: Option<u64>,
+        stream: &StreamSummary<T>,
+    ) -> Option<(QueryScope<T>, Vec<&'a StoredPartition<T>>)> {
+        let all = self.warehouse.partitions_newest_first();
+        let (history, selected) = crate::warehouse::scope_partitions(&all, window, |file| {
+            self.warehouse.is_quarantined(file)
+        })?;
+        let parts: Vec<_> = selected.into_iter().map(|i| all[i]).collect();
+        let (m, eps) = (stream.stream_len(), self.config.query_epsilon());
+        let scope = QueryScope::new(&source_views(&parts, stream), history + m, m, eps)
+            .with_excluded(self.warehouse.quarantined_mass(), 0)
+            .with_strict(self.config.strict);
+        Some((scope, parts))
+    }
+
+    /// Run `query` over the live scope of `window` with self-healing: a
+    /// confirmed-corrupt block quarantines its partition and re-runs the
+    /// query over the remaining healthy set (degraded, bounds widened —
+    /// or refused by the driver under `strict`); a transient failure that
+    /// survived the device-level retries re-runs it under the configured
+    /// attempt cap. Anything else propagates. `Ok(None)` when the window
+    /// misaligns.
+    fn answer<R>(
         &self,
-    ) -> (
-        crate::stream::StreamSummary<T>,
-        Vec<&crate::warehouse::StoredPartition<T>>,
-    ) {
-        // Queries read partition blocks: settle any writes a deferred
-        // step left in flight. Errors are not lost — a failed write
-        // resurfaces when the probe touches the affected run.
-        let _ = self.warehouse.io_barrier();
-        // Quarantined (confirmed-corrupt) partitions are excluded; the
-        // outcome's rank bounds widen by their mass instead.
-        (
-            self.stream.summary(),
-            self.warehouse.healthy_partitions_newest_first(),
-        )
-    }
-
-    /// Strict-mode gate: refuse to answer over quarantined data.
-    fn strict_check(&self) -> io::Result<()> {
-        let q = self.warehouse.quarantined_mass();
-        if self.config.strict && q > 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("query refused: {q} items quarantined (strict mode)"),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Run a query probe with self-healing: a confirmed-corrupt block
-    /// quarantines its partition and re-runs the probe over the remaining
-    /// healthy set (degraded, bounds widened); a transient failure that
-    /// survived the device-level retries re-runs the whole probe under
-    /// the configured attempt cap. Anything else propagates.
-    fn with_recovery<R>(&self, mut probe: impl FnMut() -> io::Result<R>) -> io::Result<R> {
+        window: Option<u64>,
+        query: impl Fn(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
         let mut transient_left = self.config.retry.max_retries;
         loop {
-            match probe() {
+            // Queries read partition blocks: settle any writes a deferred
+            // step left in flight. Errors are not lost — a failed write
+            // resurfaces when the probe touches the affected run.
+            let _ = self.warehouse.io_barrier();
+            let stream = self.stream.summary();
+            let Some((scope, parts)) = self.scope(window, &stream) else {
+                return Ok(None);
+            };
+            let mut state = ProbeState::default();
+            let probes = PartitionProbes::new(
+                &**self.warehouse.device(),
+                parts,
+                &stream,
+                self.config.cache_blocks,
+                &mut state,
+                self.config.parallel_query,
+            )
+            .with_prefetch(self.warehouse.scheduler().map(|s| &**s));
+            let e = match query(&scope, &mut FanIn::new(vec![probes], false)) {
                 Ok(r) => return Ok(r),
-                Err(e) => {
-                    if let Some((file, _)) = corruption_in(&e) {
-                        if self.warehouse.quarantine(file) {
-                            self.strict_check()?;
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                    if is_transient(&e) && transient_left > 0 {
-                        transient_left -= 1;
-                        continue;
-                    }
-                    return Err(e);
+                Err(e) => e,
+            };
+            if let Some((file, _)) = corruption_in(&e) {
+                if self.warehouse.quarantine(file) {
+                    continue;
                 }
+            } else if is_transient(&e) && transient_left > 0 {
+                transient_left -= 1;
+                continue;
             }
+            return Err(e);
         }
     }
 
     /// Accurate φ-quantile over `T = H ∪ R` (Theorem 2): the returned
     /// element's rank is within `εm` of `⌈φN⌉`.
     pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        Ok(self.rank_query(r)?.map(|o| o.value))
+        self.answer(None, |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate rank query with cost reporting. With overlapped I/O
     /// configured (`io_depth > 0`) the bisection speculatively prefetches
     /// both candidate half-probes of each next step through the
-    /// warehouse's scheduler (see [`QueryContext::with_prefetch`]).
+    /// warehouse's scheduler (see [`PartitionProbes::with_prefetch`]).
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.strict_check()?;
-        self.with_recovery(|| {
-            let (ss, parts) = self.context();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_parallel(self.config.parallel_query)
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            ctx.accurate_rank(r)
-        })
+        self.answer(None, |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Batch of φ-quantiles sharing one stream-summary extraction and one
     /// combined-summary build: cheaper than separate [`Self::quantile`]
     /// calls when reporting e.g. p50/p95/p99 together.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        self.strict_check()?;
-        let n = self.total_len();
-        self.with_recovery(|| {
-            let (ss, parts) = self.context();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_parallel(self.config.parallel_query)
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            phis.iter()
-                .map(|&phi| {
-                    assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                    let r = (phi * n as f64).ceil() as u64;
-                    Ok(ctx.accurate_rank(r)?.map(|o| o.value))
-                })
-                .collect()
-        })
+        let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
+        Ok(all.expect("the full union always aligns"))
     }
 
     /// An immutable, self-contained view of everything ingested so far:
@@ -442,6 +423,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             sched: self.warehouse.scheduler().cloned(),
             lost: self.warehouse.lost_items(),
             quarantined_files: self.warehouse.quarantined_files(),
+            strict: self.config.strict,
             _pins: pins,
         }
     }
@@ -505,22 +487,14 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
 
     /// Quick φ-quantile (Algorithm 5): in-memory only, error ≤ 1.5εN.
     pub fn quantile_quick(&self, phi: f64) -> Option<T> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        self.rank_query_quick(r)
+        let (scope, _) = self.scope(None, &self.stream.summary())?;
+        scope.quick_quantile(phi)
     }
 
     /// Quick rank query (Algorithm 5).
     pub fn rank_query_quick(&self, r: u64) -> Option<T> {
-        let (ss, parts) = self.context();
-        let ctx = QueryContext::new(
-            &**self.warehouse.device(),
-            parts,
-            &ss,
-            self.config.query_epsilon(),
-            self.config.cache_blocks,
-        );
-        ctx.quick_rank(r)
+        let (scope, _) = self.scope(None, &self.stream.summary())?;
+        scope.quick_rank(r)
     }
 
     /// Window sizes (archived time steps) available for exact window
@@ -529,75 +503,19 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.warehouse.available_windows()
     }
 
-    /// Accurate φ-quantile over the union of the live stream and the last
-    /// `window_steps` archived steps. `Ok(None)` if the window does not
-    /// align with partition boundaries (§2.4: windowed queries are
-    /// supported "if the window sizes are aligned with the partition
-    /// boundaries").
-    pub fn quantile_window(&self, phi: f64, window_steps: u64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        Ok(self
-            .window_query(window_steps, |ctx, window_n| {
-                let r = (phi * (window_n + self.stream_len()) as f64).ceil() as u64;
-                ctx.accurate_rank(r)
-            })?
-            .map(|o| o.value))
-    }
-
-    /// Rank query over a window, with cost reporting.
-    pub fn rank_query_window(
-        &self,
-        r: u64,
-        window_steps: u64,
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        self.window_query(window_steps, |ctx, _| ctx.accurate_rank(r))
-    }
-
-    /// Shared window-query driver: resolve the window's partitions, drop
-    /// quarantined ones (widening the outcome by the full quarantined
-    /// mass — conservative but sound for any window), and run `f` under
-    /// the self-healing recovery loop.
-    fn window_query<R>(
-        &self,
-        window_steps: u64,
-        f: impl Fn(&QueryContext<'_, T, D>, u64) -> io::Result<Option<R>>,
-    ) -> io::Result<Option<R>> {
-        self.strict_check()?;
-        self.warehouse.io_barrier()?;
-        self.with_recovery(|| {
-            let Some(mut parts) = self.warehouse.window_partitions(window_steps) else {
-                return Ok(None);
-            };
-            parts.retain(|p| !self.warehouse.is_quarantined(p.run.file()));
-            let window_n: u64 = parts.iter().map(|p| p.run.len()).sum();
-            let ss = self.stream.summary();
-            let ctx = QueryContext::new(
-                &**self.warehouse.device(),
-                parts,
-                &ss,
-                self.config.query_epsilon(),
-                self.config.cache_blocks,
-            )
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s))
-            .with_degraded(self.warehouse.quarantined_mass());
-            f(&ctx, window_n)
-        })
-    }
-
-    /// First-class windowed quantile: the φ-quantile over the live stream
-    /// plus the newest `window_steps` *retained* steps. Equivalent to
-    /// [`HistStreamQuantiles::quantile_window`] with window-first argument
-    /// order; with retention enabled (see [`crate::retention`]) this is
-    /// the "p99 over the last 24h" query shape — the window can cover at
-    /// most the retained horizon.
+    /// Accurate φ-quantile over the union of the live stream and the
+    /// newest `window_steps` *retained* steps; `Ok(None)` if the window
+    /// does not align with partition boundaries. With retention enabled
+    /// (see [`crate::retention`]) this is the "p99 over the last 24h"
+    /// query shape — the window can cover at most the retained horizon.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        self.quantile_window(phi, window_steps)
+        self.answer(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
     }
 
-    /// First-class windowed rank query (window-first argument order; see
+    /// Rank query over a window, with cost reporting (see
     /// [`HistStreamQuantiles::quantile_in_window`]).
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.rank_query_window(r, window_steps)
+        self.answer(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 
     /// One rate-limited self-healing pass over the warehouse: repair
@@ -638,6 +556,9 @@ pub struct EngineSnapshot<T: Item, D: BlockDevice> {
     /// Quarantined partition files at snapshot time, sorted — snapshot
     /// queries exclude them and widen their bounds like the live engine.
     quarantined_files: Vec<FileId>,
+    /// [`HsqConfig::strict`] at snapshot time: a strict snapshot pinned
+    /// over quarantined mass refuses accurate queries, like the engine.
+    strict: bool,
     _pins: PinGuard<D>,
 }
 
@@ -698,142 +619,100 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
             + self.lost
     }
 
-    /// The pinned partitions that are NOT quarantined.
-    fn healthy(&self) -> Vec<&StoredPartition<T>> {
-        self.parts
-            .iter()
-            .filter(|(_, p)| !self.is_quarantined(p.run.file()))
-            .map(|(_, p)| p)
-            .collect()
-    }
-
     /// The extracted stream summary.
     pub fn stream_summary(&self) -> &StreamSummary<T> {
         &self.stream
     }
 
-    /// The configured decoded-block cache budget (blocks per query).
-    pub(crate) fn cache_blocks(&self) -> usize {
-        self.cache_blocks
+    /// What a query over `window` covers (`None` = every pinned
+    /// partition, `Some(w)` = the newest `w` steps; the stream is always
+    /// included): the scope's size `N` and the positions in
+    /// [`Self::leveled_partitions`] of the partitions to read, quarantined
+    /// ones dropped. `None` when the window misaligns.
+    pub(crate) fn select(&self, window: Option<u64>) -> Option<(u64, Vec<usize>)> {
+        let all: Vec<_> = self.parts.iter().map(|(_, p)| p).collect();
+        let (history, selected) =
+            crate::warehouse::scope_partitions(&all, window, |file| self.is_quarantined(file))?;
+        Some((history + self.stream_len(), selected))
     }
 
-    /// Per-source rank-bound views (partitions + stream), the inputs a
-    /// cross-shard [`crate::bounds::CombinedSummary`] is assembled from.
-    pub fn sources(&self) -> Vec<crate::bounds::SourceView<T>> {
-        let mut out: Vec<crate::bounds::SourceView<T>> = self
-            .healthy()
-            .into_iter()
-            .map(|p| crate::bounds::SourceView::from_partition(&p.summary))
-            .collect();
-        out.push(crate::bounds::SourceView::from_stream(&self.stream));
-        out
+    fn selected(&self, selected: &[usize]) -> Vec<&StoredPartition<T>> {
+        selected.iter().map(|&i| &self.parts[i].1).collect()
     }
 
-    /// One decoded-block cache per (healthy) partition, splitting the
-    /// configured budget — reuse across probes of one logical query.
-    pub fn new_caches(&self) -> Vec<BlockCache<T>> {
-        let healthy = self.healthy();
-        let per = (self.cache_blocks / healthy.len().max(1)).max(2);
-        healthy.iter().map(|_| BlockCache::new(per)).collect()
+    /// The views a scope over the `selected` partitions (from
+    /// [`Self::select`]) plus the stream is built from.
+    pub(crate) fn source_views(&self, selected: &[usize]) -> Vec<SourceView<T>> {
+        source_views(&self.selected(selected), &self.stream)
     }
 
-    /// Rigorous bounds on `rank(z, T)` at snapshot time: exact disk ranks
-    /// (summary-narrowed, cache-served) plus the stream's tracked interval.
-    /// Quarantined partitions are skipped; the upper bound widens by the
-    /// quarantined mass, since every unreadable item could be ≤ `z`.
-    /// `caches` must come from [`EngineSnapshot::new_caches`].
-    pub fn rank_bounds(&self, z: T, caches: &mut [BlockCache<T>]) -> io::Result<(u64, u64)> {
-        let parts = self.healthy();
-        let (lo, hi) =
-            crate::query::union_rank_bounds(&*self.dev, &parts, &self.stream, z, caches)?;
-        Ok((lo, hi + self.quarantined_mass()))
-    }
-
-    fn context(&self) -> QueryContext<'_, T, D> {
-        QueryContext::new(
+    /// The probe source over the `selected` partitions plus the stream,
+    /// keeping caches and probed ranks in `state`; `parallel` probes the
+    /// partitions concurrently.
+    pub(crate) fn probes<'a>(
+        &'a self,
+        selected: &[usize],
+        state: &'a mut ProbeState<T>,
+        parallel: bool,
+    ) -> PartitionProbes<'a, T, D> {
+        PartitionProbes::new(
             &*self.dev,
-            self.healthy(),
+            self.selected(selected),
             &self.stream,
-            self.epsilon,
             self.cache_blocks,
+            state,
+            parallel,
         )
-        .with_parallel(self.parallel)
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass())
+    }
+
+    /// Run `query` over the snapshot's scope of `window`, prefetching
+    /// through the pinned scheduler like the live engine; `Ok(None)` when
+    /// the window misaligns.
+    fn answer<R>(
+        &self,
+        window: Option<u64>,
+        query: impl FnOnce(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
+        let Some((total, selected)) = self.select(window) else {
+            return Ok(None);
+        };
+        let sources = self.source_views(&selected);
+        let scope = QueryScope::new(&sources, total, self.stream_len(), self.epsilon)
+            .with_excluded(self.quarantined_mass(), 0)
+            .with_strict(self.strict);
+        let mut state = ProbeState::default();
+        let probes = self
+            .probes(&selected, &mut state, self.parallel)
+            .with_prefetch(self.sched.as_deref());
+        query(&scope, &mut FanIn::new(vec![probes], false))
     }
 
     /// Accurate φ-quantile over the snapshot (Theorem 2 at snapshot time).
     pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        Ok(self.rank_query(r)?.map(|o| o.value))
+        self.answer(None, |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate rank query over the snapshot, with cost reporting.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.context().accurate_rank(r)
+        self.answer(None, |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Batch of φ-quantiles sharing one combined-summary build.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let ctx = self.context();
-        let n = self.total_len();
-        phis.iter()
-            .map(|&phi| {
-                assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                let r = (phi * n as f64).ceil() as u64;
-                Ok(ctx.accurate_rank(r)?.map(|o| o.value))
-            })
-            .collect()
+        let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
+        Ok(all.expect("the full union always aligns"))
     }
 
     /// Quick φ-quantile over the snapshot (in-memory, error ≤ 1.5εN).
     pub fn quantile_quick(&self, phi: f64) -> Option<T> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        self.context().quick_rank(r)
+        let quick = self.answer(None, |scope, _| Ok(scope.quick_quantile(phi)));
+        quick.expect("quick responses do no I/O")
     }
 
     /// Window sizes (in snapshot-time steps) answerable exactly from the
     /// pinned partitions, ascending.
     pub fn available_windows(&self) -> Vec<u64> {
-        let mut spans: Vec<(u64, u64)> = self
-            .parts
-            .iter()
-            .map(|(_, p)| (p.first_step, p.last_step))
-            .collect();
-        spans.sort_unstable_by_key(|s| std::cmp::Reverse(s.0));
-        let mut out = Vec::with_capacity(spans.len());
-        let mut acc = 0;
-        for (first, last) in spans {
-            acc += last - first + 1;
-            out.push(acc);
-        }
-        out
-    }
-
-    /// The pinned partitions covering exactly the newest `window_steps`
-    /// snapshot-time steps, newest first; `None` on misalignment.
-    pub fn window_partitions(&self, window_steps: u64) -> Option<Vec<&StoredPartition<T>>> {
-        crate::warehouse::window_suffix(self.parts.iter().map(|(_, p)| p).collect(), window_steps)
-    }
-
-    /// Like [`EngineSnapshot::window_partitions`], but returning indices
-    /// into the pinned partition list — the storable form a cached
-    /// cross-shard window plan keeps (see [`crate::sharded`]).
-    pub(crate) fn window_partition_indices(&self, window_steps: u64) -> Option<Vec<usize>> {
-        let spans: Vec<(u64, u64)> = self
-            .parts
-            .iter()
-            .map(|(_, p)| (p.first_step, p.last_step))
-            .collect();
-        crate::warehouse::window_suffix_indices(&spans, window_steps)
-    }
-
-    /// The pinned partition at index `i` (see
-    /// [`EngineSnapshot::window_partition_indices`]).
-    pub(crate) fn partition_at(&self, i: usize) -> &StoredPartition<T> {
-        &self.parts[i].1
+        crate::warehouse::window_sizes(self.parts.iter().map(|(_, p)| p))
     }
 
     /// Windowed φ-quantile over the snapshot: live-stream summary plus the
@@ -841,41 +720,12 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     /// pinned, the answer is stable even while the live engine's
     /// retention expires those steps underneath.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let Some(mut parts) = self.window_partitions(window_steps) else {
-            return Ok(None);
-        };
-        parts.retain(|p| !self.is_quarantined(p.run.file()));
-        let window_n: u64 = parts.iter().map(|p| p.run.len()).sum::<u64>() + self.stream_len();
-        let r = (phi * window_n as f64).ceil() as u64;
-        let ctx = QueryContext::new(
-            &*self.dev,
-            parts,
-            &self.stream,
-            self.epsilon,
-            self.cache_blocks,
-        )
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass());
-        Ok(ctx.accurate_rank(r)?.map(|o| o.value))
+        self.answer(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Windowed rank query over the snapshot, with cost reporting.
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let Some(mut parts) = self.window_partitions(window_steps) else {
-            return Ok(None);
-        };
-        parts.retain(|p| !self.is_quarantined(p.run.file()));
-        let ctx = QueryContext::new(
-            &*self.dev,
-            parts,
-            &self.stream,
-            self.epsilon,
-            self.cache_blocks,
-        )
-        .with_prefetch(self.sched.as_deref())
-        .with_degraded(self.quarantined_mass());
-        ctx.accurate_rank(r)
+        self.answer(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 }
 
@@ -928,6 +778,7 @@ fn merge_sorted_segments<T: Item>(data: Vec<T>, seg_ends: &[usize]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::RankProbeSource;
     use hsq_storage::MemDevice;
 
     fn engine(eps: f64, kappa: usize) -> HistStreamQuantiles<u64, MemDevice> {
@@ -1047,12 +898,12 @@ mod tests {
         }
         assert_eq!(h.available_windows(), vec![1, 4, 13]);
         // Window of 1 step = values 1200..1300 (step 13), plus empty stream.
-        let med = h.quantile_window(0.5, 1).unwrap().unwrap();
+        let med = h.quantile_in_window(1, 0.5).unwrap().unwrap();
         assert!((1200..1300).contains(&med), "window median {med}");
         // Non-aligned window.
-        assert!(h.quantile_window(0.5, 2).unwrap().is_none());
+        assert!(h.quantile_in_window(2, 0.5).unwrap().is_none());
         // Window of 4: steps 10..13 -> values 900..1300.
-        let med4 = h.quantile_window(0.5, 4).unwrap().unwrap();
+        let med4 = h.quantile_in_window(4, 0.5).unwrap().unwrap();
         assert!((1050..1150).contains(&med4), "window-4 median {med4}");
     }
 
@@ -1069,27 +920,8 @@ mod tests {
             h.stream_update(v);
         }
         // Window 1 = step 3 (200..300) + stream (300..400): median ~300.
-        let med = h.quantile_window(0.5, 1).unwrap().unwrap();
+        let med = h.quantile_in_window(1, 0.5).unwrap().unwrap();
         assert!((280..330).contains(&med), "median {med}");
-    }
-
-    #[test]
-    fn window_first_api_matches_legacy_order() {
-        let mut h = engine(0.1, 2);
-        for step in 0..13u64 {
-            let batch: Vec<u64> = (0..100).map(|i| step * 100 + i).collect();
-            h.ingest_step(&batch).unwrap();
-        }
-        for w in h.available_windows() {
-            assert_eq!(
-                h.quantile_in_window(w, 0.5).unwrap(),
-                h.quantile_window(0.5, w).unwrap()
-            );
-            let a = h.rank_in_window(w, 42).unwrap().unwrap();
-            let b = h.rank_query_window(42, w).unwrap().unwrap();
-            assert_eq!(a.value, b.value);
-        }
-        assert!(h.quantile_in_window(2, 0.5).unwrap().is_none());
     }
 
     #[test]
@@ -1426,10 +1258,12 @@ mod tests {
             h.stream_update(v);
         }
         let snap = h.snapshot();
-        let mut caches = snap.new_caches();
+        let mut state = ProbeState::default();
+        let (_, selected) = snap.select(None).unwrap();
+        let mut probes = snap.probes(&selected, &mut state, false);
         for z in [0u64, 123, 999, 1500, 1999, 5000] {
             let truth = all.iter().filter(|&&x| x <= z).count() as u64;
-            let (lo, hi) = snap.rank_bounds(z, &mut caches).unwrap();
+            let (lo, hi) = probes.probe(z).unwrap();
             assert!(
                 lo <= truth && truth <= hi,
                 "z={z}: {truth} outside [{lo},{hi}]"

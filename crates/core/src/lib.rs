@@ -23,11 +23,21 @@
 //!   choice), or a KLL compactor ladder selected via the [`HsqConfig`]
 //!   builder's `sketch` knob ([`SketchKind`]) — from which a
 //!   `β₂`-element summary is extracted at query time;
-//! * **queries** ([`query::QueryContext`]): a quick in-memory response
-//!   (Algorithm 5, error ≤ 1.5εN) and an accurate response (Algorithms
-//!   6–8) that bisects the value space between summary-derived filters,
-//!   probing partitions with narrowed, block-cached binary searches —
-//!   error ≤ εm (Theorem 2).
+//! * **queries** ([`query`]): one path on every surface. A
+//!   [`query::QueryScope`] holds what a query answers over — the combined
+//!   summary of the selected partitions (all, or a window's worth) plus
+//!   the stream, `N`, `m`, `ε`, the quarantined mass and `strict`; a
+//!   [`RankProbeSource`] returns summed rank bounds for a probe value
+//!   ([`query::PartitionProbes`]: exact on-disk ranks through narrowed,
+//!   block-cached binary searches, plus the stream's interval); and the
+//!   driver [`query::accurate_response`] (Algorithms 6–8) bisects the
+//!   value space between summary-derived filters until the estimate is
+//!   within `εm` of the target (Theorem 2). The quick response
+//!   (Algorithm 5, error ≤ 1.5εN) reads the scope alone. The live
+//!   engine, [`EngineSnapshot`], [`ShardedSnapshot`] and the networked
+//!   coordinator differ only in how they build the scope and the source;
+//!   the live engine's quarantine-and-retry recovery wraps the whole
+//!   path from outside.
 //!
 //! Baselines ([`baseline`]), window queries, memory budgeting
 //! ([`budget`]), the analytic cost model ([`costmodel`]) and parallel
@@ -101,7 +111,7 @@ pub use hsq_sketch::{SketchCompaction, SketchKind};
 pub use hsq_storage::{
     corruption_in, is_transient, RetryDevice, RetryPolicy, StorageError, StorageErrorKind,
 };
-pub use query::{QueryContext, QueryOutcome, RankProbeSource, SeedMode};
+pub use query::{QueryContext, QueryOutcome, QueryScope, RankProbeSource, SeedMode};
 pub use retention::{RetentionPolicy, RetentionReport};
 pub use sharded::{ShardedEngine, ShardedSnapshot};
 pub use stream::{StreamProcessor, StreamSummary};

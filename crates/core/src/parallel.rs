@@ -3,11 +3,12 @@
 //! and the generic [`par_map_mut`] pool the sharded engine uses for
 //! per-shard ingestion and cross-shard query fan-in.
 //!
-//! [`par_partition_ranks`] computes the per-partition exact ranks of the
-//! bisection midpoint concurrently, each partition with its own
-//! decoded-block cache. Enabled via [`crate::HsqConfig`]'s
-//! `parallel_query` flag or [`crate::query::QueryContext::with_parallel`].
-//! I/O *counts* are unchanged — only wall-clock latency overlaps.
+//! [`par_partition_ranks`] computes the per-partition exact ranks of a
+//! probe value concurrently, each partition with its own decoded-block
+//! cache — the parallel arm of [`crate::query::PartitionProbes`]. Enabled
+//! via [`crate::HsqConfig`]'s `parallel_query` flag or
+//! [`crate::query::QueryContext::with_parallel`]. I/O *counts* are
+//! unchanged — only wall-clock latency overlaps.
 //!
 //! All helpers bound their thread count by [`worker_count`]:
 //! `available_parallelism()` unless the `HSQ_WORKERS` environment
@@ -97,9 +98,9 @@ where
 
 /// Compute `rank(z, P)` for every partition concurrently.
 ///
-/// Equivalent to the serial loop in
-/// `QueryContext::rank_in_partitions`, including cache reuse across
-/// bisection iterations (each partition owns its cache).
+/// Equivalent to [`crate::query::PartitionProbes`]' serial arm,
+/// including cache reuse across bisection iterations (each partition
+/// owns its cache).
 ///
 /// Work is chunked over at most `available_parallelism()` scoped threads
 /// (not one thread per partition): with `κ·log_κ T` partitions a query
@@ -155,7 +156,7 @@ pub fn par_partition_ranks<T: Item, D: BlockDevice>(
 mod tests {
     use super::*;
     use crate::config::HsqConfig;
-    use crate::query::QueryContext;
+    use crate::query::{ProbeState, QueryContext, RankProbeSource};
     use crate::stream::StreamProcessor;
     use crate::warehouse::Warehouse;
     use hsq_storage::MemDevice;
@@ -180,30 +181,35 @@ mod tests {
         }
         let ss = sp.summary();
 
+        let ctx = |parallel| {
+            QueryContext::new(
+                &**w.device(),
+                w.partitions_newest_first(),
+                &ss,
+                cfg.epsilon(),
+                cfg.cache_blocks,
+            )
+            .with_parallel(parallel)
+        };
+        let (serial, parallel) = (ctx(false), ctx(true));
+        // One long-lived source per arm: probed ranks and caches carry
+        // over between queries identically on both.
+        let (mut s_state, mut p_state) = (ProbeState::default(), ProbeState::default());
+        let mut s_fan = serial.fan_in(&mut s_state);
+        let mut p_fan = parallel.fan_in(&mut p_state);
         for r in [1u64, 700, 1450, 2900] {
-            let serial = QueryContext::new(
-                &**w.device(),
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .accurate_rank(r)
-            .unwrap()
-            .unwrap();
-            let parallel = QueryContext::new(
-                &**w.device(),
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .with_parallel(true)
-            .accurate_rank(r)
-            .unwrap()
-            .unwrap();
-            assert_eq!(serial.value, parallel.value, "r = {r}");
-            assert_eq!(serial.estimated_rank, parallel.estimated_rank);
+            let s = s_fan.rank_query(serial.scope(), r).unwrap().unwrap();
+            let p = p_fan.rank_query(parallel.scope(), r).unwrap().unwrap();
+            let key = |o: crate::QueryOutcome<u64>| {
+                (
+                    o.value,
+                    o.estimated_rank,
+                    o.bisection_steps,
+                    o.io.total_reads(),
+                )
+            };
+            assert_eq!(key(s), key(p), "r = {r}: same answer, same read count");
+            assert_eq!(s_fan.probe(s.value).unwrap(), p_fan.probe(s.value).unwrap());
         }
     }
 

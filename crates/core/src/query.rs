@@ -1,14 +1,33 @@
-//! Query processing: the quick response (Algorithm 5) and the accurate
-//! response (Algorithms 6–8).
+//! Query processing: one path, *scope → probe source → driver*, that
+//! every surface (live engine, pinned snapshot, sharded fan-in, served
+//! node, remote coordinator) answers through.
 //!
-//! The accurate path takes the filter pair from
-//! [`CombinedSummary::generate_filters`] (Algorithm 7) and bisects the
-//! *value space* between them (Algorithm 8): at each step it computes the
-//! exact rank `ρ₁` of the midpoint `z` in every partition (a narrowed
-//! binary search over disk blocks) and an approximate rank `ρ₂` in the
-//! stream (from the stream summary's rigorous bounds), recursing left or
-//! right until `ρ = ρ₁ + ρ₂` lands within the acceptance window of the
-//! target rank.
+//! * A [`QueryScope`] is what a query answers over and nothing else: the
+//!   combined summary `TS` of the selected partitions plus the stream
+//!   (what Algorithm 6 starts from), the sizes `N` and `m`, `ε`, the mass
+//!   excluded by quarantine or lost replica groups, and `strict`. A
+//!   window is just a different partition selection, so full-union and
+//!   windowed queries share everything below. The quick response
+//!   (Algorithm 5, [`QueryScope::quick_rank`]) needs only the scope.
+//! * A [`RankProbeSource`] returns rigorous bounds on `rank(z)` over the
+//!   scope's data. [`PartitionProbes`] is the one that touches disk: the
+//!   exact rank `ρ₁` of `z` in every partition — each searched only
+//!   inside its summary's `narrow` (Algorithm 8, line 5) intersected with
+//!   the exact ranks of the nearest values already probed on either side
+//!   (the tightening of lines 13/15) — plus the stream summary's interval
+//!   for `ρ₂`. Bounds over disjoint data add, so a [`FanIn`] of them
+//!   fronts a sharded engine and a coordinator sums nodes the same way.
+//! * The driver, [`accurate_response`], is Algorithm 6: refuse if the
+//!   scope is strict and degraded, seed the bracket `[u, v]` with
+//!   Algorithm 7's filters ([`CombinedSummary::seed_bracket`]), run
+//!   Algorithm 8's value-space bisection ([`bisect_summed_rank`], the
+//!   only loop) until `ρ = ρ₁ + ρ₂` lands within `⌊ε·m⌋` of the target,
+//!   and assemble the one [`QueryOutcome`].
+//!
+//! Recovery wraps the path from outside: the live engine re-runs
+//! "build scope, run driver" after quarantining a corrupt partition or
+//! on a transient fault, and the coordinator re-runs it when fleet
+//! membership changes mid-bisection.
 //!
 //! Ranks throughout this module are *summed weights*, not item counts:
 //! with weighted ingestion (`stream_update_weighted`) an item of weight
@@ -20,18 +39,15 @@
 //! partitions materialize weight as replication while the stream sketch
 //! carries it natively.
 //!
-//! Two paper optimizations are implemented:
-//! * per-partition search windows start from the summary's `narrow`
-//!   (Algorithm 8 line 5) and tighten monotonically as the filters move;
-//! * all block reads go through a [`BlockCache`], so once a partition's
-//!   window falls inside one block no further I/O is charged for it
-//!   (§2.4 "Optimization").
+//! All block reads go through a per-partition [`BlockCache`], so once a
+//! partition's window falls inside one block no further I/O is charged
+//! for it (§2.4 "Optimization").
 
 use std::io;
 use std::sync::Arc;
 
 use hsq_storage::{
-    BlockCache, BlockDevice, IoOp, IoOutcome, IoScheduler, IoSnapshot, IoTicket, Item,
+    BlockCache, BlockDevice, FileId, IoOp, IoOutcome, IoScheduler, IoSnapshot, IoTicket, Item,
 };
 
 use crate::bounds::{CombinedSummary, SourceView};
@@ -62,7 +78,7 @@ pub struct QueryOutcome<T> {
     /// upper bound by **exactly** the quarantined item count, since every
     /// unreadable item could fall at or below `value`.
     pub rank_hi: u64,
-    /// `true` when the context excluded quarantined (confirmed-corrupt)
+    /// `true` when the scope excluded quarantined (confirmed-corrupt)
     /// partitions: the answer is still rank-correct within
     /// `[rank_lo, rank_hi]`, just wider than the healthy-path `ε·m`.
     pub degraded: bool,
@@ -71,7 +87,7 @@ pub struct QueryOutcome<T> {
     pub quarantined: u64,
 }
 
-/// How [`QueryContext::accurate_rank`] seeds its bisection bracket.
+/// How [`accurate_response`] seeds its bisection bracket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SeedMode {
     /// Seed `[u, v]` from the combined summary's tightest bracket
@@ -84,34 +100,458 @@ pub enum SeedMode {
     Domain,
 }
 
-/// Per-query evaluation context over a fixed set of partitions.
+/// What one query answers over: the data selected (all partitions or a
+/// window's worth, plus the stream) reduced to what the bisection needs.
+/// Built once per pinned view and window, shared by every query on it.
+#[derive(Clone, Debug)]
+pub struct QueryScope<T> {
+    ts: Arc<CombinedSummary<T>>,
+    total: u64,
+    stream_weight: u64,
+    epsilon: f64,
+    quarantined: u64,
+    missing: u64,
+    strict: bool,
+    seed: SeedMode,
+}
+
+impl<T: Item> QueryScope<T> {
+    /// A healthy scope: `TS` built over `sources`, total size `total`
+    /// (`N`: the selected partitions, readable or not, plus the stream),
+    /// stream weight `stream_weight` (`m`) and error parameter `epsilon`.
+    pub fn new(sources: &[SourceView<T>], total: u64, stream_weight: u64, epsilon: f64) -> Self {
+        QueryScope {
+            ts: Arc::new(CombinedSummary::build(sources)),
+            total,
+            stream_weight,
+            epsilon,
+            quarantined: 0,
+            missing: 0,
+            strict: false,
+            seed: SeedMode::default(),
+        }
+    }
+
+    /// Record the mass `sources` could not cover: `quarantined` items
+    /// (corrupt partitions plus confirmed-lost items) and `missing`
+    /// weight of unreachable replica groups. Outcomes widen `rank_hi` by
+    /// exactly their sum and set `degraded`; no-op at 0.
+    pub fn with_excluded(mut self, quarantined: u64, missing: u64) -> Self {
+        self.quarantined = quarantined;
+        self.missing = missing;
+        self
+    }
+
+    /// Record [`crate::HsqConfig::strict`] as of pin time: a strict scope
+    /// with quarantined mass refuses accurate queries.
+    pub fn with_strict(mut self, strict: bool) -> Self {
+        self.strict = strict;
+        self
+    }
+
+    /// Total size `N` of the scope.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// The combined summary `TS` (shared, never rebuilt).
+    pub fn combined_summary(&self) -> &Arc<CombinedSummary<T>> {
+        &self.ts
+    }
+
+    /// The 1-based target rank `⌈φ·N⌉` of the φ-quantile.
+    pub fn rank_of(&self, phi: f64) -> u64 {
+        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
+        (phi * self.total as f64).ceil() as u64
+    }
+
+    /// Algorithm 5: quick response for 1-based rank `r`, using only
+    /// in-memory structures. Error ≤ 1.5·ε·N (Lemma 3).
+    pub fn quick_rank(&self, r: u64) -> Option<T> {
+        self.ts.quick_response(r.clamp(1, self.ts.total().max(1)))
+    }
+
+    /// Quick φ-quantile: [`QueryScope::quick_rank`] of `⌈φ·N⌉`.
+    pub fn quick_quantile(&self, phi: f64) -> Option<T> {
+        self.quick_rank(self.rank_of(phi))
+    }
+}
+
+/// The views `TS` is built from over one device: every partition's
+/// summary, in order, then the stream's.
+pub(crate) fn source_views<T: Item>(
+    partitions: &[&StoredPartition<T>],
+    stream: &StreamSummary<T>,
+) -> Vec<SourceView<T>> {
+    let parts = partitions
+        .iter()
+        .map(|p| SourceView::from_partition(&p.summary));
+    parts.chain([SourceView::from_stream(stream)]).collect()
+}
+
+/// The strict-mode gate ([`crate::HsqConfig::strict`]): refuse to answer
+/// over a union with `quarantined` unreadable items. [`accurate_response`]
+/// applies it to its scope; a serving node, whose bisection runs on the
+/// coordinator, applies it per probe round.
+pub fn strict_gate(strict: bool, quarantined: u64) -> io::Result<()> {
+    if strict && quarantined > 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("query refused: {quarantined} items quarantined (strict mode)"),
+        ));
+    }
+    Ok(())
+}
+
+/// Algorithm 6: the accurate response for 1-based rank `r` over `scope`,
+/// probing through `source`. Error O(ε·m) (Lemma 5, Theorem 2). The
+/// outcome's `io` and prefetch counters are zero — whoever owns the
+/// source stamps what the probes cost.
+pub fn accurate_response<T: Item>(
+    scope: &QueryScope<T>,
+    r: u64,
+    source: &mut dyn RankProbeSource<T>,
+) -> io::Result<Option<QueryOutcome<T>>> {
+    strict_gate(scope.strict, scope.quarantined)?;
+    if scope.ts.total() == 0 {
+        // Nothing readable to answer from (empty, or all quarantined).
+        return Ok(None);
+    }
+    let r = r.clamp(1, scope.total);
+    let (u, v) = match scope.seed {
+        SeedMode::Summary => scope.ts.seed_bracket(r),
+        SeedMode::Domain => (T::MIN, T::MAX),
+    };
+    let eps_m = (scope.epsilon * scope.stream_weight as f64).floor() as u64;
+    let (value, estimated_rank, bisection_steps) = bisect_summed_rank(r, eps_m, u, v, source)?;
+    let excluded = scope.quarantined + scope.missing;
+    Ok(Some(QueryOutcome {
+        value,
+        io: IoSnapshot::default(),
+        bisection_steps,
+        estimated_rank,
+        prefetch_hits: 0,
+        prefetch_wasted: 0,
+        rank_lo: estimated_rank.saturating_sub(eps_m),
+        // One-sided widening: unreadable or unreachable items can only
+        // push a true full-union rank up, never below the lower bound.
+        rank_hi: estimated_rank + eps_m + excluded,
+        degraded: excluded > 0,
+        quarantined: scope.quarantined,
+    }))
+}
+
+/// A source of rigorous rank bounds for the value-space bisection
+/// ([`bisect_summed_rank`]): `probe(z)` returns `(lo, hi)` with
+/// `lo ≤ rank(z, union) ≤ hi` (summed weights under weighted ingestion)
+/// over whatever union the source fronts.
 ///
-/// Borrows the warehouse's partitions (all of them, or a window's worth)
-/// and the extracted stream summary.
-pub struct QueryContext<'a, T: Item, D: BlockDevice> {
+/// The trait is the seam between *where the data lives* and *how the
+/// query runs*: [`PartitionProbes`] reads one device's partitions, a
+/// [`FanIn`] sums several of them, and a networked coordinator batches
+/// one probe round per call across remote nodes — bounds from disjoint
+/// sources add, so all drive the *same* bisection and inherit the same
+/// `ε·m` guarantee. Any `FnMut(T) -> io::Result<(u64, u64)>` closure
+/// implements the trait.
+pub trait RankProbeSource<T: Item> {
+    /// Rigorous `(lo, hi)` bounds on `rank(z)` over the fronted union.
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)>;
+}
+
+impl<T: Item, F: FnMut(T) -> io::Result<(u64, u64)>> RankProbeSource<T> for F {
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        self(z)
+    }
+}
+
+/// Algorithm 8: value-space bisection over *summed* rank bounds.
+///
+/// `probe` returns rigorous `(lo, hi)` bounds on `rank(z)` — summed
+/// weights under weighted ingestion — over the queried union; the
+/// midpoint estimate carries up to `hi − mid`
+/// uncertainty, so a probe is accepted when `|ρ − r| ≤ eps_m − unc` and
+/// the search otherwise bisects `[u, v]` to value collapse (Definition
+/// 1's boundary answer). Returns `(value, estimated_rank,
+/// bisection_steps)`.
+pub fn bisect_summed_rank<T: Item>(
+    r: u64,
+    eps_m: u64,
+    mut u: T,
+    mut v: T,
+    probe: &mut dyn RankProbeSource<T>,
+) -> io::Result<(T, u64, u32)> {
+    let mut steps = 0u32;
+    // v ≤ u: both filters pin rank r exactly and no search is needed.
+    if u < v {
+        loop {
+            steps += 1;
+            let z = T::midpoint(u, v);
+            if steps > T::UNIVERSE_BITS + 2 || (z == u && z == v) {
+                break; // value space exhausted
+            }
+            let (lo, hi) = probe.probe(z)?;
+            let rho = lo + (hi - lo) / 2;
+            let unc = hi - rho;
+            let tol = eps_m.saturating_sub(unc);
+            if r < rho && rho - r > tol {
+                v = z; // too high: recurse left (Alg. 8 line 13)
+            } else if rho < r && r - rho > tol {
+                if z == u {
+                    break; // interval degenerated to {u, v = u+ulp}
+                }
+                u = z; // too low: recurse right (Alg. 8 line 15)
+            } else {
+                return Ok((z, rho, steps));
+            }
+        }
+    }
+    // The bracket collapsed onto v, the smallest value whose estimated
+    // rank reaches r: Definition 1's answer.
+    let (lo, hi) = probe.probe(v)?;
+    Ok((v, lo + (hi - lo) / 2, steps))
+}
+
+/// What a [`PartitionProbes`] keeps between probes: the decoded-block
+/// caches and the exact ranks of the last few probed values. Owns no
+/// borrow, so a serving connection can hold one per pinned epoch across
+/// requests; `Default` is the empty state, shaped on first use.
+pub struct ProbeState<T: Item> {
+    /// The run files of the partitions this state is shaped for: `caches`
+    /// and every `probed` rank vector are indexed like it.
+    files: Vec<FileId>,
+    /// One cache per partition so parallel probes don't contend.
+    caches: Vec<BlockCache<T>>,
+    /// Up to three probed values, ascending, each with its exact rank in
+    /// every partition: the latest probe and the nearest earlier probe on
+    /// either side of it — all a bisection ever looks at again.
+    probed: Vec<(T, Vec<u64>)>,
+}
+
+impl<T: Item> Default for ProbeState<T> {
+    fn default() -> Self {
+        ProbeState {
+            files: Vec::new(),
+            caches: Vec::new(),
+            probed: Vec::new(),
+        }
+    }
+}
+
+/// The probe source over one device: rigorous bounds on `rank(z)` over
+/// `partitions ∪ stream` — the exact disk-side rank plus the stream
+/// summary's tracked interval.
+///
+/// Each partition is searched only between the exact ranks already known
+/// for the nearest probed values below and above `z`, intersected with
+/// its summary's `narrow(z, z)`; re-probing a remembered value reads
+/// nothing. Windows therefore tighten monotonically under any bisection
+/// without the driver knowing partitions exist.
+pub struct PartitionProbes<'a, T: Item, D: BlockDevice> {
     dev: &'a D,
     partitions: Vec<&'a StoredPartition<T>>,
     stream: &'a StreamSummary<T>,
-    ts: CombinedSummary<T>,
-    epsilon: f64,
-    cache_blocks: usize,
-    /// Probe partitions concurrently (crossbeam scoped threads); see
-    /// `crate::parallel`.
+    state: &'a mut ProbeState<T>,
     parallel: bool,
-    /// Overlapped-I/O scheduler for speculative bisection prefetch; when
-    /// set, both candidate half-probes of the next bisection step are
-    /// submitted while the current step finishes, so the next probe's
-    /// first block read is (ideally) already complete.
+    prefetch: Option<SpecPrefetcher<'a, T>>,
+}
+
+impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
+    /// Probe `partitions ∪ stream` on `dev`, keeping caches and probed
+    /// ranks in `state`. A `state` last used over other partitions (or
+    /// fresh) is reset, splitting `cache_blocks` across the partitions.
+    /// `parallel` probes partitions concurrently (paper §4's future-work
+    /// direction: "different disk partitions can be processed in
+    /// parallel"; see [`crate::parallel`]).
+    pub fn new(
+        dev: &'a D,
+        partitions: Vec<&'a StoredPartition<T>>,
+        stream: &'a StreamSummary<T>,
+        cache_blocks: usize,
+        state: &'a mut ProbeState<T>,
+        parallel: bool,
+    ) -> Self {
+        let files = || partitions.iter().map(|p| p.run.file());
+        if !state.files.iter().copied().eq(files()) {
+            let per_cache = (cache_blocks / partitions.len().max(1)).max(2);
+            state.files = files().collect();
+            state.caches = files().map(|_| BlockCache::new(per_cache)).collect();
+            state.probed.clear();
+        }
+        PartitionProbes {
+            dev,
+            partitions,
+            stream,
+            state,
+            parallel,
+            prefetch: None,
+        }
+    }
+
+    /// Speculatively prefetch bisection probes through `sched`, a
+    /// scheduler over the same device: each probe submits the first block
+    /// read of **both** candidate half-probes of the next step, so
+    /// whichever direction the search takes finds its block warm. Answers
+    /// are identical with or without it — only the device round-trip
+    /// latency moves off the critical path. For sources that live for a
+    /// whole bisection and end in [`FanIn::rank_query`], which claims the
+    /// outstanding reads.
+    pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
+        self.prefetch = sched.map(SpecPrefetcher::new);
+        self
+    }
+
+    /// Exact rank of `z` summed over the partitions.
+    fn disk_rank(&mut self, z: T) -> io::Result<u64> {
+        let probed = &mut self.state.probed;
+        let at = probed.partition_point(|&(v, _)| v < z);
+        if let Some((_, ranks)) = probed.get(at).filter(|&&(v, _)| v == z) {
+            return Ok(ranks.iter().sum());
+        }
+        let above = probed.drain(at..).next();
+        let below = probed.pop();
+        probed.clear();
+
+        // Alg. 8 line 5, tightened by lines 13/15: ranks are monotone in
+        // the value, so rank(below) ≤ rank(z) ≤ rank(above).
+        let windows: Vec<(u64, u64)> = self
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let (lo, hi) = p.summary.narrow(z, z);
+                (
+                    below.as_ref().map_or(lo, |(_, b)| lo.max(b[i])),
+                    above.as_ref().map_or(hi, |(_, a)| hi.min(a[i])),
+                )
+            })
+            .collect();
+        let bs = self.dev.block_size();
+        let caches = &mut self.state.caches;
+        // Consume the speculative reads matching this probe before the
+        // synchronous path looks for their blocks.
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.harvest(&self.partitions, &windows, bs, caches);
+        }
+        let ranks = if self.parallel && self.partitions.len() > 1 {
+            crate::parallel::par_partition_ranks(self.dev, &self.partitions, z, &windows, caches)?
+        } else {
+            let each = self.partitions.iter().zip(&windows).zip(caches.iter_mut());
+            each.map(|((p, &w), cache)| partition_rank(self.dev, p, z, w, cache))
+                .collect::<io::Result<Vec<u64>>>()?
+        };
+        // Speculate on the next probe: submit the first-probe block of
+        // both candidate half-windows (a smaller value caps each window's
+        // upper rank at this probe's result; a larger one raises the
+        // lower) while the caller's acceptance arithmetic runs.
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.speculate(&self.partitions, &windows, &ranks, bs, caches);
+        }
+        let rho1 = ranks.iter().sum();
+        probed.extend(below);
+        probed.push((z, ranks));
+        probed.extend(above);
+        Ok(rho1)
+    }
+}
+
+impl<T: Item, D: BlockDevice> RankProbeSource<T> for PartitionProbes<'_, T, D> {
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        let rho1 = self.disk_rank(z)?;
+        let (lo, hi) = self.stream.rank_bounds(z);
+        Ok((rho1 + lo, rho1 + hi))
+    }
+}
+
+/// The in-process fan-in: [`PartitionProbes`] over disjoint data (one per
+/// engine shard; a single engine is a fan-in of one), bounds summed.
+pub struct FanIn<'a, T: Item, D: BlockDevice> {
+    shards: Vec<PartitionProbes<'a, T, D>>,
+    parallel: bool,
+}
+
+impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
+    /// Sum `shards`, probing them concurrently over the bounded pool
+    /// ([`crate::parallel::par_map_mut`]) when `parallel` — worth it when
+    /// shard devices overlap real I/O; serial probing is cheaper when
+    /// everything is cache-resident.
+    pub fn new(shards: Vec<PartitionProbes<'a, T, D>>, parallel: bool) -> Self {
+        FanIn { shards, parallel }
+    }
+
+    /// Run the driver over this fan-in and stamp what its probes cost:
+    /// the I/O on every distinct device and the prefetch counters.
+    pub fn rank_query(
+        &mut self,
+        scope: &QueryScope<T>,
+        r: u64,
+    ) -> io::Result<Option<QueryOutcome<T>>> {
+        // Shards may share a device: count each once.
+        let mut marks: Vec<(&D, IoSnapshot)> = Vec::new();
+        for s in &self.shards {
+            if !marks.iter().any(|&(d, _)| std::ptr::eq(d, s.dev)) {
+                marks.push((s.dev, s.dev.stats().snapshot()));
+            }
+        }
+        let result = accurate_response(scope, r, self);
+        let (mut hits, mut wasted) = (0, 0);
+        for pf in self.shards.iter_mut().filter_map(|s| s.prefetch.as_mut()) {
+            let (h, w) = pf.finish();
+            hits += h;
+            wasted += w;
+        }
+        Ok(result?.map(|mut o| {
+            o.io = marks
+                .iter()
+                .fold(IoSnapshot::default(), |acc, &(d, before)| {
+                    acc + (d.stats().snapshot() - before)
+                });
+            o.prefetch_hits = hits;
+            o.prefetch_wasted = wasted;
+            o
+        }))
+    }
+
+    /// Accurate φ-quantile over `scope`: the value answering `⌈φ·N⌉`.
+    pub fn quantile(&mut self, scope: &QueryScope<T>, phi: f64) -> io::Result<Option<T>> {
+        Ok(self.rank_query(scope, scope.rank_of(phi))?.map(|o| o.value))
+    }
+
+    /// Batch of accurate φ-quantiles sharing `scope` and this fan-in's
+    /// caches.
+    pub fn quantiles(&mut self, scope: &QueryScope<T>, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
+        phis.iter().map(|&phi| self.quantile(scope, phi)).collect()
+    }
+}
+
+impl<T: Item, D: BlockDevice> RankProbeSource<T> for FanIn<'_, T, D> {
+    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        let results: Vec<io::Result<(u64, u64)>> = if self.parallel {
+            crate::parallel::par_map_mut(&mut self.shards, |_, s| s.probe(z))
+        } else {
+            self.shards.iter_mut().map(|s| s.probe(z)).collect()
+        };
+        results
+            .into_iter()
+            .try_fold((0, 0), |(lo, hi), r| r.map(|(l, h)| (lo + l, hi + h)))
+    }
+}
+
+/// The borrowed-partitions constructor: a [`QueryScope`] and a
+/// [`PartitionProbes`] over one device's partitions (all of them, or a
+/// window's worth) and an extracted stream summary.
+pub struct QueryContext<'a, T: Item, D: BlockDevice> {
+    scope: QueryScope<T>,
+    dev: &'a D,
+    partitions: Vec<&'a StoredPartition<T>>,
+    stream: &'a StreamSummary<T>,
+    cache_blocks: usize,
+    parallel: bool,
     sched: Option<&'a IoScheduler>,
-    /// Bisection bracket seeding (see [`SeedMode`]).
-    seed: SeedMode,
-    /// Items quarantined (excluded) from this context's partition set;
-    /// widens every outcome's `rank_hi` and sets its `degraded` flag.
-    quarantined: u64,
 }
 
 impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
-    /// Build the combined summary `TS` over `partitions` ∪ stream.
+    /// Build the scope (combined summary `TS` included) over
+    /// `partitions` ∪ stream.
     pub fn new(
         dev: &'a D,
         partitions: Vec<&'a StoredPartition<T>>,
@@ -119,41 +559,27 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         epsilon: f64,
         cache_blocks: usize,
     ) -> Self {
-        let mut sources: Vec<SourceView<T>> = partitions
-            .iter()
-            .map(|p| SourceView::from_partition(&p.summary))
-            .collect();
-        sources.push(SourceView::from_stream(stream));
-        let ts = CombinedSummary::build(&sources);
+        let sources = source_views(&partitions, stream);
+        let total = sources.iter().map(SourceView::total).sum();
         QueryContext {
+            scope: QueryScope::new(&sources, total, stream.stream_len(), epsilon),
             dev,
             partitions,
             stream,
-            ts,
-            epsilon,
             cache_blocks,
             parallel: false,
             sched: None,
-            seed: SeedMode::default(),
-            quarantined: 0,
         }
     }
 
-    /// Enable parallel partition probing (paper §4's future-work
-    /// direction: "different disk partitions can be processed in
-    /// parallel").
+    /// Probe partitions concurrently (see [`PartitionProbes::new`]).
     pub fn with_parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
     }
 
-    /// Enable speculative bisection prefetch through `sched` (must
-    /// schedule over the same device as this context): each bisection
-    /// step submits the first block read of **both** candidate
-    /// half-probes of the next step, so whichever direction the search
-    /// takes finds its block warm. Answers are identical with or without
-    /// prefetch — only the device round-trip latency moves off the
-    /// critical path. No-op when `None`.
+    /// Speculatively prefetch bisection probes through `sched` (see
+    /// [`PartitionProbes::new`]).
     pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
         self.sched = sched;
         self
@@ -162,203 +588,34 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
     /// Select the bisection bracket seeding (default
     /// [`SeedMode::Summary`]).
     pub fn with_seed_mode(mut self, seed: SeedMode) -> Self {
-        self.seed = seed;
+        self.scope.seed = seed;
         self
     }
 
-    /// Mark this context as degraded: `quarantined` items were excluded
-    /// from its partition set (corruption quarantine). Outcomes widen
-    /// `rank_hi` by exactly this amount and set their `degraded` flag.
-    /// No-op at 0 (the healthy path).
-    pub fn with_degraded(mut self, quarantined: u64) -> Self {
-        self.quarantined = quarantined;
-        self
+    /// The scope queries on this context answer over.
+    pub fn scope(&self) -> &QueryScope<T> {
+        &self.scope
     }
 
-    /// Total data size `N` covered by this context.
-    pub fn total(&self) -> u64 {
-        self.ts.total()
+    /// The probe source over this context's partitions, as a fan-in of
+    /// one, keeping caches and probed ranks in `state`.
+    pub fn fan_in<'s>(&'s self, state: &'s mut ProbeState<T>) -> FanIn<'s, T, D> {
+        let probes = PartitionProbes::new(
+            self.dev,
+            self.partitions.clone(),
+            self.stream,
+            self.cache_blocks,
+            state,
+            self.parallel,
+        );
+        FanIn::new(vec![probes.with_prefetch(self.sched)], false)
     }
 
-    /// The combined summary (exposed for inspection/tests).
-    pub fn combined_summary(&self) -> &CombinedSummary<T> {
-        &self.ts
-    }
-
-    /// Algorithm 5: quick response for 1-based rank `r`, using only
-    /// in-memory structures. Error ≤ 1.5·ε·N (Lemma 3).
-    pub fn quick_rank(&self, r: u64) -> Option<T> {
-        self.ts.quick_response(r.clamp(1, self.total().max(1)))
-    }
-
-    /// Algorithm 6: accurate response for 1-based rank `r`.
-    /// Error O(ε·m) (Lemma 5, Theorem 2).
+    /// Algorithm 6: accurate response for 1-based rank `r`, with cost
+    /// reporting (see [`accurate_response`]).
     pub fn accurate_rank(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let total = self.total();
-        if total == 0 {
-            return Ok(None);
-        }
-        let r = r.clamp(1, total);
-        let before = self.dev.stats().snapshot();
-
-        let (mut u, mut v) = match self.seed {
-            SeedMode::Summary => self.ts.seed_bracket(r),
-            SeedMode::Domain => (T::MIN, T::MAX),
-        };
-        // One decoded-block cache per partition so parallel probes don't
-        // contend; capacity split across partitions.
-        let per_cache = (self.cache_blocks / self.partitions.len().max(1)).max(2);
-        let mut caches: Vec<BlockCache<T>> = self
-            .partitions
-            .iter()
-            .map(|_| BlockCache::new(per_cache))
-            .collect();
-        if v <= u {
-            // Both filters pin rank r exactly (possible when L and U meet
-            // at r); v is Definition 1's answer.
-            let mut windows: Vec<(u64, u64)> = self
-                .partitions
-                .iter()
-                .map(|p| p.summary.narrow(v, v))
-                .collect();
-            let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-            let eps_m = (self.epsilon * self.stream.stream_len() as f64).floor() as u64;
-            return Ok(Some(QueryOutcome {
-                value: v,
-                io: self.dev.stats().snapshot() - before,
-                bisection_steps: 0,
-                estimated_rank: rho,
-                prefetch_hits: 0,
-                prefetch_wasted: 0,
-                rank_lo: rho.saturating_sub(eps_m),
-                rank_hi: rho + eps_m + self.quarantined,
-                degraded: self.quarantined > 0,
-                quarantined: self.quarantined,
-            }));
-        }
-
-        // Per-partition rank windows from the summaries (Alg. 8 line 5).
-        let mut windows: Vec<(u64, u64)> = self
-            .partitions
-            .iter()
-            .map(|p| p.summary.narrow(u, v))
-            .collect();
-
-        let m = self.stream.stream_len();
-        // Acceptance tolerance: the final guarantee is |rank(z) - r| <=
-        // eps*m; since rho2 carries up to `unc` uncertainty, accept when
-        // |rho - r| <= eps*m - unc (floored at 0; bisection then runs to
-        // value collapse and returns the boundary, which is the
-        // Definition-1 answer).
-        let eps_m = (self.epsilon * m as f64).floor() as u64;
-        let bs = self.dev.block_size();
-        let mut prefetch = self.sched.map(SpecPrefetcher::new);
-
-        let mut steps = 0u32;
-        let (value, estimated_rank) = loop {
-            steps += 1;
-            if steps > T::UNIVERSE_BITS + 2 {
-                // Value space exhausted; v is the smallest value whose
-                // estimated rank reaches r (Definition 1's choice).
-                let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-                break (v, rho);
-            }
-            let z = T::midpoint(u, v);
-            if z == u && z == v {
-                let rho = self.estimate_rank(v, &mut windows, &mut caches)?;
-                break (v, rho);
-            }
-
-            // Consume the speculative reads matching this step's probes
-            // before the synchronous path looks for their blocks.
-            if let Some(pf) = prefetch.as_mut() {
-                pf.harvest(&self.partitions, &windows, bs, &mut caches);
-            }
-            let (rho1, part_ranks) = self.rank_in_partitions(z, &windows, &mut caches)?;
-            // Speculate on the next step: submit the first-probe block of
-            // both candidate half-windows (left: v=z tightens the upper
-            // rank bound to the probe's result; right: u=z raises the
-            // lower) while the acceptance arithmetic below runs. One of
-            // them is the next step's first read — already in flight.
-            if let Some(pf) = prefetch.as_mut() {
-                pf.speculate(&self.partitions, &windows, &part_ranks, bs, &caches);
-            }
-            let (lo2, hi2) = self.stream.rank_bounds(z);
-            let rho2 = lo2 + (hi2 - lo2) / 2;
-            let unc = hi2 - rho2;
-            let rho = rho1 + rho2;
-            let tol = eps_m.saturating_sub(unc);
-
-            if r < rho && rho - r > tol {
-                // Too high: recurse left (Alg. 8 line 13).
-                v = z;
-                for (w, &pr) in windows.iter_mut().zip(&part_ranks) {
-                    w.1 = w.1.min(pr);
-                }
-            } else if rho < r && r - rho > tol {
-                // Too low: recurse right (Alg. 8 line 15).
-                if z == u {
-                    // Interval degenerated to {u, v=u+ulp}: the answer is v.
-                    let rho_v = self.estimate_rank(v, &mut windows, &mut caches)?;
-                    break (v, rho_v);
-                }
-                u = z;
-                for (w, &pr) in windows.iter_mut().zip(&part_ranks) {
-                    w.0 = w.0.max(pr);
-                }
-            } else {
-                break (z, rho);
-            }
-        };
-
-        let (prefetch_hits, prefetch_wasted) = match prefetch {
-            Some(pf) => pf.finish(),
-            None => (0, 0),
-        };
-        Ok(Some(QueryOutcome {
-            value,
-            io: self.dev.stats().snapshot() - before,
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits,
-            prefetch_wasted,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            rank_hi: estimated_rank + eps_m + self.quarantined,
-            degraded: self.quarantined > 0,
-            quarantined: self.quarantined,
-        }))
-    }
-
-    /// Exact rank of `z` across all partitions, plus the per-partition
-    /// ranks (for window tightening). Serial or parallel per the context.
-    fn rank_in_partitions(
-        &self,
-        z: T,
-        windows: &[(u64, u64)],
-        caches: &mut [BlockCache<T>],
-    ) -> io::Result<(u64, Vec<u64>)> {
-        let per = if self.parallel && self.partitions.len() > 1 {
-            crate::parallel::par_partition_ranks(self.dev, &self.partitions, z, windows, caches)?
-        } else {
-            let mut per = Vec::with_capacity(self.partitions.len());
-            for ((p, &w), cache) in self.partitions.iter().zip(windows).zip(caches.iter_mut()) {
-                per.push(partition_rank(self.dev, p, z, w, cache)?);
-            }
-            per
-        };
-        Ok((per.iter().sum(), per))
-    }
-
-    /// ρ(z) = exact rank in HD + midpoint estimate in R.
-    fn estimate_rank(
-        &self,
-        z: T,
-        windows: &mut [(u64, u64)],
-        caches: &mut [BlockCache<T>],
-    ) -> io::Result<u64> {
-        let (rho1, _) = self.rank_in_partitions(z, windows, caches)?;
-        let (lo2, hi2) = self.stream.rank_bounds(z);
-        Ok(rho1 + lo2 + (hi2 - lo2) / 2)
+        self.fan_in(&mut ProbeState::default())
+            .rank_query(&self.scope, r)
     }
 }
 
@@ -371,8 +628,9 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
 /// The first block a narrowed [`partition_rank`] search reads is fully
 /// determined by the rank window (`mid = lo + (hi-lo)/2`, block =
 /// `mid / per`), and both candidate windows follow from the current
-/// probe's per-partition ranks — so the speculation is exact: one of the
-/// two submissions per partition is the next step's first read.
+/// probe's per-partition ranks — so the speculation is exact whenever
+/// the next probe's summary window is no tighter than this one's: one of
+/// the two submissions per partition is then the next step's first read.
 struct SpecPrefetcher<'d, T: Item> {
     sched: &'d IoScheduler,
     /// In-flight speculative single-block reads: `(partition, block,
@@ -487,122 +745,22 @@ impl<'d, T: Item> SpecPrefetcher<'d, T> {
     }
 
     /// Claim every outstanding speculative read as wasted and return
-    /// `(hits, wasted)`. Claiming (rather than abandoning) keeps the
-    /// scheduler's completion map bounded even when no barrier ever runs
-    /// — the advertised long-lived-snapshot dashboard pattern; each wait
-    /// is bounded by the read's own device latency, and a ticket an
-    /// intervening barrier already drained resolves immediately.
-    fn finish(mut self) -> (u32, u32) {
+    /// (resetting) `(hits, wasted)`. Claiming (rather than abandoning)
+    /// keeps the scheduler's completion map bounded even when no barrier
+    /// ever runs — the advertised long-lived-snapshot dashboard pattern;
+    /// each wait is bounded by the read's own device latency, and a
+    /// ticket an intervening barrier already drained resolves
+    /// immediately.
+    fn finish(&mut self) -> (u32, u32) {
         for (_, _, ticket) in self.pending.drain(..) {
             let _ = self.sched.wait(ticket);
             self.wasted += 1;
         }
-        (self.hits, self.wasted)
+        (
+            std::mem::take(&mut self.hits),
+            std::mem::take(&mut self.wasted),
+        )
     }
-}
-
-/// A source of rigorous rank bounds for the value-space bisection
-/// ([`bisect_summed_rank`]): `probe(z)` returns `(lo, hi)` with
-/// `lo ≤ rank(z, union) ≤ hi` (summed weights under weighted ingestion)
-/// over whatever union the source fronts.
-///
-/// The trait is the seam between *where the data lives* and *how the
-/// query runs*: an in-process [`crate::ShardedSnapshot`] probes its
-/// shards directly (any `FnMut(T) -> io::Result<(u64, u64)>` closure
-/// implements the trait), while a networked coordinator batches one
-/// probe round per call across remote nodes — bounds from disjoint
-/// sources add, so both drive the *same* bisection and inherit the same
-/// `ε·m` guarantee.
-pub trait RankProbeSource<T: Item> {
-    /// Rigorous `(lo, hi)` bounds on `rank(z)` over the fronted union.
-    fn probe(&mut self, z: T) -> io::Result<(u64, u64)>;
-}
-
-impl<T: Item, F: FnMut(T) -> io::Result<(u64, u64)>> RankProbeSource<T> for F {
-    fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
-        self(z)
-    }
-}
-
-/// Value-space bisection over *summed* rank bounds (the cross-shard
-/// fan-in of [`crate::sharded`], shared by full and windowed queries —
-/// and, through the [`RankProbeSource`] seam, by remote coordinators
-/// probing nodes over the wire).
-///
-/// `probe` returns rigorous `(lo, hi)` bounds on `rank(z)` — summed
-/// weights under weighted ingestion — over the queried union; the
-/// midpoint estimate carries up to `hi − mid`
-/// uncertainty, so a probe is accepted when `|ρ − r| ≤ eps_m − unc` and
-/// the search otherwise bisects `[u, v]` to value collapse (Definition
-/// 1's boundary answer). Returns `(value, estimated_rank,
-/// bisection_steps)`.
-pub fn bisect_summed_rank<T: Item>(
-    r: u64,
-    eps_m: u64,
-    mut u: T,
-    mut v: T,
-    probe: &mut dyn RankProbeSource<T>,
-) -> io::Result<(T, u64, u32)> {
-    fn midpoint_estimate((lo, hi): (u64, u64)) -> u64 {
-        lo + (hi - lo) / 2
-    }
-    if v <= u {
-        // Both filters pin rank r exactly; v is Definition 1's answer.
-        return Ok((v, midpoint_estimate(probe.probe(v)?), 0));
-    }
-    let mut steps = 0u32;
-    loop {
-        steps += 1;
-        if steps > T::UNIVERSE_BITS + 2 {
-            // Value space exhausted; v is the smallest value whose
-            // estimated rank reaches r.
-            break Ok((v, midpoint_estimate(probe.probe(v)?), steps));
-        }
-        let z = T::midpoint(u, v);
-        if z == u && z == v {
-            break Ok((v, midpoint_estimate(probe.probe(v)?), steps));
-        }
-        let (lo, hi) = probe.probe(z)?;
-        let rho = lo + (hi - lo) / 2;
-        let unc = hi - rho;
-        let tol = eps_m.saturating_sub(unc);
-        if r < rho && rho - r > tol {
-            v = z; // too high: recurse left
-        } else if rho < r && r - rho > tol {
-            if z == u {
-                // Interval degenerated to {u, v = u+ulp}: answer is v.
-                break Ok((v, midpoint_estimate(probe.probe(v)?), steps));
-            }
-            u = z; // too low: recurse right
-        } else {
-            break Ok((z, rho, steps));
-        }
-    }
-}
-
-/// Rigorous bounds on `rank(z, T)` over `partitions ∪ stream`: the exact
-/// disk-side rank (each partition probed inside its summary-narrowed
-/// window, block reads served through the per-partition `caches`) plus the
-/// stream summary's tracked interval.
-///
-/// This is the per-shard probe of the cross-shard fan-in
-/// ([`crate::sharded`]): bounds from disjoint shards *add*, so a global
-/// bisection over the summed bounds inherits each shard's guarantee.
-pub fn union_rank_bounds<T: Item, D: BlockDevice>(
-    dev: &D,
-    partitions: &[&StoredPartition<T>],
-    stream: &StreamSummary<T>,
-    z: T,
-    caches: &mut [BlockCache<T>],
-) -> io::Result<(u64, u64)> {
-    debug_assert_eq!(partitions.len(), caches.len());
-    let mut rho1 = 0u64;
-    for (p, cache) in partitions.iter().zip(caches.iter_mut()) {
-        let w = p.summary.narrow(z, z);
-        rho1 += partition_rank(dev, p, z, w, cache)?;
-    }
-    let (lo, hi) = stream.rank_bounds(z);
-    Ok((rho1 + lo, rho1 + hi))
 }
 
 /// Exact `rank(z, P)` (summed weight of elements ≤ z — archived runs
@@ -790,7 +948,7 @@ mod tests {
         // Lemma 3: error <= 1.5 * eps * N.
         let allowed = (1.5 * cfg.epsilon() * n as f64).ceil() as u64 + 1;
         for r in [1, n / 4, n / 2, n] {
-            let v = ctx.quick_rank(r).unwrap();
+            let v = ctx.scope().quick_rank(r).unwrap();
             let dist = rank_distance(&all, v, r.max(1));
             assert!(dist <= allowed, "r={r}: quick off by {dist} > {allowed}");
         }
@@ -902,6 +1060,59 @@ mod tests {
     }
 
     #[test]
+    fn probe_windows_tighten_and_remembered_values_cost_nothing() {
+        // Coarse summaries over many-block partitions and two cached
+        // blocks per partition, so the search windows decide the reads.
+        let (w, sp, _, cfg) = build_scene(3, 12, 2000, 0.2);
+        let ss = sp.summary();
+        let dev = &**w.device();
+        let parts = w.partitions_newest_first();
+        let ctx = QueryContext::new(dev, parts.clone(), &ss, cfg.epsilon(), 2 * parts.len());
+        let reads = || dev.stats().snapshot().total_reads();
+        // A tighter window moves the search's midpoints, so one bisection
+        // may touch a block more or less; the sweep as a whole must not
+        // read more than with the summary windows alone.
+        let (mut narrow_reads, mut tightened_reads) = (0, 0);
+        for r in (1..=26_000u64).step_by(997) {
+            // The pre-unification fan-in probe: every partition searched
+            // inside its summary's narrow(z, z) alone, on every probe.
+            let mut caches: Vec<BlockCache<u64>> =
+                parts.iter().map(|_| BlockCache::new(2)).collect();
+            let mut narrow_only = |z: u64| -> io::Result<(u64, u64)> {
+                let mut rho1 = 0;
+                for (p, cache) in parts.iter().zip(caches.iter_mut()) {
+                    rho1 += partition_rank(dev, p, z, p.summary.narrow(z, z), cache)?;
+                }
+                let (lo, hi) = ss.rank_bounds(z);
+                Ok((rho1 + lo, rho1 + hi))
+            };
+            let before = reads();
+            let a = accurate_response(ctx.scope(), r, &mut narrow_only)
+                .unwrap()
+                .unwrap();
+            narrow_reads += reads() - before;
+
+            let mut state = ProbeState::default();
+            let mut fan = ctx.fan_in(&mut state);
+            let b = fan.rank_query(ctx.scope(), r).unwrap().unwrap();
+            assert_eq!(
+                (a.value, a.estimated_rank, a.bisection_steps),
+                (b.value, b.estimated_rank, b.bisection_steps),
+                "r={r}: windows may only change I/O"
+            );
+            tightened_reads += b.io.total_reads();
+
+            let before = reads();
+            fan.probe(b.value).unwrap();
+            assert_eq!(reads(), before, "r={r}: re-probing a probed value read");
+        }
+        assert!(
+            tightened_reads < narrow_reads,
+            "{tightened_reads} reads tightened vs {narrow_reads} with summary windows alone"
+        );
+    }
+
+    #[test]
     fn summary_seeding_never_bisects_more_than_domain() {
         let (w, sp, _, cfg) = build_scene(3, 10, 300, 0.05);
         let ss = sp.summary();
@@ -945,7 +1156,7 @@ mod tests {
         }
         let ss = sp.summary();
         let ctx = QueryContext::new(&*dev, w.partitions_newest_first(), &ss, 0.1, 8);
-        let (u, v) = ctx.combined_summary().seed_bracket(1);
+        let (u, v) = ctx.scope().combined_summary().seed_bracket(1);
         assert_eq!(u, 500, "u must fall back to the data minimum");
         assert_eq!(v, 500);
         let out = ctx.accurate_rank(1).unwrap().unwrap();
@@ -959,7 +1170,7 @@ mod tests {
         let ss = StreamSummary::<u64>::default();
         let ctx = QueryContext::new(&*dev, Vec::new(), &ss, 0.1, 4);
         assert!(ctx.accurate_rank(1).unwrap().is_none());
-        assert!(ctx.quick_rank(1).is_none());
+        assert!(ctx.scope().quick_rank(1).is_none());
     }
 
     #[test]

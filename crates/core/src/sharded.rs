@@ -28,14 +28,14 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use hsq_storage::{BlockCache, BlockDevice, FileId, IoSnapshot, Item};
+use hsq_storage::{BlockDevice, FileId, Item};
 
-use crate::bounds::CombinedSummary;
+use crate::bounds::{CombinedSummary, SourceView};
 use crate::config::HsqConfig;
 use crate::engine::{EngineSnapshot, HistStreamQuantiles};
-use crate::query::QueryOutcome;
+use crate::query::{FanIn, ProbeState, QueryOutcome, QueryScope, RankProbeSource};
 use crate::stream::StreamSummary;
 use crate::warehouse::UpdateReport;
 
@@ -265,17 +265,16 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
     /// Immutable cross-shard view for concurrent readers: one pinned
     /// [`EngineSnapshot`] per shard. See [`HistStreamQuantiles::snapshot`].
     ///
-    /// The snapshot caches its cross-shard [`CombinedSummary`] and its
-    /// per-window query plans on first use, so *reusing one snapshot* for
-    /// a dashboard's worth of queries builds the filters once — see the
-    /// crate-level perf notes.
+    /// The snapshot caches its cross-shard [`QueryScope`] per window on
+    /// first use, so *reusing one snapshot* for a dashboard's worth of
+    /// queries builds the filters once — see the crate-level perf notes.
     pub fn snapshot(&self) -> ShardedSnapshot<T, D> {
         ShardedSnapshot {
             shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             epsilon: self.config.query_epsilon(),
             parallel: self.config.parallel_query,
-            ts: std::sync::OnceLock::new(),
-            window_plans: Mutex::new(HashMap::new()),
+            strict: self.config.strict,
+            plans: Mutex::new(HashMap::new()),
         }
     }
 
@@ -358,36 +357,35 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 /// An immutable cross-shard view (see [`ShardedEngine::snapshot`]):
 /// per-shard pinned snapshots plus the fan-in query machinery.
 ///
-/// The snapshot is also the **query-plan cache**: the cross-shard
-/// combined summary (every partition summary plus every shard's stream
-/// summary, sorted and bounded — the expensive per-query setup) is built
-/// once on first use, and each window size's plan (per-shard partition
-/// selection plus the windowed combined summary) likewise. Repeated
-/// quantile/rank/window queries against one snapshot therefore skip
-/// straight to the bisection.
+/// The snapshot is also the **query-plan cache**: the cross-shard plan
+/// of each window (the scope — every in-window partition summary plus
+/// every shard's stream summary, sorted and bounded, the expensive
+/// per-query setup — and the partitions to probe) is built once on first
+/// use. Repeated quantile/rank/window queries against one snapshot
+/// therefore skip straight to the bisection.
 pub struct ShardedSnapshot<T: Item, D: BlockDevice> {
     shards: Vec<EngineSnapshot<T, D>>,
     epsilon: f64,
-    /// Probe shards concurrently (from the config's `parallel_query`):
-    /// worth it when shard devices overlap real I/O; serial probing is
-    /// cheaper when everything is cache-resident.
+    /// Probe shards concurrently (from the config's `parallel_query`).
     parallel: bool,
-    /// Lazily built cross-shard combined summary (full union).
-    ts: std::sync::OnceLock<CombinedSummary<T>>,
-    /// Lazily built per-window query plans, keyed by window size;
-    /// misaligned windows cache as `None` so repeats stay cheap too.
-    window_plans: Mutex<HashMap<u64, Option<Arc<WindowPlan<T>>>>>,
+    /// [`HsqConfig::strict`] at snapshot time.
+    strict: bool,
+    plans: Mutex<PlanCache<T>>,
 }
 
-/// A cached plan for one window size on one [`ShardedSnapshot`].
-struct WindowPlan<T> {
-    /// Per shard: indices into that shard's pinned partition list.
-    parts: Vec<Vec<usize>>,
-    /// History inside the window plus the live stream at snapshot time.
+/// What a snapshot caches per window: the size `N`, per shard what
+/// [`EngineSnapshot::select`] chose to probe, and the cross-shard scope —
+/// the expensive part, left unbuilt until a query needs it (a serving
+/// node only probes and never does).
+struct Plan<T> {
     total: u64,
-    /// Combined summary over the windowed sources (filter generation).
-    ts: CombinedSummary<T>,
+    parts: Vec<Vec<usize>>,
+    scope: OnceLock<QueryScope<T>>,
 }
+
+/// Lazily built plans, keyed by window (`None` = the full union);
+/// misaligned windows cache as `None` so repeats stay cheap too.
+type PlanCache<T> = HashMap<Option<u64>, Option<Arc<Plan<T>>>>;
 
 impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// Number of shards.
@@ -415,184 +413,16 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         self.shards.iter().map(|s| s.historical_len()).sum()
     }
 
-    /// The combined summary `TS` over **all** shards' sources — every
-    /// partition summary plus every shard's stream summary. Bounds add
-    /// across disjoint sources, so this is exactly the single-engine `TS`
-    /// of the union (paper §2.3.1) and powers quick responses and filter
-    /// generation.
-    ///
-    /// Built once per snapshot, on first use: the snapshot is immutable,
-    /// so every later query (from any thread) reuses the same summary.
-    pub fn combined_summary(&self) -> &CombinedSummary<T> {
-        self.ts.get_or_init(|| {
-            let sources: Vec<_> = self.shards.iter().flat_map(|s| s.sources()).collect();
-            CombinedSummary::build(&sources)
-        })
-    }
-
-    /// One global stream summary, merged from the per-shard summaries
-    /// (see [`StreamSummary::merge`]).
-    pub fn merged_stream_summary(&self) -> StreamSummary<T> {
-        self.shards
-            .iter()
-            .map(|s| s.stream_summary().clone())
-            .reduce(|a, b| a.merge(&b))
-            .unwrap_or_default()
-    }
-
-    /// Quick response (Algorithm 5 over the cross-shard `TS`): in-memory
-    /// only, error ≤ 1.5·ε·N.
-    pub fn quick_rank(&self, r: u64) -> Option<T> {
-        let ts = self.combined_summary();
-        ts.quick_response(r.clamp(1, ts.total().max(1)))
-    }
-
-    /// Quick φ-quantile over all shards.
-    pub fn quantile_quick(&self, phi: f64) -> Option<T> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        self.quick_rank(r)
-    }
-
-    /// Accurate φ-quantile over the union of all shards.
-    pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let r = (phi * self.total_len() as f64).ceil() as u64;
-        Ok(self.rank_query(r)?.map(|o| o.value))
-    }
-
-    /// Batch of φ-quantiles over this snapshot, sharing one cross-shard
-    /// combined-summary build and one set of block caches across the
-    /// whole batch (mirrors [`EngineSnapshot::quantiles`]).
-    pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let ts = self.combined_summary();
-        let mut caches: Vec<Vec<BlockCache<T>>> =
-            self.shards.iter().map(|s| s.new_caches()).collect();
-        let n = self.total_len();
-        phis.iter()
-            .map(|&phi| {
-                assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-                let r = (phi * n as f64).ceil() as u64;
-                Ok(self.rank_query_with(r, ts, &mut caches)?.map(|o| o.value))
-            })
-            .collect()
-    }
-
-    /// Summed `rank(z)` bounds across shards — concurrently over the
-    /// bounded pool when `parallel_query` is configured, serially
-    /// otherwise. `caches` = one cache set per shard, from
-    /// [`ShardedSnapshot::new_cache_set`].
-    ///
-    /// Public because it is the per-node probe of the networked fan-in:
-    /// a serving node answers each probe round with exactly this sum,
-    /// and bounds from disjoint nodes add, so a coordinator bisecting
-    /// over node-summed bounds inherits the in-process guarantee.
-    pub fn probe_bounds(&self, z: T, caches: &mut [Vec<BlockCache<T>>]) -> io::Result<(u64, u64)> {
-        let results = if self.parallel && self.shards.len() > 1 {
-            crate::parallel::par_map_mut(caches, |i, c| self.shards[i].rank_bounds(z, c))
-        } else {
-            self.shards
-                .iter()
-                .zip(caches.iter_mut())
-                .map(|(s, c)| s.rank_bounds(z, c))
-                .collect()
-        };
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for r in results {
-            let (l, h) = r?;
-            lo += l;
-            hi += h;
-        }
-        Ok((lo, hi))
-    }
-
-    /// I/O counters of every distinct shard device (shards may share one).
-    fn io_marks(&self) -> Vec<(*const (), IoSnapshot)> {
-        let mut marks: Vec<(*const (), IoSnapshot)> = Vec::new();
-        for s in &self.shards {
-            let ptr = Arc::as_ptr(s.device()) as *const ();
-            if !marks.iter().any(|&(p, _)| p == ptr) {
-                marks.push((ptr, s.device().stats().snapshot()));
-            }
-        }
-        marks
-    }
-
-    fn io_since(&self, marks: &[(*const (), IoSnapshot)]) -> IoSnapshot {
-        // Iterate the deduped marks (not the shards) so a device shared
-        // by several shards is counted exactly once.
-        let mut total = IoSnapshot::default();
-        for &(ptr, before) in marks {
-            if let Some(s) = self
-                .shards
-                .iter()
-                .find(|s| Arc::as_ptr(s.device()) as *const () == ptr)
-            {
-                total = total + (s.device().stats().snapshot() - before);
-            }
-        }
-        total
-    }
-
-    /// Accurate cross-shard rank query (the fan-in described in the
-    /// module docs): value-space bisection over summed per-shard rank
-    /// bounds, filters seeded from the cross-shard combined summary.
-    /// Error ≤ ε·m over the union, `m` = total stream size at snapshot
-    /// time.
-    pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let ts = self.combined_summary();
-        let mut caches: Vec<Vec<BlockCache<T>>> =
-            self.shards.iter().map(|s| s.new_caches()).collect();
-        self.rank_query_with(r, ts, &mut caches)
-    }
-
-    /// [`ShardedSnapshot::rank_query`] against a prebuilt combined
-    /// summary and cache set (shared across a batch of queries).
-    fn rank_query_with(
-        &self,
-        r: u64,
-        ts: &CombinedSummary<T>,
-        caches: &mut [Vec<BlockCache<T>>],
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        let total = self.total_len();
-        if total == 0 {
-            return Ok(None);
-        }
-        let r = r.clamp(1, total);
-        let marks = self.io_marks();
-
-        // Tightest summary bracket (filters with extreme-value fallback).
-        let (u, v) = ts.seed_bracket(r);
-
-        // Same acceptance rule as the single-engine accurate response: the
-        // probe's midpoint estimate carries up to `unc = Σ unc_s ≤ ε·m`
-        // uncertainty, so accept when |ρ − r| ≤ ε·m − unc and otherwise
-        // bisect to value collapse (Definition 1's boundary answer).
-        let eps_m = (self.epsilon * self.stream_len() as f64).floor() as u64;
-        let mut probe = |z| self.probe_bounds(z, caches);
-        let (value, estimated_rank, steps) =
-            crate::query::bisect_summed_rank(r, eps_m, u, v, &mut probe)?;
-
-        let quarantined = self.quarantined_total();
-        Ok(Some(QueryOutcome {
-            value,
-            io: self.io_since(&marks),
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            rank_hi: estimated_rank + eps_m + quarantined,
-            degraded: quarantined > 0,
-            quarantined,
-        }))
-    }
-
     /// Items excluded by quarantine across every shard — the `rank_hi`
     /// widening cross-shard outcomes carry.
     pub fn quarantined_total(&self) -> u64 {
         self.shards.iter().map(|s| s.quarantined_mass()).sum()
+    }
+
+    /// The strict-mode gate over this snapshot (see
+    /// [`crate::query::strict_gate`]).
+    pub fn strict_gate(&self) -> io::Result<()> {
+        crate::query::strict_gate(self.strict, self.quarantined_total())
     }
 
     /// The error parameter governing this snapshot's accurate responses
@@ -604,115 +434,14 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         self.epsilon
     }
 
-    /// One block-cache set per shard, for [`ShardedSnapshot::probe_bounds`].
-    /// Callers probing concurrently (e.g. one serving connection per
-    /// tenant) hold their own set; the snapshot itself stays shared.
-    pub fn new_cache_set(&self) -> Vec<Vec<BlockCache<T>>> {
-        self.shards.iter().map(|s| s.new_caches()).collect()
-    }
-
-    /// Every per-source view this snapshot's combined summary is built
-    /// from — each shard's partition summaries plus its stream summary,
-    /// in shard order. This is the *summary extract* a serving node
-    /// ships to a coordinator: rebuilding [`CombinedSummary::build`]
-    /// over the concatenated extracts of disjoint nodes reproduces the
-    /// union's summary exactly (values are a sorted multiset, bounds are
-    /// order-independent sums), so remotely seeded bisection brackets
-    /// match the in-process ones bit for bit.
-    pub fn source_views(&self) -> Vec<crate::bounds::SourceView<T>> {
-        self.shards.iter().flat_map(|s| s.sources()).collect()
-    }
-
-    /// The windowed counterpart of [`ShardedSnapshot::source_views`]:
-    /// per-source views over the newest `window_steps` steps (each
-    /// shard's in-window, non-quarantined partition summaries plus its
-    /// stream summary) and the windowed total. `None` when the window
-    /// misaligns with partition boundaries on any shard. Built in the
-    /// same source order as the cached window plan, so a summary rebuilt
-    /// from the extract equals the plan's.
-    pub fn window_source_views(
-        &self,
-        window_steps: u64,
-    ) -> Option<(Vec<crate::bounds::SourceView<T>>, u64)> {
-        let plan = self.window_plan(window_steps)?;
-        let mut sources = Vec::new();
-        for (s, idx) in self.shards.iter().zip(&plan.parts) {
-            for &i in idx {
-                sources.push(crate::bounds::SourceView::from_partition(
-                    &s.partition_at(i).summary,
-                ));
-            }
-            sources.push(crate::bounds::SourceView::from_stream(s.stream_summary()));
-        }
-        Some((sources, plan.total))
-    }
-
-    /// Block caches shaped for [`ShardedSnapshot::window_probe_bounds`]
-    /// (per shard, one cache per in-window partition, the shard's cache
-    /// budget split across them). `None` when the window misaligns.
-    pub fn window_cache_set(&self, window_steps: u64) -> Option<Vec<Vec<BlockCache<T>>>> {
-        let plan = self.window_plan(window_steps)?;
-        Some(
-            self.shards
-                .iter()
-                .zip(&plan.parts)
-                .map(|(s, idx)| {
-                    let per = (s.cache_blocks() / idx.len().max(1)).max(2);
-                    idx.iter().map(|_| BlockCache::new(per)).collect()
-                })
-                .collect(),
-        )
-    }
-
-    /// Summed windowed `rank(z)` bounds across shards — the per-node
-    /// probe of the networked *windowed* fan-in, summing
-    /// [`crate::query::union_rank_bounds`] over each shard's in-window
-    /// partitions plus its stream summary (exactly the sum
-    /// [`ShardedSnapshot::rank_in_window`] bisects over). `caches` from
-    /// [`ShardedSnapshot::window_cache_set`]; `None` when the window
-    /// misaligns.
-    pub fn window_probe_bounds(
-        &self,
-        window_steps: u64,
-        z: T,
-        caches: &mut [Vec<BlockCache<T>>],
-    ) -> io::Result<Option<(u64, u64)>> {
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        let per_shard: Vec<Vec<&crate::warehouse::StoredPartition<T>>> = plan
-            .parts
+    /// One global stream summary, merged from the per-shard summaries
+    /// (see [`StreamSummary::merge`]).
+    pub fn merged_stream_summary(&self) -> StreamSummary<T> {
+        self.shards
             .iter()
-            .zip(&self.shards)
-            .map(|(idx, s)| idx.iter().map(|&i| s.partition_at(i)).collect())
-            .collect();
-        let per_shard = &per_shard;
-        let probe_one = |i: usize, cache: &mut Vec<BlockCache<T>>| {
-            crate::query::union_rank_bounds(
-                &**self.shards[i].device(),
-                &per_shard[i],
-                self.shards[i].stream_summary(),
-                z,
-                cache,
-            )
-        };
-        let results = if self.parallel && self.shards.len() > 1 {
-            crate::parallel::par_map_mut(caches, |i, c| probe_one(i, c))
-        } else {
-            caches
-                .iter_mut()
-                .enumerate()
-                .map(|(i, c)| probe_one(i, c))
-                .collect()
-        };
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for res in results {
-            let (l, h) = res?;
-            lo += l;
-            hi += h;
-        }
-        Ok(Some((lo, hi)))
+            .map(|s| s.stream_summary().clone())
+            .reduce(|a, b| a.merge(&b))
+            .unwrap_or_default()
     }
 
     /// Window sizes (in snapshot-time steps) answerable exactly across
@@ -733,59 +462,155 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         common
     }
 
-    /// The cached query plan for `window_steps`: every shard's window
-    /// partition selection plus the windowed combined summary and total,
-    /// computed once per (snapshot, window size). `None` — also cached —
-    /// when any shard's partitions misalign with the boundary.
-    fn window_plan(&self, window_steps: u64) -> Option<Arc<WindowPlan<T>>> {
-        if let Some(cached) = self.window_plans.lock().unwrap().get(&window_steps) {
-            return cached.clone();
-        }
-        // Build outside the lock so concurrent readers of *other* window
-        // sizes never serialize on one plan's construction; a racing
-        // duplicate build produces an identical plan and the first insert
-        // wins.
-        let plan = self.build_window_plan(window_steps).map(Arc::new);
-        self.window_plans
-            .lock()
-            .unwrap()
-            .entry(window_steps)
-            .or_insert(plan)
-            .clone()
+    /// The cached plan of `window`, selected once per (snapshot, window).
+    /// `None` — also cached — when any shard misaligns with the boundary.
+    fn plan(&self, window: Option<u64>) -> Option<Arc<Plan<T>>> {
+        let select = || {
+            let each = self.shards.iter().map(|s| s.select(window));
+            let (totals, parts): (Vec<u64>, _) =
+                each.collect::<Option<Vec<_>>>()?.into_iter().unzip();
+            Some(Arc::new(Plan {
+                total: totals.iter().sum(),
+                parts,
+                scope: OnceLock::new(),
+            }))
+        };
+        let mut plans = self.plans.lock().unwrap();
+        plans.entry(window).or_insert_with(select).clone()
     }
 
-    fn build_window_plan(&self, window_steps: u64) -> Option<WindowPlan<T>> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        let mut total = self.stream_len();
-        let mut sources: Vec<crate::bounds::SourceView<T>> = Vec::new();
-        for s in &self.shards {
-            // Quarantined partitions stay out of the plan: windowed
-            // queries answer over readable data with widened bounds.
-            let idx: Vec<usize> = s
-                .window_partition_indices(window_steps)?
-                .into_iter()
-                .filter(|&i| !s.is_quarantined(s.partition_at(i).run.file()))
-                .collect();
-            for &i in &idx {
-                let p = s.partition_at(i);
-                total += p.run.len();
-                sources.push(crate::bounds::SourceView::from_partition(&p.summary));
-            }
-            sources.push(crate::bounds::SourceView::from_stream(s.stream_summary()));
-            parts.push(idx);
-        }
-        Some(WindowPlan {
-            parts,
-            total,
-            ts: CombinedSummary::build(&sources),
+    /// The source views of the per-shard selections `parts`, shard order.
+    fn sources(&self, parts: &[Vec<usize>]) -> Vec<SourceView<T>> {
+        let each = self.shards.iter().zip(parts);
+        each.flat_map(|(s, selected)| s.source_views(selected))
+            .collect()
+    }
+
+    /// Every per-source view the scope of `window` is built from — each
+    /// shard's in-window, non-quarantined partition summaries plus its
+    /// stream summary, in shard order — and the scope's total size.
+    /// `None` when the window misaligns with partition boundaries on any
+    /// shard. This is the *summary extract* a serving node ships to a
+    /// coordinator: rebuilding [`CombinedSummary::build`] over the
+    /// concatenated extracts of disjoint nodes reproduces the union's
+    /// summary exactly (values are a sorted multiset, bounds are
+    /// order-independent sums), so remotely seeded bisection brackets
+    /// match the in-process ones bit for bit.
+    pub fn source_views(&self, window: Option<u64>) -> Option<(Vec<SourceView<T>>, u64)> {
+        let plan = self.plan(window)?;
+        Some((self.sources(&plan.parts), plan.total))
+    }
+
+    /// The plan's scope, built on first use. Readers of *other* windows
+    /// never wait on one scope's construction.
+    fn plan_scope<'p>(&self, plan: &'p Plan<T>) -> &'p QueryScope<T> {
+        plan.scope.get_or_init(|| {
+            let sources = self.sources(&plan.parts);
+            QueryScope::new(&sources, plan.total, self.stream_len(), self.epsilon)
+                .with_excluded(self.quarantined_total(), 0)
+                .with_strict(self.strict)
         })
     }
 
-    /// Total items (history + stream) inside the newest `window_steps`
-    /// steps across all shards; `None` when any shard's partitions
-    /// misalign with the window boundary.
-    pub fn window_total(&self, window_steps: u64) -> Option<u64> {
-        self.window_plan(window_steps).map(|p| p.total)
+    /// The cross-shard scope of `window` (`None` = the full union), built
+    /// once per (snapshot, window); `None` when the window misaligns.
+    pub fn scope(&self, window: Option<u64>) -> Option<QueryScope<T>> {
+        self.plan(window).map(|p| self.plan_scope(&p).clone())
+    }
+
+    /// The combined summary `TS` over **all** shards' sources — every
+    /// partition summary plus every shard's stream summary. Bounds add
+    /// across disjoint sources, so this is exactly the single-engine `TS`
+    /// of the union (paper §2.3.1) and powers quick responses and filter
+    /// generation. Built once per snapshot, on first use.
+    pub fn combined_summary(&self) -> Arc<CombinedSummary<T>> {
+        let scope = self.scope(None).expect("the full union always aligns");
+        Arc::clone(scope.combined_summary())
+    }
+
+    /// One probe state per shard, for [`ShardedSnapshot::probes`].
+    /// Callers probing concurrently (e.g. one serving connection per
+    /// tenant) hold their own set; the snapshot itself stays shared.
+    pub fn new_cache_set(&self) -> Vec<ProbeState<T>> {
+        self.shards.iter().map(|_| ProbeState::default()).collect()
+    }
+
+    fn fan_in<'a>(&'a self, plan: &Plan<T>, states: &'a mut [ProbeState<T>]) -> FanIn<'a, T, D> {
+        assert_eq!(states.len(), self.shards.len(), "one probe state per shard");
+        // Several shards already fan out across the pool; only a lone
+        // shard probes its partitions in parallel.
+        let inner_parallel = self.parallel && self.shards.len() == 1;
+        let each = self.shards.iter().zip(&plan.parts).zip(states);
+        let shards = each.map(|((s, selected), state)| s.probes(selected, state, inner_parallel));
+        FanIn::new(shards.collect(), self.parallel)
+    }
+
+    /// The fan-in probe source over `window`: one
+    /// [`crate::query::PartitionProbes`] per shard (probed concurrently
+    /// over the bounded pool when `parallel_query` is configured), keeping
+    /// caches and probed ranks in `states` (one per shard, from
+    /// [`ShardedSnapshot::new_cache_set`]). `None` when the window
+    /// misaligns.
+    ///
+    /// Public because it is the per-node probe of the networked fan-in:
+    /// a serving node answers each probe round with exactly this sum,
+    /// and bounds from disjoint nodes add, so a coordinator bisecting
+    /// over node-summed bounds inherits the in-process guarantee.
+    pub fn probes<'a>(
+        &'a self,
+        window: Option<u64>,
+        states: &'a mut [ProbeState<T>],
+    ) -> Option<FanIn<'a, T, D>> {
+        Some(self.fan_in(&*self.plan(window)?, states))
+    }
+
+    /// Summed `rank(z)` bounds across shards over the full union (one
+    /// probe of [`ShardedSnapshot::probes`]).
+    pub fn probe_bounds(&self, z: T, caches: &mut [ProbeState<T>]) -> io::Result<(u64, u64)> {
+        let probes = self.probes(None, caches);
+        probes.expect("the full union always aligns").probe(z)
+    }
+
+    /// Run `query` with the scope of `window` and a fresh fan-in over it;
+    /// `Ok(None)` when the window misaligns.
+    fn answer<R>(
+        &self,
+        window: Option<u64>,
+        query: impl FnOnce(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
+        let Some(plan) = self.plan(window) else {
+            return Ok(None);
+        };
+        let mut states = self.new_cache_set();
+        query(self.plan_scope(&plan), &mut self.fan_in(&plan, &mut states))
+    }
+
+    /// Quick φ-quantile over all shards (Algorithm 5 over the cross-shard
+    /// `TS`): in-memory only, error ≤ 1.5·ε·N.
+    pub fn quantile_quick(&self, phi: f64) -> Option<T> {
+        self.scope(None)?.quick_quantile(phi)
+    }
+
+    /// Accurate φ-quantile over the union of all shards.
+    pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
+        Ok(self.quantiles(&[phi])?[0])
+    }
+
+    /// Batch of φ-quantiles over this snapshot, sharing one cross-shard
+    /// scope and one set of block caches across the whole batch (mirrors
+    /// [`EngineSnapshot::quantiles`]).
+    pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
+        let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
+        Ok(all.expect("the full union always aligns"))
+    }
+
+    /// Accurate cross-shard rank query (the fan-in described in the
+    /// module docs): value-space bisection over summed per-shard rank
+    /// bounds, filters seeded from the cross-shard combined summary.
+    /// Error ≤ ε·m over the union, `m` = total stream size at snapshot
+    /// time.
+    pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
+        self.answer(None, |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Accurate φ-quantile over the union of every shard's live stream
@@ -794,15 +619,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// `ε·m` guarantee as [`ShardedSnapshot::quantile`], over the
     /// windowed union.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        if plan.total == 0 {
-            return Ok(None);
-        }
-        let r = (phi * plan.total as f64).ceil() as u64;
-        Ok(self.rank_in_window_over(&plan, r)?.map(|o| o.value))
+        self.answer(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate cross-shard rank query over a window: the same fan-in
@@ -810,94 +627,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// bounds summed over each shard's window partitions plus its stream
     /// summary.
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        let Some(plan) = self.window_plan(window_steps) else {
-            return Ok(None);
-        };
-        if plan.total == 0 {
-            return Ok(None);
-        }
-        self.rank_in_window_over(&plan, r)
-    }
-
-    /// The windowed fan-in over a cached [`WindowPlan`]: honors the
-    /// configured cache budget (each shard's `cache_blocks` split across
-    /// its window partitions, as in [`EngineSnapshot::new_caches`]) and
-    /// probes shards concurrently when `parallel_query` is set, exactly
-    /// like the full-union path.
-    fn rank_in_window_over(
-        &self,
-        plan: &WindowPlan<T>,
-        r: u64,
-    ) -> io::Result<Option<QueryOutcome<T>>> {
-        let m = self.stream_len();
-        let r = r.clamp(1, plan.total);
-        let marks = self.io_marks();
-
-        // Per-shard partition refs resolved from the plan's indices.
-        let per_shard: Vec<Vec<&crate::warehouse::StoredPartition<T>>> = plan
-            .parts
-            .iter()
-            .zip(&self.shards)
-            .map(|(idx, s)| idx.iter().map(|&i| s.partition_at(i)).collect())
-            .collect();
-        let per_shard = &per_shard;
-        // Filters from the plan's cached windowed combined summary.
-        let (u, v) = plan.ts.seed_bracket(r);
-
-        let mut caches: Vec<Vec<BlockCache<T>>> = self
-            .shards
-            .iter()
-            .zip(per_shard)
-            .map(|(s, parts)| {
-                let per = (s.cache_blocks() / parts.len().max(1)).max(2);
-                parts.iter().map(|_| BlockCache::new(per)).collect()
-            })
-            .collect();
-        let eps_m = (self.epsilon * m as f64).floor() as u64;
-        let probe_one = |i: usize, cache: &mut Vec<BlockCache<T>>, z: T| {
-            crate::query::union_rank_bounds(
-                &**self.shards[i].device(),
-                &per_shard[i],
-                self.shards[i].stream_summary(),
-                z,
-                cache,
-            )
-        };
-        let mut probe = |z| {
-            let results = if self.parallel && self.shards.len() > 1 {
-                crate::parallel::par_map_mut(&mut caches, |i, c| probe_one(i, c, z))
-            } else {
-                caches
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, c)| probe_one(i, c, z))
-                    .collect()
-            };
-            let mut lo = 0u64;
-            let mut hi = 0u64;
-            for res in results {
-                let (l, h) = res?;
-                lo += l;
-                hi += h;
-            }
-            Ok((lo, hi))
-        };
-        let (value, estimated_rank, steps) =
-            crate::query::bisect_summed_rank(r, eps_m, u, v, &mut probe)?;
-
-        let quarantined = self.quarantined_total();
-        Ok(Some(QueryOutcome {
-            value,
-            io: self.io_since(&marks),
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            rank_hi: estimated_rank + eps_m + quarantined,
-            degraded: quarantined > 0,
-            quarantined,
-        }))
+        self.answer(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 }
 
@@ -1293,14 +1023,50 @@ mod tests {
             e.ingest_step(&gen_stream(step + 1, 300)).unwrap();
         }
         let snap = e.snapshot();
-        let a = snap.combined_summary() as *const _;
+        let a = snap.combined_summary();
         let _ = snap.quantile(0.5).unwrap();
         let _ = snap.quantile(0.9).unwrap();
-        let b = snap.combined_summary() as *const _;
-        assert_eq!(a, b, "combined summary must be cached, not rebuilt");
-        // Window plans likewise: totals are stable across calls.
+        let b = snap.combined_summary();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "combined summary must be cached, not rebuilt"
+        );
+        // Window scopes likewise.
         let w = *snap.available_windows().first().unwrap();
-        assert_eq!(snap.window_total(w), snap.window_total(w));
+        assert!(Arc::ptr_eq(
+            snap.scope(Some(w)).unwrap().combined_summary(),
+            snap.scope(Some(w)).unwrap().combined_summary()
+        ));
+    }
+
+    #[test]
+    fn probe_state_reused_over_other_partitions_is_reset() {
+        // κ = 3: two level-0 partitions after step 2, one merged level-1
+        // partition plus one level-0 after step 5 — same count, other
+        // files. Ranks remembered from the first must not bound the second.
+        let mut e = sharded(1, 0.1, 3);
+        let mut all = Vec::new();
+        let step = |e: &mut ShardedEngine<u64, MemDevice>, all: &mut Vec<u64>, i: u64| {
+            let batch = gen_stream(i + 1, 400);
+            all.extend(&batch);
+            e.ingest_step(&batch).unwrap();
+        };
+        (0..2).for_each(|i| step(&mut e, &mut all, i));
+        let early = e.snapshot();
+        let mut states = early.new_cache_set();
+        let zs = [1u64 << 29, 1 << 31, 1 << 30];
+        for z in zs {
+            early.probe_bounds(z, &mut states).unwrap();
+        }
+        (2..5).for_each(|i| step(&mut e, &mut all, i));
+        let late = e.snapshot();
+        let parts = |s: &ShardedSnapshot<u64, MemDevice>| s.shard(0).leveled_partitions().len();
+        assert_eq!(parts(&early), parts(&late));
+        for z in zs {
+            let truth = all.iter().filter(|&&x| x <= z).count() as u64;
+            let reused = late.probe_bounds(z, &mut states).unwrap();
+            assert_eq!(reused, (truth, truth), "z={z}: no stream, so exact");
+        }
     }
 
     #[test]

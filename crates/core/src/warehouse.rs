@@ -1045,21 +1045,7 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// ascending. The current (un-archived) stream is always included on
     /// top of these.
     pub fn available_windows(&self) -> Vec<u64> {
-        let mut spans: Vec<(u64, u64)> = self
-            .levels
-            .iter()
-            .flatten()
-            .map(|p| (p.first_step, p.last_step))
-            .collect();
-        // Newest first.
-        spans.sort_unstable_by_key(|s| std::cmp::Reverse(s.0));
-        let mut out = Vec::with_capacity(spans.len());
-        let mut acc = 0;
-        for (first, last) in spans {
-            acc += last - first + 1;
-            out.push(acc);
-        }
-        out
+        window_sizes(self.levels.iter().flatten())
     }
 
     /// The partitions covering exactly the last `window_steps` *retained*
@@ -1121,10 +1107,53 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     }
 }
 
+/// The window sizes (in time steps) that align with the boundaries of
+/// `parts`, ascending: the cumulative spans, newest partition first.
+/// Shared by [`Warehouse::available_windows`] and
+/// [`crate::engine::EngineSnapshot::available_windows`].
+pub(crate) fn window_sizes<'a, T: Item>(
+    parts: impl Iterator<Item = &'a StoredPartition<T>>,
+) -> Vec<u64> {
+    let mut spans: Vec<(u64, u64)> = parts.map(|p| (p.first_step, p.last_step)).collect();
+    // Newest first.
+    spans.sort_unstable_by_key(|s| std::cmp::Reverse(s.0));
+    let mut acc = 0;
+    spans
+        .into_iter()
+        .map(|(first, last)| {
+            acc += last - first + 1;
+            acc
+        })
+        .collect()
+}
+
+/// What a query over `window` of `parts` covers (`None` = all of them,
+/// `Some(w)` = the newest `w` steps): the selected partitions' total
+/// size — readable or not — and the positions in `parts` of those to
+/// read, the `quarantined` dropped. `None` when the window misaligns. The
+/// **single** copy of the rule, shared by the live engine and its
+/// snapshots.
+pub(crate) fn scope_partitions<T: Item>(
+    parts: &[&StoredPartition<T>],
+    window: Option<u64>,
+    quarantined: impl Fn(FileId) -> bool,
+) -> Option<(u64, Vec<usize>)> {
+    let mut selected = match window {
+        Some(w) => {
+            let spans: Vec<_> = parts.iter().map(|p| (p.first_step, p.last_step)).collect();
+            window_suffix_indices(&spans, w)?
+        }
+        None => (0..parts.len()).collect(),
+    };
+    let total = selected.iter().map(|&i| parts[i].run.len()).sum();
+    selected.retain(|&i| !quarantined(parts[i].run.file()));
+    Some((total, selected))
+}
+
 /// The suffix of `parts` covering exactly the newest `window_steps` time
 /// steps, newest first; `None` when the boundary falls inside a
 /// partition. Shared by [`Warehouse::window_partitions`] and
-/// [`crate::engine::EngineSnapshot::window_partitions`].
+/// [`crate::engine::EngineSnapshot`]'s window selection.
 pub(crate) fn window_suffix<T: Item>(
     parts: Vec<&StoredPartition<T>>,
     window_steps: u64,

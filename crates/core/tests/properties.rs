@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use hsq_core::{
-    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, SourceView, StreamProcessor,
-    Warehouse,
+    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, ShardedEngine, SourceView,
+    StreamProcessor, Warehouse,
 };
+use hsq_sketch::ExactQuantiles;
 use hsq_storage::{BlockDevice, MemDevice};
 use proptest::prelude::*;
 
@@ -189,7 +190,7 @@ proptest! {
                 .copied()
                 .collect();
             win_data.sort_unstable();
-            let med = h.quantile_window(0.5, w).unwrap().unwrap();
+            let med = h.quantile_in_window(w, 0.5).unwrap().unwrap();
             // Stream empty -> m = 0 -> exact (Definition 1).
             let r = (0.5 * win_data.len() as f64).ceil() as u64;
             let dist = rank_distance(&win_data, med, r);
@@ -229,6 +230,79 @@ proptest! {
             .accurate_rank(r).unwrap().unwrap();
         prop_assert_eq!(serial.value, parallel.value);
         prop_assert_eq!(serial.estimated_rank, parallel.estimated_rank);
+    }
+
+    /// One algorithm, three surfaces: the live engine, its pinned
+    /// snapshot and a 1-shard sharded snapshot over the same data return
+    /// the same outcome (everything but `io`) for every rank, full union
+    /// and every aligned window, and each answer meets Theorem 2.
+    #[test]
+    fn surfaces_agree_on_every_outcome(
+        steps in proptest::collection::vec(
+            proptest::collection::vec(0u64..1_000_000, 10..300), 1..9),
+        stream in proptest::collection::vec(0u64..1_000_000, 1..300),
+        kappa in 2usize..4,
+        parallel in any::<bool>(),
+    ) {
+        let cfg = HsqConfig::builder()
+            .epsilon(0.05)
+            .merge_threshold(kappa)
+            .parallel_query(parallel)
+            .build();
+        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
+        let mut e = ShardedEngine::<u64, _>::with_shards(1, cfg.clone(), |_| MemDevice::new(256));
+        for s in &steps {
+            h.ingest_step(s).unwrap();
+            e.ingest_step(s).unwrap();
+        }
+        h.stream_extend(&stream);
+        e.stream_extend(&stream);
+        let snap = h.snapshot();
+        let sharded = e.snapshot();
+        let m = stream.len() as u64;
+        let allowed = (cfg.query_epsilon() * m as f64).ceil() as u64 + 1;
+        let key = |o: hsq_core::QueryOutcome<u64>| (
+            o.value, o.estimated_rank, o.bisection_steps,
+            o.rank_lo, o.rank_hi, o.degraded, o.quarantined,
+        );
+
+        let windows = h.available_windows();
+        prop_assert_eq!(&windows, &snap.available_windows());
+        prop_assert_eq!(&windows, &sharded.available_windows());
+        for window in std::iter::once(None).chain(windows.into_iter().map(Some)) {
+            let history = match window {
+                None => &steps[..],
+                Some(w) => &steps[steps.len() - w as usize..],
+            };
+            let mut exact = ExactQuantiles::from_data(
+                history.iter().flatten().chain(&stream).copied().collect());
+            let n = exact.len();
+            for r in [1, n / 7 + 1, n / 3, n / 2, 2 * n / 3, n - n / 9, n] {
+                let (live, pinned, fan_in) = match window {
+                    None => (h.rank_query(r), snap.rank_query(r), sharded.rank_query(r)),
+                    Some(w) => (
+                        h.rank_in_window(w, r),
+                        snap.rank_in_window(w, r),
+                        sharded.rank_in_window(w, r),
+                    ),
+                };
+                let live = live.unwrap().unwrap();
+                prop_assert_eq!(key(live), key(pinned.unwrap().unwrap()), "{:?} r={}", window, r);
+                prop_assert_eq!(key(live), key(fan_in.unwrap().unwrap()), "{:?} r={}", window, r);
+                // Theorem 2: some true rank of the value is within eps*m of r.
+                let r = r.clamp(1, n);
+                // (An absent value holds exactly the rank `hi`.)
+                let hi = exact.rank_of(live.value);
+                let below = live.value.checked_sub(1).map_or(0, |p| exact.rank_of(p));
+                let lo = (below + 1).min(hi);
+                let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
+                prop_assert!(
+                    dist <= allowed,
+                    "{:?} r={}: value {} off by {} ranks (allowed {})",
+                    window, r, live.value, dist, allowed
+                );
+            }
+        }
     }
 }
 

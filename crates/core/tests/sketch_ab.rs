@@ -179,7 +179,7 @@ fn both_backends_meet_union_bound_windowed() {
             for phi_pct in [10u32, 50, 90] {
                 let phi = phi_pct as f64 / 100.0;
                 let r = ((phi * n as f64).ceil() as u64).clamp(1, n);
-                let v = h.quantile_window(phi, w).unwrap().unwrap();
+                let v = h.quantile_in_window(w, phi).unwrap().unwrap();
                 let dist = rank_distance(&win, v, r);
                 assert!(
                     dist <= allowed,

@@ -188,7 +188,7 @@ fn weighted_windowed_matches_replicated() {
             win.sort_unstable();
             for phi_pct in [10u32, 50, 90] {
                 let phi = phi_pct as f64 / 100.0;
-                let v = h.quantile_window(phi, w).unwrap().unwrap();
+                let v = h.quantile_in_window(w, phi).unwrap().unwrap();
                 assert_within(&win, v, phi, allowed, &format!("{kind}/window={w}"));
             }
         }

@@ -7,8 +7,8 @@
 //! Ranks over disjoint unions **add**: if group `g` bounds `rank(z)`
 //! over its shard-range by `(lo_g, hi_g)`, then `(Σ lo_g, Σ hi_g)`
 //! bounds `rank(z)` over the union. The coordinator therefore runs the
-//! *same* value-space bisection as the in-process engine
-//! ([`hsq_core::query::bisect_summed_rank`], via the
+//! *same* driver as the in-process engine
+//! ([`hsq_core::query::accurate_response`], via the
 //! [`RankProbeSource`] seam), with each probe answered by one *round*:
 //! the probe value is written to every group's preferred replica
 //! back-to-back, then all responses are collected and summed — so a
@@ -49,26 +49,26 @@
 //! ## Why so few rounds
 //!
 //! Before bisecting, the session fetches each group's *summary extract*
-//! (its per-source views) and rebuilds the union's combined summary
-//! locally. Because [`CombinedSummary::build`] sorts a value multiset
-//! and sums order-independent per-source bounds, the rebuilt summary is
-//! bit-identical to what a single in-process engine over the same
-//! sources would build — so the bisection starts from the same tight
-//! summary-seeded bracket `(u, v)` and accepts under the same
+//! (its per-source views) and rebuilds the union's [`QueryScope`]
+//! locally. Because [`hsq_core::CombinedSummary::build`] sorts a value
+//! multiset and sums order-independent per-source bounds, the rebuilt
+//! summary is bit-identical to what a single in-process engine over the
+//! same sources would build — so the bisection starts from the same
+//! tight summary-seeded bracket `(u, v)` and accepts under the same
 //! `ε·m − unc` tolerance. Empirically that means **~3 probe rounds at
 //! the median** (≤ 4 at p50 is asserted in the loopback tests). The
-//! extract is fetched once per session and reused across every
-//! subsequent query (the dashboard pattern), so steady state is pure
-//! probe rounds.
+//! extract is fetched once per session and window and reused across
+//! every subsequent query (the dashboard pattern), so steady state is
+//! pure probe rounds.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
-use hsq_core::query::bisect_summed_rank;
-use hsq_core::{CombinedSummary, QueryOutcome, RankProbeSource, SourceView};
-use hsq_storage::{IoSnapshot, Item};
+use hsq_core::query::{accurate_response, QueryScope};
+use hsq_core::{QueryOutcome, RankProbeSource};
+use hsq_storage::Item;
 
 use crate::fleet::FleetConfig;
 use crate::proto::{Request, Response};
@@ -730,6 +730,24 @@ impl<T: Item> Coordinator<T> {
         }
     }
 
+    /// One query [`Coordinator::round`]: the up groups' responses, node
+    /// errors surfaced. A membership change or session re-seed under it
+    /// surfaces as [`QueryInterrupted`] so the query can re-sync and
+    /// restart against the surviving fleet.
+    fn query_round(&mut self, req: Request<T>) -> io::Result<Vec<Response<T>>> {
+        let epoch0 = self.down_epoch;
+        let responses = self.round(&req.encode())?;
+        if self.down_epoch != epoch0 || self.session_reseeded() {
+            return Err(interrupted());
+        }
+        let up = responses.into_iter().flatten();
+        up.map(|resp| match resp {
+            Response::Error { message } => Err(svc_err(message)),
+            resp => Ok(resp),
+        })
+        .collect()
+    }
+
     /// Open (or resume) the tenant's session on every group, pinning
     /// one snapshot epoch per group. Repeated sessions for the same
     /// tenant reuse the pinned snapshots — and therefore the nodes'
@@ -747,8 +765,7 @@ impl<T: Item> Coordinator<T> {
             tenant,
             vitals,
             seen_down_epoch,
-            summary: None,
-            windows: HashMap::new(),
+            scopes: HashMap::new(),
         })
     }
 }
@@ -777,10 +794,8 @@ fn unexpected<T>(wanted: &str, got: &Response<T>) -> io::Error {
     svc_err(format!("expected {wanted} response, got {kind}"))
 }
 
-/// The remote [`RankProbeSource`]: each probe is one batched round over
-/// every up group, bounds summed. A membership change or session
-/// re-seed mid-bisection surfaces as [`QueryInterrupted`] so the query
-/// loop can re-sync and restart against the surviving fleet.
+/// The remote [`RankProbeSource`]: each probe is one batched
+/// [`Coordinator::query_round`] over every up group, bounds summed.
 struct RemoteProbes<'a, T: Item> {
     coord: &'a mut Coordinator<T>,
     tenant: u64,
@@ -791,46 +806,31 @@ struct RemoteProbes<'a, T: Item> {
 
 impl<T: Item> RankProbeSource<T> for RemoteProbes<'_, T> {
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
-        let epoch0 = self.coord.down_epoch;
-        let req: Request<T> = Request::Probe {
+        let responses = self.coord.query_round(Request::Probe {
             tenant: self.tenant,
             window: self.window,
             zs: vec![z],
-        };
-        let frame = req.encode();
-        let responses = self.coord.round(&frame)?;
-        if self.coord.down_epoch != epoch0 || self.coord.session_reseeded() {
-            return Err(interrupted());
-        }
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        let mut up = 0u64;
-        for resp in responses.into_iter().flatten() {
-            match resp {
-                Response::Bounds { bounds } if bounds.len() == 1 => {
-                    lo += bounds[0].0;
-                    hi += bounds[0].1;
-                    up += 1;
-                }
-                Response::Bounds { bounds } => {
-                    return Err(svc_err(format!(
-                        "probe round answered {} bounds for 1 probe",
-                        bounds.len()
-                    )))
-                }
-                Response::Error { message } => return Err(svc_err(message)),
-                other => return Err(unexpected("Bounds", &other)),
-            }
-        }
+        })?;
         self.rounds += 1;
-        self.trips += up;
-        Ok((lo, hi))
+        self.trips += responses.len() as u64;
+        responses
+            .iter()
+            .try_fold((0, 0), |(lo, hi), resp| match resp {
+                Response::Bounds { bounds } if bounds.len() == 1 => {
+                    Ok((lo + bounds[0].0, hi + bounds[0].1))
+                }
+                Response::Bounds { bounds } => Err(svc_err(format!(
+                    "probe round answered {} bounds for 1 probe",
+                    bounds.len()
+                ))),
+                other => Err(unexpected("Bounds", other)),
+            })
     }
 }
 
-/// One tenant's query session: pinned group snapshots, a locally
-/// rebuilt combined summary (fetched once, reused across queries), and
-/// the query API mirroring [`hsq_core::ShardedSnapshot`]. Failovers,
+/// One tenant's query session: pinned group snapshots, locally rebuilt
+/// scopes (fetched once per window, reused across queries), and the
+/// query API mirroring [`hsq_core::ShardedSnapshot`]. Failovers,
 /// retries, and degraded accounting all happen underneath this API —
 /// callers only see them in [`ServedQuery`]'s metadata.
 pub struct TenantSession<'a, T: Item> {
@@ -838,8 +838,10 @@ pub struct TenantSession<'a, T: Item> {
     tenant: u64,
     vitals: SessionVitals,
     seen_down_epoch: u64,
-    summary: Option<CombinedSummary<T>>,
-    windows: HashMap<u64, Option<(CombinedSummary<T>, u64)>>,
+    /// The reachable union's scope per window (`None` key = the full
+    /// union); a `None` value caches "some up group reports the window
+    /// unavailable".
+    scopes: HashMap<Option<u64>, Option<QueryScope<T>>>,
 }
 
 impl<T: Item> TenantSession<'_, T> {
@@ -875,8 +877,7 @@ impl<T: Item> TenantSession<'_, T> {
         }
         self.vitals = self.coord.fleet_vitals()?;
         self.seen_down_epoch = self.coord.down_epoch;
-        self.summary = None;
-        self.windows.clear();
+        self.scopes.clear();
         Ok(())
     }
 
@@ -890,76 +891,26 @@ impl<T: Item> TenantSession<'_, T> {
         if self.seen_down_epoch != self.coord.down_epoch || self.coord.session_reseeded() {
             self.coord.clear_reseeded();
             self.seen_down_epoch = self.coord.down_epoch;
-            self.summary = None;
-            self.windows.clear();
+            self.scopes.clear();
             self.vitals = self.coord.fleet_vitals()?;
         }
         Ok(())
     }
 
-    /// Fetch-and-rebuild the reachable union's combined summary (once
-    /// per session): every up group's extract, concatenated in group
-    /// order.
-    fn ensure_summary(&mut self) -> io::Result<()> {
-        if self.summary.is_some() {
+    /// Fetch-and-rebuild the reachable union's scope over `window` (once
+    /// per session per window): every up group's extract, concatenated
+    /// in group order. Caches `None` when any up group reports the
+    /// window unavailable.
+    fn ensure_scope(&mut self, window: Option<u64>) -> io::Result<()> {
+        if self.scopes.contains_key(&window) {
             return Ok(());
         }
-        let epoch0 = self.coord.down_epoch;
-        let frame = Request::<T>::Extract {
+        let (mut sources, mut total, mut available) = (Vec::new(), 0u64, true);
+        let extract = Request::Extract {
             tenant: self.tenant,
-            window: None,
-        }
-        .encode();
-        let responses = self.coord.round(&frame)?;
-        if self.coord.down_epoch != epoch0 || self.coord.session_reseeded() {
-            return Err(interrupted());
-        }
-        let mut sources: Vec<SourceView<T>> = Vec::new();
-        let mut total = 0u64;
-        for resp in responses.into_iter().flatten() {
-            match resp {
-                Response::Extract {
-                    total: t,
-                    sources: s,
-                } => {
-                    total += t;
-                    sources.extend(s);
-                }
-                Response::Error { message } => return Err(svc_err(message)),
-                other => return Err(unexpected("Extract", &other)),
-            }
-        }
-        if total != self.vitals.total {
-            return Err(svc_err(format!(
-                "extract total {total} disagrees with session total {}",
-                self.vitals.total
-            )));
-        }
-        self.summary = Some(CombinedSummary::build(&sources));
-        Ok(())
-    }
-
-    /// Fetch-and-rebuild the windowed summary for `window_steps` (once
-    /// per session per window). `None` — cached — when any up group
-    /// reports the window unavailable.
-    fn ensure_window(&mut self, window_steps: u64) -> io::Result<()> {
-        if self.windows.contains_key(&window_steps) {
-            return Ok(());
-        }
-        let epoch0 = self.coord.down_epoch;
-        let frame = Request::<T>::Extract {
-            tenant: self.tenant,
-            window: Some(window_steps),
-        }
-        .encode();
-        let responses = self.coord.round(&frame)?;
-        if self.coord.down_epoch != epoch0 || self.coord.session_reseeded() {
-            return Err(interrupted());
-        }
-        let mut sources: Vec<SourceView<T>> = Vec::new();
-        let mut total = 0u64;
-        let mut available = true;
-        for resp in responses.into_iter().flatten() {
+            window,
+        };
+        for resp in self.coord.query_round(extract)? {
             match resp {
                 Response::Extract {
                     total: t,
@@ -969,44 +920,24 @@ impl<T: Item> TenantSession<'_, T> {
                     sources.extend(s);
                 }
                 Response::WindowUnavailable => available = false,
-                Response::Error { message } => return Err(svc_err(message)),
                 other => return Err(unexpected("Extract", &other)),
             }
         }
-        let entry = if available {
-            Some((CombinedSummary::build(&sources), total))
-        } else {
-            None
-        };
-        self.windows.insert(window_steps, entry);
-        Ok(())
-    }
-
-    fn outcome(&self, value: T, estimated_rank: u64, steps: u32) -> QueryOutcome<T> {
-        let eps_m = self.eps_m();
-        let quarantined = self.vitals.quarantined;
-        let missing = self.vitals.missing_weight;
-        QueryOutcome {
-            value,
-            io: IoSnapshot::default(),
-            bisection_steps: steps,
-            estimated_rank,
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            rank_lo: estimated_rank.saturating_sub(eps_m),
-            // One-sided widening, exactly as for quarantined mass: the
-            // unreachable groups' items can only push a true full-union
-            // rank up, never below the reachable-union lower bound.
-            rank_hi: estimated_rank + eps_m + quarantined + missing,
-            degraded: quarantined > 0 || missing > 0,
-            quarantined,
+        if window.is_none() && total != self.vitals.total {
+            return Err(svc_err(format!(
+                "extract total {total} disagrees with session total {}",
+                self.vitals.total
+            )));
         }
-    }
-
-    /// `⌊ε·m⌋` — same rounding as the in-process acceptance rule, so
-    /// remote and in-process bisections accept identically.
-    fn eps_m(&self) -> u64 {
-        (self.vitals.epsilon * self.vitals.stream_weight as f64).floor() as u64
+        // ε·m over the FULL stream weight for every window, exactly as
+        // in-process: the stream is entirely inside every window.
+        let v = &self.vitals;
+        let scope = available.then(|| {
+            QueryScope::new(&sources, total, v.stream_weight, v.epsilon)
+                .with_excluded(v.quarantined, v.missing_weight)
+        });
+        self.scopes.insert(window, scope);
+        Ok(())
     }
 
     /// Restart budget for one query: each restart needs a membership
@@ -1017,48 +948,40 @@ impl<T: Item> TenantSession<'_, T> {
         replicas as u32 + 8
     }
 
-    /// Accurate cross-group rank query: same bisection, same seed
-    /// bracket, same tolerance as
-    /// [`hsq_core::ShardedSnapshot::rank_query`] — the probes just
-    /// travel over TCP, with failover/degradation handled underneath.
-    pub fn rank_query(&mut self, r: u64) -> io::Result<Option<ServedQuery<T>>> {
-        let failovers0 = self.coord.failovers;
+    /// Run `query` against the scope of `window` and a fresh
+    /// [`RemoteProbes`], re-syncing and restarting whenever fleet
+    /// membership (or a replica's vitals) changes underneath it.
+    /// Returns the answer with the probe rounds and round trips spent
+    /// across every attempt; `Ok(None)` when the window is unavailable.
+    fn run<R>(
+        &mut self,
+        window: Option<u64>,
+        query: impl Fn(&QueryScope<T>, &mut RemoteProbes<'_, T>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<(R, u32, u64)>> {
         let mut rounds = 0u32;
         let mut trips = 0u64;
         for _ in 0..self.restart_budget() {
             self.sync()?;
-            if self.vitals.total == 0 {
-                return Ok(None);
-            }
-            let r = r.clamp(1, self.vitals.total);
-            match self.ensure_summary() {
+            match self.ensure_scope(window) {
                 Ok(()) => {}
                 Err(e) if is_interrupted(&e) => continue,
                 Err(e) => return Err(e),
             }
-            let ts = self.summary.as_ref().expect("summary just ensured");
-            let (u, v) = ts.seed_bracket(r);
-            let eps_m = self.eps_m();
+            let Some(scope) = self.scopes[&window].as_ref() else {
+                return Ok(None);
+            };
             let mut probes = RemoteProbes {
                 coord: self.coord,
                 tenant: self.tenant,
-                window: None,
+                window,
                 rounds: 0,
                 trips: 0,
             };
-            let result = bisect_summed_rank(r, eps_m, u, v, &mut probes);
+            let result = query(scope, &mut probes);
             rounds += probes.rounds;
             trips += probes.trips;
             match result {
-                Ok((value, estimated_rank, steps)) => {
-                    return Ok(Some(ServedQuery {
-                        outcome: self.outcome(value, estimated_rank, steps),
-                        probe_rounds: rounds,
-                        round_trips: trips,
-                        missing_weight: self.vitals.missing_weight,
-                        failovers: self.coord.failovers - failovers0,
-                    }));
-                }
+                Ok(answer) => return Ok(answer.map(|a| (a, rounds, trips))),
                 Err(e) if is_interrupted(&e) => continue,
                 Err(e) => return Err(e),
             }
@@ -1066,31 +989,47 @@ impl<T: Item> TenantSession<'_, T> {
         Err(svc_err("query restarted too many times; fleet is flapping"))
     }
 
+    /// The accurate response for the rank `rank` picks from the scope of
+    /// `window`: same driver, same seed bracket, same tolerance as
+    /// in-process — the probes just travel over TCP, with
+    /// failover/degradation handled underneath.
+    fn served(
+        &mut self,
+        window: Option<u64>,
+        rank: impl Fn(&QueryScope<T>) -> u64,
+    ) -> io::Result<Option<ServedQuery<T>>> {
+        let failovers0 = self.coord.failovers;
+        let answer = self.run(window, |scope, probes| {
+            accurate_response(scope, rank(scope), probes)
+        })?;
+        Ok(
+            answer.map(|(outcome, probe_rounds, round_trips)| ServedQuery {
+                outcome,
+                probe_rounds,
+                round_trips,
+                missing_weight: self.vitals.missing_weight,
+                failovers: self.coord.failovers - failovers0,
+            }),
+        )
+    }
+
+    /// Accurate cross-group rank query, mirroring
+    /// [`hsq_core::ShardedSnapshot::rank_query`].
+    pub fn rank_query(&mut self, r: u64) -> io::Result<Option<ServedQuery<T>>> {
+        self.served(None, |_| r)
+    }
+
     /// Accurate φ-quantile over the reachable union.
     pub fn quantile(&mut self, phi: f64) -> io::Result<Option<ServedQuery<T>>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        self.sync()?;
-        let r = (phi * self.vitals.total as f64).ceil() as u64;
-        self.rank_query(r)
+        self.served(None, |scope| scope.rank_of(phi))
     }
 
     /// Quick response from the locally rebuilt combined summary: no
     /// probe rounds at all (after the one-time extract fetch), error
     /// ≤ 1.5·ε·N — the dashboard fast path.
     pub fn quantile_quick(&mut self, phi: f64) -> io::Result<Option<T>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        for _ in 0..self.restart_budget() {
-            self.sync()?;
-            let r = (phi * self.vitals.total as f64).ceil() as u64;
-            match self.ensure_summary() {
-                Ok(()) => {}
-                Err(e) if is_interrupted(&e) => continue,
-                Err(e) => return Err(e),
-            }
-            let ts = self.summary.as_ref().expect("summary just ensured");
-            return Ok(ts.quick_response(r.clamp(1, ts.total().max(1))));
-        }
-        Err(svc_err("query restarted too many times; fleet is flapping"))
+        let quick = self.run(None, |scope, _| Ok(scope.quick_quantile(phi)))?;
+        Ok(quick.map(|(value, ..)| value))
     }
 
     /// Windowed accurate rank query (newest `window_steps` steps on
@@ -1102,54 +1041,7 @@ impl<T: Item> TenantSession<'_, T> {
         window_steps: u64,
         r: u64,
     ) -> io::Result<Option<ServedQuery<T>>> {
-        let failovers0 = self.coord.failovers;
-        let mut rounds = 0u32;
-        let mut trips = 0u64;
-        for _ in 0..self.restart_budget() {
-            self.sync()?;
-            match self.ensure_window(window_steps) {
-                Ok(()) => {}
-                Err(e) if is_interrupted(&e) => continue,
-                Err(e) => return Err(e),
-            }
-            let Some((ts, wtotal)) = self.windows[&window_steps].as_ref() else {
-                return Ok(None);
-            };
-            let wtotal = *wtotal;
-            if wtotal == 0 {
-                return Ok(None);
-            }
-            let r = r.clamp(1, wtotal);
-            let (u, v) = ts.seed_bracket(r);
-            // ε·m over the FULL stream weight, exactly as in-process
-            // windowed queries: the stream is entirely inside every
-            // window.
-            let eps_m = self.eps_m();
-            let mut probes = RemoteProbes {
-                coord: self.coord,
-                tenant: self.tenant,
-                window: Some(window_steps),
-                rounds: 0,
-                trips: 0,
-            };
-            let result = bisect_summed_rank(r, eps_m, u, v, &mut probes);
-            rounds += probes.rounds;
-            trips += probes.trips;
-            match result {
-                Ok((value, estimated_rank, steps)) => {
-                    return Ok(Some(ServedQuery {
-                        outcome: self.outcome(value, estimated_rank, steps),
-                        probe_rounds: rounds,
-                        round_trips: trips,
-                        missing_weight: self.vitals.missing_weight,
-                        failovers: self.coord.failovers - failovers0,
-                    }));
-                }
-                Err(e) if is_interrupted(&e) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(svc_err("query restarted too many times; fleet is flapping"))
+        self.served(Some(window_steps), |_| r)
     }
 
     /// Windowed accurate φ-quantile; `Ok(None)` when the window
@@ -1159,24 +1051,6 @@ impl<T: Item> TenantSession<'_, T> {
         window_steps: u64,
         phi: f64,
     ) -> io::Result<Option<ServedQuery<T>>> {
-        assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        for _ in 0..self.restart_budget() {
-            self.sync()?;
-            match self.ensure_window(window_steps) {
-                Ok(()) => {}
-                Err(e) if is_interrupted(&e) => continue,
-                Err(e) => return Err(e),
-            }
-            let Some((_, wtotal)) = self.windows[&window_steps].as_ref() else {
-                return Ok(None);
-            };
-            let wtotal = *wtotal;
-            if wtotal == 0 {
-                return Ok(None);
-            }
-            let r = (phi * wtotal as f64).ceil() as u64;
-            return self.rank_in_window(window_steps, r);
-        }
-        Err(svc_err("query restarted too many times; fleet is flapping"))
+        self.served(Some(window_steps), |scope| scope.rank_of(phi))
     }
 }

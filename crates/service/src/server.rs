@@ -17,11 +17,12 @@
 //!
 //! [`Request::OpenSession`] pins a per-tenant snapshot epoch shared by
 //! every connection: repeated dashboard queries from one tenant keep
-//! hitting the same [`ShardedSnapshot`] and therefore its cached
-//! combined summary and window plans (the ~25× cached-summary path),
-//! until the tenant refreshes. Block caches are *per connection*, keyed
-//! by `(tenant, epoch, window)`, so concurrent connections never
-//! contend on cache state.
+//! hitting the same [`ShardedSnapshot`] until the tenant refreshes. A
+//! node builds no scope of its own — `Extract` ships the per-source
+//! views the coordinator builds the scope from, and `Probe` answers
+//! through the snapshot's fan-in probe source. Probe state (block caches
+//! and the exact ranks of recent probes) is *per connection*, keyed by
+//! `(tenant, epoch, window)`, so concurrent connections never contend.
 
 use std::collections::HashMap;
 use std::io;
@@ -32,8 +33,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hsq_core::parallel::worker_count;
+use hsq_core::query::{ProbeState, RankProbeSource};
 use hsq_core::{ShardedEngine, ShardedSnapshot};
-use hsq_storage::{BlockCache, BlockDevice, Item};
+use hsq_storage::{BlockDevice, Item};
 
 use crate::proto::{read_frame_bounded, write_frame, FrameLimits, FrameRead, Request, Response};
 
@@ -210,11 +212,13 @@ fn accept_loop<T: Item, D: BlockDevice>(
     }
 }
 
-/// Per-connection probe caches, keyed by `(tenant, epoch, window)` so a
-/// session refresh or a different window never reuses stale-shaped
-/// caches. Block caches only ever hold verified decoded blocks, so
-/// reuse across requests is purely a hit-rate matter.
-type CacheKey = (u64, u64, Option<u64>);
+/// Per-connection probe state, keyed by `(tenant, epoch, window)` so a
+/// session refresh or a different window never reuses another
+/// selection's state. It only ever holds verified decoded blocks and
+/// exact ranks of the pinned epoch's partitions, so reuse across requests
+/// only saves reads. Bounded by the tenants' current epochs times their
+/// aligned windows.
+type ProbeStates<T> = HashMap<(u64, u64, Option<u64>), Vec<ProbeState<T>>>;
 
 fn serve_conn<T: Item, D: BlockDevice>(
     mut stream: TcpStream,
@@ -224,7 +228,7 @@ fn serve_conn<T: Item, D: BlockDevice>(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IDLE_POLL))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut caches: HashMap<CacheKey, Vec<Vec<BlockCache<T>>>> = HashMap::new();
+    let mut caches: ProbeStates<T> = HashMap::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return Ok(());
@@ -262,7 +266,7 @@ fn serve_conn<T: Item, D: BlockDevice>(
 fn handle_request<T: Item, D: BlockDevice>(
     req: Request<T>,
     state: &ServerState<T, D>,
-    caches: &mut HashMap<CacheKey, Vec<Vec<BlockCache<T>>>>,
+    caches: &mut ProbeStates<T>,
 ) -> Response<T> {
     match req {
         Request::Ping => Response::Pong,
@@ -288,55 +292,38 @@ fn handle_request<T: Item, D: BlockDevice>(
             let Some((_, snap)) = state.session_snapshot(tenant) else {
                 return unknown_tenant(tenant);
             };
-            match window {
-                None => Response::Extract {
-                    total: snap.total_len(),
-                    sources: snap.source_views(),
-                },
-                Some(w) => match snap.window_source_views(w) {
-                    Some((sources, total)) => Response::Extract { total, sources },
-                    None => Response::WindowUnavailable,
-                },
+            match snap.source_views(window) {
+                Some((sources, total)) => Response::Extract { total, sources },
+                None => Response::WindowUnavailable,
             }
         }
         Request::Probe { tenant, window, zs } => {
             let Some((epoch, snap)) = state.session_snapshot(tenant) else {
                 return unknown_tenant(tenant);
             };
+            // A refreshed session drops the states of its earlier epochs,
+            // and only a window that aligns gets its states (back).
             let key = (tenant, epoch, window);
-            let set = match caches.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let set = match window {
-                        None => snap.new_cache_set(),
-                        Some(w) => match snap.window_cache_set(w) {
-                            Some(set) => set,
-                            None => return Response::WindowUnavailable,
-                        },
-                    };
-                    e.insert(set)
-                }
+            let mut states = caches.remove(&key).unwrap_or_else(|| {
+                caches.retain(|&(t, e, _), _| t != tenant || e == epoch);
+                snap.new_cache_set()
+            });
+            let Some(mut probes) = snap.probes(window, &mut states) else {
+                return Response::WindowUnavailable;
             };
-            let mut bounds = Vec::with_capacity(zs.len());
-            for z in zs {
-                let b = match window {
-                    None => snap.probe_bounds(z, set),
-                    Some(w) => match snap.window_probe_bounds(w, z, set) {
-                        Ok(Some(b)) => Ok(b),
-                        Ok(None) => return Response::WindowUnavailable,
-                        Err(e) => Err(e),
-                    },
-                };
-                match b {
-                    Ok(b) => bounds.push(b),
-                    Err(e) => {
-                        return Response::Error {
-                            message: format!("probe failed: {e}"),
-                        }
-                    }
-                }
+            // The bisection runs on the coordinator, so the node applies
+            // the driver's strict-mode gate itself.
+            let bounds: io::Result<Vec<_>> = snap
+                .strict_gate()
+                .and_then(|()| zs.into_iter().map(|z| probes.probe(z)).collect());
+            drop(probes);
+            caches.insert(key, states);
+            match bounds {
+                Ok(bounds) => Response::Bounds { bounds },
+                Err(e) => Response::Error {
+                    message: format!("probe failed: {e}"),
+                },
             }
-            Response::Bounds { bounds }
         }
     }
 }

@@ -155,7 +155,7 @@ fn parity_for_shards(shards: usize) {
     assert!(!windows.is_empty(), "test needs at least one exact window");
     for &w in &windows {
         let mut rng = 0xAB5 + w;
-        let wtotal = snap.window_total(w).unwrap();
+        let wtotal = snap.scope(Some(w)).unwrap().total();
         for _ in 0..6 {
             let r = lcg(&mut rng) % wtotal + 1;
             let served = sess.rank_in_window(w, r).unwrap().unwrap();

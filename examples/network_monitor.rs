@@ -57,7 +57,7 @@ fn main() {
 
         // Current hour (live stream, 0 archived steps) vs all-time median:
         // key-space displacement signals concentration shifts.
-        let hour_med = hsq.quantile_window(0.5, 0).unwrap().unwrap_or(med);
+        let hour_med = hsq.quantile_in_window(0, 0.5).unwrap().unwrap_or(med);
         let displacement = (hour_med.abs_diff(med)) as f64 / u64::MAX as f64;
         let note = if displacement > 0.02 {
             "TRAFFIC SHIFT (possible scan/ddos)"
@@ -83,7 +83,7 @@ fn main() {
         hsq.available_windows()
     );
     for w in hsq.available_windows() {
-        let wm = hsq.quantile_window(0.5, w).unwrap().unwrap();
+        let wm = hsq.quantile_in_window(w, 0.5).unwrap().unwrap();
         println!("  median over last {w:>2} archived hour(s): {wm:>20}");
     }
     println!(

@@ -75,7 +75,7 @@ fn main() {
         hsq.available_windows()
     );
     for w in hsq.available_windows() {
-        if let Some(med) = hsq.quantile_window(0.5, w).unwrap() {
+        if let Some(med) = hsq.quantile_in_window(w, 0.5).unwrap() {
             println!("  median over last {w} archived day(s) + live stream: {med}");
         }
     }

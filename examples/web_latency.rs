@@ -80,7 +80,7 @@ fn main() {
 
         // Today (live stream only, window = 0 archived steps) versus the
         // all-time median: historical context for real-time alerting.
-        let today_median = hsq.quantile_window(0.5, 0).unwrap().unwrap_or(p50);
+        let today_median = hsq.quantile_in_window(0, 0.5).unwrap().unwrap_or(p50);
         let alert = if today_median as f64 > 1.5 * p50 as f64 {
             "LATENCY REGRESSION vs history"
         } else {

@@ -327,7 +327,10 @@
 //!   [`hsq_core::QueryOutcome::rank_lo`]`..`[`rank_hi`](hsq_core::QueryOutcome::rank_hi)
 //!   widened by *exactly* the quarantined mass — the answer is honest
 //!   about what it can no longer see. `strict(true)` flips the policy:
-//!   queries refuse (`InvalidData`) while any mass is quarantined.
+//!   accurate queries refuse (`InvalidData`) while any mass is
+//!   quarantined — on the live engine, on snapshots pinned after the
+//!   quarantine, on sharded engines and on served nodes alike, because
+//!   the flag is part of the scope every query runs over.
 //! * **Scrub.** [`HistStreamQuantiles::scrub`](hsq_core::HistStreamQuantiles::scrub)
 //!   runs one rate-limited pass: first it *repairs* quarantined
 //!   partitions — salvaging every checksum-valid block into a fresh run
@@ -424,8 +427,21 @@
 //! p50 probe counts from ~45 (domain-seeded) to ~3 on the headline
 //! workload.
 //!
+//! **One query path.** Every surface — [`HistStreamQuantiles`],
+//! [`hsq_core::EngineSnapshot`], [`ShardedEngine`] / [`ShardedSnapshot`],
+//! a served node and [`service::TenantSession`] — answers through the
+//! same three pieces in [`hsq_core::query`]: a *scope* (the combined
+//! summary of the selected partitions plus the stream, with `N`, `m`,
+//! `ε`, the quarantined mass and `strict`; a window is just another
+//! partition selection), a *probe source* returning summed rank bounds
+//! for a value, and the *driver* `accurate_response` that seeds a
+//! bracket from the scope and bisects over the source (Algorithms 6–8).
+//! The surfaces only build the scope and the source; recovery
+//! (quarantine-and-retry on the live engine, failover restarts on the
+//! coordinator) wraps the path from outside.
+//!
 //! **Snapshot reuse for dashboards.** A [`ShardedSnapshot`] caches its
-//! cross-shard combined summary and per-window query plans on first use.
+//! cross-shard scope (combined summary included) per window on first use.
 //! A dashboard issuing many quantiles against one consistent view should
 //! take **one** snapshot and reuse it — on the headline workload that is
 //! ~27× cheaper per query than snapshot-per-query (the
@@ -439,7 +455,7 @@
 //! let mut engine = ShardedEngine::<u64, _>::with_shards(4, config, |_| MemDevice::new(4096));
 //! engine.ingest_step(&(0..50_000u64).collect::<Vec<_>>()).unwrap();
 //!
-//! // One snapshot, many queries: filters and window plans build once.
+//! // One snapshot, many queries: each window's scope builds once.
 //! let snap = engine.snapshot();
 //! let p50 = snap.quantile(0.50).unwrap().unwrap();
 //! let p95 = snap.quantile(0.95).unwrap().unwrap();

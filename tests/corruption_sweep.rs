@@ -321,3 +321,57 @@ fn flaky_reads_sweep_sharded_windows_masked_with_zero_failures() {
         );
     }
 }
+
+/// `strict` is recorded in the scope a query pins, so every surface —
+/// not just the live single engine — refuses over quarantined data,
+/// while a scope pinned before the quarantine keeps answering.
+#[test]
+fn strict_is_honoured_by_sharded_and_snapshot_surfaces() {
+    let build = |strict: bool| {
+        let cfg = HsqConfig::builder()
+            .epsilon(EPS)
+            .merge_threshold(3)
+            .strict(strict)
+            .build();
+        let mut e = ShardedEngine::<u64, _>::with_shards(2, cfg, |_| MemDevice::new(256));
+        for s in 0..3u64 {
+            e.ingest_step(&(0..200u64).map(|i| s * 200 + i).collect::<Vec<_>>())
+                .unwrap();
+        }
+        e.stream_extend(&(600..660u64).collect::<Vec<_>>());
+        e
+    };
+    let quarantine_newest = |e: &ShardedEngine<u64, MemDevice>| {
+        let w = e.shard(0).warehouse();
+        let p = w.partitions_newest_first()[0];
+        assert!(w.quarantine(p.run.file()));
+        p.run.len()
+    };
+
+    let strict = build(true);
+    let pinned_before = strict.snapshot();
+    quarantine_newest(&strict);
+    for (what, res) in [
+        ("rank_query", strict.rank_query(100)),
+        ("rank_in_window", strict.rank_in_window(1, 10)),
+        ("snapshot", strict.snapshot().rank_query(100)),
+        ("shard snapshot", strict.shard(0).snapshot().rank_query(100)),
+    ] {
+        let err = res.expect_err(what);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        assert!(err.to_string().contains("strict mode"), "{what}: {err}");
+    }
+    let o = pinned_before.rank_query(100).unwrap().unwrap();
+    assert!(
+        !o.degraded,
+        "a scope pinned before the quarantine is healthy"
+    );
+
+    let lenient = build(false);
+    let mass = quarantine_newest(&lenient);
+    let eps_m = (lenient.config().query_epsilon() * lenient.stream_len() as f64).floor() as u64;
+    let o = lenient.rank_query(100).unwrap().unwrap();
+    assert!(o.degraded);
+    assert_eq!(o.quarantined, mass);
+    assert_eq!(o.rank_hi, o.estimated_rank + eps_m + mass);
+}
