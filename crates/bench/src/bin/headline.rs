@@ -26,8 +26,8 @@ use hsq_service::{
     TcpConnector,
 };
 use hsq_storage::{
-    sort_items, BlockDevice, Fault, FaultDevice, FileDevice, FileId, MemDevice, RetryDevice,
-    RetryPolicy,
+    merge_runs, sort_items, write_run, BlockDevice, Fault, FaultDevice, FileDevice, FileId,
+    MemDevice, RetryDevice, RetryPolicy,
 };
 use hsq_workload::Dataset;
 use std::sync::Arc;
@@ -66,6 +66,34 @@ fn radix_metrics() -> (f64, f64, f64) {
     let radix_eps = total / radix_best;
     let comparison_eps = total / comparison_best;
     (radix_eps, comparison_eps, radix_eps / comparison_eps)
+}
+
+/// CPU cost of the step-close merge kernel: nanoseconds per item of one
+/// `merge_runs` over the level-0 cascade of the `ingest_heavy` benchmark
+/// workload (11 runs × 65,536 `Uniform` items, 4096-byte blocks), read,
+/// verified, merged, checksummed and written on a `MemDevice`. Min-of-k.
+fn merge_ns_per_item() -> f64 {
+    const RUNS: usize = 11;
+    const RUN_ITEMS: usize = 65_536;
+    const REPEATS: usize = 7;
+    let dev = MemDevice::new(4096);
+    let runs: Vec<_> = (0..RUNS)
+        .map(|i| {
+            let mut data = Dataset::Uniform
+                .generator(900 + i as u64)
+                .take_vec(RUN_ITEMS);
+            sort_items(&mut data);
+            write_run(&*dev, &data).expect("write run")
+        })
+        .collect();
+    let mut best = f64::MAX;
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        let merged = merge_runs(&*dev, &runs).expect("merge");
+        best = best.min(t.elapsed().as_secs_f64());
+        merged.delete(&*dev).expect("delete");
+    }
+    best * 1e9 / (RUNS * RUN_ITEMS) as f64
 }
 
 fn percentile(sorted: &[u32], p: f64) -> f64 {
@@ -1045,6 +1073,9 @@ fn main() {
         comparison_eps / 1e6,
     );
 
+    let merge_ns = merge_ns_per_item();
+    println!("step-close merge (11 x 65536): {merge_ns:.1} ns/item");
+
     let sketch_rows = sketch_metrics();
     for r in &sketch_rows {
         println!(
@@ -1180,7 +1211,8 @@ fn main() {
             "  \"ingest\": {{\"scalar_elems_per_sec\": {:.0}, ",
             "\"batched_4096_elems_per_sec\": {:.0}, \"speedup\": {:.2}, ",
             "\"radix_sort_elems_per_sec\": {:.0}, ",
-            "\"comparison_sort_elems_per_sec\": {:.0}, \"radix_speedup\": {:.2}}},\n",
+            "\"comparison_sort_elems_per_sec\": {:.0}, \"radix_speedup\": {:.2}, ",
+            "\"merge_ns_per_item\": {:.1}}},\n",
             "  \"sketch\": {{\"epsilon\": 0.01, \"elems\": 524288, \"backends\": [\n{}\n  ],\n",
             "  \"compaction_ab\": [\n{}\n  ]}},\n",
             "  \"query\": {{\"summary_p50_probes\": {:.1}, \"summary_p99_probes\": {:.1}, ",
@@ -1222,6 +1254,7 @@ fn main() {
         radix_eps,
         comparison_eps,
         radix_speedup,
+        merge_ns,
         sketch_json,
         compaction_json,
         q_s_p50,

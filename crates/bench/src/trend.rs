@@ -372,7 +372,8 @@ pub fn classify(leaf: &str) -> (Direction, bool) {
     if ["per_sec", "speedup"].iter().any(|k| l.contains(k)) {
         return (Direction::HigherBetter, true);
     }
-    if l.contains("seconds") || l.ends_with("_secs") || l.ends_with("_ms") {
+    if l.contains("seconds") || l.ends_with("_secs") || l.ends_with("_ms") || l.contains("ns_per_")
+    {
         return (Direction::LowerBetter, true);
     }
     (Direction::Ignore, false)
@@ -647,6 +648,16 @@ mod tests {
         );
         assert_eq!(classify("max_rel_err"), (Direction::LowerBetter, false));
         assert_eq!(classify("memory_words"), (Direction::LowerBetter, false));
+    }
+
+    #[test]
+    fn per_item_cost_metrics_classify() {
+        // `ingest.merge_ns_per_item`: a wall-clock cost, lower is better,
+        // gated at the loose timing threshold.
+        assert_eq!(
+            classify("merge_ns_per_item"),
+            (Direction::LowerBetter, true)
+        );
     }
 
     #[test]

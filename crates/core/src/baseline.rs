@@ -19,13 +19,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hsq_sketch::{GkSketch, QDigest, ReservoirQuantiles};
-use hsq_storage::{BlockDevice, FileId, Item, RunWriter, SortedRun};
+use hsq_storage::{BlockDevice, FileId, Item};
 
 use crate::config::HsqConfig;
 use crate::query::QueryContext;
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::summary::SummaryBuilder;
-use crate::warehouse::{StoredPartition, UpdateReport};
+use crate::warehouse::{merge_to_partition, StoredPartition, UpdateReport};
 
 /// Which streaming sketch a [`PureStreaming`] baseline runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,8 +288,15 @@ impl<T: Item, D: BlockDevice> Strawman<T, D> {
                     self.config.beta1,
                     self.dev.block_size(),
                 );
-                for item in batch_run.iter(&*self.dev) {
-                    sb.push(item?);
+                let mut reader = batch_run.iter(&*self.dev);
+                loop {
+                    let window = reader.fill_buf()?;
+                    if window.is_empty() {
+                        break;
+                    }
+                    sb.push_slice(window);
+                    let n = window.len();
+                    reader.consume(n);
                 }
                 StoredPartition {
                     run: batch_run,
@@ -299,25 +306,14 @@ impl<T: Item, D: BlockDevice> Strawman<T, D> {
                 }
             }
             Some(old) => {
-                let eta = old.run.len() + batch_run.len();
-                let mut writer = RunWriter::new(&*self.dev)?;
-                let mut sb = SummaryBuilder::new(
-                    eta,
-                    self.config.epsilon1,
-                    self.config.beta1,
-                    self.dev.block_size(),
-                );
-                let runs: Vec<SortedRun<T>> = vec![old.run, batch_run];
-                hsq_storage::merge_into(&*self.dev, &runs, |v| {
-                    sb.push(v);
-                    writer.push(v)
-                })?;
+                let runs = [old.run, batch_run];
+                let (run, summary) = merge_to_partition(&*self.dev, None, &runs, &self.config)?;
                 for r in runs {
                     r.delete(&*self.dev)?;
                 }
                 StoredPartition {
-                    run: writer.finish()?,
-                    summary: sb.finish(),
+                    run,
+                    summary,
                     first_step: old.first_step,
                     last_step: self.steps,
                 }

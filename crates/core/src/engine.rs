@@ -41,7 +41,7 @@ pub struct HistStreamQuantiles<T: Item, D: BlockDevice> {
     /// the last offset is the unsorted tail fed by scalar
     /// [`HistStreamQuantiles::stream_update`] calls. Batched ingestion
     /// appends pre-sorted segments so [`HistStreamQuantiles::end_time_step`]
-    /// archives with a linear segment merge instead of a full re-sort.
+    /// archives with one segment merge instead of a full re-sort.
     staging_segments: Vec<usize>,
     /// Time spent sorting staging segments during the current step,
     /// folded into the next `UpdateReport::sort_time`.
@@ -233,11 +233,12 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// warehouse (Algorithm 3 `HistUpdate`) and reset the stream summary
     /// (Algorithm 4 `StreamReset`). Returns the update's cost breakdown.
     ///
-    /// Staging is kept as sorted segments, so archival costs one linear
-    /// merge of the segments (zero-copy when the stream arrived in
-    /// nondecreasing segment order) plus the sorted store — the full
-    /// `O(η log η)` re-sort only ever touches the scalar tail. The
-    /// reported `sort_time` includes the staging sorts paid during
+    /// Staging is kept as sorted segments, so archival costs one merge of
+    /// the segments — zero-copy when the stream arrived in nondecreasing
+    /// segment order, otherwise through the same block-at-a-time kernel
+    /// that merges partitions ([`hsq_storage::merge_sources`]) — plus the
+    /// sorted store; a full re-sort only ever touches the scalar tail.
+    /// The reported `sort_time` includes the staging sorts paid during
     /// streaming, so per-step cost accounting matches the scalar era.
     ///
     /// A step larger than the configured `sort_budget_items` takes the
@@ -729,6 +730,13 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     }
 }
 
+/// Head length of the staging merge, in items (one 4 KiB block of
+/// `u64`s). The merge kernel radix-sorts at most one head per segment at a
+/// time, and the radix kernel's thread-local buffers never shrink, so
+/// this — not the step size — is what bounds the memory a step close pins
+/// per thread.
+const STAGING_HEAD_ITEMS: usize = 512;
+
 /// Merge the sorted segments of `data` (`seg_ends` = exclusive end offset
 /// of each segment, ascending, last == `data.len()`) into one sorted
 /// vector.
@@ -736,8 +744,9 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
 /// Boundaries that are already in order are coalesced first, so a stream
 /// that arrived as nondecreasing batches (or one big batch) returns `data`
 /// unchanged — zero copies, zero comparisons beyond the boundary checks.
-/// Otherwise a cursor-heap k-way merge costs `O(n log k)` for `k` true
-/// segments, versus `O(n log n)` for a full re-sort.
+/// Otherwise the `k` true segments go through the storage layer's
+/// block-at-a-time merge kernel ([`hsq_storage::merge_sources`]) as
+/// in-memory sources: the same loop that merges partitions on disk.
 fn merge_sorted_segments<T: Item>(data: Vec<T>, seg_ends: &[usize]) -> Vec<T> {
     // Collapse empty segments and boundaries already in sorted order.
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(seg_ends.len());
@@ -756,22 +765,13 @@ fn merge_sorted_segments<T: Item>(data: Vec<T>, seg_ends: &[usize]) -> Vec<T> {
     if ranges.len() <= 1 {
         return data;
     }
+    let mut segments: Vec<&[T]> = ranges.iter().map(|&(s, e)| &data[s..e]).collect();
     let mut out = Vec::with_capacity(data.len());
-    let mut cursors: Vec<usize> = ranges.iter().map(|&(s, _)| s).collect();
-    // Min-heap of (next value, segment index); ties broken by segment
-    // index for determinism.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(T, usize)>> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, _))| std::cmp::Reverse((data[s], i)))
-        .collect();
-    while let Some(std::cmp::Reverse((v, i))) = heap.pop() {
-        out.push(v);
-        cursors[i] += 1;
-        if cursors[i] < ranges[i].1 {
-            heap.push(std::cmp::Reverse((data[cursors[i]], i)));
-        }
-    }
+    hsq_storage::merge_sources(&mut segments, STAGING_HEAD_ITEMS, |chunk| {
+        out.extend_from_slice(chunk);
+        Ok(())
+    })
+    .expect("in-memory segments and an in-memory sink cannot fail");
     out
 }
 
@@ -1143,6 +1143,45 @@ mod tests {
 
         // Archival stores the exact multiset.
         h.end_time_step().unwrap();
+        let stored = h.warehouse().partitions_newest_first()[0]
+            .run
+            .read_all(&**h.warehouse().device())
+            .unwrap();
+        assert_eq!(stored, all);
+    }
+
+    #[test]
+    fn interleaved_batches_and_weighted_segment_archive_sorted_multiset() {
+        // The benchmark's step shape: 16 batches of 4096 drawn from one
+        // range, so every segment overlaps every other and the staging
+        // merge runs many multi-contributor rounds; plus a weighted
+        // segment whose replicated copies straddle head boundaries.
+        let mut h = engine(0.05, 3);
+        let mut all: Vec<u64> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..16 {
+            let batch: Vec<u64> = (0..4096)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    100_000_000 + (x >> 33) % 900_000_000
+                })
+                .collect();
+            all.extend(&batch);
+            h.stream_extend(&batch);
+        }
+        let pairs: Vec<(u64, u64)> = (0..300u64)
+            .map(|i| (100_000_000 + i * 2_999_999, 1 + i % 7 * 200))
+            .collect();
+        for &(v, w) in &pairs {
+            all.extend(std::iter::repeat_n(v, w as usize));
+        }
+        h.stream_extend_weighted(&pairs);
+        assert_eq!(h.stream_len(), all.len() as u64);
+
+        h.end_time_step().unwrap();
+        all.sort_unstable();
         let stored = h.warehouse().partitions_newest_first()[0]
             .run
             .read_all(&**h.warehouse().device())

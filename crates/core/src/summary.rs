@@ -144,19 +144,24 @@ impl<T: Item> SummaryBuilder<T> {
         }
     }
 
-    /// Observe the next element of the partition (in sorted order).
-    #[inline]
-    pub fn push(&mut self, v: T) {
-        self.pos += 1;
-        debug_assert!(self.pos <= self.eta, "more items than declared");
-        while self.next_target < self.targets.len() && self.targets[self.next_target] == self.pos {
+    /// Observe the next `items` of the partition (in sorted order). The
+    /// targets that fall inside the slice are read from it by index, so
+    /// the cost is per summary entry, not per item.
+    pub fn push_slice(&mut self, items: &[T]) {
+        let end = self.pos + items.len() as u64;
+        assert!(end <= self.eta, "more items than declared");
+        while let Some(&rank) = self.targets.get(self.next_target) {
+            if rank > end {
+                break;
+            }
             self.entries.push(SummaryEntry {
-                value: v,
-                rank: self.pos,
-                block: (self.pos - 1) / self.items_per_block,
+                value: items[(rank - self.pos - 1) as usize],
+                rank,
+                block: (rank - 1) / self.items_per_block,
             });
             self.next_target += 1;
         }
+        self.pos = end;
     }
 
     /// Finish; panics if fewer than `eta` elements were pushed.
@@ -182,9 +187,7 @@ pub fn summarize_sorted<T: Item>(
     block_size: usize,
 ) -> PartitionSummary<T> {
     let mut b = SummaryBuilder::new(sorted.len() as u64, epsilon1, beta1, block_size);
-    for &v in sorted {
-        b.push(v);
-    }
+    b.push_slice(sorted);
     b.finish()
 }
 

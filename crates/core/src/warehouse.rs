@@ -501,41 +501,37 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         let eta = batch.len() as u64;
         self.total_len += eta;
 
-        let (run, summary) = {
-            // External sort: spill budget-sized sorted runs, then stream
-            // one multi-way merge into the final partition, tapping it for
-            // the summary (no extra reads).
-            let t0 = Instant::now();
-            let before_sort = self.dev.stats().snapshot();
-            let mut spills = Vec::new();
-            for chunk in batch.chunks_mut(self.config.sort_budget_items) {
+        // External sort: spill budget-sized sorted runs, then stream one
+        // multi-way merge into the final partition, tapping it for the
+        // summary (no extra reads).
+        let t0 = Instant::now();
+        let before_sort = self.dev.stats().snapshot();
+        let mut spills = Vec::new();
+        let spilled = batch
+            .chunks_mut(self.config.sort_budget_items)
+            .try_for_each(|chunk| {
                 hsq_storage::sort_items(chunk);
                 spills.push(hsq_storage::write_run(&*self.dev, chunk)?);
-            }
-            report.sort_time = t0.elapsed();
+                Ok(())
+            });
+        report.sort_time = t0.elapsed();
 
-            let t1 = Instant::now();
-            let before_load = self.dev.stats().snapshot();
-            report.sort_io = before_load - before_sort;
-            let mut writer = RunWriter::new(&*self.dev)?;
-            let mut sb = SummaryBuilder::new(
-                eta,
-                self.config.epsilon1,
-                self.config.beta1,
-                self.dev.block_size(),
-            );
-            hsq_storage::merge_into_prefetch(&*self.dev, self.sched.as_deref(), &spills, |v| {
-                sb.push(v);
-                writer.push(v)
-            })?;
-            let run = writer.finish()?;
-            for s in spills {
-                s.delete(&*self.dev)?;
-            }
-            report.load_io = self.dev.stats().snapshot() - before_load;
-            report.load_time = t1.elapsed();
-            (run, sb.finish())
-        };
+        let t1 = Instant::now();
+        let before_load = self.dev.stats().snapshot();
+        report.sort_io = before_load - before_sort;
+        let merged = spilled.and_then(|()| {
+            merge_to_partition(&*self.dev, self.sched.as_deref(), &spills, &self.config)
+        });
+        // The spills are scratch: reclaim every one of them whether or not
+        // the merge went through.
+        let mut deleted = Ok(());
+        for s in spills {
+            deleted = deleted.and(s.delete(&*self.dev));
+        }
+        let (run, summary) = merged?;
+        deleted?;
+        report.load_io = self.dev.stats().snapshot() - before_load;
+        report.load_time = t1.elapsed();
         drop(batch);
 
         self.push_level0(StoredPartition {
@@ -558,7 +554,7 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// [`Warehouse::add_batch`] for a batch that is **already sorted**
     /// (nondecreasing), skipping the sort entirely. This is the fast path
     /// the engine's batched ingestion uses: staged stream batches are kept
-    /// as sorted segments, so archiving costs one linear merge of segments
+    /// as sorted segments, so archiving costs one merge of the segments
     /// plus this sorted store — no `O(η log η)` re-sort.
     pub fn add_sorted_batch(&mut self, batch: Vec<T>) -> io::Result<UpdateReport> {
         debug_assert!(batch.windows(2).all(|w| w[0] <= w[1]), "batch not sorted");
@@ -688,25 +684,12 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// Multi-way merge `parts` into one partition, building its summary
     /// from the merge stream (Algorithm 3 line 10-11).
     fn merge_partitions(&self, parts: &[StoredPartition<T>]) -> io::Result<StoredPartition<T>> {
-        let eta: u64 = parts.iter().map(|p| p.run.len()).sum();
         let runs: Vec<SortedRun<T>> = parts.iter().map(|p| p.run).collect();
-        let mut writer = RunWriter::new(&*self.dev)?;
-        let mut sb = SummaryBuilder::new(
-            eta,
-            self.config.epsilon1,
-            self.config.beta1,
-            self.dev.block_size(),
-        );
-        // With a scheduler, input windows prefetch ahead of the heap
-        // merge: each run's next window is in flight while the current
-        // one drains through the sink.
-        hsq_storage::merge_into_prefetch(&*self.dev, self.sched.as_deref(), &runs, |v| {
-            sb.push(v);
-            writer.push(v)
-        })?;
+        let (run, summary) =
+            merge_to_partition(&*self.dev, self.sched.as_deref(), &runs, &self.config)?;
         Ok(StoredPartition {
-            run: writer.finish()?,
-            summary: sb.finish(),
+            run,
+            summary,
             first_step: parts.iter().map(|p| p.first_step).min().unwrap_or(0),
             last_step: parts.iter().map(|p| p.last_step).max().unwrap_or(0),
         })
@@ -1105,6 +1088,31 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         }
         Ok(())
     }
+}
+
+/// Stream one multi-way merge of `runs` into a new run on `dev`, tapping
+/// the merged chunks for the run's summary on their way to the writer
+/// (Algorithm 3 lines 10–11; §2.1: "no additional disk access is required
+/// for computing the summary"). The **single** copy of "writer + summary
+/// builder + merge + finish": cascade merges, the external-sort spill
+/// merge and the strawman baseline all store through it. With a scheduler,
+/// each input's next window is in flight while the current one merges. On
+/// error nothing is left behind: the unfinished [`RunWriter`] deletes its
+/// file.
+pub(crate) fn merge_to_partition<T: Item, D: BlockDevice>(
+    dev: &D,
+    sched: Option<&IoScheduler>,
+    runs: &[SortedRun<T>],
+    config: &HsqConfig,
+) -> io::Result<(SortedRun<T>, PartitionSummary<T>)> {
+    let eta = runs.iter().map(|r| r.len()).sum();
+    let mut writer = RunWriter::new(dev)?;
+    let mut sb = SummaryBuilder::new(eta, config.epsilon1, config.beta1, dev.block_size());
+    hsq_storage::merge_into_prefetch(dev, sched, runs, |chunk| {
+        sb.push_slice(chunk);
+        writer.push_slice(chunk)
+    })?;
+    Ok((writer.finish()?, sb.finish()))
 }
 
 /// The window sizes (in time steps) that align with the boundaries of
@@ -1702,6 +1710,58 @@ mod tests {
         assert!(w.level(0).len() <= w.config.kappa);
         w.check_invariants().unwrap();
         assert_eq!(w.total_len(), 4 * 62 - r.items_lost);
+    }
+
+    #[test]
+    fn failed_merge_leaves_no_orphan_output() {
+        // Regression: a cascade merge that hits a rotted input block used
+        // to drop its half-written output run without deleting it; the
+        // step carries on (quarantine + degrade), so the orphan stayed on
+        // the device for good.
+        let mut w = warehouse(2);
+        w.add_batch(batch(1, 620)).unwrap(); // 620 / 31 per block = 20 blocks
+        w.add_batch(batch(2, 620)).unwrap();
+        let file = w.level(0)[0].run.file();
+        // Last block: two readahead windows of output are written first.
+        rot_block(w.device(), file, 19);
+        w.add_batch(batch(3, 620)).unwrap();
+        assert!(w.is_quarantined(file), "rot is found by the merge");
+        assert_eq!(w.num_partitions(), 3, "level stays unmerged");
+        assert_eq!(
+            w.device().num_files(),
+            3,
+            "the failed merge's output must not outlive it"
+        );
+    }
+
+    #[test]
+    fn failed_external_sort_leaves_no_files() {
+        use hsq_storage::{Fault, FaultDevice};
+        // 100 items under a 16-item budget: 7 spill runs + 1 merged run.
+        let spills = 100u64.div_ceil(16);
+        let run = |fault: Option<Fault>| {
+            let dev = FaultDevice::new(MemDevice::new(128));
+            if let Some(f) = fault {
+                dev.arm(f);
+            }
+            let mut cfg = HsqConfig::with_epsilon(0.1);
+            cfg.sort_budget_items = 16;
+            let mut w = Warehouse::<u64, _>::new(Arc::clone(&dev), cfg);
+            let res = w.add_batch((0..100).rev().collect());
+            (res.is_ok(), dev.mutations(), dev.inner().num_files())
+        };
+        let (ok, mutations, files) = run(None);
+        assert!(ok);
+        assert_eq!(files, 1, "spills are deleted, the partition stays");
+        // Fail each op up to the spill deletes (the last mutations; a
+        // delete that fails leaks by definition): whether a spill write,
+        // the output's create or one of its writes fails, every file the
+        // call created is gone again.
+        for k in 0..mutations - spills {
+            let (ok, _, files) = run(Some(Fault::FailOp(k)));
+            assert!(!ok, "op {k} must surface its failure");
+            assert_eq!(files, 0, "op {k} leaked a run");
+        }
     }
 
     #[test]

@@ -3,12 +3,14 @@
 
 use std::sync::Arc;
 
+use hsq_core::summary::SummaryBuilder;
 use hsq_core::{
     CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, ShardedEngine, SourceView,
     StreamProcessor, Warehouse,
 };
+use hsq_core::{PartitionSummary, SummaryEntry};
 use hsq_sketch::ExactQuantiles;
-use hsq_storage::{BlockDevice, MemDevice};
+use hsq_storage::{write_run, BlockDevice, FileId, MemDevice, RunFormat, RunWriter};
 use proptest::prelude::*;
 
 /// Rank distance from target `r` to the rank(s) of `v`: zero if `v`'s
@@ -25,6 +27,18 @@ fn rank_distance(sorted: &[u64], v: u64, r: u64) -> u64 {
     } else {
         r.saturating_sub(hi)
     }
+}
+
+/// Every stored byte of `file`, block by block.
+fn raw_blocks(dev: &MemDevice, file: FileId) -> Vec<Vec<u8>> {
+    (0..dev.num_blocks(file).unwrap())
+        .map(|b| {
+            let mut buf = vec![0u8; dev.block_size()];
+            let n = dev.read_block(file, b, &mut buf).unwrap();
+            buf.truncate(n);
+            buf
+        })
+        .collect()
 }
 
 proptest! {
@@ -597,6 +611,66 @@ proptest! {
                 prop_assert_eq!(&abuf[..alen], &bbuf[..blen], "block {} bytes differ", blk);
             }
         }
+    }
+
+    /// The slice appenders are the per-item appenders they replaced: for
+    /// any split of a sorted vector into slices (empty ones included),
+    /// `SummaryBuilder::push_slice` builds the summary the
+    /// one-call-per-item tap built (that loop is kept below as the
+    /// oracle), and `RunWriter::push_slice` writes the file one
+    /// whole-vector `write_run` writes, byte for byte.
+    #[test]
+    fn slice_paths_match_item_paths(
+        mut data in proptest::collection::vec(0u64..5_000, 0..4000),
+        cuts in proptest::collection::vec(0usize..4000, 0..40),
+        eps1_permille in 1u32..500,
+        beta1 in 2usize..300,
+        block in 0usize..3,
+    ) {
+        data.sort_unstable();
+        let eta = data.len() as u64;
+        let eps1 = eps1_permille as f64 / 1000.0;
+        let block_size = [64usize, 100, 4096][block];
+        let per = RunFormat::V2.items_per_block::<u64>(block_size) as u64;
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.extend([0, data.len()]);
+        cuts.sort_unstable(); // repeated cut points = empty slices
+
+        // Oracle: Algorithm 2's target ranks, tapped one item at a time.
+        let mut targets: Vec<u64> = Vec::new();
+        if eta > 0 {
+            targets.push(1);
+            targets.extend((1..beta1 as u64).map(|i| {
+                ((i as f64 * eps1 * eta as f64).floor() as u64).clamp(1, eta)
+            }));
+            targets.push(eta);
+            targets.sort_unstable();
+            targets.dedup();
+        }
+        let mut entries = Vec::new();
+        let (mut pos, mut next) = (0u64, 0usize);
+        for &v in &data {
+            pos += 1;
+            while next < targets.len() && targets[next] == pos {
+                entries.push(SummaryEntry { value: v, rank: pos, block: (pos - 1) / per });
+                next += 1;
+            }
+        }
+        let expected = PartitionSummary::from_raw_parts(entries, eta);
+
+        let dev = MemDevice::new(block_size);
+        let mut sb = SummaryBuilder::new(eta, eps1, beta1, block_size);
+        let mut writer = RunWriter::new(&*dev).unwrap();
+        for w in cuts.windows(2) {
+            sb.push_slice(&data[w[0]..w[1]]);
+            writer.push_slice(&data[w[0]..w[1]]).unwrap();
+        }
+        prop_assert_eq!(sb.finish(), expected);
+
+        let split = writer.finish().unwrap();
+        let whole = write_run(&*dev, &data).unwrap();
+        prop_assert_eq!((split.len(), split.min(), split.max()), (whole.len(), whole.min(), whole.max()));
+        prop_assert_eq!(raw_blocks(&dev, split.file()), raw_blocks(&dev, whole.file()));
     }
 
     /// Speculative bisection prefetch is invisible in the answers: an

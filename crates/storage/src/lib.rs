@@ -13,7 +13,9 @@
 //!   ([`MemDevice`]) and on-filesystem ([`FileDevice`]) backends ([`device`]);
 //! * [`SortedRun`] — the immutable sorted partition file format ([`run`]);
 //! * [`merge_runs`] / [`external_sort`] — the sequential-I/O bulk operations
-//!   the warehouse update path is built from ([`merge`], [`sort`]);
+//!   the warehouse update path is built from ([`sort`], and [`merge`]: one
+//!   block-at-a-time k-way kernel, [`merge_sources`], over device runs and
+//!   in-memory segments alike);
 //! * [`BlockCache`] — decoded-block cache implementing the paper's
 //!   single-block query optimization ([`cache`]);
 //! * [`IoScheduler`] — io_uring-style overlapped submission/completion
@@ -48,7 +50,7 @@ pub use error::{
     corruption_in, is_transient, RetryDevice, RetryPolicy, StorageError, StorageErrorKind,
 };
 pub use fault::{Fault, FaultDevice};
-pub use merge::{merge_into, merge_into_prefetch, merge_runs};
+pub use merge::{merge_into, merge_into_prefetch, merge_runs, merge_sources, MergeSource};
 pub use run::{
     items_per_block, write_run, write_run_overlapped, RunFormat, RunReader, RunWriter, SortedRun,
     DEFAULT_READAHEAD_BLOCKS,

@@ -14,6 +14,17 @@
 //! [`crate::StorageError::Corruption`] errors naming the `(file, block)`.
 //! **V1** is the unchecksummed seed layout, kept readable so warehouses
 //! persisted before the format bump recover unchanged.
+//!
+//! Bulk traffic moves in slices, not items. A sequential scan
+//! ([`RunReader`]) exposes the window of blocks it has read, verified and
+//! decoded through [`RunReader::fill_buf`] / [`RunReader::consume`] — the
+//! `std::io::BufRead` contract over items instead of bytes — and a
+//! [`RunWriter`] takes sorted slices through [`RunWriter::push_slice`],
+//! encoding them into its block buffer a block at a time. The multi-way
+//! merge ([`crate::merge`]) is written against exactly these calls, so the
+//! per-item work between a verified input block and a checksummed output
+//! block is a decode, a radix pass and an encode — no per-item `Result`,
+//! no per-item call.
 
 use std::io;
 use std::marker::PhantomData;
@@ -364,8 +375,10 @@ impl<T: Item> SortedRun<T> {
 /// Buffered writer that produces a [`SortedRun`] in the checksummed
 /// [`RunFormat::V2`] layout.
 ///
-/// Enforces nondecreasing order on `push`; flushes whole blocks, each
-/// with a CRC64 trailer over its item payload.
+/// Enforces nondecreasing order on [`RunWriter::push_slice`]; flushes
+/// whole blocks, each with a CRC64 trailer over its item payload. A writer
+/// dropped before [`RunWriter::finish`] deletes its half-written file, so
+/// a failed merge leaves nothing behind on the device.
 pub struct RunWriter<'d, T: Item, D: BlockDevice> {
     dev: &'d D,
     file: FileId,
@@ -376,6 +389,9 @@ pub struct RunWriter<'d, T: Item, D: BlockDevice> {
     len: u64,
     min: Option<T>,
     last: Option<T>,
+    /// Set by [`RunWriter::finish`]: the file now belongs to the returned
+    /// [`SortedRun`] and `Drop` must leave it alone.
+    finished: bool,
 }
 
 impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
@@ -391,22 +407,39 @@ impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
             len: 0,
             min: None,
             last: None,
+            finished: false,
         })
     }
 
-    /// Append `v`; must be `>=` every previously pushed item.
-    pub fn push(&mut self, v: T) -> io::Result<()> {
-        if let Some(last) = self.last {
-            assert!(v >= last, "RunWriter items must be nondecreasing");
-        }
-        self.min.get_or_insert(v);
-        self.last = Some(v);
-        let old = self.buf.len();
-        self.buf.resize(old + T::ENCODED_LEN, 0);
-        v.encode(&mut self.buf[old..]);
-        self.len += 1;
-        if self.buf.len() >= self.cap {
-            self.flush_block()?;
+    /// Append `items`, which must be nondecreasing and start at or above
+    /// every previously pushed item (checked in release builds too: a
+    /// misordered run would silently break every rank-addressed probe).
+    /// Items are encoded straight into the block buffer, a block's worth
+    /// at a time.
+    pub fn push_slice(&mut self, items: &[T]) -> io::Result<()> {
+        let (Some(&first), Some(&last)) = (items.first(), items.last()) else {
+            return Ok(());
+        };
+        assert!(
+            self.last.is_none_or(|prev| prev <= first) && items.windows(2).all(|w| w[0] <= w[1]),
+            "RunWriter items must be nondecreasing"
+        );
+        self.min.get_or_insert(first);
+        self.last = Some(last);
+        self.len += items.len() as u64;
+        let mut rest = items;
+        while !rest.is_empty() {
+            let room = (self.cap - self.buf.len()) / T::ENCODED_LEN;
+            let (now, later) = rest.split_at(room.min(rest.len()));
+            let old = self.buf.len();
+            self.buf.resize(old + now.len() * T::ENCODED_LEN, 0);
+            for (slot, &v) in self.buf[old..].chunks_exact_mut(T::ENCODED_LEN).zip(now) {
+                v.encode(slot);
+            }
+            if self.buf.len() >= self.cap {
+                self.flush_block()?;
+            }
+            rest = later;
         }
         Ok(())
     }
@@ -427,6 +460,7 @@ impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
     /// Flush and return the completed run handle.
     pub fn finish(mut self) -> io::Result<SortedRun<T>> {
         self.flush_block()?;
+        self.finished = true;
         Ok(SortedRun {
             file: self.file,
             len: self.len,
@@ -447,7 +481,24 @@ impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
     }
 }
 
-/// Sequential iterator over a [`SortedRun`].
+impl<T: Item, D: BlockDevice> Drop for RunWriter<'_, T, D> {
+    fn drop(&mut self) {
+        // An unfinished run is referenced by nobody: reclaim it. The
+        // error that unwound us is the one worth reporting, so a failed
+        // delete here only leaks space.
+        if !self.finished {
+            let _ = self.dev.delete(self.file);
+        }
+    }
+}
+
+/// Sequential reader over a [`SortedRun`].
+///
+/// Two views of the same scan: [`RunReader::fill_buf`] /
+/// [`RunReader::consume`] hand out the decoded readahead window as a
+/// slice (`std::io::BufRead`-style — what the merge kernel and the bulk
+/// collectors use), and the [`Iterator`] impl yields one item at a time
+/// on top of those two calls.
 ///
 /// Reads ahead [`DEFAULT_READAHEAD_BLOCKS`] blocks per device round-trip
 /// (tunable via [`RunReader::with_readahead`]): the block-access *count*
@@ -589,6 +640,35 @@ impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
     pub fn remaining(&self) -> u64 {
         self.len - self.next_idx
     }
+
+    /// The verified, decoded items of the current readahead window that
+    /// have not been consumed yet, reading the next window first if the
+    /// current one is used up. Empty only once the run is exhausted — or
+    /// after an error: a failed read poisons the reader, so the error is
+    /// returned once and the scan then ends.
+    pub fn fill_buf(&mut self) -> io::Result<&[T]> {
+        if self.buf_pos >= self.buf.len() && self.next_idx < self.len {
+            if let Err(e) = self.refill() {
+                // Poison: drop the half-decoded window and end the scan.
+                self.next_idx = self.len;
+                self.buf.clear();
+                self.buf_pos = 0;
+                return Err(e);
+            }
+        }
+        Ok(&self.buf[self.buf_pos..])
+    }
+
+    /// Mark the first `n` items of the last [`RunReader::fill_buf`] slice
+    /// as read.
+    pub fn consume(&mut self, n: usize) {
+        assert!(
+            n <= self.buf.len() - self.buf_pos,
+            "consumed past the window"
+        );
+        self.buf_pos += n;
+        self.next_idx += n as u64;
+    }
 }
 
 impl<T: Item, D: BlockDevice> Drop for RunReader<'_, T, D> {
@@ -606,19 +686,14 @@ impl<T: Item, D: BlockDevice> Iterator for RunReader<'_, T, D> {
     type Item = io::Result<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_idx >= self.len {
-            return None;
-        }
-        if self.buf_pos >= self.buf.len() {
-            if let Err(e) = self.refill() {
-                self.next_idx = self.len; // poison
-                return Some(Err(e));
+        match self.fill_buf() {
+            Err(e) => Some(Err(e)),
+            Ok([]) => None,
+            Ok(&[v, ..]) => {
+                self.consume(1);
+                Some(Ok(v))
             }
         }
-        let v = self.buf[self.buf_pos];
-        self.buf_pos += 1;
-        self.next_idx += 1;
-        Some(Ok(v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -630,24 +705,27 @@ impl<T: Item, D: BlockDevice> Iterator for RunReader<'_, T, D> {
 /// Collector for `Iterator<Item = io::Result<T>>` into `Vec<T>`.
 impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
     /// Collect remaining items, failing on the first I/O error.
-    pub fn collect(self) -> io::Result<Vec<T>>
+    pub fn collect(mut self) -> io::Result<Vec<T>>
     where
         Self: Sized,
     {
         let mut out = Vec::with_capacity(self.remaining() as usize);
-        for item in self {
-            out.push(item?);
+        loop {
+            let window = self.fill_buf()?;
+            if window.is_empty() {
+                return Ok(out);
+            }
+            out.extend_from_slice(window);
+            let n = window.len();
+            self.consume(n);
         }
-        Ok(out)
     }
 }
 
 /// Write a sorted slice as a run (helper for tests and batch loading).
 pub fn write_run<T: Item, D: BlockDevice>(dev: &D, sorted: &[T]) -> io::Result<SortedRun<T>> {
     let mut w = RunWriter::new(dev)?;
-    for &v in sorted {
-        w.push(v)?;
-    }
+    w.push_slice(sorted)?;
     w.finish()
 }
 
@@ -756,8 +834,33 @@ mod tests {
     fn unsorted_push_rejected() {
         let dev = MemDevice::new(64);
         let mut w = RunWriter::<u64, _>::new(&*dev).unwrap();
-        w.push(5).unwrap();
-        w.push(3).unwrap();
+        w.push_slice(&[4, 5]).unwrap();
+        w.push_slice(&[3, 9]).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "nondecreasing")]
+    fn unsorted_slice_rejected() {
+        let dev = MemDevice::new(64);
+        let mut w = RunWriter::<u64, _>::new(&*dev).unwrap();
+        w.push_slice(&[1, 5, 3]).unwrap();
+    }
+
+    #[test]
+    fn unfinished_writer_deletes_its_file() {
+        let dev = MemDevice::new(64); // 7 u64 per block
+        let files = dev.num_files();
+        let mut w = RunWriter::<u64, _>::new(&*dev).unwrap();
+        w.push_slice(&(0..20).collect::<Vec<u64>>()).unwrap(); // two blocks flushed
+        assert_eq!(dev.num_files(), files + 1);
+        drop(w);
+        assert_eq!(dev.num_files(), files, "dropped writer must reclaim");
+        // A finished writer hands the file to its run.
+        let mut w = RunWriter::<u64, _>::new(&*dev).unwrap();
+        w.push_slice(&[1, 2, 3]).unwrap();
+        let run = w.finish().unwrap();
+        assert_eq!(dev.num_files(), files + 1);
+        assert_eq!(run.read_all(&*dev).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //!
 //! The hot paths are batch-first: `stream_extend` absorbs a whole slice
 //! per call (one sort feeds both the stream sketch and a pre-sorted
-//! staging segment), and `end_time_step` archives those segments with a
-//! linear merge instead of a re-sort. Same multiset, same `ε`
+//! staging segment), and `end_time_step` archives those segments with
+//! the block-at-a-time merge kernel that also merges partitions on disk
+//! (`storage::merge_sources`) instead of a re-sort. Same multiset, same `ε`
 //! guarantees, several times the throughput of element-wise updates —
 //! prefer it whenever elements arrive in chunks (network reads, Kafka
 //! batches, scan pages):
