@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use hsq_bench::*;
 use hsq_core::baseline::StreamingAlgo;
-use hsq_core::manifest::ManifestLog;
 use hsq_core::{
     HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, SeedMode, ShardedEngine,
 };
@@ -26,8 +25,8 @@ use hsq_service::{
     TcpConnector,
 };
 use hsq_storage::{
-    merge_runs, sort_items, write_run, BlockDevice, Fault, FaultDevice, FileDevice, FileId,
-    MemDevice, RetryDevice, RetryPolicy,
+    merge_runs, sort_items, write_run, BlockDevice, Fault, FaultDevice, FileId, MemDevice,
+    RetryDevice, RetryPolicy,
 };
 use hsq_workload::Dataset;
 use std::sync::Arc;
@@ -102,30 +101,24 @@ fn percentile(sorted: &[u32], p: f64) -> f64 {
 }
 
 /// Query-path metrics: bisection probe counts with summary vs domain
-/// bracket seeding (p50/p99 over a rank sweep), speculative-prefetch hit
-/// rate at `io_depth = 2`, and the cached cross-shard summary speedup of
-/// reusing one `ShardedSnapshot` for a dashboard's worth of queries.
-#[allow(clippy::type_complexity)]
-fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
+/// bracket seeding (p50/p99 over a rank sweep), and the cached
+/// cross-shard summary speedup of reusing one `ShardedSnapshot` for a
+/// dashboard's worth of queries.
+fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64) {
     const STEPS: u64 = 40;
     const STEP_ITEMS: usize = 8192;
-    let mk = |io_depth: usize| {
-        let cfg = HsqConfig::builder()
-            .epsilon(0.01)
-            .merge_threshold(10)
-            .io_depth(io_depth)
-            .build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg);
-        for s in 0..STEPS {
-            let batch = Dataset::Uniform.generator(700 + s).take_vec(STEP_ITEMS);
-            h.ingest_step(&batch).expect("ingest");
-        }
-        h.stream_extend(&Dataset::Uniform.generator(999).take_vec(STEP_ITEMS));
-        h
-    };
+    let cfg = HsqConfig::builder()
+        .epsilon(0.01)
+        .merge_threshold(10)
+        .build();
+    let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg);
+    for s in 0..STEPS {
+        let batch = Dataset::Uniform.generator(700 + s).take_vec(STEP_ITEMS);
+        h.ingest_step(&batch).expect("ingest");
+    }
+    h.stream_extend(&Dataset::Uniform.generator(999).take_vec(STEP_ITEMS));
 
     // Probe counts: the same rank sweep under both seed modes.
-    let h = mk(0);
     let n = h.total_len();
     let ranks: Vec<u64> = (1..=100).map(|i| (n * i) / 101 + 1).collect();
     let ss = h.stream().summary();
@@ -164,25 +157,6 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     assert!(
         s_p50 < d_p50 && s_p99 < d_p99,
         "summary seeding must take strictly fewer probes: p50 {s_p50} vs {d_p50}, p99 {s_p99} vs {d_p99}"
-    );
-
-    // Prefetch hit rate: the same sweep on an overlapped engine.
-    let overlapped = mk(2);
-    let mut hits = 0u64;
-    let mut wasted = 0u64;
-    for &r in &ranks {
-        let out = overlapped.rank_query(r).expect("query").expect("non-empty");
-        hits += out.prefetch_hits as u64;
-        wasted += out.prefetch_wasted as u64;
-    }
-    let hit_rate = if hits + wasted > 0 {
-        hits as f64 / (hits + wasted) as f64
-    } else {
-        0.0
-    };
-    assert!(
-        hit_rate > 0.0,
-        "speculative prefetch never hit at io_depth 2"
     );
 
     // Cached cross-shard summaries: per-query snapshots vs one reused
@@ -226,7 +200,6 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64, f64) {
         s_p99,
         d_p50,
         d_p99,
-        hit_rate,
         cached_speedup,
         fresh_secs,
         reused_secs,
@@ -909,96 +882,6 @@ fn retention_metrics() -> (u64, u64, f64, f64) {
     (cap, steady, secs, reads)
 }
 
-/// Overlapped vs serial shard archival on a real filesystem (two shards,
-/// each on its own `FileDevice`, a `ManifestLog` per shard).
-///
-/// The stable gated metric is **blocking device calls per step**: device
-/// writes + syncs issued inline by the ingest thread, plus scheduler
-/// waits/barriers. Serial archival blocks on every one of them;
-/// overlapped archival submits the writes and fsyncs to the scheduler
-/// and blocks only at completion barriers, so the count drops by roughly
-/// the blocks-per-partition factor. Wall-clock throughput is also
-/// recorded (loose-gated: machine-dependent). Returns
-/// `(serial_blocking_per_step, overlapped_blocking_per_step,
-/// serial_eps, overlapped_eps, prefetch_hit_rate)`.
-fn io_metrics(io_depth: usize, shards: usize) -> (f64, f64, f64, f64, f64) {
-    const STEPS: usize = 8;
-    const STEP_ITEMS: usize = 16_384;
-    let data: Vec<Vec<u64>> = (0..STEPS)
-        .map(|s| {
-            Dataset::Uniform
-                .generator(300 + s as u64)
-                .take_vec(STEP_ITEMS)
-        })
-        .collect();
-
-    let run = |depth: usize| -> (f64, f64, f64) {
-        let cfg = HsqConfig::builder()
-            .epsilon(0.01)
-            .merge_threshold(4) // cascades twice in 8 steps: merges overlap too
-            .io_depth(depth)
-            .build();
-        let mut engine = ShardedEngine::<u64, _>::with_shards(shards, cfg, |_| {
-            FileDevice::new_temp(4096).expect("temp device")
-        });
-        let mut logs: Vec<ManifestLog<u64, FileDevice>> = (0..shards)
-            .map(|i| ManifestLog::create(engine.shard(i).warehouse()).expect("log"))
-            .collect();
-        let t = Instant::now();
-        for step in &data {
-            engine.stream_extend(step);
-            engine.end_time_step().expect("archival");
-            for (i, log) in logs.iter_mut().enumerate() {
-                log.append(engine.shard(i).warehouse()).expect("append");
-            }
-        }
-        let eps = (STEPS * STEP_ITEMS) as f64 / t.elapsed().as_secs_f64();
-
-        // Blocking device calls = everything issued inline (writes +
-        // syncs) minus what ran on scheduler workers, plus the waits and
-        // barriers that did block. Deterministic given the workload.
-        let mut blocking = 0i64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for i in 0..shards {
-            let w = engine.shard(i).warehouse();
-            let io = w.device().stats().snapshot();
-            blocking += (io.writes + io.syncs) as i64;
-            if let Some(sched) = w.scheduler() {
-                let st = sched.stats();
-                blocking -= (st.async_writes + st.async_syncs) as i64;
-                blocking += (st.blocking_waits + st.barriers) as i64;
-                hits += st.prefetch_hits;
-                misses += st.prefetch_misses;
-            }
-        }
-        let hit_rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        drop(logs);
-        for i in 0..shards {
-            let _ = engine.shard(i).warehouse().device().cleanup();
-        }
-        (blocking as f64 / STEPS as f64, eps, hit_rate)
-    };
-
-    let (serial_blocking, serial_eps, _) = run(0);
-    let (overlapped_blocking, overlapped_eps, hit_rate) = run(io_depth);
-    assert!(
-        overlapped_blocking < serial_blocking,
-        "overlapped archival must block less: {overlapped_blocking} vs {serial_blocking} calls/step"
-    );
-    (
-        serial_blocking,
-        overlapped_blocking,
-        serial_eps,
-        overlapped_eps,
-        hit_rate,
-    )
-}
-
 fn main() {
     // Full paper ratio: T = 100 archived steps + one live step.
     let scale = Scale {
@@ -1101,13 +984,12 @@ fn main() {
         );
     }
 
-    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, q_hit_rate, cached_speedup, fresh_secs, reused_secs) =
+    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, cached_speedup, fresh_secs, reused_secs) =
         query_metrics();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \
-         {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; prefetch hit rate {:.0}% at io_depth 2; \
+         {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; \
          snapshot reuse {cached_speedup:.2}x ({:.0} vs {:.0} us/query)",
-        q_hit_rate * 100.0,
         fresh_secs * 1e6,
         reused_secs * 1e6,
     );
@@ -1119,21 +1001,6 @@ fn main() {
         byte_cap >> 10,
         window_secs * 1e6,
         window_reads,
-    );
-
-    let io_depth = 4;
-    let io_shards = 2;
-    let (serial_blocking, overlapped_blocking, serial_io_eps, overlapped_io_eps, hit_rate) =
-        io_metrics(io_depth, io_shards);
-    println!(
-        "io: overlapped archival blocks {:.1} device calls/step vs {:.1} serial ({:.1}x fewer); \
-         {:.2} vs {:.2} Melem/s; merge prefetch hit rate {:.0}%",
-        overlapped_blocking,
-        serial_blocking,
-        serial_blocking / overlapped_blocking.max(1.0),
-        overlapped_io_eps / 1e6,
-        serial_io_eps / 1e6,
-        hit_rate * 100.0,
     );
 
     let (detection, salvage, scrub_bps, flaky_retries, flaky_secs) = robustness_metrics();
@@ -1217,18 +1084,11 @@ fn main() {
             "  \"compaction_ab\": [\n{}\n  ]}},\n",
             "  \"query\": {{\"summary_p50_probes\": {:.1}, \"summary_p99_probes\": {:.1}, ",
             "\"domain_p50_probes\": {:.1}, \"domain_p99_probes\": {:.1}, ",
-            "\"prefetch_io_depth\": 2, \"prefetch_hit_rate\": {:.3}, ",
             "\"cached_summary_speedup\": {:.2}, ",
             "\"fresh_snapshot_query_seconds\": {:.8}, ",
             "\"reused_snapshot_query_seconds\": {:.8}}},\n",
             "  \"retention\": {{\"byte_cap\": {}, \"steady_state_bytes\": {}, ",
             "\"window_query_seconds\": {:.6}, \"window_disk_reads_per_query\": {:.1}}},\n",
-            "  \"io\": {{\"io_depth\": {}, \"shards\": {}, ",
-            "\"serial_blocking_calls_per_step\": {:.1}, ",
-            "\"overlapped_blocking_calls_per_step\": {:.1}, ",
-            "\"serial_archival_elems_per_sec\": {:.0}, ",
-            "\"overlapped_archival_elems_per_sec\": {:.0}, ",
-            "\"overlap_speedup\": {:.2}, \"prefetch_hit_rate\": {:.3}}},\n",
             "  \"robustness\": {{\"detection_hit_rate\": {:.3}, ",
             "\"salvage_hit_rate\": {:.3}, \"scrub_blocks_per_sec\": {:.0}, ",
             "\"flaky_retry_disk_reads_per_query\": {:.2}, ",
@@ -1261,7 +1121,6 @@ fn main() {
         q_s_p99,
         q_d_p50,
         q_d_p99,
-        q_hit_rate,
         cached_speedup,
         fresh_secs,
         reused_secs,
@@ -1269,14 +1128,6 @@ fn main() {
         steady_bytes,
         window_secs,
         window_reads,
-        io_depth,
-        io_shards,
-        serial_blocking,
-        overlapped_blocking,
-        serial_io_eps,
-        overlapped_io_eps,
-        overlapped_io_eps / serial_io_eps.max(1.0),
-        hit_rate,
         detection,
         salvage,
         scrub_bps,

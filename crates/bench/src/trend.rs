@@ -357,8 +357,6 @@ pub fn classify(leaf: &str) -> (Direction, bool) {
         "disk_reads",
         "memory_words",
         "steady_state",
-        "blocking_calls",
-        "blocking_sync",
         "probes",
         "probe_rounds",
         "round_trips",
@@ -737,43 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn io_metrics_gate_as_stable() {
-        // Blocking calls are deterministic given the workload: growth
-        // past the tight threshold gates. Hit rate gates higher-better.
-        let (dir, noisy) = classify("overlapped_blocking_calls_per_step");
-        assert_eq!(dir, Direction::LowerBetter);
-        assert!(!noisy);
-        let (dir, noisy) = classify("prefetch_hit_rate");
-        assert_eq!(dir, Direction::HigherBetter);
-        assert!(!noisy);
-        assert_eq!(classify("io_depth").0, Direction::Ignore);
-
-        let base = Json::parse(
-            r#"{"io": {"io_depth": 4, "overlapped_blocking_calls_per_step": 4.0,
-                 "prefetch_hit_rate": 0.75, "overlap_speedup": 1.2}}"#,
-        )
-        .unwrap();
-        let mut worse = base.clone();
-        let mut io = base.get("io").unwrap().clone();
-        io.set("overlapped_blocking_calls_per_step", Json::Num(40.0));
-        io.set("prefetch_hit_rate", Json::Num(0.1));
-        worse.set("io", io);
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
-        assert!(
-            deltas
-                .iter()
-                .any(|d| d.path.contains("blocking_calls") && d.failed),
-            "10x more blocking calls must gate"
-        );
-        assert!(
-            deltas
-                .iter()
-                .any(|d| d.path.contains("hit_rate") && d.failed),
-            "collapsed hit rate must gate"
-        );
-    }
-
-    #[test]
     fn query_metrics_gate_probes_stable_and_latency_loose() {
         // Bisection probe counts are deterministic given code and seeds:
         // stable lower-better gate. Latencies and speedups stay loose.
@@ -792,11 +753,10 @@ mod tests {
         let (dir, noisy) = classify("radix_speedup");
         assert_eq!(dir, Direction::HigherBetter);
         assert!(noisy);
-        assert_eq!(classify("prefetch_io_depth").0, Direction::Ignore);
 
         let base = Json::parse(
             r#"{"query": {"summary_p50_probes": 5.0, "domain_p50_probes": 33.0,
-                 "prefetch_hit_rate": 0.5, "cached_summary_speedup": 1.5}}"#,
+                 "cached_summary_speedup": 1.5}}"#,
         )
         .unwrap();
         // Probe regression past the tight threshold gates.

@@ -28,7 +28,6 @@ const ALL_KNOBS: &[&str] = &[
     "HSQ_SKETCH",
     "HSQ_COMPACTION",
     "HSQ_SEED",
-    "HSQ_IO_REORDER_SEED",
     "HSQ_BENCH_FULL",
     "HSQ_BENCH_JSON",
     "HSQ_FLEET",
@@ -56,11 +55,6 @@ fn env_knob_probe() {
         "compaction" => {
             let c = hsq_sketch::SketchCompaction::from_env();
             println!("probe ok: compaction = {c:?}");
-        }
-        "io_reorder" => {
-            let dev = hsq_storage::MemDevice::new(4096);
-            let sched = hsq_storage::IoScheduler::new(dev, 2);
-            println!("probe ok: scheduler = {sched:?}");
         }
         "bench_full" => {
             let scale = hsq_bench::Scale::from_args();
@@ -173,20 +167,6 @@ fn hsq_compaction_and_seed_sweep() {
         &[("HSQ_COMPACTION", "deterministic"), ("HSQ_SEED", "42")],
         "HSQ_SEED",
     );
-}
-
-#[test]
-fn hsq_io_reorder_seed_sweep() {
-    accepts("io_reorder", &[]);
-    accepts("io_reorder", &[("HSQ_IO_REORDER_SEED", "0")]);
-    accepts("io_reorder", &[("HSQ_IO_REORDER_SEED", " 31337 ")]);
-    for garbage in ["banana", "-1", "0x10", ""] {
-        rejects(
-            "io_reorder",
-            &[("HSQ_IO_REORDER_SEED", garbage)],
-            "HSQ_IO_REORDER_SEED",
-        );
-    }
 }
 
 #[test]

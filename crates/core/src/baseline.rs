@@ -307,7 +307,7 @@ impl<T: Item, D: BlockDevice> Strawman<T, D> {
             }
             Some(old) => {
                 let runs = [old.run, batch_run];
-                let (run, summary) = merge_to_partition(&*self.dev, None, &runs, &self.config)?;
+                let (run, summary) = merge_to_partition(&*self.dev, &runs, &self.config)?;
                 for r in runs {
                     r.delete(&*self.dev)?;
                 }

@@ -77,26 +77,15 @@ pub struct HsqConfig {
     /// Answer queries by probing partitions in parallel (paper §4's
     /// future-work direction; see `crate::parallel`).
     pub parallel_query: bool,
-    /// Overlapped-I/O depth: worker threads of the per-warehouse
-    /// [`hsq_storage::IoScheduler`]. `0` (the default) keeps every device
-    /// call synchronous; `> 0` overlaps archival block writes and fsync
-    /// barriers with the ingest path's CPU work (run encoding, summary
-    /// construction, neighboring shards) and turns manifest-log syncs
-    /// into completion barriers. Queries and recovery are unaffected —
-    /// the engine inserts barriers before anything reads a pending run.
-    pub io_depth: usize,
     /// Retention limits enforced on every step boundary (see
     /// [`crate::retention`]). Default: unbounded (the paper's grow-only
     /// warehouse).
     pub retention: RetentionPolicy,
-    /// Retry policy for transient I/O failures. Applied to every
-    /// scheduler worker (`io_depth > 0`) via
-    /// [`hsq_storage::IoScheduler::with_retry`]; synchronous device
-    /// reads retry the same way when the device is wrapped in
-    /// [`hsq_storage::RetryDevice`], and the engine's query loop
+    /// Retry policy for transient query failures: the engine's query loop
     /// re-runs a whole probe on a transient error under this policy's
-    /// attempt cap. Default: [`RetryPolicy::none`] (fail fast, the
-    /// pre-existing behavior).
+    /// attempt cap. Device writes and reads are retried only by wrapping
+    /// the device in [`hsq_storage::RetryDevice`] with its own policy.
+    /// Default: [`RetryPolicy::none`] (fail fast).
     pub retry: RetryPolicy,
     /// Strict corruption handling: when `true`, queries over a warehouse
     /// with quarantined (confirmed-corrupt) partitions return the
@@ -167,7 +156,6 @@ impl HsqConfig {
             sort_budget_items: 1 << 20,
             cache_blocks: 64,
             parallel_query: false,
-            io_depth: 0,
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
@@ -185,7 +173,6 @@ pub struct HsqConfigBuilder {
     sort_budget_items: usize,
     cache_blocks: usize,
     parallel_query: bool,
-    io_depth: usize,
     retention: RetentionPolicy,
     retry: RetryPolicy,
     strict: bool,
@@ -201,7 +188,6 @@ impl Default for HsqConfigBuilder {
             sort_budget_items: 1 << 20,
             cache_blocks: 64,
             parallel_query: false,
-            io_depth: 0,
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
@@ -261,13 +247,6 @@ impl HsqConfigBuilder {
         self
     }
 
-    /// Overlapped-I/O worker depth (`0` = synchronous device calls; see
-    /// [`HsqConfig::io_depth`]).
-    pub fn io_depth(mut self, depth: usize) -> Self {
-        self.io_depth = depth;
-        self
-    }
-
     /// Retention limits enforced on every step boundary.
     pub fn retention(mut self, policy: RetentionPolicy) -> Self {
         self.retention = policy;
@@ -310,7 +289,6 @@ impl HsqConfigBuilder {
         cfg.sort_budget_items = self.sort_budget_items;
         cfg.cache_blocks = self.cache_blocks;
         cfg.parallel_query = self.parallel_query;
-        cfg.io_depth = self.io_depth;
         cfg.retention = self.retention;
         cfg.retry = self.retry;
         cfg.strict = self.strict;
@@ -349,14 +327,11 @@ mod tests {
             .sort_budget_items(1024)
             .cache_blocks(7)
             .parallel_query(true)
-            .io_depth(4)
             .build();
         assert_eq!(cfg.kappa, 3);
         assert_eq!(cfg.sort_budget_items, 1024);
         assert_eq!(cfg.cache_blocks, 7);
         assert!(cfg.parallel_query);
-        assert_eq!(cfg.io_depth, 4);
-        assert_eq!(HsqConfig::with_epsilon(0.1).io_depth, 0, "sync default");
     }
 
     #[test]

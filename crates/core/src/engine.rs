@@ -89,7 +89,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             .as_ref()
             .expect("call enable_heavy_hitters() before querying heavy hitters");
         let threshold = ((phi * self.total_len() as f64).ceil() as u64).max(1);
-        self.warehouse.io_barrier()?;
         tracker.heavy_hitters(&self.warehouse, threshold, self.config.cache_blocks)
     }
 
@@ -245,27 +244,10 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// warehouse's external-sort path instead, honoring the working-set
     /// bound and keeping spill I/O in the report.
     ///
-    /// With overlapped I/O configured (`io_depth > 0`) the partition's
-    /// block writes run on scheduler workers, overlapping the summary
-    /// and merge CPU work; this method still returns only after the
-    /// completion barrier, so everything the step wrote is on the device.
-    /// [`HistStreamQuantiles::end_time_step_deferred`] skips that final
-    /// barrier (the cross-shard overlap primitive).
+    /// Every device call is synchronous: when this returns, every block
+    /// the step wrote is on the device (durability is the manifest log's
+    /// job — see [`crate::manifest::ManifestLog::append`]).
     pub fn end_time_step(&mut self) -> io::Result<UpdateReport> {
-        let report = self.end_time_step_deferred()?;
-        self.warehouse.io_barrier()?;
-        Ok(report)
-    }
-
-    /// [`HistStreamQuantiles::end_time_step`] without the trailing
-    /// completion barrier: the archived run's writes may still be in
-    /// flight when this returns. Callers must pass
-    /// [`HistStreamQuantiles::io_barrier`] before reading — queries,
-    /// snapshots, and the next manifest append do so themselves. This is
-    /// how [`crate::ShardedEngine`] overlaps archival *across* shards:
-    /// every shard submits its writes, then one barrier per shard device
-    /// settles them all.
-    pub fn end_time_step_deferred(&mut self) -> io::Result<UpdateReport> {
         self.seal_staging_tail();
         let data = std::mem::take(&mut self.staging);
         let segments = std::mem::take(&mut self.staging_segments);
@@ -293,13 +275,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     pub fn ingest_step(&mut self, batch: &[T]) -> io::Result<UpdateReport> {
         self.stream_extend(batch);
         self.end_time_step()
-    }
-
-    /// Completion barrier over the warehouse's overlapped I/O (no-op when
-    /// `io_depth == 0`): after `Ok`, every submitted write is on the
-    /// device. Pairs with [`HistStreamQuantiles::end_time_step_deferred`].
-    pub fn io_barrier(&self) -> io::Result<()> {
-        self.warehouse.io_barrier()
     }
 
     /// The live scope over `window` (`None` = the full union, `Some(w)` =
@@ -340,10 +315,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     ) -> io::Result<Option<R>> {
         let mut transient_left = self.config.retry.max_retries;
         loop {
-            // Queries read partition blocks: settle any writes a deferred
-            // step left in flight. Errors are not lost — a failed write
-            // resurfaces when the probe touches the affected run.
-            let _ = self.warehouse.io_barrier();
             let stream = self.stream.summary();
             let Some((scope, parts)) = self.scope(window, &stream) else {
                 return Ok(None);
@@ -356,8 +327,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
                 self.config.cache_blocks,
                 &mut state,
                 self.config.parallel_query,
-            )
-            .with_prefetch(self.warehouse.scheduler().map(|s| &**s));
+            );
             let e = match query(&scope, &mut FanIn::new(vec![probes], false)) {
                 Ok(r) => return Ok(r),
                 Err(e) => e,
@@ -380,10 +350,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.answer(None, |scope, fan| fan.quantile(scope, phi))
     }
 
-    /// Accurate rank query with cost reporting. With overlapped I/O
-    /// configured (`io_depth > 0`) the bisection speculatively prefetches
-    /// both candidate half-probes of each next step through the
-    /// warehouse's scheduler (see [`PartitionProbes::with_prefetch`]).
+    /// Accurate rank query with cost reporting.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
         self.answer(None, |scope, fan| fan.rank_query(scope, r))
     }
@@ -408,9 +375,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// This is the concurrent-reader primitive: hold the engine's lock
     /// just long enough to take the snapshot, then query it lock-free.
     pub fn snapshot(&self) -> EngineSnapshot<T, D> {
-        // Snapshot readers probe the pinned runs directly: settle any
-        // deferred writes first (see `context`).
-        let _ = self.warehouse.io_barrier();
         let (parts, pins) = self.warehouse.pinned_partitions();
         EngineSnapshot {
             dev: Arc::clone(self.warehouse.device()),
@@ -421,7 +385,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             epsilon: self.config.query_epsilon(),
             cache_blocks: self.config.cache_blocks,
             parallel: self.config.parallel_query,
-            sched: self.warehouse.scheduler().cloned(),
             lost: self.warehouse.lost_items(),
             quarantined_files: self.warehouse.quarantined_files(),
             strict: self.config.strict,
@@ -436,9 +399,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// heavy-hitter tracker is not persisted; re-enable it after
     /// recovery (it sees elements from that point on).
     pub fn persist(&self) -> io::Result<hsq_storage::FileId> {
-        // A manifest must never reference a run whose blocks are still
-        // in flight: settle them first.
-        self.warehouse.io_barrier()?;
         crate::manifest::persist_engine(
             &self.warehouse,
             &self.stream,
@@ -451,8 +411,8 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// (the stream is restored, resuming mid-step). Warehouse-only
     /// manifests — [`crate::manifest::persist`] /
     /// [`crate::manifest::persist_snapshot`] backups,
-    /// [`crate::manifest::ManifestLog`] files, and pre-version-3
-    /// manifests — recover with an empty stream. A stream written under
+    /// [`crate::manifest::ManifestLog`] files — recover with an empty
+    /// stream. A stream written under
     /// one sketch backend recovers under either build; the configured
     /// backend takes over at the next step boundary.
     pub fn recover(
@@ -547,10 +507,6 @@ pub struct EngineSnapshot<T: Item, D: BlockDevice> {
     epsilon: f64,
     cache_blocks: usize,
     parallel: bool,
-    /// The warehouse's overlapped-I/O scheduler at snapshot time, if any:
-    /// snapshot queries speculatively prefetch bisection probes through
-    /// it exactly like live-engine queries.
-    sched: Option<Arc<hsq_storage::IoScheduler>>,
     /// Confirmed-lost item count at snapshot time (see
     /// [`Warehouse::lost_items`]).
     lost: u64,
@@ -666,8 +622,7 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         )
     }
 
-    /// Run `query` over the snapshot's scope of `window`, prefetching
-    /// through the pinned scheduler like the live engine; `Ok(None)` when
+    /// Run `query` over the snapshot's scope of `window`; `Ok(None)` when
     /// the window misaligns.
     fn answer<R>(
         &self,
@@ -682,9 +637,7 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
             .with_excluded(self.quarantined_mass(), 0)
             .with_strict(self.strict);
         let mut state = ProbeState::default();
-        let probes = self
-            .probes(&selected, &mut state, self.parallel)
-            .with_prefetch(self.sched.as_deref());
+        let probes = self.probes(&selected, &mut state, self.parallel);
         query(&scope, &mut FanIn::new(vec![probes], false))
     }
 

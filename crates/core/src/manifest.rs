@@ -20,9 +20,9 @@
 //! per partition:
 //!   format  level  file_id  run_len  first_step  last_step  min  max
 //!   num_entries  (value rank block)*
-//! stream_flag (0|1); if 1 (version ≥ 3):
-//!   kind  epsilon  n  [min max]  sketch payload (GK tuples | KLL levels;
-//!   version ≥ 4 KLL adds: compaction tag, seed, rng cursor)
+//! stream_flag (0|1); if 1:
+//!   kind  epsilon  n  [min max]  sketch payload (GK tuples | KLL levels
+//!   + compaction tag, seed, rng cursor)
 //!   num_staged  item*  num_segments  segment_end*
 //! crc64 (of everything above)
 //! ```
@@ -57,25 +57,27 @@
 //! [`recover`] accepts either form (it dispatches on the magic), so
 //! engine-level recovery is oblivious to which one produced the file.
 //!
-//! Version 3 adds an optional **stream section** after the partition
-//! list: the live sketch (kind-tagged — GK tuples or KLL compactor
-//! levels, per [`hsq_sketch::SketchKind`]) plus the staging buffer with
-//! its sorted-segment boundaries. The engine-level
+//! The snapshot manifest carries an optional **stream section** after the
+//! partition list: the live sketch (kind-tagged — GK tuples or KLL
+//! compactor levels, per [`hsq_sketch::SketchKind`]) plus the staging
+//! buffer with its sorted-segment boundaries. The engine-level
 //! [`crate::engine::HistStreamQuantiles::persist`] writes it, so recovery
 //! resumes *mid-step* with identical query answers — whichever sketch
 //! backend wrote the state, under whichever backend recovers it.
-//! Warehouse-level [`persist`] / [`persist_snapshot`] still write
-//! warehouse-only manifests (stream flag 0), and version-1/2 files
-//! (which predate the section) recover with an empty stream — the
+//! Warehouse-level [`persist`] / [`persist_snapshot`] write warehouse-only
+//! manifests (stream flag 0), which recover with an empty stream — the
 //! paper's §1.1 model, where un-archived data is the volatile stream and
 //! recovery is at time-step granularity.
+//!
+//! Both forms are at format version 4, the only version read: older or
+//! newer files are rejected with `InvalidData`.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 
 use hsq_sketch::{AnySketch, GkSketch, KllSketch, QuantileSketch, SketchCompaction, SketchKind};
-use hsq_storage::{crc64, BlockDevice, FileId, Item, RunFormat, SortedRun};
+use hsq_storage::{crc64, BlockDevice, FileId, Item, SortedRun};
 
 use crate::config::HsqConfig;
 use crate::stream::StreamProcessor;
@@ -84,19 +86,14 @@ use crate::warehouse::{StoredPartition, Warehouse};
 
 const MAGIC: &[u8; 4] = b"HSQM";
 const LOG_MAGIC: &[u8; 4] = b"HSQL";
-/// Current format version. Version 2 added the per-partition run-format
-/// byte (checksummed V2 runs vs legacy V1), the quarantine state in the
-/// snapshot header / `Base` payload, and the `Quarantine` log record.
-/// Version 3 added the optional stream-state section (kind-tagged sketch
-/// blob + staging buffer) after the partition list. Version 4 appends
-/// the KLL compaction descriptor (mode tag, seed, RNG cursor) to the KLL
-/// sketch blob, so a randomized-compaction stream resumes its coin-flip
-/// sequence mid-step and replays byte-identically. Version-1 and
-/// version-2 files still recover — with an empty stream; version-3 KLL
-/// streams recover as deterministic (the only mode that version wrote).
+/// The format version, written and required on read.
 const VERSION: u64 = 4;
 
-/// Stream-sketch kind tags of the version-3 stream section.
+/// The per-partition run-layout byte: every run is checksummed (a CRC64
+/// trailer per block, see [`hsq_storage::run`]).
+const RUN_CHECKSUMMED: u64 = 1;
+
+/// Stream-sketch kind tags of the stream section.
 const SKETCH_GK: u64 = 0;
 const SKETCH_KLL: u64 = 1;
 
@@ -105,7 +102,7 @@ const REC_BASE: u64 = 0;
 const REC_DELTA: u64 = 1;
 /// Full quarantine state (lost item count + every quarantined file),
 /// replayed by replacement. Appended whenever the state changed since
-/// the last record; version-2 logs only.
+/// the last record.
 const REC_QUARANTINE: u64 = 2;
 
 /// Recovered quarantine state: `(lost_items, quarantined files)`.
@@ -214,10 +211,10 @@ pub fn persist_snapshot<T: Item, D: BlockDevice>(
     )
 }
 
-/// Encode one partition (run format + level + run metadata + full
-/// summary). The leading format byte is a version-2 addition.
+/// Encode one partition (run layout byte + level + run metadata + full
+/// summary).
 fn encode_partition<T: Item>(out: &mut Writer, level: u64, p: &StoredPartition<T>) {
-    out.u64(p.run.format().as_byte() as u64);
+    out.u64(RUN_CHECKSUMMED);
     out.u64(level);
     out.u64(p.run.file());
     out.u64(p.run.len());
@@ -233,24 +230,13 @@ fn encode_partition<T: Item>(out: &mut Writer, level: u64, p: &StoredPartition<T
     }
 }
 
-/// Decode one partition written by [`encode_partition`] at the given
-/// manifest `version` (version-1 manifests predate the format byte — all
-/// their runs use the legacy unchecksummed layout). Backing-file
+/// Decode one partition written by [`encode_partition`]. Backing-file
 /// existence is *not* checked here — log replay may remove the partition
 /// again before the final state is validated.
-fn decode_partition<T: Item>(
-    r: &mut Reader,
-    version: u64,
-) -> io::Result<(usize, StoredPartition<T>)> {
-    let format = if version >= 2 {
-        let b = r.u64()?;
-        u8::try_from(b)
-            .ok()
-            .and_then(RunFormat::from_byte)
-            .ok_or_else(|| corrupt("bad run format byte"))?
-    } else {
-        RunFormat::V1
-    };
+fn decode_partition<T: Item>(r: &mut Reader) -> io::Result<(usize, StoredPartition<T>)> {
+    if r.u64()? != RUN_CHECKSUMMED {
+        return Err(corrupt("bad run format byte"));
+    }
     let level = r.u64()? as usize;
     let file = r.u64()?;
     let run_len = r.u64()?;
@@ -285,7 +271,7 @@ fn decode_partition<T: Item>(
     Ok((
         level,
         StoredPartition {
-            run: SortedRun::from_raw_parts(file, run_len, min, max).with_format(format),
+            run: SortedRun::from_raw_parts(file, run_len, min, max),
             summary: PartitionSummary::from_raw_parts(entries, run_len),
             first_step,
             last_step,
@@ -294,8 +280,7 @@ fn decode_partition<T: Item>(
 }
 
 /// Decode a quarantine block (`lost_items`, count, file ids) — shared by
-/// the version-2 snapshot header, `Base` payload, and `Quarantine`
-/// record.
+/// the snapshot header, `Base` payload, and `Quarantine` record.
 fn decode_quarantine(r: &mut Reader) -> io::Result<QuarantineParts> {
     let lost = r.u64()?;
     let num = r.u64()?;
@@ -326,7 +311,7 @@ struct StreamRefs<'a, T: Item> {
     segments: &'a [usize],
 }
 
-/// A stream state decoded from a version-3 manifest: the live sketch
+/// A stream state decoded from an engine manifest: the live sketch
 /// (restored verbatim, like partition summaries) plus the staging buffer
 /// the interrupted step had accumulated.
 pub(crate) struct RecoveredStream<T: Copy + Ord> {
@@ -335,7 +320,7 @@ pub(crate) struct RecoveredStream<T: Copy + Ord> {
     pub(crate) segments: Vec<usize>,
 }
 
-/// Encode the version-3 stream section: the kind-tagged sketch blob plus
+/// Encode the stream section: the kind-tagged sketch blob plus
 /// the staging buffer with its sorted-segment boundaries.
 fn encode_stream_state<T: Item>(out: &mut Writer, s: &StreamRefs<'_, T>) {
     let sketch = s.proc.sketch();
@@ -368,9 +353,9 @@ fn encode_stream_state<T: Item>(out: &mut Writer, s: &StreamRefs<'_, T>) {
                     out.item(v);
                 }
             }
-            // Version-4 compaction descriptor: mode tag, seed, RNG
-            // cursor — what lets a randomized sketch resume its coin-flip
-            // sequence exactly where the persisted state left off.
+            // Compaction descriptor: mode tag, seed, RNG cursor — what
+            // lets a randomized sketch resume its coin-flip sequence
+            // exactly where the persisted state left off.
             let (tag, seed) = match kll.compaction() {
                 SketchCompaction::Deterministic => (0u64, 0u64),
                 SketchCompaction::Randomized { seed } => (1, seed),
@@ -397,7 +382,6 @@ fn encode_stream_state<T: Item>(out: &mut Writer, s: &StreamRefs<'_, T>) {
 fn decode_stream_state<T: Item>(
     r: &mut Reader,
     config: &HsqConfig,
-    version: u64,
 ) -> io::Result<RecoveredStream<T>> {
     let kind = match r.u64()? {
         SKETCH_GK => SketchKind::Gk,
@@ -456,19 +440,15 @@ fn decode_stream_state<T: Item>(
             }
             let mut kll = KllSketch::from_raw_parts(epsilon, n, min, max, err, parity, levels)
                 .map_err(|e| corrupt(&format!("stream sketch invalid: {e}")))?;
-            if version >= 4 {
-                let tag = r.u64()?;
-                let seed = r.u64()?;
-                let rng = r.u64()?;
-                let mode = match tag {
-                    0 => SketchCompaction::Deterministic,
-                    1 => SketchCompaction::Randomized { seed },
-                    _ => return Err(corrupt("unknown compaction mode tag")),
-                };
-                kll.restore_compaction(mode, rng);
-            }
-            // Version-3 KLL blobs predate the descriptor: deterministic
-            // was the only mode that version could write.
+            let tag = r.u64()?;
+            let seed = r.u64()?;
+            let rng = r.u64()?;
+            let mode = match tag {
+                0 => SketchCompaction::Deterministic,
+                1 => SketchCompaction::Randomized { seed },
+                _ => return Err(corrupt("unknown compaction mode tag")),
+            };
+            kll.restore_compaction(mode, rng);
             AnySketch::Kll(kll)
         }
     };
@@ -622,7 +602,8 @@ fn write_manifest<T: Item, D: BlockDevice>(
 ///
 /// `config` must carry the same `ε₁`/`β₁` the warehouse was built with
 /// (summaries are restored verbatim, so a mismatch only affects future
-/// partitions). Fails with `InvalidData` on magic/version/CRC mismatch.
+/// partitions). Fails with `InvalidData` on magic/version/CRC mismatch —
+/// any version other than the current one is a mismatch.
 pub fn recover<T: Item, D: BlockDevice>(
     dev: Arc<D>,
     config: HsqConfig,
@@ -632,7 +613,7 @@ pub fn recover<T: Item, D: BlockDevice>(
 }
 
 /// [`recover`], additionally returning the stream section when the
-/// manifest carries one (version-3 engine manifests) — the full path
+/// manifest carries one (engine manifests) — the full path
 /// behind [`crate::engine::HistStreamQuantiles::recover`].
 #[allow(clippy::type_complexity)]
 pub(crate) fn recover_with_stream<T: Item, D: BlockDevice>(
@@ -666,8 +647,7 @@ pub(crate) fn recover_with_stream<T: Item, D: BlockDevice>(
         buf: &raw[..body_end],
         pos: 4,
     };
-    let version = r.u64()?;
-    if version == 0 || version > VERSION {
+    if r.u64()? != VERSION {
         return Err(corrupt("unsupported version"));
     }
     if r.u64()? != T::ENCODED_LEN as u64 {
@@ -675,25 +655,17 @@ pub(crate) fn recover_with_stream<T: Item, D: BlockDevice>(
     }
     let steps = r.u64()?;
     let total_len = r.u64()?;
-    let quarantine = if version >= 2 {
-        decode_quarantine(&mut r)?
-    } else {
-        (0, Vec::new())
-    };
+    let quarantine = decode_quarantine(&mut r)?;
     let num_parts = r.u64()?;
 
     let mut partitions: Vec<(usize, StoredPartition<T>)> = Vec::new();
     for _ in 0..num_parts {
-        partitions.push(decode_partition(&mut r, version)?);
+        partitions.push(decode_partition(&mut r)?);
     }
-    let stream = if version >= 3 {
-        match r.u64()? {
-            0 => None,
-            1 => Some(decode_stream_state(&mut r, &config, version)?),
-            _ => return Err(corrupt("bad stream flag")),
-        }
-    } else {
-        None
+    let stream = match r.u64()? {
+        0 => None,
+        1 => Some(decode_stream_state(&mut r, &config)?),
+        _ => return Err(corrupt("bad stream flag")),
     };
     let w = validate_and_build(dev, config, partitions, steps, total_len, quarantine)?;
     Ok((w, stream))
@@ -708,17 +680,13 @@ fn replay_log<T: Item, D: BlockDevice>(
 ) -> io::Result<Warehouse<T, D>> {
     let bs = dev.block_size();
     // Header block: magic, version, item width.
-    let version = {
-        let mut r = Reader { buf: raw, pos: 4 };
-        let version = r.u64()?;
-        if version == 0 || version > VERSION {
-            return Err(corrupt("unsupported log version"));
-        }
-        if r.u64()? != T::ENCODED_LEN as u64 {
-            return Err(corrupt("item width mismatch"));
-        }
-        version
-    };
+    let mut header = Reader { buf: raw, pos: 4 };
+    if header.u64()? != VERSION {
+        return Err(corrupt("unsupported log version"));
+    }
+    if header.u64()? != T::ENCODED_LEN as u64 {
+        return Err(corrupt("item width mismatch"));
+    }
 
     let mut state: HashMap<FileId, (usize, StoredPartition<T>)> = HashMap::new();
     let mut steps = 0u64;
@@ -748,14 +716,10 @@ fn replay_log<T: Item, D: BlockDevice>(
                 state.clear();
                 steps = r.u64()?;
                 total_len = r.u64()?;
-                quarantine = if version >= 2 {
-                    decode_quarantine(&mut r)?
-                } else {
-                    (0, Vec::new())
-                };
+                quarantine = decode_quarantine(&mut r)?;
                 let num = r.u64()?;
                 for _ in 0..num {
-                    let (level, p) = decode_partition(&mut r, version)?;
+                    let (level, p) = decode_partition(&mut r)?;
                     state.insert(p.run.file(), (level, p));
                 }
             }
@@ -772,7 +736,7 @@ fn replay_log<T: Item, D: BlockDevice>(
                 }
                 let added = r.u64()?;
                 for _ in 0..added {
-                    let (level, p) = decode_partition(&mut r, version)?;
+                    let (level, p) = decode_partition(&mut r)?;
                     state.insert(p.run.file(), (level, p));
                 }
             }
@@ -829,17 +793,12 @@ pub struct ManifestLog<T: Item, D: BlockDevice> {
     dev: Arc<D>,
     file: FileId,
     next_block: u64,
-    /// The warehouse's overlapped-I/O scheduler, when it has one: fsync
-    /// barriers become submitted [`hsq_storage::IoOp::Sync`]s plus one
-    /// completion barrier (independent files fsync concurrently, the
-    /// caller blocks once) instead of one blocking `sync` per file.
-    sched: Option<Arc<hsq_storage::IoScheduler>>,
-    /// Calls that blocked this log on durability: per-file `sync`s on
-    /// the serial path, completion barriers on the overlapped path. The
-    /// overlapped count per step is bounded by a constant; the serial
-    /// count grows with the number of partitions a step adds.
+    /// Blocking [`BlockDevice::sync`] calls this log has made: one per
+    /// partition file a record references for the first time, plus one
+    /// on the log file itself per `create`, `append` or `compact`.
     blocking_syncs: u64,
     /// File ids recorded live as of the last record, for delta diffing.
+    /// Every one of them was synced before the record naming it landed.
     known: HashSet<FileId>,
     /// Write-ahead pin over `known`: every file the last durable record
     /// references stays on the device (deletion deferred) until the
@@ -867,7 +826,6 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
             dev,
             file,
             next_block: 0,
-            sched: w.scheduler().cloned(),
             blocking_syncs: 0,
             known: HashSet::new(),
             guard: None,
@@ -880,19 +838,17 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         Ok(log)
     }
 
-    /// Durability calls that blocked this log so far (see the field docs;
-    /// the overlapped-vs-serial comparison the bench's `io` section
-    /// gates on).
+    /// Blocking `sync` calls this log has made so far: one per newly
+    /// referenced partition file, plus one on the log file itself per
+    /// `create`, `append` or `compact`.
     pub fn blocking_syncs(&self) -> u64 {
         self.blocking_syncs
     }
 
     /// Simulate process death for crash testing: leak the write-ahead
     /// pins — exactly what a real crash does, since `Drop` never runs —
-    /// while still releasing ordinary resources (the I/O scheduler
-    /// handle, buffers). Returns the log's file id, the recovery handle.
-    /// Prefer this over `std::mem::forget(log)`, which would also leak
-    /// the scheduler's worker threads.
+    /// while still releasing ordinary resources (the device handle,
+    /// buffers). Returns the log's file id, the recovery handle.
     pub fn simulate_crash(mut self) -> FileId {
         if let Some(guard) = self.guard.take() {
             std::mem::forget(guard);
@@ -900,27 +856,19 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         self.file
     }
 
-    /// Make `files` durable before a record referencing them lands.
-    /// Serial: one blocking `sync` per file. Overlapped: submit the
-    /// syncs — each queues after its file's in-flight writes — and block
-    /// once at the completion barrier while the fsyncs run concurrently.
-    fn sync_files(&mut self, files: &[FileId]) -> io::Result<()> {
-        match &self.sched {
-            Some(sched) => {
-                for &f in files {
-                    sched.submit(hsq_storage::IoOp::Sync { file: f });
-                }
-                // Barrier even with no added file: the step's submitted
-                // run writes must settle before the record lands.
-                sched.barrier()?;
-                self.blocking_syncs += 1;
-            }
-            None => {
-                for &f in files {
-                    self.dev.sync(f)?;
-                    self.blocking_syncs += 1;
-                }
-            }
+    /// The write-ahead rule for every record, `Base` or `Delta`: before
+    /// it lands, make durable each file of `referenced` that no earlier
+    /// record named (those were synced when they were first named). One
+    /// blocking `sync` per such file, in file-id order.
+    fn sync_new_files(&mut self, referenced: impl IntoIterator<Item = FileId>) -> io::Result<()> {
+        let mut fresh: Vec<FileId> = referenced
+            .into_iter()
+            .filter(|f| !self.known.contains(f))
+            .collect();
+        fresh.sort_unstable();
+        for f in fresh {
+            self.dev.sync(f)?;
+            self.blocking_syncs += 1;
         }
         Ok(())
     }
@@ -1014,13 +962,7 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
 
     fn write_base(&mut self, w: &Warehouse<T, D>) -> io::Result<()> {
         let (payload, files) = Self::encode_state(w);
-        // Every file the base references must be settled (its in-flight
-        // writes completed) before the record lands; with no scheduler
-        // this is a no-op — serial writes already completed.
-        if self.sched.is_some() {
-            let files: Vec<FileId> = files.iter().copied().collect();
-            self.sync_files(&files)?;
-        }
+        self.sync_new_files(files.iter().copied())?;
         self.write_record(REC_BASE, &payload)?;
         // Durability barrier before acting on the record: pins are only
         // released (deleting superseded files) once the record that
@@ -1062,10 +1004,8 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
 
         // A record must never reference a partition whose data could be
         // lost with it: the added runs reach durable storage before the
-        // record lands. On the overlapped path their writes + fsyncs run
-        // concurrently behind one completion barrier.
-        let added_files: Vec<FileId> = added.iter().map(|&(_, p)| p.run.file()).collect();
-        self.sync_files(&added_files)?;
+        // record lands.
+        self.sync_new_files(added.iter().map(|&(_, p)| p.run.file()))?;
 
         let mut out = Writer::new();
         out.u64(w.steps());
@@ -1393,64 +1333,26 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_log_syncs_are_completion_barriers() {
-        // Append every third step: each delta then references several new
-        // runs. Serially that costs one blocking sync per added file plus
-        // the log sync; overlapped it is one completion barrier (the
-        // fsyncs run concurrently on the pool) plus the log sync — a
-        // constant per record, however many partitions a delta adds.
-        let drive = |io_depth: usize| {
-            let mut cfg = log_config(3, 64);
-            cfg.io_depth = io_depth;
-            let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
-            let mut log = ManifestLog::create(&w).unwrap();
-            let mut records = 1u64; // the base
-            for s in 0..12u64 {
-                w.add_batch((0..64).map(|i| s * 64 + i).collect()).unwrap();
-                if (s + 1) % 3 == 0 {
-                    log.append(&w).unwrap();
-                    records += 1;
-                }
-            }
-            let recovered: Warehouse<u64, MemDevice> =
-                recover(Arc::clone(w.device()), cfg, log.file()).unwrap();
-            (log.blocking_syncs(), records, exact_quantiles(&recovered))
-        };
-        let (serial_syncs, records, serial_answers) = drive(0);
-        let (overlapped_syncs, _, overlapped_answers) = drive(4);
-        assert_eq!(serial_answers, overlapped_answers, "states must agree");
-        // Overlapped: exactly (barrier + log sync) per record.
-        assert_eq!(overlapped_syncs, 2 * records);
-        // Serial: every 3-partition delta pays 3 + 1 blocking syncs.
-        assert!(
-            serial_syncs > overlapped_syncs,
-            "serial {serial_syncs} vs overlapped {overlapped_syncs}"
-        );
-    }
-
-    #[test]
-    fn overlapped_log_crash_between_step_and_append() {
-        // The mem::forget crash regression (PR 3) on the overlapped path:
-        // write-ahead pins must hold across submitted writes and barrier
-        // syncs exactly as they do serially.
-        let mut cfg = log_config(2, 2);
-        cfg.io_depth = 2;
-        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
+    fn create_syncs_every_referenced_run_before_base() {
+        // Write-ahead holds for `Base` records as for `Delta`s: a log
+        // created over archived steps makes every run it names durable
+        // before the record lands, then syncs itself.
+        let cfg = log_config(3, 64);
+        let dev = MemDevice::new(256);
+        let mut w = Warehouse::<u64, _>::new(Arc::clone(&dev), cfg);
+        for s in 0..3u64 {
+            w.add_batch((0..60).map(|i| s * 60 + i).collect()).unwrap();
+        }
+        let syncs = || dev.stats().snapshot().syncs;
+        let before = syncs();
         let mut log = ManifestLog::create(&w).unwrap();
-        for s in 0..6u64 {
-            w.add_batch((0..60).map(|i| s * 60 + i).collect()).unwrap();
-            log.append(&w).unwrap();
-        }
-        let logged_len = w.total_len();
-        for s in 6..9u64 {
-            w.add_batch((0..60).map(|i| s * 60 + i).collect()).unwrap();
-        }
-        let file = log.simulate_crash();
-        w.io_barrier().unwrap();
-        let recovered: Warehouse<u64, MemDevice> =
-            recover(Arc::clone(w.device()), cfg, file).unwrap();
-        recovered.check_invariants().unwrap();
-        assert_eq!(recovered.total_len(), logged_len);
+        assert_eq!(syncs() - before, w.num_partitions() as u64 + 1);
+        // Compacting right after: every run is already durable, so only
+        // the new log file is synced.
+        let before = syncs();
+        let old = log.compact(&w).unwrap();
+        assert_eq!(syncs() - before, 1);
+        dev.delete(old).unwrap();
     }
 
     #[test]
@@ -1628,53 +1530,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_manifest_accepted() {
-        // A hand-built version-1 image (no quarantine block, no run
-        // format bytes): the reader must still accept it.
-        let dev = MemDevice::new(256);
-        let mut out = Writer::new();
-        out.buf.extend_from_slice(MAGIC);
-        out.u64(1); // version 1
-        out.u64(8); // u64 item width
-        out.u64(4); // steps
-        out.u64(0); // total_len
-        out.u64(0); // num partitions
-        let crc = crc64(&out.buf);
-        out.u64(crc);
-        let file = write_image(&dev, &out.buf);
-        let w: Warehouse<u64, MemDevice> =
-            recover(dev, HsqConfig::with_epsilon(0.1), file).unwrap();
-        assert_eq!(w.steps(), 4);
-        assert_eq!(w.total_len(), 0);
-        assert_eq!(w.quarantined_mass(), 0);
-    }
-
-    #[test]
-    fn version2_manifest_without_stream_section_accepted() {
-        // A hand-built version-2 image — quarantine block and run-format
-        // bytes, but no stream section — must recover exactly as before
-        // this format version existed (empty stream).
-        let dev = MemDevice::new(256);
-        let mut out = Writer::new();
-        out.buf.extend_from_slice(MAGIC);
-        out.u64(2); // version 2
-        out.u64(8); // u64 item width
-        out.u64(7); // steps
-        out.u64(0); // total_len
-        out.u64(3); // lost items
-        out.u64(0); // no quarantined files
-        out.u64(0); // num partitions
-        let crc = crc64(&out.buf);
-        out.u64(crc);
-        let file = write_image(&dev, &out.buf);
-        let (w, stream) =
-            recover_with_stream::<u64, _>(dev, HsqConfig::with_epsilon(0.1), file).unwrap();
-        assert_eq!(w.steps(), 7);
-        assert_eq!(w.lost_items(), 3);
-        assert!(stream.is_none(), "v2 manifests carry no stream");
-    }
-
-    #[test]
     fn engine_manifest_roundtrips_stream_state() {
         // persist() mid-step: the recovered engine must hold the same
         // sketch, staging and segment boundaries, for both backends.
@@ -1797,65 +1652,25 @@ mod tests {
     }
 
     #[test]
-    fn version3_kll_stream_recovers_as_deterministic() {
-        // A hand-built version-3 image with a KLL stream blob (no
-        // compaction descriptor — that version couldn't write one) must
-        // recover as a deterministic-compaction sketch.
-        let dev = MemDevice::new(256);
-        let mut out = Writer::new();
-        out.buf.extend_from_slice(MAGIC);
-        out.u64(3); // version 3
-        out.u64(8); // u64 item width
-        out.u64(0); // steps
-        out.u64(0); // total_len
-        out.u64(0); // lost items
-        out.u64(0); // no quarantined files
-        out.u64(0); // num partitions
-        out.u64(1); // stream flag
-        out.u64(SKETCH_KLL);
-        out.u64(0.05f64.to_bits());
-        out.u64(1); // n
-        out.item(5u64); // min
-        out.item(5u64); // max
-        out.u64(0); // tracked err
-        out.u64(0); // parity
-        out.u64(1); // one level...
-        out.u64(1); // ...of one item
-        out.item(5u64);
-        out.u64(1); // staging length
-        out.item(5u64);
-        out.u64(1); // one segment
-        out.u64(1); // ending at 1
-        let crc = crc64(&out.buf);
-        out.u64(crc);
-        let file = write_image(&dev, &out.buf);
-        let (_, stream) =
-            recover_with_stream::<u64, _>(dev, HsqConfig::with_epsilon(0.1), file).unwrap();
-        let s = stream.expect("v3 stream section must recover");
-        match s.proc.sketch() {
-            AnySketch::Kll(k) => {
-                assert_eq!(k.compaction(), SketchCompaction::Deterministic);
-                assert_eq!(k.len(), 1);
-            }
-            _ => panic!("expected KLL"),
-        }
-    }
-
-    #[test]
     fn future_version_rejected() {
+        // Only the current version is read: older images (versions 1–3)
+        // are rejected exactly like a future one.
         let dev = MemDevice::new(256);
-        let mut out = Writer::new();
-        out.buf.extend_from_slice(MAGIC);
-        out.u64(VERSION + 1);
-        out.u64(8);
-        out.u64(0);
-        out.u64(0);
-        out.u64(0);
-        let crc = crc64(&out.buf);
-        out.u64(crc);
-        let file = write_image(&dev, &out.buf);
-        let err = recover::<u64, _>(dev, HsqConfig::with_epsilon(0.1), file).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for version in [1, 2, 3, VERSION + 1] {
+            let mut out = Writer::new();
+            out.buf.extend_from_slice(MAGIC);
+            out.u64(version);
+            out.u64(8);
+            out.u64(0);
+            out.u64(0);
+            out.u64(0);
+            let crc = crc64(&out.buf);
+            out.u64(crc);
+            let file = write_image(&dev, &out.buf);
+            let err = recover::<u64, _>(Arc::clone(&dev), HsqConfig::with_epsilon(0.1), file)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+        }
     }
 
     #[test]

@@ -46,9 +46,7 @@
 use std::io;
 use std::sync::Arc;
 
-use hsq_storage::{
-    BlockCache, BlockDevice, FileId, IoOp, IoOutcome, IoScheduler, IoSnapshot, IoTicket, Item,
-};
+use hsq_storage::{BlockCache, BlockDevice, FileId, IoSnapshot, Item};
 
 use crate::bounds::{CombinedSummary, SourceView};
 use crate::stream::StreamSummary;
@@ -65,12 +63,6 @@ pub struct QueryOutcome<T> {
     pub bisection_steps: u32,
     /// The algorithm's final rank estimate for `value` in `T`.
     pub estimated_rank: u64,
-    /// Speculative probe-prefetch reads consumed by a later bisection
-    /// step (0 unless the query ran with `io_depth > 0`).
-    pub prefetch_hits: u32,
-    /// Speculative probe-prefetch reads that went unused (the candidate
-    /// direction the bisection did not take).
-    pub prefetch_wasted: u32,
     /// Rigorous lower bound on `rank(value, T)`: `estimated_rank − ε·m`.
     pub rank_lo: u64,
     /// Rigorous upper bound on `rank(value, T)`:
@@ -205,8 +197,8 @@ pub fn strict_gate(strict: bool, quarantined: u64) -> io::Result<()> {
 
 /// Algorithm 6: the accurate response for 1-based rank `r` over `scope`,
 /// probing through `source`. Error O(ε·m) (Lemma 5, Theorem 2). The
-/// outcome's `io` and prefetch counters are zero — whoever owns the
-/// source stamps what the probes cost.
+/// outcome's `io` is zero — whoever owns the source stamps what the
+/// probes cost.
 pub fn accurate_response<T: Item>(
     scope: &QueryScope<T>,
     r: u64,
@@ -230,8 +222,6 @@ pub fn accurate_response<T: Item>(
         io: IoSnapshot::default(),
         bisection_steps,
         estimated_rank,
-        prefetch_hits: 0,
-        prefetch_wasted: 0,
         rank_lo: estimated_rank.saturating_sub(eps_m),
         // One-sided widening: unreadable or unreachable items can only
         // push a true full-union rank up, never below the lower bound.
@@ -352,7 +342,6 @@ pub struct PartitionProbes<'a, T: Item, D: BlockDevice> {
     stream: &'a StreamSummary<T>,
     state: &'a mut ProbeState<T>,
     parallel: bool,
-    prefetch: Option<SpecPrefetcher<'a, T>>,
 }
 
 impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
@@ -383,21 +372,7 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
             stream,
             state,
             parallel,
-            prefetch: None,
         }
-    }
-
-    /// Speculatively prefetch bisection probes through `sched`, a
-    /// scheduler over the same device: each probe submits the first block
-    /// read of **both** candidate half-probes of the next step, so
-    /// whichever direction the search takes finds its block warm. Answers
-    /// are identical with or without it — only the device round-trip
-    /// latency moves off the critical path. For sources that live for a
-    /// whole bisection and end in [`FanIn::rank_query`], which claims the
-    /// outstanding reads.
-    pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
-        self.prefetch = sched.map(SpecPrefetcher::new);
-        self
     }
 
     /// Exact rank of `z` summed over the partitions.
@@ -425,13 +400,7 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
                 )
             })
             .collect();
-        let bs = self.dev.block_size();
         let caches = &mut self.state.caches;
-        // Consume the speculative reads matching this probe before the
-        // synchronous path looks for their blocks.
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.harvest(&self.partitions, &windows, bs, caches);
-        }
         let ranks = if self.parallel && self.partitions.len() > 1 {
             crate::parallel::par_partition_ranks(self.dev, &self.partitions, z, &windows, caches)?
         } else {
@@ -439,13 +408,6 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
             each.map(|((p, &w), cache)| partition_rank(self.dev, p, z, w, cache))
                 .collect::<io::Result<Vec<u64>>>()?
         };
-        // Speculate on the next probe: submit the first-probe block of
-        // both candidate half-windows (a smaller value caps each window's
-        // upper rank at this probe's result; a larger one raises the
-        // lower) while the caller's acceptance arithmetic runs.
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.speculate(&self.partitions, &windows, &ranks, bs, caches);
-        }
         let rho1 = ranks.iter().sum();
         probed.extend(below);
         probed.push((z, ranks));
@@ -479,7 +441,7 @@ impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
     }
 
     /// Run the driver over this fan-in and stamp what its probes cost:
-    /// the I/O on every distinct device and the prefetch counters.
+    /// the I/O on every distinct device.
     pub fn rank_query(
         &mut self,
         scope: &QueryScope<T>,
@@ -492,21 +454,12 @@ impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
                 marks.push((s.dev, s.dev.stats().snapshot()));
             }
         }
-        let result = accurate_response(scope, r, self);
-        let (mut hits, mut wasted) = (0, 0);
-        for pf in self.shards.iter_mut().filter_map(|s| s.prefetch.as_mut()) {
-            let (h, w) = pf.finish();
-            hits += h;
-            wasted += w;
-        }
-        Ok(result?.map(|mut o| {
+        Ok(accurate_response(scope, r, self)?.map(|mut o| {
             o.io = marks
                 .iter()
                 .fold(IoSnapshot::default(), |acc, &(d, before)| {
                     acc + (d.stats().snapshot() - before)
                 });
-            o.prefetch_hits = hits;
-            o.prefetch_wasted = wasted;
             o
         }))
     }
@@ -546,7 +499,6 @@ pub struct QueryContext<'a, T: Item, D: BlockDevice> {
     stream: &'a StreamSummary<T>,
     cache_blocks: usize,
     parallel: bool,
-    sched: Option<&'a IoScheduler>,
 }
 
 impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
@@ -568,20 +520,12 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             stream,
             cache_blocks,
             parallel: false,
-            sched: None,
         }
     }
 
     /// Probe partitions concurrently (see [`PartitionProbes::new`]).
     pub fn with_parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
-        self
-    }
-
-    /// Speculatively prefetch bisection probes through `sched` (see
-    /// [`PartitionProbes::new`]).
-    pub fn with_prefetch(mut self, sched: Option<&'a IoScheduler>) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -608,7 +552,7 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             state,
             self.parallel,
         );
-        FanIn::new(vec![probes.with_prefetch(self.sched)], false)
+        FanIn::new(vec![probes], false)
     }
 
     /// Algorithm 6: accurate response for 1-based rank `r`, with cost
@@ -616,150 +560,6 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
     pub fn accurate_rank(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
         self.fan_in(&mut ProbeState::default())
             .rank_query(&self.scope, r)
-    }
-}
-
-/// Speculative bisection prefetch (the "summary-guided readahead" of the
-/// query path): while one bisection step's acceptance arithmetic runs,
-/// the first-probe block reads of **both** candidate next steps are
-/// already submitted to the [`IoScheduler`], so the step actually taken
-/// finds its block warm in the per-partition cache.
-///
-/// The first block a narrowed [`partition_rank`] search reads is fully
-/// determined by the rank window (`mid = lo + (hi-lo)/2`, block =
-/// `mid / per`), and both candidate windows follow from the current
-/// probe's per-partition ranks — so the speculation is exact whenever
-/// the next probe's summary window is no tighter than this one's: one of
-/// the two submissions per partition is then the next step's first read.
-struct SpecPrefetcher<'d, T: Item> {
-    sched: &'d IoScheduler,
-    /// In-flight speculative single-block reads: `(partition, block,
-    /// ticket)`.
-    pending: Vec<(usize, u64, IoTicket)>,
-    hits: u32,
-    wasted: u32,
-    _t: std::marker::PhantomData<T>,
-}
-
-impl<'d, T: Item> SpecPrefetcher<'d, T> {
-    fn new(sched: &'d IoScheduler) -> Self {
-        SpecPrefetcher {
-            sched,
-            pending: Vec::new(),
-            hits: 0,
-            wasted: 0,
-            _t: std::marker::PhantomData,
-        }
-    }
-
-    /// First block the narrowed binary search over `window` reads, if it
-    /// reads at all.
-    fn first_probe_block(window: (u64, u64), per: u64) -> Option<u64> {
-        let (lo, hi) = window;
-        (lo < hi).then(|| (lo + (hi - lo) / 2) / per)
-    }
-
-    /// Submit the first-probe blocks of both candidate next-step windows
-    /// (left candidate caps each window's upper bound at the probed
-    /// rank; right candidate raises the lower bound), skipping blocks
-    /// already decoded in `caches`.
-    fn speculate(
-        &mut self,
-        partitions: &[&StoredPartition<T>],
-        windows: &[(u64, u64)],
-        part_ranks: &[u64],
-        bs: usize,
-        caches: &[BlockCache<T>],
-    ) {
-        for (i, ((p, &w), &pr)) in partitions.iter().zip(windows).zip(part_ranks).enumerate() {
-            let per = p.run.items_per_block(bs) as u64;
-            let left = (w.0, w.1.min(pr));
-            let right = (w.0.max(pr), w.1);
-            let mut submit = |window: (u64, u64)| {
-                let Some(block) = Self::first_probe_block(window, per) else {
-                    return;
-                };
-                if caches[i].contains(p.run.file(), block)
-                    || self.pending.iter().any(|&(pi, b, _)| pi == i && b == block)
-                {
-                    return;
-                }
-                let ticket = self.sched.submit_speculative(IoOp::ReadBlocks {
-                    file: p.run.file(),
-                    first: block,
-                    count: 1,
-                });
-                self.pending.push((i, block, ticket));
-            };
-            submit(left);
-            submit(right);
-        }
-    }
-
-    /// Claim the speculative reads matching this step's first-probe
-    /// blocks into `caches`; poll (without blocking) the rest, dropping
-    /// any that already completed as wasted.
-    fn harvest(
-        &mut self,
-        partitions: &[&StoredPartition<T>],
-        windows: &[(u64, u64)],
-        bs: usize,
-        caches: &mut [BlockCache<T>],
-    ) {
-        let mut kept = Vec::with_capacity(self.pending.len());
-        for (i, block, mut ticket) in self.pending.drain(..) {
-            let p = &partitions[i];
-            let per = p.run.items_per_block(bs) as u64;
-            let wanted = Self::first_probe_block(windows[i], per) == Some(block)
-                && !caches[i].contains(p.run.file(), block);
-            if wanted {
-                // The block the next synchronous read would fetch: wait
-                // for the in-flight copy instead of re-reading.
-                let in_block = (per.min(p.run.len() - block * per)) as usize;
-                match self.sched.wait(ticket) {
-                    Ok(IoOutcome::Read { data, len }) if len >= in_block * T::ENCODED_LEN => {
-                        // A speculative block that fails verification is
-                        // simply dropped: the synchronous path re-reads
-                        // and surfaces the corruption itself.
-                        match p.run.decode_block_items(block, bs, &data[..len]) {
-                            Ok(items) => {
-                                caches[i].insert(p.run.file(), block, Arc::new(items));
-                                self.hits += 1;
-                            }
-                            Err(_) => self.wasted += 1,
-                        }
-                    }
-                    // A failed or short speculative read is not an error:
-                    // the synchronous path re-reads and surfaces any real
-                    // device fault itself.
-                    _ => self.wasted += 1,
-                }
-            } else {
-                match self.sched.try_poll(&mut ticket) {
-                    Some(_) => self.wasted += 1,
-                    None => kept.push((i, block, ticket)),
-                }
-            }
-        }
-        self.pending = kept;
-    }
-
-    /// Claim every outstanding speculative read as wasted and return
-    /// (resetting) `(hits, wasted)`. Claiming (rather than abandoning)
-    /// keeps the scheduler's completion map bounded even when no barrier
-    /// ever runs — the advertised long-lived-snapshot dashboard pattern;
-    /// each wait is bounded by the read's own device latency, and a
-    /// ticket an intervening barrier already drained resolves
-    /// immediately.
-    fn finish(&mut self) -> (u32, u32) {
-        for (_, _, ticket) in self.pending.drain(..) {
-            let _ = self.sched.wait(ticket);
-            self.wasted += 1;
-        }
-        (
-            std::mem::take(&mut self.hits),
-            std::mem::take(&mut self.wasted),
-        )
     }
 }
 
@@ -1010,53 +810,6 @@ mod tests {
         let dist = rank_distance(&all, out.value, r);
         let allowed = (cfg.epsilon() * 100.0).ceil() as u64 + 1;
         assert!(dist <= allowed, "plateau query off by {dist}");
-    }
-
-    #[test]
-    fn prefetched_queries_match_synchronous_and_hit() {
-        // Speculative bisection prefetch must change nothing about the
-        // answer — only warm the caches — and must record hits.
-        use hsq_storage::IoScheduler;
-        let (w, sp, _, cfg) = build_scene(3, 12, 400, 0.05);
-        let ss = sp.summary();
-        let dev = Arc::clone(w.device());
-        let sched = IoScheduler::with_reorder(
-            Arc::clone(&dev) as Arc<dyn hsq_storage::BlockDevice>,
-            2,
-            None,
-        );
-        let mut total_hits = 0u32;
-        for r in [1u64, 480, 1200, 2400, 4799] {
-            let plain = QueryContext::new(
-                &*dev,
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .accurate_rank(r)
-            .unwrap()
-            .unwrap();
-            let prefetched = QueryContext::new(
-                &*dev,
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .with_prefetch(Some(&sched))
-            .accurate_rank(r)
-            .unwrap()
-            .unwrap();
-            assert_eq!(plain.value, prefetched.value, "r={r}");
-            assert_eq!(plain.estimated_rank, prefetched.estimated_rank, "r={r}");
-            assert_eq!(plain.bisection_steps, prefetched.bisection_steps, "r={r}");
-            assert_eq!(plain.prefetch_hits, 0);
-            total_hits += prefetched.prefetch_hits;
-        }
-        assert!(total_hits > 0, "no speculative read was ever consumed");
-        // Nothing may leak into a later barrier epoch.
-        sched.barrier().unwrap();
     }
 
     #[test]

@@ -232,28 +232,14 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
     /// End the time step on **every** shard (shards advance in lockstep,
     /// so per-shard partition layouts — and hence window alignment — stay
     /// identical). Archival runs up to [`crate::parallel::worker_count`]
-    /// shards concurrently; with overlapped I/O configured
-    /// (`io_depth > 0`) each shard only *submits* its run writes, so the
-    /// writes overlap across shards even when the fan-out pool is down
-    /// to one thread — the per-shard completion barriers at the end
-    /// settle everything before this returns. Returns one report per
-    /// shard.
+    /// shards concurrently, each through
+    /// [`HistStreamQuantiles::end_time_step`]; the first shard error is
+    /// returned after every shard has finished its step. Returns one
+    /// report per shard.
     pub fn end_time_step(&mut self) -> io::Result<Vec<UpdateReport>> {
-        let reports =
-            crate::parallel::par_map_mut(&mut self.shards, |_, s| s.end_time_step_deferred());
-        // Barrier every shard before surfacing any error: no shard may
-        // be left with unsettled writes.
-        let mut barrier_err = None;
-        for s in &self.shards {
-            if let Err(e) = s.io_barrier() {
-                barrier_err.get_or_insert(e);
-            }
-        }
-        let reports = reports.into_iter().collect::<io::Result<Vec<_>>>()?;
-        match barrier_err {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
+        crate::parallel::par_map_mut(&mut self.shards, |_, s| s.end_time_step())
+            .into_iter()
+            .collect()
     }
 
     /// Convenience: stream a whole batch, then end the time step.

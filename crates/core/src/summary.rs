@@ -12,7 +12,7 @@
 //! notes, "no additional disk access is required for computing the
 //! summary".
 
-use hsq_storage::{Item, RunFormat};
+use hsq_storage::{items_per_block, Item};
 
 /// One summary entry: a value, its exact 1-based rank in the partition,
 /// and the index of the disk block that holds that rank.
@@ -117,11 +117,8 @@ impl<T: Item> SummaryBuilder<T> {
     /// with summary resolution `(epsilon1, beta1)` on a device with
     /// `block_size`-byte blocks.
     pub fn new(eta: u64, epsilon1: f64, beta1: usize, block_size: usize) -> Self {
-        // Freshly written partitions always use the checksummed run
-        // layout, so block pointers follow its (reduced) capacity.
-        // Summaries for legacy V1 runs are only ever reloaded from a
-        // manifest, never rebuilt through this builder.
-        let per = RunFormat::V2.items_per_block::<T>(block_size) as u64;
+        // Block pointers follow the run layout's per-block capacity.
+        let per = items_per_block::<T>(block_size) as u64;
         let mut targets = Vec::with_capacity(beta1);
         if eta > 0 {
             targets.push(1); // S[0]: the smallest element

@@ -20,9 +20,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hsq_storage::{
-    corruption_in, BlockDevice, FileId, IoScheduler, IoSnapshot, Item, RunWriter, SortedRun,
-};
+use hsq_storage::{corruption_in, BlockDevice, FileId, IoSnapshot, Item, RunWriter, SortedRun};
 
 use crate::config::HsqConfig;
 use crate::retention::RetentionReport;
@@ -212,11 +210,6 @@ pub struct Warehouse<T: Item, D: BlockDevice> {
     steps: u64,
     /// Snapshot pins over partition files (deferred deletion).
     pins: Arc<PinRegistry>,
-    /// Overlapped-I/O scheduler (`config.io_depth > 0`): level-0 run
-    /// writes are submitted rather than awaited, merges prefetch their
-    /// input windows, and the manifest log turns per-file syncs into
-    /// completion barriers. `None` = every device call is synchronous.
-    sched: Option<Arc<IoScheduler>>,
     /// Interior-mutable because corruption is *discovered* on read paths
     /// that take `&self` (the engine's query loop quarantines and
     /// retries without a write lock on the warehouse).
@@ -226,19 +219,6 @@ pub struct Warehouse<T: Item, D: BlockDevice> {
     /// under concurrent restructuring, which is fine for a rate-limited
     /// background pass).
     scrub_cursor: usize,
-}
-
-/// The per-warehouse scheduler for `dev` when `config` asks for one.
-/// Workers retry transient failures per `config.retry`.
-fn make_sched<D: BlockDevice>(dev: &Arc<D>, config: &HsqConfig) -> Option<Arc<IoScheduler>> {
-    (config.io_depth > 0).then(|| {
-        Arc::new(IoScheduler::with_retry(
-            Arc::clone(dev) as Arc<dyn BlockDevice>,
-            config.io_depth,
-            None,
-            config.retry,
-        ))
-    })
 }
 
 impl<T: Item, D: BlockDevice> std::fmt::Debug for Warehouse<T, D> {
@@ -257,7 +237,6 @@ impl<T: Item, D: BlockDevice> std::fmt::Debug for Warehouse<T, D> {
 impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// `HistInit(ε₁, β₁)`: an empty warehouse on `dev`.
     pub fn new(dev: Arc<D>, config: HsqConfig) -> Self {
-        let sched = make_sched(&dev, &config);
         Warehouse {
             dev,
             config,
@@ -265,7 +244,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
             total_len: 0,
             steps: 0,
             pins: Arc::new(PinRegistry::default()),
-            sched,
             quarantine: Mutex::new(QuarantineState::default()),
             scrub_cursor: 0,
         }
@@ -274,22 +252,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// The block device.
     pub fn device(&self) -> &Arc<D> {
         &self.dev
-    }
-
-    /// The overlapped-I/O scheduler, when `io_depth > 0`.
-    pub fn scheduler(&self) -> Option<&Arc<IoScheduler>> {
-        self.sched.as_ref()
-    }
-
-    /// Wait for every submitted device op to complete (no-op when
-    /// synchronous). Callers that read partitions directly after
-    /// [`Warehouse::add_sorted_batch`] under overlapped I/O must pass
-    /// this barrier first; the engine layer does it automatically.
-    pub fn io_barrier(&self) -> io::Result<()> {
-        match &self.sched {
-            Some(s) => s.barrier(),
-            None => Ok(()),
-        }
     }
 
     /// Reassemble a warehouse from recovered parts (manifest recovery;
@@ -311,7 +273,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         for level in &mut levels {
             level.sort_by_key(|p| p.first_step);
         }
-        let sched = make_sched(&dev, &config);
         Warehouse {
             dev,
             config,
@@ -319,7 +280,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
             total_len,
             steps,
             pins: Arc::new(PinRegistry::default()),
-            sched,
             quarantine: Mutex::new(QuarantineState::default()),
             scrub_cursor: 0,
         }
@@ -519,9 +479,7 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         let t1 = Instant::now();
         let before_load = self.dev.stats().snapshot();
         report.sort_io = before_load - before_sort;
-        let merged = spilled.and_then(|()| {
-            merge_to_partition(&*self.dev, self.sched.as_deref(), &spills, &self.config)
-        });
+        let merged = spilled.and_then(|()| merge_to_partition(&*self.dev, &spills, &self.config));
         // The spills are scratch: reclaim every one of them whether or not
         // the merge went through.
         let mut deleted = Ok(());
@@ -569,17 +527,10 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         }
         self.total_len += eta;
 
-        // Load = writing the sorted blocks. Overlapped mode *submits*
-        // them instead: the writes run on scheduler workers while summary
-        // construction (and, for a sharded engine, neighboring shards)
-        // proceed on CPU. `load_io` then counts the ops that completed
-        // inside the window — the totals reconcile at the next barrier.
+        // Load = writing the sorted blocks.
         let t1 = Instant::now();
         let before = self.dev.stats().snapshot();
-        let run = match &self.sched {
-            Some(sched) => hsq_storage::write_run_overlapped(sched, &batch)?,
-            None => hsq_storage::write_run(&*self.dev, &batch)?,
-        };
+        let run = hsq_storage::write_run(&*self.dev, &batch)?;
         report.load_io = self.dev.stats().snapshot() - before;
         report.load_time = t1.elapsed();
 
@@ -621,16 +572,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// level into one partition at the next level. Returns the number of
     /// level merges performed.
     fn cascade_merges(&mut self) -> io::Result<usize> {
-        // A merge reads the partitions it collapses — including a level-0
-        // run whose writes may still be in flight. Reach the completion
-        // barrier before the first read.
-        if self
-            .levels
-            .iter()
-            .any(|level| level.len() > self.config.kappa)
-        {
-            self.io_barrier()?;
-        }
         let mut merges = 0;
         let mut level = 0;
         while level < self.levels.len() {
@@ -685,8 +626,7 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// from the merge stream (Algorithm 3 line 10-11).
     fn merge_partitions(&self, parts: &[StoredPartition<T>]) -> io::Result<StoredPartition<T>> {
         let runs: Vec<SortedRun<T>> = parts.iter().map(|p| p.run).collect();
-        let (run, summary) =
-            merge_to_partition(&*self.dev, self.sched.as_deref(), &runs, &self.config)?;
+        let (run, summary) = merge_to_partition(&*self.dev, &runs, &self.config)?;
         Ok(StoredPartition {
             run,
             summary,
@@ -728,16 +668,6 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         if policy.is_unbounded() {
             return Ok(report);
         }
-        // Only a byte cap needs the current step's submitted writes
-        // settled: it sizes the just-written run via `file_len`. Age and
-        // count policies touch only *older* partitions, whose writes
-        // earlier barriers settled (the newest partition is never
-        // retired by them — except by a zero partition cap), so they
-        // keep the deferred-step overlap intact.
-        if policy.max_bytes.is_some() || policy.max_partitions == Some(0) {
-            self.io_barrier()?;
-        }
-
         // Age: every partition wholly older than the horizon expires.
         if let Some(max_age) = policy.max_age_steps {
             let horizon = self.steps.saturating_sub(max_age); // keep last_step > horizon
@@ -804,15 +734,7 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         report.retired_steps += p.span();
         self.total_len -= p.run.len();
         if self.pins.retire(p.run.file()) {
-            match &self.sched {
-                // Submitted: the per-file FIFO queues the delete after
-                // any of the file's still-in-flight writes, so expiring
-                // a partition never races its own archival.
-                Some(sched) => {
-                    sched.submit(hsq_storage::IoOp::Delete { file: p.run.file() });
-                }
-                None => p.run.delete(&*self.dev)?,
-            }
+            p.run.delete(&*self.dev)?;
         }
         Ok(())
     }
@@ -828,15 +750,13 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     ///    shrinking the degraded-query widening to truly lost items. A
     ///    started repair always completes, so the budget is a soft cap.
     /// 2. **Verify**: healthy partitions' blocks are read and
-    ///    checksum-verified (through the overlapped-I/O scheduler when
-    ///    one is configured), resuming where the previous pass stopped;
-    ///    a failing block quarantines its partition for the next pass's
+    ///    checksum-verified, resuming where the previous pass stopped; a
+    ///    failing block quarantines its partition for the next pass's
     ///    repair phase.
     ///
     /// Returns what the pass did; `quarantined_after > 0` means another
     /// pass has repair work left.
     pub fn scrub(&mut self, budget_blocks: u64) -> io::Result<ScrubReport> {
-        self.io_barrier()?;
         let mut report = ScrubReport::default();
         let mut budget = budget_blocks;
 
@@ -901,63 +821,18 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         let per = p.run.items_per_block(bs) as u64;
         let blocks = p.run.len().div_ceil(per);
         let file = p.run.file();
-        match &self.sched {
-            Some(sched) => {
-                // Pipeline the reads through the scheduler: keep up to
-                // `depth` block reads in flight while decoding.
-                let depth = sched.depth().max(1) as u64;
-                let mut tickets = std::collections::VecDeque::new();
-                let mut next = 0u64;
-                let mut checked = 0u64;
-                while checked < blocks {
-                    while next < blocks && (tickets.len() as u64) < depth && *budget > 0 {
-                        *budget -= 1;
-                        tickets.push_back((
-                            next,
-                            sched.submit(hsq_storage::IoOp::ReadBlocks {
-                                file,
-                                first: next,
-                                count: 1,
-                            }),
-                        ));
-                        next += 1;
-                    }
-                    let Some((block, t)) = tickets.pop_front() else {
-                        break; // budget exhausted
-                    };
-                    let hsq_storage::IoOutcome::Read { data, len } = sched.wait(t)? else {
-                        unreachable!("read op completed with non-read outcome")
-                    };
-                    report.blocks_verified += 1;
-                    checked += 1;
-                    if let Err(e) = p.run.decode_block_items(block, bs, &data[..len]) {
-                        if corruption_in(&e).is_none() {
-                            return Err(e);
-                        }
-                        report.corrupt_blocks += 1;
-                        // Drain the in-flight tail before bailing.
-                        for (_, t) in tickets {
-                            let _ = sched.wait(t);
-                        }
-                        return Ok(Some(file));
-                    }
-                }
+        for block in 0..blocks {
+            if *budget == 0 {
+                break;
             }
-            None => {
-                for block in 0..blocks {
-                    if *budget == 0 {
-                        break;
-                    }
-                    *budget -= 1;
-                    report.blocks_verified += 1;
-                    if let Err(e) = p.run.read_block_items(&*self.dev, block) {
-                        if corruption_in(&e).is_none() {
-                            return Err(e);
-                        }
-                        report.corrupt_blocks += 1;
-                        return Ok(Some(file));
-                    }
+            *budget -= 1;
+            report.blocks_verified += 1;
+            if let Err(e) = p.run.read_block_items(&*self.dev, block) {
+                if corruption_in(&e).is_none() {
+                    return Err(e);
                 }
+                report.corrupt_blocks += 1;
+                return Ok(Some(file));
             }
         }
         Ok(None)
@@ -1095,20 +970,17 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
 /// (Algorithm 3 lines 10–11; §2.1: "no additional disk access is required
 /// for computing the summary"). The **single** copy of "writer + summary
 /// builder + merge + finish": cascade merges, the external-sort spill
-/// merge and the strawman baseline all store through it. With a scheduler,
-/// each input's next window is in flight while the current one merges. On
-/// error nothing is left behind: the unfinished [`RunWriter`] deletes its
-/// file.
+/// merge and the strawman baseline all store through it. On error nothing
+/// is left behind: the unfinished [`RunWriter`] deletes its file.
 pub(crate) fn merge_to_partition<T: Item, D: BlockDevice>(
     dev: &D,
-    sched: Option<&IoScheduler>,
     runs: &[SortedRun<T>],
     config: &HsqConfig,
 ) -> io::Result<(SortedRun<T>, PartitionSummary<T>)> {
     let eta = runs.iter().map(|r| r.len()).sum();
     let mut writer = RunWriter::new(dev)?;
     let mut sb = SummaryBuilder::new(eta, config.epsilon1, config.beta1, dev.block_size());
-    hsq_storage::merge_into_prefetch(dev, sched, runs, |chunk| {
+    hsq_storage::merge_into(dev, runs, |chunk| {
         sb.push_slice(chunk);
         writer.push_slice(chunk)
     })?;

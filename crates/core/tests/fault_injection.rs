@@ -1,11 +1,10 @@
-//! Deterministic fault-injection & interleaving harness for the storage
-//! path (the test-archetype centerpiece of the overlapped-I/O PR).
+//! Deterministic fault-injection harness for the storage path.
 //!
-//! The durability claim under test is PR 3's write-ahead discipline, now
-//! that writes are concurrent: *a [`ManifestLog`]'s last durable record
-//! never references a missing partition file, at **any** crash point* —
-//! process death or power loss between any two device mutations, torn
-//! final blocks included, with archival either serial or overlapped.
+//! The durability claim under test is the manifest log's write-ahead
+//! discipline: *a [`ManifestLog`]'s last durable record never references
+//! a missing partition file, at **any** crash point* — process death or
+//! power loss between any two device mutations, torn final blocks
+//! included.
 //!
 //! The harness shape:
 //!
@@ -18,12 +17,7 @@
 //!    the manifest id the two-phase protocol had durably committed, and
 //!    assert the recovered engine's quantile answers match the oracle
 //!    within `ε·m` (the stream is empty after recovery, so the accurate
-//!    response is exact — the bound degenerates to equality);
-//! 3. with `io_depth > 0` the scheduler executes the same ops on worker
-//!    threads — under `HSQ_IO_REORDER_SEED` (the CI seed matrix) the
-//!    cross-file completion order is deterministically shuffled within
-//!    each barrier epoch, so the sweep explores reordered interleavings
-//!    too.
+//!    response is exact — the bound degenerates to equality).
 
 use std::sync::Arc;
 
@@ -41,12 +35,11 @@ const COMPACT_EVERY: u64 = 3;
 
 /// Aggressive everything: kappa = 2 merges constantly, a 5-step TTL
 /// expires under the log's pins, compaction handoffs land mid-workload.
-fn cfg(io_depth: usize) -> HsqConfig {
+fn cfg() -> HsqConfig {
     HsqConfig::builder()
         .epsilon(0.1)
         .merge_threshold(2)
         .retention(RetentionPolicy::unbounded().with_max_age_steps(5))
-        .io_depth(io_depth)
         .build()
 }
 
@@ -72,7 +65,7 @@ fn sorted_data<D: BlockDevice>(w: &Warehouse<u64, D>, label: &str) -> Vec<u64> {
 
 /// The non-crashing oracle: retained data after `s` steps, for every `s`.
 fn oracle_states() -> Vec<Vec<u64>> {
-    let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg(0));
+    let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg());
     let mut states = vec![Vec::new()];
     for step in 1..=STEPS {
         w.add_batch(batch(step)).unwrap();
@@ -86,8 +79,8 @@ fn oracle_states() -> Vec<Vec<u64>> {
 /// are leaked via `simulate_crash` — `Drop` does not run in a crash).
 /// Returns the manifest id the two-phase protocol had durably committed,
 /// `None` when the crash preceded the first base record.
-fn drive(dev: &Arc<FDev>, io_depth: usize) -> Option<FileId> {
-    let mut w = Warehouse::<u64, _>::new(Arc::clone(dev), cfg(io_depth));
+fn drive(dev: &Arc<FDev>) -> Option<FileId> {
+    let mut w = Warehouse::<u64, _>::new(Arc::clone(dev), cfg());
     let Ok(mut log) = ManifestLog::create(&w) else {
         return None;
     };
@@ -112,7 +105,7 @@ fn drive(dev: &Arc<FDev>, io_depth: usize) -> Option<FileId> {
             }
         }
     }
-    let _ = log.simulate_crash(); // leak the pins, free the scheduler
+    let _ = log.simulate_crash(); // leak the pins
     Some(committed)
 }
 
@@ -121,7 +114,7 @@ fn drive(dev: &Arc<FDev>, io_depth: usize) -> Option<FileId> {
 /// answer quantiles exactly like the oracle at its recovered step count.
 fn assert_recovers(dev: &Arc<FDev>, committed: FileId, oracle: &[Vec<u64>], label: &str) {
     dev.revive();
-    let cfg = cfg(0);
+    let cfg = cfg();
     let recovered: Warehouse<u64, FDev> =
         manifest::recover(Arc::clone(dev), cfg.clone(), committed)
             .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
@@ -182,12 +175,12 @@ fn rank_distance(sorted: &[u64], v: u64, r: u64) -> u64 {
 /// Sweep every mutation index with `fault_of(k)` armed: satellite 1's
 /// exhaustive enumeration (the PR 3 `mem::forget` crash test generalized
 /// from one hand-picked window to every op).
-fn crash_sweep(io_depth: usize, fault_of: fn(u64) -> Fault) {
+fn crash_sweep(fault_of: fn(u64) -> Fault) {
     let oracle = oracle_states();
 
     // Recording pass: no fault, learn the op-index space.
     let dev = FaultDevice::new(MemDevice::new(256));
-    let committed = drive(&dev, io_depth).expect("clean run commits a manifest");
+    let committed = drive(&dev).expect("clean run commits a manifest");
     assert!(!dev.halted());
     let total = dev.mutations();
     assert!(total > 60, "workload too small to sweep: {total} ops");
@@ -196,8 +189,8 @@ fn crash_sweep(io_depth: usize, fault_of: fn(u64) -> Fault) {
     for k in 0..=total {
         let dev = FaultDevice::new(MemDevice::new(256));
         dev.arm(fault_of(k));
-        let label = format!("{:?} (io_depth {io_depth})", fault_of(k));
-        match drive(&dev, io_depth) {
+        let label = format!("{:?}", fault_of(k));
+        match drive(&dev) {
             Some(committed) => assert_recovers(&dev, committed, &oracle, &label),
             None => assert!(
                 k <= 12,
@@ -209,22 +202,12 @@ fn crash_sweep(io_depth: usize, fault_of: fn(u64) -> Fault) {
 
 #[test]
 fn crash_point_sweep_serial() {
-    crash_sweep(0, Fault::CrashAfter);
-}
-
-#[test]
-fn crash_point_sweep_overlapped() {
-    crash_sweep(2, Fault::CrashAfter);
+    crash_sweep(Fault::CrashAfter);
 }
 
 #[test]
 fn torn_write_sweep_serial() {
-    crash_sweep(0, Fault::TornWrite);
-}
-
-#[test]
-fn torn_write_sweep_overlapped() {
-    crash_sweep(2, Fault::TornWrite);
+    crash_sweep(Fault::TornWrite);
 }
 
 /// A transient (non-crash) failure surfaces as an error but never
@@ -237,42 +220,14 @@ fn transient_fault_leaves_recoverable_state() {
         let dev = FaultDevice::new(MemDevice::new(256));
         dev.arm(Fault::FailOp(k));
         let label = format!("FailOp({k})");
-        if let Some(committed) = drive(&dev, 0) {
+        if let Some(committed) = drive(&dev) {
             assert_recovers(&dev, committed, &oracle, &label);
             // The device is healthy again (the fault was one-shot):
             // recovery + continued ingestion must work.
             let mut w: Warehouse<u64, FDev> =
-                manifest::recover(Arc::clone(&dev), cfg(0), committed).unwrap();
+                manifest::recover(Arc::clone(&dev), cfg(), committed).unwrap();
             w.add_batch(batch(99)).unwrap();
             w.check_invariants().unwrap();
         }
     }
-}
-
-/// Overlapped archival equivalence: with io_depth > 0 (and whatever
-/// reorder seed the environment sets), every step's durable state is
-/// byte-identical to the serial engine's.
-#[test]
-fn overlapped_archival_matches_serial_state() {
-    let mut serial = Warehouse::<u64, _>::new(MemDevice::new(256), cfg(0));
-    let mut overlapped = Warehouse::<u64, _>::new(MemDevice::new(256), cfg(3));
-    for step in 1..=STEPS {
-        serial.add_batch(batch(step)).unwrap();
-        overlapped.add_batch(batch(step)).unwrap();
-        overlapped.io_barrier().unwrap();
-        assert_eq!(
-            sorted_data(&serial, "serial"),
-            sorted_data(&overlapped, "overlapped"),
-            "divergence at step {step}"
-        );
-        assert_eq!(serial.available_windows(), overlapped.available_windows());
-        overlapped.check_invariants().unwrap();
-    }
-    let sched = overlapped
-        .scheduler()
-        .expect("io_depth > 0 has a scheduler");
-    assert!(
-        sched.stats().async_writes > 0,
-        "overlapped archival must actually submit writes"
-    );
 }

@@ -10,7 +10,7 @@ use hsq_core::{
 };
 use hsq_core::{PartitionSummary, SummaryEntry};
 use hsq_sketch::ExactQuantiles;
-use hsq_storage::{write_run, BlockDevice, FileId, MemDevice, RunFormat, RunWriter};
+use hsq_storage::{items_per_block, write_run, BlockDevice, FileId, MemDevice, RunWriter};
 use proptest::prelude::*;
 
 /// Rank distance from target `r` to the rank(s) of `v`: zero if `v`'s
@@ -631,7 +631,7 @@ proptest! {
         let eta = data.len() as u64;
         let eps1 = eps1_permille as f64 / 1000.0;
         let block_size = [64usize, 100, 4096][block];
-        let per = RunFormat::V2.items_per_block::<u64>(block_size) as u64;
+        let per = items_per_block::<u64>(block_size) as u64;
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
         cuts.extend([0, data.len()]);
         cuts.sort_unstable(); // repeated cut points = empty slices
@@ -671,43 +671,6 @@ proptest! {
         let whole = write_run(&*dev, &data).unwrap();
         prop_assert_eq!((split.len(), split.min(), split.max()), (whole.len(), whole.min(), whole.max()));
         prop_assert_eq!(raw_blocks(&dev, split.file()), raw_blocks(&dev, whole.file()));
-    }
-
-    /// Speculative bisection prefetch is invisible in the answers: an
-    /// engine with `io_depth > 0` returns exactly the same values, rank
-    /// estimates and step counts as a synchronous engine on identical
-    /// data — only the prefetch counters differ.
-    #[test]
-    fn prefetched_engine_answers_identical(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..1_000_000, 20..300), 2..6),
-        stream in proptest::collection::vec(0u64..1_000_000, 1..300),
-        kappa in 2usize..5,
-    ) {
-        let base = HsqConfig::builder().epsilon(0.05).merge_threshold(kappa);
-        let mut plain =
-            HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), base.clone().build());
-        let mut overlapped = HistStreamQuantiles::<u64, _>::new(
-            MemDevice::new(256),
-            base.io_depth(2).build(),
-        );
-        let mut n = 0u64;
-        for b in &batches {
-            n += b.len() as u64;
-            plain.ingest_step(b).unwrap();
-            overlapped.ingest_step(b).unwrap();
-        }
-        n += stream.len() as u64;
-        plain.stream_extend(&stream);
-        overlapped.stream_extend(&stream);
-        for r in [1, n / 3, n / 2, n] {
-            let a = plain.rank_query(r.max(1)).unwrap().unwrap();
-            let b = overlapped.rank_query(r.max(1)).unwrap().unwrap();
-            prop_assert_eq!(a.value, b.value, "r = {}", r);
-            prop_assert_eq!(a.estimated_rank, b.estimated_rank);
-            prop_assert_eq!(a.bisection_steps, b.bisection_steps);
-            prop_assert_eq!(a.prefetch_hits, 0);
-        }
     }
 
     /// Mergeability: a ShardedEngine with N shards answers every quantile

@@ -246,161 +246,6 @@ fn snapshot_reads_race_retention_expiry() {
     );
 }
 
-/// Overlapped-archival stress (the io_depth > 0 variant of the expiry
-/// race): reader threads hold `EngineSnapshot`s while archival *submits*
-/// its run writes to the I/O scheduler and retention expires pinned
-/// partitions concurrently. Seeded via `HSQ_IO_REORDER_SEED` in CI, the
-/// scheduler's cross-file completion order is shuffled too. Answers must
-/// be stable for the snapshot's lifetime, and expired files may only
-/// disappear at the last pin drop.
-#[test]
-fn snapshot_reads_race_overlapped_archival_and_expiry() {
-    const STEPS: u64 = 40;
-    const STEP_ITEMS: u64 = 300;
-    let cfg = HsqConfig::builder()
-        .epsilon(0.05)
-        .merge_threshold(3)
-        .retention(RetentionPolicy::unbounded().with_max_age_steps(4))
-        .io_depth(2)
-        .build();
-    let dev = MemDevice::new(256);
-    let engine = Arc::new(Mutex::new(HistStreamQuantiles::<u64, _>::new(
-        Arc::clone(&dev),
-        cfg,
-    )));
-    let stop = Arc::new(Mutex::new(false));
-
-    let readers: Vec<_> = (0..2)
-        .map(|_| {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut checked = 0u64;
-                let deadline = Instant::now() + Duration::from_secs(10);
-                loop {
-                    if *stop.lock().unwrap() || Instant::now() > deadline {
-                        break;
-                    }
-                    let snap = engine.lock().unwrap().snapshot();
-                    let n = snap.total_len();
-                    if n == 0 {
-                        continue;
-                    }
-                    // Snapshots barrier the scheduler first: a reader
-                    // never sees a half-written run, so totals are step
-                    // boundaries even while writes are being submitted.
-                    assert_eq!(n % STEP_ITEMS, 0, "mid-step snapshot: n = {n}");
-                    let phis = [0.1, 0.5, 1.0];
-                    let before: Vec<u64> = phis
-                        .iter()
-                        .map(|&phi| snap.quantile(phi).unwrap().unwrap())
-                        .collect();
-                    thread::sleep(Duration::from_millis(2));
-                    // The writer has archived more steps (overlapped) and
-                    // expired the pinned ones: answers must not move.
-                    let after: Vec<u64> = phis
-                        .iter()
-                        .map(|&phi| snap.quantile(phi).unwrap().unwrap())
-                        .collect();
-                    assert_eq!(before, after, "snapshot answer moved under overlap");
-                    checked += 1;
-                }
-                checked
-            })
-        })
-        .collect();
-
-    for step in 0..STEPS {
-        let batch: Vec<u64> = (step * STEP_ITEMS..(step + 1) * STEP_ITEMS).collect();
-        engine.lock().unwrap().ingest_step(&batch).unwrap();
-        thread::yield_now();
-    }
-    *stop.lock().unwrap() = true;
-    let mut total_checked = 0;
-    for r in readers {
-        total_checked += r.join().expect("reader panicked");
-    }
-    assert!(total_checked > 0, "readers never observed a snapshot");
-
-    // Guards all dropped: deferred deletions ran, the scheduler really
-    // overlapped, and only retained partitions remain on the device.
-    let engine = engine.lock().unwrap();
-    engine.io_barrier().unwrap();
-    assert!(engine.historical_len() <= 4 * STEP_ITEMS + 3 * STEP_ITEMS);
-    let sched = engine
-        .warehouse()
-        .scheduler()
-        .expect("io_depth > 0 has a scheduler");
-    assert!(sched.stats().async_writes > 0, "archival never overlapped");
-    assert_eq!(
-        dev.resident_bytes(),
-        engine.warehouse().partition_bytes().unwrap(),
-        "expired files must be deleted once the last snapshot guard drops"
-    );
-}
-
-/// The sharded variant: `ShardedSnapshot`s held across overlapped
-/// cross-shard archival plus per-shard retention expiry.
-#[test]
-fn sharded_snapshot_race_overlapped_archival_and_expiry() {
-    const STEPS: u64 = 25;
-    const STEP_ITEMS: u64 = 400;
-    let cfg = HsqConfig::builder()
-        .epsilon(0.05)
-        .merge_threshold(3)
-        .retention(RetentionPolicy::unbounded().with_max_age_steps(4))
-        .io_depth(2)
-        .build();
-    let engine = Arc::new(Mutex::new(ShardedEngine::<u64, _>::with_shards(
-        3,
-        cfg,
-        |_| MemDevice::new(256),
-    )));
-    let stop = Arc::new(Mutex::new(false));
-
-    let reader = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut checked = 0u64;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !*stop.lock().unwrap() && Instant::now() < deadline {
-                let snap = engine.lock().unwrap().snapshot();
-                let n = snap.total_len();
-                if n == 0 {
-                    continue;
-                }
-                assert_eq!(n % STEP_ITEMS, 0, "mid-step sharded snapshot: n = {n}");
-                let before = snap.quantile(0.5).unwrap().unwrap();
-                thread::sleep(Duration::from_millis(2));
-                assert_eq!(
-                    snap.quantile(0.5).unwrap().unwrap(),
-                    before,
-                    "cross-shard snapshot answer moved under overlap"
-                );
-                checked += 1;
-            }
-            checked
-        })
-    };
-
-    for step in 0..STEPS {
-        let batch: Vec<u64> = (step * STEP_ITEMS..(step + 1) * STEP_ITEMS).collect();
-        engine.lock().unwrap().ingest_step(&batch).unwrap();
-        thread::yield_now();
-    }
-    *stop.lock().unwrap() = true;
-    let checked = reader.join().expect("reader panicked");
-    assert!(checked > 0, "reader never observed a snapshot");
-
-    // Every shard really overlapped its archival.
-    let engine = engine.lock().unwrap();
-    for s in engine.shards() {
-        let st = s.warehouse().scheduler().expect("scheduler").stats();
-        assert!(st.async_writes > 0, "a shard never overlapped");
-    }
-}
-
 /// Deterministic deferred-deletion check: a snapshot pins partitions, the
 /// TTL expires them, and the files survive exactly until the last guard
 /// drops — with answers stable throughout.

@@ -58,30 +58,15 @@ impl<T: Item> BlockCache<T> {
         }
         self.misses += 1;
         let items = Arc::new(run.read_block_items(dev, block_idx)?);
-        self.store(key, Arc::clone(&items));
-        self.last = Some((key, Arc::clone(&items)));
-        Ok(items)
-    }
-
-    /// Insert an externally produced decoded block (e.g. a speculative
-    /// prefetch read), evicting FIFO like a miss would. Does not count as
-    /// a hit or a miss, and does not displace the last-probe memo.
-    pub fn insert(&mut self, file: FileId, block_idx: u64, items: Arc<Vec<T>>) {
-        let key = (file, block_idx);
-        if self.map.contains_key(&key) {
-            return;
-        }
-        self.store(key, items);
-    }
-
-    fn store(&mut self, key: (FileId, u64), items: Arc<Vec<T>>) {
         if self.map.len() == self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
             }
         }
-        self.map.insert(key, items);
+        self.map.insert(key, Arc::clone(&items));
         self.order.push_back(key);
+        self.last = Some((key, Arc::clone(&items)));
+        Ok(items)
     }
 
     /// The block most recently served by [`BlockCache::get_block`], if

@@ -29,120 +29,6 @@ pub type FileId = u64;
 /// Sentinel for "no block read yet" in per-file cursor tracking.
 const NO_BLOCK: u64 = u64::MAX;
 
-/// One asynchronous device operation (the io_uring-style SQE shape; see
-/// [`crate::IoScheduler`] for the overlapped executor).
-#[derive(Debug, Clone)]
-pub enum IoOp {
-    /// Write `data` as block `idx` of `file` (same contract as
-    /// [`BlockDevice::write_block`]).
-    Write {
-        /// Target file.
-        file: FileId,
-        /// Block index (append-contiguous).
-        idx: u64,
-        /// Block payload (at most one block).
-        data: Vec<u8>,
-    },
-    /// Read `count` consecutive blocks starting at `first` (same
-    /// contract as [`BlockDevice::read_blocks`]).
-    ReadBlocks {
-        /// Source file.
-        file: FileId,
-        /// First block index.
-        first: u64,
-        /// Number of blocks.
-        count: u64,
-    },
-    /// Force `file` durable ([`BlockDevice::sync`]).
-    Sync {
-        /// Target file.
-        file: FileId,
-    },
-    /// Delete `file` ([`BlockDevice::delete`]).
-    Delete {
-        /// Target file.
-        file: FileId,
-    },
-}
-
-impl IoOp {
-    /// The file this op addresses (the per-file FIFO ordering key).
-    pub fn file(&self) -> FileId {
-        match *self {
-            IoOp::Write { file, .. }
-            | IoOp::ReadBlocks { file, .. }
-            | IoOp::Sync { file }
-            | IoOp::Delete { file } => file,
-        }
-    }
-}
-
-/// Result payload of a completed [`IoOp`] (the CQE shape).
-#[derive(Debug)]
-pub enum IoOutcome {
-    /// A [`IoOp::Write`] landed.
-    Wrote,
-    /// A [`IoOp::ReadBlocks`] finished: `data` holds `count * block_size`
-    /// bytes, of which the first `len` were read (short only at EOF).
-    Read {
-        /// The raw block bytes.
-        data: Vec<u8>,
-        /// Bytes actually read.
-        len: usize,
-    },
-    /// A [`IoOp::Sync`] barrier reached durable storage.
-    Synced,
-    /// A [`IoOp::Delete`] removed the file.
-    Deleted,
-}
-
-/// Handle to a submitted [`IoOp`]: either already complete (the inline
-/// default of [`BlockDevice::submit`]) or queued on an
-/// [`crate::IoScheduler`] (claim it with the scheduler's `wait`/`try_poll`).
-#[derive(Debug)]
-pub struct IoTicket {
-    inner: TicketInner,
-}
-
-#[derive(Debug)]
-enum TicketInner {
-    Ready(Option<io::Result<IoOutcome>>),
-    Queued(u64),
-}
-
-impl IoTicket {
-    /// A ticket that completed inline.
-    pub fn ready(result: io::Result<IoOutcome>) -> Self {
-        IoTicket {
-            inner: TicketInner::Ready(Some(result)),
-        }
-    }
-
-    /// A ticket queued on a scheduler under `id`.
-    pub(crate) fn queued(id: u64) -> Self {
-        IoTicket {
-            inner: TicketInner::Queued(id),
-        }
-    }
-
-    /// The scheduler queue id, if this ticket is queued.
-    pub(crate) fn queued_id(&self) -> Option<u64> {
-        match self.inner {
-            TicketInner::Queued(id) => Some(id),
-            TicketInner::Ready(_) => None,
-        }
-    }
-
-    /// Consume an inline completion (None for queued tickets, or if
-    /// already taken).
-    pub fn take_ready(&mut self) -> Option<io::Result<IoOutcome>> {
-        match &mut self.inner {
-            TicketInner::Ready(r) => r.take(),
-            TicketInner::Queued(_) => None,
-        }
-    }
-}
-
 /// A device of fixed-size blocks organized into append-oriented files.
 ///
 /// All methods take `&self`; devices are internally synchronized and are
@@ -202,47 +88,6 @@ pub trait BlockDevice: Send + Sync + 'static {
             total += self.read_block(file, first + i as u64, &mut buf[i * bs..(i + 1) * bs])?;
         }
         Ok(total)
-    }
-
-    /// Execute one [`IoOp`] synchronously. This is the shared executor
-    /// behind the inline [`BlockDevice::submit`] default and the
-    /// [`crate::IoScheduler`] worker pool.
-    fn execute(&self, op: IoOp) -> io::Result<IoOutcome> {
-        match op {
-            IoOp::Write { file, idx, data } => {
-                self.write_block(file, idx, &data)?;
-                Ok(IoOutcome::Wrote)
-            }
-            IoOp::ReadBlocks { file, first, count } => {
-                let mut data = vec![0u8; count as usize * self.block_size()];
-                let len = self.read_blocks(file, first, count, &mut data)?;
-                Ok(IoOutcome::Read { data, len })
-            }
-            IoOp::Sync { file } => {
-                self.sync(file)?;
-                Ok(IoOutcome::Synced)
-            }
-            IoOp::Delete { file } => {
-                self.delete(file)?;
-                Ok(IoOutcome::Deleted)
-            }
-        }
-    }
-
-    /// Begin an asynchronous op. The default executes inline and returns
-    /// an already-completed ticket — correct for every backend, with no
-    /// overlap. Overlapped submission goes through an [`crate::IoScheduler`]
-    /// layered over the device; this method is the seam that lets code
-    /// written against submit/poll run unchanged on either.
-    fn submit(&self, op: IoOp) -> IoTicket {
-        IoTicket::ready(self.execute(op))
-    }
-
-    /// Poll a ticket returned by [`BlockDevice::submit`]: `Some` exactly
-    /// once when complete. Tickets queued on a scheduler are polled via
-    /// that scheduler instead.
-    fn poll(&self, ticket: &mut IoTicket) -> Option<io::Result<IoOutcome>> {
-        ticket.take_ready()
     }
 
     /// Force `file`'s written blocks to durable storage (the barrier a
@@ -937,38 +782,6 @@ mod tests {
         dev.sync(f).unwrap();
         assert_eq!((dev.stats().snapshot() - before).syncs, 2);
         assert!(dev.sync(f + 100).is_err(), "sync of a missing file");
-    }
-
-    #[test]
-    fn inline_submit_poll_roundtrip() {
-        // The BlockDevice submit/poll seam: the default executes inline
-        // and completes immediately — same results as the blocking calls.
-        let dev = MemDevice::new(64);
-        let f = dev.create().unwrap();
-        let mut t = dev.submit(IoOp::Write {
-            file: f,
-            idx: 0,
-            data: vec![5u8; 64],
-        });
-        assert!(matches!(dev.poll(&mut t), Some(Ok(IoOutcome::Wrote))));
-        assert!(dev.poll(&mut t).is_none(), "completion claimed once");
-        let mut t = dev.submit(IoOp::ReadBlocks {
-            file: f,
-            first: 0,
-            count: 1,
-        });
-        match dev.poll(&mut t) {
-            Some(Ok(IoOutcome::Read { data, len })) => {
-                assert_eq!(len, 64);
-                assert!(data.iter().all(|&b| b == 5));
-            }
-            other => panic!("unexpected completion {other:?}"),
-        }
-        let mut t = dev.submit(IoOp::Sync { file: f });
-        assert!(matches!(dev.poll(&mut t), Some(Ok(IoOutcome::Synced))));
-        let mut t = dev.submit(IoOp::Delete { file: f });
-        assert!(matches!(dev.poll(&mut t), Some(Ok(IoOutcome::Deleted))));
-        assert!(dev.num_blocks(f).is_err());
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //!   in-memory segments alike);
 //! * [`BlockCache`] — decoded-block cache implementing the paper's
 //!   single-block query optimization ([`cache`]);
-//! * [`IoScheduler`] — io_uring-style overlapped submission/completion
-//!   queues over a bounded worker pool ([`sched`]), behind the
-//!   [`BlockDevice::submit`]/[`BlockDevice::poll`] seam;
 //! * [`FaultDevice`] — deterministic fault injection (fail-op, torn
 //!   final block, crash-stop, bit rot, flaky reads) for durability and
 //!   robustness testing ([`fault`]);
@@ -38,23 +35,20 @@ pub mod error;
 pub mod fault;
 pub mod merge;
 pub mod run;
-pub mod sched;
 pub mod sort;
 pub mod stats;
 
 pub use cache::BlockCache;
 pub use crc::crc64;
-pub use device::{BlockDevice, FileDevice, FileId, IoOp, IoOutcome, IoTicket, MemDevice};
+pub use device::{BlockDevice, FileDevice, FileId, MemDevice};
 pub use encode::{Item, RadixKey, F64};
 pub use error::{
     corruption_in, is_transient, RetryDevice, RetryPolicy, StorageError, StorageErrorKind,
 };
 pub use fault::{Fault, FaultDevice};
-pub use merge::{merge_into, merge_into_prefetch, merge_runs, merge_sources, MergeSource};
+pub use merge::{merge_into, merge_runs, merge_sources, MergeSource};
 pub use run::{
-    items_per_block, write_run, write_run_overlapped, RunFormat, RunReader, RunWriter, SortedRun,
-    DEFAULT_READAHEAD_BLOCKS,
+    items_per_block, write_run, RunReader, RunWriter, SortedRun, DEFAULT_READAHEAD_BLOCKS,
 };
-pub use sched::{IoScheduler, SchedSnapshot};
 pub use sort::{external_sort, sort_items, SortOutcome};
 pub use stats::{IoSnapshot, IoStats};

@@ -54,8 +54,7 @@ use std::io;
 
 use crate::device::BlockDevice;
 use crate::encode::Item;
-use crate::run::{RunFormat, RunReader, RunWriter, SortedRun};
-use crate::sched::IoScheduler;
+use crate::run::{items_per_block, RunReader, RunWriter, SortedRun};
 use crate::sort::sort_items;
 
 /// One sorted input of [`merge_sources`], consumed front to back.
@@ -165,29 +164,8 @@ pub fn merge_into<T: Item, D: BlockDevice>(
     runs: &[SortedRun<T>],
     sink: impl FnMut(&[T]) -> io::Result<()>,
 ) -> io::Result<()> {
-    merge_into_prefetch(dev, None, runs, sink)
-}
-
-/// [`merge_into`] with asynchronous readahead on each input run: while
-/// the merge consumes one window of an input, its next window's read is
-/// already in flight on `sched` (see [`SortedRun::iter_prefetch`]). `None`
-/// falls back to synchronous readahead. Output and accounting are
-/// identical either way.
-pub fn merge_into_prefetch<T: Item, D: BlockDevice>(
-    dev: &D,
-    sched: Option<&IoScheduler>,
-    runs: &[SortedRun<T>],
-    sink: impl FnMut(&[T]) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut sources: Vec<RunReader<'_, T, D>> = runs
-        .iter()
-        .map(|r| match sched {
-            Some(s) => r.iter_prefetch(dev, s),
-            None => r.iter(dev),
-        })
-        .collect();
-    let block_items = RunFormat::V2.items_per_block::<T>(dev.block_size());
-    merge_sources(&mut sources, block_items, sink)
+    let mut sources: Vec<RunReader<'_, T, D>> = runs.iter().map(|r| r.iter(dev)).collect();
+    merge_sources(&mut sources, items_per_block::<T>(dev.block_size()), sink)
 }
 
 #[cfg(test)]

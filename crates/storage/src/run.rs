@@ -6,14 +6,11 @@
 //! index with one division, which is what makes the query algorithm's
 //! rank-addressed probes single-block reads.
 //!
-//! Two on-disk layouts exist ([`RunFormat`]). Everything written today is
-//! **V2**: each block ends with a CRC64 trailer over its item payload, and
-//! every read path — single-block probes, cache fills, sequential
-//! readahead, scheduler-completed speculative reads — verifies the
-//! trailer before decoding, surfacing mismatches as typed
-//! [`crate::StorageError::Corruption`] errors naming the `(file, block)`.
-//! **V1** is the unchecksummed seed layout, kept readable so warehouses
-//! persisted before the format bump recover unchanged.
+//! There is one on-disk layout: each block ends with a CRC64 trailer over
+//! its item payload, and every read path — single-block probes, cache
+//! fills, sequential readahead — verifies the trailer before decoding,
+//! surfacing mismatches as typed [`crate::StorageError::Corruption`]
+//! errors naming the `(file, block)`.
 //!
 //! Bulk traffic moves in slices, not items. A sequential scan
 //! ([`RunReader`]) exposes the window of blocks it has read, verified and
@@ -27,84 +24,32 @@
 //! no per-item call.
 
 use std::io;
-use std::marker::PhantomData;
 
 use crate::cache::BlockCache;
 use crate::crc::crc64;
-use crate::device::{BlockDevice, FileId, IoOp, IoOutcome, IoTicket};
+use crate::device::{BlockDevice, FileId};
 use crate::encode::Item;
 use crate::error::StorageError;
-use crate::sched::IoScheduler;
 
 /// Default readahead window (blocks) for sequential [`RunReader`] scans.
 pub const DEFAULT_READAHEAD_BLOCKS: usize = 8;
 
-/// Bytes of the per-block CRC64 trailer in [`RunFormat::V2`] blocks.
+/// Bytes of the per-block CRC64 trailer.
 const CRC_TRAILER: usize = 8;
 
-/// Items stored per block for item type `T` on a device with `block_size`,
-/// in the unchecksummed [`RunFormat::V1`] layout.
-///
-/// Freshly written runs are always [`RunFormat::V2`] (checksummed, lower
-/// capacity); geometry for a specific run must come from
-/// [`SortedRun::items_per_block`], which respects the run's format.
+/// Items stored per block for item type `T` on a device with `block_size`:
+/// each block holds as many whole encoded items as fit in front of its
+/// CRC64 trailer.
 #[inline]
 pub fn items_per_block<T: Item>(block_size: usize) -> usize {
     assert!(
-        block_size >= T::ENCODED_LEN,
-        "block size {} smaller than encoded item ({} bytes)",
+        block_size >= T::ENCODED_LEN + CRC_TRAILER,
+        "block size {} too small for a checksummed item ({} + {} bytes)",
         block_size,
-        T::ENCODED_LEN
+        T::ENCODED_LEN,
+        CRC_TRAILER
     );
-    block_size / T::ENCODED_LEN
-}
-
-/// On-disk layout version of a [`SortedRun`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RunFormat {
-    /// Unchecksummed seed layout: `block_size / ENCODED_LEN` items per
-    /// block, no trailer. Read-only back-compat — nothing writes V1.
-    V1,
-    /// Checksummed layout: `(block_size - 8) / ENCODED_LEN` items per
-    /// block, each block's item payload followed by its CRC64.
-    V2,
-}
-
-impl RunFormat {
-    /// Items stored per block for item type `T` under this layout.
-    #[inline]
-    pub fn items_per_block<T: Item>(self, block_size: usize) -> usize {
-        match self {
-            RunFormat::V1 => items_per_block::<T>(block_size),
-            RunFormat::V2 => {
-                assert!(
-                    block_size >= T::ENCODED_LEN + CRC_TRAILER,
-                    "block size {} too small for a checksummed item ({} + {} bytes)",
-                    block_size,
-                    T::ENCODED_LEN,
-                    CRC_TRAILER
-                );
-                (block_size - CRC_TRAILER) / T::ENCODED_LEN
-            }
-        }
-    }
-
-    /// Manifest encoding of this format.
-    pub fn as_byte(self) -> u8 {
-        match self {
-            RunFormat::V1 => 0,
-            RunFormat::V2 => 1,
-        }
-    }
-
-    /// Inverse of [`RunFormat::as_byte`].
-    pub fn from_byte(b: u8) -> Option<RunFormat> {
-        match b {
-            0 => Some(RunFormat::V1),
-            1 => Some(RunFormat::V2),
-            _ => None,
-        }
-    }
+    (block_size - CRC_TRAILER) / T::ENCODED_LEN
 }
 
 /// A handle to an immutable sorted file of `T` on some [`BlockDevice`].
@@ -117,7 +62,6 @@ pub struct SortedRun<T: Item> {
     len: u64,
     min: T,
     max: T,
-    format: RunFormat,
 }
 
 impl<T: Item> SortedRun<T> {
@@ -126,15 +70,10 @@ impl<T: Item> SortedRun<T> {
         self.file
     }
 
-    /// The run's on-disk layout version.
-    pub fn format(&self) -> RunFormat {
-        self.format
-    }
-
     /// Items stored per block of this run on a `block_size`-byte device.
     #[inline]
     pub fn items_per_block(&self, block_size: usize) -> usize {
-        self.format.items_per_block::<T>(block_size)
+        items_per_block::<T>(block_size)
     }
 
     /// Number of items in the run.
@@ -187,12 +126,11 @@ impl<T: Item> SortedRun<T> {
         }
     }
 
-    /// Decode the items of block `block_idx` from its raw bytes (already
-    /// read — e.g. by a scheduler-submitted speculative probe read),
-    /// verifying the CRC64 trailer for [`RunFormat::V2`] runs. A short
+    /// Decode the items of block `block_idx` from its raw bytes, verifying
+    /// the CRC64 trailer. A short
     /// buffer or a checksum mismatch is a typed
     /// [`StorageError::Corruption`] naming this run's file and the block.
-    pub fn decode_block_items(
+    fn decode_block_items(
         &self,
         block_idx: u64,
         block_size: usize,
@@ -203,10 +141,7 @@ impl<T: Item> SortedRun<T> {
         assert!(start < self.len, "block index {block_idx} out of range");
         let count = per.min(self.len - start) as usize;
         let payload = count * T::ENCODED_LEN;
-        let needed = match self.format {
-            RunFormat::V1 => payload,
-            RunFormat::V2 => payload + CRC_TRAILER,
-        };
+        let needed = payload + CRC_TRAILER;
         if raw.len() < needed {
             return Err(StorageError::corruption(
                 self.file,
@@ -215,21 +150,19 @@ impl<T: Item> SortedRun<T> {
             )
             .into());
         }
-        if self.format == RunFormat::V2 {
-            let stored = u64::from_le_bytes(
-                raw[payload..payload + CRC_TRAILER]
-                    .try_into()
-                    .expect("trailer slice is 8 bytes"),
-            );
-            let actual = crc64(&raw[..payload]);
-            if stored != actual {
-                return Err(StorageError::corruption(
-                    self.file,
-                    block_idx,
-                    format!("crc mismatch: stored {stored:#018x}, computed {actual:#018x}"),
-                )
-                .into());
-            }
+        let stored = u64::from_le_bytes(
+            raw[payload..payload + CRC_TRAILER]
+                .try_into()
+                .expect("trailer slice is 8 bytes"),
+        );
+        let actual = crc64(&raw[..payload]);
+        if stored != actual {
+            return Err(StorageError::corruption(
+                self.file,
+                block_idx,
+                format!("crc mismatch: stored {stored:#018x}, computed {actual:#018x}"),
+            )
+            .into());
         }
         Ok((0..count)
             .map(|i| T::decode(&raw[i * T::ENCODED_LEN..]))
@@ -243,33 +176,13 @@ impl<T: Item> SortedRun<T> {
             dev,
             file: self.file,
             len: self.len,
-            format: self.format,
             next_idx: 0,
             buf: Vec::new(),
             buf_pos: 0,
             block: 0,
             readahead: DEFAULT_READAHEAD_BLOCKS,
             raw: Vec::new(),
-            sched: None,
-            pending: None,
-            _t: PhantomData,
         }
-    }
-
-    /// [`SortedRun::iter`] with asynchronous readahead: while one window
-    /// of blocks is being decoded and consumed, the next window's read is
-    /// already in flight on `sched` (which must schedule over the same
-    /// device as `dev`). The block-access *count* is unchanged — only the
-    /// device round-trip latency is hidden behind the consumer's CPU
-    /// work. Prefetch hit/miss counts land in [`IoScheduler::stats`].
-    pub fn iter_prefetch<'d, D: BlockDevice>(
-        &self,
-        dev: &'d D,
-        sched: &'d IoScheduler,
-    ) -> RunReader<'d, T, D> {
-        let mut r = self.iter(dev);
-        r.sched = Some(sched);
-        r
     }
 
     /// Read every item into memory (test/debug helper; O(len) memory).
@@ -352,28 +265,18 @@ impl<T: Item> SortedRun<T> {
 
     /// Reconstruct a handle from raw parts (used by warehouse recovery and
     /// tests). The caller asserts the file holds `len` sorted items with
-    /// the given extrema, laid out in the **V1** (unchecksummed seed)
-    /// format; chain [`SortedRun::with_format`] for checksummed runs.
+    /// the given extrema, written by a [`RunWriter`].
     pub fn from_raw_parts(file: FileId, len: u64, min: T, max: T) -> Self {
         SortedRun {
             file,
             len,
             min,
             max,
-            format: RunFormat::V1,
         }
-    }
-
-    /// This handle reinterpreted under `format` (manifest recovery of
-    /// checksummed runs).
-    pub fn with_format(mut self, format: RunFormat) -> Self {
-        self.format = format;
-        self
     }
 }
 
-/// Buffered writer that produces a [`SortedRun`] in the checksummed
-/// [`RunFormat::V2`] layout.
+/// Buffered writer that produces a [`SortedRun`].
 ///
 /// Enforces nondecreasing order on [`RunWriter::push_slice`]; flushes
 /// whole blocks, each with a CRC64 trailer over its item payload. A writer
@@ -397,7 +300,7 @@ pub struct RunWriter<'d, T: Item, D: BlockDevice> {
 impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
     /// Open a new run on `dev`.
     pub fn new(dev: &'d D) -> io::Result<Self> {
-        let per = RunFormat::V2.items_per_block::<T>(dev.block_size()); // validates geometry
+        let per = items_per_block::<T>(dev.block_size()); // validates geometry
         Ok(RunWriter {
             dev,
             file: dev.create()?,
@@ -466,7 +369,6 @@ impl<'d, T: Item, D: BlockDevice> RunWriter<'d, T, D> {
             len: self.len,
             min: self.min.unwrap_or(T::MIN),
             max: self.last.unwrap_or(T::MIN),
-            format: RunFormat::V2,
         })
     }
 
@@ -509,7 +411,6 @@ pub struct RunReader<'d, T: Item, D: BlockDevice> {
     dev: &'d D,
     file: FileId,
     len: u64,
-    format: RunFormat,
     next_idx: u64,
     buf: Vec<T>,
     buf_pos: usize,
@@ -517,11 +418,6 @@ pub struct RunReader<'d, T: Item, D: BlockDevice> {
     readahead: usize,
     /// Reused raw byte buffer for [`BlockDevice::read_blocks`].
     raw: Vec<u8>,
-    /// Asynchronous-readahead scheduler (see [`SortedRun::iter_prefetch`]).
-    sched: Option<&'d IoScheduler>,
-    /// In-flight prefetch: `(first block, block count, ticket)`.
-    pending: Option<(u64, u64, IoTicket)>,
-    _t: PhantomData<T>,
 }
 
 impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
@@ -533,52 +429,22 @@ impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
 
     fn refill(&mut self) -> io::Result<()> {
         let bs = self.dev.block_size();
-        let per = self.format.items_per_block::<T>(bs) as u64;
+        let per = items_per_block::<T>(bs) as u64;
         let remaining_items = self.len - self.next_idx;
         let blocks_left = remaining_items.div_ceil(per);
         let nblocks = (self.readahead as u64).min(blocks_left);
-        // A matching in-flight prefetch replaces the synchronous read. A
-        // stale one (readahead resized mid-scan) is reaped and dropped,
-        // and a failed wait — a barrier elsewhere may have reclaimed the
-        // completion — falls back to the synchronous read, where a real
-        // device error resurfaces.
-        let mut got = usize::MAX;
-        if let Some(sched) = self.sched {
-            if let Some((first, n, ticket)) = self.pending.take() {
-                if first == self.block && n == nblocks {
-                    if let Ok(IoOutcome::Read { data, len }) = sched.wait(ticket) {
-                        self.raw = data;
-                        got = len;
-                        sched.note_prefetch(true);
-                    } else {
-                        sched.note_prefetch(false);
-                    }
-                } else {
-                    let _ = sched.wait(ticket);
-                    sched.note_prefetch(false);
-                }
-            } else {
-                sched.note_prefetch(false);
-            }
-        }
-        if got == usize::MAX {
-            self.raw.clear();
-            self.raw.resize(nblocks as usize * bs, 0);
-            got = self
-                .dev
-                .read_blocks(self.file, self.block, nblocks, &mut self.raw)?;
-        }
+        self.raw.clear();
+        self.raw.resize(nblocks as usize * bs, 0);
+        let got = self
+            .dev
+            .read_blocks(self.file, self.block, nblocks, &mut self.raw)?;
         self.buf.clear();
         // Decode block by block: items never straddle blocks, so each
         // block contributes `per` items (fewer for the final one) at the
-        // start of its `block_size` slice. For V2, each block's CRC64
-        // trailer sits right after its payload and is verified before the
-        // items are trusted; a short device read shows up as a missing or
-        // mismatched trailer.
-        let trailer = match self.format {
-            RunFormat::V1 => 0,
-            RunFormat::V2 => CRC_TRAILER,
-        };
+        // start of its `block_size` slice. Each block's CRC64 trailer sits
+        // right after its payload and is verified before the items are
+        // trusted; a short device read shows up as a missing or mismatched
+        // trailer.
         let first_block = self.block;
         let (dev, file) = (self.dev, self.file);
         let mut idx = self.next_idx;
@@ -587,28 +453,26 @@ impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
             let base = j * bs;
             let in_block = per.min(self.len - idx) as usize;
             let payload = in_block * T::ENCODED_LEN;
-            bytes_seen += payload + trailer;
+            bytes_seen += payload + CRC_TRAILER;
             let corrupt = move |detail: String| -> io::Error {
                 dev.stats().record_corruption();
                 StorageError::corruption(file, first_block + j as u64, detail).into()
             };
-            if base + payload + trailer > self.raw.len() || bytes_seen > got {
+            if base + payload + CRC_TRAILER > self.raw.len() || bytes_seen > got {
                 return Err(corrupt(format!(
                     "short read: {got} bytes for window of {nblocks} blocks"
                 )));
             }
-            if self.format == RunFormat::V2 {
-                let stored = u64::from_le_bytes(
-                    self.raw[base + payload..base + payload + CRC_TRAILER]
-                        .try_into()
-                        .expect("trailer slice is 8 bytes"),
-                );
-                let actual = crc64(&self.raw[base..base + payload]);
-                if stored != actual {
-                    return Err(corrupt(format!(
-                        "crc mismatch: stored {stored:#018x}, computed {actual:#018x}"
-                    )));
-                }
+            let stored = u64::from_le_bytes(
+                self.raw[base + payload..base + payload + CRC_TRAILER]
+                    .try_into()
+                    .expect("trailer slice is 8 bytes"),
+            );
+            let actual = crc64(&self.raw[base..base + payload]);
+            if stored != actual {
+                return Err(corrupt(format!(
+                    "crc mismatch: stored {stored:#018x}, computed {actual:#018x}"
+                )));
             }
             self.buf
                 .extend((0..in_block).map(|i| T::decode(&self.raw[base + i * T::ENCODED_LEN..])));
@@ -619,20 +483,6 @@ impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
         }
         self.buf_pos = 0;
         self.block += nblocks;
-        // Issue the next window's read before the consumer touches this
-        // one: by the next refill it is (ideally) already complete.
-        if let Some(sched) = self.sched {
-            let items_after = remaining_items.saturating_sub(nblocks * per);
-            if items_after > 0 {
-                let next_blocks = (self.readahead as u64).min(items_after.div_ceil(per));
-                let ticket = sched.submit(IoOp::ReadBlocks {
-                    file: self.file,
-                    first: self.block,
-                    count: next_blocks,
-                });
-                self.pending = Some((self.block, next_blocks, ticket));
-            }
-        }
         Ok(())
     }
 
@@ -668,17 +518,6 @@ impl<T: Item, D: BlockDevice> RunReader<'_, T, D> {
         );
         self.buf_pos += n;
         self.next_idx += n as u64;
-    }
-}
-
-impl<T: Item, D: BlockDevice> Drop for RunReader<'_, T, D> {
-    fn drop(&mut self) {
-        // Reap an abandoned prefetch so its completion (or error) never
-        // leaks into a later barrier — and so the file can be deleted
-        // safely right after the reader goes away.
-        if let (Some(sched), Some((_, _, ticket))) = (self.sched, self.pending.take()) {
-            let _ = sched.wait(ticket);
-        }
     }
 }
 
@@ -727,45 +566,6 @@ pub fn write_run<T: Item, D: BlockDevice>(dev: &D, sorted: &[T]) -> io::Result<S
     let mut w = RunWriter::new(dev)?;
     w.push_slice(sorted)?;
     w.finish()
-}
-
-/// [`write_run`] with overlapped block writes: every block is encoded and
-/// *submitted* to `sched`, and the completed [`SortedRun`] handle is
-/// returned immediately — its length and extrema come from the slice, not
-/// the device. The run's blocks land in order (the scheduler's per-file
-/// FIFO), but the caller **must** pass an [`IoScheduler::barrier`] before
-/// reading the run or treating it as durable. This is the archival fast
-/// path: block encoding, summary construction, and the next partition's
-/// CPU work all overlap the device writes.
-pub fn write_run_overlapped<T: Item>(
-    sched: &IoScheduler,
-    sorted: &[T],
-) -> io::Result<SortedRun<T>> {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
-    let dev = sched.device();
-    let per = RunFormat::V2.items_per_block::<T>(dev.block_size());
-    let file = dev.create()?;
-    for (idx, chunk) in sorted.chunks(per).enumerate() {
-        let payload = chunk.len() * T::ENCODED_LEN;
-        let mut data = vec![0u8; payload + CRC_TRAILER];
-        for (i, v) in chunk.iter().enumerate() {
-            v.encode(&mut data[i * T::ENCODED_LEN..]);
-        }
-        let crc = crc64(&data[..payload]);
-        data[payload..].copy_from_slice(&crc.to_le_bytes());
-        sched.submit(IoOp::Write {
-            file,
-            idx: idx as u64,
-            data,
-        });
-    }
-    Ok(SortedRun {
-        file,
-        len: sorted.len() as u64,
-        min: sorted.first().copied().unwrap_or(T::MIN),
-        max: sorted.last().copied().unwrap_or(T::MIN),
-        format: RunFormat::V2,
-    })
 }
 
 #[cfg(test)]
@@ -932,70 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_iter_matches_plain_iter() {
-        use crate::sched::IoScheduler;
-        use std::sync::Arc;
-        let dev = MemDevice::new(64); // 7 u64 per block
-        let data: Vec<u64> = (0..1234).collect();
-        let run = write_run(&*dev, &data).unwrap();
-        let sched = IoScheduler::with_reorder(Arc::clone(&dev) as Arc<dyn BlockDevice>, 2, None);
-        let before = dev.stats().snapshot();
-        let got: Vec<u64> = run
-            .iter_prefetch(&*dev, &sched)
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(got, data);
-        sched.barrier().unwrap();
-        // Accounting unchanged: one block access per block (ceil(1234/7)),
-        // all sequential.
-        let d = dev.stats().snapshot() - before;
-        assert_eq!(d.total_reads(), 177);
-        assert_eq!(d.rand_reads, 0);
-        // Every window after the first came from an in-flight prefetch.
-        let st = sched.stats();
-        assert!(st.prefetch_hits >= 18, "hits {}", st.prefetch_hits);
-        assert_eq!(st.prefetch_misses, 1, "only the first window misses");
-    }
-
-    #[test]
-    fn abandoned_prefetch_is_reaped_on_drop() {
-        use crate::sched::IoScheduler;
-        use std::sync::Arc;
-        let dev = MemDevice::new(64);
-        let data: Vec<u64> = (0..500).collect();
-        let run = write_run(&*dev, &data).unwrap();
-        let sched = IoScheduler::with_reorder(Arc::clone(&dev) as Arc<dyn BlockDevice>, 2, None);
-        {
-            let mut it = run.iter_prefetch(&*dev, &sched);
-            for _ in 0..20 {
-                it.next().unwrap().unwrap();
-            }
-            // Dropped mid-scan with a window in flight.
-        }
-        run.delete(&*dev).unwrap();
-        sched.barrier().unwrap(); // no stray read-after-delete error
-    }
-
-    #[test]
-    fn write_run_overlapped_matches_write_run() {
-        use crate::sched::IoScheduler;
-        use std::sync::Arc;
-        let dev = MemDevice::new(100); // padded geometry: 11 u64 + CRC + 4 bytes
-        let sched = IoScheduler::with_reorder(Arc::clone(&dev) as Arc<dyn BlockDevice>, 3, None);
-        for n in [0usize, 5, 11, 12, 500] {
-            let data: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
-            let run = write_run_overlapped(&sched, &data).unwrap();
-            assert_eq!(run.len(), n as u64);
-            sched.barrier().unwrap();
-            assert_eq!(run.read_all(&*dev).unwrap(), data, "n = {n}");
-            if n > 0 {
-                assert_eq!(run.min(), 0);
-                assert_eq!(run.max(), (n as u64 - 1) * 3);
-            }
-        }
-    }
-
-    #[test]
     fn rank_of_cached_reuses_blocks() {
         let dev = MemDevice::new(64);
         let data: Vec<u64> = (0..4096).map(|i| i * 2).collect(); // 586 blocks
@@ -1124,21 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_detected_by_prefetch_iter() {
-        use crate::error::corruption_in;
-        use crate::sched::IoScheduler;
-        use std::sync::Arc;
-        let dev = MemDevice::new(64);
-        let data: Vec<u64> = (0..700).collect();
-        let run = write_run(&*dev, &data).unwrap();
-        rot_block(&dev, &run, 50);
-        let sched = IoScheduler::with_reorder(Arc::clone(&dev) as Arc<dyn BlockDevice>, 2, None);
-        let got: io::Result<Vec<u64>> = run.iter_prefetch(&*dev, &sched).collect();
-        assert_eq!(corruption_in(&got.unwrap_err()), Some((run.file(), 50)));
-        sched.barrier().unwrap();
-    }
-
-    #[test]
     fn truncated_block_is_corruption_not_panic() {
         use crate::error::corruption_in;
         let dev = MemDevice::new(64);
@@ -1149,47 +870,5 @@ mod tests {
         dev.write_block(run.file(), 5, &[0xEEu8; 10]).unwrap();
         let err = run.read_block_items(&*dev, 5).unwrap_err();
         assert_eq!(corruption_in(&err), Some((run.file(), 5)));
-    }
-
-    #[test]
-    fn v1_runs_read_back_compat() {
-        // Hand-write an unchecksummed (V1) run: 8 u64 per 64-byte block,
-        // no trailer — the seed format. Reads must succeed unverified.
-        let dev = MemDevice::new(64);
-        let data: Vec<u64> = (0..100).collect();
-        let per = items_per_block::<u64>(64); // V1 geometry: 8
-        assert_eq!(per, 8);
-        let file = dev.create().unwrap();
-        for (idx, chunk) in data.chunks(per).enumerate() {
-            let mut raw = vec![0u8; chunk.len() * 8];
-            for (i, v) in chunk.iter().enumerate() {
-                v.encode(&mut raw[i * 8..]);
-            }
-            dev.write_block(file, idx as u64, &raw).unwrap();
-        }
-        let run = SortedRun::<u64>::from_raw_parts(file, 100, 0, 99);
-        assert_eq!(run.format(), RunFormat::V1);
-        assert_eq!(run.items_per_block(64), 8);
-        assert_eq!(run.read_all(&*dev).unwrap(), data);
-        assert_eq!(run.get(&*dev, 42).unwrap(), 42);
-        assert_eq!(run.rank_of(&*dev, 50).unwrap(), 51);
-        assert_eq!(
-            run.read_block_items(&*dev, 12).unwrap(),
-            (96..100).collect::<Vec<_>>()
-        );
-        let got: Vec<u64> = run
-            .iter(&*dev)
-            .with_readahead(4)
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(got, data);
-    }
-
-    #[test]
-    fn format_round_trips_through_byte() {
-        for fmt in [RunFormat::V1, RunFormat::V2] {
-            assert_eq!(RunFormat::from_byte(fmt.as_byte()), Some(fmt));
-        }
-        assert_eq!(RunFormat::from_byte(9), None);
     }
 }

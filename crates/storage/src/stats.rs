@@ -56,8 +56,7 @@ impl IoStats {
     }
 
     /// Count one retried operation (a transient failure that was masked
-    /// by a [`crate::RetryPolicy`], in the scheduler or a
-    /// [`crate::RetryDevice`]).
+    /// by a [`crate::RetryDevice`]'s [`crate::RetryPolicy`]).
     #[inline]
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hsq_storage::{
-    external_sort, merge_into, write_run, BlockDevice, FileId, Item, MemDevice, RunFormat,
+    external_sort, items_per_block, merge_into, write_run, BlockDevice, FileId, Item, MemDevice,
     RunWriter, F64,
 };
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ proptest! {
         // 64: 7 items a block, so long runs span many 8-block readahead
         // windows; 100: padded geometry; 4096: most runs fit one window.
         let dev = MemDevice::new([64, 100, 4096][block]);
-        let per = RunFormat::V2.items_per_block::<i64>(dev.block_size());
+        let per = items_per_block::<i64>(dev.block_size());
         for (i, run) in runs_data.iter_mut().enumerate() {
             for v in run.iter_mut() {
                 *v = match shape {

@@ -255,61 +255,59 @@
 //! compaction so recovery replays live partitions only (see
 //! `examples/retention_window.rs`).
 //!
-//! ## Overlapped I/O quickstart (`io_depth`)
+//! ## Durability
 //!
-//! With `io_depth(n)` every warehouse runs an
-//! [`hsq_storage::IoScheduler`] — io_uring-style submission/completion
-//! queues over `n` worker threads (a bounded pool today; the same API is
-//! the seam for a real io_uring backend later). Archival block writes
-//! are *submitted* rather than awaited, so they overlap summary
-//! construction and — in a [`ShardedEngine`] — each other across
-//! shards; manifest-log fsyncs become one completion barrier instead of
-//! one blocking `sync` per file. The scheduler keeps per-file FIFO
-//! order (appends stay contiguous), and the engine inserts barriers
-//! before anything reads a pending run, so queries, snapshots, and
-//! recovery are oblivious:
+//! Every device call is synchronous, and the manifest log is
+//! write-ahead: each run a record names is synced before the record
+//! lands, and the log is synced after it. A log started over archived
+//! history therefore syncs every partition, then itself, and a crash at
+//! any later point recovers the last durable record:
 //!
 //! ```
-//! use hsq::core::{HsqConfig, HistStreamQuantiles};
-//! use hsq::storage::MemDevice;
+//! use hsq::core::{manifest::ManifestLog, HsqConfig, HistStreamQuantiles};
+//! use hsq::storage::{BlockDevice, MemDevice};
+//! use std::sync::Arc;
 //!
-//! let config = HsqConfig::builder()
-//!     .epsilon(0.01)
-//!     .merge_threshold(4)
-//!     .io_depth(2) // 2 I/O workers; 0 (default) = fully synchronous
-//!     .build();
-//! let mut hsq = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), config);
+//! let config = HsqConfig::builder().epsilon(0.01).merge_threshold(4).build();
+//! let dev = MemDevice::new(4096);
+//! let mut hsq = HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), config.clone());
 //! for day in 0..3u64 {
-//!     let batch: Vec<u64> = (0..10_000u64).map(|i| day * 10_000 + i).collect();
-//!     hsq.ingest_step(&batch).unwrap(); // writes overlap the CPU work
+//!     hsq.ingest_step(&(day * 10_000..(day + 1) * 10_000).collect::<Vec<_>>()).unwrap();
 //! }
-//! let median = hsq.quantile(0.5).unwrap().expect("data is non-empty");
-//! assert!((median as i64 - 15_000).unsigned_abs() < 200);
-//! let sched = hsq.warehouse().scheduler().expect("io_depth > 0");
-//! assert!(sched.stats().async_writes > 0); // archival really overlapped
+//! let syncs = || dev.stats().snapshot().syncs;
+//! let before = syncs();
+//! let mut log = ManifestLog::create(hsq.warehouse()).unwrap();
+//! assert_eq!(syncs() - before, hsq.warehouse().num_partitions() as u64 + 1);
+//!
+//! hsq.ingest_step(&(30_000..40_000u64).collect::<Vec<_>>()).unwrap();
+//! log.append(hsq.warehouse()).unwrap();
+//! let file = log.simulate_crash(); // the process dies here
+//!
+//! let recovered = HistStreamQuantiles::<u64, _>::recover(dev, config, file).unwrap();
+//! assert_eq!(recovered.historical_len(), 40_000);
+//! let median = recovered.quantile(0.5).unwrap().expect("data is non-empty");
+//! assert!((median as i64 - 20_000).unsigned_abs() < 400);
 //! ```
 //!
-//! Durability under concurrency is defended by the fault-injection
-//! harness ([`hsq_storage::FaultDevice`]): deterministic schedules —
-//! fail op `N`, torn final block, crash-stop after op `N`, seeded
-//! completion reordering within barrier epochs
-//! (`HSQ_IO_REORDER_SEED`) — drive an exhaustive crash-point sweep in
+//! The fault-injection harness
+//! ([`hsq_storage::FaultDevice`]) defends this with deterministic
+//! schedules — fail op `N`, torn final block, crash-stop after op `N` —
+//! that drive an exhaustive crash-point sweep in
 //! `crates/core/tests/fault_injection.rs`, asserting recovery matches a
 //! non-crashing oracle within `ε·m` at **every** device mutation index.
-//! Use that harness as the template for future durability tests; see
-//! `examples/overlapped_archival.rs` for the end-to-end shape.
+//! Use that harness as the template for future durability tests.
 //!
 //! ## Self-healing storage (robustness & operations)
 //!
 //! Disks lie: reads fail transiently, and bits rot silently. The storage
 //! layer defends both, end to end:
 //!
-//! * **Checksummed run blocks.** Every run block written by the V2
-//!   format carries a CRC64 trailer, verified on *every* read path —
-//!   queries, merges, recovery, backups, scrub. V1 (unchecksummed) runs
-//!   remain readable. Manifests get the same treatment: whole-image
-//!   CRCs on snapshots, per-record CRCs with torn-tail truncation on
-//!   the append-only log (fuzzed in `crates/core/src/manifest.rs`).
+//! * **Checksummed run blocks.** Every run block carries a CRC64
+//!   trailer, verified on *every* read path — queries, merges,
+//!   recovery, backups, scrub. Manifests get the same treatment:
+//!   whole-image CRCs on snapshots, per-record CRCs with torn-tail
+//!   truncation on the append-only log (fuzzed in
+//!   `crates/core/src/manifest.rs`).
 //! * **A typed error taxonomy.** Device errors are classified as
 //!   *transient* (worth retrying), *corruption* (pinned to a
 //!   `(file, block)`), or *fatal*, carried inside `io::Error` and
@@ -414,19 +412,10 @@
 //! implementations opt in by implementing `RadixKey` honestly or opt out
 //! with `RADIXABLE = false`.
 //!
-//! **Speculative probe prefetch (`io_depth > 0`).** Accurate queries
-//! bisect the value space, and each step's disk probes are
-//! rank-addressed — so the engine knows, before choosing a direction,
-//! which block each partition would read next in *either* direction.
-//! With `io_depth(n)` it submits both candidate half-probe reads to the
-//! I/O scheduler while the acceptance arithmetic runs, so the step taken
-//! finds its block already decoded (the `query.prefetch_hit_rate`
-//! headline metric; per-query counts in
-//! [`hsq_core::QueryOutcome::prefetch_hits`]). Answers are bit-identical
-//! with prefetch on or off — property-tested — and the bisection itself
-//! is seeded from the combined summary's tightest bracket, which cuts
-//! p50 probe counts from ~45 (domain-seeded) to ~3 on the headline
-//! workload.
+//! **Summary-seeded bisection.** Accurate queries bisect the value
+//! space, and the bisection is seeded from the combined summary's
+//! tightest bracket, which cuts p50 probe counts from ~45 (domain-seeded)
+//! to ~3 on the headline workload.
 //!
 //! **One query path.** Every surface — [`HistStreamQuantiles`],
 //! [`hsq_core::EngineSnapshot`], [`ShardedEngine`] / [`ShardedSnapshot`],

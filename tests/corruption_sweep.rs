@@ -23,11 +23,10 @@ fn value(seed: u64, i: u64) -> u64 {
 
 /// A fresh engine over `seed`'s deterministic workload plus its sorted
 /// oracle (history and live stream together).
-fn build(seed: u64, io_depth: usize) -> (HistStreamQuantiles<u64, MemDevice>, Vec<u64>) {
+fn build(seed: u64) -> (HistStreamQuantiles<u64, MemDevice>, Vec<u64>) {
     let cfg = HsqConfig::builder()
         .epsilon(EPS)
         .merge_threshold(3)
-        .io_depth(io_depth)
         .retry(RetryPolicy::immediate(4))
         .build();
     let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
@@ -86,67 +85,65 @@ fn assert_sound(oracle: &[u64], o: &QueryOutcome<u64>, r: u64, eps_m: u64) {
 fn bit_rot_sweep_every_block_degrades_soundly_then_repairs() {
     let eps_m = (EPS * STREAM_ITEMS as f64).floor() as u64;
     for &seed in &[0u64, 7, 23] {
-        for &depth in &[0usize, 2] {
-            // The layout is deterministic per (seed, depth): discover the
-            // per-partition block counts once, then sweep every block.
-            let (h0, _) = build(seed, depth);
-            let bs = h0.warehouse().device().block_size();
-            let layout: Vec<u64> = h0
-                .warehouse()
-                .partitions_newest_first()
-                .iter()
-                .map(|p| p.run.len().div_ceil(p.run.items_per_block(bs) as u64))
-                .collect();
-            drop(h0);
-            assert!(layout.iter().sum::<u64>() >= 16, "sweep must be real");
+        // The layout is deterministic per seed: discover the
+        // per-partition block counts once, then sweep every block.
+        let (h0, _) = build(seed);
+        let bs = h0.warehouse().device().block_size();
+        let layout: Vec<u64> = h0
+            .warehouse()
+            .partitions_newest_first()
+            .iter()
+            .map(|p| p.run.len().div_ceil(p.run.items_per_block(bs) as u64))
+            .collect();
+        drop(h0);
+        assert!(layout.iter().sum::<u64>() >= 16, "sweep must be real");
 
-            for (pi, &blocks) in layout.iter().enumerate() {
-                for b in 0..blocks {
-                    let ctx = format!("seed {seed} depth {depth} partition {pi} block {b}");
-                    let (mut h, oracle) = build(seed, depth);
-                    let n = h.total_len();
-                    let dev = Arc::clone(h.warehouse().device());
-                    let (file, block_items) = {
-                        let p = h.warehouse().partitions_newest_first()[pi];
-                        let per = p.run.items_per_block(bs) as u64;
-                        (p.run.file(), (p.run.len() - b * per).min(per))
-                    };
-                    rot(&dev, file, b);
+        for (pi, &blocks) in layout.iter().enumerate() {
+            for b in 0..blocks {
+                let ctx = format!("seed {seed} partition {pi} block {b}");
+                let (mut h, oracle) = build(seed);
+                let n = h.total_len();
+                let dev = Arc::clone(h.warehouse().device());
+                let (file, block_items) = {
+                    let p = h.warehouse().partitions_newest_first()[pi];
+                    let per = p.run.items_per_block(bs) as u64;
+                    (p.run.file(), (p.run.len() - b * per).min(per))
+                };
+                rot(&dev, file, b);
 
-                    // Degraded-or-correct: every answer either matches the
-                    // oracle within eps*m or is flagged with exact widening.
-                    for r in [n / 4, n / 2, (3 * n) / 4] {
-                        let o = h.rank_query(r).unwrap().unwrap();
-                        assert_sound(&oracle, &o, r, eps_m);
-                        if o.degraded {
-                            assert_eq!(o.quarantined, h.warehouse().quarantined_mass(), "{ctx}");
-                        }
+                // Degraded-or-correct: every answer either matches the
+                // oracle within eps*m or is flagged with exact widening.
+                for r in [n / 4, n / 2, (3 * n) / 4] {
+                    let o = h.rank_query(r).unwrap().unwrap();
+                    assert_sound(&oracle, &o, r, eps_m);
+                    if o.degraded {
+                        assert_eq!(o.quarantined, h.warehouse().quarantined_mass(), "{ctx}");
                     }
+                }
 
-                    // Scrub converges: quarantine (if a query did not
-                    // already), repair, then one provably clean pass.
-                    let mut passes = 0;
-                    while h.scrub(1_000_000).unwrap().quarantined_after > 0 {
-                        passes += 1;
-                        assert!(passes < 4, "scrub must converge ({ctx})");
-                    }
-                    let clean = h.scrub(1_000_000).unwrap();
-                    assert_eq!(clean.corrupt_blocks, 0, "{ctx}");
-                    assert_eq!(
-                        h.warehouse().lost_items(),
-                        block_items,
-                        "exactly the rotted block is lost ({ctx})"
-                    );
-                    assert_eq!(h.total_len(), n - block_items, "{ctx}");
+                // Scrub converges: quarantine (if a query did not
+                // already), repair, then one provably clean pass.
+                let mut passes = 0;
+                while h.scrub(1_000_000).unwrap().quarantined_after > 0 {
+                    passes += 1;
+                    assert!(passes < 4, "scrub must converge ({ctx})");
+                }
+                let clean = h.scrub(1_000_000).unwrap();
+                assert_eq!(clean.corrupt_blocks, 0, "{ctx}");
+                assert_eq!(
+                    h.warehouse().lost_items(),
+                    block_items,
+                    "exactly the rotted block is lost ({ctx})"
+                );
+                assert_eq!(h.total_len(), n - block_items, "{ctx}");
 
-                    // Post-repair: answers sound modulo the confirmed loss,
-                    // which is all that remains of the widening.
-                    let n2 = h.total_len();
-                    for r in [n2 / 4, n2 / 2, (3 * n2) / 4] {
-                        let o = h.rank_query(r).unwrap().unwrap();
-                        assert_eq!(o.quarantined, block_items, "{ctx}");
-                        assert_sound(&oracle, &o, r, eps_m);
-                    }
+                // Post-repair: answers sound modulo the confirmed loss,
+                // which is all that remains of the widening.
+                let n2 = h.total_len();
+                for r in [n2 / 4, n2 / 2, (3 * n2) / 4] {
+                    let o = h.rank_query(r).unwrap().unwrap();
+                    assert_eq!(o.quarantined, block_items, "{ctx}");
+                    assert_sound(&oracle, &o, r, eps_m);
                 }
             }
         }
