@@ -763,82 +763,6 @@ fn sketch_metrics() -> Vec<SketchRow> {
     rows
 }
 
-/// One compaction policy's row in the KLL det-vs-rand A/B.
-struct CompactionRow {
-    name: String,
-    max_rel_err: f64,
-    memory_words: usize,
-}
-
-/// Deterministic vs seeded-randomized KLL compaction at the same ε over
-/// the same stream: observed max rank error (gated in-bin at `ε·n` for
-/// every policy) and memory. The randomized policy is additionally
-/// asserted to *replay identically* — two sketches under the same seed
-/// answer the same rank sweep with the same values.
-fn compaction_ab_metrics() -> Vec<CompactionRow> {
-    use hsq_sketch::{AnySketch, QuantileSketch, SketchCompaction, SketchKind};
-    const EPS: f64 = 0.01;
-    const N: usize = 1 << 19;
-    const SEED: u64 = 42;
-    let data: Vec<u64> = Dataset::Uniform.generator(4242).take_vec(N);
-    let mut sorted = data.clone();
-    sorted.sort_unstable();
-
-    let build = |mode: SketchCompaction| {
-        let mut s = AnySketch::<u64>::with_compaction(SketchKind::Kll, EPS, mode);
-        let mut buf = data.clone();
-        for chunk in buf.chunks_mut(4096) {
-            s.insert_batch(chunk);
-        }
-        s
-    };
-    let sweep = |s: &AnySketch<u64>| -> Vec<u64> {
-        (1..=200u64)
-            .map(|i| {
-                let r = (N as u64 * i) / 201 + 1;
-                s.rank_query(r).expect("non-empty sketch").value
-            })
-            .collect()
-    };
-
-    let mut rows = Vec::new();
-    for (name, mode) in [
-        ("kll-det".to_string(), SketchCompaction::Deterministic),
-        (
-            format!("kll-rand-{SEED}"),
-            SketchCompaction::Randomized { seed: SEED },
-        ),
-    ] {
-        let s = build(mode);
-        if let SketchCompaction::Randomized { .. } = mode {
-            assert_eq!(
-                sweep(&s),
-                sweep(&build(mode)),
-                "randomized compaction must replay identically under seed {SEED}"
-            );
-        }
-        let mut max_dist = 0u64;
-        for (i, &v) in sweep(&s).iter().enumerate() {
-            let r = (N as u64 * (i as u64 + 1)) / 201 + 1;
-            let lo = sorted.partition_point(|&x| x < v) as u64 + 1;
-            let hi = sorted.partition_point(|&x| x <= v) as u64;
-            let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
-            max_dist = max_dist.max(dist);
-        }
-        assert!(
-            max_dist as f64 <= EPS * N as f64 + 1.0,
-            "{name}: observed rank error {max_dist} breaks the eps*n = {} bound",
-            EPS * N as f64
-        );
-        rows.push(CompactionRow {
-            name,
-            max_rel_err: max_dist as f64 / (EPS * N as f64),
-            memory_words: s.memory_words(),
-        });
-    }
-    rows
-}
-
 /// Retention metrics: steady-state partition bytes of an engine
 /// ingesting indefinitely under a byte-cap policy (deterministic given
 /// the seed), and the cost of sliding-window queries over the retained
@@ -976,14 +900,6 @@ fn main() {
         );
     }
 
-    let compaction_rows = compaction_ab_metrics();
-    for r in &compaction_rows {
-        println!(
-            "compaction[{}]: max err {:.2} eps*n, {} words",
-            r.name, r.max_rel_err, r.memory_words,
-        );
-    }
-
     let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, cached_speedup, fresh_secs, reused_secs) =
         query_metrics();
     println!(
@@ -1061,16 +977,6 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let compaction_json = compaction_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"max_rel_err\": {:.4}, \"memory_words\": {}}}",
-                r.name, r.max_rel_err, r.memory_words
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"headline\",\n  \"steps\": {},\n  \"step_items\": {},\n",
@@ -1080,8 +986,7 @@ fn main() {
             "\"radix_sort_elems_per_sec\": {:.0}, ",
             "\"comparison_sort_elems_per_sec\": {:.0}, \"radix_speedup\": {:.2}, ",
             "\"merge_ns_per_item\": {:.1}}},\n",
-            "  \"sketch\": {{\"epsilon\": 0.01, \"elems\": 524288, \"backends\": [\n{}\n  ],\n",
-            "  \"compaction_ab\": [\n{}\n  ]}},\n",
+            "  \"sketch\": {{\"epsilon\": 0.01, \"elems\": 524288, \"backends\": [\n{}\n  ]}},\n",
             "  \"query\": {{\"summary_p50_probes\": {:.1}, \"summary_p99_probes\": {:.1}, ",
             "\"domain_p50_probes\": {:.1}, \"domain_p99_probes\": {:.1}, ",
             "\"cached_summary_speedup\": {:.2}, ",
@@ -1116,7 +1021,6 @@ fn main() {
         radix_speedup,
         merge_ns,
         sketch_json,
-        compaction_json,
         q_s_p50,
         q_s_p99,
         q_d_p50,

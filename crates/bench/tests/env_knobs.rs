@@ -3,8 +3,7 @@
 //! The repo's convention: a *set but garbage* knob must fail the process
 //! loudly, naming the variable — never silently fall back to a default
 //! (a typo'd `HSQ_WORKERS=eight` running single-threaded would corrupt a
-//! benchmark with zero signal; `HSQ_SEED` without randomized compaction
-//! would claim a sweep that never ran). This sweep drives every knob's
+//! benchmark with zero signal). This sweep drives every knob's
 //! reader with garbage and with good values and checks both directions.
 //!
 //! Knob readers run at engine-construction time deep inside library
@@ -21,13 +20,11 @@ use std::process::Command;
 /// Every knob the sweep scrubs before injecting a case. Keep in sync
 /// with the `HSQ_*` reads across the workspace (`rg 'HSQ_[A-Z_]+'`);
 /// CI legs export several of these, and a leaked one would cross-talk
-/// into an unrelated probe (e.g. `HSQ_SEED` leaking into the
-/// `compaction` probe flips its verdict).
+/// into an unrelated probe (e.g. a leaked `HSQ_FLEET` flips the `fleet`
+/// probe's no-fleet cases).
 const ALL_KNOBS: &[&str] = &[
     "HSQ_WORKERS",
     "HSQ_SKETCH",
-    "HSQ_COMPACTION",
-    "HSQ_SEED",
     "HSQ_BENCH_FULL",
     "HSQ_BENCH_JSON",
     "HSQ_FLEET",
@@ -51,10 +48,6 @@ fn env_knob_probe() {
         "sketch" => {
             let k = hsq_sketch::SketchKind::from_env();
             println!("probe ok: sketch = {k:?}");
-        }
-        "compaction" => {
-            let c = hsq_sketch::SketchCompaction::from_env();
-            println!("probe ok: compaction = {c:?}");
         }
         "bench_full" => {
             let scale = hsq_bench::Scale::from_args();
@@ -127,46 +120,6 @@ fn hsq_sketch_sweep() {
     for garbage in ["klll", "gk2", "", "quantile"] {
         rejects("sketch", &[("HSQ_SKETCH", garbage)], "HSQ_SKETCH");
     }
-}
-
-#[test]
-fn hsq_compaction_and_seed_sweep() {
-    accepts("compaction", &[]);
-    accepts("compaction", &[("HSQ_COMPACTION", "deterministic")]);
-    accepts("compaction", &[("HSQ_COMPACTION", "det")]);
-    accepts(
-        "compaction",
-        &[("HSQ_COMPACTION", "randomized"), ("HSQ_SEED", "42")],
-    );
-    // Randomized without a seed defaults to seed 0; an empty seed counts
-    // as unset (matrix legs blank it on non-randomized legs).
-    accepts("compaction", &[("HSQ_COMPACTION", "rand")]);
-    accepts(
-        "compaction",
-        &[("HSQ_COMPACTION", "deterministic"), ("HSQ_SEED", "  ")],
-    );
-    for garbage in ["fifo", "random!", "", "deterministc"] {
-        rejects(
-            "compaction",
-            &[("HSQ_COMPACTION", garbage)],
-            "HSQ_COMPACTION",
-        );
-    }
-    for garbage in ["banana", "-1", "1.5"] {
-        rejects(
-            "compaction",
-            &[("HSQ_COMPACTION", "randomized"), ("HSQ_SEED", garbage)],
-            "HSQ_SEED",
-        );
-    }
-    // Consistency, not just parsing: a seed the selected mode would
-    // silently drop is itself an error.
-    rejects("compaction", &[("HSQ_SEED", "42")], "HSQ_SEED");
-    rejects(
-        "compaction",
-        &[("HSQ_COMPACTION", "deterministic"), ("HSQ_SEED", "42")],
-        "HSQ_SEED",
-    );
 }
 
 #[test]

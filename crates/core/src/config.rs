@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::retention::RetentionPolicy;
-use hsq_sketch::{SketchCompaction, SketchKind};
+use hsq_sketch::SketchKind;
 use hsq_storage::RetryPolicy;
 
 /// Typed rejection of an invalid configuration value, so embedders can
@@ -97,16 +97,10 @@ pub struct HsqConfig {
     /// [`SketchKind::Kll`] (O(1) amortized updates, exact merges). The
     /// builder default honors the `HSQ_SKETCH` environment variable
     /// (`"gk"` / `"kll"`), which is how CI runs the whole property suite
-    /// under both backends without per-test plumbing.
+    /// under both backends without per-test plumbing. KLL compacts on one
+    /// deterministic schedule (alternating per-level parity), so either
+    /// backend replays byte-identically from the same inputs.
     pub sketch: SketchKind,
-    /// Compaction policy for the KLL stream sketch (ignored by GK):
-    /// [`SketchCompaction::Deterministic`] (the default; alternating
-    /// parity per level) or [`SketchCompaction::Randomized`] (seeded
-    /// coin-flip parity, the classic KLL analysis). The builder default
-    /// honors the `HSQ_COMPACTION` / `HSQ_SEED` environment variables so
-    /// CI can sweep the randomized mode without per-test plumbing; both
-    /// modes replay byte-identically for a fixed seed.
-    pub sketch_compaction: SketchCompaction,
 }
 
 impl HsqConfig {
@@ -160,7 +154,6 @@ impl HsqConfig {
             retry: RetryPolicy::none(),
             strict: false,
             sketch: SketchKind::from_env_or(SketchKind::Gk),
-            sketch_compaction: SketchCompaction::from_env_or(SketchCompaction::Deterministic),
         }
     }
 }
@@ -177,7 +170,6 @@ pub struct HsqConfigBuilder {
     retry: RetryPolicy,
     strict: bool,
     sketch: SketchKind,
-    sketch_compaction: SketchCompaction,
 }
 
 impl Default for HsqConfigBuilder {
@@ -192,7 +184,6 @@ impl Default for HsqConfigBuilder {
             retry: RetryPolicy::none(),
             strict: false,
             sketch: SketchKind::from_env_or(SketchKind::Gk),
-            sketch_compaction: SketchCompaction::from_env_or(SketchCompaction::Deterministic),
         }
     }
 }
@@ -273,18 +264,10 @@ impl HsqConfigBuilder {
         self
     }
 
-    /// Select the KLL compaction policy (see
-    /// [`HsqConfig::sketch_compaction`]); no effect under GK.
-    pub fn sketch_compaction(mut self, mode: SketchCompaction) -> Self {
-        self.sketch_compaction = mode;
-        self
-    }
-
     /// Finalize, applying Algorithm 1's parameter split.
     pub fn build(self) -> HsqConfig {
         let mut cfg = HsqConfig::with_epsilons(self.epsilon / 2.0, self.epsilon / 4.0);
         cfg.sketch = self.sketch;
-        cfg.sketch_compaction = self.sketch_compaction;
         cfg.kappa = self.kappa;
         cfg.sort_budget_items = self.sort_budget_items;
         cfg.cache_blocks = self.cache_blocks;
@@ -397,25 +380,5 @@ mod tests {
         }
         let cfg = HsqConfig::builder().try_epsilon(0.2).unwrap().build();
         assert!((cfg.epsilon() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sketch_compaction_knob() {
-        let cfg = HsqConfig::builder()
-            .epsilon(0.1)
-            .sketch(SketchKind::Kll)
-            .sketch_compaction(SketchCompaction::Randomized { seed: 7 })
-            .build();
-        assert_eq!(
-            cfg.sketch_compaction,
-            SketchCompaction::Randomized { seed: 7 }
-        );
-        // The default honors HSQ_COMPACTION/HSQ_SEED (the CI matrix may
-        // set them), with deterministic alternation as the fallback.
-        let default = HsqConfig::with_epsilon(0.1);
-        assert_eq!(
-            default.sketch_compaction,
-            SketchCompaction::from_env_or(SketchCompaction::Deterministic)
-        );
     }
 }

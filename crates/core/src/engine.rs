@@ -55,12 +55,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// Create an engine on `dev` with the given configuration
     /// (Algorithm 1's initialization).
     pub fn new(dev: Arc<D>, config: HsqConfig) -> Self {
-        let stream = StreamProcessor::with_compaction(
-            config.sketch,
-            config.sketch_compaction,
-            config.epsilon2,
-            config.beta2,
-        );
+        let stream = StreamProcessor::with_kind(config.sketch, config.epsilon2, config.beta2);
         HistStreamQuantiles {
             warehouse: Warehouse::new(dev, config.clone()),
             stream,
@@ -425,12 +420,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         let (stream, staging, staging_segments) = match recovered {
             Some(s) => (s.proc, s.staging, s.segments),
             None => (
-                StreamProcessor::with_compaction(
-                    config.sketch,
-                    config.sketch_compaction,
-                    config.epsilon2,
-                    config.beta2,
-                ),
+                StreamProcessor::with_kind(config.sketch, config.epsilon2, config.beta2),
                 Vec::new(),
                 Vec::new(),
             ),

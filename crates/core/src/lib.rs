@@ -107,7 +107,7 @@ pub use heavy::{HeavyHitter, HeavyHitterConfig, HeavyTracker};
 // The storage error taxonomy, re-exported so downstream layers (the
 // networked service's `NetRetryPolicy` mirrors `RetryPolicy`) classify
 // failures with one vocabulary.
-pub use hsq_sketch::{SketchCompaction, SketchKind};
+pub use hsq_sketch::SketchKind;
 pub use hsq_storage::{
     corruption_in, is_transient, RetryDevice, RetryPolicy, StorageError, StorageErrorKind,
 };

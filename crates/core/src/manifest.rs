@@ -22,7 +22,7 @@
 //!   num_entries  (value rank block)*
 //! stream_flag (0|1); if 1:
 //!   kind  epsilon  n  [min max]  sketch payload (GK tuples | KLL levels
-//!   + compaction tag, seed, rng cursor)
+//!   + three reserved words, must be 0)
 //!   num_staged  item*  num_segments  segment_end*
 //! crc64 (of everything above)
 //! ```
@@ -76,7 +76,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 
-use hsq_sketch::{AnySketch, GkSketch, KllSketch, QuantileSketch, SketchCompaction, SketchKind};
+use hsq_sketch::{AnySketch, GkSketch, KllSketch, QuantileSketch, SketchKind};
 use hsq_storage::{crc64, BlockDevice, FileId, Item, SortedRun};
 
 use crate::config::HsqConfig;
@@ -353,16 +353,12 @@ fn encode_stream_state<T: Item>(out: &mut Writer, s: &StreamRefs<'_, T>) {
                     out.item(v);
                 }
             }
-            // Compaction descriptor: mode tag, seed, RNG cursor — what
-            // lets a randomized sketch resume its coin-flip sequence
-            // exactly where the persisted state left off.
-            let (tag, seed) = match kll.compaction() {
-                SketchCompaction::Deterministic => (0u64, 0u64),
-                SketchCompaction::Randomized { seed } => (1, seed),
-            };
-            out.u64(tag);
-            out.u64(seed);
-            out.u64(kll.rng_state());
+            // Three reserved words, once the randomized-compaction
+            // descriptor (mode tag, seed, RNG cursor); always 0 so the
+            // layout is unchanged.
+            out.u64(0);
+            out.u64(0);
+            out.u64(0);
         }
     }
     out.u64(s.staging.len() as u64);
@@ -438,17 +434,14 @@ fn decode_stream_state<T: Item>(
                 }
                 levels.push(level);
             }
-            let mut kll = KllSketch::from_raw_parts(epsilon, n, min, max, err, parity, levels)
+            let kll = KllSketch::from_raw_parts(epsilon, n, min, max, err, parity, levels)
                 .map_err(|e| corrupt(&format!("stream sketch invalid: {e}")))?;
-            let tag = r.u64()?;
-            let seed = r.u64()?;
-            let rng = r.u64()?;
-            let mode = match tag {
-                0 => SketchCompaction::Deterministic,
-                1 => SketchCompaction::Randomized { seed },
-                _ => return Err(corrupt("unknown compaction mode tag")),
-            };
-            kll.restore_compaction(mode, rng);
+            // A nonzero reserved word is a randomized-compaction sketch:
+            // refuse it rather than resume on a different schedule.
+            let reserved = [r.u64()?, r.u64()?, r.u64()?];
+            if reserved != [0; 3] {
+                return Err(corrupt("randomized KLL compaction is not supported"));
+            }
             AnySketch::Kll(kll)
         }
     };
@@ -484,13 +477,8 @@ fn decode_stream_state<T: Item>(
         segments.push(end);
         prev = end;
     }
-    let proc = StreamProcessor::from_recovered(
-        sketch,
-        config.sketch,
-        config.sketch_compaction,
-        config.epsilon2,
-        config.beta2,
-    );
+    let proc =
+        StreamProcessor::from_recovered(sketch, config.sketch, config.epsilon2, config.beta2);
     Ok(RecoveredStream {
         proc,
         staging,
@@ -1609,17 +1597,15 @@ mod tests {
     }
 
     #[test]
-    fn randomized_kll_stream_resumes_mid_step() {
-        // Persist mid-step under randomized compaction, recover, and run
-        // both engines through the same suffix: the recovered RNG cursor
-        // must continue the exact coin-flip sequence, so the two sketches
-        // stay byte-identical.
-        let mode = hsq_sketch::SketchCompaction::Randomized { seed: 23 };
+    fn kll_stream_resumes_mid_step() {
+        // Persist mid-step under KLL, recover, and run both engines
+        // through the same suffix: the recovered parity mask must continue
+        // the exact compaction schedule, so the two sketches stay
+        // byte-identical.
         let cfg = HsqConfig::builder()
             .epsilon(0.05)
             .merge_threshold(3)
             .sketch(hsq_sketch::SketchKind::Kll)
-            .sketch_compaction(mode)
             .build();
         let dev = MemDevice::new(256);
         let mut engine =
@@ -1635,9 +1621,7 @@ mod tests {
         recovered.stream_extend(&data[20_000..]);
         match (engine.stream().sketch(), recovered.stream().sketch()) {
             (AnySketch::Kll(x), AnySketch::Kll(y)) => {
-                assert_eq!(x.compaction(), mode);
-                assert_eq!(y.compaction(), mode);
-                assert_eq!(x.rng_state(), y.rng_state(), "RNG cursor must resume");
+                assert_eq!(x.parity_mask(), y.parity_mask(), "parity must resume");
                 assert_eq!(x.raw_levels(), y.raw_levels());
                 assert_eq!(x.tracked_err(), y.tracked_err());
             }
@@ -1648,6 +1632,56 @@ mod tests {
                 engine.quantile(phi).unwrap(),
                 recovered.quantile(phi).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn nonzero_kll_reserved_words_rejected() {
+        // A CRC-valid engine image holding a one-item KLL stream sketch;
+        // only its three reserved words vary. All-zero recovers, anything
+        // else (a randomized-compaction descriptor) is refused.
+        let dev = MemDevice::new(256);
+        let image = |reserved: [u64; 3]| {
+            let mut out = Writer::new();
+            out.buf.extend_from_slice(MAGIC);
+            out.u64(VERSION);
+            out.u64(8);
+            out.u64(0); // steps
+            out.u64(0); // total_len
+            encode_quarantine(&mut out, 0, &[]);
+            out.u64(0); // partitions
+            out.u64(1); // stream section
+            out.u64(SKETCH_KLL);
+            out.u64(0.05f64.to_bits());
+            out.u64(1); // n
+            out.item(42u64); // min
+            out.item(42u64); // max
+            out.u64(0); // tracked err
+            out.u64(0); // parity
+            out.u64(1); // levels
+            out.u64(1);
+            out.item(42u64);
+            for w in reserved {
+                out.u64(w);
+            }
+            out.u64(1); // staging
+            out.item(42u64);
+            out.u64(1); // segments
+            out.u64(1);
+            let crc = crc64(&out.buf);
+            out.u64(crc);
+            write_image(&dev, &out.buf)
+        };
+        let cfg = HsqConfig::with_epsilon(0.1);
+        let (_, stream) =
+            recover_with_stream::<u64, _>(Arc::clone(&dev), cfg.clone(), image([0, 0, 0])).unwrap();
+        assert_eq!(stream.unwrap().staging, vec![42]);
+        for reserved in [[1, 7, 0], [1, 7, 0x9E37], [0, 0, 5]] {
+            let err = recover::<u64, _>(Arc::clone(&dev), cfg.clone(), image(reserved))
+                .err()
+                .unwrap();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reserved:?}");
+            assert!(err.to_string().contains("randomized"), "{err}");
         }
     }
 

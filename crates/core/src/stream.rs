@@ -29,7 +29,7 @@
 //! hence last-to-expire — partition. Queries over the retained union
 //! keep Theorem 2's `ε·m` error with `m` the live stream size.
 
-use hsq_sketch::{AnySketch, QuantileSketch, RankEstimate, SketchCompaction, SketchKind};
+use hsq_sketch::{AnySketch, QuantileSketch, RankEstimate, SketchKind};
 use hsq_storage::Item;
 
 /// One extracted stream-summary element with rigorous rank bounds in `R`.
@@ -178,9 +178,6 @@ pub struct StreamProcessor<T: Copy + Ord> {
     /// the sketch at this kind, so a recovered foreign-backend sketch
     /// switches over at the next step boundary.
     kind: SketchKind,
-    /// Configured KLL compaction policy (carried so [`Self::reset`] and
-    /// cross-backend switchovers preserve it; GK ignores it).
-    compaction: SketchCompaction,
     epsilon2: f64,
     beta2: usize,
 }
@@ -194,21 +191,9 @@ impl<T: Item> StreamProcessor<T> {
 
     /// `StreamInit(ε₂, β₂)` on an explicitly chosen sketch backend.
     pub fn with_kind(kind: SketchKind, epsilon2: f64, beta2: usize) -> Self {
-        Self::with_compaction(kind, SketchCompaction::Deterministic, epsilon2, beta2)
-    }
-
-    /// `StreamInit(ε₂, β₂)` on an explicitly chosen backend *and* KLL
-    /// compaction policy (GK ignores the policy).
-    pub fn with_compaction(
-        kind: SketchKind,
-        compaction: SketchCompaction,
-        epsilon2: f64,
-        beta2: usize,
-    ) -> Self {
         StreamProcessor {
-            sketch: AnySketch::with_compaction(kind, epsilon2 / 2.0, compaction),
+            sketch: AnySketch::new(kind, epsilon2 / 2.0),
             kind,
-            compaction,
             epsilon2,
             beta2,
         }
@@ -221,14 +206,12 @@ impl<T: Item> StreamProcessor<T> {
     pub(crate) fn from_recovered(
         sketch: AnySketch<T>,
         kind: SketchKind,
-        compaction: SketchCompaction,
         epsilon2: f64,
         beta2: usize,
     ) -> Self {
         StreamProcessor {
             sketch,
             kind,
-            compaction,
             epsilon2,
             beta2,
         }
@@ -299,11 +282,6 @@ impl<T: Item> StreamProcessor<T> {
     /// recovery; see [`StreamProcessor::reset`].
     pub fn kind(&self) -> SketchKind {
         self.kind
-    }
-
-    /// The configured KLL compaction policy.
-    pub fn compaction(&self) -> SketchCompaction {
-        self.compaction
     }
 
     /// Words of memory used by the sketch (Lemma 9's budget unit).
@@ -409,12 +387,9 @@ impl<T: Item> StreamProcessor<T> {
     /// configured backend takes over.
     pub fn reset(&mut self) {
         if self.sketch.kind() == self.kind {
-            // KLL's reset keeps its configured compaction mode (and, in
-            // randomized mode, re-derives the RNG from the seed).
             self.sketch.reset();
         } else {
-            self.sketch =
-                AnySketch::with_compaction(self.kind, self.epsilon2 / 2.0, self.compaction);
+            self.sketch = AnySketch::new(self.kind, self.epsilon2 / 2.0);
         }
     }
 }
@@ -604,7 +579,6 @@ mod tests {
         let mut sp = StreamProcessor::<u64>::from_recovered(
             hsq_sketch::AnySketch::new(SketchKind::Gk, 0.05),
             SketchKind::Kll,
-            SketchCompaction::Deterministic,
             0.1,
             11,
         );
@@ -658,37 +632,6 @@ mod tests {
                     "{kind:?}: probe {probe} truth {truth} outside [{lo},{hi}]"
                 );
             }
-        }
-    }
-
-    /// The configured compaction policy survives both reset arms.
-    #[test]
-    fn reset_preserves_compaction_policy() {
-        let mode = SketchCompaction::Randomized { seed: 23 };
-        let mut sp = StreamProcessor::<u64>::with_compaction(SketchKind::Kll, mode, 0.1, 11);
-        assert_eq!(sp.compaction(), mode);
-        for v in 0..5000u64 {
-            sp.update(v);
-        }
-        sp.reset();
-        assert!(sp.is_empty());
-        assert_eq!(sp.compaction(), mode);
-        match sp.sketch() {
-            hsq_sketch::AnySketch::Kll(k) => assert_eq!(k.compaction(), mode),
-            other => panic!("expected KLL, got {:?}", other.kind()),
-        }
-        // Cross-backend switchover also lands on the configured mode.
-        let mut sp = StreamProcessor::<u64>::from_recovered(
-            hsq_sketch::AnySketch::new(SketchKind::Gk, 0.05),
-            SketchKind::Kll,
-            mode,
-            0.1,
-            11,
-        );
-        sp.reset();
-        match sp.sketch() {
-            hsq_sketch::AnySketch::Kll(k) => assert_eq!(k.compaction(), mode),
-            other => panic!("expected KLL, got {:?}", other.kind()),
         }
     }
 

@@ -1,5 +1,4 @@
-//! Property harness for weighted ingestion and seeded randomized KLL
-//! compaction.
+//! Property harness for weighted ingestion.
 //!
 //! The weighted contract under test: feeding `(item, w)` pairs through
 //! the weighted ingestion paths is equivalent to feeding `w` replicated
@@ -7,19 +6,9 @@
 //! weight `W`), same archived bytes, and quantile answers within the
 //! Theorem 2 `ε·W` bound of exact-over-replicated — for the single
 //! engine, sharded engines at 1/2/8 shards, and windowed queries.
-//!
-//! The randomized-compaction contract: under a fixed seed the KLL
-//! coin-flip sequence is a pure function of sketch state, so two engines
-//! fed identical data answer identically (per seed), while each seed
-//! still meets the same `ε·m` union guarantee as the deterministic
-//! policy.
 
-use std::sync::Arc;
-
-use hsq_core::{HistStreamQuantiles, HsqConfig, ShardedEngine, SketchCompaction, SketchKind};
+use hsq_core::{HistStreamQuantiles, HsqConfig, ShardedEngine, SketchKind};
 use hsq_storage::MemDevice;
-
-const SEEDS: [u64; 3] = [0, 7, 23];
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut x = seed | 1;
@@ -191,90 +180,6 @@ fn weighted_windowed_matches_replicated() {
                 let v = h.quantile_in_window(w, phi).unwrap().unwrap();
                 assert_within(&win, v, phi, allowed, &format!("{kind}/window={w}"));
             }
-        }
-    }
-}
-
-/// Deterministic vs randomized KLL compaction A/B: per seed, two engines
-/// fed identical weighted data answer *identically* (the coin flips are
-/// a pure function of seed and state), and every seed independently
-/// meets the `ε·m` bound the deterministic policy meets.
-#[test]
-fn kll_randomized_replays_identically_and_meets_bound() {
-    let eps = 0.05;
-    let pairs = gen_pairs(0xABCD, 2000, 5);
-    let mut all = replicate(&pairs);
-    let m = all.len() as u64;
-    all.sort_unstable();
-    let allowed = (eps * m as f64).ceil() as u64 + 1;
-    let phis: Vec<f64> = [1u32, 10, 25, 50, 75, 90, 99, 100]
-        .iter()
-        .map(|&p| p as f64 / 100.0)
-        .collect();
-
-    let run = |mode: SketchCompaction| {
-        let cfg = HsqConfig::builder()
-            .epsilon(eps)
-            .merge_threshold(3)
-            .sketch(SketchKind::Kll)
-            .sketch_compaction(mode)
-            .build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        h.stream_extend_weighted(&pairs[..1200]);
-        for &(v, w) in &pairs[1200..] {
-            h.stream_update_weighted(v, w);
-        }
-        phis.iter()
-            .map(|&phi| h.quantile(phi).unwrap().unwrap())
-            .collect::<Vec<u64>>()
-    };
-
-    let det = run(SketchCompaction::Deterministic);
-    for (i, &phi) in phis.iter().enumerate() {
-        assert_within(&all, det[i], phi, allowed, "det");
-    }
-    for seed in SEEDS {
-        let a = run(SketchCompaction::Randomized { seed });
-        let b = run(SketchCompaction::Randomized { seed });
-        assert_eq!(a, b, "seed={seed}: replay must be identical");
-        for (i, &phi) in phis.iter().enumerate() {
-            assert_within(&all, a[i], phi, allowed, &format!("rand seed={seed}"));
-        }
-    }
-}
-
-/// A randomized KLL engine persisted mid-stream resumes byte-identically:
-/// the recovered engine's answers match the uninterrupted original both
-/// immediately and after both absorb the same suffix.
-#[test]
-fn randomized_kll_persist_recover_resumes_identically() {
-    let eps = 0.05;
-    for seed in SEEDS {
-        let cfg = HsqConfig::builder()
-            .epsilon(eps)
-            .merge_threshold(3)
-            .sketch(SketchKind::Kll)
-            .sketch_compaction(SketchCompaction::Randomized { seed })
-            .build();
-        let pairs = gen_pairs(seed.wrapping_add(11), 1600, 4);
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(512), cfg.clone());
-        h.ingest_step(&replicate(&pairs[..400])).unwrap();
-        h.stream_extend_weighted(&pairs[400..1000]);
-        let manifest = h.persist().unwrap();
-        let dev = Arc::clone(h.warehouse().device());
-        let mut r = HistStreamQuantiles::<u64, _>::recover(dev, cfg, manifest).unwrap();
-
-        // Both continue with the identical weighted suffix.
-        h.stream_extend_weighted(&pairs[1000..]);
-        r.stream_extend_weighted(&pairs[1000..]);
-        assert_eq!(r.stream_len(), h.stream_len(), "seed={seed}");
-        for phi_pct in [1u32, 25, 50, 75, 100] {
-            let phi = phi_pct as f64 / 100.0;
-            assert_eq!(
-                r.quantile(phi).unwrap(),
-                h.quantile(phi).unwrap(),
-                "seed={seed}: recovered randomized engine diverges at phi={phi}"
-            );
         }
     }
 }

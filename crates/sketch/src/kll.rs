@@ -18,14 +18,12 @@
 //! ## Determinism and tracked error
 //!
 //! The classical KLL analysis randomizes the surviving half; this
-//! implementation is **deterministic by default** (alternating parity),
-//! which keeps every run, test and recovery bit-reproducible — a property
-//! the rest of this codebase leans on heavily. The classical coin-flip
-//! schedule is available as an opt-in via
-//! [`SketchCompaction::Randomized`]: parity is then drawn from a
-//! per-sketch LCG whose seed (and mid-stream position) is part of the
-//! sketch state, so replay determinism is preserved under a fixed seed.
-//! Instead of a probabilistic guarantee
+//! implementation has exactly one, **deterministic** schedule: each level
+//! alternates between keeping its odd- and even-indexed items, a single
+//! parity bit per level. That keeps every run, test and recovery
+//! bit-reproducible — a property the rest of this codebase leans on
+//! heavily — and the parity mask is the only schedule state a persisted
+//! sketch carries. Instead of a probabilistic guarantee
 //! the sketch *tracks* its worst-case rank error exactly: compacting
 //! level `h` displaces any rank by at most `2^h` (the surviving half
 //! over- or under-counts each prefix by at most one item of weight
@@ -56,114 +54,6 @@ use crate::radix::{sort_radixable, RadixKey};
 /// analysis (tracked bounds stay sound); see the module docs.
 const LEVEL_BUDGET: u32 = 24;
 
-/// How a [`KllSketch`] chooses the surviving half on each compaction.
-///
-/// Both modes are *replayable*: given the same inputs (and, for
-/// [`SketchCompaction::Randomized`], the same seed) the sketch goes
-/// through byte-identical states, which is what keeps CI, the
-/// fault-injection sweep and the corruption sweep deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SketchCompaction {
-    /// Alternating per-level parity (the default): a bitmask flip per
-    /// compaction, zero extra state. Systematic bias cancels pairwise,
-    /// but adversarial inputs can still correlate with the fixed
-    /// schedule.
-    Deterministic,
-    /// Coin-flip parity drawn from a per-sketch LCG — the classical
-    /// Karnin–Lang–Liberty randomization, which decorrelates the
-    /// surviving half from any fixed input pattern. Still fully
-    /// replayable: the stream position of the LCG is part of the sketch
-    /// state (and of the persisted manifest), so a fixed seed always
-    /// reproduces the same compactions.
-    Randomized {
-        /// LCG seed, typically sourced from the `HSQ_SEED` environment
-        /// variable (see [`SketchCompaction::from_env`]).
-        seed: u64,
-    },
-}
-
-impl SketchCompaction {
-    /// Parse an `HSQ_COMPACTION` value (with the already-read `HSQ_SEED`
-    /// value, if any). Panics on anything unparsable — misconfiguration
-    /// must fail loudly, matching the `HSQ_SKETCH` / `HSQ_WORKERS`
-    /// convention.
-    fn parse_env(mode: &str, seed: Option<&str>) -> SketchCompaction {
-        match mode.trim().to_ascii_lowercase().as_str() {
-            "det" | "deterministic" => match seed {
-                Some(s) => panic!(
-                    "HSQ_SEED={s:?} is set but HSQ_COMPACTION is deterministic, which takes no \
-                     seed: the seed would be silently ignored (export HSQ_COMPACTION=randomized \
-                     to use it, or unset HSQ_SEED)"
-                ),
-                None => SketchCompaction::Deterministic,
-            },
-            "rand" | "randomized" => {
-                let seed = seed
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .unwrap_or_else(|e| panic!("invalid HSQ_SEED {s:?}: {e} (want a u64)"))
-                    })
-                    .unwrap_or(0);
-                SketchCompaction::Randomized { seed }
-            }
-            other => panic!("invalid HSQ_COMPACTION {other:?} (want deterministic|randomized)"),
-        }
-    }
-
-    /// Resolve the `(HSQ_COMPACTION, HSQ_SEED)` pair. An empty or
-    /// whitespace-only `HSQ_SEED` counts as unset (so matrix jobs can
-    /// blank the seed on legs it does not apply to); a *non-empty* seed
-    /// whose mode cannot consume it — `HSQ_COMPACTION` unset, or
-    /// explicitly deterministic — panics instead of being silently
-    /// dropped.
-    fn resolve_env(mode: Option<&str>, seed: Option<&str>) -> Option<SketchCompaction> {
-        let seed = seed.map(str::trim).filter(|s| !s.is_empty());
-        match mode {
-            Some(m) => Some(Self::parse_env(m, seed)),
-            None => match seed {
-                Some(s) => panic!(
-                    "HSQ_SEED={s:?} is set but HSQ_COMPACTION is not: the seed only applies to \
-                     randomized compaction, so it would be silently ignored (export \
-                     HSQ_COMPACTION=randomized, or unset HSQ_SEED)"
-                ),
-                None => None,
-            },
-        }
-    }
-
-    /// Read the `HSQ_COMPACTION` environment variable
-    /// (`"deterministic"` / `"randomized"`, case-insensitive; `"det"` /
-    /// `"rand"` accepted), taking the randomized seed from `HSQ_SEED`
-    /// (default 0). `None` when `HSQ_COMPACTION` is unset; **panics** on
-    /// an unparsable value — a typo must not silently change the
-    /// compaction schedule fleet-wide — and on a non-empty `HSQ_SEED`
-    /// that the selected mode would ignore (unset or deterministic
-    /// `HSQ_COMPACTION`): an operator who exports only `HSQ_SEED` gets
-    /// no randomization, and must hear about it rather than trust a
-    /// schedule that never ran. An empty `HSQ_SEED` is treated as unset.
-    pub fn from_env() -> Option<SketchCompaction> {
-        let mode = std::env::var("HSQ_COMPACTION").ok();
-        let seed = std::env::var("HSQ_SEED").ok();
-        Self::resolve_env(mode.as_deref(), seed.as_deref())
-    }
-
-    /// [`SketchCompaction::from_env`] with a fallback default.
-    pub fn from_env_or(default: SketchCompaction) -> SketchCompaction {
-        SketchCompaction::from_env().unwrap_or(default)
-    }
-
-    /// Initial LCG state for this mode: a SplitMix-style scramble of the
-    /// seed (forced odd so the multiplicative walk never degenerates).
-    /// Deterministic mode carries no RNG state.
-    fn rng_init(self) -> u64 {
-        match self {
-            SketchCompaction::Deterministic => 0,
-            SketchCompaction::Randomized { seed } => seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-        }
-    }
-}
-
 /// Deterministic KLL compactor sketch over a radix-sortable `T`.
 ///
 /// ```
@@ -183,15 +73,7 @@ pub struct KllSketch<T> {
     levels: Vec<Vec<T>>,
     /// Bit `h` = "keep odd-indexed survivors" on the next compaction of
     /// level `h`; flipped after each use so systematic bias cancels.
-    /// Only consulted in [`SketchCompaction::Deterministic`] mode.
     parity: u64,
-    /// How survivors are chosen; see [`SketchCompaction`].
-    mode: SketchCompaction,
-    /// Current LCG state for [`SketchCompaction::Randomized`] (0 in
-    /// deterministic mode). Advanced once per compaction, so the pair
-    /// `(mode, rng)` pins the sketch's entire future coin sequence —
-    /// which is why both are persisted and restored.
-    rng: u64,
     n: u64,
     min: Option<T>,
     max: Option<T>,
@@ -207,15 +89,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
     /// `εn/2` while the level count stays under the analysed budget —
     /// see the module docs).
     pub fn new(epsilon: f64) -> Self {
-        Self::with_compaction(epsilon, SketchCompaction::Deterministic)
-    }
-
-    /// [`KllSketch::new`] with an explicit compaction mode; `new` is the
-    /// deterministic default. The randomized mode draws each surviving
-    /// half from a per-sketch LCG, trading the fixed alternating
-    /// schedule for pattern-independence while staying replayable under
-    /// a fixed seed.
-    pub fn with_compaction(epsilon: f64, mode: SketchCompaction) -> Self {
         assert!(
             epsilon.is_finite() && epsilon > 0.0 && epsilon <= 1.0,
             "epsilon must be in (0, 1], got {epsilon}"
@@ -224,8 +97,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
             epsilon,
             levels: vec![Vec::new()],
             parity: 0,
-            mode,
-            rng: mode.rng_init(),
             n: 0,
             min: None,
             max: None,
@@ -450,28 +321,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
         self.compact_pending();
     }
 
-    /// The compaction mode this sketch was configured with.
-    pub fn compaction(&self) -> SketchCompaction {
-        self.mode
-    }
-
-    /// Current LCG state (0 in deterministic mode), for serialization:
-    /// persisting it mid-stream lets recovery resume the exact coin
-    /// sequence.
-    pub fn rng_state(&self) -> u64 {
-        self.rng
-    }
-
-    /// Restore the compaction mode and mid-stream RNG position after
-    /// [`KllSketch::from_raw_parts`] (which rebuilds in the
-    /// deterministic default). `rng = 0` re-derives the initial state
-    /// from the mode's seed, so pre-randomization encodings stay
-    /// loadable.
-    pub fn restore_compaction(&mut self, mode: SketchCompaction, rng: u64) {
-        self.mode = mode;
-        self.rng = if rng == 0 { mode.rng_init() } else { rng };
-    }
-
     /// Run the compaction cascade: compact every level at or over
     /// capacity, bottom-up (a compaction can push the next level over).
     fn compact_pending(&mut self) {
@@ -495,20 +344,8 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
         if self.levels.len() == h + 1 {
             self.levels.push(Vec::new());
         }
-        let keep_odd = match self.mode {
-            SketchCompaction::Deterministic => {
-                let k = (self.parity >> h) & 1 == 1;
-                self.parity ^= 1u64 << h;
-                k
-            }
-            SketchCompaction::Randomized { .. } => {
-                self.rng = self
-                    .rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (self.rng >> 33) & 1 == 1
-            }
-        };
+        let keep_odd = (self.parity >> h) & 1 == 1;
+        self.parity ^= 1u64 << h;
         let (lower, upper) = self.levels.split_at_mut(h + 1);
         let lvl = &mut lower[h];
         let dst = &mut upper[0];
@@ -627,7 +464,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
         self.levels.truncate(1);
         self.levels[0].clear();
         self.parity = 0;
-        self.rng = self.mode.rng_init();
         self.n = 0;
         self.min = None;
         self.max = None;
@@ -680,10 +516,9 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
 
     /// Rebuild a sketch from serialized parts, validating structural
     /// invariants (per [`KllSketch::check_invariants`]). The capacity is
-    /// re-derived from `epsilon`, so it is not part of the encoding. The
-    /// result is in the deterministic compaction default; call
-    /// [`KllSketch::restore_compaction`] afterwards to resume a
-    /// randomized schedule mid-sequence.
+    /// re-derived from `epsilon`, so it is not part of the encoding; the
+    /// parity mask carries the whole compaction schedule, so a sketch
+    /// rebuilt mid-stream resumes it exactly.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         epsilon: f64,
@@ -701,8 +536,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
             epsilon,
             levels,
             parity,
-            mode: SketchCompaction::Deterministic,
-            rng: 0,
             n,
             min,
             max,
@@ -1071,59 +904,23 @@ mod tests {
         assert_eq!(kll.rank_bounds_of(9), (15, 15));
     }
 
-    /// Per seed, randomized compaction replays byte-identically; the
-    /// bounds it reports stay sound (the tracked-error accounting is
-    /// mode-independent).
+    /// Rebuilding a sketch mid-stream from its raw parts (parity mask
+    /// included) resumes the exact compaction schedule: the rebuilt
+    /// sketch and the original finish byte-identical.
     #[test]
-    fn randomized_compaction_replays_per_seed_and_stays_sound() {
-        for &seed in &[0u64, 7, 23] {
-            let mode = SketchCompaction::Randomized { seed };
-            let mut rng = lcg(seed ^ 0xABCD);
-            let data: Vec<u64> = (0..30_000).map(|_| rng() % 99_991).collect();
-            let mut a = KllSketch::with_compaction(0.01, mode);
-            let mut b = KllSketch::with_compaction(0.01, mode);
-            for &v in &data {
-                a.insert(v);
-            }
-            for chunk in data.chunks(1013) {
-                b.insert_batch(chunk);
-            }
-            a.check_invariants().unwrap();
-            // Same seed ⇒ same coin sequence; the scalar path replayed
-            // against itself is byte-identical.
-            let mut a2 = KllSketch::with_compaction(0.01, mode);
-            for &v in &data {
-                a2.insert(v);
-            }
-            assert_eq!(a.raw_levels(), a2.raw_levels());
-            assert_eq!(a.rng_state(), a2.rng_state());
-            assert_eq!(a.tracked_err(), a2.tracked_err());
-            // Soundness for both ingest shapes.
-            let mut exact = ExactQuantiles::from_data(data);
-            for sk in [&a, &b] {
-                let cum = sk.cumulative();
-                for i in 1..=25u64 {
-                    let est = cum.rank_query(i * 30_000 / 25).unwrap();
-                    let truth = exact.rank_of(est.value);
-                    assert!(est.rmin <= truth && truth <= est.rmax);
-                }
-            }
-        }
-    }
-
-    /// Snapshotting a randomized sketch mid-stream and restoring the
-    /// (mode, rng position) pair resumes the exact coin sequence: the
-    /// restored sketch and the original finish byte-identical.
-    #[test]
-    fn randomized_restore_resumes_mid_sequence() {
-        let mode = SketchCompaction::Randomized { seed: 7 };
+    fn restore_resumes_mid_sequence() {
         let mut rng = lcg(3);
         let data: Vec<u64> = (0..40_000).map(|_| rng() % 65_536).collect();
         let (head, tail) = data.split_at(17_500);
-        let mut live = KllSketch::with_compaction(0.02, mode);
+        let mut live = KllSketch::new(0.02);
         for &v in head {
             live.insert(v);
         }
+        assert_ne!(
+            live.parity_mask(),
+            0,
+            "the head must leave parity mid-cycle"
+        );
         let mut restored = KllSketch::from_raw_parts(
             live.epsilon(),
             live.len(),
@@ -1134,14 +931,12 @@ mod tests {
             live.raw_levels().to_vec(),
         )
         .unwrap();
-        restored.restore_compaction(live.compaction(), live.rng_state());
-        assert_eq!(restored.compaction(), mode);
         for &v in tail {
             live.insert(v);
             restored.insert(v);
         }
         assert_eq!(live.raw_levels(), restored.raw_levels());
-        assert_eq!(live.rng_state(), restored.rng_state());
+        assert_eq!(live.parity_mask(), restored.parity_mask());
         assert_eq!(live.tracked_err(), restored.tracked_err());
     }
 
@@ -1151,98 +946,33 @@ mod tests {
     /// probe interval must bracket the exact rank.
     #[test]
     fn tiny_sketch_bounds_are_exact() {
-        for mode in [
-            SketchCompaction::Deterministic,
-            SketchCompaction::Randomized { seed: 7 },
-        ] {
-            // n = 0: no rank exists, no probe has mass.
-            let empty = KllSketch::<u64>::with_compaction(0.05, mode);
-            assert_eq!(empty.rank_query(1), None);
-            for probe in [0u64, 1, u64::MAX] {
-                assert_eq!(empty.rank_bounds_of(probe), (0, 0));
-            }
-            // n = 1.
-            let mut one = KllSketch::with_compaction(0.05, mode);
-            one.insert(10u64);
-            let est = one.rank_query(1).unwrap();
-            assert_eq!((est.value, est.rmin, est.rmax), (10, 1, 1));
-            assert_eq!(one.rank_bounds_of(9), (0, 0));
-            assert_eq!(one.rank_bounds_of(10), (1, 1));
-            assert_eq!(one.rank_bounds_of(11), (1, 1));
-            // n = 2, distinct and duplicate.
-            let mut two = KllSketch::with_compaction(0.05, mode);
-            two.insert(10u64);
-            two.insert(20);
-            assert_eq!(two.rank_bounds_of(9), (0, 0));
-            assert_eq!(two.rank_bounds_of(10), (1, 1));
-            assert_eq!(two.rank_bounds_of(15), (1, 1));
-            assert_eq!(two.rank_bounds_of(20), (2, 2));
-            assert_eq!(two.rank_bounds_of(21), (2, 2));
-            let mut dup = KllSketch::with_compaction(0.05, mode);
-            dup.insert_weighted(10u64, 2);
-            assert_eq!(dup.rank_bounds_of(9), (0, 0));
-            assert_eq!(dup.rank_bounds_of(10), (2, 2));
+        // n = 0: no rank exists, no probe has mass.
+        let empty = KllSketch::<u64>::new(0.05);
+        assert_eq!(empty.rank_query(1), None);
+        for probe in [0u64, 1, u64::MAX] {
+            assert_eq!(empty.rank_bounds_of(probe), (0, 0));
         }
-    }
-
-    #[test]
-    fn compaction_env_parsing_is_loud() {
-        assert_eq!(
-            SketchCompaction::parse_env("Deterministic", None),
-            SketchCompaction::Deterministic
-        );
-        assert_eq!(
-            SketchCompaction::parse_env("RAND", Some("23")),
-            SketchCompaction::Randomized { seed: 23 }
-        );
-        assert_eq!(
-            SketchCompaction::parse_env("randomized", None),
-            SketchCompaction::Randomized { seed: 0 }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_COMPACTION")]
-    fn invalid_compaction_mode_panics() {
-        SketchCompaction::parse_env("rnd", None);
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_SEED")]
-    fn invalid_compaction_seed_panics() {
-        SketchCompaction::parse_env("rand", Some("not-a-number"));
-    }
-
-    #[test]
-    fn env_seed_resolution() {
-        // No knobs set: nothing selected.
-        assert_eq!(SketchCompaction::resolve_env(None, None), None);
-        // Empty / whitespace seed counts as unset, whatever the mode.
-        assert_eq!(SketchCompaction::resolve_env(None, Some("")), None);
-        assert_eq!(SketchCompaction::resolve_env(None, Some("  ")), None);
-        assert_eq!(
-            SketchCompaction::resolve_env(Some("det"), Some("")),
-            Some(SketchCompaction::Deterministic)
-        );
-        // Randomized consumes the seed.
-        assert_eq!(
-            SketchCompaction::resolve_env(Some("rand"), Some("42")),
-            Some(SketchCompaction::Randomized { seed: 42 })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_SEED")]
-    fn orphaned_seed_panics() {
-        // HSQ_SEED exported with no HSQ_COMPACTION: the operator expects
-        // randomization but would silently get none.
-        SketchCompaction::resolve_env(None, Some("42"));
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_SEED")]
-    fn deterministic_mode_rejects_seed() {
-        SketchCompaction::resolve_env(Some("det"), Some("99"));
+        // n = 1.
+        let mut one = KllSketch::new(0.05);
+        one.insert(10u64);
+        let est = one.rank_query(1).unwrap();
+        assert_eq!((est.value, est.rmin, est.rmax), (10, 1, 1));
+        assert_eq!(one.rank_bounds_of(9), (0, 0));
+        assert_eq!(one.rank_bounds_of(10), (1, 1));
+        assert_eq!(one.rank_bounds_of(11), (1, 1));
+        // n = 2, distinct and duplicate.
+        let mut two = KllSketch::new(0.05);
+        two.insert(10u64);
+        two.insert(20);
+        assert_eq!(two.rank_bounds_of(9), (0, 0));
+        assert_eq!(two.rank_bounds_of(10), (1, 1));
+        assert_eq!(two.rank_bounds_of(15), (1, 1));
+        assert_eq!(two.rank_bounds_of(20), (2, 2));
+        assert_eq!(two.rank_bounds_of(21), (2, 2));
+        let mut dup = KllSketch::new(0.05);
+        dup.insert_weighted(10u64, 2);
+        assert_eq!(dup.rank_bounds_of(9), (0, 0));
+        assert_eq!(dup.rank_bounds_of(10), (2, 2));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   summary `SS` (§2.2) and the strongest pure-streaming baseline;
 //! * [`KllSketch`] — KLL compactor ladder (Karnin–Lang–Liberty, FOCS
 //!   2016; lazy schedule per Ivkin et al.): O(1) amortized updates,
-//!   exact mergeability, O(log w) weighted inserts, and a seeded
-//!   randomized compaction mode ([`SketchCompaction`]), selectable as
+//!   exact mergeability, O(log w) weighted inserts and one deterministic
+//!   compaction schedule (alternating per-level parity), selectable as
 //!   the stream backend;
 //! * [`QuantileSketch`] / [`AnySketch`] / [`SketchKind`] — the pluggable
 //!   sketch abstraction the engine's stream processor is written against;
@@ -41,7 +41,7 @@ pub mod sampler;
 
 pub use exact::ExactQuantiles;
 pub use gk::{GkSketch, RankEstimate};
-pub use kll::{KllCumulative, KllSketch, SketchCompaction};
+pub use kll::{KllCumulative, KllSketch};
 pub use misra_gries::MisraGries;
 pub use qdigest::QDigest;
 pub use quantile::{AnySketch, QuantileSketch, SketchKind};

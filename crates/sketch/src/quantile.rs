@@ -14,7 +14,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::gk::{GkSketch, RankEstimate};
-use crate::kll::{KllSketch, SketchCompaction};
+use crate::kll::KllSketch;
 use crate::radix::RadixKey;
 
 /// Common interface of ε-approximate quantile sketches: bounded-error
@@ -353,16 +353,6 @@ impl<T: Copy + Ord + RadixKey> AnySketch<T> {
         match kind {
             SketchKind::Gk => AnySketch::Gk(GkSketch::new(epsilon)),
             SketchKind::Kll => AnySketch::Kll(KllSketch::new(epsilon)),
-        }
-    }
-
-    /// [`AnySketch::new`] with an explicit compaction mode. Only the KLL
-    /// ladder has a compaction schedule to randomize; GK ignores the
-    /// mode (its COMPRESS is structurally deterministic).
-    pub fn with_compaction(kind: SketchKind, epsilon: f64, mode: SketchCompaction) -> Self {
-        match kind {
-            SketchKind::Gk => AnySketch::Gk(GkSketch::new(epsilon)),
-            SketchKind::Kll => AnySketch::Kll(KllSketch::with_compaction(epsilon, mode)),
         }
     }
 

@@ -159,20 +159,6 @@
 //! assert!(median > 100_000_000); // the heavy item dominates the mass
 //! ```
 //!
-//! **Randomized KLL compaction.** KLL compactions keep every odd- or
-//! every even-indexed survivor; the classic analysis flips a fair coin
-//! per compaction, while this crate defaults to a deterministic
-//! alternation (reproducible byte-for-byte, and immune to adversarial
-//! inputs aligned against a fixed parity). Select the seeded randomized
-//! policy with
-//! `HsqConfig::builder().sketch_compaction(SketchCompaction::Randomized { seed })`
-//! — or fleet-wide with `HSQ_COMPACTION=rand` plus `HSQ_SEED=<u64>` —
-//! and replay stays exact: the per-sketch coin sequence is a pure
-//! function of the seed and sketch state, engine manifests persist the
-//! seed and RNG cursor, so a persisted engine resumes mid-stream
-//! byte-identically (A/B'd against deterministic in the `headline`
-//! bench's `sketch` section and CI's `sketch-ab` matrix).
-//!
 //! ## Sharded quickstart (multi-tenant / concurrent readers)
 //!
 //! [`ShardedEngine`] hash-partitions items across independent engine
@@ -589,5 +575,5 @@ pub use hsq_workload as workload;
 pub use hsq_core::{
     EngineSnapshot, HistStreamQuantiles, HsqConfig, RetentionPolicy, ShardedEngine, ShardedSnapshot,
 };
-pub use hsq_sketch::{GkSketch, KllSketch, QDigest, QuantileSketch, SketchCompaction, SketchKind};
+pub use hsq_sketch::{GkSketch, KllSketch, QDigest, QuantileSketch, SketchKind};
 pub use hsq_storage::{FileDevice, MemDevice};
