@@ -18,7 +18,8 @@ use std::time::Instant;
 use hsq_bench::*;
 use hsq_core::baseline::StreamingAlgo;
 use hsq_core::{
-    HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, SeedMode, ShardedEngine,
+    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, SeedMode,
+    ShardedEngine, SourceView,
 };
 use hsq_service::{
     Coordinator, FaultConnector, FaultPlan, FleetConfig, NetFault, NetRetryPolicy, QuantileServer,
@@ -95,16 +96,76 @@ fn merge_ns_per_item() -> f64 {
     best * 1e9 / (RUNS * RUN_ITEMS) as f64
 }
 
+/// CPU cost of opening an epoch's combined summary: nanoseconds per `TS`
+/// entry of one `CombinedSummary::build` over the `sharded_weighted`
+/// benchmark shape — 56 partition views of 201 exact-rank entries plus 4
+/// stream views of 401 interval entries, values from seeded `Uniform`
+/// draws. Min-of-k.
+fn combined_build_ns_per_entry() -> f64 {
+    const PARTITIONS: u64 = 56;
+    const PARTITION_ENTRIES: usize = 201;
+    const PARTITION_LEN: u64 = 16_384;
+    const STREAMS: u64 = 4;
+    const STREAM_ENTRIES: usize = 401;
+    const STREAM_LEN: u64 = 4_096;
+    const REPEATS: usize = 7;
+    let sorted_values = |seed: u64, n: usize| {
+        let mut v = Dataset::Uniform.generator(seed).take_vec(n);
+        v.sort_unstable();
+        v
+    };
+    let mut sources: Vec<SourceView<u64>> = (0..PARTITIONS)
+        .map(|p| {
+            let last = PARTITION_ENTRIES as u64 - 1;
+            let entries = sorted_values(1_500 + p, PARTITION_ENTRIES)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let r = (i as u64 * PARTITION_LEN / last).max(1);
+                    (v, r, r)
+                })
+                .collect();
+            SourceView::from_raw(entries, PARTITION_LEN)
+        })
+        .collect();
+    sources.extend((0..STREAMS).map(|s| {
+        let last = STREAM_ENTRIES as u64 - 1;
+        let slack = STREAM_LEN / last;
+        let entries = sorted_values(1_600 + s, STREAM_ENTRIES)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let r = (i as u64 * STREAM_LEN / last).max(1);
+                (
+                    v,
+                    r.saturating_sub(slack).max(1),
+                    (r + slack).min(STREAM_LEN),
+                )
+            })
+            .collect();
+        SourceView::from_raw(entries, STREAM_LEN)
+    }));
+    let mut best = f64::MAX;
+    let mut delta = 0;
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        let ts = CombinedSummary::build(std::hint::black_box(&sources));
+        best = best.min(t.elapsed().as_secs_f64());
+        delta = ts.len();
+    }
+    best * 1e9 / delta as f64
+}
+
 fn percentile(sorted: &[u32], p: f64) -> f64 {
     let idx = ((sorted.len() as f64 * p) as usize).min(sorted.len() - 1);
     sorted[idx] as f64
 }
 
 /// Query-path metrics: bisection probe counts with summary vs domain
-/// bracket seeding (p50/p99 over a rank sweep), and the cached
-/// cross-shard summary speedup of reusing one `ShardedSnapshot` for a
-/// dashboard's worth of queries.
-fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64) {
+/// bracket seeding (p50/p99 over a rank sweep), and per-query latency of
+/// a snapshot per query vs one `ShardedSnapshot` reused for a dashboard's
+/// worth of queries (reuse asserted faster in-bin).
+fn query_metrics() -> (f64, f64, f64, f64, f64, f64) {
     const STEPS: u64 = 40;
     const STEP_ITEMS: usize = 8192;
     let cfg = HsqConfig::builder()
@@ -189,21 +250,13 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64, f64) {
     }
     let fresh_secs = fresh_best / phis.len() as f64;
     let reused_secs = reused_best / phis.len() as f64;
-    let cached_speedup = fresh_secs / reused_secs;
     assert!(
-        cached_speedup > 1.0,
-        "snapshot reuse must be faster than per-query snapshots ({cached_speedup:.2}x)"
+        reused_secs < fresh_secs,
+        "snapshot reuse must be faster than per-query snapshots ({:.2}x)",
+        fresh_secs / reused_secs
     );
 
-    (
-        s_p50,
-        s_p99,
-        d_p50,
-        d_p99,
-        cached_speedup,
-        fresh_secs,
-        reused_secs,
-    )
+    (s_p50, s_p99, d_p50, d_p99, fresh_secs, reused_secs)
 }
 
 /// Served-path metrics: a two-node loopback fleet behind a
@@ -900,12 +953,13 @@ fn main() {
         );
     }
 
-    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, cached_speedup, fresh_secs, reused_secs) =
-        query_metrics();
+    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, fresh_secs, reused_secs) = query_metrics();
+    let build_ns = combined_build_ns_per_entry();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \
          {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; \
-         snapshot reuse {cached_speedup:.2}x ({:.0} vs {:.0} us/query)",
+         snapshot per query {:.0} us vs reused {:.0} us; \
+         combined-summary build (56 x 201 + 4 x 401) {build_ns:.1} ns/entry",
         fresh_secs * 1e6,
         reused_secs * 1e6,
     );
@@ -989,7 +1043,7 @@ fn main() {
             "  \"sketch\": {{\"epsilon\": 0.01, \"elems\": 524288, \"backends\": [\n{}\n  ]}},\n",
             "  \"query\": {{\"summary_p50_probes\": {:.1}, \"summary_p99_probes\": {:.1}, ",
             "\"domain_p50_probes\": {:.1}, \"domain_p99_probes\": {:.1}, ",
-            "\"cached_summary_speedup\": {:.2}, ",
+            "\"combined_build_ns_per_entry\": {:.1}, ",
             "\"fresh_snapshot_query_seconds\": {:.8}, ",
             "\"reused_snapshot_query_seconds\": {:.8}}},\n",
             "  \"retention\": {{\"byte_cap\": {}, \"steady_state_bytes\": {}, ",
@@ -1025,7 +1079,7 @@ fn main() {
         q_s_p99,
         q_d_p50,
         q_d_p99,
-        cached_speedup,
+        build_ns,
         fresh_secs,
         reused_secs,
         byte_cap,

@@ -737,15 +737,16 @@ mod tests {
     #[test]
     fn query_metrics_gate_probes_stable_and_latency_loose() {
         // Bisection probe counts are deterministic given code and seeds:
-        // stable lower-better gate. Latencies and speedups stay loose.
+        // stable lower-better gate. Latencies and per-entry costs stay
+        // loose.
         let (dir, noisy) = classify("summary_p50_probes");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
         let (dir, noisy) = classify("domain_p99_probes");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
-        let (dir, noisy) = classify("cached_summary_speedup");
-        assert_eq!(dir, Direction::HigherBetter);
+        let (dir, noisy) = classify("combined_build_ns_per_entry");
+        assert_eq!(dir, Direction::LowerBetter);
         assert!(noisy);
         let (dir, noisy) = classify("reused_snapshot_query_seconds");
         assert_eq!(dir, Direction::LowerBetter);
@@ -756,7 +757,7 @@ mod tests {
 
         let base = Json::parse(
             r#"{"query": {"summary_p50_probes": 5.0, "domain_p50_probes": 33.0,
-                 "cached_summary_speedup": 1.5}}"#,
+                 "combined_build_ns_per_entry": 25.0}}"#,
         )
         .unwrap();
         // Probe regression past the tight threshold gates.
@@ -771,10 +772,10 @@ mod tests {
                 .any(|d| d.path.contains("summary_p50_probes") && d.failed),
             "80% more probes must gate: {deltas:?}"
         );
-        // A cached-summary speedup drop within the loose threshold passes.
+        // A slower combined-summary build within the loose threshold passes.
         let mut slower = base.clone();
         let mut q = base.get("query").unwrap().clone();
-        q.set("cached_summary_speedup", Json::Num(1.1));
+        q.set("combined_build_ns_per_entry", Json::Num(35.0));
         slower.set("query", q);
         let (deltas, _) = compare(&base, &slower, Thresholds::default());
         assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");

@@ -18,6 +18,20 @@
 //!   counts `α_S`, `α_P` (with a switch for the figure's idealized variant
 //!   versus Lemma 2's safe variant), used to replay the Figure 3 worked
 //!   example verbatim and as documentation of the original arithmetic.
+//!
+//! ## One sort for all sources
+//!
+//! A source's term in `Lᵢ` (its `lo` at the last entry `≤ x`) and in `Uᵢ`
+//! (its `hi − 1` at the first entry `> x`, or its total past the end) is a
+//! step function of `x` that moves only at that source's own entries. So
+//! each entry becomes one event `(value, ΔL, ΔU)` carrying the step it
+//! makes, the δ events are sorted by value once, and a single prefix-sum
+//! sweep yields every `Lᵢ` and `Uᵢ`: O(δ log δ) however many sources
+//! there are, instead of one pass over `TS` per source. Equal values share
+//! one sum — the one reached after their whole group — because "entries
+//! `≤ x`" counts every entry of value `x`, whichever source it came from.
+//! Since the sums are order-independent and ties are grouped, the result
+//! does not depend on the order of the sources or of the sort.
 
 use hsq_storage::Item;
 
@@ -61,18 +75,26 @@ impl<T: Item> SourceView<T> {
         }
     }
 
-    /// Raw construction (tests).
+    /// Raw construction (tests and benches): the entries must already
+    /// meet [`SourceView::try_from_raw`]'s ordering conditions, which debug
+    /// builds assert.
     pub fn from_raw(entries: Vec<(T, u64, u64)>, total: u64) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1 && w[0].2 <= w[1].2));
         SourceView { entries, total }
     }
 
     /// Validating construction for views that crossed a trust boundary
-    /// (e.g. decoded from a wire frame): entries must be sorted by value
-    /// with `lo ≤ hi ≤ total` — the invariants
-    /// [`CombinedSummary::build`]'s two-pointer sweep and the bisection's
-    /// soundness argument rely on. Anything else is rejected rather than
-    /// silently producing unsound rank bounds.
+    /// (e.g. decoded from a wire frame). Entries must be sorted by value,
+    /// have `lo ≤ hi ≤ total`, and have `lo` and `hi` each nondecreasing
+    /// along the entries. Every local view already has that shape
+    /// (partition ranks are exact; the stream view is monotonized), and
+    /// the combined summary relies on it: monotone per-source terms are
+    /// what make `Lᵢ`/`Uᵢ` monotone in `i`, which the bracket seeding's
+    /// binary searches and the bisection's soundness argument assume.
+    /// Anything else is rejected rather than silently producing unsound
+    /// rank bounds.
     pub fn try_from_raw(entries: Vec<(T, u64, u64)>, total: u64) -> Result<Self, &'static str> {
         if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
             return Err("source view entries not sorted by value");
@@ -84,6 +106,12 @@ impl<T: Item> SourceView<T> {
             if hi > total {
                 return Err("source view entry bound exceeds source total");
             }
+        }
+        if !entries
+            .windows(2)
+            .all(|w| w[0].1 <= w[1].1 && w[0].2 <= w[1].2)
+        {
+            return Err("source view entry bounds not monotone");
         }
         Ok(SourceView { entries, total })
     }
@@ -103,62 +131,67 @@ impl<T: Item> SourceView<T> {
 /// `TS` with per-element rank bounds over `T = H ∪ R`.
 #[derive(Clone, Debug)]
 pub struct CombinedSummary<T> {
-    values: Vec<T>,
-    lower: Vec<u64>,
-    upper: Vec<u64>,
+    /// `(TS[i], Lᵢ, Uᵢ)`, sorted by value.
+    entries: Vec<(T, u64, u64)>,
     total: u64,
 }
 
 impl<T: Item> CombinedSummary<T> {
-    /// Assemble `TS` from all sources and compute `Lᵢ`/`Uᵢ`.
+    /// Assemble `TS` from all sources and compute `Lᵢ`/`Uᵢ` in one sort and
+    /// one prefix-sum sweep (module docs, "One sort for all sources").
+    ///
+    /// Source `s` contributes `lo` of its last entry `≤ x` to `L` (0 before
+    /// its first entry) and `cap` of its first entry `> x` to `U`, where
+    /// `cap(j) = hi_j − 1` (saturating) and `cap` past the last entry is the
+    /// source's total. Entry `j` therefore steps `L` by `lo_j − lo_{j−1}`
+    /// and `U` by `cap(j+1) − cap(j)` at its value, and `U` starts from
+    /// `Σ cap(0)`. Time is O(δ log δ); the event buffer becomes `TS` in
+    /// place, so the build allocates one δ-length buffer.
     pub fn build(sources: &[SourceView<T>]) -> Self {
-        let total: u64 = sources.iter().map(|s| s.total).sum();
-        let mut values: Vec<T> = sources
-            .iter()
-            .flat_map(|s| s.entries.iter().map(|&(v, _, _)| v))
-            .collect();
-        values.sort_unstable();
-
-        let delta = values.len();
-        let mut lower = vec![0u64; delta];
-        let mut upper = vec![0u64; delta];
+        let total = sources.iter().map(|s| s.total).sum();
+        let delta = sources.iter().map(|s| s.entries.len()).sum();
+        let mut entries: Vec<(T, u64, u64)> = Vec::with_capacity(delta);
+        let mut upper = 0u64;
         for src in sources {
-            // Two-pointer sweep: for each TS value x, find the number of
-            // src entries with value <= x.
-            let mut ptr = 0usize;
-            for (i, &x) in values.iter().enumerate() {
-                while ptr < src.entries.len() && src.entries[ptr].0 <= x {
-                    ptr += 1;
-                }
-                // Lower: the largest entry <= x guarantees `lo` elements <= x.
-                if ptr > 0 {
-                    lower[i] += src.entries[ptr - 1].1;
-                }
-                // Upper: the first entry > x caps elements <= x at hi - 1;
-                // if none, every element of the source may be <= x.
-                if ptr < src.entries.len() {
-                    upper[i] += src.entries[ptr].2.saturating_sub(1);
-                } else {
-                    upper[i] += src.total;
-                }
+            let cap = |j: usize| {
+                src.entries
+                    .get(j)
+                    .map_or(src.total, |e| e.2.saturating_sub(1))
+            };
+            upper = upper.wrapping_add(cap(0));
+            let mut prev_lo = 0;
+            for (j, &(value, lo, _)) in src.entries.iter().enumerate() {
+                // Wrapping steps sum to the exact terms whatever the view's
+                // shape; validated views only ever step up.
+                let dl = lo.wrapping_sub(prev_lo);
+                let du = cap(j + 1).wrapping_sub(cap(j));
+                entries.push((value, dl, du));
+                prev_lo = lo;
             }
         }
-        CombinedSummary {
-            values,
-            lower,
-            upper,
-            total,
+        entries.sort_unstable_by_key(|e| e.0);
+
+        let mut lower = 0u64;
+        for run in entries.chunk_by_mut(|a, b| a.0 == b.0) {
+            for e in run.iter() {
+                lower = lower.wrapping_add(e.1);
+                upper = upper.wrapping_add(e.2);
+            }
+            for e in run {
+                (e.1, e.2) = (lower, upper);
+            }
         }
+        CombinedSummary { entries, total }
     }
 
     /// Number of entries `δ`.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.entries.len()
     }
 
     /// True iff no summaries contributed entries.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.entries.is_empty()
     }
 
     /// Total data size `N`.
@@ -168,27 +201,25 @@ impl<T: Item> CombinedSummary<T> {
 
     /// `TS[i]`.
     pub fn value(&self, i: usize) -> T {
-        self.values[i]
+        self.entries[i].0
     }
 
     /// `Lᵢ`: lower bound on `rank(TS[i], T)`.
     pub fn lower(&self, i: usize) -> u64 {
-        self.lower[i]
+        self.entries[i].1
     }
 
     /// `Uᵢ`: upper bound on `rank(TS[i], T)`.
     pub fn upper(&self, i: usize) -> u64 {
-        self.upper[i]
+        self.entries[i].2
     }
 
     /// Algorithm 5 (`QuantilesQuickResponse`): the element at the smallest
     /// `j` with `Lⱼ ≥ r`, else the last element. `None` iff empty.
     pub fn quick_response(&self, r: u64) -> Option<T> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let j = self.lower.partition_point(|&l| l < r);
-        Some(self.values[j.min(self.values.len() - 1)])
+        let last = self.entries.len().checked_sub(1)?;
+        let j = self.entries.partition_point(|e| e.1 < r);
+        Some(self.entries[j.min(last)].0)
     }
 
     /// Algorithm 7 (`GenerateFilters`): `u` = `TS[x]` for the largest `x`
@@ -196,12 +227,12 @@ impl<T: Item> CombinedSummary<T> {
     /// universe minimum); `v` = `TS[y]` for the smallest `y` with `Lᵧ ≥ r`
     /// (or `None` — widen to the universe maximum).
     pub fn generate_filters(&self, r: u64) -> (Option<T>, Option<T>) {
-        // upper is nondecreasing (sums of nondecreasing per-source terms),
-        // as is lower.
-        let x = self.upper.partition_point(|&u| u <= r); // first index with U > r
-        let u = x.checked_sub(1).map(|i| self.values[i]);
-        let y = self.lower.partition_point(|&l| l < r);
-        let v = self.values.get(y).copied();
+        // U is nondecreasing (sums of nondecreasing per-source terms), as
+        // is L.
+        let x = self.entries.partition_point(|e| e.2 <= r); // first index with U > r
+        let u = x.checked_sub(1).map(|i| self.entries[i].0);
+        let y = self.entries.partition_point(|e| e.1 < r);
+        let v = self.entries.get(y).map(|e| e.0);
         (u, v)
     }
 
@@ -220,8 +251,10 @@ impl<T: Item> CombinedSummary<T> {
     pub fn seed_bracket(&self, r: u64) -> (T, T) {
         let (u, v) = self.generate_filters(r);
         (
-            u.or_else(|| self.values.first().copied()).unwrap_or(T::MIN),
-            v.or_else(|| self.values.last().copied()).unwrap_or(T::MAX),
+            u.or_else(|| self.entries.first().map(|e| e.0))
+                .unwrap_or(T::MIN),
+            v.or_else(|| self.entries.last().map(|e| e.0))
+                .unwrap_or(T::MAX),
         )
     }
 }

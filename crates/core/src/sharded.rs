@@ -479,9 +479,12 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     /// shard. This is the *summary extract* a serving node ships to a
     /// coordinator: rebuilding [`CombinedSummary::build`] over the
     /// concatenated extracts of disjoint nodes reproduces the union's
-    /// summary exactly (values are a sorted multiset, bounds are
-    /// order-independent sums), so remotely seeded bisection brackets
-    /// match the in-process ones bit for bit.
+    /// summary exactly, whatever order the sources arrive in. Its values
+    /// are a sorted multiset; its bounds are sums of per-source steps,
+    /// which do not depend on the order they are added in; and the sweep
+    /// gives every member of a run of equal values the sum after the whole
+    /// run, so how the sort orders ties cannot show. Remotely seeded
+    /// bisection brackets therefore match the in-process ones bit for bit.
     pub fn source_views(&self, window: Option<u64>) -> Option<(Vec<SourceView<T>>, u64)> {
         let plan = self.plan(window)?;
         Some((self.sources(&plan.parts), plan.total))

@@ -29,6 +29,90 @@ fn rank_distance(sorted: &[u64], v: u64, r: u64) -> u64 {
     }
 }
 
+/// `(values, lower, upper, total)` of a combined summary.
+type TsParts = (Vec<u64>, Vec<u64>, Vec<u64>, u64);
+
+fn ts_parts(ts: &CombinedSummary<u64>) -> TsParts {
+    (
+        (0..ts.len()).map(|i| ts.value(i)).collect(),
+        (0..ts.len()).map(|i| ts.lower(i)).collect(),
+        (0..ts.len()).map(|i| ts.upper(i)).collect(),
+        ts.total(),
+    )
+}
+
+/// The per-source two-pointer `CombinedSummary::build` the one-sort sweep
+/// replaced, kept as its oracle: one pass over every `TS` value per source.
+fn per_source_build(sources: &[SourceView<u64>]) -> TsParts {
+    let total: u64 = sources.iter().map(|s| s.total()).sum();
+    let mut values: Vec<u64> = sources
+        .iter()
+        .flat_map(|s| s.entries().iter().map(|&(v, _, _)| v))
+        .collect();
+    values.sort_unstable();
+    let mut lower = vec![0u64; values.len()];
+    let mut upper = vec![0u64; values.len()];
+    for src in sources {
+        let entries = src.entries();
+        let mut ptr = 0usize;
+        for (i, &x) in values.iter().enumerate() {
+            while ptr < entries.len() && entries[ptr].0 <= x {
+                ptr += 1;
+            }
+            if ptr > 0 {
+                lower[i] += entries[ptr - 1].1;
+            }
+            if ptr < entries.len() {
+                upper[i] += entries[ptr].2.saturating_sub(1);
+            } else {
+                upper[i] += src.total();
+            }
+        }
+    }
+    (values, lower, upper, total)
+}
+
+/// One random source view: 0–300 entries, values from ≤ 8 distinct ones
+/// (`narrow`) or the whole domain, either partition-shaped `(r, r)` or
+/// stream-shaped `(rmin, rmax)`, with empty views, `total = 0` views and
+/// `hi = 0` entries all reachable.
+fn random_view(next: &mut impl FnMut() -> u64, narrow: bool) -> SourceView<u64> {
+    let len = if next().is_multiple_of(8) {
+        0
+    } else {
+        (next() % 301) as usize
+    };
+    let total = match next() % 4 {
+        0 => 0,
+        1 => next() % 20,
+        _ => next() % (1 << 40),
+    };
+    let mut values: Vec<u64> = (0..len)
+        .map(|_| if narrow { next() % 8 } else { next() })
+        .collect();
+    values.sort_unstable();
+    let partition_shaped = next().is_multiple_of(2);
+    let mut ranks = |n: usize| {
+        let mut r: Vec<u64> = (0..n).map(|_| next() % (total + 1)).collect();
+        r.sort_unstable();
+        r
+    };
+    let entries: Vec<(u64, u64, u64)> = if partition_shaped {
+        let r = ranks(len);
+        values.iter().zip(&r).map(|(&v, &r)| (v, r, r)).collect()
+    } else {
+        // Pointwise min / max of two nondecreasing sequences are both
+        // nondecreasing, so the interval ends stay monotone.
+        let (a, b) = (ranks(len), ranks(len));
+        values
+            .iter()
+            .zip(a.iter().zip(&b))
+            .map(|(&v, (&a, &b))| (v, a.min(b), a.max(b)))
+            .collect()
+    };
+    SourceView::try_from_raw(entries, total).expect("generated views are valid")
+}
+
 /// Every stored byte of `file`, block by block.
 fn raw_blocks(dev: &MemDevice, file: FileId) -> Vec<Vec<u8>> {
     (0..dev.num_blocks(file).unwrap())
@@ -156,6 +240,35 @@ proptest! {
                 "width violation at {i}"
             );
         }
+    }
+
+    /// The one-sort `CombinedSummary::build` equals the per-source
+    /// two-pointer build on values, every `Lᵢ`/`Uᵢ` and the total, for 0–64
+    /// sources of any shape, and shuffling the sources (a coordinator
+    /// concatenates extracts in node order) changes nothing.
+    #[test]
+    fn combined_summary_matches_per_source_oracle(
+        seed in any::<u64>(),
+        count in 0usize..=64,
+        narrow in any::<bool>(),
+    ) {
+        let mut x = seed;
+        let mut next = || {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut sources: Vec<SourceView<u64>> =
+            (0..count).map(|_| random_view(&mut next, narrow)).collect();
+        let built = ts_parts(&CombinedSummary::build(&sources));
+        prop_assert_eq!(&built, &per_source_build(&sources), "{} sources", count);
+        for i in (1..sources.len()).rev() {
+            sources.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        prop_assert_eq!(&ts_parts(&CombinedSummary::build(&sources)), &built, "shuffled");
     }
 
     /// Warehouse invariants hold across any update sequence; the stored

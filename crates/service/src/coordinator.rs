@@ -50,12 +50,14 @@
 //!
 //! Before bisecting, the session fetches each group's *summary extract*
 //! (its per-source views) and rebuilds the union's [`QueryScope`]
-//! locally. Because [`hsq_core::CombinedSummary::build`] sorts a value
-//! multiset and sums order-independent per-source bounds, the rebuilt
-//! summary is bit-identical to what a single in-process engine over the
-//! same sources would build — so the bisection starts from the same
-//! tight summary-seeded bracket `(u, v)` and accepts under the same
-//! `ε·m − unc` tolerance. Empirically that means **~3 probe rounds at
+//! locally. [`hsq_core::CombinedSummary::build`] sorts a value multiset,
+//! sums per-source bound steps (order-independent) and gives equal values
+//! the sum after their whole group (so tie order cannot show). The
+//! rebuilt summary is therefore bit-identical to what a single in-process
+//! engine over the same sources would build, in any source order — so
+//! the bisection starts from the same tight summary-seeded bracket
+//! `(u, v)` and accepts under the same `ε·m − unc` tolerance.
+//! Empirically that means **~3 probe rounds at
 //! the median** (≤ 4 at p50 is asserted in the loopback tests). The
 //! extract is fetched once per session and window and reused across
 //! every subsequent query (the dashboard pattern), so steady state is

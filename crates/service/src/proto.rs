@@ -25,9 +25,10 @@
 //!
 //! Payload-level invariants are re-validated too: summary extracts go
 //! through [`SourceView::try_from_raw`] (sorted values, `lo ≤ hi ≤
-//! total`), epsilons through [`hsq_core::validate_epsilon`], and probe
-//! bounds must satisfy `lo ≤ hi` — a corrupt frame that *parses* must
-//! still not smuggle unsound rank bounds into a bisection.
+//! total`, `lo` and `hi` nondecreasing), epsilons through
+//! [`hsq_core::validate_epsilon`], and probe bounds must satisfy
+//! `lo ≤ hi` — a corrupt frame that *parses* must still not smuggle
+//! unsound rank bounds into a bisection.
 
 use std::io::{self, Read, Write};
 
@@ -912,6 +913,19 @@ mod tests {
             b[first_value_at..first_value_at + 8].copy_from_slice(&u64::MAX.to_be_bytes())
         });
         assert!(Response::<u64>::decode(&bad).is_err());
+        // Valid but non-monotone bounds: (3, 2, 4), (9, 1, 4) — each entry
+        // has lo ≤ hi ≤ total, yet the lower bound falls along the entries.
+        let good = Response::<u64>::encode(&Response::Extract {
+            total: 10,
+            sources: vec![SourceView::try_from_raw(vec![(3u64, 1, 4), (9, 1, 4)], 10).unwrap()],
+        });
+        let first_lo_at = first_value_at + 8;
+        let bad = reseal(&good, |b| {
+            b[first_lo_at..first_lo_at + 8].copy_from_slice(&2u64.to_le_bytes())
+        });
+        let err = Response::<u64>::decode(&bad).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not monotone"), "{err}");
         // lo > hi probe bounds.
         let good = Response::<u64>::encode(&Response::Bounds {
             bounds: vec![(5, 5)],

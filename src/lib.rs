@@ -420,8 +420,9 @@
 //! cross-shard scope (combined summary included) per window on first use.
 //! A dashboard issuing many quantiles against one consistent view should
 //! take **one** snapshot and reuse it — on the headline workload that is
-//! ~27× cheaper per query than snapshot-per-query (the
-//! `query.cached_summary_speedup` metric):
+//! several times cheaper per query than snapshot-per-query (the
+//! `query.fresh_snapshot_query_seconds` and
+//! `query.reused_snapshot_query_seconds` metrics):
 //!
 //! ```
 //! use hsq::core::{HsqConfig, ShardedEngine};
