@@ -6,12 +6,14 @@
 //! ```
 //!
 //! Deterministic metrics (accuracy ratios, relative errors, disk reads,
-//! memory words) gate at `--threshold` (default 25%, the repo's headline
-//! contract). Wall-clock metrics (seconds, elements/second, speedups)
+//! memory words, probe counts) gate at `--threshold` (default 25%, the
+//! repo's headline contract). The two CPU-cost metrics (`*ns_per_*`)
 //! gate at `--timing-threshold` (default 75%) so a differently-sized CI
-//! runner doesn't fail spuriously while real collapses still do.
+//! runner doesn't fail spuriously while real collapses still do. Any
+//! baseline entry the fresh run lacks fails the gate too.
 //!
-//! Exit codes: 0 = pass, 1 = regression, 2 = usage/parse error.
+//! Exit codes: 0 = pass, 1 = regression or missing metric, 2 =
+//! usage/parse error.
 
 use hsq_bench::trend::{compare, render_table, Json, Thresholds};
 
@@ -59,9 +61,7 @@ fn main() {
         fail_usage("expected exactly two files");
     };
 
-    let base = load(baseline);
-    let new = load(fresh);
-    let (deltas, warnings) = compare(&base, &new, t);
+    let report = compare(&load(baseline), &load(fresh), t);
 
     println!(
         "bench-trend: {} vs {} (stable gate {:.0}%, timing gate {:.0}%)\n",
@@ -70,29 +70,32 @@ fn main() {
         t.stable * 100.0,
         t.timing * 100.0
     );
-    print!("{}", render_table(&deltas));
-    for w in &warnings {
-        println!("warning: {w}");
-    }
+    print!("{}", render_table(&report.deltas));
 
-    let failed: Vec<_> = deltas.iter().filter(|d| d.failed).collect();
-    if failed.is_empty() {
+    if report.passed() {
         println!(
-            "\nPASS: {} metrics compared, {} warnings, no regression beyond thresholds",
-            deltas.len(),
-            warnings.len()
+            "\nPASS: {} metrics compared, none missing, no regression beyond thresholds",
+            report.deltas.len()
         );
-    } else {
-        println!("\nFAIL: {} metric(s) regressed:", failed.len());
-        for d in &failed {
-            println!(
-                "  {}: {:.6} -> {:.6} ({:+.1}%)",
-                d.path,
-                d.base,
-                d.fresh,
-                -d.regression * 100.0
-            );
-        }
-        std::process::exit(1);
+        return;
     }
+    let failed: Vec<_> = report.deltas.iter().filter(|d| d.failed).collect();
+    println!(
+        "\nFAIL: {} metric(s) regressed, {} missing:",
+        failed.len(),
+        report.missing.len()
+    );
+    for d in &failed {
+        println!(
+            "  {}: {:.6} -> {:.6} ({:+.1}%)",
+            d.path,
+            d.base,
+            d.fresh,
+            -d.regression * 100.0
+        );
+    }
+    for m in &report.missing {
+        println!("  {m}");
+    }
+    std::process::exit(1);
 }

@@ -7,14 +7,20 @@
 //! Run: `cargo run --release -p hsq-bench --bin headline`
 //!
 //! Besides the console report, writes `BENCH_headline.json` (override the
-//! path with `HSQ_BENCH_JSON`) with the headline metrics plus scalar vs.
-//! batched ingestion throughput, so the perf trajectory is tracked across
-//! PRs.
+//! path with `HSQ_BENCH_JSON`) with what the repo's benchmark
+//! (`hsq_benchmark/`) cannot say: the §1.2 accuracy rows, the κ
+//! trade-off of §3.2 (Figures 7 and 10), sketch A/B error and memory,
+//! probe counts, retention, robustness and failover widening. Every one
+//! of those numbers is deterministic given the code and seeds; the only
+//! wall-clock leaves are the two CPU-cost gates `ingest.merge_ns_per_item`
+//! and `query.combined_build_ns_per_entry`. `bench_trend` diffs the file
+//! against the committed baseline.
 
-use std::io::Write as _;
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Instant;
 
+use hsq_bench::trend::Json;
 use hsq_bench::*;
 use hsq_core::baseline::StreamingAlgo;
 use hsq_core::{
@@ -30,43 +36,6 @@ use hsq_storage::{
     RetryDevice, RetryPolicy,
 };
 use hsq_workload::Dataset;
-use std::sync::Arc;
-
-/// Radix vs comparison batch sort at the ingest batch size. Min-of-k
-/// timing over many distinct batches (the noise-robust microbench
-/// estimator); the batch content is the headline ingest's own Uniform
-/// dataset. Returns `(radix_elems_per_sec, comparison_elems_per_sec,
-/// speedup)`.
-fn radix_metrics() -> (f64, f64, f64) {
-    const BATCH: usize = 4096;
-    const BATCHES: usize = 64;
-    const REPEATS: usize = 7;
-    let data: Vec<Vec<u64>> = (0..BATCHES)
-        .map(|i| Dataset::Uniform.generator(500 + i as u64).take_vec(BATCH))
-        .collect();
-    let mut buf = vec![0u64; BATCH];
-    let total = (BATCH * BATCHES) as f64;
-
-    let mut radix_best = f64::MAX;
-    let mut comparison_best = f64::MAX;
-    for _ in 0..REPEATS {
-        let t = Instant::now();
-        for d in &data {
-            buf.copy_from_slice(d);
-            sort_items(&mut buf);
-        }
-        radix_best = radix_best.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for d in &data {
-            buf.copy_from_slice(d);
-            buf.sort_unstable();
-        }
-        comparison_best = comparison_best.min(t.elapsed().as_secs_f64());
-    }
-    let radix_eps = total / radix_best;
-    let comparison_eps = total / comparison_best;
-    (radix_eps, comparison_eps, radix_eps / comparison_eps)
-}
 
 /// CPU cost of the step-close merge kernel: nanoseconds per item of one
 /// `merge_runs` over the level-0 cascade of the `ingest_heavy` benchmark
@@ -161,11 +130,10 @@ fn percentile(sorted: &[u32], p: f64) -> f64 {
     sorted[idx] as f64
 }
 
-/// Query-path metrics: bisection probe counts with summary vs domain
-/// bracket seeding (p50/p99 over a rank sweep), and per-query latency of
-/// a snapshot per query vs one `ShardedSnapshot` reused for a dashboard's
-/// worth of queries (reuse asserted faster in-bin).
-fn query_metrics() -> (f64, f64, f64, f64, f64, f64) {
+/// Bisection probe counts with summary vs domain bracket seeding (p50 and
+/// p99 over a rank sweep; summary seeding asserted strictly cheaper
+/// in-bin). Returns `(summary_p50, summary_p99, domain_p50, domain_p99)`.
+fn query_metrics() -> (f64, f64, f64, f64) {
     const STEPS: u64 = 40;
     const STEP_ITEMS: usize = 8192;
     let cfg = HsqConfig::builder()
@@ -179,7 +147,6 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64) {
     }
     h.stream_extend(&Dataset::Uniform.generator(999).take_vec(STEP_ITEMS));
 
-    // Probe counts: the same rank sweep under both seed modes.
     let n = h.total_len();
     let ranks: Vec<u64> = (1..=100).map(|i| (n * i) / 101 + 1).collect();
     let ss = h.stream().summary();
@@ -219,61 +186,19 @@ fn query_metrics() -> (f64, f64, f64, f64, f64, f64) {
         s_p50 < d_p50 && s_p99 < d_p99,
         "summary seeding must take strictly fewer probes: p50 {s_p50} vs {d_p50}, p99 {s_p99} vs {d_p99}"
     );
-
-    // Cached cross-shard summaries: per-query snapshots vs one reused
-    // snapshot answering the same dashboard batch.
-    let cfg = HsqConfig::builder()
-        .epsilon(0.01)
-        .merge_threshold(10)
-        .build();
-    let mut sharded = ShardedEngine::<u64, _>::with_shards(4, cfg, |_| MemDevice::new(4096));
-    for s in 0..20u64 {
-        let batch = Dataset::Uniform.generator(800 + s).take_vec(4096);
-        sharded.ingest_step(&batch).expect("ingest");
-    }
-    sharded.stream_extend(&Dataset::Uniform.generator(888).take_vec(4096));
-    let phis: Vec<f64> = (1..=40).map(|i| i as f64 / 41.0).collect();
-    let mut fresh_best = f64::MAX;
-    let mut reused_best = f64::MAX;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for &phi in &phis {
-            let _ = sharded.snapshot().quantile(phi).expect("query");
-        }
-        fresh_best = fresh_best.min(t.elapsed().as_secs_f64());
-        let snap = sharded.snapshot();
-        let t = Instant::now();
-        for &phi in &phis {
-            let _ = snap.quantile(phi).expect("query");
-        }
-        reused_best = reused_best.min(t.elapsed().as_secs_f64());
-    }
-    let fresh_secs = fresh_best / phis.len() as f64;
-    let reused_secs = reused_best / phis.len() as f64;
-    assert!(
-        reused_secs < fresh_secs,
-        "snapshot reuse must be faster than per-query snapshots ({:.2}x)",
-        fresh_secs / reused_secs
-    );
-
-    (s_p50, s_p99, d_p50, d_p99, fresh_secs, reused_secs)
+    (s_p50, s_p99, d_p50, d_p99)
 }
 
 /// Served-path metrics: a two-node loopback fleet behind a
-/// [`Coordinator`], answering the same rank sweep a single in-process
-/// engine answers over the identical union of data. Gates the probe
-/// economy of the wire path (p50 probe rounds ≤ 4, every answer's rank
-/// interval containing a true rank of the returned value) and measures
-/// the latency tax of going through TCP versus the in-process
-/// reused-snapshot path. Returns `(p50_probe_rounds,
-/// round_trips_per_query, served_query_seconds,
-/// inprocess_query_seconds)`.
-fn service_metrics() -> (f64, f64, f64, f64) {
+/// [`Coordinator`] answering a rank sweep. Gates the probe economy of the
+/// wire path (p50 probe rounds ≤ 4, every answer's rank interval
+/// containing a true rank of the returned value). Returns
+/// `(p50_probe_rounds, round_trips_per_query)`.
+fn service_metrics() -> (f64, f64) {
     const NODES: usize = 2;
     const SHARDS_PER_NODE: usize = 2;
     const STEPS: u64 = 12;
     const STEP_ITEMS: usize = 4096;
-    const REPEATS: usize = 3;
     let cfg = || {
         HsqConfig::builder()
             .epsilon(0.01)
@@ -294,70 +219,58 @@ fn service_metrics() -> (f64, f64, f64, f64) {
     let addrs: Vec<_> = handles.iter().map(|h| h.addr()).collect();
     let mut coord = Coordinator::<u64>::connect(&addrs).expect("connect fleet");
 
-    // Identical union on the wire and in-process: each node ingests its
-    // own slice, the local engine ingests the concatenation.
-    let mut local = ShardedEngine::<u64, _>::with_shards(NODES * SHARDS_PER_NODE, cfg(), |_| {
-        MemDevice::new(4096)
-    });
+    // Each node ingests its own slice; the oracle holds the union.
     let mut all_values: Vec<u64> = Vec::with_capacity(NODES * STEPS as usize * STEP_ITEMS);
     for s in 0..STEPS {
-        let mut union = Vec::with_capacity(NODES * STEP_ITEMS);
-        for (node, _) in addrs.iter().enumerate() {
+        for node in 0..NODES {
             let batch = Dataset::Uniform
                 .generator(1300 + s * NODES as u64 + node as u64)
                 .take_vec(STEP_ITEMS);
             let pairs: Vec<(u64, u64)> = batch.iter().map(|&v| (v, 1)).collect();
             coord.ingest(node, &pairs).expect("ingest");
-            union.extend_from_slice(&batch);
+            all_values.extend_from_slice(&batch);
         }
-        all_values.extend_from_slice(&union);
         if s + 1 < STEPS {
             coord.end_step().expect("end step");
-            local.ingest_step(&union).expect("local ingest");
-        } else {
-            local.stream_extend(&union);
         }
     }
     all_values.sort_unstable();
 
     let mut session = coord.session(7).expect("open session");
     let n = session.total_len();
-    assert_eq!(n, all_values.len() as u64, "fleet and local union differ");
+    assert_eq!(n, all_values.len() as u64, "fleet and oracle union differ");
     let ranks: Vec<u64> = (1..=40).map(|i| (n * i) / 41 + 1).collect();
 
-    // First query per path is the warm-up (summary extract fetch /
-    // combined-summary build); the timed sweeps ride the cached path.
+    // The first query fetches the summary extracts and builds the
+    // combined summary; count the sweep that rides the cached path.
     let _ = session.rank_query(ranks[0]).expect("warm");
     let mut rounds: Vec<u32> = Vec::with_capacity(ranks.len());
     let mut trips = 0u64;
-    let mut served_best = f64::MAX;
-    for rep in 0..REPEATS {
-        let t = Instant::now();
-        for &r in &ranks {
-            let served = session
-                .rank_query(r)
-                .expect("served query")
-                .expect("non-empty");
-            if rep == 0 {
-                rounds.push(served.probe_rounds);
-                trips += served.round_trips;
-                // The answer must honor the paper's guarantee: the
-                // reported rank interval contains a true rank of the
-                // returned value in the union.
-                let v = served.outcome.value;
-                let lt = all_values.partition_point(|&x| x < v) as u64;
-                let le = all_values.partition_point(|&x| x <= v) as u64;
-                assert!(
-                    served.outcome.rank_lo <= le && lt < served.outcome.rank_hi,
-                    "served rank interval [{}, {}] misses true ranks [{}, {}] of {v}",
-                    served.outcome.rank_lo,
-                    served.outcome.rank_hi,
-                    lt + 1,
-                    le,
-                );
-            }
-        }
-        served_best = served_best.min(t.elapsed().as_secs_f64());
+    for &r in &ranks {
+        let served = session
+            .rank_query(r)
+            .expect("served query")
+            .expect("non-empty");
+        rounds.push(served.probe_rounds);
+        trips += served.round_trips;
+        // The answer must honor the paper's guarantee: the reported rank
+        // interval contains a true rank of the returned value in the
+        // union.
+        let v = served.outcome.value;
+        let lt = all_values.partition_point(|&x| x < v) as u64;
+        let le = all_values.partition_point(|&x| x <= v) as u64;
+        assert!(
+            served.outcome.rank_lo <= le && lt < served.outcome.rank_hi,
+            "served rank interval [{}, {}] misses true ranks [{}, {}] of {v}",
+            served.outcome.rank_lo,
+            served.outcome.rank_hi,
+            lt + 1,
+            le,
+        );
+    }
+    drop(session);
+    for h in handles {
+        h.shutdown();
     }
     rounds.sort_unstable();
     let p50_rounds = percentile(&rounds, 0.50);
@@ -365,47 +278,23 @@ fn service_metrics() -> (f64, f64, f64, f64) {
         p50_rounds <= 4.0,
         "served bisection should settle in ≤ 4 probe rounds at p50, took {p50_rounds}"
     );
-    let trips_per_query = trips as f64 / ranks.len() as f64;
-
-    let snap = local.snapshot();
-    let _ = snap.rank_query(ranks[0]).expect("warm");
-    let mut inproc_best = f64::MAX;
-    for _ in 0..REPEATS {
-        let t = Instant::now();
-        for &r in &ranks {
-            let _ = snap.rank_query(r).expect("local query").expect("non-empty");
-        }
-        inproc_best = inproc_best.min(t.elapsed().as_secs_f64());
-    }
-    for h in handles {
-        h.shutdown();
-    }
-
-    (
-        p50_rounds,
-        trips_per_query,
-        served_best / ranks.len() as f64,
-        inproc_best / ranks.len() as f64,
-    )
+    (p50_rounds, trips as f64 / ranks.len() as f64)
 }
 
-/// Failover metrics: the same query sweep against a 2-groups × 2-replicas
-/// loopback fleet, three ways. *Healthy*: all replicas up. *Failover*:
-/// every group's preferred replica is partitioned away from the first op,
-/// so every read is served by the surviving replica — answers must stay
-/// byte-identical to healthy, and the timed sweep prices what failover
-/// costs once it has settled. *Degraded*: both replicas of group 0 are
-/// lost after the session opens; answers must widen their upper bound by
-/// exactly the lost group's recorded weight (asserted in-bench — the
-/// widening is deterministic, not a tuning knob). Returns
-/// `(healthy_query_seconds, failover_query_seconds,
-/// degraded_extra_width_frac)`.
-fn failover_metrics() -> (f64, f64, f64) {
+/// Failover widening: the same query sweep against a 2-groups ×
+/// 2-replicas loopback fleet, three ways. *Healthy*: all replicas up.
+/// *Failover*: every group's preferred replica is partitioned away from
+/// the first op, so every read is served by the surviving replica —
+/// answers must stay byte-identical to healthy. *Degraded*: both replicas
+/// of group 0 are lost halfway through a session; the later answers must
+/// widen their upper bound by exactly the lost group's recorded weight
+/// (asserted in-bench — the widening is deterministic, not a tuning
+/// knob). Returns `degraded_extra_width_frac`.
+fn failover_metrics() -> f64 {
     const GROUPS: usize = 2;
     const REPLICAS: usize = 2;
     const STEPS: u64 = 8;
     const STEP_ITEMS: usize = 2048;
-    const REPEATS: usize = 3;
     let cfg = || {
         HsqConfig::builder()
             .epsilon(0.01)
@@ -462,41 +351,27 @@ fn failover_metrics() -> (f64, f64, f64) {
     }
     drop(coord);
 
-    // Timed sweep of one session; returns (best seconds/query, answers).
+    // One session's sweep; none of its answers may be degraded.
     let sweep = |coord: &mut Coordinator<u64>, tenant: u64| {
         let mut session = coord.session(tenant).expect("open session");
         let n = session.total_len();
-        let ranks: Vec<u64> = (1..=20).map(|i| (n * i) / 21 + 1).collect();
-        let _ = session.rank_query(ranks[0]).expect("warm");
-        let mut answers = Vec::new();
-        let mut best = f64::MAX;
-        for rep in 0..REPEATS {
-            let t = Instant::now();
-            for &r in &ranks {
-                let q = session.rank_query(r).expect("query").expect("non-empty");
-                if rep == 0 {
-                    answers.push(q);
-                }
-            }
-            best = best.min(t.elapsed().as_secs_f64() / ranks.len() as f64);
-        }
-        answers
-            .iter()
-            .for_each(|q| assert_eq!(q.missing_weight, 0, "unexpected degradation"));
-        (best, answers)
+        (1..=20)
+            .map(|i| {
+                let q = session
+                    .rank_query((n * i) / 21 + 1)
+                    .expect("query")
+                    .expect("non-empty");
+                assert_eq!(q.missing_weight, 0, "unexpected degradation");
+                q
+            })
+            .collect::<Vec<_>>()
     };
 
-    // Counting run: learn the op budget so the degraded partition can be
-    // armed after the session opens.
+    // The healthy run also counts its ops, so the degraded run below can
+    // lose group 0 partway through the same sweep.
     let count_plan = FaultPlan::clean();
-    let mut coord = connect(Arc::clone(&count_plan));
-    let (_, _) = sweep(&mut coord, 40);
+    let healthy = sweep(&mut connect(Arc::clone(&count_plan)), 41);
     let ops = count_plan.ops();
-    drop(coord);
-
-    let mut coord = connect(FaultPlan::clean());
-    let (healthy_secs, healthy) = sweep(&mut coord, 41);
-    drop(coord);
 
     // Partition every group's preferred replica from the very first op:
     // construction, session, and all reads fail over to the survivors.
@@ -506,7 +381,7 @@ fn failover_metrics() -> (f64, f64, f64) {
         from: 0,
         to: u64::MAX,
     }]));
-    let (failover_secs, failed_over) = sweep(&mut coord, 42);
+    let failed_over = sweep(&mut coord, 42);
     assert!(coord.failovers() > 0, "failover path was not exercised");
     drop(coord);
     assert_eq!(healthy.len(), failed_over.len());
@@ -518,20 +393,22 @@ fn failover_metrics() -> (f64, f64, f64) {
         );
     }
 
-    // Lose all of group 0 right after the sweep's session is pinned: the
-    // remaining queries degrade, widening rank_hi by exactly the missing
-    // group's weight.
+    // Lose all of group 0 halfway through the sweep: the remaining
+    // queries degrade, widening rank_hi by exactly the missing group's
+    // weight.
     let mut coord = connect(FaultPlan::script(vec![NetFault::Partition {
         replicas: vec![0, 1],
-        from: ops / 8,
+        from: ops / 2,
         to: u64::MAX,
     }]));
     let mut session = coord.session(43).expect("open session");
     let n = session.total_len();
-    let ranks: Vec<u64> = (1..=20).map(|i| (n * i) / 21 + 1).collect();
     let mut extra = Vec::new();
-    for &r in &ranks {
-        let q = session.rank_query(r).expect("query").expect("non-empty");
+    for i in 1..=20 {
+        let q = session
+            .rank_query((n * i) / 21 + 1)
+            .expect("query")
+            .expect("non-empty");
         if q.outcome.degraded {
             assert_eq!(q.missing_weight, group0_weight, "missing weight");
             let eps_m = (session.query_epsilon() * session.stream_len() as f64).floor() as u64;
@@ -545,26 +422,23 @@ fn failover_metrics() -> (f64, f64, f64) {
     }
     assert!(!extra.is_empty(), "degraded path was not exercised");
     let total: u64 = group0_weight * GROUPS as u64;
-    let extra_width_frac = extra.iter().sum::<f64>() / extra.len() as f64 / total as f64;
     drop(session);
     drop(coord);
 
     for h in handles {
         h.shutdown();
     }
-    (healthy_secs, failover_secs, extra_width_frac)
+    extra.iter().sum::<f64>() / extra.len() as f64 / total as f64
 }
 
 /// Self-healing storage metrics. Rot one block in every partition of a
 /// warehouse; scrub must detect all of them (`detection_hit_rate`, gated
-/// at 1.0) and repair by salvaging every other block
-/// (`salvage_hit_rate` — deterministic given the layout). Also measures
-/// clean-scrub verify throughput, and a deterministic flaky-read
+/// at 1.0) and repair by salvaging every other block (`salvage_hit_rate`
+/// — deterministic given the layout). Then a deterministic flaky-read
 /// schedule masked by a `RetryDevice`: retries per query are exact given
-/// the seed, and query latency under flakiness is the noisy companion.
-/// Returns `(detection_hit_rate, salvage_hit_rate, scrub_blocks_per_sec,
-/// flaky_retry_disk_reads_per_query, flaky_query_seconds)`.
-fn robustness_metrics() -> (f64, f64, f64, f64, f64) {
+/// the seed. Returns `(detection_hit_rate, salvage_hit_rate,
+/// flaky_retry_disk_reads_per_query)`.
+fn robustness_metrics() -> (f64, f64, f64) {
     const STEPS: u64 = 10;
     const STEP_ITEMS: usize = 8192;
     let cfg = HsqConfig::builder()
@@ -582,7 +456,7 @@ fn robustness_metrics() -> (f64, f64, f64, f64, f64) {
 
     // Detection + salvage: one rotted block per partition.
     let dev = MemDevice::new(4096);
-    let mut h = HistStreamQuantiles::<u64, _>::new(std::sync::Arc::clone(&dev), cfg.clone());
+    let mut h = HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), cfg.clone());
     ingest(&mut h);
     let layout: Vec<(FileId, u64)> = h
         .warehouse()
@@ -611,11 +485,7 @@ fn robustness_metrics() -> (f64, f64, f64, f64, f64) {
     let healed = h.scrub(u64::MAX).expect("scrub");
     assert_eq!(healed.quarantined_after, 0, "repair must clear quarantine");
     let salvage = healed.items_salvaged as f64 / (healed.items_salvaged + healed.items_lost) as f64;
-
-    // Clean-scrub verify throughput over the repaired warehouse.
-    let t = Instant::now();
     let clean = h.scrub(u64::MAX).expect("scrub");
-    let scrub_bps = clean.blocks_verified as f64 / t.elapsed().as_secs_f64();
     assert_eq!(
         clean.corrupt_blocks, 0,
         "repaired warehouse must verify clean"
@@ -624,105 +494,55 @@ fn robustness_metrics() -> (f64, f64, f64, f64, f64) {
     // Flaky reads masked below the engine: deterministic schedule, exact
     // retry counts, zero query-visible failures.
     let fault = FaultDevice::new(MemDevice::new(4096));
-    let rdev = RetryDevice::new(std::sync::Arc::clone(&fault), RetryPolicy::immediate(32));
+    let rdev = RetryDevice::new(Arc::clone(&fault), RetryPolicy::immediate(32));
     let mut h = HistStreamQuantiles::<u64, _>::new(rdev, cfg);
     ingest(&mut h);
     fault.arm(Fault::FlakyReads { seed: 9, rate: 4 });
     let n = h.total_len();
     let ranks: Vec<u64> = (1..=50).map(|i| (n * i) / 51 + 1).collect();
     let before = fault.stats().snapshot().retries;
-    let t = Instant::now();
     for &r in &ranks {
         let o = h.rank_query(r).expect("query").expect("non-empty");
         assert!(!o.degraded, "transients must never quarantine");
     }
-    let flaky_secs = t.elapsed().as_secs_f64() / ranks.len() as f64;
     let retries = (fault.stats().snapshot().retries - before) as f64 / ranks.len() as f64;
     assert!(retries > 0.0, "the flaky schedule must have fired");
 
-    (detection, salvage, scrub_bps, retries, flaky_secs)
-}
-
-/// Elements/second of the scalar and batched stream-ingest paths on a
-/// uniform u64 stream (the batched pipeline's headline speedup).
-fn ingest_throughput() -> (f64, f64) {
-    let n = 1 << 19;
-    let data: Vec<u64> = Dataset::Uniform.generator(77).take_vec(n);
-    let engine = || {
-        let cfg = HsqConfig::builder()
-            .epsilon(0.01)
-            .merge_threshold(10)
-            .build();
-        HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg)
-    };
-    let mut h = engine();
-    let t = Instant::now();
-    for &v in &data {
-        h.stream_update(v);
-    }
-    let scalar = n as f64 / t.elapsed().as_secs_f64();
-    let mut h = engine();
-    let t = Instant::now();
-    for chunk in data.chunks(4096) {
-        h.stream_extend(chunk);
-    }
-    let batched = n as f64 / t.elapsed().as_secs_f64();
-    (scalar, batched)
+    (detection, salvage, retries)
 }
 
 /// One backend's row in the sketch A/B section.
 struct SketchRow {
     name: &'static str,
-    update_eps: f64,
-    batch_eps: f64,
     max_rel_err: f64,
-    merge_secs: f64,
     memory_words: usize,
-    /// Weighted-insert throughput in *weight units* (expanded elements)
-    /// per second — the headline win of native weighted ingestion.
-    weighted_wps: f64,
     /// Observed max rank error of the weighted sketch against exact over
     /// the replicated expansion, in units of `ε·W` (gated `< 1`).
     weighted_max_rel_err: f64,
 }
 
-/// Pluggable-sketch A/B: for each backend (GK, KLL) at the same ε,
-/// scalar update throughput, batched insert throughput (chunks of 4096
-/// through the radix sort path), observed max rank error against exact
-/// in units of the promised `ε·n` (asserted `< 1` for both backends —
-/// the union guarantee's in-bin gate), the cost of an 8-way shard
-/// merge, and the memory footprint.
+/// Pluggable-sketch A/B: for each backend (GK, KLL) at the same ε, the
+/// observed max rank error against exact in units of the promised `ε·n`,
+/// unweighted and weighted (asserted `< 1` for both backends — the union
+/// guarantee's in-bin gate), and the memory footprint.
 fn sketch_metrics() -> Vec<SketchRow> {
     use hsq_sketch::{AnySketch, QuantileSketch, SketchKind};
     const EPS: f64 = 0.01;
     const N: usize = 1 << 19;
-    const SHARDS: usize = 8;
     let data: Vec<u64> = Dataset::Uniform.generator(4242).take_vec(N);
     let mut sorted = data.clone();
     sorted.sort_unstable();
 
     let mut rows = Vec::new();
     for kind in [SketchKind::Gk, SketchKind::Kll] {
-        // Scalar updates.
         let mut s = AnySketch::<u64>::new(kind, EPS);
-        let t = Instant::now();
         for &v in &data {
             s.insert(v);
         }
-        let update_eps = N as f64 / t.elapsed().as_secs_f64();
 
-        // Batched inserts at the engine's ingest chunk size.
-        let mut b = AnySketch::<u64>::new(kind, EPS);
-        let mut buf = data.clone();
-        let t = Instant::now();
-        for chunk in buf.chunks_mut(4096) {
-            b.insert_batch(chunk);
-        }
-        let batch_eps = N as f64 / t.elapsed().as_secs_f64();
-
-        // Observed accuracy of the scalar-built sketch vs exact ranks,
-        // normalized by the promised eps*n: > 1 would break Theorem 2's
-        // union bound, so both backends gate on it in-bin.
+        // Observed accuracy vs exact ranks, normalized by the promised
+        // eps*n: > 1 would break Theorem 2's union bound, so both
+        // backends gate on it in-bin.
         let mut max_dist = 0u64;
         for i in 1..=200u64 {
             let r = (N as u64 * i) / 201 + 1;
@@ -740,27 +560,9 @@ fn sketch_metrics() -> Vec<SketchRow> {
         );
         let max_err = max_dist as f64 / (EPS * N as f64);
 
-        // Merge cost: fold 8 shard sketches (N/8 items each) into one.
-        let shards: Vec<AnySketch<u64>> = (0..SHARDS)
-            .map(|i| {
-                let mut sh = AnySketch::<u64>::new(kind, EPS);
-                let mut chunk = data[i * (N / SHARDS)..(i + 1) * (N / SHARDS)].to_vec();
-                sh.insert_batch(&mut chunk);
-                sh
-            })
-            .collect();
-        let t = Instant::now();
-        let mut merged = AnySketch::<u64>::new(kind, EPS);
-        for sh in &shards {
-            merged.merge_from(sh);
-        }
-        let merge_secs = t.elapsed().as_secs_f64();
-        assert_eq!(merged.len(), N as u64, "{kind}: merge lost items");
-
         // Weighted inserts: geometric weights (mean ~8.5 weight units per
-        // pair), ingested natively. Throughput counts *weight units* —
-        // the replicated-equivalent element rate — and the observed rank
-        // error against exact-over-replicated gates within eps*W.
+        // pair), ingested natively; the observed rank error against
+        // exact-over-replicated gates within eps*W.
         const PAIRS: usize = 1 << 17;
         let mut lcg = 0x1357_9BDFu64;
         let pairs: Vec<(u64, u64)> = data[..PAIRS]
@@ -775,11 +577,9 @@ fn sketch_metrics() -> Vec<SketchRow> {
         let big_w: u64 = pairs.iter().map(|&(_, w)| w).sum();
         let mut ws = AnySketch::<u64>::new(kind, EPS);
         let mut buf = pairs.clone();
-        let t = Instant::now();
         for chunk in buf.chunks_mut(4096) {
             ws.insert_weighted_batch(chunk);
         }
-        let weighted_wps = big_w as f64 / t.elapsed().as_secs_f64();
         assert_eq!(ws.len(), big_w, "{kind}: weighted mass lost");
         let mut replicated: Vec<u64> = Vec::with_capacity(big_w as usize);
         for &(v, w) in &pairs {
@@ -800,17 +600,12 @@ fn sketch_metrics() -> Vec<SketchRow> {
             "{kind}: weighted rank error {weighted_max_dist} breaks the eps*W = {} bound",
             EPS * big_w as f64
         );
-        let weighted_max_rel_err = weighted_max_dist as f64 / (EPS * big_w as f64);
 
         rows.push(SketchRow {
             name: kind.as_str(),
-            update_eps,
-            batch_eps,
             max_rel_err: max_err,
-            merge_secs,
             memory_words: s.memory_words(),
-            weighted_wps,
-            weighted_max_rel_err,
+            weighted_max_rel_err: weighted_max_dist as f64 / (EPS * big_w as f64),
         });
     }
     rows
@@ -818,10 +613,10 @@ fn sketch_metrics() -> Vec<SketchRow> {
 
 /// Retention metrics: steady-state partition bytes of an engine
 /// ingesting indefinitely under a byte-cap policy (deterministic given
-/// the seed), and the cost of sliding-window queries over the retained
-/// horizon. Returns `(byte_cap, steady_state_bytes, window_query_secs,
+/// the seed), and the disk reads of sliding-window queries over the
+/// retained horizon. Returns `(byte_cap, steady_state_bytes,
 /// window_reads_per_query)`.
-fn retention_metrics() -> (u64, u64, f64, f64) {
+fn retention_metrics() -> (u64, u64, f64) {
     let cap: u64 = 256 << 10; // 256 KiB on a 4096-byte-block device
     let cfg = HsqConfig::builder()
         .epsilon(0.01)
@@ -829,7 +624,7 @@ fn retention_metrics() -> (u64, u64, f64, f64) {
         .retention(RetentionPolicy::unbounded().with_max_bytes(cap))
         .build();
     let dev = MemDevice::new(4096);
-    let mut h = HistStreamQuantiles::<u64, _>::new(std::sync::Arc::clone(&dev), cfg);
+    let mut h = HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), cfg);
     let steps = 200usize;
     let step_items = 4096usize;
     let data: Vec<u64> = Dataset::Uniform.generator(42).take_vec(steps * step_items);
@@ -843,10 +638,9 @@ fn retention_metrics() -> (u64, u64, f64, f64) {
         }
     }
 
-    // Windowed-query cost over every aligned window, p50/p99 each.
+    // Windowed-query reads over every aligned window, p50/p99 each.
     let windows = h.available_windows();
     let before = dev.stats().snapshot();
-    let t = Instant::now();
     let mut queries = 0u32;
     for &w in &windows {
         for phi in [0.5, 0.99] {
@@ -854,9 +648,50 @@ fn retention_metrics() -> (u64, u64, f64, f64) {
             queries += 1;
         }
     }
-    let secs = t.elapsed().as_secs_f64() / queries as f64;
     let reads = (dev.stats().snapshot() - before).total_reads() as f64 / queries as f64;
-    (cap, steady, secs, reads)
+    (cap, steady, reads)
+}
+
+/// The κ trade-off of §3.2 (Figures 7 and 10) on Normal data: a larger
+/// merge threshold merges less often, so each step costs fewer disk
+/// accesses, but leaves more partitions, each with a coarser share of the
+/// fixed memory, so queries read more blocks (both asserted in-bin).
+/// Returns `(kappa, update_disk_accesses_per_step, disk_reads_per_query)`
+/// per κ.
+fn kappa_metrics(scale: &Scale) -> Vec<(usize, f64, f64)> {
+    let rows: Vec<_> = [3, 30]
+        .into_iter()
+        .map(|kappa| {
+            let s = build_scenario(Dataset::Normal, kappa, 23, scale);
+            (kappa, s.mean_step_accesses(), disk_reads_per_query(&s))
+        })
+        .collect();
+    let ((_, update_3, reads_3), (_, update_30, reads_30)) = (rows[0], rows[1]);
+    assert!(
+        update_30 < update_3 && reads_30 > reads_3,
+        "kappa 30 must trade fewer update accesses ({update_30} vs {update_3}) \
+         for more query reads ({reads_30} vs {reads_3})"
+    );
+    rows
+}
+
+/// A JSON object of `fields`, in order.
+fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    let mut o = Json::Obj(Vec::new());
+    for (k, v) in fields {
+        o.set(k, v);
+    }
+    o
+}
+
+/// A JSON number kept to ten significant digits, so the baseline diffs
+/// cleanly.
+fn num(x: impl Into<f64>) -> Json {
+    Json::Num(
+        format!("{:.9e}", x.into())
+            .parse()
+            .expect("f64 round-trips"),
+    )
 }
 
 fn main() {
@@ -865,73 +700,61 @@ fn main() {
         steps: 100,
         step_items: 50_000,
         block_size: 4096,
-        memory_levels: [96 << 10; 5],
-        memory_fixed: 96 << 10,
-        repeats: 3,
+        memory_bytes: 96 << 10,
     };
     let kappa = 10;
-    let budget = scale.memory_fixed;
-    figure_header(
-        "Headline (paper section 1.2): accuracy at equal memory, N/m = 101",
-        "~100x better accuracy than the best streaming algorithm; a few hundred disk accesses",
-        &format!(
-            "{} steps x {} items + {}-item stream, {} KB memory, kappa = {kappa}",
-            scale.steps,
-            scale.step_items,
-            scale.step_items,
-            budget >> 10
-        ),
+    println!("Headline (paper section 1.2): accuracy at equal memory, N/m = 101");
+    println!(
+        "  paper: ~100x better accuracy than the best streaming algorithm; \
+         a few hundred disk accesses"
+    );
+    println!(
+        "  here:  {} steps x {} items + {}-item stream, {} KB memory, kappa = {kappa}",
+        scale.steps,
+        scale.step_items,
+        scale.step_items,
+        scale.memory_bytes >> 10
     );
 
-    let mut records = Vec::new();
+    let mut datasets = Vec::new();
     for dataset in [Dataset::Normal, Dataset::NetTrace] {
-        let mut s = build_scenario(dataset, budget, kappa, 2024, &scale);
+        let mut s = build_scenario(dataset, kappa, 2024, &scale);
         let ours = accurate_relative_error(&mut s);
-        let (query_secs, reads) = query_cost(&s);
-        let (gk, _, gk_words) =
-            run_pure_streaming(StreamingAlgo::Gk, dataset, budget, kappa, 2024, &scale);
+        let reads = disk_reads_per_query(&s);
+        let (gk, gk_words) = run_pure_streaming(StreamingAlgo::Gk, dataset, kappa, 2024, &scale);
+        let ratio = gk / ours.max(1e-12);
         println!(
-            "\n{}: ours {ours:.3e} vs pure-GK {gk:.3e}  ->  {:.0}x better, {reads:.0} disk reads/query",
+            "\n{}: ours {ours:.3e} vs pure-GK {gk:.3e}  ->  {ratio:.0}x better, \
+             {reads:.0} disk reads/query",
             dataset.name(),
-            gk / ours.max(1e-12),
         );
         println!(
-            "   memory: ours {} words, GK {} words (same budget)",
+            "   memory: ours {} words, GK {gk_words} words (same budget)",
             s.engine.memory_words(),
-            gk_words
         );
-        records.push(format!(
-            concat!(
-                "    {{\"dataset\": \"{}\", \"accurate_rel_err\": {:.6e}, ",
-                "\"pure_gk_rel_err\": {:.6e}, \"accuracy_ratio\": {:.2}, ",
-                "\"disk_reads_per_query\": {:.1}, \"query_seconds\": {:.6}, ",
-                "\"memory_words\": {}, \"gk_memory_words\": {}}}"
-            ),
-            dataset.name(),
-            ours,
-            gk,
-            gk / ours.max(1e-12),
-            reads,
-            query_secs,
-            s.engine.memory_words(),
-            gk_words,
-        ));
+        datasets.push(obj([
+            ("dataset", Json::Str(dataset.name().into())),
+            ("accurate_rel_err", num(ours)),
+            ("pure_gk_rel_err", num(gk)),
+            ("accuracy_ratio", num(ratio)),
+            ("disk_reads_per_query", num(reads)),
+            ("memory_words", num(s.engine.memory_words() as f64)),
+            ("gk_memory_words", num(gk_words as f64)),
+        ]));
     }
 
-    let (scalar_eps, batched_eps) = ingest_throughput();
-    println!(
-        "\ningest throughput: scalar {:.2} Melem/s, batched(4096) {:.2} Melem/s ({:.1}x)",
-        scalar_eps / 1e6,
-        batched_eps / 1e6,
-        batched_eps / scalar_eps.max(1.0),
-    );
-
-    let (radix_eps, comparison_eps, radix_speedup) = radix_metrics();
-    println!(
-        "batch sort (4096): radix {:.1} Melem/s vs comparison {:.1} Melem/s ({radix_speedup:.2}x)",
-        radix_eps / 1e6,
-        comparison_eps / 1e6,
-    );
+    let quick = Scale::quick();
+    let kappa_rows = kappa_metrics(&quick);
+    println!();
+    for &(k, update, reads) in &kappa_rows {
+        println!(
+            "kappa {k:>2} (Normal, {} x {}, {} KB): {update:.1} disk accesses/step, \
+             {reads:.1} disk reads/query",
+            quick.steps,
+            quick.step_items,
+            quick.memory_bytes >> 10,
+        );
+    }
 
     let merge_ns = merge_ns_per_item();
     println!("step-close merge (11 x 65536): {merge_ns:.1} ns/item");
@@ -939,168 +762,153 @@ fn main() {
     let sketch_rows = sketch_metrics();
     for r in &sketch_rows {
         println!(
-            "sketch[{}]: update {:.2} Melem/s, batch(4096) {:.2} Melem/s, \
-             weighted {:.2} Mweight/s (err {:.2} eps*W), \
-             max err {:.2} eps*n, 8-way merge {:.0} us, {} words",
-            r.name,
-            r.update_eps / 1e6,
-            r.batch_eps / 1e6,
-            r.weighted_wps / 1e6,
-            r.weighted_max_rel_err,
-            r.max_rel_err,
-            r.merge_secs * 1e6,
-            r.memory_words,
+            "sketch[{}]: max err {:.2} eps*n, weighted {:.2} eps*W, {} words",
+            r.name, r.max_rel_err, r.weighted_max_rel_err, r.memory_words,
         );
     }
 
-    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99, fresh_secs, reused_secs) = query_metrics();
+    let (q_s_p50, q_s_p99, q_d_p50, q_d_p99) = query_metrics();
     let build_ns = combined_build_ns_per_entry();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \
          {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; \
-         snapshot per query {:.0} us vs reused {:.0} us; \
          combined-summary build (56 x 201 + 4 x 401) {build_ns:.1} ns/entry",
-        fresh_secs * 1e6,
-        reused_secs * 1e6,
     );
 
-    let (byte_cap, steady_bytes, window_secs, window_reads) = retention_metrics();
+    let (byte_cap, steady_bytes, window_reads) = retention_metrics();
     println!(
-        "retention: steady-state {} KB under a {} KB cap; window queries {:.0} us, {:.1} reads",
+        "retention: steady-state {} KB under a {} KB cap; window queries {window_reads:.1} reads",
         steady_bytes >> 10,
         byte_cap >> 10,
-        window_secs * 1e6,
-        window_reads,
     );
 
-    let (detection, salvage, scrub_bps, flaky_retries, flaky_secs) = robustness_metrics();
+    let (detection, salvage, flaky_retries) = robustness_metrics();
     println!(
-        "robustness: scrub detected {:.0}% of rotted blocks, salvaged {:.1}% on repair, \
-         verify {:.0} blocks/s; flaky reads cost {:.2} retries/query ({:.0} us/query), \
-         zero visible failures",
+        "robustness: scrub detected {:.0}% of rotted blocks, salvaged {:.1}% on repair; \
+         flaky reads cost {flaky_retries:.2} retries/query, zero visible failures",
         detection * 100.0,
         salvage * 100.0,
-        scrub_bps,
-        flaky_retries,
-        flaky_secs * 1e6,
     );
 
-    let (served_p50_rounds, trips_per_query, served_secs, inproc_secs) = service_metrics();
+    let (served_p50_rounds, trips_per_query) = service_metrics();
     println!(
         "service: 2 nodes x 2 shards over loopback, {served_p50_rounds:.0} probe rounds p50, \
-         {trips_per_query:.1} round trips/query; served {:.0} us/query vs {:.0} us in-process \
-         ({:.1}x wire tax)",
-        served_secs * 1e6,
-        inproc_secs * 1e6,
-        served_secs / inproc_secs.max(1e-9),
+         {trips_per_query:.1} round trips/query",
     );
 
-    let (healthy_secs, failover_secs, extra_width_frac) = failover_metrics();
+    let extra_width_frac = failover_metrics();
     println!(
-        "failover: 2 groups x 2 replicas, preferred replicas partitioned away: \
-         {:.0} us/query vs {:.0} us healthy ({:.2}x), answers byte-identical; \
-         whole-group loss widens bounds by {:.0}% of the union (exactly the lost weight)",
-        failover_secs * 1e6,
-        healthy_secs * 1e6,
-        failover_secs / healthy_secs.max(1e-9),
+        "failover: 2 groups x 2 replicas, answers byte-identical with preferred replicas \
+         partitioned away; whole-group loss widens bounds by {:.0}% of the union \
+         (exactly the lost weight)",
         extra_width_frac * 100.0,
     );
 
+    let json = obj([
+        ("bench", Json::Str("headline".into())),
+        ("steps", num(scale.steps as f64)),
+        ("step_items", num(scale.step_items as f64)),
+        ("memory_bytes", num(scale.memory_bytes as f64)),
+        ("kappa", num(kappa as f64)),
+        ("datasets", Json::Arr(datasets)),
+        (
+            "paper",
+            obj([
+                ("dataset", Json::Str(Dataset::Normal.name().into())),
+                ("steps", num(quick.steps as f64)),
+                ("step_items", num(quick.step_items as f64)),
+                ("memory_bytes", num(quick.memory_bytes as f64)),
+                (
+                    "kappa",
+                    Json::Arr(
+                        kappa_rows
+                            .iter()
+                            .map(|&(k, update, reads)| {
+                                obj([
+                                    ("kappa", num(k as f64)),
+                                    ("update_disk_accesses_per_step", num(update)),
+                                    ("disk_reads_per_query", num(reads)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        ("ingest", obj([("merge_ns_per_item", num(merge_ns))])),
+        (
+            "sketch",
+            obj([
+                ("epsilon", num(0.01)),
+                ("elems", num(524_288)),
+                (
+                    "backends",
+                    Json::Arr(
+                        sketch_rows
+                            .iter()
+                            .map(|r| {
+                                obj([
+                                    ("name", Json::Str(r.name.into())),
+                                    ("weighted_max_rel_err", num(r.weighted_max_rel_err)),
+                                    ("max_rel_err", num(r.max_rel_err)),
+                                    ("memory_words", num(r.memory_words as f64)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "query",
+            obj([
+                ("summary_p50_probes", num(q_s_p50)),
+                ("summary_p99_probes", num(q_s_p99)),
+                ("domain_p50_probes", num(q_d_p50)),
+                ("domain_p99_probes", num(q_d_p99)),
+                ("combined_build_ns_per_entry", num(build_ns)),
+            ]),
+        ),
+        (
+            "retention",
+            obj([
+                ("byte_cap", num(byte_cap as f64)),
+                ("steady_state_bytes", num(steady_bytes as f64)),
+                ("window_disk_reads_per_query", num(window_reads)),
+            ]),
+        ),
+        (
+            "robustness",
+            obj([
+                ("detection_hit_rate", num(detection)),
+                ("salvage_hit_rate", num(salvage)),
+                ("flaky_retry_disk_reads_per_query", num(flaky_retries)),
+            ]),
+        ),
+        (
+            "service",
+            obj([
+                ("nodes", num(2)),
+                ("shards_per_node", num(2)),
+                ("served_p50_probe_rounds", num(served_p50_rounds)),
+                ("round_trips_per_query", num(trips_per_query)),
+                (
+                    "failover",
+                    obj([
+                        ("groups", num(2)),
+                        ("replicas", num(2)),
+                        ("degraded_extra_width_frac", num(extra_width_frac)),
+                    ]),
+                ),
+            ]),
+        ),
+    ]);
+
     let path =
         std::env::var("HSQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_headline.json".to_string());
-    let sketch_json = sketch_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"update_elems_per_sec\": {:.0}, ",
-                    "\"batch_4096_elems_per_sec\": {:.0}, ",
-                    "\"weighted_insert_weight_per_sec\": {:.0}, ",
-                    "\"weighted_max_rel_err\": {:.4}, \"max_rel_err\": {:.4}, ",
-                    "\"merge_8way_seconds\": {:.8}, \"memory_words\": {}}}"
-                ),
-                r.name,
-                r.update_eps,
-                r.batch_eps,
-                r.weighted_wps,
-                r.weighted_max_rel_err,
-                r.max_rel_err,
-                r.merge_secs,
-                r.memory_words
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"headline\",\n  \"steps\": {},\n  \"step_items\": {},\n",
-            "  \"memory_bytes\": {},\n  \"kappa\": {},\n  \"datasets\": [\n{}\n  ],\n",
-            "  \"ingest\": {{\"scalar_elems_per_sec\": {:.0}, ",
-            "\"batched_4096_elems_per_sec\": {:.0}, \"speedup\": {:.2}, ",
-            "\"radix_sort_elems_per_sec\": {:.0}, ",
-            "\"comparison_sort_elems_per_sec\": {:.0}, \"radix_speedup\": {:.2}, ",
-            "\"merge_ns_per_item\": {:.1}}},\n",
-            "  \"sketch\": {{\"epsilon\": 0.01, \"elems\": 524288, \"backends\": [\n{}\n  ]}},\n",
-            "  \"query\": {{\"summary_p50_probes\": {:.1}, \"summary_p99_probes\": {:.1}, ",
-            "\"domain_p50_probes\": {:.1}, \"domain_p99_probes\": {:.1}, ",
-            "\"combined_build_ns_per_entry\": {:.1}, ",
-            "\"fresh_snapshot_query_seconds\": {:.8}, ",
-            "\"reused_snapshot_query_seconds\": {:.8}}},\n",
-            "  \"retention\": {{\"byte_cap\": {}, \"steady_state_bytes\": {}, ",
-            "\"window_query_seconds\": {:.6}, \"window_disk_reads_per_query\": {:.1}}},\n",
-            "  \"robustness\": {{\"detection_hit_rate\": {:.3}, ",
-            "\"salvage_hit_rate\": {:.3}, \"scrub_blocks_per_sec\": {:.0}, ",
-            "\"flaky_retry_disk_reads_per_query\": {:.2}, ",
-            "\"flaky_query_seconds\": {:.8}}},\n",
-            "  \"service\": {{\"nodes\": 2, \"shards_per_node\": 2, ",
-            "\"served_p50_probe_rounds\": {:.1}, ",
-            "\"round_trips_per_query\": {:.2}, ",
-            "\"served_query_seconds\": {:.8}, ",
-            "\"inprocess_query_seconds\": {:.8}, ",
-            "\"failover\": {{\"groups\": 2, \"replicas\": 2, ",
-            "\"healthy_query_seconds\": {:.8}, ",
-            "\"failover_query_seconds\": {:.8}, ",
-            "\"degraded_extra_width_frac\": {:.4}}}}}\n}}\n"
-        ),
-        scale.steps,
-        scale.step_items,
-        budget,
-        kappa,
-        records.join(",\n"),
-        scalar_eps,
-        batched_eps,
-        batched_eps / scalar_eps.max(1.0),
-        radix_eps,
-        comparison_eps,
-        radix_speedup,
-        merge_ns,
-        sketch_json,
-        q_s_p50,
-        q_s_p99,
-        q_d_p50,
-        q_d_p99,
-        build_ns,
-        fresh_secs,
-        reused_secs,
-        byte_cap,
-        steady_bytes,
-        window_secs,
-        window_reads,
-        detection,
-        salvage,
-        scrub_bps,
-        flaky_retries,
-        flaky_secs,
-        served_p50_rounds,
-        trips_per_query,
-        served_secs,
-        inproc_secs,
-        healthy_secs,
-        failover_secs,
-        extra_width_frac,
-    );
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    if let Err(e) = std::fs::write(&path, json.render()) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
     }
+    println!("wrote {path}");
 }

@@ -1,26 +1,28 @@
-//! # hsq-bench — experiment harness for the VLDB'16 reproduction
+//! # hsq-bench — the paper's headline claims and their regression gate
 //!
-//! One binary per figure of the paper's evaluation (§3.2); see DESIGN.md's
-//! per-experiment index and EXPERIMENTS.md for recorded results. This
-//! library holds the shared machinery: scaled-down experiment sizing,
-//! engine construction from a memory budget, measured ingestion, and
-//! error/cost measurement against an exact oracle.
+//! The `headline` binary reproduces the §1.2 accuracy claim and the
+//! §3.2 claims no test checks, and writes `BENCH_headline.json`;
+//! `bench_trend` diffs a fresh run against the committed file
+//! ([`trend`]). Wall-clock timing of the engine belongs to the repo's
+//! benchmark (`hsq_benchmark/`), not here. This library holds the shared
+//! machinery: scaled-down experiment sizing, engine construction from a
+//! memory budget, measured ingestion, and error/cost measurement against
+//! an exact oracle.
 //!
 //! ## Scaling
 //!
-//! The paper runs 50–100 GB of history; we default to ~10⁶ items
-//! (`--full`: ~10⁷) and shrink the block size 100 KB → 4 KB so that
-//! *block counts* — the unit of every cost the paper reports — stay in a
-//! comparable regime. Memory budgets scale likewise; every ratio the
-//! paper varies (memory:data, history:stream, κ, steps) is preserved.
+//! The paper runs 50–100 GB of history; we run ~10⁶ items and shrink the
+//! block size 100 KB → 4 KB so that *block counts* — the unit of every
+//! cost the paper reports — stay in a comparable regime. Memory budgets
+//! scale likewise; every ratio the paper varies (memory:data,
+//! history:stream, κ, steps) is preserved.
 
 pub mod trend;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use hsq_core::baseline::{PureStreaming, StreamingAlgo};
-use hsq_core::{plan_memory, HistStreamQuantiles, HsqConfig};
+use hsq_core::{plan_memory, HistStreamQuantiles};
 use hsq_sketch::ExactQuantiles;
 use hsq_storage::MemDevice;
 use hsq_workload::{Dataset, TimeStepDriver};
@@ -28,7 +30,7 @@ use hsq_workload::{Dataset, TimeStepDriver};
 /// The quantiles measured in every accuracy experiment.
 pub const PHIS: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.95];
 
-/// Experiment sizing, derived from CLI mode.
+/// Experiment sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Archived time steps (the paper: 100–116).
@@ -37,53 +39,18 @@ pub struct Scale {
     pub step_items: usize,
     /// Device block size in bytes (the paper: 100 KB).
     pub block_size: usize,
-    /// Memory budgets in bytes for memory sweeps (the paper: 100–500 MB).
-    pub memory_levels: [usize; 5],
-    /// Default memory budget for κ sweeps (the paper: 250 MB).
-    pub memory_fixed: usize,
-    /// Repetitions per configuration (the paper reports medians of 7).
-    pub repeats: usize,
+    /// Memory budget in bytes (the paper: 250 MB).
+    pub memory_bytes: usize,
 }
 
 impl Scale {
-    /// CI-sized run: finishes in seconds per figure.
+    /// CI-sized run: finishes in seconds per configuration.
     pub fn quick() -> Self {
         Scale {
             steps: 50,
             step_items: 10_000,
             block_size: 4096,
-            memory_levels: [24 << 10, 48 << 10, 96 << 10, 160 << 10, 240 << 10],
-            memory_fixed: 96 << 10,
-            repeats: 3,
-        }
-    }
-
-    /// Larger run (minutes per figure), closer to the paper's ratios.
-    pub fn full() -> Self {
-        Scale {
-            steps: 100,
-            step_items: 100_000,
-            block_size: 4096,
-            memory_levels: [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1024 << 10],
-            memory_fixed: 256 << 10,
-            repeats: 5,
-        }
-    }
-
-    /// Parse `--full` from the process args; also honors `HSQ_BENCH_FULL`
-    /// as a boolean flag: `1`/`true`/`on`/`yes` select the full scale,
-    /// `0`/`false`/`off`/`no`/empty select quick, anything else panics
-    /// (the `HSQ_WORKERS` convention — `HSQ_BENCH_FULL=0` must not
-    /// silently run a multi-minute full sweep).
-    pub fn from_args() -> Self {
-        let full = std::env::args().any(|a| a == "--full")
-            || std::env::var("HSQ_BENCH_FULL")
-                .map(|v| parse_bench_full(&v))
-                .unwrap_or(false);
-        if full {
-            Self::full()
-        } else {
-            Self::quick()
+            memory_bytes: 96 << 10,
         }
     }
 
@@ -93,150 +60,54 @@ impl Scale {
     }
 }
 
-/// Parse an `HSQ_BENCH_FULL` value as a boolean flag; panics on garbage.
-fn parse_bench_full(v: &str) -> bool {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "false" | "off" | "no" => false,
-        "1" | "true" | "on" | "yes" => true,
-        other => panic!("invalid HSQ_BENCH_FULL {other:?} (want 1/0/true/false/on/off/yes/no)"),
-    }
-}
-
-/// Measured costs of ingesting one configuration.
-#[derive(Clone, Debug, Default)]
-pub struct IngestStats {
-    /// Per-step total disk accesses.
-    pub per_step_accesses: Vec<u64>,
-    /// Total time loading (writing) partitions.
-    pub load_time: Duration,
-    /// Total time sorting batches.
-    pub sort_time: Duration,
-    /// Total time merging partitions.
-    pub merge_time: Duration,
-    /// Total time building summaries.
-    pub summary_time: Duration,
-    /// Disk accesses attributable to merging only.
-    pub merge_accesses: u64,
-}
-
-impl IngestStats {
-    /// Mean disk accesses per step.
-    pub fn mean_accesses(&self) -> f64 {
-        if self.per_step_accesses.is_empty() {
-            return 0.0;
-        }
-        self.per_step_accesses.iter().sum::<u64>() as f64 / self.per_step_accesses.len() as f64
-    }
-
-    /// Mean update wall time per step (seconds).
-    pub fn mean_step_seconds(&self) -> f64 {
-        let total = self.load_time + self.sort_time + self.merge_time + self.summary_time;
-        total.as_secs_f64() / self.per_step_accesses.len().max(1) as f64
-    }
-}
-
-/// A fully ingested scenario: engine + ground truth + the live stream.
+/// A fully ingested scenario: engine + ground truth + ingest cost.
 pub struct Scenario {
     /// The engine under test.
     pub engine: HistStreamQuantiles<u64, MemDevice>,
     /// Exact oracle over all data (history + live stream).
     pub oracle: ExactQuantiles<u64>,
-    /// Live stream size `m`.
-    pub stream_len: u64,
-    /// Ingestion cost record.
-    pub ingest: IngestStats,
+    /// Disk accesses of each archived step (writes, merges, reads).
+    pub per_step_accesses: Vec<u64>,
 }
 
-/// Build an engine from a memory budget (the paper's §3.1 methodology:
-/// 50/50 split between stream and historical summaries).
-pub fn engine_for_budget(
-    budget_bytes: usize,
-    kappa: usize,
-    scale: &Scale,
-) -> HistStreamQuantiles<u64, MemDevice> {
+impl Scenario {
+    /// Mean disk accesses per archived step.
+    pub fn mean_step_accesses(&self) -> f64 {
+        let steps = self.per_step_accesses.len().max(1);
+        self.per_step_accesses.iter().sum::<u64>() as f64 / steps as f64
+    }
+}
+
+/// Full scenario build: an engine sized from `scale.memory_bytes` (the
+/// paper's §3.1 methodology: 50/50 split between stream and historical
+/// summaries), `scale.steps` archived steps plus one live stream of
+/// `scale.step_items`, all mirrored in the oracle.
+pub fn build_scenario(dataset: Dataset, kappa: usize, seed: u64, scale: &Scale) -> Scenario {
     let plan = plan_memory(
-        budget_bytes,
+        scale.memory_bytes,
         kappa,
         scale.steps as u64,
         scale.step_items as u64,
     );
     let mut cfg = plan.into_config(kappa);
     cfg.cache_blocks = 64;
-    HistStreamQuantiles::new(MemDevice::new(scale.block_size), cfg)
-}
-
-/// Build an engine from an explicit ε (Algorithm 1 split).
-pub fn engine_for_epsilon(
-    epsilon: f64,
-    kappa: usize,
-    scale: &Scale,
-) -> HistStreamQuantiles<u64, MemDevice> {
-    let cfg = HsqConfig::builder()
-        .epsilon(epsilon)
-        .merge_threshold(kappa)
-        .build();
-    HistStreamQuantiles::new(MemDevice::new(scale.block_size), cfg)
-}
-
-/// Ingest `steps` archived steps plus one live stream of `stream_items`.
-pub fn ingest(
-    engine: &mut HistStreamQuantiles<u64, MemDevice>,
-    dataset: Dataset,
-    seed: u64,
-    steps: usize,
-    step_items: usize,
-    stream_items: usize,
-    with_oracle: bool,
-) -> (ExactQuantiles<u64>, IngestStats, u64) {
+    let mut engine = HistStreamQuantiles::new(MemDevice::new(scale.block_size), cfg);
     let mut oracle = ExactQuantiles::new();
-    let mut stats = IngestStats::default();
-    let mut driver = TimeStepDriver::new(dataset, seed, step_items, steps);
-    for batch in driver.by_ref() {
-        if with_oracle {
-            oracle.extend(batch.iter().copied());
-        }
+    let mut per_step_accesses = Vec::with_capacity(scale.steps);
+    for batch in TimeStepDriver::new(dataset, seed, scale.step_items, scale.steps) {
+        oracle.extend(batch.iter().copied());
         let rep = engine.ingest_step(&batch).expect("ingest failed");
-        stats.per_step_accesses.push(rep.total_accesses());
-        stats.load_time += rep.load_time;
-        stats.sort_time += rep.sort_time;
-        stats.merge_time += rep.merge_time;
-        stats.summary_time += rep.summary_time;
-        stats.merge_accesses += rep.merge_io.total_accesses();
+        per_step_accesses.push(rep.total_accesses());
     }
-    let mut sdriver = TimeStepDriver::new(dataset, seed ^ 0xDEAD, stream_items, 1);
-    let stream = sdriver.next().unwrap_or_default();
-    for &v in &stream {
-        if with_oracle {
-            oracle.insert(v);
-        }
+    let mut sdriver = TimeStepDriver::new(dataset, seed ^ 0xDEAD, scale.step_items, 1);
+    for v in sdriver.next().unwrap_or_default() {
+        oracle.insert(v);
         engine.stream_update(v);
     }
-    (oracle, stats, stream.len() as u64)
-}
-
-/// Full scenario build at a memory budget.
-pub fn build_scenario(
-    dataset: Dataset,
-    budget_bytes: usize,
-    kappa: usize,
-    seed: u64,
-    scale: &Scale,
-) -> Scenario {
-    let mut engine = engine_for_budget(budget_bytes, kappa, scale);
-    let (oracle, ingest, stream_len) = ingest(
-        &mut engine,
-        dataset,
-        seed,
-        scale.steps,
-        scale.step_items,
-        scale.step_items,
-        true,
-    );
     Scenario {
         engine,
         oracle,
-        stream_len,
-        ingest,
+        per_step_accesses,
     }
 }
 
@@ -252,57 +123,39 @@ pub fn accurate_relative_error(s: &mut Scenario) -> f64 {
     median(&mut errs)
 }
 
-/// Median relative error of the *quick* response over [`PHIS`].
-pub fn quick_relative_error(s: &mut Scenario) -> f64 {
-    let mut errs: Vec<f64> = PHIS
+/// Mean disk reads of an accurate rank query over [`PHIS`].
+pub fn disk_reads_per_query(s: &Scenario) -> f64 {
+    let reads: u64 = PHIS
         .iter()
         .map(|&phi| {
-            let v = s.engine.quantile_quick(phi).unwrap();
-            s.oracle.relative_error(phi, v)
+            let r = (phi * s.engine.total_len() as f64).ceil() as u64;
+            s.engine.rank_query(r).unwrap().unwrap().io.total_reads()
         })
-        .collect();
-    median(&mut errs)
+        .sum();
+    reads as f64 / PHIS.len() as f64
 }
 
-/// Query cost: (mean wall seconds, mean disk reads) over [`PHIS`].
-pub fn query_cost(s: &Scenario) -> (f64, f64) {
-    let mut secs = 0.0;
-    let mut reads = 0u64;
-    for &phi in &PHIS {
-        let r = (phi * s.engine.total_len() as f64).ceil() as u64;
-        let t = Instant::now();
-        let out = s.engine.rank_query(r).unwrap().unwrap();
-        secs += t.elapsed().as_secs_f64();
-        reads += out.io.total_reads();
-    }
-    (secs / PHIS.len() as f64, reads as f64 / PHIS.len() as f64)
-}
-
-/// Pure-streaming baseline driven identically; returns median relative
-/// error over [`PHIS`], total update time, and sketch memory words.
+/// Pure-streaming baseline driven like [`build_scenario`] in the same
+/// memory; returns median relative error over [`PHIS`] and sketch memory
+/// words.
 pub fn run_pure_streaming(
     algo: StreamingAlgo,
     dataset: Dataset,
-    budget_bytes: usize,
     kappa: usize,
     seed: u64,
     scale: &Scale,
-) -> (f64, Duration, usize) {
+) -> (f64, usize) {
     let dev = MemDevice::new(scale.block_size);
-    let words = budget_bytes / 8;
+    let words = scale.memory_bytes / 8;
     let expected = scale.total_items() + scale.step_items as u64;
     let mut base =
         PureStreaming::<u64, _>::with_memory(Arc::clone(&dev), algo, words, expected, kappa);
     let mut oracle = ExactQuantiles::new();
-    let mut update_time = Duration::ZERO;
-    let mut driver = TimeStepDriver::new(dataset, seed, scale.step_items, scale.steps);
-    for batch in driver.by_ref() {
-        let t = Instant::now();
+    for batch in TimeStepDriver::new(dataset, seed, scale.step_items, scale.steps) {
         for &v in &batch {
             base.insert(v);
         }
         base.end_time_step().unwrap();
-        update_time += t.elapsed();
         oracle.extend(batch.iter().copied());
     }
     let mut sdriver = TimeStepDriver::new(dataset, seed ^ 0xDEAD, scale.step_items, 1);
@@ -317,7 +170,7 @@ pub fn run_pure_streaming(
             oracle.relative_error(phi, v)
         })
         .collect();
-    (median(&mut errs), update_time, base.memory_words())
+    (median(&mut errs), base.memory_words())
 }
 
 /// Median of a slice (sorts in place).
@@ -325,21 +178,6 @@ pub fn median(xs: &mut [f64]) -> f64 {
     assert!(!xs.is_empty());
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
-}
-
-/// Median over `repeats` runs of `f(seed)`.
-pub fn median_of_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
-    let mut vals: Vec<f64> = (0..repeats).map(|i| f(1000 + i as u64)).collect();
-    median(&mut vals)
-}
-
-/// Print a figure header in a consistent format.
-pub fn figure_header(figure: &str, paper_setup: &str, our_setup: &str) {
-    println!("==================================================================");
-    println!("{figure}");
-    println!("  paper: {paper_setup}");
-    println!("  here:  {our_setup}");
-    println!("==================================================================");
 }
 
 #[cfg(test)]
@@ -352,37 +190,20 @@ mod tests {
             steps: 5,
             step_items: 500,
             block_size: 512,
-            memory_levels: [1 << 13; 5],
-            memory_fixed: 1 << 13,
-            repeats: 1,
+            memory_bytes: 1 << 13,
         };
-        let mut s = build_scenario(Dataset::Uniform, 1 << 13, 3, 42, &scale);
+        let mut s = build_scenario(Dataset::Uniform, 3, 42, &scale);
         assert_eq!(s.engine.total_len(), 3000);
+        assert_eq!(s.per_step_accesses.len(), 5);
+        assert!(s.mean_step_accesses() > 0.0);
         let err = accurate_relative_error(&mut s);
         assert!(err < 0.2, "err {err}");
-        let (_, reads) = query_cost(&s);
-        assert!(reads >= 0.0);
+        assert!(disk_reads_per_query(&s) >= 0.0);
     }
 
     #[test]
     fn median_helper() {
         let mut xs = [3.0, 1.0, 2.0];
         assert_eq!(median(&mut xs), 2.0);
-    }
-
-    #[test]
-    fn bench_full_flag_truthiness() {
-        for off in ["", "0", "false", "off", "no", " FALSE ", "Off"] {
-            assert!(!parse_bench_full(off), "{off:?} should be off");
-        }
-        for on in ["1", "true", "on", "yes", " TRUE ", "On"] {
-            assert!(parse_bench_full(on), "{on:?} should be on");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_BENCH_FULL")]
-    fn bench_full_garbage_panics() {
-        parse_bench_full("definitely");
     }
 }

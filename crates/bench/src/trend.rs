@@ -1,26 +1,28 @@
 //! Benchmark-trend machinery: a dependency-free JSON value model (the
-//! container has no registry access, so no `serde`) plus direction-aware
+//! workspace builds offline, so no `serde`) plus direction-aware
 //! comparison of two `BENCH_headline.json` snapshots.
 //!
-//! Used by the `bench_trend` binary (the CI regression gate) and by
-//! `sharded_scaling` (which merges its section into the headline file).
+//! The `headline` binary writes its report with [`Json`]; the
+//! `bench_trend` binary (the CI regression gate) reads two of them and
+//! runs [`compare`].
 //!
 //! ## Comparison semantics
 //!
 //! Every numeric leaf whose key matches a known metric is compared with a
 //! *direction* (is bigger better?) and a *noise class*:
 //!
-//! * **stable** metrics (accuracy ratios, relative errors, disk reads,
-//!   memory words) are deterministic given the code and seeds — they gate
-//!   at the tight threshold;
-//! * **noisy** metrics (wall-clock seconds, elements/second, speedups)
-//!   vary with the machine — they gate at the loose threshold, so a CI
-//!   runner differing from the machine that produced the committed
-//!   baseline doesn't fail spuriously, while large genuine regressions
-//!   still do.
+//! * **stable** metrics (accuracy ratios, relative errors, disk reads and
+//!   accesses, memory words, probe counts) are deterministic given the
+//!   code and seeds — they gate at the tight threshold;
+//! * **timing** metrics (`*ns_per_*` CPU costs) vary with the machine —
+//!   they gate at the loose threshold, so a CI runner differing from the
+//!   machine that produced the committed baseline doesn't fail
+//!   spuriously, while large genuine regressions still do.
 //!
-//! Config fields (`steps`, `kappa`, ...) are ignored; metrics present in
-//! the baseline but missing from the fresh run are reported as warnings.
+//! Config fields (`steps`, `kappa`, ...) are not gated. Anything the
+//! baseline holds that the fresh run lacks — a field, an array row, or a
+//! value whose type changed — is *missing*, and a missing entry fails
+//! the gate like a regression: a gated metric cannot vanish silently.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,22 +72,6 @@ impl Json {
                 Some((_, v)) => *v = value,
                 None => fields.push((key.to_string(), value)),
             }
-        }
-    }
-
-    /// Numeric value, if any.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if any.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
         }
     }
 
@@ -334,9 +320,9 @@ impl<'a> Parser<'a> {
 /// Whether a bigger value of a metric is better or worse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Bigger is better (throughput, accuracy ratio).
+    /// Bigger is better (accuracy ratio, hit rates).
     HigherBetter,
-    /// Smaller is better (error, I/O, latency, memory).
+    /// Smaller is better (error, I/O, CPU cost, memory).
     LowerBetter,
     /// Not a gated metric (configuration fields, ids).
     Ignore,
@@ -346,15 +332,13 @@ pub enum Direction {
 /// noisy (machine-dependent) or deterministic given code and seeds.
 pub fn classify(leaf: &str) -> (Direction, bool) {
     let l = leaf.to_ascii_lowercase();
-    if l.contains("accuracy_ratio") {
-        return (Direction::HigherBetter, false);
-    }
-    if l.contains("hit_rate") {
+    if l.contains("accuracy_ratio") || l.contains("hit_rate") {
         return (Direction::HigherBetter, false);
     }
     if [
         "rel_err",
         "disk_reads",
+        "disk_accesses",
         "memory_words",
         "steady_state",
         "probes",
@@ -367,11 +351,7 @@ pub fn classify(leaf: &str) -> (Direction, bool) {
     {
         return (Direction::LowerBetter, false);
     }
-    if ["per_sec", "speedup"].iter().any(|k| l.contains(k)) {
-        return (Direction::HigherBetter, true);
-    }
-    if l.contains("seconds") || l.ends_with("_secs") || l.ends_with("_ms") || l.contains("ns_per_")
-    {
+    if l.contains("ns_per_") {
         return (Direction::LowerBetter, true);
     }
     (Direction::Ignore, false)
@@ -381,7 +361,7 @@ pub fn classify(leaf: &str) -> (Direction, bool) {
 #[derive(Debug, Clone)]
 pub struct MetricDelta {
     /// Dotted path of the metric (array elements keyed by `dataset` /
-    /// `shards` when present).
+    /// `kappa` / `name` when present).
     pub path: String,
     /// Baseline value.
     pub base: f64,
@@ -391,9 +371,6 @@ pub struct MetricDelta {
     pub regression: f64,
     /// Machine-dependent metric (gated at the loose threshold).
     pub noisy: bool,
-    /// Inside a section marked `"informational": true` (e.g. sharded
-    /// scaling recorded with a single worker): reported, never gated.
-    pub informational: bool,
     /// Whether the gate threshold was exceeded.
     pub failed: bool,
 }
@@ -409,8 +386,9 @@ pub struct Thresholds {
 
 impl Default for Thresholds {
     fn default() -> Self {
-        // The tight gate is the ISSUE-mandated 25%; wall-clock metrics get
-        // slack for runner variance but still fail on large regressions.
+        // The tight gate is the repo's 25% headline contract; wall-clock
+        // metrics get slack for runner variance but still fail on large
+        // regressions.
         Thresholds {
             stable: 0.25,
             timing: 0.75,
@@ -418,36 +396,35 @@ impl Default for Thresholds {
     }
 }
 
-/// Compare two headline snapshots. Returns the per-metric deltas and
-/// warnings (baseline metrics missing from the fresh run, shape
-/// mismatches).
-pub fn compare(base: &Json, fresh: &Json, t: Thresholds) -> (Vec<MetricDelta>, Vec<String>) {
-    let mut deltas = Vec::new();
-    let mut warnings = Vec::new();
-    walk(
-        base,
-        fresh,
-        String::new(),
-        t,
-        false,
-        &mut deltas,
-        &mut warnings,
-    );
-    (deltas, warnings)
+/// The outcome of [`compare`].
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// Every gated metric present on both sides.
+    pub deltas: Vec<MetricDelta>,
+    /// Baseline entries the fresh run lacks or holds with another type,
+    /// one line each.
+    pub missing: Vec<String>,
 }
 
-/// An object opting its subtree out of gating (deltas are still listed).
-/// Written by benches whose numbers are only meaningful on the machine
-/// that produced them — e.g. `sharded_scaling` when it ran with a single
-/// worker, where fan-out speedups are structurally ~1x.
-fn is_informational(v: &Json) -> bool {
-    matches!(v.get("informational"), Some(Json::Bool(true)))
+impl Report {
+    /// The gate passes when no metric regressed past its threshold and
+    /// nothing in the baseline is missing from the fresh run.
+    pub fn passed(&self) -> bool {
+        self.missing.is_empty() && self.deltas.iter().all(|d| !d.failed)
+    }
+}
+
+/// Compare two headline snapshots.
+pub fn compare(base: &Json, fresh: &Json, t: Thresholds) -> Report {
+    let mut report = Report::default();
+    walk(base, fresh, String::new(), t, &mut report);
+    report
 }
 
 /// Identity key of an array element, used to match elements across the
 /// two files independent of ordering.
 fn element_key(v: &Json) -> Option<String> {
-    for id in ["dataset", "shards", "name"] {
+    for id in ["dataset", "kappa", "name"] {
         if let Some(k) = v.get(id) {
             match k {
                 Json::Str(s) => return Some(format!("{id}={s}")),
@@ -459,22 +436,9 @@ fn element_key(v: &Json) -> Option<String> {
     None
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    base: &Json,
-    fresh: &Json,
-    path: String,
-    t: Thresholds,
-    informational: bool,
-    deltas: &mut Vec<MetricDelta>,
-    warnings: &mut Vec<String>,
-) {
+fn walk(base: &Json, fresh: &Json, path: String, t: Thresholds, report: &mut Report) {
     match (base, fresh) {
-        (Json::Obj(fields), _) => {
-            // Either side may mark the section informational: a baseline
-            // recorded on 1 worker must not gate a multicore fresh run
-            // and vice versa.
-            let informational = informational || is_informational(base) || is_informational(fresh);
+        (Json::Obj(fields), Json::Obj(_)) => {
             for (k, bv) in fields {
                 let sub = if path.is_empty() {
                     k.clone()
@@ -482,12 +446,10 @@ fn walk(
                     format!("{path}.{k}")
                 };
                 match fresh.get(k) {
-                    Some(fv) => walk(bv, fv, sub, t, informational, deltas, warnings),
-                    None => {
-                        if metric_in(bv) {
-                            warnings.push(format!("{sub}: missing from fresh run"));
-                        }
-                    }
+                    Some(fv) => walk(bv, fv, sub, t, report),
+                    None => report
+                        .missing
+                        .push(format!("{sub}: missing from fresh run")),
                 }
             }
         }
@@ -503,12 +465,10 @@ fn walk(
                     None => (fitems.get(i), format!("{path}[{i}]")),
                 };
                 match fv {
-                    Some(fv) => walk(bv, fv, label, t, informational, deltas, warnings),
-                    None => {
-                        if metric_in(bv) {
-                            warnings.push(format!("{label}: missing from fresh run"));
-                        }
-                    }
+                    Some(fv) => walk(bv, fv, label, t, report),
+                    None => report
+                        .missing
+                        .push(format!("{label}: missing from fresh run")),
                 }
             }
         }
@@ -535,31 +495,19 @@ fn walk(
                 }
             };
             let threshold = if noisy { t.timing } else { t.stable };
-            deltas.push(MetricDelta {
+            report.deltas.push(MetricDelta {
                 path,
                 base: *b,
                 fresh: *f,
                 regression,
                 noisy,
-                informational,
-                failed: !informational && regression > threshold,
+                failed: regression > threshold,
             });
         }
-        (Json::Num(_), _) => warnings.push(format!("{path}: fresh value is not a number")),
+        (b, f) if std::mem::discriminant(b) != std::mem::discriminant(f) => report
+            .missing
+            .push(format!("{path}: fresh value has another type")),
         _ => {}
-    }
-}
-
-/// Does this subtree contain at least one gated metric? (Used to decide
-/// whether a missing subtree warrants a warning.)
-fn metric_in(v: &Json) -> bool {
-    match v {
-        Json::Num(_) => true,
-        Json::Arr(items) => items.iter().any(metric_in),
-        Json::Obj(fields) => fields.iter().any(|(k, v)| {
-            classify(k).0 != Direction::Ignore && matches!(v, Json::Num(_)) || metric_in(v)
-        }),
-        _ => false,
     }
 }
 
@@ -573,11 +521,9 @@ pub fn render_table(deltas: &[MetricDelta]) -> String {
     out.push_str(&"-".repeat(110));
     out.push('\n');
     for d in deltas {
-        let change = -d.regression * 100.0; // positive = improved
+        let change = 0.0 - d.regression * 100.0; // positive = improved, never -0.0
         let status = if d.failed {
             "REGRESSED"
-        } else if d.informational {
-            "info"
         } else if d.regression < -0.02 {
             "improved"
         } else {
@@ -600,10 +546,19 @@ mod tests {
       "bench": "headline", "steps": 100,
       "datasets": [
         {"dataset": "Normal", "accurate_rel_err": 1.0e-5, "disk_reads_per_query": 70.0,
-         "query_seconds": 0.0001, "accuracy_ratio": 300.0, "memory_words": 3500}
+         "accuracy_ratio": 300.0, "memory_words": 3500}
       ],
-      "ingest": {"scalar_elems_per_sec": 1000000, "speedup": 6.0}
+      "ingest": {"merge_ns_per_item": 20.0}
     }"#;
+
+    /// `base` with `section.key` set to `value`.
+    fn with(base: &Json, section: &str, key: &str, value: f64) -> Json {
+        let mut out = base.clone();
+        let mut s = base.get(section).unwrap().clone();
+        s.set(key, Json::Num(value));
+        out.set(section, s);
+        out
+    }
 
     #[test]
     fn parse_render_roundtrip() {
@@ -627,19 +582,14 @@ mod tests {
         let mut v = Json::parse(r#"{"a": 1}"#).unwrap();
         v.set("a", Json::Num(2.0));
         v.set("b", Json::Str("x".into()));
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x"));
+        assert_eq!(v.get("a"), Some(&Json::Num(2.0)));
+        assert_eq!(v.get("b"), Some(&Json::Str("x".into())));
     }
 
     #[test]
     fn weighted_metrics_classify() {
-        // Weighted-ingest throughput is wall-clock (loose timing gate);
-        // the weighted error ratio and the compaction-A/B fields are
+        // The weighted error ratio and the sketch A/B fields are
         // deterministic and gate at the tight stable threshold.
-        assert_eq!(
-            classify("weighted_insert_weight_per_sec"),
-            (Direction::HigherBetter, true)
-        );
         assert_eq!(
             classify("weighted_max_rel_err"),
             (Direction::LowerBetter, false)
@@ -659,14 +609,29 @@ mod tests {
     }
 
     #[test]
+    fn kappa_tradeoff_metrics_classify() {
+        // `paper.kappa` rows: both sides of the trade-off are block
+        // counts, deterministic and lower-better.
+        assert_eq!(
+            classify("update_disk_accesses_per_step"),
+            (Direction::LowerBetter, false)
+        );
+        assert_eq!(
+            classify("disk_reads_per_query"),
+            (Direction::LowerBetter, false)
+        );
+        assert_eq!(classify("kappa").0, Direction::Ignore);
+    }
+
+    #[test]
     fn identical_snapshots_pass() {
         let v = Json::parse(SAMPLE).unwrap();
-        let (deltas, warnings) = compare(&v, &v, Thresholds::default());
-        assert!(warnings.is_empty());
-        assert!(!deltas.is_empty());
-        assert!(deltas.iter().all(|d| !d.failed));
+        let report = compare(&v, &v, Thresholds::default());
+        assert!(report.passed());
+        assert!(report.missing.is_empty());
+        assert!(!report.deltas.is_empty());
         // Config fields are not gated.
-        assert!(deltas.iter().all(|d| !d.path.contains("steps")));
+        assert!(report.deltas.iter().all(|d| !d.path.contains("steps")));
     }
 
     #[test]
@@ -674,37 +639,34 @@ mod tests {
         let base = Json::parse(SAMPLE).unwrap();
         // Accuracy ratio collapses (higher-better, stable): must fail.
         let mut worse = base.clone();
-        if let Some(Json::Arr(items)) = worse.get("datasets").cloned() {
-            let mut items = items;
-            items[0].set("accuracy_ratio", Json::Num(100.0));
-            worse.set("datasets", Json::Arr(items));
-        }
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
-        let d = deltas
+        let Some(Json::Arr(mut items)) = base.get("datasets").cloned() else {
+            unreachable!()
+        };
+        items[0].set("accuracy_ratio", Json::Num(100.0));
+        worse.set("datasets", Json::Arr(items));
+        let report = compare(&base, &worse, Thresholds::default());
+        let d = report
+            .deltas
             .iter()
             .find(|d| d.path.contains("accuracy_ratio"))
             .unwrap();
         assert!(d.failed, "66% accuracy drop must gate: {d:?}");
+        assert!(!report.passed());
 
-        // A 30% throughput drop is within the loose timing threshold...
-        let mut slower = base.clone();
-        let mut ingest = base.get("ingest").unwrap().clone();
-        ingest.set("scalar_elems_per_sec", Json::Num(700_000.0));
-        slower.set("ingest", ingest);
-        let (deltas, _) = compare(&base, &slower, Thresholds::default());
-        let d = deltas
+        // A 30% slower merge is within the loose timing threshold...
+        let slower = with(&base, "ingest", "merge_ns_per_item", 26.0);
+        let report = compare(&base, &slower, Thresholds::default());
+        let d = report
+            .deltas
             .iter()
-            .find(|d| d.path.contains("scalar_elems_per_sec"))
+            .find(|d| d.path.contains("merge_ns_per_item"))
             .unwrap();
         assert!(!d.failed, "timing metrics gate loosely: {d:?}");
+        assert!(report.passed());
 
-        // ...but an 85% drop is not.
-        let mut broken = base.clone();
-        let mut ingest = base.get("ingest").unwrap().clone();
-        ingest.set("scalar_elems_per_sec", Json::Num(150_000.0));
-        broken.set("ingest", ingest);
-        let (deltas, _) = compare(&base, &broken, Thresholds::default());
-        assert!(deltas.iter().any(|d| d.failed));
+        // ...but a 2x slower one is not.
+        let broken = with(&base, "ingest", "merge_ns_per_item", 40.0);
+        assert!(!compare(&base, &broken, Thresholds::default()).passed());
     }
 
     #[test]
@@ -713,7 +675,7 @@ mod tests {
         // threshold must gate; the config-like byte_cap field must not.
         let base = Json::parse(
             r#"{"retention": {"byte_cap": 262144, "steady_state_bytes": 200000,
-                 "window_query_seconds": 0.0001, "window_disk_reads_per_query": 5.0}}"#,
+                 "window_disk_reads_per_query": 5.0}}"#,
         )
         .unwrap();
         let (dir, noisy) = classify("steady_state_bytes");
@@ -721,24 +683,21 @@ mod tests {
         assert!(!noisy);
         assert_eq!(classify("byte_cap").0, Direction::Ignore);
 
-        let mut worse = base.clone();
-        let mut r = base.get("retention").unwrap().clone();
-        r.set("steady_state_bytes", Json::Num(300_000.0));
-        worse.set("retention", r);
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
-        let d = deltas
+        let worse = with(&base, "retention", "steady_state_bytes", 300_000.0);
+        let report = compare(&base, &worse, Thresholds::default());
+        let d = report
+            .deltas
             .iter()
             .find(|d| d.path.contains("steady_state_bytes"))
             .unwrap();
         assert!(d.failed, "50% storage growth must gate: {d:?}");
-        assert!(deltas.iter().all(|d| !d.path.contains("byte_cap")));
+        assert!(report.deltas.iter().all(|d| !d.path.contains("byte_cap")));
     }
 
     #[test]
-    fn query_metrics_gate_probes_stable_and_latency_loose() {
+    fn query_metrics_gate_probes_stable_and_build_cost_loose() {
         // Bisection probe counts are deterministic given code and seeds:
-        // stable lower-better gate. Latencies and per-entry costs stay
-        // loose.
+        // stable lower-better gate. The per-entry build cost stays loose.
         let (dir, noisy) = classify("summary_p50_probes");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
@@ -748,12 +707,6 @@ mod tests {
         let (dir, noisy) = classify("combined_build_ns_per_entry");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(noisy);
-        let (dir, noisy) = classify("reused_snapshot_query_seconds");
-        assert_eq!(dir, Direction::LowerBetter);
-        assert!(noisy);
-        let (dir, noisy) = classify("radix_speedup");
-        assert_eq!(dir, Direction::HigherBetter);
-        assert!(noisy);
 
         let base = Json::parse(
             r#"{"query": {"summary_p50_probes": 5.0, "domain_p50_probes": 33.0,
@@ -761,149 +714,93 @@ mod tests {
         )
         .unwrap();
         // Probe regression past the tight threshold gates.
-        let mut worse = base.clone();
-        let mut q = base.get("query").unwrap().clone();
-        q.set("summary_p50_probes", Json::Num(9.0));
-        worse.set("query", q);
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
+        let worse = with(&base, "query", "summary_p50_probes", 9.0);
+        let report = compare(&base, &worse, Thresholds::default());
         assert!(
-            deltas
+            report
+                .deltas
                 .iter()
                 .any(|d| d.path.contains("summary_p50_probes") && d.failed),
-            "80% more probes must gate: {deltas:?}"
+            "80% more probes must gate: {report:?}"
         );
         // A slower combined-summary build within the loose threshold passes.
-        let mut slower = base.clone();
-        let mut q = base.get("query").unwrap().clone();
-        q.set("combined_build_ns_per_entry", Json::Num(35.0));
-        slower.set("query", q);
-        let (deltas, _) = compare(&base, &slower, Thresholds::default());
-        assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");
+        let slower = with(&base, "query", "combined_build_ns_per_entry", 35.0);
+        let report = compare(&base, &slower, Thresholds::default());
+        assert!(report.passed(), "{report:?}");
     }
 
     #[test]
-    fn service_metrics_gate_rounds_stable_and_latency_loose() {
+    fn service_metrics_gate_rounds_stable() {
         // Probe rounds and wire round-trips per served query are
-        // deterministic given code and seeds: tight gate. Served-query
-        // latency is wall clock: loose gate.
+        // deterministic given code and seeds: tight gate.
         let (dir, noisy) = classify("served_p50_probe_rounds");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
         let (dir, noisy) = classify("round_trips_per_query");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
-        let (dir, noisy) = classify("served_query_seconds");
-        assert_eq!(dir, Direction::LowerBetter);
-        assert!(noisy);
 
         let base = Json::parse(
             r#"{"service": {"nodes": 1, "served_p50_probe_rounds": 3.0,
-                 "round_trips_per_query": 3.0, "served_query_seconds": 0.001}}"#,
+                 "round_trips_per_query": 3.0}}"#,
         )
         .unwrap();
-        let mut worse = base.clone();
-        let mut s = base.get("service").unwrap().clone();
-        s.set("served_p50_probe_rounds", Json::Num(5.0));
-        worse.set("service", s);
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
+        let worse = with(&base, "service", "served_p50_probe_rounds", 5.0);
+        let report = compare(&base, &worse, Thresholds::default());
         assert!(
-            deltas
+            report
+                .deltas
                 .iter()
                 .any(|d| d.path.contains("served_p50_probe_rounds") && d.failed),
-            "probe-round regression must gate: {deltas:?}"
+            "probe-round regression must gate: {report:?}"
         );
     }
 
     #[test]
-    fn failover_metrics_gate_width_stable_and_latency_loose() {
+    fn failover_width_gates_stable() {
         // The degraded extra width is deterministic — it is exactly the
-        // lost group's weight fraction — so it gates tight; the healthy
-        // and failover sweep latencies are wall clock and gate loose.
+        // lost group's weight fraction — so it gates tight.
         let (dir, noisy) = classify("degraded_extra_width_frac");
         assert_eq!(dir, Direction::LowerBetter);
         assert!(!noisy);
-        let (dir, noisy) = classify("failover_query_seconds");
-        assert_eq!(dir, Direction::LowerBetter);
-        assert!(noisy);
-        let (dir, noisy) = classify("healthy_query_seconds");
-        assert_eq!(dir, Direction::LowerBetter);
-        assert!(noisy);
         assert_eq!(classify("replicas").0, Direction::Ignore);
 
         let base = Json::parse(
             r#"{"service": {"failover": {"groups": 2, "replicas": 2,
-                 "healthy_query_seconds": 0.0002, "failover_query_seconds": 0.0002,
                  "degraded_extra_width_frac": 0.5}}}"#,
         )
         .unwrap();
         // Widening growing past the tight threshold gates (the coordinator
         // started over-pricing missing groups).
+        let service = base.get("service").unwrap();
         let mut worse = base.clone();
-        let mut s = base.get("service").unwrap().clone();
-        let mut f = s.get("failover").unwrap().clone();
-        f.set("degraded_extra_width_frac", Json::Num(0.9));
-        s.set("failover", f);
-        worse.set("service", s);
-        let (deltas, _) = compare(&base, &worse, Thresholds::default());
+        worse.set(
+            "service",
+            with(service, "failover", "degraded_extra_width_frac", 0.9),
+        );
+        let report = compare(&base, &worse, Thresholds::default());
         assert!(
-            deltas
+            report
+                .deltas
                 .iter()
                 .any(|d| d.path.contains("degraded_extra_width_frac") && d.failed),
-            "80% wider degraded bounds must gate: {deltas:?}"
+            "80% wider degraded bounds must gate: {report:?}"
         );
-        // A modest failover latency wobble passes the loose gate.
-        let mut slower = base.clone();
-        let mut s = base.get("service").unwrap().clone();
-        let mut f = s.get("failover").unwrap().clone();
-        f.set("failover_query_seconds", Json::Num(0.0003));
-        s.set("failover", f);
-        slower.set("service", s);
-        let (deltas, _) = compare(&base, &slower, Thresholds::default());
-        assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");
-    }
-
-    #[test]
-    fn informational_sections_report_but_never_gate() {
-        let base = Json::parse(
-            r#"{"sharded": {"workers": 4, "scaling": [
-                 {"shards": 4, "speedup_vs_1_shard": 3.5, "ingest_elems_per_sec": 4000000}]}}"#,
-        )
-        .unwrap();
-        // Fresh run on a 1-CPU box: speedups collapse, but the section is
-        // marked informational — reported, not gated.
-        let fresh = Json::parse(
-            r#"{"sharded": {"workers": 1, "informational": true, "scaling": [
-                 {"shards": 4, "speedup_vs_1_shard": 0.9, "ingest_elems_per_sec": 900000}]}}"#,
-        )
-        .unwrap();
-        let (deltas, _) = compare(&base, &fresh, Thresholds::default());
-        let speedup = deltas
-            .iter()
-            .find(|d| d.path.contains("speedup_vs_1_shard"))
-            .unwrap();
-        assert!(speedup.informational);
-        assert!(!speedup.failed, "informational sections must not gate");
-        assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");
-        // Without the flag the same collapse fails the gate.
-        let plain = Json::parse(
-            r#"{"sharded": {"workers": 1, "scaling": [
-                 {"shards": 4, "speedup_vs_1_shard": 0.9, "ingest_elems_per_sec": 900000}]}}"#,
-        )
-        .unwrap();
-        let (deltas, _) = compare(&base, &plain, Thresholds::default());
-        assert!(deltas.iter().any(|d| d.failed));
     }
 
     #[test]
     fn improvements_never_fail() {
         let base = Json::parse(SAMPLE).unwrap();
-        let mut better = base.clone();
-        let mut ingest = base.get("ingest").unwrap().clone();
-        ingest.set("scalar_elems_per_sec", Json::Num(9_000_000.0));
-        ingest.set("speedup", Json::Num(50.0));
-        better.set("ingest", ingest);
-        let (deltas, _) = compare(&base, &better, Thresholds::default());
-        assert!(deltas.iter().all(|d| !d.failed));
+        let mut better = with(&base, "ingest", "merge_ns_per_item", 5.0);
+        let Some(Json::Arr(mut items)) = base.get("datasets").cloned() else {
+            unreachable!()
+        };
+        items[0].set("accuracy_ratio", Json::Num(900.0));
+        items[0].set("disk_reads_per_query", Json::Num(10.0));
+        better.set("datasets", Json::Arr(items));
+        let report = compare(&base, &better, Thresholds::default());
+        assert!(report.passed(), "{report:?}");
+        assert!(report.deltas.iter().any(|d| d.regression < 0.0));
     }
 
     #[test]
@@ -918,17 +815,91 @@ mod tests {
                              {"dataset": "A", "disk_reads_per_query": 10}]}"#,
         )
         .unwrap();
-        let (deltas, warnings) = compare(&base, &fresh, Thresholds::default());
-        assert!(warnings.is_empty());
-        assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");
+        let report = compare(&base, &fresh, Thresholds::default());
+        assert!(report.passed(), "{report:?}");
+        assert_eq!(report.deltas.len(), 2);
     }
 
     #[test]
-    fn missing_metric_warns() {
-        let base = Json::parse(r#"{"ingest": {"speedup": 2.0}}"#).unwrap();
-        let fresh = Json::parse(r#"{"other": 1}"#).unwrap();
-        let (_, warnings) = compare(&base, &fresh, Thresholds::default());
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("ingest"));
+    fn missing_metric_fails() {
+        let base = Json::parse(r#"{"ingest": {"merge_ns_per_item": 20.0}}"#).unwrap();
+        // A vanished section, and a metric that is no longer a number.
+        for (fresh, named) in [
+            (r#"{"other": 1}"#, "ingest"),
+            (
+                r#"{"ingest": {"merge_ns_per_item": "fast"}}"#,
+                "merge_ns_per_item",
+            ),
+        ] {
+            let report = compare(&base, &Json::parse(fresh).unwrap(), Thresholds::default());
+            assert_eq!(report.missing.len(), 1, "{fresh}");
+            assert!(report.missing[0].contains(named), "{report:?}");
+            assert!(!report.passed(), "a vanished metric must fail the gate");
+        }
+    }
+
+    /// Remove the `n`-th leaf (depth-first) of `v`; false when `v` has no
+    /// more than `n` leaves (`n` is left reduced by the leaves seen).
+    fn remove_leaf(v: &mut Json, n: &mut usize) -> bool {
+        let len = match v {
+            Json::Obj(fields) => fields.len(),
+            Json::Arr(items) => items.len(),
+            _ => return false,
+        };
+        for i in 0..len {
+            let child = match v {
+                Json::Obj(fields) => &mut fields[i].1,
+                Json::Arr(items) => &mut items[i],
+                _ => unreachable!(),
+            };
+            if matches!(child, Json::Obj(_) | Json::Arr(_)) {
+                if remove_leaf(child, n) {
+                    return true;
+                }
+            } else if *n == 0 {
+                match v {
+                    Json::Obj(fields) => drop(fields.remove(i)),
+                    Json::Arr(items) => drop(items.remove(i)),
+                    _ => unreachable!(),
+                }
+                return true;
+            } else {
+                *n -= 1;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn committed_baseline_gates_every_leaf() {
+        let base = Json::parse(include_str!("../../../BENCH_headline.json")).unwrap();
+        let same = compare(&base, &base, Thresholds::default());
+        assert!(same.passed(), "{same:?}");
+        // Every gated leaf is deterministic except the two CPU-cost gates.
+        let timing: Vec<&str> = same
+            .deltas
+            .iter()
+            .filter(|d| d.noisy)
+            .map(|d| d.path.as_str())
+            .collect();
+        assert_eq!(
+            timing,
+            [
+                "ingest.merge_ns_per_item",
+                "query.combined_build_ns_per_entry"
+            ]
+        );
+        // Deleting any one leaf from the fresh run fails the gate.
+        let mut leaves = 0;
+        loop {
+            let mut fresh = base.clone();
+            if !remove_leaf(&mut fresh, &mut { leaves }) {
+                break;
+            }
+            let report = compare(&base, &fresh, Thresholds::default());
+            assert!(!report.passed(), "leaf {leaves} deleted unnoticed");
+            leaves += 1;
+        }
+        assert!(leaves > same.deltas.len(), "only {leaves} leaves");
     }
 }

@@ -14,18 +14,20 @@
 //! spawns one probe subprocess per case with a scrubbed `HSQ_*`
 //! environment and asserts on its exit status and output.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::process::Command;
 
-/// Every knob the sweep scrubs before injecting a case. Keep in sync
-/// with the `HSQ_*` reads across the workspace (`rg 'HSQ_[A-Z_]+'`);
-/// CI legs export several of these, and a leaked one would cross-talk
-/// into an unrelated probe (e.g. a leaked `HSQ_FLEET` flips the `fleet`
-/// probe's no-fleet cases).
+/// Every knob the sweep scrubs before injecting a case: exactly the
+/// `HSQ_*` names in the workspace's sources (`knob_list_matches_sources`
+/// checks it). CI legs export several of these, and a leaked one would
+/// cross-talk into an unrelated probe (e.g. a leaked `HSQ_FLEET` flips
+/// the `fleet` probe's no-fleet cases). `HSQ_BENCH_JSON` is scrubbed but
+/// never probed: it is a free-form output path, so every value is
+/// well-formed.
 const ALL_KNOBS: &[&str] = &[
     "HSQ_WORKERS",
     "HSQ_SKETCH",
-    "HSQ_BENCH_FULL",
     "HSQ_BENCH_JSON",
     "HSQ_FLEET",
     "HSQ_FLEET_STRICT",
@@ -48,10 +50,6 @@ fn env_knob_probe() {
         "sketch" => {
             let k = hsq_sketch::SketchKind::from_env();
             println!("probe ok: sketch = {k:?}");
-        }
-        "bench_full" => {
-            let scale = hsq_bench::Scale::from_args();
-            println!("probe ok: steps = {}", scale.steps);
         }
         "fleet" => {
             let f = hsq_service::FleetConfig::from_env();
@@ -154,19 +152,42 @@ fn hsq_fleet_sweep() {
     }
 }
 
+/// Every `HSQ_*` name in the workspace's Rust sources, outside build
+/// output and the separately built `hsq_benchmark/` package.
+fn knobs_in_sources() -> BTreeSet<String> {
+    let mut found = BTreeSet::new();
+    let mut dirs = vec![Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read source dir") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() {
+                if !(name.starts_with('.') || name == "target" || name == "hsq_benchmark") {
+                    dirs.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                let text = std::fs::read_to_string(&path).expect("read source");
+                for (at, prefix) in text.match_indices("HSQ_") {
+                    let tail: String = text[at + prefix.len()..]
+                        .chars()
+                        .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                        .collect();
+                    if !tail.is_empty() {
+                        found.insert(format!("{prefix}{tail}"));
+                    }
+                }
+            }
+        }
+    }
+    found
+}
+
 #[test]
-fn hsq_bench_full_sweep() {
-    // HSQ_BENCH_JSON is deliberately absent from the sweep: it is a
-    // free-form output path, so every value is well-formed.
-    accepts("bench_full", &[]);
-    for good in ["", "0", "1", "true", "FALSE", "on", "off", "yes", "no"] {
-        accepts("bench_full", &[("HSQ_BENCH_FULL", good)]);
-    }
-    for garbage in ["2", "full", "yes please", "-1"] {
-        rejects(
-            "bench_full",
-            &[("HSQ_BENCH_FULL", garbage)],
-            "HSQ_BENCH_FULL",
-        );
-    }
+fn knob_list_matches_sources() {
+    let listed: BTreeSet<String> = ALL_KNOBS.iter().map(|k| k.to_string()).collect();
+    assert_eq!(
+        knobs_in_sources(),
+        listed,
+        "ALL_KNOBS must list exactly the HSQ_* names the workspace's sources use"
+    );
 }

@@ -40,8 +40,8 @@
 //!   path from outside.
 //!
 //! Baselines ([`baseline`]), window queries, memory budgeting
-//! ([`budget`]), the analytic cost model ([`costmodel`]) and parallel
-//! probing ([`parallel`]) complete the reproduction.
+//! ([`budget`]) and parallel probing ([`parallel`]) complete the
+//! reproduction.
 //!
 //! Beyond the paper, the crate scales the engine out: [`sharded`]
 //! hash-partitions items across independent engine shards with mergeable
@@ -86,7 +86,6 @@ pub mod baseline;
 pub mod bounds;
 pub mod budget;
 pub mod config;
-pub mod costmodel;
 pub mod engine;
 pub mod heavy;
 pub mod manifest;

@@ -9,7 +9,7 @@
 //!   integers ranging from 10⁸ to 10⁹";
 //! * [`WikipediaGen`] — substitute for the Wikipedia page-view dump
 //!   (tuples are response sizes): heavy-tailed log-normal page sizes.
-//!   See DESIGN.md for the substitution rationale;
+//!   See [`WikipediaGen`] for the substitution rationale;
 //! * [`NetTraceGen`] — substitute for the OC48 ISP trace (tuples are
 //!   source–destination pairs): Zipf-popular hosts over a 2³² address
 //!   space, packed as `src·2³² + dst`.

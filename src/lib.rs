@@ -393,10 +393,10 @@
 //! domains cost three bucket passes, not eight), falling back to the
 //! comparison sort for short slices and 128-bit universes — with an
 //! ordering guaranteed identical either way. ~2.5× the comparison sort
-//! on 4096-item `u64` batches (see `benches/radix_sort.rs` and the
-//! `ingest.radix_speedup` headline metric); custom [`hsq_storage::Item`]
-//! implementations opt in by implementing `RadixKey` honestly or opt out
-//! with `RADIXABLE = false`.
+//! on 4096-item `u64` batches (see `benches/radix_sort.rs`; the repo's
+//! benchmark traces it as `sketch.radix.sort_ns_per_item`); custom
+//! [`hsq_storage::Item`] implementations opt in by implementing
+//! `RadixKey` honestly or opt out with `RADIXABLE = false`.
 //!
 //! **Summary-seeded bisection.** Accurate queries bisect the value
 //! space, and the bisection is seeded from the combined summary's
@@ -419,10 +419,9 @@
 //! **Snapshot reuse for dashboards.** A [`ShardedSnapshot`] caches its
 //! cross-shard scope (combined summary included) per window on first use.
 //! A dashboard issuing many quantiles against one consistent view should
-//! take **one** snapshot and reuse it — on the headline workload that is
-//! several times cheaper per query than snapshot-per-query (the
-//! `query.fresh_snapshot_query_seconds` and
-//! `query.reused_snapshot_query_seconds` metrics):
+//! take **one** snapshot and reuse it: on the benchmark's
+//! `sharded_weighted` workload, opening a snapshot (`epoch_open_p50_us`)
+//! costs several queries on an open one (`query_p50_us`):
 //!
 //! ```
 //! use hsq::core::{HsqConfig, ShardedEngine};
