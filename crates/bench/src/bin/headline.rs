@@ -190,11 +190,13 @@ fn query_metrics() -> (f64, f64, f64, f64) {
 }
 
 /// Served-path metrics: a two-node loopback fleet behind a
-/// [`Coordinator`] answering a rank sweep. Gates the probe economy of the
-/// wire path (p50 probe rounds ≤ 4, every answer's rank interval
-/// containing a true rank of the returned value). Returns
-/// `(p50_probe_rounds, round_trips_per_query)`.
-fn service_metrics() -> (f64, f64) {
+/// [`Coordinator`] answering a rank sweep of distinct ranks, then the
+/// same sweep again. Gates the probe economy of the wire path (p50 probe
+/// rounds ≤ 4, every answer's rank interval containing a true rank of the
+/// returned value, the repeat free and identical). Returns
+/// `(p50_probe_rounds, round_trips_per_query,
+/// repeated_round_trips_per_query)`.
+fn service_metrics() -> (f64, f64, f64) {
     const NODES: usize = 2;
     const SHARDS_PER_NODE: usize = 2;
     const STEPS: u64 = 12;
@@ -241,11 +243,13 @@ fn service_metrics() -> (f64, f64) {
     assert_eq!(n, all_values.len() as u64, "fleet and oracle union differ");
     let ranks: Vec<u64> = (1..=40).map(|i| (n * i) / 41 + 1).collect();
 
-    // The first query fetches the summary extracts and builds the
-    // combined summary; count the sweep that rides the cached path.
-    let _ = session.rank_query(ranks[0]).expect("warm");
+    // Fetch the summary extracts and build the combined summary with a
+    // quick query, which sends no probes; count the sweep that rides the
+    // cached path.
+    let _ = session.quantile_quick(0.5).expect("warm");
     let mut rounds: Vec<u32> = Vec::with_capacity(ranks.len());
     let mut trips = 0u64;
+    let mut outcomes = Vec::with_capacity(ranks.len());
     for &r in &ranks {
         let served = session
             .rank_query(r)
@@ -253,6 +257,7 @@ fn service_metrics() -> (f64, f64) {
             .expect("non-empty");
         rounds.push(served.probe_rounds);
         trips += served.round_trips;
+        outcomes.push(served.outcome);
         // The answer must honor the paper's guarantee: the reported rank
         // interval contains a true rank of the returned value in the
         // union.
@@ -268,6 +273,22 @@ fn service_metrics() -> (f64, f64) {
             le,
         );
     }
+    // The same ranks again on the same pinned epoch: the session's probe
+    // memo answers every probe, so the repeat sends nothing and answers
+    // identically.
+    let mut repeated_trips = 0u64;
+    for (&r, first) in ranks.iter().zip(&outcomes) {
+        let served = session
+            .rank_query(r)
+            .expect("served query")
+            .expect("non-empty");
+        assert_eq!(
+            &served.outcome, first,
+            "repeated rank {r} answered differently"
+        );
+        repeated_trips += served.round_trips;
+    }
+    assert_eq!(repeated_trips, 0, "repeated ranks must send no round trips");
     drop(session);
     for h in handles {
         h.shutdown();
@@ -278,7 +299,8 @@ fn service_metrics() -> (f64, f64) {
         p50_rounds <= 4.0,
         "served bisection should settle in ≤ 4 probe rounds at p50, took {p50_rounds}"
     );
-    (p50_rounds, trips as f64 / ranks.len() as f64)
+    let per_query = |t: u64| t as f64 / ranks.len() as f64;
+    (p50_rounds, per_query(trips), per_query(repeated_trips))
 }
 
 /// Failover widening: the same query sweep against a 2-groups ×
@@ -790,10 +812,11 @@ fn main() {
         salvage * 100.0,
     );
 
-    let (served_p50_rounds, trips_per_query) = service_metrics();
+    let (served_p50_rounds, trips_per_query, repeated_trips_per_query) = service_metrics();
     println!(
         "service: 2 nodes x 2 shards over loopback, {served_p50_rounds:.0} probe rounds p50, \
-         {trips_per_query:.1} round trips/query",
+         {trips_per_query:.2} round trips/query distinct, \
+         {repeated_trips_per_query:.2} repeated",
     );
 
     let extra_width_frac = failover_metrics();
@@ -892,6 +915,10 @@ fn main() {
                 ("shards_per_node", num(2)),
                 ("served_p50_probe_rounds", num(served_p50_rounds)),
                 ("round_trips_per_query", num(trips_per_query)),
+                (
+                    "repeated_round_trips_per_query",
+                    num(repeated_trips_per_query),
+                ),
                 (
                     "failover",
                     obj([

@@ -742,9 +742,12 @@ mod tests {
 
         let base = Json::parse(
             r#"{"service": {"nodes": 1, "served_p50_probe_rounds": 3.0,
-                 "round_trips_per_query": 3.0}}"#,
+                 "round_trips_per_query": 3.0, "repeated_round_trips_per_query": 0}}"#,
         )
         .unwrap();
+        // Repeated ranks are free: any round trip appearing there gates.
+        let worse = with(&base, "service", "repeated_round_trips_per_query", 0.1);
+        assert!(!compare(&base, &worse, Thresholds::default()).passed());
         let worse = with(&base, "service", "served_p50_probe_rounds", 5.0);
         let report = compare(&base, &worse, Thresholds::default());
         assert!(

@@ -577,11 +577,19 @@ fn write_manifest<T: Item, D: BlockDevice>(
     let crc = crc64(&out.buf);
     out.u64(crc);
 
-    // Write chunked into device blocks.
+    // Write-ahead, as for log records: every run the manifest names is
+    // durable before the manifest lands, in file-id order.
+    let mut runs: Vec<FileId> = parts.iter().map(|(_, p)| p.run.file()).collect();
+    runs.sort_unstable();
+    for f in runs {
+        dev.sync(f)?;
+    }
+    // Write chunked into device blocks, then make the manifest durable.
     let file = dev.create()?;
     for (i, chunk) in out.buf.chunks(dev.block_size()).enumerate() {
         dev.write_block(file, i as u64, chunk)?;
     }
+    dev.sync(file)?;
     Ok(file)
 }
 
@@ -1341,6 +1349,22 @@ mod tests {
         let old = log.compact(&w).unwrap();
         assert_eq!(syncs() - before, 1);
         dev.delete(old).unwrap();
+    }
+
+    #[test]
+    fn persist_syncs_every_referenced_run_before_manifest() {
+        // The snapshot manifest follows the same write-ahead rule: every
+        // run it names is made durable, then the manifest itself.
+        let cfg = log_config(3, 64);
+        let dev = MemDevice::new(256);
+        let mut w = Warehouse::<u64, _>::new(Arc::clone(&dev), cfg);
+        for s in 0..3u64 {
+            w.add_batch((0..60).map(|i| s * 60 + i).collect()).unwrap();
+        }
+        let syncs = || dev.stats().snapshot().syncs;
+        let before = syncs();
+        persist(&w).unwrap();
+        assert_eq!(syncs() - before, w.num_partitions() as u64 + 1);
     }
 
     #[test]

@@ -296,7 +296,10 @@ pub fn bisect_summed_rank<T: Item>(
         }
     }
     // The bracket collapsed onto v, the smallest value whose estimated
-    // rank reaches r: Definition 1's answer.
+    // rank reaches r: Definition 1's answer. `v` is usually a value
+    // already probed (the last "too high" midpoint), so this re-probe
+    // reads nothing in-process (`ProbeState`) and sends nothing on the
+    // served path (the session's probe memo).
     let (lo, hi) = probe.probe(v)?;
     Ok((v, lo + (hi - lo) / 2, steps))
 }

@@ -62,6 +62,15 @@
 //! extract is fetched once per session and window and reused across
 //! every subsequent query (the dashboard pattern), so steady state is
 //! pure probe rounds.
+//!
+//! A pinned epoch is immutable, so the bounds a probe of `z` returns
+//! depend only on (epoch, window, `z`). Each cached scope therefore
+//! keeps a probe memo `z → (lo, hi)`: a repeated probe, whether from a
+//! dashboard re-asking the same φ or from the bisection's collapse exit
+//! re-probing a bracket end, is answered locally and sends no round.
+//! The memo is created and dropped with its scope, so a refresh, a
+//! membership change or a re-seed clears it; an entry lands only after
+//! its round succeeded, and a full memo is cleared wholesale.
 
 use std::collections::HashMap;
 use std::io;
@@ -112,9 +121,11 @@ pub struct ServedQuery<T> {
     /// [`hsq_core::ShardedSnapshot::rank_query`]. When `missing_weight`
     /// is non-zero, `rank_hi` is widened by it and `degraded` is set.
     pub outcome: QueryOutcome<T>,
-    /// Bisection probe rounds this query spent (one RTT each).
+    /// Bisection probe rounds this query sent (one RTT each). A probe
+    /// the session's memo answers sends nothing and is not counted.
     pub probe_rounds: u32,
-    /// Total request/response pairs on the wire (`rounds × up groups`).
+    /// Total request/response pairs on the wire (`rounds × up groups`);
+    /// zero when every probe was a memo hit.
     pub round_trips: u64,
     /// Summed recorded weight of replica groups that were unreachable
     /// when this answer was computed (folded into `outcome.rank_hi`).
@@ -264,13 +275,8 @@ impl<T: Item> Coordinator<T> {
         Ok(coord)
     }
 
-    /// Number of replica groups (formerly: nodes) — the unit of shard
-    /// routing for [`Coordinator::ingest`].
-    pub fn num_nodes(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of replica groups.
+    /// Number of replica groups — the unit of shard routing for
+    /// [`Coordinator::ingest`].
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
@@ -796,10 +802,23 @@ fn unexpected<T>(wanted: &str, got: &Response<T>) -> io::Error {
     svc_err(format!("expected {wanted} response, got {kind}"))
 }
 
+/// Most probes one scope's memo remembers, bounding what a long-lived
+/// session holds; a full memo is cleared wholesale. A dashboard's epoch
+/// needs a few dozen.
+const PROBE_MEMO_CAP: usize = 4096;
+
+/// Summed bounds already fetched for a scope, keyed by probe value.
+type ProbeMemo<T> = HashMap<T, (u64, u64)>;
+
+/// A rebuilt scope and the memo that lives and dies with it.
+type MemoScope<T> = (QueryScope<T>, ProbeMemo<T>);
+
 /// The remote [`RankProbeSource`]: each probe is one batched
-/// [`Coordinator::query_round`] over every up group, bounds summed.
+/// [`Coordinator::query_round`] over every up group, bounds summed —
+/// unless the scope's memo already holds the value.
 struct RemoteProbes<'a, T: Item> {
     coord: &'a mut Coordinator<T>,
+    memo: &'a mut ProbeMemo<T>,
     tenant: u64,
     window: Option<u64>,
     rounds: u32,
@@ -808,6 +827,9 @@ struct RemoteProbes<'a, T: Item> {
 
 impl<T: Item> RankProbeSource<T> for RemoteProbes<'_, T> {
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
+        if let Some(&bounds) = self.memo.get(&z) {
+            return Ok(bounds);
+        }
         let responses = self.coord.query_round(Request::Probe {
             tenant: self.tenant,
             window: self.window,
@@ -815,7 +837,7 @@ impl<T: Item> RankProbeSource<T> for RemoteProbes<'_, T> {
         })?;
         self.rounds += 1;
         self.trips += responses.len() as u64;
-        responses
+        let bounds = responses
             .iter()
             .try_fold((0, 0), |(lo, hi), resp| match resp {
                 Response::Bounds { bounds } if bounds.len() == 1 => {
@@ -826,7 +848,12 @@ impl<T: Item> RankProbeSource<T> for RemoteProbes<'_, T> {
                     bounds.len()
                 ))),
                 other => Err(unexpected("Bounds", other)),
-            })
+            })?;
+        if self.memo.len() >= PROBE_MEMO_CAP {
+            self.memo.clear();
+        }
+        self.memo.insert(z, bounds);
+        Ok(bounds)
     }
 }
 
@@ -841,9 +868,9 @@ pub struct TenantSession<'a, T: Item> {
     vitals: SessionVitals,
     seen_down_epoch: u64,
     /// The reachable union's scope per window (`None` key = the full
-    /// union); a `None` value caches "some up group reports the window
-    /// unavailable".
-    scopes: HashMap<Option<u64>, Option<QueryScope<T>>>,
+    /// union) with its probe memo; a `None` value caches "some up group
+    /// reports the window unavailable".
+    scopes: HashMap<Option<u64>, Option<MemoScope<T>>>,
 }
 
 impl<T: Item> TenantSession<'_, T> {
@@ -935,8 +962,9 @@ impl<T: Item> TenantSession<'_, T> {
         // in-process: the stream is entirely inside every window.
         let v = &self.vitals;
         let scope = available.then(|| {
-            QueryScope::new(&sources, total, v.stream_weight, v.epsilon)
-                .with_excluded(v.quarantined, v.missing_weight)
+            let scope = QueryScope::new(&sources, total, v.stream_weight, v.epsilon)
+                .with_excluded(v.quarantined, v.missing_weight);
+            (scope, ProbeMemo::new())
         });
         self.scopes.insert(window, scope);
         Ok(())
@@ -950,10 +978,10 @@ impl<T: Item> TenantSession<'_, T> {
         replicas as u32 + 8
     }
 
-    /// Run `query` against the scope of `window` and a fresh
-    /// [`RemoteProbes`], re-syncing and restarting whenever fleet
+    /// Run `query` against the scope of `window` and a [`RemoteProbes`]
+    /// over that scope's memo, re-syncing and restarting whenever fleet
     /// membership (or a replica's vitals) changes underneath it.
-    /// Returns the answer with the probe rounds and round trips spent
+    /// Returns the answer with the probe rounds and round trips sent
     /// across every attempt; `Ok(None)` when the window is unavailable.
     fn run<R>(
         &mut self,
@@ -969,11 +997,12 @@ impl<T: Item> TenantSession<'_, T> {
                 Err(e) if is_interrupted(&e) => continue,
                 Err(e) => return Err(e),
             }
-            let Some(scope) = self.scopes[&window].as_ref() else {
+            let Some((scope, memo)) = self.scopes.get_mut(&window).and_then(Option::as_mut) else {
                 return Ok(None);
             };
             let mut probes = RemoteProbes {
                 coord: self.coord,
+                memo,
                 tenant: self.tenant,
                 window,
                 rounds: 0,

@@ -19,7 +19,9 @@
 //!   the served value over the reachable union, and `strict` mode
 //!   refuses with the typed error instead;
 //! * a fleet whose *only* replica set is lost fails **loudly** (typed
-//!   errors), never with a silently wrong answer.
+//!   errors), never with a silently wrong answer;
+//! * the session's probe memo never outlives a membership change: a rank
+//!   repeated after a group loss is re-probed and degraded.
 //!
 //! Fleets: 1×1 (no replication: transient faults must still be
 //! invisible via reconnect), 2×2, and 3×2. Seeds {0, 7, 23} vary the
@@ -441,6 +443,61 @@ fn sweep(groups: usize, replicas: usize, seed: u64) {
     }
 
     fleet.shutdown();
+}
+
+/// The probe memo never outlives a membership change: ask `[r, r2, r]`
+/// on a 2×2 fleet with group 0 partitioned away after the first query.
+/// The repeat of `r` must not be served from the healthy epoch's memo: it
+/// is degraded, widened by exactly W₀, and spends probe rounds.
+fn memo_dropped_on_group_loss(seed: u64) {
+    let fleet = Fleet::spawn(2, 2, seed);
+    // Both ranks inside the reachable union and half of it apart, so the
+    // degraded answers to `r` and `r2` bisect to different values (ranks
+    // past the reachable total would clamp onto the same one).
+    let half = fleet.reachable_weight() / 2;
+    let mut rng = seed ^ 0x3E30;
+    let r = half / 2 + lcg(&mut rng) % (half / 2) + 1;
+    let r2 = r + half;
+
+    // Learn how many transport ops the first query ends at.
+    let clean = FaultPlan::clean();
+    let first = fleet.run(Arc::clone(&clean), false, &[r]).expect("healthy");
+    let plan = FaultPlan::script(vec![NetFault::Partition {
+        replicas: vec![0, 1],
+        from: clean.ops(),
+        to: u64::MAX,
+    }]);
+    let got = fleet
+        .run(plan, false, &[r, r2, r])
+        .expect("degraded, not failed");
+    assert_same_answer(&got[0], &first[0], &format!("seed {seed}: before the loss"));
+
+    let w0: u64 = fleet.group_data[0].iter().map(|&(_, w)| w).sum();
+    let reach_stream: u64 = fleet.group_stream_weight[1..].iter().sum();
+    let eps_m = (fleet.epsilon * reach_stream as f64).floor() as u64;
+    let repeat = &got[2];
+    assert!(
+        repeat.outcome.degraded,
+        "seed {seed}: repeat of r not degraded"
+    );
+    assert_eq!(repeat.missing_weight, w0, "seed {seed}: missing weight");
+    assert_eq!(
+        repeat.outcome.rank_hi,
+        repeat.outcome.estimated_rank + eps_m + w0,
+        "seed {seed}: upper bound must widen by exactly W₀"
+    );
+    assert!(
+        repeat.probe_rounds > 0,
+        "seed {seed}: repeat of r answered from the healthy epoch's memo"
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn probe_memo_never_outlives_a_membership_change() {
+    for seed in seeds() {
+        memo_dropped_on_group_loss(seed);
+    }
 }
 
 #[test]

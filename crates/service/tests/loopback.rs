@@ -48,7 +48,7 @@ fn feed(
     seed: u64,
     route: impl Fn(&[(u64, u64)], usize) -> Vec<Vec<(u64, u64)>>,
 ) {
-    let nodes = coord.num_nodes();
+    let nodes = coord.num_groups();
     for (i, batch) in batches(seed).iter().enumerate() {
         local.stream_extend_weighted(batch);
         for (node, part) in route(batch, nodes).iter().enumerate() {
@@ -65,6 +65,23 @@ fn spawn_node(engine: ShardedEngine<u64, MemDevice>) -> ServerHandle {
     QuantileServer::new(engine)
         .spawn(TcpListener::bind("127.0.0.1:0").unwrap())
         .unwrap()
+}
+
+/// An in-process engine and a single served node, both `shards` wide,
+/// fed the same batches — the pair every byte-match test compares.
+fn twin_node(
+    shards: usize,
+    seed: u64,
+) -> (
+    ShardedEngine<u64, MemDevice>,
+    ServerHandle,
+    Coordinator<u64>,
+) {
+    let mut local = mk_engine(shards);
+    let handle = spawn_node(mk_engine(shards));
+    let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
+    feed(&mut local, &mut coord, seed, |b, _| vec![b.to_vec()]);
+    (local, handle, coord)
 }
 
 /// Everything except `io` (disk reads happen on the node, not the
@@ -92,17 +109,17 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 11
 }
 
+/// `n` seeded ranks in `1..=total`.
+fn seeded_ranks(seed: u64, total: u64, n: usize) -> Vec<u64> {
+    let mut rng = seed;
+    (0..n).map(|_| lcg(&mut rng) % total + 1).collect()
+}
+
 /// Single node hosting the same shard count as the in-process engine:
 /// every query class must byte-match, across a seeded random rank
 /// sweep, and p50 probe rounds must stay ≤ 4.
 fn parity_for_shards(shards: usize) {
-    let mut local = mk_engine(shards);
-    let handle = spawn_node(mk_engine(shards));
-    let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
-    feed(&mut local, &mut coord, 0xA11CE + shards as u64, |b, _| {
-        vec![b.to_vec()]
-    });
-
+    let (local, handle, mut coord) = twin_node(shards, 0xA11CE + shards as u64);
     let snap = local.snapshot();
     let mut sess = coord.session(1).unwrap();
     assert_eq!(sess.total_len(), snap.total_len(), "session total");
@@ -189,6 +206,194 @@ fn served_answers_byte_match_in_process_2_shards() {
 #[test]
 fn served_answers_byte_match_in_process_8_shards() {
     parity_for_shards(8);
+}
+
+/// A pinned epoch is immutable, so a rank asked twice on one session is
+/// answered from the session's probe memo: the same outcome as the first
+/// ask and as in-process, with nothing sent.
+#[test]
+fn repeated_ranks_are_answered_without_rounds() {
+    let (local, handle, mut coord) = twin_node(2, 0x4E40);
+    let snap = local.snapshot();
+    let ranks = seeded_ranks(0x4E40, snap.total_len(), 20);
+    let mut sess = coord.session(3).unwrap();
+    let first: Vec<ServedQuery<u64>> = ranks
+        .iter()
+        .map(|&r| sess.rank_query(r).unwrap().unwrap())
+        .collect();
+    // Distinct ranks can share probe values, so only the very first query
+    // is sure to find the memo empty.
+    assert!(
+        first[0].probe_rounds > 0,
+        "the first query on a session probes"
+    );
+    for (&r, first) in ranks.iter().zip(&first) {
+        let again = sess.rank_query(r).unwrap().unwrap();
+        assert_eq!(
+            again.outcome, first.outcome,
+            "rank {r}: repeat vs first ask"
+        );
+        let local_o = snap.rank_query(r).unwrap().unwrap();
+        assert_outcome_eq(&again.outcome, &local_o, &format!("repeated rank {r}"));
+        assert_eq!(again.probe_rounds, 0, "rank {r}: repeat sent probe rounds");
+        assert_eq!(again.round_trips, 0, "rank {r}: repeat sent round trips");
+    }
+    handle.shutdown();
+}
+
+/// Each window's scope has its own memo: a windowed sweep after a
+/// full-union sweep of the same ranks still probes, and byte-matches
+/// in-process (a memo shared across scopes would hand the window the
+/// full union's bounds wherever their probes coincide).
+#[test]
+fn each_window_keeps_its_own_memo() {
+    let (local, handle, mut coord) = twin_node(1, 0x3E3);
+    let snap = local.snapshot();
+    let w = *snap
+        .available_windows()
+        .iter()
+        .min()
+        .expect("an exact window");
+    let ranks = seeded_ranks(0x3E3, snap.scope(Some(w)).unwrap().total(), 30);
+    let mut sess = coord.session(4).unwrap();
+    for &r in &ranks {
+        sess.rank_query(r).unwrap().unwrap();
+    }
+    for (i, &r) in ranks.iter().enumerate() {
+        let windowed = sess.rank_in_window(w, r).unwrap().unwrap();
+        if i == 0 {
+            assert!(
+                windowed.probe_rounds > 0,
+                "window {w} answered from the full union's memo"
+            );
+        }
+        let local_o = snap.rank_in_window(w, r).unwrap().unwrap();
+        assert_outcome_eq(&windowed.outcome, &local_o, &format!("window {w} rank {r}"));
+        let again = sess.rank_in_window(w, r).unwrap().unwrap();
+        assert_eq!(again.outcome, windowed.outcome);
+        assert_eq!(
+            again.probe_rounds, 0,
+            "window {w}: repeat sent probe rounds"
+        );
+    }
+    handle.shutdown();
+}
+
+/// Ingest `batch` into both twins (the node through `coord`) and archive
+/// it as one step.
+fn archive_step(
+    local: &mut ShardedEngine<u64, MemDevice>,
+    coord: &mut Coordinator<u64>,
+    batch: &[(u64, u64)],
+) {
+    local.stream_extend_weighted(batch);
+    local.end_time_step().unwrap();
+    coord.ingest(0, batch).unwrap();
+    coord.end_step().unwrap();
+}
+
+/// New data and a step close leave a pinned session (and its memo)
+/// untouched; `refresh()` drops the memo with the scope, so the same
+/// ranks probe again and match the new in-process snapshot.
+#[test]
+fn refresh_drops_the_probe_memo() {
+    // Two archived steps and no live stream: `ε·m = 0`, so every
+    // bisection is exact, and a third step holding only items above the
+    // maximum (no merge yet) leaves every bracket below it as it was. A
+    // rank then probes the very same values in both epochs, and only a
+    // memo that outlived the refresh could answer them.
+    let mut local = mk_engine(1);
+    let handle = spawn_node(mk_engine(1));
+    let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
+    let data = batches(0x5EF);
+    for batch in &data[..2] {
+        archive_step(&mut local, &mut coord, batch);
+    }
+    let top = data[..2].iter().flatten().map(|&(v, _)| v).max().unwrap();
+    let more: Vec<(u64, u64)> = (top + 1..=top + 500).map(|v| (v, 1)).collect();
+
+    let snap = local.snapshot();
+    let ranks = seeded_ranks(0x5EF, snap.total_len(), 30);
+    let mut sess = coord.session(6).unwrap();
+    let before: Vec<ServedQuery<u64>> = ranks
+        .iter()
+        .map(|&r| sess.rank_query(r).unwrap().unwrap())
+        .collect();
+    for (&r, served) in ranks.iter().zip(&before) {
+        let local_o = snap.rank_query(r).unwrap().unwrap();
+        assert_outcome_eq(
+            &served.outcome,
+            &local_o,
+            &format!("rank {r} before new data"),
+        );
+    }
+    drop(snap);
+
+    // Close the new step through a second connection (the session holds
+    // the first mutably).
+    let mut other = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
+    archive_step(&mut local, &mut other, &more);
+    for (&r, first) in ranks.iter().zip(&before) {
+        let pinned = sess.rank_query(r).unwrap().unwrap();
+        assert_eq!(
+            pinned.outcome, first.outcome,
+            "rank {r}: pinned epoch moved"
+        );
+        assert_eq!(pinned.probe_rounds, 0, "rank {r}: pinned repeat probed");
+    }
+
+    sess.refresh().unwrap();
+    let snap = local.snapshot();
+    for (i, &r) in ranks.iter().enumerate() {
+        let after = sess.rank_query(r).unwrap().unwrap();
+        if i == 0 {
+            assert!(after.probe_rounds > 0, "refresh kept the old epoch's memo");
+        }
+        let local_o = snap.rank_query(r).unwrap().unwrap();
+        assert_outcome_eq(&after.outcome, &local_o, &format!("rank {r} after refresh"));
+    }
+    handle.shutdown();
+}
+
+/// The memo is bounded (4,096 probes, cleared wholesale when full). A
+/// session that asks more distinct ranks than that still answers every
+/// one exactly as in-process. With no live stream, `ε·m = 0` and every
+/// rank bisects to its own value, so distinct ranks are distinct probes.
+#[test]
+fn memo_overflow_keeps_answers_identical() {
+    const MEMO_CAP: u64 = 4096;
+    const ITEMS: u64 = 5_000;
+    let mut local = mk_engine(1);
+    let handle = spawn_node(mk_engine(1));
+    let mut coord = Coordinator::<u64>::connect(&[handle.addr()]).unwrap();
+    let values: Vec<(u64, u64)> = (0..ITEMS).map(|i| (i * 7_919 % 100_003, 1)).collect();
+    for step in values.chunks(ITEMS as usize / 2) {
+        archive_step(&mut local, &mut coord, step);
+    }
+    let snap = local.snapshot();
+    assert_eq!(snap.stream_len(), 0);
+
+    let mut sess = coord.session(8).unwrap();
+    let mut sent = 0u64;
+    for r in 1..=MEMO_CAP + 100 {
+        let served = sess.rank_query(r).unwrap().unwrap();
+        let local_o = snap.rank_query(r).unwrap().unwrap();
+        assert_outcome_eq(&served.outcome, &local_o, &format!("rank {r}"));
+        sent += served.probe_rounds as u64;
+    }
+    // Every round sent is one memo insert.
+    assert!(sent > MEMO_CAP, "only {sent} probes: the memo never filled");
+    // The earliest ranks' own probes went with the first wholesale clear:
+    // asking them again probes afresh and still matches.
+    let mut resent = 0u64;
+    for r in 1..=20 {
+        let served = sess.rank_query(r).unwrap().unwrap();
+        let local_o = snap.rank_query(r).unwrap().unwrap();
+        assert_outcome_eq(&served.outcome, &local_o, &format!("re-asked rank {r}"));
+        resent += served.probe_rounds as u64;
+    }
+    assert!(resent > 0, "the full memo was never cleared");
+    handle.shutdown();
 }
 
 /// Two nodes, data split between them: the union answer must hold
@@ -285,10 +490,7 @@ fn concurrent_tenant_sessions_serve_identical_answers() {
     let total = snap.total_len();
 
     // Expected answers precomputed in-process.
-    let ranks: Vec<u64> = {
-        let mut rng = 0x5EED;
-        (0..12).map(|_| lcg(&mut rng) % total + 1).collect()
-    };
+    let ranks = seeded_ranks(0x5EED, total, 12);
     let expected: Vec<QueryOutcome<u64>> = ranks
         .iter()
         .map(|&r| snap.rank_query(r).unwrap().unwrap())

@@ -13,8 +13,9 @@
 //!    round-trip;
 //! 3. **Per-tenant sessions** — each tenant pins a snapshot epoch on
 //!    every node and fetches the nodes' summary extracts once, so its
-//!    repeated dashboard queries settle in a handful of probe rounds
-//!    (printed per query below).
+//!    dashboard queries settle in a handful of probe rounds (printed per
+//!    query below), and a dashboard refresh on the same epoch sends none:
+//!    the session remembers every probe it has already paid for.
 //!
 //! Run with: `cargo run --release --example served_dashboard`
 
@@ -29,6 +30,7 @@ const SHARDS_PER_NODE: usize = 2;
 const HOURS: u64 = 4;
 const REQUESTS_PER_HOUR: usize = 30_000;
 const TENANTS: [u64; 3] = [101, 202, 303];
+const PHIS: [f64; 3] = [0.5, 0.95, 0.99];
 
 /// One request latency in microseconds (deterministic, heavy-tailed).
 fn latency_us(i: u64) -> u64 {
@@ -99,7 +101,8 @@ fn main() {
             session.total_len(),
             session.stream_len()
         );
-        for phi in [0.5, 0.95, 0.99] {
+        let mut first = Vec::new();
+        for phi in PHIS {
             let served = session.quantile(phi).expect("quantile").expect("non-empty");
             println!(
                 "  p{:<4} = {:>7} us   ({} probe rounds, {} round trips, \
@@ -111,7 +114,22 @@ fn main() {
                 served.outcome.rank_lo,
                 served.outcome.rank_hi,
             );
+            first.push(served.outcome);
         }
+        // The dashboard refreshes: same φs, same pinned epoch. Every probe
+        // is answered from the session's memo, so nothing goes on the wire.
+        for (phi, want) in PHIS.into_iter().zip(&first) {
+            let served = session.quantile(phi).expect("quantile").expect("non-empty");
+            assert_eq!(&served.outcome, want, "repeated p{} changed", phi * 100.0);
+            assert_eq!(
+                served.probe_rounds,
+                0,
+                "repeated p{} sent probes",
+                phi * 100.0
+            );
+            assert_eq!(served.round_trips, 0);
+        }
+        println!("  refresh of p50/p95/p99: 0 probe rounds (remembered probes)");
         let quick = session
             .quantile_quick(0.99)
             .expect("quick")
