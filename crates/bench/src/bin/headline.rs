@@ -12,8 +12,9 @@
 //! trade-off of §3.2 (Figures 7 and 10), sketch A/B error and memory,
 //! probe counts, retention, robustness and failover widening. Every one
 //! of those numbers is deterministic given the code and seeds; the only
-//! wall-clock leaves are the two CPU-cost gates `ingest.merge_ns_per_item`
-//! and `query.combined_build_ns_per_entry`. `bench_trend` diffs the file
+//! wall-clock leaves are the three CPU-cost gates
+//! `ingest.merge_ns_per_item`, `query.combined_build_ns_per_entry` and
+//! `query.stream_extract_ns_per_tuple`. `bench_trend` diffs the file
 //! against the committed baseline.
 
 use std::net::TcpListener;
@@ -25,7 +26,7 @@ use hsq_bench::*;
 use hsq_core::baseline::StreamingAlgo;
 use hsq_core::{
     CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, SeedMode,
-    ShardedEngine, SourceView,
+    ShardedEngine, SketchKind, SourceView, StreamProcessor,
 };
 use hsq_service::{
     Coordinator, FaultConnector, FaultPlan, FleetConfig, NetFault, NetRetryPolicy, QuantileServer,
@@ -123,6 +124,30 @@ fn combined_build_ns_per_entry() -> f64 {
         delta = ts.len();
     }
     best * 1e9 / delta as f64
+}
+
+/// CPU cost of the stream-summary extract: nanoseconds per GK tuple of
+/// one `StreamProcessor::summary()` (β₂ = 401 targets at the default ε)
+/// over a 65,536-item `Uniform` step fed in 4,096-item batches, the
+/// `ingest_heavy` benchmark's step shape. Min-of-k.
+fn stream_extract_ns_per_tuple() -> f64 {
+    const STEP_ITEMS: usize = 65_536;
+    const BATCH: usize = 4_096;
+    const REPEATS: usize = 101;
+    let cfg = HsqConfig::builder().sketch(SketchKind::Gk).build();
+    let mut sp = StreamProcessor::<u64>::with_kind(SketchKind::Gk, cfg.epsilon2, cfg.beta2);
+    let mut step = Dataset::Uniform.generator(1_700).take_vec(STEP_ITEMS);
+    for batch in step.chunks_mut(BATCH) {
+        sp.ingest_batch(batch);
+    }
+    let tuples = sp.sketch().as_gk().expect("GK stream").num_tuples();
+    let mut best = f64::MAX;
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        std::hint::black_box(sp.summary());
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best * 1e9 / tuples as f64
 }
 
 fn percentile(sorted: &[u32], p: f64) -> f64 {
@@ -791,10 +816,12 @@ fn main() {
 
     let (q_s_p50, q_s_p99, q_d_p50, q_d_p99) = query_metrics();
     let build_ns = combined_build_ns_per_entry();
+    let extract_ns = stream_extract_ns_per_tuple();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \
          {q_d_p50:.0}/{q_d_p99:.0} domain-seeded; \
-         combined-summary build (56 x 201 + 4 x 401) {build_ns:.1} ns/entry",
+         combined-summary build (56 x 201 + 4 x 401) {build_ns:.1} ns/entry; \
+         stream extract (401 targets, 65536-item GK step) {extract_ns:.1} ns/tuple",
     );
 
     let (byte_cap, steady_bytes, window_reads) = retention_metrics();
@@ -890,6 +917,7 @@ fn main() {
                 ("domain_p50_probes", num(q_d_p50)),
                 ("domain_p99_probes", num(q_d_p99)),
                 ("combined_build_ns_per_entry", num(build_ns)),
+                ("stream_extract_ns_per_tuple", num(extract_ns)),
             ]),
         ),
         (

@@ -730,6 +730,33 @@ mod tests {
     }
 
     #[test]
+    fn stream_extract_cost_is_a_timing_gate() {
+        // ns per GK tuple of one summary extract: a wall-clock cost, lower
+        // is better, gated at the timing threshold CI passes (200%).
+        let (dir, noisy) = classify("stream_extract_ns_per_tuple");
+        assert_eq!(dir, Direction::LowerBetter);
+        assert!(noisy);
+        let ci = Thresholds {
+            stable: 0.25,
+            timing: 2.0,
+        };
+        let base = Json::parse(r#"{"query": {"stream_extract_ns_per_tuple": 10.0}}"#).unwrap();
+        // A slower machine within 3x passes...
+        let slower = with(&base, "query", "stream_extract_ns_per_tuple", 25.0);
+        assert!(compare(&base, &slower, ci).passed());
+        // ...but a return to one tuple-list scan per target (≈ 14x) gates.
+        let rescanning = with(&base, "query", "stream_extract_ns_per_tuple", 140.0);
+        let report = compare(&base, &rescanning, ci);
+        assert!(
+            report
+                .deltas
+                .iter()
+                .any(|d| d.path.contains("stream_extract_ns_per_tuple") && d.failed),
+            "per-target extract cost must gate: {report:?}"
+        );
+    }
+
+    #[test]
     fn service_metrics_gate_rounds_stable() {
         // Probe rounds and wire round-trips per served query are
         // deterministic given code and seeds: tight gate.
@@ -878,7 +905,7 @@ mod tests {
         let base = Json::parse(include_str!("../../../BENCH_headline.json")).unwrap();
         let same = compare(&base, &base, Thresholds::default());
         assert!(same.passed(), "{same:?}");
-        // Every gated leaf is deterministic except the two CPU-cost gates.
+        // Every gated leaf is deterministic except the three CPU-cost gates.
         let timing: Vec<&str> = same
             .deltas
             .iter()
@@ -889,7 +916,8 @@ mod tests {
             timing,
             [
                 "ingest.merge_ns_per_item",
-                "query.combined_build_ns_per_entry"
+                "query.combined_build_ns_per_entry",
+                "query.stream_extract_ns_per_tuple"
             ]
         );
         // Deleting any one leaf from the fresh run fails the gate.

@@ -1710,6 +1710,58 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_gk_delta_recovers_as_corrupt() {
+        // A CRC-valid engine image holding a two-tuple GK stream sketch
+        // whose second tuple's Δ varies. `Σg + Δ` must fit in u64 — every
+        // rank query computes it — so Δ = u64::MAX is a typed corrupt
+        // error, not a panic or an `rmax < rmin` answer.
+        let dev = MemDevice::new(256);
+        let image = |delta: u64| {
+            let mut out = Writer::new();
+            out.buf.extend_from_slice(MAGIC);
+            out.u64(VERSION);
+            out.u64(8);
+            out.u64(0); // steps
+            out.u64(0); // total_len
+            encode_quarantine(&mut out, 0, &[]);
+            out.u64(0); // partitions
+            out.u64(1); // stream section
+            out.u64(SKETCH_GK);
+            out.u64(0.05f64.to_bits());
+            out.u64(2); // n
+            out.item(10u64); // min
+            out.item(20u64); // max
+            out.u64(2); // tuples
+            for (v, g, d) in [(10u64, 1, 0), (20, 1, delta)] {
+                out.item(v);
+                out.u64(g);
+                out.u64(d);
+            }
+            out.u64(2); // staging
+            out.item(10u64);
+            out.item(20u64);
+            out.u64(1); // segments
+            out.u64(2);
+            let crc = crc64(&out.buf);
+            out.u64(crc);
+            write_image(&dev, &out.buf)
+        };
+        let cfg = HsqConfig::with_epsilon(0.1);
+        let h = crate::engine::HistStreamQuantiles::<u64, _>::recover(
+            Arc::clone(&dev),
+            cfg.clone(),
+            image(0),
+        )
+        .unwrap();
+        assert_eq!(h.quantile(1.0).unwrap(), Some(20));
+        let err = recover::<u64, _>(Arc::clone(&dev), cfg, image(u64::MAX))
+            .err()
+            .unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn future_version_rejected() {
         // Only the current version is read: older images (versions 1–3)
         // are rejected exactly like a future one.

@@ -5,7 +5,10 @@
 //! paper-faithful default) or the KLL compactor ladder, selected by
 //! [`hsq_sketch::SketchKind`] via `HsqConfig::builder().sketch(..)`. When
 //! a query arrives, `StreamSummary` extracts `β₂` elements at approximate
-//! ranks `i·ε₂·m` (`StreamSummary` in Algorithm 4). Lemma 1 needs the
+//! ranks `i·ε₂·m` (`StreamSummary` in Algorithm 4). The targets ascend,
+//! so the sketch answers them all in one forward sweep — O(|tuples| + β₂)
+//! on GK, one compile plus one pass on KLL — with answers identical to
+//! `β₂` separate rank queries. Lemma 1 needs the
 //! one-sided guarantee `i·ε₂·m ≤ rank(SS[i]) ≤ (i+1)·ε₂·m`; the paper
 //! obtains it by quoting Theorem 1's one-sided form. Textbook GK is
 //! two-sided (`±εn`), so we run the sketch at `ε₂/2` and, in addition,
@@ -29,7 +32,7 @@
 //! hence last-to-expire — partition. Queries over the retained union
 //! keep Theorem 2's `ε·m` error with `m` the live stream size.
 
-use hsq_sketch::{AnySketch, QuantileSketch, RankEstimate, SketchKind};
+use hsq_sketch::{AnySketch, QuantileSketch, SketchKind};
 use hsq_storage::Item;
 
 /// One extracted stream-summary element with rigorous rank bounds in `R`.
@@ -291,10 +294,11 @@ impl<T: Item> StreamProcessor<T> {
 
     /// `StreamSummary()`: extract `SS` (Algorithm 4 lines 6–11).
     ///
-    /// GK answers each of the `β₂` rank targets from its tuple list
-    /// directly; KLL compiles its ladder into a cumulative view once and
-    /// answers every target from it, so the extract stays O(size + β₂
-    /// log size) rather than re-flattening per target.
+    /// The `β₂` rank targets `⌊i·ε₂·m⌋` ascend, so the sketch answers
+    /// all of them in one forward pass
+    /// ([`hsq_sketch::QuantileSketch::rank_queries`]): GK walks its tuple
+    /// list once, O(|tuples| + β₂); KLL compiles its ladder into a
+    /// cumulative view once and walks that.
     pub fn summary(&self) -> StreamSummary<T> {
         let m = self.sketch.len();
         if m == 0 {
@@ -305,28 +309,16 @@ impl<T: Item> StreamProcessor<T> {
         }
         let min = self.sketch.min().expect("non-empty");
         let max = self.sketch.max().expect("non-empty");
-        match &self.sketch {
-            AnySketch::Gk(gk) => {
-                self.summary_from(m, min, max, |r| gk.rank_query(r).expect("non-empty"))
-            }
-            AnySketch::Kll(kll) => {
-                let cum = kll.cumulative();
-                self.summary_from(m, min, max, |r| cum.rank_query(r).expect("non-empty"))
+        let mut targets = Vec::with_capacity(self.beta2);
+        for i in 1..self.beta2 as u64 {
+            let target = ((i as f64) * self.epsilon2 * m as f64).floor() as u64;
+            let target = target.clamp(1, m);
+            targets.push(target);
+            if target == m {
+                break;
             }
         }
-    }
-
-    /// The backend-independent extract loop behind
-    /// [`StreamProcessor::summary`]: probe `β₂` rank targets through
-    /// `rank_query`, anchor the exact extremes, and monotonize.
-    fn summary_from(
-        &self,
-        m: u64,
-        min: T,
-        max: T,
-        rank_query: impl Fn(u64) -> RankEstimate<T>,
-    ) -> StreamSummary<T> {
-        let mut entries = Vec::with_capacity(self.beta2 + 1);
+        let mut entries = Vec::with_capacity(targets.len() + 2);
         // SS[0]: the smallest element in the stream so far (tracked
         // exactly by the sketch). rmin = 1; rank(min) may exceed 1 with
         // duplicates, but 1 is the sound lower bound and `rmax = 1` makes
@@ -336,19 +328,16 @@ impl<T: Item> StreamProcessor<T> {
             rmin: 1,
             rmax: 1,
         });
-        for i in 1..self.beta2 as u64 {
-            let target = ((i as f64) * self.epsilon2 * m as f64).floor() as u64;
-            let target = target.clamp(1, m);
-            let est = rank_query(target);
-            entries.push(SsEntry {
-                value: est.value,
-                rmin: est.rmin,
-                rmax: est.rmax,
-            });
-            if target == m {
-                break;
-            }
-        }
+        entries.extend(
+            self.sketch
+                .rank_queries(&targets)
+                .into_iter()
+                .map(|est| SsEntry {
+                    value: est.value,
+                    rmin: est.rmin,
+                    rmax: est.rmax,
+                }),
+        );
         // Ensure the maximum is represented (rank m exactly: the sketch
         // tracks max, and rank(max) = m by definition).
         if entries.last().map(|e| e.value) != Some(max) {
@@ -358,9 +347,15 @@ impl<T: Item> StreamProcessor<T> {
                 rmax: m,
             });
         }
-        // Rank queries at increasing targets return nondecreasing values,
-        // but duplicates can interleave bounds; normalize monotonicity.
-        entries.sort_by(|a, b| a.value.cmp(&b.value).then(a.rmin.cmp(&b.rmin)));
+        // Ascending targets move the answer position right through value
+        // order, so values and `rmin` ascend together; both backends keep
+        // their answers inside `[min, max]` with `rmin ≥ 1`.
+        debug_assert!(
+            entries
+                .windows(2)
+                .all(|w| (w[0].value, w[0].rmin) <= (w[1].value, w[1].rmin)),
+            "extract not in (value, rmin) order"
+        );
         // Monotonize the bounds: rank() is monotone in value, so a later
         // entry's rank is at least any earlier rmin (forward running max)
         // and an earlier entry's rank is at most any later rmax (backward

@@ -9,7 +9,7 @@ use hsq_core::{
     StreamProcessor, Warehouse,
 };
 use hsq_core::{PartitionSummary, SummaryEntry};
-use hsq_sketch::ExactQuantiles;
+use hsq_sketch::{AnySketch, ExactQuantiles, GkSketch, KllSketch, QuantileSketch};
 use hsq_storage::{items_per_block, write_run, BlockDevice, FileId, MemDevice, RunWriter};
 use proptest::prelude::*;
 
@@ -111,6 +111,90 @@ fn random_view(next: &mut impl FnMut() -> u64, narrow: bool) -> SourceView<u64> 
             .collect()
     };
     SourceView::try_from_raw(entries, total).expect("generated views are valid")
+}
+
+/// The per-target GK scan the one-sweep extract replaced: walk the tuple
+/// list from the first tuple to the one before the first with
+/// `rmax > r + ⌊εn⌋`. Returns `(value, rmin, rmax)`.
+fn gk_scan(gk: &GkSketch<u64>, r: u64) -> (u64, u64, u64) {
+    let n = gk.len();
+    let r = r.clamp(1, n);
+    let slack = (gk.epsilon() * n as f64).floor() as u64;
+    let mut rmin = 0u64;
+    let mut prev = None;
+    for (v, g, delta) in gk.tuple_parts() {
+        rmin += g;
+        let cur = (v, rmin, rmin + delta);
+        if cur.2 > r + slack {
+            return prev.unwrap_or(cur);
+        }
+        prev = Some(cur);
+    }
+    prev.expect("non-empty sketch")
+}
+
+/// The per-target KLL lookup the forward cursor replaced: compile the
+/// ladder into `(value, cumulative weight)` pairs and binary-search `r`.
+fn kll_search(kll: &KllSketch<u64>, r: u64) -> (u64, u64, u64) {
+    let n = kll.len();
+    let mut pairs: Vec<(u64, u64)> = kll
+        .raw_levels()
+        .iter()
+        .enumerate()
+        .flat_map(|(h, lvl)| lvl.iter().map(move |&v| (v, 1u64 << h)))
+        .collect();
+    pairs.sort_unstable_by_key(|p| p.0);
+    let mut items: Vec<(u64, u64)> = Vec::new();
+    let mut cum = 0u64;
+    for (v, w) in pairs {
+        cum += w;
+        match items.last_mut() {
+            Some(last) if last.0 == v => last.1 = cum,
+            _ => items.push((v, cum)),
+        }
+    }
+    let r = r.clamp(1, n);
+    let idx = items.partition_point(|&(_, c)| c < r).min(items.len() - 1);
+    let (v, c) = items[idx];
+    let err = kll.tracked_err();
+    (v, c.saturating_sub(err).max(1), (c + err).min(n))
+}
+
+/// `StreamProcessor::summary` as it was before the one-sweep extract, kept
+/// as its oracle: one rank query per `β₂` target, anchor the extremes,
+/// sort by `(value, rmin)`, then the two monotonize passes.
+fn per_target_extract(sketch: &AnySketch<u64>, eps2: f64, beta2: usize) -> Vec<(u64, u64, u64)> {
+    let m = sketch.len();
+    if m == 0 {
+        return Vec::new();
+    }
+    let (min, max) = (sketch.min().unwrap(), sketch.max().unwrap());
+    let mut entries = vec![(min, 1, 1)];
+    for i in 1..beta2 as u64 {
+        let target = (((i as f64) * eps2 * m as f64).floor() as u64).clamp(1, m);
+        entries.push(match sketch {
+            AnySketch::Gk(gk) => gk_scan(gk, target),
+            AnySketch::Kll(kll) => kll_search(kll, target),
+        });
+        if target == m {
+            break;
+        }
+    }
+    if entries.last().map(|e| e.0) != Some(max) {
+        entries.push((max, m, m));
+    }
+    entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut run = 0u64;
+    for e in &mut entries {
+        run = run.max(e.1);
+        e.1 = run;
+    }
+    let mut run = u64::MAX;
+    for e in entries.iter_mut().rev() {
+        run = run.min(e.2);
+        e.2 = run;
+    }
+    entries
 }
 
 /// Every stored byte of `file`, block by block.
@@ -269,6 +353,41 @@ proptest! {
             sources.swap(i, (next() % (i as u64 + 1)) as usize);
         }
         prop_assert_eq!(&ts_parts(&CombinedSummary::build(&sources)), &built, "shuffled");
+    }
+
+    /// The one-sweep `StreamProcessor::summary` is byte-identical to the
+    /// per-target extract on the configured backend (`HSQ_SKETCH` selects
+    /// it): uniform, duplicate-heavy and weighted streams, mixed ingest
+    /// paths, and streams shorter than `β₂` or empty.
+    #[test]
+    fn stream_summary_matches_per_target_extract(
+        data in proptest::collection::vec(any::<u64>(), 0..5000),
+        shape in 0u8..3,
+        eps_pct in 1u32..30,
+    ) {
+        let cfg = HsqConfig::builder().epsilon(eps_pct as f64 / 100.0).build();
+        let mut sp = StreamProcessor::<u64>::with_kind(cfg.sketch, cfg.epsilon2, cfg.beta2);
+        let (head, tail) = data.split_at(data.len() / 4);
+        match shape {
+            0 => {
+                head.iter().for_each(|&v| sp.update(v));
+                sp.ingest_batch(&mut tail.to_vec());
+            }
+            1 => {
+                head.iter().for_each(|&v| sp.update(v % 8));
+                sp.ingest_batch(&mut tail.iter().map(|v| v % 8).collect::<Vec<_>>());
+            }
+            _ => {
+                head.iter().for_each(|&v| sp.update_weighted(v % 500, v % 29));
+                let mut pairs: Vec<(u64, u64)> = tail.iter().map(|&v| (v % 500, v % 29)).collect();
+                sp.ingest_weighted_batch(&mut pairs);
+            }
+        }
+        let ss = sp.summary();
+        let got: Vec<(u64, u64, u64)> = ss.entries().iter().map(|e| (e.value, e.rmin, e.rmax)).collect();
+        let want = per_target_extract(sp.sketch(), cfg.epsilon2, cfg.beta2);
+        prop_assert_eq!(got, want, "{} shape {} m {}", sp.sketch().kind(), shape, sp.len());
+        prop_assert_eq!(ss.stream_len(), sp.len());
     }
 
     /// Warehouse invariants hold across any update sequence; the stored

@@ -359,9 +359,15 @@ impl<T: Item> Request<T> {
             K_INGEST => {
                 let n = r.count(T::ENCODED_LEN + 8)?;
                 let mut items = Vec::with_capacity(n);
+                // The node adds the frame's weights into its stream mass;
+                // a frame whose total does not fit in u64 is unsound.
+                let mut mass = 0u64;
                 for _ in 0..n {
                     let v = r.item()?;
                     let weight = r.u64()?;
+                    mass = mass
+                        .checked_add(weight)
+                        .ok_or_else(|| corrupt("ingest weights overflow u64"))?;
                     items.push((v, weight));
                 }
                 Request::Ingest { items }
@@ -926,6 +932,18 @@ mod tests {
         let err = Response::<u64>::decode(&bad).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("not monotone"), "{err}");
+        // Ingest weights whose sum overflows u64: each fits, the total
+        // the node would add to its stream mass does not.
+        let overflowing = Request::<u64>::encode(&Request::Ingest {
+            items: vec![(1, u64::MAX), (2, 1)],
+        });
+        let err = Request::<u64>::decode(&overflowing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflow"), "{err}");
+        let at_limit = Request::<u64>::encode(&Request::Ingest {
+            items: vec![(1, u64::MAX - 1), (2, 1)],
+        });
+        assert!(Request::<u64>::decode(&at_limit).is_ok());
         // lo > hi probe bounds.
         let good = Response::<u64>::encode(&Response::Bounds {
             bounds: vec![(5, 5)],

@@ -384,30 +384,64 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// Answer a query for 1-based rank `r` (clamped into `[1, n]`).
     ///
     /// Returns a value whose true rank is within `εn` of `r`, along with
-    /// its tracked rank interval. `None` iff the sketch is empty.
+    /// its tracked rank interval: the tuple before the first one with
+    /// `rmax > r + ⌊εn⌋` (the first tuple when that one already
+    /// overshoots, the last when none does). `None` iff the sketch is
+    /// empty. This is the one-target case of [`GkSketch::rank_queries`],
+    /// an O(tuples) scan.
     pub fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
-        if self.n == 0 {
-            return None;
-        }
-        let r = r.clamp(1, self.n);
+        self.sweep(std::iter::once(r)).next()
+    }
+
+    /// [`GkSketch::rank_query`] for every target of `ascending`, in one
+    /// forward sweep of the tuple list: O(tuples + targets) rather than
+    /// one scan per target. The answer position of a target only moves
+    /// right as the target grows, so each answer equals
+    /// `rank_query(target)` exactly. Empty iff the sketch is empty.
+    ///
+    /// # Panics
+    ///
+    /// If `ascending` is not nondecreasing.
+    pub fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        self.sweep(ascending.iter().copied()).collect()
+    }
+
+    /// The cursor behind [`GkSketch::rank_queries`]: `next` is the first
+    /// tuple not yet known to sit within reach of the current target and
+    /// `rmin` the rank mass of the tuples before it. An empty sketch
+    /// answers nothing.
+    fn sweep<'a>(
+        &'a self,
+        targets: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = RankEstimate<T>> + 'a {
         let slack = (self.epsilon * self.n as f64).floor() as u64;
-        let mut rmin = 0u64;
-        let mut prev: Option<RankEstimate<T>> = None;
-        for t in &self.tuples {
-            rmin += t.g;
-            let cur = RankEstimate {
+        let (mut next, mut rmin, mut last) = (0usize, 0u64, 0u64);
+        targets.take_while(|_| self.n > 0).map(move |r| {
+            assert!(
+                r >= last,
+                "rank targets must be ascending: {r} after {last}"
+            );
+            last = r;
+            let limit = r.clamp(1, self.n).saturating_add(slack);
+            while let Some(t) = self.tuples.get(next) {
+                if rmin + t.g + t.delta > limit {
+                    break;
+                }
+                rmin += t.g;
+                next += 1;
+            }
+            // The tuple before the first overshooting one is within slack
+            // by the invariant; with no predecessor, the first tuple.
+            let (t, rmin) = match next.checked_sub(1) {
+                Some(i) => (self.tuples[i], rmin),
+                None => (self.tuples[0], self.tuples[0].g),
+            };
+            RankEstimate {
                 value: t.v,
                 rmin,
                 rmax: rmin + t.delta,
-            };
-            if cur.rmax > r + slack {
-                // First tuple overshooting: the previous one (if any) is
-                // guaranteed within slack by the invariant.
-                return Some(prev.unwrap_or(cur));
             }
-            prev = Some(cur);
-        }
-        prev
+        })
     }
 
     /// The element at quantile `phi ∈ (0, 1]` (rank `⌈φn⌉`), within `εn`.
@@ -788,11 +822,15 @@ impl<T: Copy + Ord> GkSketch<T> {
         if let Some(w) = tuples.windows(2).position(|w| w[1].v < w[0].v) {
             return Err(format!("tuple {} out of order", w + 1));
         }
+        // Every query computes `rmax = Σg + Δ` per tuple, so each must fit.
         let mut total_g = 0u64;
-        for t in &tuples {
+        for (i, t) in tuples.iter().enumerate() {
             total_g = total_g
                 .checked_add(t.g)
                 .ok_or_else(|| "rank mass overflows u64".to_string())?;
+            if total_g.checked_add(t.delta).is_none() {
+                return Err(format!("tuple {i}: rmin + delta overflows u64"));
+            }
         }
         if total_g != n {
             return Err(format!("sum of g = {total_g} != n = {n}"));
@@ -806,6 +844,16 @@ impl<T: Copy + Ord> GkSketch<T> {
         if let (Some(lo), Some(hi)) = (min, max) {
             if lo > hi {
                 return Err("min > max".into());
+            }
+            // Extracts anchor the exact min (at rank 1) and max ahead of
+            // and behind the tuples' answers, so the tuples must lie in
+            // between and the first must carry rank mass.
+            let (first, last) = (tuples[0], tuples[tuples.len() - 1]);
+            if first.v < lo || last.v > hi {
+                return Err("tuple outside [min, max]".into());
+            }
+            if first.g == 0 {
+                return Err("first tuple carries no rank mass".into());
             }
         }
         Ok(GkSketch {
@@ -1127,6 +1175,32 @@ mod tests {
         dup.insert_weighted(10u64, 2);
         assert_eq!(dup.rank_bounds_of(9), (0, 0));
         assert_eq!(dup.rank_bounds_of(10), (2, 2));
+    }
+
+    /// Recovery refuses a tuple list whose `Σg + Δ` overflows u64 — every
+    /// rank query computes it — instead of panicking (debug) or answering
+    /// with `rmax < rmin` (release). Tuples outside `[min, max]` or a
+    /// massless first tuple are refused too.
+    #[test]
+    fn from_tuple_parts_rejects_overflowing_delta() {
+        let parts = |delta| vec![(10u64, 1, 0), (20, 1, delta)];
+        let edge = GkSketch::from_tuple_parts(0.1, 2, Some(10), Some(20), parts(u64::MAX - 2));
+        let est = edge.unwrap().rank_query(2).unwrap();
+        assert!(est.rmin <= est.rmax);
+        for delta in [u64::MAX - 1, u64::MAX] {
+            let err = GkSketch::from_tuple_parts(0.1, 2, Some(10u64), Some(20), parts(delta))
+                .unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
+        let ok = vec![(10u64, 1, 0), (20, 1, 0)];
+        assert!(GkSketch::from_tuple_parts(0.1, 2, Some(10), Some(20), ok.clone()).is_ok());
+        for (min, max) in [(11, 20), (10, 19)] {
+            let err = GkSketch::from_tuple_parts(0.1, 2, Some(min), Some(max), ok.clone());
+            assert!(err.unwrap_err().contains("outside"));
+        }
+        let massless = vec![(10u64, 0, 0), (20, 2, 0)];
+        let err = GkSketch::from_tuple_parts(0.1, 2, Some(10), Some(20), massless);
+        assert!(err.unwrap_err().contains("rank mass"));
     }
 
     #[test]

@@ -402,10 +402,10 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
     }
 
     /// Compile the ladder into a [`KllCumulative`]: one sorted pass over
-    /// every retained item, after which any number of rank queries cost
-    /// a binary search each. Extract loops that probe hundreds of
-    /// targets (the stream-summary builder upstream) should compile once
-    /// and query the compiled view rather than calling
+    /// every retained item. Extract loops that probe hundreds of targets
+    /// (the stream-summary builder upstream) should call
+    /// [`KllSketch::rank_queries`], which compiles once and answers every
+    /// ascending target with one forward cursor, rather than calling
     /// [`KllSketch::rank_query`] (which compiles per call) in a loop.
     pub fn cumulative(&self) -> KllCumulative<T> {
         let mut pairs: Vec<(T, u64)> = Vec::with_capacity(self.num_retained());
@@ -440,6 +440,14 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
     /// use [`KllSketch::cumulative`] for query loops.
     pub fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
         self.cumulative().rank_query(r)
+    }
+
+    /// [`KllSketch::rank_query`] for every target of `ascending`: one
+    /// [`KllSketch::cumulative`] compile, then one forward cursor (see
+    /// [`KllCumulative::rank_queries`], which panics on targets that are
+    /// not nondecreasing).
+    pub fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        self.cumulative().rank_queries(ascending)
     }
 
     /// Rigorous bounds `[lo, hi]` on the rank of an arbitrary value `v`
@@ -499,6 +507,11 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
             if lo > hi {
                 return Err("min > max".into());
             }
+            // Every retained item was inserted, so none lies outside the
+            // tracked extremes (extracts anchor them as SS's ends).
+            if self.levels.iter().flatten().any(|&v| v < lo || v > hi) {
+                return Err("retained item outside [min, max]".into());
+            }
         }
         Ok(())
     }
@@ -552,8 +565,8 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
 
 /// A compiled, query-ready view of a [`KllSketch`]: distinct retained
 /// values with cumulative weighted counts, plus the tracked error. Built
-/// by [`KllSketch::cumulative`]; answers any number of rank queries at a
-/// binary search each without re-flattening the ladder.
+/// by [`KllSketch::cumulative`]; answers any number of ascending rank
+/// targets in one forward pass without re-flattening the ladder.
 #[derive(Clone, Debug)]
 pub struct KllCumulative<T> {
     /// `(value, cumulative weight through the last retained occurrence)`,
@@ -577,24 +590,54 @@ impl<T: Copy + Ord> KllCumulative<T> {
     }
 
     /// Answer a query for 1-based rank `r` (clamped into `[1, n]`);
-    /// `None` iff empty. The returned interval brackets the rank of the
-    /// value's last stream occurrence, widened by the tracked error.
+    /// `None` iff empty. The answer is the first distinct value whose
+    /// cumulative weight reaches `r` (the largest if none does), and the
+    /// returned interval brackets the rank of that value's last stream
+    /// occurrence, widened by the tracked error. The one-target case of
+    /// [`KllCumulative::rank_queries`].
     pub fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
-        if self.n == 0 {
-            return None;
-        }
-        let r = r.clamp(1, self.n);
-        let idx = self.items.partition_point(|&(_, c)| c < r);
-        let idx = idx.min(self.items.len() - 1);
-        let (value, c) = self.items[idx];
-        // The `.max(1)` clamp is sound precisely because this point is
-        // unreachable for an empty sketch (`n == 0` returned above): the
-        // reported value was retained, hence inserted, hence its true
-        // rank is at least 1.
-        Some(RankEstimate {
-            value,
-            rmin: c.saturating_sub(self.err).max(1),
-            rmax: (c + self.err).min(self.n),
+        self.sweep(std::iter::once(r)).next()
+    }
+
+    /// [`KllCumulative::rank_query`] for every target of `ascending`,
+    /// with one forward cursor over the compiled items: O(items +
+    /// targets). Empty iff the source sketch was.
+    ///
+    /// # Panics
+    ///
+    /// If `ascending` is not nondecreasing.
+    pub fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        self.sweep(ascending.iter().copied()).collect()
+    }
+
+    /// The cursor behind [`KllCumulative::rank_queries`]: `idx` only
+    /// moves right, stopping at the first item with cumulative weight
+    /// `≥ r` or at the last item. An empty view answers nothing.
+    fn sweep<'a>(
+        &'a self,
+        targets: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = RankEstimate<T>> + 'a {
+        let (mut idx, mut last) = (0usize, 0u64);
+        targets.take_while(|_| self.n > 0).map(move |r| {
+            assert!(
+                r >= last,
+                "rank targets must be ascending: {r} after {last}"
+            );
+            last = r;
+            let r = r.clamp(1, self.n);
+            while idx + 1 < self.items.len() && self.items[idx].1 < r {
+                idx += 1;
+            }
+            let (value, c) = self.items[idx];
+            // The `.max(1)` clamp is sound precisely because this point
+            // is unreachable for an empty sketch (`n == 0` answers
+            // nothing): the reported value was retained, hence inserted,
+            // hence its true rank is at least 1.
+            RankEstimate {
+                value,
+                rmin: c.saturating_sub(self.err).max(1),
+                rmax: (c + self.err).min(self.n),
+            }
         })
     }
 
@@ -997,5 +1040,10 @@ mod tests {
         assert!(
             KllSketch::<u64>::from_raw_parts(0.1, 0, Some(1), Some(9), 0, 0, vec![vec![]]).is_err()
         );
+        // A retained item outside the tracked [min, max].
+        let err =
+            KllSketch::<u64>::from_raw_parts(0.1, 2, Some(1), Some(9), 0, 0, vec![vec![0, 9]])
+                .unwrap_err();
+        assert!(err.contains("outside"), "{err}");
     }
 }

@@ -95,6 +95,12 @@ pub trait QuantileSketch<T: Copy + Ord>: Clone {
     /// rank interval. `None` iff the sketch is empty.
     fn rank_query(&self, r: u64) -> Option<RankEstimate<T>>;
 
+    /// [`QuantileSketch::rank_query`] for every target of `ascending`
+    /// (nondecreasing; panics otherwise) in one forward pass of the
+    /// sketch, each answer equal to the single-target one. Empty iff
+    /// the sketch is empty.
+    fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>>;
+
     /// Rigorous bounds `[lo, hi]` on the rank of an arbitrary value `v`
     /// (the count of stream elements ≤ `v`), which need not have been
     /// inserted.
@@ -170,6 +176,10 @@ impl<T: Copy + Ord + RadixKey> QuantileSketch<T> for GkSketch<T> {
         GkSketch::rank_query(self, r)
     }
 
+    fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        GkSketch::rank_queries(self, ascending)
+    }
+
     fn rank_bounds_of(&self, v: T) -> (u64, u64) {
         GkSketch::rank_bounds_of(self, v)
     }
@@ -238,6 +248,10 @@ impl<T: Copy + Ord + RadixKey> QuantileSketch<T> for KllSketch<T> {
 
     fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
         KllSketch::rank_query(self, r)
+    }
+
+    fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        KllSketch::rank_queries(self, ascending)
     }
 
     fn rank_bounds_of(&self, v: T) -> (u64, u64) {
@@ -456,6 +470,13 @@ impl<T: Copy + Ord + RadixKey> QuantileSketch<T> for AnySketch<T> {
         match self {
             AnySketch::Gk(s) => s.rank_query(r),
             AnySketch::Kll(s) => s.rank_query(r),
+        }
+    }
+
+    fn rank_queries(&self, ascending: &[u64]) -> Vec<RankEstimate<T>> {
+        match self {
+            AnySketch::Gk(s) => s.rank_queries(ascending),
+            AnySketch::Kll(s) => s.rank_queries(ascending),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the quantile sketches: the error guarantees
 //! hold on *arbitrary* inputs, not just the unit tests' fixtures.
 
-use hsq_sketch::{ExactQuantiles, GkSketch, QDigest, ReservoirQuantiles};
+use hsq_sketch::{ExactQuantiles, GkSketch, KllSketch, QDigest, RankEstimate, ReservoirQuantiles};
 use proptest::prelude::*;
 
 fn exact_rank(data: &[u64], v: u64) -> u64 {
@@ -20,8 +20,178 @@ fn rank_distance(data: &[u64], v: u64, r: u64) -> u64 {
     }
 }
 
+/// The per-target GK scan that `rank_queries`' one sweep replaced, kept
+/// as its oracle: every target walks the tuple list from the first tuple
+/// and answers the tuple before the first with `rmax > r + ⌊εn⌋`.
+fn gk_scan(gk: &GkSketch<u64>, r: u64) -> Option<RankEstimate<u64>> {
+    let n = gk.len();
+    if n == 0 {
+        return None;
+    }
+    let r = r.clamp(1, n);
+    let slack = (gk.epsilon() * n as f64).floor() as u64;
+    let mut rmin = 0u64;
+    let mut prev = None;
+    for (value, g, delta) in gk.tuple_parts() {
+        rmin += g;
+        let cur = RankEstimate {
+            value,
+            rmin,
+            rmax: rmin + delta,
+        };
+        if cur.rmax > r + slack {
+            return Some(prev.unwrap_or(cur));
+        }
+        prev = Some(cur);
+    }
+    prev
+}
+
+/// The per-target KLL lookup the forward cursor replaced, kept as its
+/// oracle: compile the ladder into `(value, cumulative weight)` pairs and
+/// binary-search each target for the first pair reaching it.
+fn kll_scan(kll: &KllSketch<u64>, r: u64) -> Option<RankEstimate<u64>> {
+    let n = kll.len();
+    if n == 0 {
+        return None;
+    }
+    let mut pairs: Vec<(u64, u64)> = kll
+        .raw_levels()
+        .iter()
+        .enumerate()
+        .flat_map(|(h, lvl)| lvl.iter().map(move |&v| (v, 1u64 << h)))
+        .collect();
+    pairs.sort_unstable_by_key(|p| p.0);
+    let mut items: Vec<(u64, u64)> = Vec::new();
+    let mut cum = 0u64;
+    for (v, w) in pairs {
+        cum += w;
+        match items.last_mut() {
+            Some(last) if last.0 == v => last.1 = cum,
+            _ => items.push((v, cum)),
+        }
+    }
+    let r = r.clamp(1, n);
+    let idx = items.partition_point(|&(_, c)| c < r).min(items.len() - 1);
+    let (value, c) = items[idx];
+    let err = kll.tracked_err();
+    Some(RankEstimate {
+        value,
+        rmin: c.saturating_sub(err).max(1),
+        rmax: (c + err).min(n),
+    })
+}
+
+/// Ascending rank targets for a sketch of `n` items: seeded draws over
+/// `[0, n + 8]`, plus 0, `n`, `n + 1` and `u64::MAX`, with repeats.
+fn ascending_targets(n: u64, seed: u64) -> Vec<u64> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 11
+    };
+    let count = next() % 64;
+    let mut ts: Vec<u64> = (0..count).map(|_| next() % (n + 9)).collect();
+    ts.extend([0, 0, n, n, n + 1, u64::MAX]);
+    let repeats: Vec<u64> = ts.iter().copied().step_by(3).collect();
+    ts.extend(repeats);
+    ts.sort_unstable();
+    ts
+}
+
+/// One stream shape for the sweep oracles: 0 uniform, 1 duplicate-heavy
+/// (8 distinct values), 2 weighted pairs, 3 two sketches merged. The
+/// `data` length range reaches empty and `n < β₂` streams.
+fn shaped_pairs(data: &[u64], shape: u8) -> Vec<(u64, u64)> {
+    data.iter()
+        .map(|&v| match shape {
+            1 => (v % 8, 1),
+            2 => (v % 1_000, v % 37 + 1),
+            _ => (v, 1),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// GK's one-sweep `rank_queries` answers every ascending target
+    /// exactly like the per-target scan, on uniform, duplicate-heavy,
+    /// weighted and merged sketches, tiny and empty ones included; so
+    /// does the one-target `rank_query`.
+    #[test]
+    fn gk_rank_queries_match_per_target_scan(
+        data in proptest::collection::vec(any::<u64>(), 0..3000),
+        shape in 0u8..4,
+        eps_milli in 2u64..200,
+        seed in any::<u64>(),
+    ) {
+        let eps = eps_milli as f64 / 1000.0;
+        let pairs = shaped_pairs(&data, shape);
+        let mut gk = GkSketch::new(eps);
+        if shape == 3 {
+            let (a, b) = pairs.split_at(pairs.len() / 3);
+            let mut other = GkSketch::new(eps * 2.0);
+            a.iter().for_each(|&(v, _)| gk.insert(v));
+            b.iter().for_each(|&(v, _)| other.insert(v));
+            gk.merge_from(&other);
+        } else if shape == 2 {
+            let mut batch = pairs.clone();
+            for chunk in batch.chunks_mut(701) {
+                gk.insert_weighted_batch(chunk);
+            }
+        } else {
+            let mut values: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+            for chunk in values.chunks_mut(701) {
+                gk.insert_batch(chunk);
+            }
+        }
+        let targets = ascending_targets(gk.len(), seed);
+        let swept = gk.rank_queries(&targets);
+        let scanned: Vec<_> = targets.iter().filter_map(|&r| gk_scan(&gk, r)).collect();
+        prop_assert_eq!(&swept, &scanned, "shape {} n {}", shape, gk.len());
+        for &r in targets.iter().step_by(7) {
+            prop_assert_eq!(gk.rank_query(r), gk_scan(&gk, r));
+        }
+    }
+
+    /// KLL's compiled view answers every ascending target with one
+    /// forward cursor exactly like a binary search per target.
+    #[test]
+    fn kll_rank_queries_match_per_target_search(
+        data in proptest::collection::vec(any::<u64>(), 0..6000),
+        shape in 0u8..4,
+        eps_milli in 20u64..300,
+        seed in any::<u64>(),
+    ) {
+        let eps = eps_milli as f64 / 1000.0;
+        let pairs = shaped_pairs(&data, shape);
+        let mut kll = KllSketch::new(eps);
+        if shape == 3 {
+            let (a, b) = pairs.split_at(pairs.len() / 3);
+            let mut other = KllSketch::new(eps);
+            a.iter().for_each(|&(v, _)| kll.insert(v));
+            b.iter().for_each(|&(v, _)| other.insert(v));
+            kll.merge_from(&other);
+        } else if shape == 2 {
+            for chunk in pairs.chunks(701) {
+                kll.insert_weighted_batch(chunk);
+            }
+        } else {
+            let values: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+            values.chunks(701).for_each(|chunk| kll.insert_batch(chunk));
+        }
+        let targets = ascending_targets(kll.len(), seed);
+        let cum = kll.cumulative();
+        let scanned: Vec<_> = targets.iter().filter_map(|&r| kll_scan(&kll, r)).collect();
+        prop_assert_eq!(&cum.rank_queries(&targets), &scanned, "shape {} n {}", shape, kll.len());
+        prop_assert_eq!(&kll.rank_queries(&targets), &scanned);
+        for &r in targets.iter().step_by(7) {
+            prop_assert_eq!(cum.rank_query(r), kll_scan(&kll, r));
+        }
+    }
 
     /// GK answers every rank query within eps*n, on arbitrary data.
     #[test]
