@@ -7,7 +7,7 @@
 //!
 //! Deterministic metrics (accuracy ratios, relative errors, disk reads,
 //! memory words, probe counts) gate at `--threshold` (default 25%, the
-//! repo's headline contract). The three CPU-cost metrics (`*ns_per_*`)
+//! repo's headline contract). The four CPU-cost metrics (`*ns_per_*`)
 //! gate at `--timing-threshold` (default 75%) so a differently-sized CI
 //! runner doesn't fail spuriously while real collapses still do. Any
 //! baseline entry the fresh run lacks fails the gate too.

@@ -12,8 +12,9 @@
 //! trade-off of §3.2 (Figures 7 and 10), sketch A/B error and memory,
 //! probe counts, retention, robustness and failover widening. Every one
 //! of those numbers is deterministic given the code and seeds; the only
-//! wall-clock leaves are the three CPU-cost gates
-//! `ingest.merge_ns_per_item`, `query.combined_build_ns_per_entry` and
+//! wall-clock leaves are the four CPU-cost gates
+//! `ingest.merge_ns_per_item`, `storage.crc64_ns_per_kib`,
+//! `query.combined_build_ns_per_entry` and
 //! `query.stream_extract_ns_per_tuple`. `bench_trend` diffs the file
 //! against the committed baseline.
 
@@ -33,7 +34,7 @@ use hsq_service::{
     TcpConnector,
 };
 use hsq_storage::{
-    merge_runs, sort_items, write_run, BlockDevice, Fault, FaultDevice, FileId, MemDevice,
+    crc64, merge_runs, sort_items, write_run, BlockDevice, Fault, FaultDevice, FileId, MemDevice,
     RetryDevice, RetryPolicy,
 };
 use hsq_workload::Dataset;
@@ -64,6 +65,30 @@ fn merge_ns_per_item() -> f64 {
         merged.delete(&*dev).expect("delete");
     }
     best * 1e9 / (RUNS * RUN_ITEMS) as f64
+}
+
+/// CPU cost of block verification: nanoseconds per KiB of `crc64` over
+/// 256 distinct 4,088-byte payloads (one 4,096-byte run block's worth
+/// each, 1 MiB in all). Min-of-k.
+fn crc64_ns_per_kib() -> f64 {
+    const PAYLOAD: usize = 4_088;
+    const BLOCKS: usize = 256;
+    const REPEATS: usize = 21;
+    let bytes: Vec<u8> = Dataset::Uniform
+        .generator(1_900)
+        .take_vec(PAYLOAD * BLOCKS / 8)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut best = f64::MAX;
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        for block in bytes.chunks_exact(PAYLOAD) {
+            std::hint::black_box(crc64(std::hint::black_box(block)));
+        }
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best * 1e9 / (bytes.len() as f64 / 1024.0)
 }
 
 /// CPU cost of opening an epoch's combined summary: nanoseconds per `TS`
@@ -851,6 +876,8 @@ fn main() {
 
     let merge_ns = merge_ns_per_item();
     println!("step-close merge (11 x 65536): {merge_ns:.1} ns/item");
+    let crc_ns = crc64_ns_per_kib();
+    println!("block checksum (crc64, 4088-byte payloads): {crc_ns:.1} ns/KiB");
 
     let sketch_rows = sketch_metrics();
     for r in &sketch_rows {
@@ -934,6 +961,7 @@ fn main() {
             ]),
         ),
         ("ingest", obj([("merge_ns_per_item", num(merge_ns))])),
+        ("storage", obj([("crc64_ns_per_kib", num(crc_ns))])),
         (
             "sketch",
             obj([

@@ -731,6 +731,33 @@ mod tests {
     }
 
     #[test]
+    fn crc_cost_is_a_timing_gate() {
+        // ns per KiB of block checksum: a wall-clock cost, lower is better,
+        // gated at the timing threshold CI passes (200%).
+        let (dir, noisy) = classify("crc64_ns_per_kib");
+        assert_eq!(dir, Direction::LowerBetter);
+        assert!(noisy);
+        let ci = Thresholds {
+            stable: 0.25,
+            timing: 2.0,
+        };
+        let base = Json::parse(r#"{"storage": {"crc64_ns_per_kib": 90.0}}"#).unwrap();
+        // A slower machine within 3x passes...
+        let slower = with(&base, "storage", "crc64_ns_per_kib", 250.0);
+        assert!(compare(&base, &slower, ci).passed());
+        // ...but 3.5x fails, and a return to the table kernel is ≈ 7x.
+        let table = with(&base, "storage", "crc64_ns_per_kib", 315.0);
+        let report = compare(&base, &table, ci);
+        assert!(
+            report
+                .deltas
+                .iter()
+                .any(|d| d.path == "storage.crc64_ns_per_kib" && d.failed),
+            "a 3.5x checksum cost must gate: {report:?}"
+        );
+    }
+
+    #[test]
     fn stream_extract_cost_is_a_timing_gate() {
         // ns per GK tuple of one summary extract: a wall-clock cost, lower
         // is better, gated at the timing threshold CI passes (200%).
@@ -979,7 +1006,7 @@ mod tests {
         let base = Json::parse(include_str!("../../../BENCH_headline.json")).unwrap();
         let same = compare(&base, &base, Thresholds::default());
         assert!(same.passed(), "{same:?}");
-        // Every gated leaf is deterministic except the three CPU-cost gates.
+        // Every gated leaf is deterministic except the four CPU-cost gates.
         let timing: Vec<&str> = same
             .deltas
             .iter()
@@ -990,6 +1017,7 @@ mod tests {
             timing,
             [
                 "ingest.merge_ns_per_item",
+                "storage.crc64_ns_per_kib",
                 "query.combined_build_ns_per_entry",
                 "query.stream_extract_ns_per_tuple"
             ]

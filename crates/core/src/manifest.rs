@@ -77,7 +77,7 @@ use std::io;
 use std::sync::Arc;
 
 use hsq_sketch::{AnySketch, GkSketch, KllSketch, QuantileSketch, SketchKind};
-use hsq_storage::{crc64, BlockDevice, FileId, Item, SortedRun};
+use hsq_storage::{crc, BlockDevice, FileId, Item, SortedRun};
 
 use crate::config::HsqConfig;
 use crate::stream::StreamProcessor;
@@ -574,8 +574,7 @@ fn write_manifest<T: Item, D: BlockDevice>(
         }
         None => out.u64(0),
     }
-    let crc = crc64(&out.buf);
-    out.u64(crc);
+    crc::seal(&mut out.buf);
 
     // Write-ahead, as for log records: every run the manifest names is
     // durable before the manifest lands, in file-id order.
@@ -633,16 +632,8 @@ pub(crate) fn recover_with_stream<T: Item, D: BlockDevice>(
     if raw.len() < 4 + 8 || &raw[..4] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let body_end = raw.len() - 8;
-    let stored_crc = u64::from_le_bytes(raw[body_end..].try_into().unwrap());
-    if crc64(&raw[..body_end]) != stored_crc {
-        return Err(corrupt("checksum mismatch"));
-    }
-
-    let mut r = Reader {
-        buf: &raw[..body_end],
-        pos: 4,
-    };
+    let body = crc::open(&raw).map_err(|_| corrupt("checksum mismatch"))?;
+    let mut r = Reader { buf: body, pos: 4 };
     if r.u64()? != VERSION {
         return Err(corrupt("unsupported version"));
     }
@@ -693,19 +684,15 @@ fn replay_log<T: Item, D: BlockDevice>(
     let mut pos = bs; // records start at block 1
     while pos + 8 <= raw.len() {
         let body_len = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap()) as usize;
-        if body_len < 16 || pos + 8 + body_len > raw.len() {
+        // Against what is left, not as `pos + 8 + body_len`: a garbage
+        // length near `u64::MAX` would wrap that sum.
+        if body_len < 16 || body_len > raw.len() - pos - 8 {
             break; // torn or padding tail
         }
-        let body = &raw[pos + 8..pos + 8 + body_len];
-        let crc_at = body_len - 8;
-        let stored_crc = u64::from_le_bytes(body[crc_at..].try_into().unwrap());
-        if crc64(&body[..crc_at]) != stored_crc {
+        let Ok(body) = crc::open(&raw[pos + 8..pos + 8 + body_len]) else {
             break; // torn record: ignore it and everything after
-        }
-        let mut r = Reader {
-            buf: &body[..crc_at],
-            pos: 0,
         };
+        let mut r = Reader { buf: body, pos: 0 };
         let kind = r.u64()?;
         match kind {
             REC_BASE => {
@@ -913,8 +900,7 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         let mut body = Writer::new();
         body.u64(kind);
         body.buf.extend_from_slice(payload);
-        let crc = crc64(&body.buf);
-        body.u64(crc);
+        crc::seal(&mut body.buf);
         let mut framed = Writer::new();
         framed.u64(body.buf.len() as u64);
         framed.buf.extend_from_slice(&body.buf);
@@ -1399,6 +1385,29 @@ mod tests {
     }
 
     #[test]
+    fn record_length_near_u64_max_is_a_torn_tail() {
+        // A garbage length word must not wrap the bounds check of the
+        // record it frames: recovery stops there, like any torn tail.
+        let cfg = log_config(3, 10);
+        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
+        let mut log = ManifestLog::create(&w).unwrap();
+        w.add_batch((0..60).collect()).unwrap();
+        log.append(&w).unwrap();
+        let (steps, len, quantiles) = (w.steps(), w.total_len(), exact_quantiles(&w));
+        let third = w.device().num_blocks(log.file()).unwrap() as usize * 256;
+        w.add_batch((60..120).collect()).unwrap();
+        log.append(&w).unwrap();
+        let dev = w.device();
+        let mut img = read_image(dev, log.file());
+        img[third..third + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        let f = write_image(dev, &img);
+        let r: Warehouse<u64, MemDevice> = recover(Arc::clone(dev), cfg, f).unwrap();
+        r.check_invariants().unwrap();
+        assert_eq!((r.steps(), r.total_len()), (steps, len));
+        assert_eq!(exact_quantiles(&r), quantiles);
+    }
+
+    #[test]
     fn engine_recovers_from_log_file() {
         // Engine::recover dispatches on the magic: a log file works in
         // place of a snapshot manifest.
@@ -1692,8 +1701,7 @@ mod tests {
             out.item(42u64);
             out.u64(1); // segments
             out.u64(1);
-            let crc = crc64(&out.buf);
-            out.u64(crc);
+            crc::seal(&mut out.buf);
             write_image(&dev, &out.buf)
         };
         let cfg = HsqConfig::with_epsilon(0.1);
@@ -1742,8 +1750,7 @@ mod tests {
             out.item(20u64);
             out.u64(1); // segments
             out.u64(2);
-            let crc = crc64(&out.buf);
-            out.u64(crc);
+            crc::seal(&mut out.buf);
             write_image(&dev, &out.buf)
         };
         let cfg = HsqConfig::with_epsilon(0.1);
@@ -1774,8 +1781,7 @@ mod tests {
             out.u64(0);
             out.u64(0);
             out.u64(0);
-            let crc = crc64(&out.buf);
-            out.u64(crc);
+            crc::seal(&mut out.buf);
             let file = write_image(&dev, &out.buf);
             let err = recover::<u64, _>(Arc::clone(&dev), HsqConfig::with_epsilon(0.1), file)
                 .unwrap_err();

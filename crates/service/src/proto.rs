@@ -33,7 +33,7 @@
 use std::io::{self, Read, Write};
 
 use hsq_core::SourceView;
-use hsq_storage::{crc64, Item};
+use hsq_storage::{crc, Item};
 
 /// Frame magic: **HSQ** **S**ervice.
 pub const MAGIC: &[u8; 4] = b"HSQS";
@@ -179,8 +179,7 @@ impl Writer {
     }
 
     fn seal(mut self) -> Vec<u8> {
-        let crc = crc64(&self.buf);
-        self.u64(crc);
+        crc::seal(&mut self.buf);
         assert!(
             self.buf.len() <= MAX_FRAME_LEN,
             "frame exceeds MAX_FRAME_LEN"
@@ -258,14 +257,9 @@ fn open_frame(raw: &[u8]) -> io::Result<(u64, Reader<'_>)> {
     if &raw[..MAGIC.len()] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let body_end = raw.len() - 8;
-    let mut crc_bytes = [0u8; 8];
-    crc_bytes.copy_from_slice(&raw[body_end..]);
-    if crc64(&raw[..body_end]) != u64::from_le_bytes(crc_bytes) {
-        return Err(corrupt("frame checksum mismatch"));
-    }
+    let body = crc::open(raw).map_err(|_| corrupt("frame checksum mismatch"))?;
     let mut r = Reader {
-        buf: &raw[..body_end],
+        buf: body,
         pos: MAGIC.len(),
     };
     let version = r.u64()?;
@@ -859,10 +853,9 @@ mod tests {
     /// Re-seal a frame body after tampering, so the CRC is valid and the
     /// *semantic* validation has to do the rejecting.
     fn reseal(raw: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut body = raw[..raw.len() - 8].to_vec();
+        let mut body = raw[..raw.len() - crc::TRAILER_LEN].to_vec();
         edit(&mut body);
-        let crc = crc64(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
+        crc::seal(&mut body);
         body
     }
 

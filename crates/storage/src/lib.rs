@@ -26,6 +26,8 @@
 //!   [`crc64`] block/record checksums ([`crc`]).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
 pub mod crc;

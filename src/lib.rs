@@ -381,7 +381,7 @@
 //!
 //! ## Performance tuning
 //!
-//! The hot paths self-tune, but three levers are worth knowing:
+//! The hot paths self-tune, but these levers are worth knowing:
 //!
 //! **Radix-sorted batch ingest.** Every in-memory batch sort — engine
 //! segment staging, warehouse level-0 preparation, external-sort spill
@@ -440,6 +440,16 @@
 //! let p99 = snap.quantile(0.99).unwrap().unwrap();
 //! assert!(p50 <= p95 && p95 <= p99);
 //! ```
+//!
+//! **Checksums.** Every block read — a query's probe, a merge's input —
+//! verifies the block's CRC64 trailer, and every write, manifest record
+//! and wire frame computes one. [`hsq_storage::crc64`] folds with
+//! carry-less multiplies on x86_64 CPUs with `pclmulqdq` and `sse4.1`
+//! (detected at runtime): ≈ 70 ns/KiB against ≈ 650 for the portable
+//! table kernel, which short inputs and other architectures use. Both
+//! compute the same checksum bit for bit, so the format does not depend
+//! on the host. There is nothing to configure; `headline` gates the cost
+//! as `storage.crc64_ns_per_kib`.
 //!
 //! ## Serving quantiles over the network
 //!
