@@ -1,17 +1,16 @@
 //! Criterion benches for query processing (the latency side of Figures 9
-//! and 10): quick vs accurate responses, serial vs parallel probing, and
-//! window queries.
+//! and 10): quick vs accurate responses, the effect of κ, and window
+//! queries.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsq_core::{HistStreamQuantiles, HsqConfig};
 use hsq_storage::MemDevice;
 use hsq_workload::{Dataset, TimeStepDriver};
 
-fn build_engine(kappa: usize, parallel: bool) -> HistStreamQuantiles<u64, MemDevice> {
+fn build_engine(kappa: usize) -> HistStreamQuantiles<u64, MemDevice> {
     let cfg = HsqConfig::builder()
         .epsilon(0.01)
         .merge_threshold(kappa)
-        .parallel_query(parallel)
         .build();
     let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg);
     for batch in TimeStepDriver::new(Dataset::Normal, 3, 10_000, 30) {
@@ -28,7 +27,7 @@ fn build_engine(kappa: usize, parallel: bool) -> HistStreamQuantiles<u64, MemDev
 
 fn quick_vs_accurate(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_response");
-    let h = build_engine(10, false);
+    let h = build_engine(10);
     group.bench_function("quick_median", |b| {
         b.iter(|| black_box(h.quantile_quick(black_box(0.5))))
     });
@@ -44,19 +43,8 @@ fn quick_vs_accurate(c: &mut Criterion) {
 fn kappa_effect(c: &mut Criterion) {
     let mut group = c.benchmark_group("accurate_query_vs_kappa");
     for kappa in [2usize, 10, 30] {
-        let h = build_engine(kappa, false);
+        let h = build_engine(kappa);
         group.bench_with_input(BenchmarkId::from_parameter(kappa), &kappa, |b, _| {
-            b.iter(|| black_box(h.quantile(black_box(0.5)).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-fn parallel_probing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_query");
-    for (label, parallel) in [("serial", false), ("parallel", true)] {
-        let h = build_engine(30, parallel);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &parallel, |b, _| {
             b.iter(|| black_box(h.quantile(black_box(0.5)).unwrap()))
         });
     }
@@ -65,7 +53,7 @@ fn parallel_probing(c: &mut Criterion) {
 
 fn window_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("window_query");
-    let h = build_engine(10, false);
+    let h = build_engine(10);
     let windows = h.available_windows();
     let smallest = *windows.first().unwrap();
     let largest = *windows.last().unwrap();
@@ -81,6 +69,6 @@ fn window_queries(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = quick_vs_accurate, kappa_effect, parallel_probing, window_queries
+    targets = quick_vs_accurate, kappa_effect, window_queries
 }
 criterion_main!(benches);

@@ -74,9 +74,6 @@ pub struct HsqConfig {
     /// Decoded-block cache capacity (blocks) for query processing — the
     /// paper's single-block optimization (§2.4).
     pub cache_blocks: usize,
-    /// Answer queries by probing partitions in parallel (paper §4's
-    /// future-work direction; see `crate::parallel`).
-    pub parallel_query: bool,
     /// Retention limits enforced on every step boundary (see
     /// [`crate::retention`]). Default: unbounded (the paper's grow-only
     /// warehouse).
@@ -149,7 +146,6 @@ impl HsqConfig {
             kappa: 10,
             sort_budget_items: 1 << 20,
             cache_blocks: 64,
-            parallel_query: false,
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
@@ -165,7 +161,6 @@ pub struct HsqConfigBuilder {
     kappa: usize,
     sort_budget_items: usize,
     cache_blocks: usize,
-    parallel_query: bool,
     retention: RetentionPolicy,
     retry: RetryPolicy,
     strict: bool,
@@ -179,7 +174,6 @@ impl Default for HsqConfigBuilder {
             kappa: 10,
             sort_budget_items: 1 << 20,
             cache_blocks: 64,
-            parallel_query: false,
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
@@ -232,12 +226,6 @@ impl HsqConfigBuilder {
         self
     }
 
-    /// Probe partitions in parallel during accurate queries.
-    pub fn parallel_query(mut self, yes: bool) -> Self {
-        self.parallel_query = yes;
-        self
-    }
-
     /// Retention limits enforced on every step boundary.
     pub fn retention(mut self, policy: RetentionPolicy) -> Self {
         self.retention = policy;
@@ -271,7 +259,6 @@ impl HsqConfigBuilder {
         cfg.kappa = self.kappa;
         cfg.sort_budget_items = self.sort_budget_items;
         cfg.cache_blocks = self.cache_blocks;
-        cfg.parallel_query = self.parallel_query;
         cfg.retention = self.retention;
         cfg.retry = self.retry;
         cfg.strict = self.strict;
@@ -309,12 +296,10 @@ mod tests {
             .merge_threshold(3)
             .sort_budget_items(1024)
             .cache_blocks(7)
-            .parallel_query(true)
             .build();
         assert_eq!(cfg.kappa, 3);
         assert_eq!(cfg.sort_budget_items, 1024);
         assert_eq!(cfg.cache_blocks, 7);
-        assert!(cfg.parallel_query);
     }
 
     #[test]

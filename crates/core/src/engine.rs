@@ -386,7 +386,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             historical_len: self.warehouse.total_len(),
             epsilon: self.config.query_epsilon(),
             cache_blocks: self.config.cache_blocks,
-            parallel: self.config.parallel_query,
             lost: self.warehouse.lost_items(),
             quarantined_files: self.warehouse.quarantined_files(),
             quarantine_epoch: epoch,
@@ -414,21 +413,18 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         )
     }
 
-    /// Reopen an engine from a manifest written by [`Self::persist`]
-    /// (the stream is restored, resuming mid-step). Warehouse-only
-    /// manifests — [`crate::manifest::persist`] /
-    /// [`crate::manifest::persist_snapshot`] backups,
-    /// [`crate::manifest::ManifestLog`] files — recover with an empty
-    /// stream. A stream written under
-    /// one sketch backend recovers under either build; the configured
-    /// backend takes over at the next step boundary.
+    /// Reopen an engine from a manifest log (see [`crate::manifest`]).
+    /// A log written by [`Self::persist`] carries the stream, so the
+    /// engine resumes mid-step; every other log recovers with an empty
+    /// stream. A stream written under one sketch backend recovers under
+    /// either build; the configured backend takes over at the next step
+    /// boundary.
     pub fn recover(
         dev: Arc<D>,
         config: HsqConfig,
         manifest: hsq_storage::FileId,
     ) -> io::Result<Self> {
-        let (warehouse, recovered) =
-            crate::manifest::recover_with_stream(dev, config.clone(), manifest)?;
+        let (warehouse, recovered) = crate::manifest::replay_log(dev, config.clone(), manifest)?;
         let (stream, staging, staging_segments) = match recovered {
             Some(s) => (s.proc, s.staging, s.segments),
             None => (
@@ -524,7 +520,6 @@ struct View<T: Item, D: BlockDevice> {
     historical_len: u64,
     epsilon: f64,
     cache_blocks: usize,
-    parallel: bool,
     /// Confirmed-lost item count at snapshot time (see
     /// [`Warehouse::lost_items`]).
     lost: u64,
@@ -633,13 +628,11 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
     }
 
     /// The probe source over the `selected` partitions plus the stream,
-    /// keeping caches and probed ranks in `state`; `parallel` probes the
-    /// partitions concurrently.
+    /// keeping caches and probed ranks in `state`.
     pub(crate) fn probes<'a>(
         &'a self,
         selected: &[usize],
         state: &'a mut ProbeState<T>,
-        parallel: bool,
     ) -> PartitionProbes<'a, T, D> {
         PartitionProbes::new(
             &*self.view.dev,
@@ -647,7 +640,6 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
             &self.view.stream,
             self.view.cache_blocks,
             state,
-            parallel,
         )
     }
 
@@ -687,8 +679,8 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
             return Ok(None);
         };
         let mut state = ProbeState::default();
-        let probes = self.probes(&plan.parts, &mut state, self.view.parallel);
-        query(self.plan_scope(&plan), &mut FanIn::new(vec![probes], false))
+        let probes = self.probes(&plan.parts, &mut state);
+        query(self.plan_scope(&plan), &mut FanIn::new(vec![probes]))
     }
 
     /// Accurate φ-quantile over the snapshot (Theorem 2 at snapshot time).
@@ -1304,7 +1296,7 @@ mod tests {
         let snap = h.snapshot();
         let mut state = ProbeState::default();
         let (_, selected) = snap.select(None).unwrap();
-        let mut probes = snap.probes(&selected, &mut state, false);
+        let mut probes = snap.probes(&selected, &mut state);
         for z in [0u64, 123, 999, 1500, 1999, 5000] {
             let truth = all.iter().filter(|&&x| x <= z).count() as u64;
             let (lo, hi) = probes.probe(z).unwrap();

@@ -41,9 +41,8 @@
 //!   in how they build the scope and the source. The live engine's
 //!   quarantine-and-retry recovery wraps the whole path from outside.
 //!
-//! Baselines ([`baseline`]), window queries, memory budgeting
-//! ([`budget`]) and parallel probing ([`parallel`]) complete the
-//! reproduction.
+//! Baselines ([`baseline`]), window queries and memory budgeting
+//! ([`budget`]) complete the reproduction.
 //!
 //! Beyond the paper, the crate scales the engine out: [`sharded`]
 //! hash-partitions items across independent engine shards with mergeable

@@ -8,69 +8,71 @@
 //! summary entries — so recovery costs `O(manifest size)` sequential
 //! block reads and **zero** partition scans.
 //!
-//! Two on-disk forms share one partition codec:
-//!
-//! **Snapshot manifest** (magic `HSQM`) — one self-contained state dump,
-//! written by [`persist`] / [`persist_snapshot`]:
+//! Every manifest is a **log** (magic `HSQL`): a header block, then
+//! block-aligned records, each framed by its length and sealed by a CRC64:
 //!
 //! ```text
-//! magic "HSQM"  version  item_width  steps  total_len
-//! quarantine: lost_items num_files file*
-//! num_partitions
-//! per partition:
-//!   format  level  file_id  run_len  first_step  last_step  min  max
-//!   num_entries  (value rank block)*
-//! stream_flag (0|1); if 1:
-//!   kind  epsilon  n  [min max]  sketch payload (GK tuples | KLL levels
-//!   + three reserved words, must be 0)
-//!   num_staged  item*  num_segments  segment_end*
-//! crc64 (of everything above)
+//! block 0:   magic "HSQL"  version  item_width            (zero-padded)
+//! block 1..: body_len  kind  payload  crc64(kind payload)  (zero-padded)
+//!
+//! Base        steps  total_len  quarantine  num_partitions  partition*
+//!             [stream]
+//! Delta       steps  total_len  num_removed  file*  num_added  partition*
+//! Quarantine  quarantine
+//!
+//! quarantine: lost_items  num_files  file*
+//! partition:  format  level  file  run_len  first_step  last_step  min  max
+//!             num_entries  (value rank block)*
+//! stream:     kind  epsilon  n  [min max]  sketch payload (GK tuples |
+//!             KLL levels + three reserved words, must be 0)
+//!             num_staged  item*  num_segments  segment_end*
 //! ```
 //!
-//! **Manifest log** (magic `HSQL`) — an append-only record stream kept by
-//! [`ManifestLog`] for long-running engines: one `Base` record (a full
-//! state dump) followed by per-step `Delta` records (partitions added,
-//! files retired — by cascade merges *or* retention expiry). Records are
-//! block-aligned and individually CRC-framed, so a torn tail record (a
-//! crash mid-append) is detected and ignored on replay. Because every
-//! step appends a bounded delta while retention retires old partitions,
-//! the log grows without bound unless compacted:
-//! [`ManifestLog::compact`] rewrites a fresh `Base` of only the *live*
-//! partitions into a **new** file and hands the old log back to the
-//! caller for deletion — recovery then replays live partitions only.
-//! The two-file handoff is crash-safe: until the caller durably records
-//! the new log's id and deletes the old one, both files recover to
-//! identical states.
+//! A `Base` is a full state dump; replay applies records in order and
+//! stops cleanly at the first one failing its frame or CRC — the torn
+//! tail a crash mid-append leaves. [`persist`], [`persist_snapshot`] and
+//! [`crate::engine::HistStreamQuantiles::persist`] each write a log of one
+//! `Base`. [`ManifestLog`] starts with one too, then appends a `Delta` per
+//! step (partitions added, files retired — by cascade merges *or*
+//! retention expiry) and a `Quarantine` record (full state, replayed by
+//! replacement) whenever the quarantine moved. Because every step
+//! appends a bounded delta while retention retires old partitions, the
+//! log grows without bound unless compacted: [`ManifestLog::compact`]
+//! writes a fresh `Base` of only the *live* partitions into a **new**
+//! file and hands the old log back to the caller for deletion. The
+//! two-file handoff is crash-safe: until the caller durably records the
+//! new log's id and deletes the old one, both files recover to identical
+//! states.
 //!
-//! The log follows **write-ahead discipline** via the warehouse's pin
-//! registry: every partition file the last durable record references is
-//! pinned, so deletions a step defers (cascade merges, retention expiry)
-//! only execute *after* the record superseding them is appended **and
-//! synced** ([`hsq_storage::BlockDevice::sync`] — an fsync barrier on
-//! [`hsq_storage::FileDevice`]). A crash at any point — process death or
-//! power loss — therefore leaves a log whose referenced files all exist:
-//! recovery never dangles. Orderly shutdown protocol: append (or
-//! compact) at the final step boundary, then drop the log; dropping
-//! releases the pins, deleting only files already superseded by the
-//! last record.
+//! The optional **stream** tail of a `Base` is the engine's live state:
+//! the sketch (kind-tagged — GK tuples or KLL compactor levels, per
+//! [`hsq_sketch::SketchKind`]) plus the staging buffer with its
+//! sorted-segment boundaries. Only the engine-level persist writes it, so
+//! recovery resumes *mid-step* with identical query answers — whichever
+//! sketch backend wrote the state, under whichever backend recovers it. A
+//! `Base` whose payload ends after its partitions recovers with an empty
+//! stream — the paper's §1.1 model, where un-archived data is the
+//! volatile stream and recovery is at time-step granularity. A mid-step
+//! state cannot take step deltas, so no record may follow a
+//! stream-carrying `Base`.
 //!
-//! [`recover`] accepts either form (it dispatches on the magic), so
-//! engine-level recovery is oblivious to which one produced the file.
+//! Every record follows **write-ahead discipline**: each run it names is
+//! made durable ([`hsq_storage::BlockDevice::sync`] — an fsync barrier on
+//! [`hsq_storage::FileDevice`]) before the record lands, and the log file
+//! is synced after it. [`ManifestLog`] also pins, through the
+//! warehouse's pin registry, every partition file its last durable record
+//! references, so deletions a step defers (cascade merges, retention
+//! expiry) only execute *after* the record superseding them is appended
+//! **and synced**. A crash at any point — process death or power loss —
+//! therefore leaves a log whose referenced files all exist: recovery
+//! never dangles. A failed `append` or `compact` leaves the handle as it
+//! was, so the next record overwrites whatever the failed one wrote.
+//! Orderly shutdown protocol: append (or compact) at the final step
+//! boundary, then drop the log; dropping releases the pins, deleting only
+//! files already superseded by the last record.
 //!
-//! The snapshot manifest carries an optional **stream section** after the
-//! partition list: the live sketch (kind-tagged — GK tuples or KLL
-//! compactor levels, per [`hsq_sketch::SketchKind`]) plus the staging
-//! buffer with its sorted-segment boundaries. The engine-level
-//! [`crate::engine::HistStreamQuantiles::persist`] writes it, so recovery
-//! resumes *mid-step* with identical query answers — whichever sketch
-//! backend wrote the state, under whichever backend recovers it.
-//! Warehouse-level [`persist`] / [`persist_snapshot`] write warehouse-only
-//! manifests (stream flag 0), which recover with an empty stream — the
-//! paper's §1.1 model, where un-archived data is the volatile stream and
-//! recovery is at time-step granularity.
-//!
-//! Both forms are at format version 4, the only version read: older or
-//! newer files are rejected with `InvalidData`.
+//! Format version 4 is the only version read: older or newer files, and
+//! any other magic, are rejected with `InvalidData`.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -84,7 +86,6 @@ use crate::stream::StreamProcessor;
 use crate::summary::{PartitionSummary, SummaryEntry};
 use crate::warehouse::{StoredPartition, Warehouse};
 
-const MAGIC: &[u8; 4] = b"HSQM";
 const LOG_MAGIC: &[u8; 4] = b"HSQL";
 /// The format version, written and required on read.
 const VERSION: u64 = 4;
@@ -161,25 +162,11 @@ fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {msg}"))
 }
 
-/// Serialize the warehouse's metadata into a new file on its device;
-/// returns the manifest's [`FileId`] (persist it out of band, e.g. in a
+/// Serialize the warehouse's metadata into a new log on its device;
+/// returns the log's [`FileId`] (persist it out of band, e.g. in a
 /// config file — it is the only thing recovery needs besides the device).
 pub fn persist<T: Item, D: BlockDevice>(w: &Warehouse<T, D>) -> io::Result<FileId> {
-    let mut parts: Vec<(u64, &StoredPartition<T>)> = Vec::new();
-    for level in 0..w.num_levels() {
-        for p in w.level(level) {
-            parts.push((level as u64, p));
-        }
-    }
-    write_manifest(
-        &**w.device(),
-        w.steps(),
-        w.total_len(),
-        w.lost_items(),
-        &w.quarantined_files(),
-        &parts,
-        None,
-    )
+    write_log(&**w.device(), &BaseState::of(w), &HashSet::new(), &mut 0).map(|(f, _)| f)
 }
 
 /// Serialize an [`crate::engine::EngineSnapshot`]'s pinned partition list
@@ -195,20 +182,18 @@ pub fn persist<T: Item, D: BlockDevice>(w: &Warehouse<T, D>) -> io::Result<FileI
 pub fn persist_snapshot<T: Item, D: BlockDevice>(
     snap: &crate::engine::EngineSnapshot<T, D>,
 ) -> io::Result<FileId> {
-    let parts: Vec<(u64, &StoredPartition<T>)> = snap
-        .leveled_partitions()
-        .iter()
-        .map(|(l, p)| (*l as u64, p))
-        .collect();
-    write_manifest(
-        &**snap.device(),
-        snap.steps(),
-        snap.historical_len(),
-        snap.lost_items(),
-        snap.quarantined_files(),
-        &parts,
-        None,
-    )
+    let base = BaseState {
+        steps: snap.steps(),
+        total_len: snap.historical_len(),
+        quarantine: (snap.lost_items(), snap.quarantined_files().to_vec()),
+        parts: snap
+            .leveled_partitions()
+            .iter()
+            .map(|(l, p)| (*l as u64, p))
+            .collect(),
+        stream: None,
+    };
+    write_log(&**snap.device(), &base, &HashSet::new(), &mut 0).map(|(f, _)| f)
 }
 
 /// Encode one partition (run layout byte + level + run metadata + full
@@ -237,7 +222,12 @@ fn decode_partition<T: Item>(r: &mut Reader) -> io::Result<(usize, StoredPartiti
     if r.u64()? != RUN_CHECKSUMMED {
         return Err(corrupt("bad run format byte"));
     }
-    let level = r.u64()? as usize;
+    // κ ≥ 2 allows at most 64 live levels; a crafted level must not size
+    // the recovered warehouse's level vector.
+    let level = r.u64()?;
+    if level >= 64 {
+        return Err(corrupt("partition level out of range"));
+    }
     let file = r.u64()?;
     let run_len = r.u64()?;
     let first_step = r.u64()?;
@@ -269,7 +259,7 @@ fn decode_partition<T: Item>(r: &mut Reader) -> io::Result<(usize, StoredPartiti
         entries.push(SummaryEntry { value, rank, block });
     }
     Ok((
-        level,
+        level as usize,
         StoredPartition {
             run: SortedRun::from_raw_parts(file, run_len, min, max),
             summary: PartitionSummary::from_raw_parts(entries, run_len),
@@ -280,7 +270,7 @@ fn decode_partition<T: Item>(r: &mut Reader) -> io::Result<(usize, StoredPartiti
 }
 
 /// Decode a quarantine block (`lost_items`, count, file ids) — shared by
-/// the snapshot header, `Base` payload, and `Quarantine` record.
+/// the `Base` payload and the `Quarantine` record.
 fn decode_quarantine(r: &mut Reader) -> io::Result<QuarantineParts> {
     let lost = r.u64()?;
     let num = r.u64()?;
@@ -304,14 +294,14 @@ fn encode_quarantine(out: &mut Writer, lost: u64, files: &[FileId]) {
     }
 }
 
-/// Borrowed live-stream state handed to [`persist_engine`]'s serializer.
+/// Borrowed live-stream state: the optional tail of a `Base` record.
 struct StreamRefs<'a, T: Item> {
     proc: &'a StreamProcessor<T>,
     staging: &'a [T],
     segments: &'a [usize],
 }
 
-/// A stream state decoded from an engine manifest: the live sketch
+/// A stream state decoded from a `Base` record's tail: the live sketch
 /// (restored verbatim, like partition summaries) plus the staging buffer
 /// the interrupted step had accumulated.
 pub(crate) struct RecoveredStream<T: Copy + Ord> {
@@ -497,103 +487,152 @@ pub(crate) fn persist_engine<T: Item, D: BlockDevice>(
     staging: &[T],
     segments: &[usize],
 ) -> io::Result<FileId> {
-    let mut parts: Vec<(u64, &StoredPartition<T>)> = Vec::new();
-    for level in 0..w.num_levels() {
-        for p in w.level(level) {
-            parts.push((level as u64, p));
-        }
-    }
-    write_manifest(
-        &**w.device(),
-        w.steps(),
-        w.total_len(),
-        w.lost_items(),
-        &w.quarantined_files(),
-        &parts,
-        Some(StreamRefs {
+    let base = BaseState {
+        stream: Some(StreamRefs {
             proc,
             staging,
             segments,
         }),
-    )
+        ..BaseState::of(w)
+    };
+    write_log(&**w.device(), &base, &HashSet::new(), &mut 0).map(|(f, _)| f)
 }
 
-/// Check that every live partition's backing file exists, then rebuild
-/// the warehouse and verify its structural invariants.
-fn validate_and_build<T: Item, D: BlockDevice>(
-    dev: Arc<D>,
-    config: HsqConfig,
-    partitions: Vec<(usize, StoredPartition<T>)>,
+/// Every partition of `w` with its level: level-major, oldest first
+/// within a level.
+fn leveled<T: Item, D: BlockDevice>(w: &Warehouse<T, D>) -> Vec<(u64, &StoredPartition<T>)> {
+    (0..w.num_levels())
+        .flat_map(|l| w.level(l).iter().map(move |p| (l as u64, p)))
+        .collect()
+}
+
+/// What a `Base` record holds, borrowed from the state it dumps.
+struct BaseState<'a, T: Item> {
     steps: u64,
     total_len: u64,
     quarantine: QuarantineParts,
-) -> io::Result<Warehouse<T, D>> {
-    for (_, p) in &partitions {
-        let file_blocks = dev.num_blocks(p.run.file())?;
-        if file_blocks == 0 && !p.run.is_empty() {
-            return Err(corrupt("partition file missing or empty"));
-        }
-    }
-    let w = Warehouse::from_recovered_parts(dev, config, partitions, steps, total_len);
-    // Install quarantine before checking invariants: a quarantined level
-    // is legitimately allowed to exceed the merge threshold.
-    let (lost, files) = quarantine;
-    w.set_quarantine(lost, files);
-    w.check_invariants()
-        .map_err(|e| corrupt(&format!("recovered state invalid: {e}")))?;
-    Ok(w)
+    parts: Vec<(u64, &'a StoredPartition<T>)>,
+    stream: Option<StreamRefs<'a, T>>,
 }
 
-/// Shared serializer behind [`persist`], [`persist_snapshot`] and
-/// [`persist_engine`] (the only caller passing a stream section).
-fn write_manifest<T: Item, D: BlockDevice>(
-    dev: &D,
-    steps: u64,
-    total_len: u64,
-    lost_items: u64,
-    quarantined: &[FileId],
-    parts: &[(u64, &StoredPartition<T>)],
-    stream: Option<StreamRefs<'_, T>>,
-) -> io::Result<FileId> {
-    let mut out = Writer::new();
-    out.buf.extend_from_slice(MAGIC);
-    out.u64(VERSION);
-    out.u64(T::ENCODED_LEN as u64);
-    out.u64(steps);
-    out.u64(total_len);
-    encode_quarantine(&mut out, lost_items, quarantined);
-
-    out.u64(parts.len() as u64);
-    for &(level, p) in parts {
-        encode_partition(&mut out, level, p);
+impl<'a, T: Item> BaseState<'a, T> {
+    /// `w`'s state at a step boundary: no stream.
+    fn of<D: BlockDevice>(w: &'a Warehouse<T, D>) -> Self {
+        BaseState {
+            steps: w.steps(),
+            total_len: w.total_len(),
+            quarantine: (w.lost_items(), w.quarantined_files()),
+            parts: leveled(w),
+            stream: None,
+        }
     }
-    match &stream {
-        Some(s) => {
-            out.u64(1);
+
+    /// The partition files the record names.
+    fn files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.parts.iter().map(|(_, p)| p.run.file())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Writer::new();
+        out.u64(self.steps);
+        out.u64(self.total_len);
+        encode_quarantine(&mut out, self.quarantine.0, &self.quarantine.1);
+        out.u64(self.parts.len() as u64);
+        for &(level, p) in &self.parts {
+            encode_partition(&mut out, level, p);
+        }
+        if let Some(s) = &self.stream {
             encode_stream_state(&mut out, s);
         }
-        None => out.u64(0),
+        out.buf
     }
-    crc::seal(&mut out.buf);
+}
 
-    // Write-ahead, as for log records: every run the manifest names is
-    // durable before the manifest lands, in file-id order.
-    let mut runs: Vec<FileId> = parts.iter().map(|(_, p)| p.run.file()).collect();
+/// The log header, zero-padded to one block.
+fn log_header<T: Item>(block_size: usize) -> Vec<u8> {
+    let mut out = Writer::new();
+    out.buf.extend_from_slice(LOG_MAGIC);
+    out.u64(VERSION);
+    out.u64(T::ENCODED_LEN as u64);
+    out.buf
+        .resize(out.buf.len().next_multiple_of(block_size), 0);
+    out.buf
+}
+
+/// Append one record (`body_len | kind payload crc`) to `image`,
+/// zero-padded so the next record starts on a block boundary.
+fn push_record(image: &mut Vec<u8>, block_size: usize, kind: u64, payload: &[u8]) {
+    let mut body = Writer::new();
+    body.u64(kind);
+    body.buf.extend_from_slice(payload);
+    crc::seal(&mut body.buf);
+    image.extend_from_slice(&(body.buf.len() as u64).to_le_bytes());
+    image.extend_from_slice(&body.buf);
+    image.resize(image.len().next_multiple_of(block_size), 0);
+}
+
+/// Write a block-aligned `image` into `file` from block `first` on;
+/// returns the number of blocks written.
+fn write_blocks<D: BlockDevice>(
+    dev: &D,
+    file: FileId,
+    first: u64,
+    image: &[u8],
+) -> io::Result<u64> {
+    let mut blocks = 0;
+    for block in image.chunks(dev.block_size()) {
+        dev.write_block(file, first + blocks, block)?;
+        blocks += 1;
+    }
+    Ok(blocks)
+}
+
+/// The write-ahead rule: a record must never reference a partition whose
+/// data could be lost with it, so every run in `runs` reaches durable
+/// storage, in file-id order, before the record naming it lands.
+fn sync_runs<D: BlockDevice>(dev: &D, mut runs: Vec<FileId>, syncs: &mut u64) -> io::Result<()> {
     runs.sort_unstable();
     for f in runs {
         dev.sync(f)?;
+        *syncs += 1;
     }
-    // Write chunked into device blocks, then make the manifest durable.
-    let file = dev.create()?;
-    for (i, chunk) in out.buf.chunks(dev.block_size()).enumerate() {
-        dev.write_block(file, i as u64, chunk)?;
-    }
-    dev.sync(file)?;
-    Ok(file)
+    Ok(())
 }
 
-/// Reopen a warehouse from a [`persist`]ed snapshot manifest **or** a
-/// [`ManifestLog`] file (dispatches on the magic).
+/// The one manifest writer: make durable every run `base` names that
+/// `synced` does not hold, in file-id order, then write a new log of the
+/// header and `base` as its one record, and sync it. `syncs` counts the
+/// blocking syncs made. Returns the log's file and its length in blocks;
+/// on error the half-written log is deleted (best effort).
+fn write_log<T: Item, D: BlockDevice>(
+    dev: &D,
+    base: &BaseState<'_, T>,
+    synced: &HashSet<FileId>,
+    syncs: &mut u64,
+) -> io::Result<(FileId, u64)> {
+    let bs = dev.block_size();
+    let mut image = log_header::<T>(bs);
+    push_record(&mut image, bs, REC_BASE, &base.encode());
+    let fresh = base.files().filter(|f| !synced.contains(f)).collect();
+    sync_runs(dev, fresh, syncs)?;
+    let file = dev.create()?;
+    let written = write_blocks(dev, file, 0, &image).and_then(|blocks| {
+        dev.sync(file)?;
+        *syncs += 1;
+        Ok(blocks)
+    });
+    match written {
+        Ok(blocks) => Ok((file, blocks)),
+        Err(e) => {
+            let _ = dev.delete(file);
+            Err(e)
+        }
+    }
+}
+
+/// Reopen a warehouse from a manifest written by [`persist`],
+/// [`persist_snapshot`] or a [`ManifestLog`] (a stream tail, if any, is
+/// decoded and dropped).
 ///
 /// `config` must carry the same `ε₁`/`β₁` the warehouse was built with
 /// (summaries are restored verbatim, so a mismatch only affects future
@@ -604,72 +643,32 @@ pub fn recover<T: Item, D: BlockDevice>(
     config: HsqConfig,
     manifest: FileId,
 ) -> io::Result<Warehouse<T, D>> {
-    recover_with_stream(dev, config, manifest).map(|(w, _)| w)
+    replay_log(dev, config, manifest).map(|(w, _)| w)
 }
 
-/// [`recover`], additionally returning the stream section when the
-/// manifest carries one (engine manifests) — the full path
-/// behind [`crate::engine::HistStreamQuantiles::recover`].
+/// Replay a log: apply the `Base` record then every valid `Delta` and
+/// `Quarantine`, stopping cleanly at a torn tail record. Also returns
+/// the last `Base`'s stream tail, if it has one — the full path behind
+/// [`crate::engine::HistStreamQuantiles::recover`].
 #[allow(clippy::type_complexity)]
-pub(crate) fn recover_with_stream<T: Item, D: BlockDevice>(
+pub(crate) fn replay_log<T: Item, D: BlockDevice>(
     dev: Arc<D>,
     config: HsqConfig,
     manifest: FileId,
 ) -> io::Result<(Warehouse<T, D>, Option<RecoveredStream<T>>)> {
-    // Read the manifest file fully.
-    let blocks = dev.num_blocks(manifest)?;
-    let mut raw = Vec::with_capacity((blocks as usize) * dev.block_size());
-    let mut buf = vec![0u8; dev.block_size()];
-    for b in 0..blocks {
+    let bs = dev.block_size();
+    let mut raw = Vec::new();
+    let mut buf = vec![0u8; bs];
+    for b in 0..dev.num_blocks(manifest)? {
         let got = dev.read_block(manifest, b, &mut buf)?;
         raw.extend_from_slice(&buf[..got]);
     }
-    if raw.len() >= 4 && &raw[..4] == LOG_MAGIC {
-        // Log records never carry a stream section: logs checkpoint at
-        // step boundaries, where the stream is empty by definition.
-        return replay_log(dev, config, &raw).map(|w| (w, None));
-    }
-    if raw.len() < 4 + 8 || &raw[..4] != MAGIC {
+    if raw.get(..4) != Some(LOG_MAGIC.as_slice()) {
         return Err(corrupt("bad magic"));
     }
-    let body = crc::open(&raw).map_err(|_| corrupt("checksum mismatch"))?;
-    let mut r = Reader { buf: body, pos: 4 };
-    if r.u64()? != VERSION {
-        return Err(corrupt("unsupported version"));
-    }
-    if r.u64()? != T::ENCODED_LEN as u64 {
-        return Err(corrupt("item width mismatch"));
-    }
-    let steps = r.u64()?;
-    let total_len = r.u64()?;
-    let quarantine = decode_quarantine(&mut r)?;
-    let num_parts = r.u64()?;
-
-    let mut partitions: Vec<(usize, StoredPartition<T>)> = Vec::new();
-    for _ in 0..num_parts {
-        partitions.push(decode_partition(&mut r)?);
-    }
-    let stream = match r.u64()? {
-        0 => None,
-        1 => Some(decode_stream_state(&mut r, &config)?),
-        _ => return Err(corrupt("bad stream flag")),
-    };
-    let w = validate_and_build(dev, config, partitions, steps, total_len, quarantine)?;
-    Ok((w, stream))
-}
-
-/// Replay an `HSQL` log image: apply the `Base` record then every valid
-/// `Delta`, stopping cleanly at a torn tail record.
-fn replay_log<T: Item, D: BlockDevice>(
-    dev: Arc<D>,
-    config: HsqConfig,
-    raw: &[u8],
-) -> io::Result<Warehouse<T, D>> {
-    let bs = dev.block_size();
-    // Header block: magic, version, item width.
-    let mut header = Reader { buf: raw, pos: 4 };
+    let mut header = Reader { buf: &raw, pos: 4 };
     if header.u64()? != VERSION {
-        return Err(corrupt("unsupported log version"));
+        return Err(corrupt("unsupported version"));
     }
     if header.u64()? != T::ENCODED_LEN as u64 {
         return Err(corrupt("item width mismatch"));
@@ -679,6 +678,7 @@ fn replay_log<T: Item, D: BlockDevice>(
     let mut steps = 0u64;
     let mut total_len = 0u64;
     let mut quarantine: QuarantineParts = (0, Vec::new());
+    let mut stream = None;
     let mut applied = 0usize;
 
     let mut pos = bs; // records start at block 1
@@ -692,9 +692,11 @@ fn replay_log<T: Item, D: BlockDevice>(
         let Ok(body) = crc::open(&raw[pos + 8..pos + 8 + body_len]) else {
             break; // torn record: ignore it and everything after
         };
+        if stream.is_some() {
+            return Err(corrupt("record after a stream-carrying base"));
+        }
         let mut r = Reader { buf: body, pos: 0 };
-        let kind = r.u64()?;
-        match kind {
+        match r.u64()? {
             REC_BASE => {
                 state.clear();
                 steps = r.u64()?;
@@ -704,6 +706,12 @@ fn replay_log<T: Item, D: BlockDevice>(
                 for _ in 0..num {
                     let (level, p) = decode_partition(&mut r)?;
                     state.insert(p.run.file(), (level, p));
+                }
+                if r.pos < body.len() {
+                    stream = Some(decode_stream_state(&mut r, &config)?);
+                    if r.pos != body.len() {
+                        return Err(corrupt("stream section does not fill its record"));
+                    }
                 }
             }
             REC_DELTA => {
@@ -736,8 +744,23 @@ fn replay_log<T: Item, D: BlockDevice>(
     if applied == 0 {
         return Err(corrupt("log holds no valid records"));
     }
-    let partitions: Vec<(usize, StoredPartition<T>)> = state.into_values().collect();
-    validate_and_build(dev, config, partitions, steps, total_len, quarantine)
+
+    // Every live partition's backing file must exist; then rebuild the
+    // warehouse and verify its structural invariants.
+    for (_, p) in state.values() {
+        if dev.num_blocks(p.run.file())? == 0 && !p.run.is_empty() {
+            return Err(corrupt("partition file missing or empty"));
+        }
+    }
+    let partitions = state.into_values().collect();
+    let w = Warehouse::from_recovered_parts(dev, config, partitions, steps, total_len);
+    // Install quarantine before checking invariants: a quarantined level
+    // is legitimately allowed to exceed the merge threshold.
+    let (lost, files) = quarantine;
+    w.set_quarantine(lost, files);
+    w.check_invariants()
+        .map_err(|e| corrupt(&format!("recovered state invalid: {e}")))?;
+    Ok((w, stream))
 }
 
 /// An append-only manifest for long-running engines: one file holding a
@@ -800,14 +823,13 @@ pub struct ManifestLog<T: Item, D: BlockDevice> {
 }
 
 impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
-    /// Start a new log on the warehouse's device, writing the header and
-    /// a `Base` record of the warehouse's current state.
+    /// Start a new log on the warehouse's device, holding a `Base` record
+    /// of the warehouse's current state.
     pub fn create(w: &Warehouse<T, D>) -> io::Result<Self> {
-        let dev = Arc::clone(w.device());
-        let file = dev.create()?;
+        // A handle over no log yet: the first compaction writes its file.
         let mut log = ManifestLog {
-            dev,
-            file,
+            dev: Arc::clone(w.device()),
+            file: 0,
             next_block: 0,
             blocking_syncs: 0,
             known: HashSet::new(),
@@ -816,8 +838,7 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
             last_quarantine: (0, Vec::new()),
             _t: std::marker::PhantomData,
         };
-        log.write_header()?;
-        log.write_base(w)?;
+        log.compact(w)?;
         Ok(log)
     }
 
@@ -837,31 +858,6 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
             std::mem::forget(guard);
         }
         self.file
-    }
-
-    /// The write-ahead rule for every record, `Base` or `Delta`: before
-    /// it lands, make durable each file of `referenced` that no earlier
-    /// record named (those were synced when they were first named). One
-    /// blocking `sync` per such file, in file-id order.
-    fn sync_new_files(&mut self, referenced: impl IntoIterator<Item = FileId>) -> io::Result<()> {
-        let mut fresh: Vec<FileId> = referenced
-            .into_iter()
-            .filter(|f| !self.known.contains(f))
-            .collect();
-        fresh.sort_unstable();
-        for f in fresh {
-            self.dev.sync(f)?;
-            self.blocking_syncs += 1;
-        }
-        Ok(())
-    }
-
-    /// The durability barrier on the log file itself, after a record is
-    /// written.
-    fn sync_log(&mut self) -> io::Result<()> {
-        self.dev.sync(self.file)?;
-        self.blocking_syncs += 1;
-        Ok(())
     }
 
     /// The log's file id — what [`recover`] (and hence
@@ -886,108 +882,33 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         self.delta_records >= 32
     }
 
-    fn write_header(&mut self) -> io::Result<()> {
-        let mut out = Writer::new();
-        out.buf.extend_from_slice(LOG_MAGIC);
-        out.u64(VERSION);
-        out.u64(T::ENCODED_LEN as u64);
-        self.write_padded_blocks(&out.buf)
-    }
-
-    /// Frame `payload` as one record (`len | kind+payload | crc`) and
-    /// append it on a fresh block boundary.
-    fn write_record(&mut self, kind: u64, payload: &[u8]) -> io::Result<()> {
-        let mut body = Writer::new();
-        body.u64(kind);
-        body.buf.extend_from_slice(payload);
-        crc::seal(&mut body.buf);
-        let mut framed = Writer::new();
-        framed.u64(body.buf.len() as u64);
-        framed.buf.extend_from_slice(&body.buf);
-        self.write_padded_blocks(&framed.buf)
-    }
-
-    /// Write `buf` as whole zero-padded blocks (the device only allows a
-    /// short block at the very end of a file, and the log keeps
-    /// appending).
-    fn write_padded_blocks(&mut self, buf: &[u8]) -> io::Result<()> {
-        let bs = self.dev.block_size();
-        let mut block = vec![0u8; bs];
-        for chunk in buf.chunks(bs) {
-            block[..chunk.len()].copy_from_slice(chunk);
-            block[chunk.len()..].fill(0);
-            self.dev.write_block(self.file, self.next_block, &block)?;
-            self.next_block += 1;
-        }
-        Ok(())
-    }
-
-    fn encode_state(w: &Warehouse<T, D>) -> (Vec<u8>, HashSet<FileId>) {
-        let mut out = Writer::new();
-        out.u64(w.steps());
-        out.u64(w.total_len());
-        encode_quarantine(&mut out, w.lost_items(), &w.quarantined_files());
-        let mut parts: Vec<(u64, &StoredPartition<T>)> = Vec::new();
-        for level in 0..w.num_levels() {
-            for p in w.level(level) {
-                parts.push((level as u64, p));
-            }
-        }
-        out.u64(parts.len() as u64);
-        let mut files = HashSet::with_capacity(parts.len());
-        for &(level, p) in &parts {
-            encode_partition(&mut out, level, p);
-            files.insert(p.run.file());
-        }
-        (out.buf, files)
-    }
-
-    fn write_base(&mut self, w: &Warehouse<T, D>) -> io::Result<()> {
-        let (payload, files) = Self::encode_state(w);
-        self.sync_new_files(files.iter().copied())?;
-        self.write_record(REC_BASE, &payload)?;
-        // Durability barrier before acting on the record: pins are only
-        // released (deleting superseded files) once the record that
-        // supersedes them has actually reached storage.
-        self.sync_log()?;
-        // Pin the newly referenced set *before* releasing the previous
-        // pins, so no referenced file is ever deletable in between.
-        let new_guard = w.pin_files(files.iter().copied().collect());
-        self.guard = Some(new_guard);
+    /// Adopt `files` as the set the last durable record references. Pins
+    /// the new set *before* releasing the previous pins, so no referenced
+    /// file is ever deletable in between; dropping the old guard executes
+    /// the deletions the superseded record deferred.
+    fn repin(&mut self, w: &Warehouse<T, D>, files: HashSet<FileId>) {
+        self.guard = Some(w.pin_files(files.iter().copied().collect()));
         self.known = files;
-        self.delta_records = 0;
-        self.last_quarantine = (w.lost_items(), w.quarantined_files());
-        Ok(())
     }
 
     /// Append a `Delta` record capturing every partition added or retired
     /// (by merges or retention) since the last record. Call once per
     /// archived step, after
     /// [`crate::engine::HistStreamQuantiles::end_time_step`]. A no-change
-    /// step still appends (it advances the recovered step clock).
+    /// step still appends (it advances the recovered step clock). On
+    /// error the handle is unchanged, and the next record overwrites
+    /// whatever this one wrote.
     pub fn append(&mut self, w: &Warehouse<T, D>) -> io::Result<()> {
-        let mut current: HashMap<FileId, (u64, &StoredPartition<T>)> = HashMap::new();
-        for level in 0..w.num_levels() {
-            for p in w.level(level) {
-                current.insert(p.run.file(), (level as u64, p));
-            }
-        }
-        let removed: Vec<FileId> = self
-            .known
-            .iter()
-            .copied()
-            .filter(|f| !current.contains_key(f))
-            .collect();
+        let current = leveled(w);
+        let live: HashSet<FileId> = current.iter().map(|(_, p)| p.run.file()).collect();
+        let removed: Vec<FileId> = self.known.difference(&live).copied().collect();
         let added: Vec<(u64, &StoredPartition<T>)> = current
-            .iter()
-            .filter(|(f, _)| !self.known.contains(*f))
-            .map(|(_, &(l, p))| (l, p))
+            .into_iter()
+            .filter(|(_, p)| !self.known.contains(&p.run.file()))
             .collect();
 
-        // A record must never reference a partition whose data could be
-        // lost with it: the added runs reach durable storage before the
-        // record lands.
-        self.sync_new_files(added.iter().map(|&(_, p)| p.run.file()))?;
+        let fresh = added.iter().map(|(_, p)| p.run.file()).collect();
+        sync_runs(&*self.dev, fresh, &mut self.blocking_syncs)?;
 
         let mut out = Writer::new();
         out.u64(w.steps());
@@ -1000,7 +921,9 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         for &(level, p) in &added {
             encode_partition(&mut out, level, p);
         }
-        self.write_record(REC_DELTA, &out.buf)?;
+        let bs = self.dev.block_size();
+        let mut image = Vec::new();
+        push_record(&mut image, bs, REC_DELTA, &out.buf);
         // Quarantine changes (scrub repairs, new corruption finds) ride
         // as a full-state record whenever the state moved since the last
         // record — replayed by replacement, so one record suffices.
@@ -1008,18 +931,17 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
         if quarantine != self.last_quarantine {
             let mut q = Writer::new();
             encode_quarantine(&mut q, quarantine.0, &quarantine.1);
-            self.write_record(REC_QUARANTINE, &q.buf)?;
-            self.last_quarantine = quarantine;
+            push_record(&mut image, bs, REC_QUARANTINE, &q.buf);
         }
-        // Durability barrier, then swap pins: the delta is on storage, so
-        // re-pin the now-referenced set and drop the old pins — which
-        // executes the deletions this step's merges and retention
-        // deferred on the log's behalf.
-        self.sync_log()?;
-        let new_guard = w.pin_files(current.keys().copied().collect());
-        self.guard = Some(new_guard);
-        self.known = current.keys().copied().collect();
+        let blocks = write_blocks(&*self.dev, self.file, self.next_block, &image)?;
+        // Durability barrier before acting on the record: pins are only
+        // released once the record superseding them reached storage.
+        self.dev.sync(self.file)?;
+        self.blocking_syncs += 1;
+        self.next_block += blocks;
+        self.repin(w, live);
         self.delta_records += 1;
+        self.last_quarantine = quarantine;
         Ok(())
     }
 
@@ -1027,14 +949,16 @@ impl<T: Item, D: BlockDevice> ManifestLog<T, D> {
     /// into a **new** log file and switch this handle to it. Returns the
     /// *old* log's file id, which the caller deletes once the new id is
     /// durably recorded — until then both files recover to the same
-    /// state, so a crash anywhere in the handoff loses nothing.
+    /// state, so a crash anywhere in the handoff loses nothing. On error
+    /// the handle still writes to the old log.
     pub fn compact(&mut self, w: &Warehouse<T, D>) -> io::Result<FileId> {
-        let old = self.file;
-        self.file = self.dev.create()?;
-        self.next_block = 0;
-        self.write_header()?;
-        self.write_base(w)?;
-        Ok(old)
+        let base = BaseState::of(w);
+        let (file, blocks) = write_log(&*self.dev, &base, &self.known, &mut self.blocking_syncs)?;
+        self.repin(w, base.files().collect());
+        self.next_block = blocks;
+        self.delta_records = 0;
+        self.last_quarantine = base.quarantine;
+        Ok(std::mem::replace(&mut self.file, file))
     }
 }
 
@@ -1129,15 +1053,17 @@ mod tests {
     fn corrupted_manifest_rejected() {
         let w = build(2);
         let manifest = persist(&w).unwrap();
-        // Flip a byte in the middle of the manifest.
+        // Flip a byte in the middle of the manifest's one record: no
+        // valid record is left to replay.
         let dev = w.device();
-        let mut buf = vec![0u8; dev.block_size()];
-        let got = dev.read_block(manifest, 0, &mut buf).unwrap();
-        buf[got / 2] ^= 0xFF;
-        dev.write_block(manifest, 0, &buf[..got]).unwrap();
+        let mut img = read_image(dev, manifest);
+        let body_len = u64::from_le_bytes(img[256..264].try_into().unwrap()) as usize;
+        img[264 + body_len / 2] ^= 0xFF;
+        let f = write_image(dev, &img);
         let cfg = HsqConfig::with_epsilon(0.1);
-        let err = recover::<u64, _>(Arc::clone(dev), cfg, manifest).unwrap_err();
+        let err = recover::<u64, _>(Arc::clone(dev), cfg, f).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("no valid records"), "{err}");
     }
 
     #[test]
@@ -1339,8 +1265,8 @@ mod tests {
 
     #[test]
     fn persist_syncs_every_referenced_run_before_manifest() {
-        // The snapshot manifest follows the same write-ahead rule: every
-        // run it names is made durable, then the manifest itself.
+        // A one-record log from `persist` follows the same write-ahead
+        // rule: every run it names is made durable, then the log itself.
         let cfg = log_config(3, 64);
         let dev = MemDevice::new(256);
         let mut w = Warehouse::<u64, _>::new(Arc::clone(&dev), cfg);
@@ -1409,8 +1335,8 @@ mod tests {
 
     #[test]
     fn engine_recovers_from_log_file() {
-        // Engine::recover dispatches on the magic: a log file works in
-        // place of a snapshot manifest.
+        // Engine::recover replays a multi-record log like the one-record
+        // log `persist` writes.
         let cfg = log_config(2, 8);
         let dev = MemDevice::new(256);
         let mut engine =
@@ -1493,6 +1419,48 @@ mod tests {
             dev.write_block(file, i as u64, chunk).unwrap();
         }
         file
+    }
+
+    /// A log image on 256-byte blocks: the header, then one record per
+    /// `(kind, payload)`, each framed and sealed with its CRC.
+    fn log_image(records: &[(u64, &Writer)]) -> Vec<u8> {
+        let mut img = log_header::<u64>(256);
+        for (kind, payload) in records {
+            push_record(&mut img, 256, *kind, &payload.buf);
+        }
+        img
+    }
+
+    /// The `Base` payload of an empty warehouse, ready for a stream tail.
+    fn empty_base() -> Writer {
+        let mut out = Writer::new();
+        out.u64(0); // steps
+        out.u64(0); // total_len
+        encode_quarantine(&mut out, 0, &[]);
+        out.u64(0); // partitions
+        out
+    }
+
+    /// Append a stream tail holding one item, 42, in a KLL sketch whose
+    /// three reserved words are `reserved`.
+    fn kll_stream_tail(out: &mut Writer, reserved: [u64; 3]) {
+        out.u64(SKETCH_KLL);
+        out.u64(0.05f64.to_bits());
+        out.u64(1); // n
+        out.item(42u64); // min
+        out.item(42u64); // max
+        out.u64(0); // tracked err
+        out.u64(0); // parity
+        out.u64(1); // levels
+        out.u64(1);
+        out.item(42u64);
+        for w in reserved {
+            out.u64(w);
+        }
+        out.u64(1); // staging
+        out.item(42u64);
+        out.u64(1); // segments
+        out.u64(1);
     }
 
     #[test]
@@ -1670,43 +1638,18 @@ mod tests {
 
     #[test]
     fn nonzero_kll_reserved_words_rejected() {
-        // A CRC-valid engine image holding a one-item KLL stream sketch;
-        // only its three reserved words vary. All-zero recovers, anything
-        // else (a randomized-compaction descriptor) is refused.
+        // A log whose `Base` carries a one-item KLL stream tail; only its
+        // three reserved words vary. All-zero recovers, anything else (a
+        // randomized-compaction descriptor) is refused.
         let dev = MemDevice::new(256);
         let image = |reserved: [u64; 3]| {
-            let mut out = Writer::new();
-            out.buf.extend_from_slice(MAGIC);
-            out.u64(VERSION);
-            out.u64(8);
-            out.u64(0); // steps
-            out.u64(0); // total_len
-            encode_quarantine(&mut out, 0, &[]);
-            out.u64(0); // partitions
-            out.u64(1); // stream section
-            out.u64(SKETCH_KLL);
-            out.u64(0.05f64.to_bits());
-            out.u64(1); // n
-            out.item(42u64); // min
-            out.item(42u64); // max
-            out.u64(0); // tracked err
-            out.u64(0); // parity
-            out.u64(1); // levels
-            out.u64(1);
-            out.item(42u64);
-            for w in reserved {
-                out.u64(w);
-            }
-            out.u64(1); // staging
-            out.item(42u64);
-            out.u64(1); // segments
-            out.u64(1);
-            crc::seal(&mut out.buf);
-            write_image(&dev, &out.buf)
+            let mut base = empty_base();
+            kll_stream_tail(&mut base, reserved);
+            write_image(&dev, &log_image(&[(REC_BASE, &base)]))
         };
         let cfg = HsqConfig::with_epsilon(0.1);
         let (_, stream) =
-            recover_with_stream::<u64, _>(Arc::clone(&dev), cfg.clone(), image([0, 0, 0])).unwrap();
+            replay_log::<u64, _>(Arc::clone(&dev), cfg.clone(), image([0, 0, 0])).unwrap();
         assert_eq!(stream.unwrap().staging, vec![42]);
         for reserved in [[1, 7, 0], [1, 7, 0x9E37], [0, 0, 5]] {
             let err = recover::<u64, _>(Arc::clone(&dev), cfg.clone(), image(reserved))
@@ -1719,21 +1662,13 @@ mod tests {
 
     #[test]
     fn overflowing_gk_delta_recovers_as_corrupt() {
-        // A CRC-valid engine image holding a two-tuple GK stream sketch
-        // whose second tuple's Δ varies. `Σg + Δ` must fit in u64 — every
-        // rank query computes it — so Δ = u64::MAX is a typed corrupt
-        // error, not a panic or an `rmax < rmin` answer.
+        // A log whose `Base` carries a two-tuple GK stream tail whose
+        // second tuple's Δ varies. `Σg + Δ` must fit in u64 — every rank
+        // query computes it — so Δ = u64::MAX is a typed corrupt error,
+        // not a panic or an `rmax < rmin` answer.
         let dev = MemDevice::new(256);
         let image = |delta: u64| {
-            let mut out = Writer::new();
-            out.buf.extend_from_slice(MAGIC);
-            out.u64(VERSION);
-            out.u64(8);
-            out.u64(0); // steps
-            out.u64(0); // total_len
-            encode_quarantine(&mut out, 0, &[]);
-            out.u64(0); // partitions
-            out.u64(1); // stream section
+            let mut out = empty_base();
             out.u64(SKETCH_GK);
             out.u64(0.05f64.to_bits());
             out.u64(2); // n
@@ -1750,8 +1685,7 @@ mod tests {
             out.item(20u64);
             out.u64(1); // segments
             out.u64(2);
-            crc::seal(&mut out.buf);
-            write_image(&dev, &out.buf)
+            write_image(&dev, &log_image(&[(REC_BASE, &out)]))
         };
         let cfg = HsqConfig::with_epsilon(0.1);
         let h = crate::engine::HistStreamQuantiles::<u64, _>::recover(
@@ -1773,92 +1707,182 @@ mod tests {
         // Only the current version is read: older images (versions 1–3)
         // are rejected exactly like a future one.
         let dev = MemDevice::new(256);
+        let cfg = HsqConfig::with_epsilon(0.1);
+        let mut img = log_image(&[(REC_BASE, &empty_base())]);
+        recover::<u64, _>(Arc::clone(&dev), cfg.clone(), write_image(&dev, &img)).unwrap();
         for version in [1, 2, 3, VERSION + 1] {
-            let mut out = Writer::new();
-            out.buf.extend_from_slice(MAGIC);
-            out.u64(version);
-            out.u64(8);
-            out.u64(0);
-            out.u64(0);
-            out.u64(0);
-            crc::seal(&mut out.buf);
-            let file = write_image(&dev, &out.buf);
-            let err = recover::<u64, _>(Arc::clone(&dev), HsqConfig::with_epsilon(0.1), file)
-                .unwrap_err();
+            img[4..12].copy_from_slice(&version.to_le_bytes());
+            let file = write_image(&dev, &img);
+            let err = recover::<u64, _>(Arc::clone(&dev), cfg.clone(), file).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
         }
     }
 
     #[test]
-    fn truncated_manifest_never_panics() {
-        // Fuzz-style sweep: every strict prefix of a valid snapshot
-        // manifest must be rejected with an error — never a panic, never
-        // a bogus warehouse.
-        let w = build(2);
-        let manifest = persist(&w).unwrap();
-        let dev = w.device();
-        let raw = read_image(dev, manifest);
-        let cfg = HsqConfig::with_epsilon(0.1);
-        for len in 0..raw.len() {
-            let trunc = write_image(dev, &raw[..len]);
-            assert!(
-                recover::<u64, _>(Arc::clone(dev), cfg.clone(), trunc).is_err(),
-                "a {len}-byte prefix of a {}-byte manifest must be rejected",
-                raw.len()
-            );
-            dev.delete(trunc).unwrap();
+    fn snapshot_format_image_rejected() {
+        // The retired `HSQM` snapshot format (here an empty warehouse, no
+        // stream) no longer decodes.
+        let dev = MemDevice::new(256);
+        let mut out = Writer::new();
+        out.buf.extend_from_slice(b"HSQM");
+        for word in [VERSION, 8, 0, 0, 0, 0, 0, 0] {
+            out.u64(word);
         }
+        crc::seal(&mut out.buf);
+        let file = write_image(&dev, &out.buf);
+        let err =
+            recover::<u64, _>(Arc::clone(&dev), HsqConfig::with_epsilon(0.1), file).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]
-    fn bit_flipped_manifest_never_panics() {
-        // The whole-image CRC makes every single-bit flip detectable.
-        let w = build(2);
-        let manifest = persist(&w).unwrap();
-        let dev = w.device();
-        let raw = read_image(dev, manifest);
+    fn stream_tail_must_end_the_log() {
+        // A stream tail fills its `Base` exactly, and nothing follows a
+        // stream-carrying `Base`: a mid-step state cannot take deltas.
+        let dev = MemDevice::new(256);
         let cfg = HsqConfig::with_epsilon(0.1);
-        for pos in (0..raw.len()).step_by(7) {
-            let mut img = raw.clone();
-            img[pos] ^= 1 << (pos % 8);
-            let f = write_image(dev, &img);
-            assert!(
-                recover::<u64, _>(Arc::clone(dev), cfg.clone(), f).is_err(),
-                "bit flip at byte {pos} must be rejected"
-            );
-            dev.delete(f).unwrap();
-        }
-    }
-
-    #[test]
-    fn bit_flipped_log_recovers_cleanly_or_rejects() {
-        // Log replay treats a record failing its CRC as a torn tail: a
-        // flip may legitimately roll recovery back to an earlier record,
-        // but must never panic or yield an invalid warehouse.
-        let cfg = log_config(3, 64);
-        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        let mut log = ManifestLog::create(&w).unwrap();
-        for s in 0..6u64 {
-            w.add_batch((0..60).map(|i| s * 60 + i).collect()).unwrap();
-            log.append(&w).unwrap();
-        }
-        let dev = w.device();
-        let raw = read_image(dev, log.file());
-        let final_len = w.total_len();
-        for pos in (0..raw.len()).step_by(13) {
-            let mut img = raw.clone();
-            img[pos] ^= 1 << (pos % 8);
-            let f = write_image(dev, &img);
-            // An error is a clean rejection (InvalidData for garbled
-            // bytes, NotFound when a flipped file id dangles).
-            if let Ok(r) = recover::<u64, _>(Arc::clone(dev), cfg.clone(), f) {
-                r.check_invariants().unwrap();
-                assert!(
-                    r.total_len() <= final_len,
-                    "rolled-back state can only be a prefix of history"
-                );
+        let base = |extra: &[u64]| {
+            let mut out = empty_base();
+            kll_stream_tail(&mut out, [0; 3]);
+            for &w in extra {
+                out.u64(w);
             }
-            dev.delete(f).unwrap();
+            out
+        };
+        let mut delta = Writer::new();
+        for word in [1, 0, 0, 0] {
+            delta.u64(word); // steps, total_len, removed, added
+        }
+        let ok = write_image(&dev, &log_image(&[(REC_BASE, &base(&[]))]));
+        assert!(replay_log::<u64, _>(Arc::clone(&dev), cfg.clone(), ok)
+            .unwrap()
+            .1
+            .is_some());
+        for (what, img) in [
+            ("trailing word", log_image(&[(REC_BASE, &base(&[7]))])),
+            (
+                "delta after stream",
+                log_image(&[(REC_BASE, &base(&[])), (REC_DELTA, &delta)]),
+            ),
+        ] {
+            let err = recover::<u64, _>(Arc::clone(&dev), cfg.clone(), write_image(&dev, &img))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+    }
+
+    #[test]
+    fn corrupt_stream_tail_fails_recovery() {
+        // The stream tail sits inside its `Base` record's CRC: a flipped
+        // byte there leaves no valid record, rather than a warehouse
+        // recovered without its stream.
+        let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(3).build();
+        let dev = MemDevice::new(256);
+        let mut engine =
+            crate::engine::HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), cfg.clone());
+        engine
+            .ingest_step(&(0..300u64).collect::<Vec<_>>())
+            .unwrap();
+        engine.stream_extend(&(300..400u64).collect::<Vec<_>>());
+        let mut img = read_image(&dev, engine.persist().unwrap());
+        let body_len = u64::from_le_bytes(img[256..264].try_into().unwrap()) as usize;
+        // The payload's last byte: the final staging segment's end.
+        img[264 + body_len - 9] ^= 0x01;
+        let err = crate::engine::HistStreamQuantiles::<u64, _>::recover(
+            Arc::clone(&dev),
+            cfg,
+            write_image(&dev, &img),
+        )
+        .err()
+        .unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("no valid records"), "{err}");
+    }
+
+    #[test]
+    fn partition_level_out_of_range_rejected() {
+        // A CRC-valid log naming an existing run at a crafted level: level
+        // 0 recovers, a level no warehouse reaches is refused before it
+        // sizes the recovered level vector.
+        let cfg = HsqConfig::with_epsilon(0.1);
+        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
+        w.add_batch((0..200).collect()).unwrap();
+        let dev = w.device();
+        let image = |level: u64| {
+            let mut base = Writer::new();
+            base.u64(w.steps());
+            base.u64(w.total_len());
+            encode_quarantine(&mut base, 0, &[]);
+            base.u64(1);
+            encode_partition(&mut base, level, &w.level(0)[0]);
+            write_image(dev, &log_image(&[(REC_BASE, &base)]))
+        };
+        recover::<u64, _>(Arc::clone(dev), cfg.clone(), image(0)).unwrap();
+        for level in [64, 1 << 40, u64::MAX] {
+            let err = recover::<u64, _>(Arc::clone(dev), cfg.clone(), image(level)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "level {level}");
+            assert!(err.to_string().contains("level out of range"), "{err}");
+        }
+    }
+
+    #[test]
+    fn log_create_writes_the_shipped_bytes() {
+        // `ManifestLog` output is pinned: length and CRC64 of the log
+        // `create` writes over a fixed warehouse.
+        let w = build(2);
+        let log = ManifestLog::create(&w).unwrap();
+        let img = read_image(w.device(), log.file());
+        assert_eq!(
+            (img.len(), hsq_storage::crc64(&img)),
+            (2048, 0x28e2_6719_010d_1c5a)
+        );
+    }
+
+    #[test]
+    fn truncated_or_bit_flipped_images_never_panic() {
+        // One decoder reads every manifest: here a multi-record log and a
+        // persisted mid-step engine (one `Base` with a stream tail). Every
+        // strict prefix and every probed single-bit flip is rejected or
+        // recovers a state the image recorded — a flip may roll the log
+        // back to an earlier record or land in padding — never a panic,
+        // never an invalid warehouse. An error is a clean rejection
+        // (InvalidData for garbled bytes, NotFound when a flipped file id
+        // dangles).
+        type Engine = crate::engine::HistStreamQuantiles<u64, MemDevice>;
+        let cfg = log_config(3, 64);
+        let dev = MemDevice::new(256);
+        let state = |e: &Engine| (e.warehouse().steps(), e.historical_len(), e.stream_len());
+        let mut engine = Engine::new(Arc::clone(&dev), cfg.clone());
+        let mut log = ManifestLog::create(engine.warehouse()).unwrap();
+        let mut logged = vec![state(&engine)];
+        for s in 0..6u64 {
+            engine
+                .ingest_step(&(s * 60..s * 60 + 60).collect::<Vec<_>>())
+                .unwrap();
+            log.append(engine.warehouse()).unwrap();
+            logged.push(state(&engine));
+        }
+        engine.stream_extend(&(1_000..1_050u64).collect::<Vec<_>>());
+        let persisted = engine.persist().unwrap();
+        for (file, states) in [(log.file(), logged), (persisted, vec![state(&engine)])] {
+            let raw = read_image(&dev, file);
+            let check = |img: &[u8], what: &dyn Fn() -> String| {
+                let f = write_image(&dev, img);
+                if let Ok(r) = Engine::recover(Arc::clone(&dev), cfg.clone(), f) {
+                    r.warehouse().check_invariants().unwrap();
+                    assert!(states.contains(&state(&r)), "{}: unrecorded state", what());
+                }
+                dev.delete(f).unwrap();
+            };
+            for len in 0..raw.len() {
+                check(&raw[..len], &|| format!("{len}-byte prefix"));
+            }
+            for pos in (0..raw.len()).step_by(7) {
+                let mut img = raw.clone();
+                img[pos] ^= 1 << (pos % 8);
+                check(&img, &|| format!("bit flip at byte {pos}"));
+            }
         }
     }
 }

@@ -1,30 +1,12 @@
-//! Bounded-thread fan-out helpers: parallel partition probing (paper §4,
-//! future work: "different disk partitions can be processed in parallel")
-//! and the generic [`par_map_mut`] pool the sharded engine uses for
-//! per-shard ingestion and cross-shard query fan-in.
+//! Bounded-thread fan-out: the generic [`par_map_mut`] pool the sharded
+//! engine uses for per-shard ingestion and step close.
 //!
-//! [`par_partition_ranks`] computes the per-partition exact ranks of a
-//! probe value concurrently, each partition with its own search state
-//! (decoded-block cache and interpolation flag) — the parallel arm of
-//! [`crate::query::PartitionProbes`]. Enabled
-//! via [`crate::HsqConfig`]'s `parallel_query` flag or
-//! [`crate::query::QueryContext::with_parallel`]. Both arms read the same
-//! blocks, so I/O *counts* are unchanged — only wall-clock latency
-//! overlaps.
-//!
-//! All helpers bound their thread count by [`worker_count`]:
+//! The pool bounds its thread count by [`worker_count`]:
 //! `available_parallelism()` unless the `HSQ_WORKERS` environment
 //! variable overrides it (raise it to overlap blocking device I/O across
 //! shards even on few cores).
 
-use std::io;
-
-use hsq_storage::{BlockDevice, Item, RankWindow};
-
-use crate::query::PartitionSearch;
-use crate::warehouse::StoredPartition;
-
-/// Worker-thread bound shared by every fan-out helper in this module:
+/// Worker-thread bound of [`par_map_mut`]:
 /// `available_parallelism()`, clamped to `[1, tasks]`, overridable with
 /// the `HSQ_WORKERS` environment variable (useful to overlap blocking
 /// device I/O across shards even on few cores).
@@ -58,7 +40,7 @@ fn parse_workers(s: &str) -> usize {
 /// returned in input order. Runs inline when one worker suffices.
 ///
 /// The shard fan-out primitive: [`crate::sharded::ShardedEngine`] uses it
-/// to ingest per-shard batches and to probe shard snapshots concurrently.
+/// to ingest per-shard batches and to close a step on every shard.
 pub fn par_map_mut<I, R, F>(items: &mut [I], f: F) -> Vec<R>
 where
     I: Send,
@@ -98,137 +80,9 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Compute `rank(z, P)` for every partition concurrently.
-///
-/// Equivalent to [`crate::query::PartitionProbes`]' serial arm,
-/// including cache reuse and the interpolation flag across bisection
-/// iterations (each partition owns its [`PartitionSearch`]).
-///
-/// Work is chunked over at most `available_parallelism()` scoped threads
-/// (not one thread per partition): with `κ·log_κ T` partitions a query
-/// would otherwise spawn far more threads than cores at every bisection
-/// step, and the spawn overhead swamps the overlapped I/O it buys.
-pub fn par_partition_ranks<T: Item, D: BlockDevice>(
-    dev: &D,
-    partitions: &[&StoredPartition<T>],
-    z: T,
-    windows: &[RankWindow<T>],
-    searches: &mut [PartitionSearch<T>],
-) -> io::Result<Vec<u64>> {
-    assert_eq!(partitions.len(), windows.len());
-    assert_eq!(partitions.len(), searches.len());
-    let n = partitions.len();
-    let workers = worker_count(n);
-    if workers <= 1 || n <= 1 {
-        let mut per = Vec::with_capacity(n);
-        for ((&p, &w), search) in partitions.iter().zip(windows).zip(searches.iter_mut()) {
-            per.push(search.rank(dev, p, z, w)?);
-        }
-        return Ok(per);
-    }
-    let chunk = n.div_ceil(workers);
-    let results: Vec<io::Result<Vec<u64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = partitions
-            .chunks(chunk)
-            .zip(windows.chunks(chunk))
-            .zip(searches.chunks_mut(chunk))
-            .map(|((ps, ws), ss)| {
-                s.spawn(move || -> io::Result<Vec<u64>> {
-                    ps.iter()
-                        .zip(ws)
-                        .zip(ss.iter_mut())
-                        .map(|((&p, &w), search)| search.rank(dev, p, z, w))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition rank thread panicked"))
-            .collect()
-    });
-    let mut per = Vec::with_capacity(n);
-    for r in results {
-        per.extend(r?);
-    }
-    Ok(per)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HsqConfig;
-    use crate::query::{ProbeState, QueryContext, RankProbeSource};
-    use crate::stream::StreamProcessor;
-    use crate::warehouse::Warehouse;
-    use hsq_storage::MemDevice;
-
-    #[test]
-    fn parallel_matches_serial() {
-        // 64-byte blocks hold 7 items, so every summary window spans
-        // dozens of blocks and both arms really interpolate.
-        let mut cfg = HsqConfig::with_epsilon(0.05);
-        cfg.kappa = 3;
-        let mut w = Warehouse::new(MemDevice::new(64), cfg.clone());
-        let mut x = 99u64;
-        let mut gen = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x >> 33
-        };
-        for _ in 0..9 {
-            let batch: Vec<u64> = (0..3000).map(|_| gen()).collect();
-            w.add_batch(batch).unwrap();
-        }
-        let mut sp = StreamProcessor::new(cfg.epsilon2, cfg.beta2);
-        for _ in 0..2000 {
-            sp.update(gen());
-        }
-        let ss = sp.summary();
-
-        let ctx = |parallel| {
-            QueryContext::new(
-                &**w.device(),
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .with_parallel(parallel)
-        };
-        let (serial, parallel) = (ctx(false), ctx(true));
-        let key = |o: crate::QueryOutcome<u64>| {
-            (
-                o.value,
-                o.estimated_rank,
-                o.bisection_steps,
-                o.io.total_reads(),
-            )
-        };
-        let flags = |state: &ProbeState<u64>| state.interpolating().collect::<Vec<bool>>();
-        // Each arm keeps one long-lived state (probed ranks, caches and
-        // interpolation flags carry over between queries) and answers
-        // every rank on a fresh state too, as the engine does.
-        let mut long_lived = (ProbeState::default(), ProbeState::default());
-        let (mut reads, mut guessing) = (0, 0);
-        for r in [1u64, 3_000, 7_000, 14_500, 21_000, 29_000] {
-            let mut fresh = (ProbeState::default(), ProbeState::default());
-            for (s_state, p_state) in [&mut fresh, &mut long_lived] {
-                let mut s_fan = serial.fan_in(s_state);
-                let mut p_fan = parallel.fan_in(p_state);
-                let s = s_fan.rank_query(serial.scope(), r).unwrap().unwrap();
-                let p = p_fan.rank_query(parallel.scope(), r).unwrap().unwrap();
-                assert_eq!(key(s), key(p), "r = {r}: same answer, same read count");
-                assert_eq!(s_fan.probe(s.value).unwrap(), p_fan.probe(s.value).unwrap());
-                reads += s.io.total_reads();
-            }
-            let (s_state, p_state) = &fresh;
-            assert_eq!(flags(s_state), flags(p_state), "r = {r}: same misses");
-            guessing += flags(s_state).iter().filter(|&&f| f).count();
-        }
-        assert!(reads > 0, "the windows must span blocks");
-        assert!(guessing > 0, "uniform keys keep guessing");
-        assert_eq!(flags(&long_lived.0), flags(&long_lived.1));
-    }
 
     #[test]
     fn par_map_mut_preserves_order() {
@@ -267,30 +121,5 @@ mod tests {
     #[should_panic(expected = "HSQ_WORKERS")]
     fn worker_override_garbage_panics() {
         let _ = parse_workers("eight");
-    }
-
-    #[test]
-    fn par_ranks_direct() {
-        let dev = MemDevice::new(64);
-        let mut parts = Vec::new();
-        for s in 0..4u64 {
-            let data: Vec<u64> = (0..100).map(|i| i * 4 + s).collect();
-            let run = hsq_storage::write_run(&*dev, &data).unwrap();
-            let summary = crate::summary::summarize_sorted(&data, 0.1, 11, 64);
-            parts.push(StoredPartition {
-                run,
-                summary,
-                first_step: s + 1,
-                last_step: s + 1,
-            });
-        }
-        let part_refs: Vec<&StoredPartition<u64>> = parts.iter().collect();
-        let windows: Vec<RankWindow<u64>> = parts.iter().map(|p| p.summary.narrow(200)).collect();
-        let mut searches: Vec<_> = parts.iter().map(|_| PartitionSearch::new(4)).collect();
-        let ranks = par_partition_ranks(&*dev, &part_refs, 200, &windows, &mut searches).unwrap();
-        for (s, &rank) in ranks.iter().enumerate() {
-            let expect = (0..100).filter(|i| i * 4 + s as u64 <= 200).count() as u64;
-            assert_eq!(rank, expect, "partition {s}");
-        }
     }
 }

@@ -382,20 +382,12 @@ pub struct ProbeState<T: Item> {
     /// The run files of the partitions this state is shaped for:
     /// `searches` and every `probed` rank vector are indexed like it.
     files: Vec<FileId>,
-    /// One search state per partition so parallel probes don't contend.
+    /// One search state per partition.
     searches: Vec<PartitionSearch<T>>,
     /// Up to three probed values, ascending, each with its exact rank in
     /// every partition: the latest probe and the nearest earlier probe on
     /// either side of it — all a bisection ever looks at again.
     probed: Vec<(T, Vec<u64>)>,
-}
-
-impl<T: Item> ProbeState<T> {
-    /// Per partition, whether its searches still interpolate.
-    #[cfg(test)]
-    pub(crate) fn interpolating(&self) -> impl Iterator<Item = bool> + '_ {
-        self.searches.iter().map(|s| s.interpolate)
-    }
 }
 
 impl<T: Item> Default for ProbeState<T> {
@@ -459,7 +451,6 @@ pub struct PartitionProbes<'a, T: Item, D: BlockDevice> {
     partitions: Vec<&'a StoredPartition<T>>,
     stream: &'a StreamSummary<T>,
     state: &'a mut ProbeState<T>,
-    parallel: bool,
 }
 
 impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
@@ -467,16 +458,12 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
     /// probed ranks in `state`. A `state` last used over other partitions
     /// (or fresh) is reset, splitting `cache_blocks` across the
     /// partitions.
-    /// `parallel` probes partitions concurrently (paper §4's future-work
-    /// direction: "different disk partitions can be processed in
-    /// parallel"; see [`crate::parallel`]).
     pub fn new(
         dev: &'a D,
         partitions: Vec<&'a StoredPartition<T>>,
         stream: &'a StreamSummary<T>,
         cache_blocks: usize,
         state: &'a mut ProbeState<T>,
-        parallel: bool,
     ) -> Self {
         let files = || partitions.iter().map(|p| p.run.file());
         if !state.files.iter().copied().eq(files()) {
@@ -490,7 +477,6 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
             partitions,
             stream,
             state,
-            parallel,
         }
     }
 
@@ -525,14 +511,11 @@ impl<'a, T: Item, D: BlockDevice> PartitionProbes<'a, T, D> {
                 w
             })
             .collect();
-        let searches = &mut self.state.searches;
-        let ranks = if self.parallel && self.partitions.len() > 1 {
-            crate::parallel::par_partition_ranks(self.dev, &self.partitions, z, &windows, searches)?
-        } else {
-            let each = self.partitions.iter().zip(&windows).zip(searches);
-            each.map(|((p, &w), search)| search.rank(self.dev, p, z, w))
-                .collect::<io::Result<Vec<u64>>>()?
-        };
+        let each = self.partitions.iter().zip(&windows);
+        let ranks = each
+            .zip(&mut self.state.searches)
+            .map(|((p, &w), search)| search.rank(self.dev, p, z, w))
+            .collect::<io::Result<Vec<u64>>>()?;
         let rho1 = ranks.iter().sum();
         probed.extend(below);
         probed.push((z, ranks));
@@ -553,16 +536,12 @@ impl<T: Item, D: BlockDevice> RankProbeSource<T> for PartitionProbes<'_, T, D> {
 /// engine shard; a single engine is a fan-in of one), bounds summed.
 pub struct FanIn<'a, T: Item, D: BlockDevice> {
     shards: Vec<PartitionProbes<'a, T, D>>,
-    parallel: bool,
 }
 
 impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
-    /// Sum `shards`, probing them concurrently over the bounded pool
-    /// ([`crate::parallel::par_map_mut`]) when `parallel` — worth it when
-    /// shard devices overlap real I/O; serial probing is cheaper when
-    /// everything is cache-resident.
-    pub fn new(shards: Vec<PartitionProbes<'a, T, D>>, parallel: bool) -> Self {
-        FanIn { shards, parallel }
+    /// Sum `shards`, probing them one after another.
+    pub fn new(shards: Vec<PartitionProbes<'a, T, D>>) -> Self {
+        FanIn { shards }
     }
 
     /// Run the driver over this fan-in and stamp what its probes cost:
@@ -603,14 +582,9 @@ impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
 
 impl<T: Item, D: BlockDevice> RankProbeSource<T> for FanIn<'_, T, D> {
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
-        let results: Vec<io::Result<(u64, u64)>> = if self.parallel {
-            crate::parallel::par_map_mut(&mut self.shards, |_, s| s.probe(z))
-        } else {
-            self.shards.iter_mut().map(|s| s.probe(z)).collect()
-        };
-        results
-            .into_iter()
-            .try_fold((0, 0), |(lo, hi), r| r.map(|(l, h)| (lo + l, hi + h)))
+        self.shards.iter_mut().try_fold((0, 0), |(lo, hi), s| {
+            s.probe(z).map(|(l, h)| (lo + l, hi + h))
+        })
     }
 }
 
@@ -623,7 +597,6 @@ pub struct QueryContext<'a, T: Item, D: BlockDevice> {
     partitions: Vec<&'a StoredPartition<T>>,
     stream: &'a StreamSummary<T>,
     cache_blocks: usize,
-    parallel: bool,
 }
 
 impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
@@ -644,14 +617,7 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             partitions,
             stream,
             cache_blocks,
-            parallel: false,
         }
-    }
-
-    /// Probe partitions concurrently (see [`PartitionProbes::new`]).
-    pub fn with_parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
     }
 
     /// Select the bisection bracket seeding (default
@@ -675,9 +641,8 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
             self.stream,
             self.cache_blocks,
             state,
-            self.parallel,
         );
-        FanIn::new(vec![probes], false)
+        FanIn::new(vec![probes])
     }
 
     /// Algorithm 6: accurate response for 1-based rank `r`, with cost

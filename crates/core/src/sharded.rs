@@ -277,7 +277,6 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
             view: Arc::new(ShardedView {
                 shards,
                 epsilon: self.config.query_epsilon(),
-                parallel: self.config.parallel_query,
                 strict: self.config.strict,
                 plans: Plans::default(),
             }),
@@ -394,8 +393,6 @@ impl<T: Item, D: BlockDevice> Clone for ShardedSnapshot<T, D> {
 struct ShardedView<T: Item, D: BlockDevice> {
     shards: Vec<EngineSnapshot<T, D>>,
     epsilon: f64,
-    /// Probe shards concurrently (from the config's `parallel_query`).
-    parallel: bool,
     /// [`HsqConfig::strict`] at snapshot time.
     strict: bool,
     /// Per window, what [`EngineSnapshot::select`] chose to probe on each
@@ -572,18 +569,14 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
             self.view.shards.len(),
             "one probe state per shard"
         );
-        // Several shards already fan out across the pool; only a lone
-        // shard probes its partitions in parallel.
-        let inner_parallel = self.view.parallel && self.view.shards.len() == 1;
         let each = self.view.shards.iter().zip(&plan.parts).zip(states);
-        let shards = each.map(|((s, selected), state)| s.probes(selected, state, inner_parallel));
-        FanIn::new(shards.collect(), self.view.parallel)
+        let shards = each.map(|((s, selected), state)| s.probes(selected, state));
+        FanIn::new(shards.collect())
     }
 
     /// The fan-in probe source over `window`: one
-    /// [`crate::query::PartitionProbes`] per shard (probed concurrently
-    /// over the bounded pool when `parallel_query` is configured), keeping
-    /// caches and probed ranks in `states` (one per shard, from
+    /// [`crate::query::PartitionProbes`] per shard, keeping caches and
+    /// probed ranks in `states` (one per shard, from
     /// [`ShardedSnapshot::new_cache_set`]). `None` when the window
     /// misaligns.
     ///
@@ -959,39 +952,6 @@ mod tests {
         // Window 1 = step 3 (400..600) + stream (600..800): median ~600.
         let med = e.quantile_in_window(1, 0.5).unwrap().unwrap();
         assert!((580..630).contains(&med), "median {med}");
-    }
-
-    #[test]
-    fn parallel_windowed_queries_match_serial() {
-        let mk = |parallel: bool| {
-            let cfg = HsqConfig::builder()
-                .epsilon(0.05)
-                .merge_threshold(2)
-                .cache_blocks(128)
-                .parallel_query(parallel)
-                .build();
-            let mut e = ShardedEngine::<u64, _>::with_shards(4, cfg, |_| MemDevice::new(256));
-            for step in 0..13u64 {
-                e.ingest_step(&gen_stream(step + 3, 300)).unwrap();
-            }
-            e.stream_extend(&gen_stream(777, 150));
-            e
-        };
-        let serial = mk(false);
-        let parallel = mk(true);
-        for w in serial.available_windows() {
-            for phi in [0.1, 0.5, 0.9] {
-                assert_eq!(
-                    serial.quantile_in_window(w, phi).unwrap(),
-                    parallel.quantile_in_window(w, phi).unwrap(),
-                    "window {w} phi {phi}"
-                );
-            }
-            let a = serial.rank_in_window(w, 100).unwrap().unwrap();
-            let b = parallel.rank_in_window(w, 100).unwrap().unwrap();
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.estimated_rank, b.estimated_rank);
-        }
     }
 
     #[test]

@@ -74,20 +74,29 @@ fn oracle_states() -> Vec<Vec<u64>> {
     states
 }
 
-/// Drive the workload until completion or the first injected failure,
-/// simulating process death at the failure (the log's write-ahead pins
-/// are leaked via `simulate_crash` — `Drop` does not run in a crash).
-/// Returns the manifest id the two-phase protocol had durably committed,
-/// `None` when the crash preceded the first base record.
-fn drive(dev: &Arc<FDev>) -> Option<FileId> {
+/// Drive the workload to completion, simulating process death at the
+/// end (the log's write-ahead pins are leaked via `simulate_crash` —
+/// `Drop` does not run in a crash). A failed `append` or `compact` on a
+/// live device is transient: that step's record is skipped and the
+/// workload goes on. Any other failure, or any on a halted (crashed)
+/// device, stops it. Returns the manifest id the two-phase protocol had
+/// durably committed and the handle's final `log.file()`, `None` when the
+/// failure preceded the first base record.
+fn drive(dev: &Arc<FDev>) -> Option<(FileId, FileId)> {
     let mut w = Warehouse::<u64, _>::new(Arc::clone(dev), cfg());
     let Ok(mut log) = ManifestLog::create(&w) else {
         return None;
     };
     let mut committed = log.file();
     for step in 1..=STEPS {
-        if w.add_batch(batch(step)).is_err() || log.append(&w).is_err() {
+        if w.add_batch(batch(step)).is_err() {
             break;
+        }
+        if log.append(&w).is_err() {
+            if dev.halted() {
+                break;
+            }
+            continue;
         }
         if step % COMPACT_EVERY == 0 {
             // Two-phase handoff: write the new base, durably record its
@@ -101,12 +110,13 @@ fn drive(dev: &Arc<FDev>) -> Option<FileId> {
                         break;
                     }
                 }
-                Err(_) => break,
+                Err(_) if dev.halted() => break,
+                Err(_) => {}
             }
         }
     }
-    let _ = log.simulate_crash(); // leak the pins
-    Some(committed)
+    let last = log.simulate_crash(); // leak the pins
+    Some((committed, last))
 }
 
 /// "Reboot" the device and recover from `committed`; the recovered
@@ -180,7 +190,7 @@ fn crash_sweep(fault_of: fn(u64) -> Fault) {
 
     // Recording pass: no fault, learn the op-index space.
     let dev = FaultDevice::new(MemDevice::new(256));
-    let committed = drive(&dev).expect("clean run commits a manifest");
+    let (committed, _) = drive(&dev).expect("clean run commits a manifest");
     assert!(!dev.halted());
     let total = dev.mutations();
     assert!(total > 60, "workload too small to sweep: {total} ops");
@@ -191,7 +201,7 @@ fn crash_sweep(fault_of: fn(u64) -> Fault) {
         dev.arm(fault_of(k));
         let label = format!("{:?}", fault_of(k));
         match drive(&dev) {
-            Some(committed) => assert_recovers(&dev, committed, &oracle, &label),
+            Some((committed, _)) => assert_recovers(&dev, committed, &oracle, &label),
             None => assert!(
                 k <= 12,
                 "{label}: only the first few ops may precede the first base"
@@ -211,17 +221,22 @@ fn torn_write_sweep_serial() {
 }
 
 /// A transient (non-crash) failure surfaces as an error but never
-/// corrupts: the workload stops, yet the committed log still recovers —
-/// and an un-faulted retry from the recovered state proceeds normally.
+/// corrupts: a failed `append` or `compact` leaves the log as it was, so
+/// the workload goes on past it, and both the committed log and the
+/// handle's final log recover — at every mutation index. An un-faulted
+/// retry from the recovered state then proceeds normally.
 #[test]
 fn transient_fault_leaves_recoverable_state() {
     let oracle = oracle_states();
-    for k in (0..80u64).step_by(7) {
+    let clean = FaultDevice::new(MemDevice::new(256));
+    drive(&clean).expect("clean run commits a manifest");
+    for k in 0..=clean.mutations() {
         let dev = FaultDevice::new(MemDevice::new(256));
         dev.arm(Fault::FailOp(k));
         let label = format!("FailOp({k})");
-        if let Some(committed) = drive(&dev) {
+        if let Some((committed, last)) = drive(&dev) {
             assert_recovers(&dev, committed, &oracle, &label);
+            assert_recovers(&dev, last, &oracle, &format!("{label}, final log"));
             // The device is healthy again (the fault was one-shot):
             // recovery + continued ingestion must work.
             let mut w: Warehouse<u64, FDev> =

@@ -444,40 +444,6 @@ proptest! {
         }
     }
 
-    /// Parallel query returns identical answers to serial.
-    #[test]
-    fn parallel_equals_serial(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..100_000, 20..150), 2..6),
-        stream in proptest::collection::vec(0u64..100_000, 1..150),
-        r_seed in any::<u64>(),
-    ) {
-        let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(3).build();
-        let mut w = Warehouse::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        let mut total = 0u64;
-        for b in &batches {
-            total += b.len() as u64;
-            w.add_batch(b.clone()).unwrap();
-        }
-        let mut sp = StreamProcessor::with_kind(cfg.sketch, cfg.epsilon2, cfg.beta2);
-        for &v in &stream {
-            sp.update(v);
-        }
-        total += stream.len() as u64;
-        let ss = sp.summary();
-        let r = (r_seed % total) + 1;
-        let dev = Arc::clone(w.device());
-        let serial = QueryContext::new(
-            &*dev, w.partitions_newest_first(), &ss, cfg.epsilon(), cfg.cache_blocks)
-            .accurate_rank(r).unwrap().unwrap();
-        let parallel = QueryContext::new(
-            &*dev, w.partitions_newest_first(), &ss, cfg.epsilon(), cfg.cache_blocks)
-            .with_parallel(true)
-            .accurate_rank(r).unwrap().unwrap();
-        prop_assert_eq!(serial.value, parallel.value);
-        prop_assert_eq!(serial.estimated_rank, parallel.estimated_rank);
-    }
-
     /// One algorithm, three surfaces: the live engine, its pinned
     /// snapshot and a 1-shard sharded snapshot over the same data return
     /// the same outcome (everything but `io`) for every rank, full union
@@ -488,12 +454,10 @@ proptest! {
             proptest::collection::vec(0u64..1_000_000, 10..300), 1..9),
         stream in proptest::collection::vec(0u64..1_000_000, 1..300),
         kappa in 2usize..4,
-        parallel in any::<bool>(),
     ) {
         let cfg = HsqConfig::builder()
             .epsilon(0.05)
             .merge_threshold(kappa)
-            .parallel_query(parallel)
             .build();
         let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
         let mut e = ShardedEngine::<u64, _>::with_shards(1, cfg.clone(), |_| MemDevice::new(256));

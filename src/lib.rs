@@ -243,11 +243,14 @@
 //!
 //! ## Durability
 //!
-//! Every device call is synchronous, and the manifest log is
-//! write-ahead: each run a record names is synced before the record
-//! lands, and the log is synced after it. A log started over archived
-//! history therefore syncs every partition, then itself, and a crash at
-//! any later point recovers the last durable record:
+//! Every device call is synchronous, and every manifest is one log
+//! format: `persist` writes a log of a single `Base` record (carrying the
+//! live stream, for an engine), and [`hsq_core::manifest::ManifestLog`]
+//! appends a record per step. The log is write-ahead: each run a record
+//! names is synced before the record lands, and the log is synced after
+//! it. A log started over archived history therefore syncs every
+//! partition, then itself, and a crash at any later point recovers the
+//! last durable record:
 //!
 //! ```
 //! use hsq::core::{manifest::ManifestLog, HsqConfig, HistStreamQuantiles};
@@ -280,7 +283,9 @@
 //! schedules — fail op `N`, torn final block, crash-stop after op `N` —
 //! that drive an exhaustive crash-point sweep in
 //! `crates/core/tests/fault_injection.rs`, asserting recovery matches a
-//! non-crashing oracle within `ε·m` at **every** device mutation index.
+//! non-crashing oracle within `ε·m` at **every** device mutation index;
+//! a transient failure in `append` or `compact` leaves the handle
+//! unchanged, so the workload carries on past it.
 //! Use that harness as the template for future durability tests.
 //!
 //! ## Self-healing storage (robustness & operations)
@@ -291,9 +296,8 @@
 //! * **Checksummed run blocks.** Every run block carries a CRC64
 //!   trailer, verified on *every* read path — queries, merges,
 //!   recovery, backups, scrub. Manifests get the same treatment:
-//!   whole-image CRCs on snapshots, per-record CRCs with torn-tail
-//!   truncation on the append-only log (fuzzed in
-//!   `crates/core/src/manifest.rs`).
+//!   per-record CRCs with torn-tail truncation on the one log format
+//!   (fuzzed in `crates/core/src/manifest.rs`).
 //! * **A typed error taxonomy.** Device errors are classified as
 //!   *transient* (worth retrying), *corruption* (pinned to a
 //!   `(file, block)`), or *fatal*, carried inside `io::Error` and
