@@ -13,9 +13,10 @@
 //! `T = H ∪ R` by [`HistStreamQuantiles::quantile`] /
 //! [`HistStreamQuantiles::rank_query`]; cheap in-memory answers with error
 //! `O(εN)` by the `*_quick` variants; partition-aligned window queries by
-//! the `*_in_window` variants. All of them build a scope and a probe
-//! source and run the one path in [`crate::query`]; the engine adds only
-//! the self-healing recovery around it.
+//! the `*_in_window` variants. All of them run the one path in
+//! [`crate::query`] over the engine's view, a [`ShardedSnapshot`] over
+//! its one shard ([`EngineSnapshot`]: pinned data only), inside the
+//! self-healing loop both engines share (`HistStreamQuantiles::answer`).
 
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -25,9 +26,8 @@ use hsq_storage::{corruption_in, is_transient, BlockDevice, FileId, Item};
 
 use crate::bounds::SourceView;
 use crate::config::HsqConfig;
-use crate::query::{
-    source_views, FanIn, PartitionProbes, Plan, Plans, ProbeState, QueryOutcome, QueryScope,
-};
+use crate::query::{source_views, FanIn, PartitionProbes, ProbeState, QueryOutcome, QueryScope};
+use crate::sharded::ShardedSnapshot;
 use crate::stream::{StreamProcessor, StreamSummary};
 use crate::warehouse::{PinGuard, StoredPartition, UpdateReport, Warehouse};
 
@@ -53,7 +53,7 @@ pub struct HistStreamQuantiles<T: Item, D: BlockDevice> {
     heavy: Option<crate::heavy::HeavyTracker<T>>,
     /// The view queries and [`Self::snapshot`] share until the data
     /// changes; `None` until first asked for.
-    view: Mutex<Option<EngineSnapshot<T, D>>>,
+    view: Mutex<Option<ShardedSnapshot<T, D>>>,
 }
 
 impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
@@ -252,27 +252,40 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// Every device call is synchronous: when this returns, every block
     /// the step wrote is on the device (durability is the manifest log's
     /// job — see [`crate::manifest::ManifestLog::append`]).
+    ///
+    /// An error before the step's run is written leaves the step open:
+    /// the staged items come back (as one sorted segment) and the stream
+    /// is untouched, so a retry archives them. Once the run is written
+    /// the step counts and the stream resets, even if a later merge or
+    /// retention call fails.
     pub fn end_time_step(&mut self) -> io::Result<UpdateReport> {
         self.invalidate();
         self.seal_staging_tail();
-        let data = std::mem::take(&mut self.staging);
-        let segments = std::mem::take(&mut self.staging_segments);
-        let staging_sort = std::mem::take(&mut self.staging_sort_time);
-        let mut report = if data.len() > self.config.sort_budget_items {
-            self.warehouse.add_batch(data)?
+        let steps = self.warehouse.steps();
+        let archived = if self.staging.len() > self.config.sort_budget_items {
+            self.warehouse.add_unsorted_batch(&mut self.staging)
         } else {
             let t0 = Instant::now();
-            let sorted = merge_sorted_segments(data, &segments);
-            let merge_elapsed = t0.elapsed();
-            let mut r = self.warehouse.add_sorted_batch(sorted)?;
-            r.sort_time += merge_elapsed;
-            r
+            let data = std::mem::take(&mut self.staging);
+            self.staging = merge_sorted_segments(data, &self.staging_segments);
+            self.staging_sort_time += t0.elapsed();
+            self.warehouse.add_sorted_batch(&mut self.staging)
         };
-        report.sort_time += staging_sort;
+        if self.warehouse.steps() == steps {
+            // Not archived: keep the items staged as one sorted segment
+            // (the external sort may have sorted them chunk by chunk).
+            hsq_storage::sort_items(&mut self.staging);
+            self.staging_segments = vec![self.staging.len()];
+            return archived;
+        }
+        self.staging_segments.clear();
         self.stream.reset();
         if let Some(h) = &mut self.heavy {
             h.reset();
         }
+        let staging_sort = std::mem::take(&mut self.staging_sort_time);
+        let mut report = archived?;
+        report.sort_time += staging_sort;
         Ok(report)
     }
 
@@ -290,21 +303,28 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         *self.view.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
-    /// Run `query` over the view's scope of `window` with self-healing: a
-    /// confirmed-corrupt block quarantines its partition and re-runs the
-    /// query over a fresh view of the remaining healthy set (degraded,
-    /// bounds widened — or refused by the driver under `strict`); a
-    /// transient failure that survived the device-level retries re-runs
-    /// it under the configured attempt cap. Anything else propagates.
-    /// `Ok(None)` when the window misaligns.
-    fn answer<R>(
-        &self,
+    /// The self-healing loop behind both engines' queries: run `query`
+    /// over the scope of `window` in `snapshot()`, a view over `shards`.
+    /// A confirmed-corrupt block quarantines its partition on the shard
+    /// whose probe read it — file ids repeat across shard devices, so
+    /// only the fan-in knows which — and re-runs the query over a fresh
+    /// view of the remaining healthy set (degraded, bounds widened — or
+    /// refused by the driver under `strict`); a transient failure that
+    /// survived the device-level retries re-runs it under the configured
+    /// attempt cap. Anything else propagates. `Ok(None)` when the window
+    /// misaligns.
+    pub(crate) fn answer<R>(
+        shards: &[Self],
+        snapshot: impl Fn() -> ShardedSnapshot<T, D>,
         window: Option<u64>,
         query: impl Fn(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
     ) -> io::Result<Option<R>> {
-        let mut transient_left = self.config.retry.max_retries;
+        let mut transient_left = shards[0].config.retry.max_retries;
         loop {
-            let e = match self.snapshot().answer(window, &query) {
+            let failed = std::cell::Cell::new(None);
+            let e = match snapshot().answer(window, |scope, fan| {
+                query(scope, fan).inspect_err(|_| failed.set(fan.failed))
+            }) {
                 Ok(r) => return Ok(r),
                 Err(e) => e,
             };
@@ -312,7 +332,8 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
                 // Quarantined by this query or by a concurrent reader that
                 // hit the block first: either way the epoch has moved, and
                 // a fresh view excludes the file.
-                if self.warehouse.quarantine(file) || self.warehouse.is_quarantined(file) {
+                let warehouse = failed.get().map(|i: usize| &shards[i].warehouse);
+                if warehouse.is_some_and(|w| w.quarantine(file) || w.is_quarantined(file)) {
                     continue;
                 }
             } else if is_transient(&e) && transient_left > 0 {
@@ -323,15 +344,25 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         }
     }
 
+    /// Run `query` over `window` through [`Self::answer`].
+    fn run<R>(
+        &self,
+        window: Option<u64>,
+        query: impl Fn(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
+        let shards = std::slice::from_ref(self);
+        Self::answer(shards, || self.snapshot(), window, query)
+    }
+
     /// Accurate φ-quantile over `T = H ∪ R` (Theorem 2): the returned
     /// element's rank is within `εm` of `⌈φN⌉`.
     pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        self.answer(None, |scope, fan| fan.quantile(scope, phi))
+        self.run(None, |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate rank query with cost reporting.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.answer(None, |scope, fan| fan.rank_query(scope, r))
+        self.run(None, |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Batch of φ-quantiles sharing one probe source, so its block caches
@@ -339,7 +370,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// separate [`Self::quantile`] calls (which already share the view's
     /// scope) when reporting e.g. p50/p95/p99 together.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
+        let all = self.run(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
         Ok(all.expect("the full union always aligns"))
     }
 
@@ -355,47 +386,44 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// This is the concurrent-reader primitive: hold the engine's lock
     /// just long enough to take the snapshot, then query it lock-free.
     ///
-    /// The snapshot is the same view the engine's own queries answer
-    /// over, so until the data changes every `snapshot()` is a handle to
-    /// one view: its scopes — `TS` included — are built once, by whichever
-    /// query needs them first, live or pinned.
+    /// It is a [`ShardedSnapshot`] over this engine as its one shard
+    /// (`shard(0)` is its pinned data) and the view the engine's own
+    /// queries answer over, so until the data changes every `snapshot()`
+    /// is a handle to one view: its scopes — `TS` included — are built
+    /// once, by whichever query needs them first, live or pinned.
     ///
     /// Every mutation (ingest, step close, scrub) drops the view first; a
     /// quarantine, which can land through `&self`, moves the warehouse's
     /// quarantine epoch past it, and the next call takes a new one.
-    pub fn snapshot(&self) -> EngineSnapshot<T, D> {
+    pub fn snapshot(&self) -> ShardedSnapshot<T, D> {
         let mut view = self.view.lock().unwrap_or_else(PoisonError::into_inner);
         // Read before the view copies the quarantined set: a quarantine
         // racing in between only costs one needless rebuild.
         let epoch = self.warehouse.quarantine_epoch();
-        match &*view {
-            Some(v) if v.view.quarantine_epoch == epoch => v.clone(),
-            _ => view.insert(self.take_snapshot(epoch)).clone(),
+        if let Some(v) = view
+            .as_ref()
+            .filter(|v| v.shard(0).view.quarantine_epoch == epoch)
+        {
+            return v.clone();
         }
-    }
-
-    /// A new pinned view of the engine as it stands, tagged with the
-    /// warehouse's quarantine `epoch`.
-    fn take_snapshot(&self, epoch: u64) -> EngineSnapshot<T, D> {
-        let (parts, pins) = self.warehouse.pinned_partitions();
-        let view = View {
+        let (parts, _pins) = self.warehouse.pinned_partitions();
+        let pinned = View {
             dev: Arc::clone(self.warehouse.device()),
             parts,
             stream: self.stream.summary(),
             steps: self.warehouse.steps(),
             historical_len: self.warehouse.total_len(),
-            epsilon: self.config.query_epsilon(),
             cache_blocks: self.config.cache_blocks,
             lost: self.warehouse.lost_items(),
             quarantined_files: self.warehouse.quarantined_files(),
             quarantine_epoch: epoch,
-            strict: self.config.strict,
-            plans: Plans::default(),
-            _pins: pins,
+            _pins,
         };
-        EngineSnapshot {
-            view: Arc::new(view),
-        }
+        let shard = EngineSnapshot {
+            view: Arc::new(pinned),
+        };
+        view.insert(ShardedSnapshot::new(vec![shard], &self.config))
+            .clone()
     }
 
     /// Persist the full engine state (see [`crate::manifest`]): the
@@ -467,13 +495,13 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// (see [`crate::retention`]) this is the "p99 over the last 24h"
     /// query shape — the window can cover at most the retained horizon.
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        self.answer(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
+        self.run(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Rank query over a window, with cost reporting (see
     /// [`HistStreamQuantiles::quantile_in_window`]).
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.answer(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
+        self.run(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 
     /// One rate-limited self-healing pass over the warehouse: repair
@@ -487,15 +515,14 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     }
 }
 
-/// An immutable view of one engine at a point in time (see
-/// [`HistStreamQuantiles::snapshot`]).
+/// One engine's pinned data at a point in time: the shard a
+/// [`ShardedSnapshot`] queries (see [`HistStreamQuantiles::snapshot`]).
 ///
 /// Owns a cloned [`StreamSummary`] and a pinned copy of the partition
-/// list; queries run against it without touching — or blocking — the live
-/// engine. It is also the view's **plan cache**: the scope of each window
-/// (`TS` over its partition summaries plus the stream summary) is built
-/// on first use and shared by every later query. Clones are cheap handles
-/// to the same view; dropping the last one releases the pins (deferred
+/// list, so the view that holds it answers without touching — or
+/// blocking — the live engine. It has no query methods: scopes, plans and
+/// answers live once, in [`ShardedSnapshot`]. Clones are cheap handles
+/// to the same data; dropping the last one releases the pins (deferred
 /// partition files are then deleted).
 pub struct EngineSnapshot<T: Item, D: BlockDevice> {
     view: Arc<View<T, D>>,
@@ -518,7 +545,6 @@ struct View<T: Item, D: BlockDevice> {
     stream: StreamSummary<T>,
     steps: u64,
     historical_len: u64,
-    epsilon: f64,
     cache_blocks: usize,
     /// Confirmed-lost item count at snapshot time (see
     /// [`Warehouse::lost_items`]).
@@ -529,11 +555,6 @@ struct View<T: Item, D: BlockDevice> {
     /// [`Warehouse::quarantine_epoch`] when the view was taken: the live
     /// engine stops answering through a view the epoch has moved past.
     quarantine_epoch: u64,
-    /// [`HsqConfig::strict`] at snapshot time: a strict snapshot pinned
-    /// over quarantined mass refuses accurate queries, like the engine.
-    strict: bool,
-    /// Per window, the partitions to probe and the scope, built once.
-    plans: Plans<T, Vec<usize>>,
     _pins: PinGuard<D>,
 }
 
@@ -643,85 +664,10 @@ impl<T: Item, D: BlockDevice> EngineSnapshot<T, D> {
         )
     }
 
-    /// The cached plan of `window`, selected once per view.
-    fn plan(&self, window: Option<u64>) -> Option<Arc<Plan<T, Vec<usize>>>> {
-        self.view.plans.get(window, || self.select(window))
-    }
-
-    /// The scope of `plan`, built on first use.
-    fn plan_scope<'p>(&self, plan: &'p Plan<T, Vec<usize>>) -> &'p QueryScope<T> {
-        plan.scope(|selected, total| {
-            QueryScope::new(
-                &self.source_views(selected),
-                total,
-                self.stream_len(),
-                self.view.epsilon,
-            )
-            .with_excluded(self.quarantined_mass(), 0)
-            .with_strict(self.view.strict)
-        })
-    }
-
-    /// The scope of `window` (`None` = the full union), built once per
-    /// view; `None` when the window misaligns.
-    pub fn scope(&self, window: Option<u64>) -> Option<QueryScope<T>> {
-        self.plan(window).map(|p| self.plan_scope(&p).clone())
-    }
-
-    /// Run `query` with the scope of `window` and a fresh probe source
-    /// over it (cold caches); `Ok(None)` when the window misaligns.
-    fn answer<R>(
-        &self,
-        window: Option<u64>,
-        query: impl FnOnce(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
-    ) -> io::Result<Option<R>> {
-        let Some(plan) = self.plan(window) else {
-            return Ok(None);
-        };
-        let mut state = ProbeState::default();
-        let probes = self.probes(&plan.parts, &mut state);
-        query(self.plan_scope(&plan), &mut FanIn::new(vec![probes]))
-    }
-
-    /// Accurate φ-quantile over the snapshot (Theorem 2 at snapshot time).
-    pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        self.answer(None, |scope, fan| fan.quantile(scope, phi))
-    }
-
-    /// Accurate rank query over the snapshot, with cost reporting.
-    pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.answer(None, |scope, fan| fan.rank_query(scope, r))
-    }
-
-    /// Batch of φ-quantiles sharing one probe source (caches carry from
-    /// one φ to the next).
-    pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
-        Ok(all.expect("the full union always aligns"))
-    }
-
-    /// Quick φ-quantile over the snapshot (in-memory, error ≤ 1.5εN).
-    pub fn quantile_quick(&self, phi: f64) -> Option<T> {
-        self.scope(None)?.quick_quantile(phi)
-    }
-
     /// Window sizes (in snapshot-time steps) answerable exactly from the
     /// pinned partitions, ascending.
     pub fn available_windows(&self) -> Vec<u64> {
         crate::warehouse::window_sizes(self.view.parts.iter().map(|(_, p)| p))
-    }
-
-    /// Windowed φ-quantile over the snapshot: live-stream summary plus the
-    /// newest `window_steps` pinned steps. Because the partitions are
-    /// pinned, the answer is stable even while the live engine's
-    /// retention expires those steps underneath.
-    pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        self.answer(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
-    }
-
-    /// Windowed rank query over the snapshot, with cost reporting.
-    pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.answer(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 }
 
@@ -1293,7 +1239,8 @@ mod tests {
             all.push(v);
             h.stream_update(v);
         }
-        let snap = h.snapshot();
+        let view = h.snapshot();
+        let snap = view.shard(0);
         let mut state = ProbeState::default();
         let (_, selected) = snap.select(None).unwrap();
         let mut probes = snap.probes(&selected, &mut state);
@@ -1516,7 +1463,7 @@ mod tests {
         let after = h.rank_query(800).unwrap().unwrap();
         assert!(after.degraded);
         assert_eq!(after.quarantined, oldest.len());
-        assert!(!h.snapshot().same_view(&pinned));
+        assert!(!h.snapshot().shard(0).same_view(pinned.shard(0)));
         // Pinned before the quarantine, the snapshot answers as before.
         let old = pinned.rank_query(800).unwrap().unwrap();
         assert_eq!(answer_of(old), answer_of(before));

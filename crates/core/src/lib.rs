@@ -34,12 +34,14 @@
 //!   driver [`query::accurate_response`] (Algorithms 6–8) bisects the
 //!   value space between summary-derived filters until the estimate is
 //!   within `εm` of the target (Theorem 2). The quick response
-//!   (Algorithm 5, error ≤ 1.5εN) reads the scope alone. The live
-//!   engine answers through its own [`EngineSnapshot`], kept until the
-//!   data changes, so it and its snapshots build each window's scope
-//!   once; [`ShardedSnapshot`] and the networked coordinator differ only
-//!   in how they build the scope and the source. The live engine's
-//!   quarantine-and-retry recovery wraps the whole path from outside.
+//!   (Algorithm 5, error ≤ 1.5εN) reads the scope alone. There is one
+//!   queryable pinned view, [`ShardedSnapshot`]: a single engine's
+//!   snapshot is one over its one shard (an [`EngineSnapshot`] holds a
+//!   shard's pinned data and nothing else). Each engine answers through
+//!   its view, kept until the data changes, so it and its snapshots build
+//!   each window's scope once; the networked coordinator differs only in
+//!   how it builds the scope and the source. One quarantine-and-retry
+//!   loop, shared by both engines, wraps the whole path from outside.
 //!
 //! Baselines ([`baseline`]), window queries and memory budgeting
 //! ([`budget`]) complete the reproduction.
@@ -47,8 +49,8 @@
 //! Beyond the paper, the crate scales the engine out: [`sharded`]
 //! hash-partitions items across independent engine shards with mergeable
 //! cross-shard queries (per-shard rank bounds add, preserving the `εm`
-//! guarantee over the union), and [`engine::EngineSnapshot`] gives
-//! readers immutable pinned views so queries run concurrently with
+//! guarantee over the union), and [`ShardedSnapshot`] gives readers of
+//! either engine immutable pinned views so queries run concurrently with
 //! ingestion; [`manifest`] persists warehouses — including consistent
 //! online backups taken from a snapshot and an append-only
 //! [`manifest::ManifestLog`] with compaction; [`retention`] bounds the

@@ -170,7 +170,9 @@ pub fn persist<T: Item, D: BlockDevice>(w: &Warehouse<T, D>) -> io::Result<FileI
 }
 
 /// Serialize an [`crate::engine::EngineSnapshot`]'s pinned partition list
-/// as a manifest on the snapshot's device: a *consistent online backup*
+/// (one shard of a [`crate::ShardedSnapshot`]; a single engine's
+/// snapshot has one, `snap.shard(0)`) as a manifest on the snapshot's
+/// device: a *consistent online backup*
 /// taken without pausing ingestion — the snapshot's pins guarantee every
 /// referenced file exists at write time.
 ///
@@ -1035,7 +1037,7 @@ mod tests {
                 .unwrap();
         }
         let snap = engine.snapshot();
-        let manifest = persist_snapshot(&snap).unwrap();
+        let manifest = persist_snapshot(snap.shard(0)).unwrap();
         for s in 5..8u64 {
             engine
                 .ingest_step(&(s * 100..s * 100 + 100).collect::<Vec<_>>())

@@ -24,10 +24,10 @@
 //!   only loop) until `ρ = ρ₁ + ρ₂` lands within `⌊ε·m⌋` of the target,
 //!   and assemble the one [`QueryOutcome`].
 //!
-//! Recovery wraps the path from outside: the live engine re-runs
-//! "build scope, run driver" after quarantining a corrupt partition or
-//! on a transient fault, and the coordinator re-runs it when fleet
-//! membership changes mid-bisection.
+//! Recovery wraps the path from outside: both engines' one loop re-runs
+//! "build scope, run driver" after quarantining a corrupt partition on
+//! the shard whose probe read it, or on a transient fault, and the
+//! coordinator re-runs it when fleet membership changes mid-bisection.
 //!
 //! Ranks throughout this module are *summed weights*, not item counts:
 //! with weighted ingestion (`stream_update_weighted`) an item of weight
@@ -184,47 +184,45 @@ impl<T: Item> QueryScope<T> {
 }
 
 /// One window's plan over a pinned view: the scope's size `N`, what to
-/// probe (`parts`: positions in the view's partition list, one list per
-/// shard for a sharded view), and the scope itself — the expensive part,
-/// `TS`, left unbuilt until a query needs it (a serving node only probes
-/// and never does).
-pub(crate) struct Plan<T, S> {
+/// probe (`parts`: per shard, positions in that shard's partition list),
+/// and the scope itself — the expensive part, `TS`, left unbuilt until a
+/// query needs it (a serving node only probes and never does).
+pub(crate) struct Plan<T> {
     pub(crate) total: u64,
-    pub(crate) parts: S,
+    pub(crate) parts: Vec<Vec<usize>>,
     scope: OnceLock<QueryScope<T>>,
 }
 
-impl<T, S> Plan<T, S> {
-    /// The plan's scope, built by `build(parts, total)` on first use.
-    /// Readers of *other* windows never wait on one scope's construction.
-    pub(crate) fn scope(&self, build: impl FnOnce(&S, u64) -> QueryScope<T>) -> &QueryScope<T> {
-        self.scope.get_or_init(|| build(&self.parts, self.total))
+impl<T> Plan<T> {
+    /// The plan's scope, built by `build(self)` on first use. Readers of
+    /// *other* windows never wait on one scope's construction.
+    pub(crate) fn scope(&self, build: impl FnOnce(&Self) -> QueryScope<T>) -> &QueryScope<T> {
+        self.scope.get_or_init(|| build(self))
     }
 }
 
 /// A pinned view's plans, keyed by window (`None` = the full union), each
 /// selected once; a misaligned window caches as `None`, so repeats stay
-/// cheap too. The one plan cache behind [`crate::EngineSnapshot`] and
-/// [`crate::ShardedSnapshot`].
-pub(crate) struct Plans<T, S>(Mutex<PlanMap<T, S>>);
+/// cheap too. The plan cache behind [`crate::ShardedSnapshot`].
+pub(crate) struct Plans<T>(Mutex<PlanMap<T>>);
 
 /// Plans by window; `None` marks a misaligned window.
-type PlanMap<T, S> = HashMap<Option<u64>, Option<Arc<Plan<T, S>>>>;
+type PlanMap<T> = HashMap<Option<u64>, Option<Arc<Plan<T>>>>;
 
-impl<T, S> Default for Plans<T, S> {
+impl<T> Default for Plans<T> {
     fn default() -> Self {
         Plans(Mutex::new(HashMap::new()))
     }
 }
 
-impl<T, S> Plans<T, S> {
+impl<T> Plans<T> {
     /// The plan of `window`; on first use `select` returns its `N` and
     /// what to probe, or `None` when the window misaligns.
     pub(crate) fn get(
         &self,
         window: Option<u64>,
-        select: impl FnOnce() -> Option<(u64, S)>,
-    ) -> Option<Arc<Plan<T, S>>> {
+        select: impl FnOnce() -> Option<(u64, Vec<Vec<usize>>)>,
+    ) -> Option<Arc<Plan<T>>> {
         let mut plans = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         let plan = plans.entry(window).or_insert_with(|| {
             let (total, parts) = select()?;
@@ -536,12 +534,18 @@ impl<T: Item, D: BlockDevice> RankProbeSource<T> for PartitionProbes<'_, T, D> {
 /// engine shard; a single engine is a fan-in of one), bounds summed.
 pub struct FanIn<'a, T: Item, D: BlockDevice> {
     shards: Vec<PartitionProbes<'a, T, D>>,
+    /// The shard whose probe last failed: file ids repeat across shard
+    /// devices, so only this says where a corrupt block lives.
+    pub(crate) failed: Option<usize>,
 }
 
 impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
     /// Sum `shards`, probing them one after another.
     pub fn new(shards: Vec<PartitionProbes<'a, T, D>>) -> Self {
-        FanIn { shards }
+        FanIn {
+            shards,
+            failed: None,
+        }
     }
 
     /// Run the driver over this fan-in and stamp what its probes cost:
@@ -582,8 +586,10 @@ impl<'a, T: Item, D: BlockDevice> FanIn<'a, T, D> {
 
 impl<T: Item, D: BlockDevice> RankProbeSource<T> for FanIn<'_, T, D> {
     fn probe(&mut self, z: T) -> io::Result<(u64, u64)> {
-        self.shards.iter_mut().try_fold((0, 0), |(lo, hi), s| {
-            s.probe(z).map(|(l, h)| (lo + l, hi + h))
+        let mut each = self.shards.iter_mut().enumerate();
+        each.try_fold((0, 0), |(lo, hi), (i, s)| {
+            let (l, h) = s.probe(z).inspect_err(|_| self.failed = Some(i))?;
+            Ok((lo + l, hi + h))
         })
     }
 }

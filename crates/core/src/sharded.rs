@@ -24,7 +24,8 @@
 //! Queries run against a [`ShardedSnapshot`] (one pinned
 //! [`EngineSnapshot`] per shard), so readers proceed concurrently with
 //! ingestion: take the snapshot under the writer's lock, query it
-//! lock-free while `end_time_step` archives and merges underneath.
+//! lock-free while `end_time_step` archives and merges underneath. A
+//! single engine's snapshot is a `ShardedSnapshot` over its one shard.
 
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -35,7 +36,6 @@ use crate::bounds::{CombinedSummary, SourceView};
 use crate::config::HsqConfig;
 use crate::engine::{EngineSnapshot, HistStreamQuantiles};
 use crate::query::{FanIn, Plan, Plans, ProbeState, QueryOutcome, QueryScope, RankProbeSource};
-use crate::stream::StreamSummary;
 use crate::warehouse::UpdateReport;
 
 /// Shard index of item `e` among `shards`: a multiplicative hash of the
@@ -257,31 +257,21 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
     }
 
     /// Immutable cross-shard view for concurrent readers: one pinned
-    /// [`EngineSnapshot`] per shard. See [`HistStreamQuantiles::snapshot`].
-    ///
-    /// The snapshot caches its cross-shard [`QueryScope`] per window on
-    /// first use, so *reusing one snapshot* for a dashboard's worth of
-    /// queries builds the filters once — see the crate-level perf notes.
-    /// Until the data changes every `snapshot()` is a handle to the same
-    /// view, so the engine's own queries share those scopes too: each
-    /// shard keeps its view ([`HistStreamQuantiles::snapshot`]), and the
-    /// cross-shard one is reused while every shard still hands out the
-    /// view it was built from — a quarantine on one shard retires it.
+    /// [`EngineSnapshot`] per shard, taken from each shard's own view
+    /// ([`HistStreamQuantiles::snapshot`]). It caches its cross-shard
+    /// [`QueryScope`] per window on first use, and until the data changes
+    /// every `snapshot()` is a handle to it, so the engine's own queries
+    /// share those scopes: it is reused while every shard still hands out
+    /// the view it was built from — a quarantine on one shard retires it.
     pub fn snapshot(&self) -> ShardedSnapshot<T, D> {
-        let shards: Vec<_> = self.shards.iter().map(|s| s.snapshot()).collect();
+        let shards = self.shards.iter().map(|s| s.snapshot().shard(0).clone());
+        let shards: Vec<_> = shards.collect();
         let mut view = self.view.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = view.as_ref().filter(|v| v.is_over(&shards)) {
             return v.clone();
         }
-        let snap = ShardedSnapshot {
-            view: Arc::new(ShardedView {
-                shards,
-                epsilon: self.config.query_epsilon(),
-                strict: self.config.strict,
-                plans: Plans::default(),
-            }),
-        };
-        view.insert(snap).clone()
+        view.insert(ShardedSnapshot::new(shards, &self.config))
+            .clone()
     }
 
     /// Drop the cached snapshot before a mutation, so its pins never defer
@@ -290,20 +280,31 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
         *self.view.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
+    /// Run `query` over `window` through the engines' one self-healing
+    /// loop ([`HistStreamQuantiles::answer`]).
+    fn run<R>(
+        &self,
+        window: Option<u64>,
+        query: impl Fn(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
+    ) -> io::Result<Option<R>> {
+        HistStreamQuantiles::answer(&self.shards, || self.snapshot(), window, query)
+    }
+
     /// Accurate φ-quantile over the union of all shards (same `εm`
     /// guarantee as a single engine over the same data; see module docs).
     pub fn quantile(&self, phi: f64) -> io::Result<Option<T>> {
-        self.snapshot().quantile(phi)
+        self.run(None, |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate rank query over the union of all shards.
     pub fn rank_query(&self, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.snapshot().rank_query(r)
+        self.run(None, |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Batch of φ-quantiles over one shared snapshot.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
-        self.snapshot().quantiles(phis)
+        let all = self.run(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
+        Ok(all.expect("the full union always aligns"))
     }
 
     /// Quick φ-quantile (in-memory, error ≤ 1.5εN) over all shards.
@@ -322,13 +323,13 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
     /// and newest `window_steps` retained steps (see
     /// [`ShardedSnapshot::quantile_in_window`]).
     pub fn quantile_in_window(&self, window_steps: u64, phi: f64) -> io::Result<Option<T>> {
-        self.snapshot().quantile_in_window(window_steps, phi)
+        self.run(Some(window_steps), |scope, fan| fan.quantile(scope, phi))
     }
 
     /// Accurate cross-shard windowed rank query (see
     /// [`ShardedSnapshot::rank_in_window`]).
     pub fn rank_in_window(&self, window_steps: u64, r: u64) -> io::Result<Option<QueryOutcome<T>>> {
-        self.snapshot().rank_in_window(window_steps, r)
+        self.run(Some(window_steps), |scope, fan| fan.rank_query(scope, r))
     }
 
     /// Persist every shard's warehouse metadata; returns one manifest
@@ -368,7 +369,8 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 }
 
 /// An immutable cross-shard view (see [`ShardedEngine::snapshot`]):
-/// per-shard pinned snapshots plus the fan-in query machinery.
+/// per-shard pinned data plus the fan-in query machinery — the one
+/// queryable pinned view, also [`HistStreamQuantiles::snapshot`]'s.
 ///
 /// The snapshot is also the **query-plan cache**: the cross-shard plan
 /// of each window (the scope — every in-window partition summary plus
@@ -397,16 +399,29 @@ struct ShardedView<T: Item, D: BlockDevice> {
     strict: bool,
     /// Per window, what [`EngineSnapshot::select`] chose to probe on each
     /// shard, and the cross-shard scope.
-    plans: Plans<T, Vec<Vec<usize>>>,
+    plans: Plans<T>,
 }
 
 impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
+    /// A view over the pinned `shards`, answering under `config`'s query
+    /// `ε` and strictness.
+    pub(crate) fn new(shards: Vec<EngineSnapshot<T, D>>, config: &HsqConfig) -> Self {
+        ShardedSnapshot {
+            view: Arc::new(ShardedView {
+                shards,
+                epsilon: config.query_epsilon(),
+                strict: config.strict,
+                plans: Plans::default(),
+            }),
+        }
+    }
+
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.view.shards.len()
     }
 
-    /// The snapshot of shard `i`.
+    /// The pinned data of shard `i`.
     pub fn shard(&self, i: usize) -> &EngineSnapshot<T, D> {
         &self.view.shards[i]
     }
@@ -447,17 +462,6 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         self.view.epsilon
     }
 
-    /// One global stream summary, merged from the per-shard summaries
-    /// (see [`StreamSummary::merge`]).
-    pub fn merged_stream_summary(&self) -> StreamSummary<T> {
-        self.view
-            .shards
-            .iter()
-            .map(|s| s.stream_summary().clone())
-            .reduce(|a, b| a.merge(&b))
-            .unwrap_or_default()
-    }
-
     /// Window sizes (in snapshot-time steps) answerable exactly across
     /// **every** shard, ascending. Shards normally advance in lockstep so
     /// their partition layouts align; byte-driven retention can retire
@@ -484,7 +488,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
 
     /// The cached plan of `window`, selected once per (snapshot, window).
     /// `None` — also cached — when any shard misaligns with the boundary.
-    fn plan(&self, window: Option<u64>) -> Option<Arc<Plan<T, Vec<Vec<usize>>>>> {
+    fn plan(&self, window: Option<u64>) -> Option<Arc<Plan<T>>> {
         self.view.plans.get(window, || {
             let each = self.view.shards.iter().map(|s| s.select(window));
             let (totals, parts): (Vec<u64>, _) =
@@ -519,11 +523,11 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     }
 
     /// The plan's scope, built on first use.
-    fn plan_scope<'p>(&self, plan: &'p Plan<T, Vec<Vec<usize>>>) -> &'p QueryScope<T> {
-        plan.scope(|parts, total| {
+    fn plan_scope<'p>(&self, plan: &'p Plan<T>) -> &'p QueryScope<T> {
+        plan.scope(|plan| {
             QueryScope::new(
-                &self.sources(parts),
-                total,
+                &self.sources(&plan.parts),
+                plan.total,
                 self.stream_len(),
                 self.view.epsilon,
             )
@@ -559,11 +563,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
             .collect()
     }
 
-    fn fan_in<'a>(
-        &'a self,
-        plan: &Plan<T, Vec<Vec<usize>>>,
-        states: &'a mut [ProbeState<T>],
-    ) -> FanIn<'a, T, D> {
+    fn fan_in<'a>(&'a self, plan: &Plan<T>, states: &'a mut [ProbeState<T>]) -> FanIn<'a, T, D> {
         assert_eq!(
             states.len(),
             self.view.shards.len(),
@@ -599,9 +599,9 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         probes.expect("the full union always aligns").probe(z)
     }
 
-    /// Run `query` with the scope of `window` and a fresh fan-in over it;
-    /// `Ok(None)` when the window misaligns.
-    fn answer<R>(
+    /// Run `query` with the scope of `window` and a fresh fan-in over it
+    /// (cold caches); `Ok(None)` when the window misaligns.
+    pub(crate) fn answer<R>(
         &self,
         window: Option<u64>,
         query: impl FnOnce(&QueryScope<T>, &mut FanIn<'_, T, D>) -> io::Result<Option<R>>,
@@ -625,8 +625,9 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     }
 
     /// Batch of φ-quantiles over this snapshot, sharing one cross-shard
-    /// scope and one set of block caches across the whole batch (mirrors
-    /// [`EngineSnapshot::quantiles`]).
+    /// scope and one set of block caches across the whole batch: cheaper
+    /// than separate [`Self::quantile`] calls (which already share the
+    /// scope) when reporting e.g. p50/p95/p99 together.
     pub fn quantiles(&self, phis: &[f64]) -> io::Result<Vec<Option<T>>> {
         let all = self.answer(None, |scope, fan| fan.quantiles(scope, phis).map(Some))?;
         Ok(all.expect("the full union always aligns"))
@@ -848,23 +849,6 @@ mod tests {
         assert_eq!(snap.total_len(), 900);
         assert_eq!(snap.quantile(0.5).unwrap().unwrap(), before);
         assert!((before as i64 - 450).abs() <= 5, "median {before}");
-    }
-
-    #[test]
-    fn merged_stream_summary_covers_union() {
-        let mut e = sharded(4, 0.1, 3);
-        let data = gen_stream(31, 3000);
-        e.stream_extend(&data);
-        let snap = e.snapshot();
-        let merged = snap.merged_stream_summary();
-        assert_eq!(merged.stream_len(), 3000);
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        for probe in sorted.iter().step_by(293) {
-            let truth = sorted.partition_point(|&x| x <= *probe) as u64;
-            let (lo, hi) = merged.rank_bounds(*probe);
-            assert!(lo <= truth && truth <= hi, "{truth} outside [{lo},{hi}]");
-        }
     }
 
     #[test]

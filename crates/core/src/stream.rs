@@ -96,71 +96,6 @@ impl<T: Item> StreamSummary<T> {
             .unwrap_or(self.m);
         (lo.min(hi), hi.max(lo))
     }
-
-    /// Merge with the summary of a *disjoint* stream: ranks over a
-    /// disjoint union add, so each merged entry carries
-    /// `Σ rank_bounds(value)` of the two inputs and the result summarizes
-    /// `R₁ ∪ R₂` (size `m₁ + m₂`) with the summed uncertainty.
-    ///
-    /// This is what makes per-shard stream summaries composable: a
-    /// [`crate::sharded::ShardedSnapshot`] can expose one global stream
-    /// view no matter how many shards contributed. Associative and
-    /// commutative (up to bound tightness).
-    ///
-    /// Implemented as one linear two-pointer sweep over the two entry
-    /// lists (both already in value order): for each distinct value the
-    /// sweep carries the running "last entry ≤ v" lower bound per side
-    /// and reads the "first entry > v" upper bound from the unconsumed
-    /// head — the same quantities [`StreamSummary::rank_bounds`] would
-    /// binary-search for, at O(β₂) total instead of O(β₂ log β₂).
-    pub fn merge(&self, other: &Self) -> Self {
-        if self.m == 0 {
-            return other.clone();
-        }
-        if other.m == 0 {
-            return self.clone();
-        }
-        let (a, b) = (&self.entries[..], &other.entries[..]);
-        let mut entries = Vec::with_capacity(a.len() + b.len());
-        let (mut ja, mut jb) = (0usize, 0usize); // heads: first entry > v
-        let (mut la, mut lb) = (0u64, 0u64); // rmin of last entry ≤ v
-        while ja < a.len() || jb < b.len() {
-            let v = match (a.get(ja), b.get(jb)) {
-                (Some(x), Some(y)) => x.value.min(y.value),
-                (Some(x), None) => x.value,
-                (None, Some(y)) => y.value,
-                (None, None) => unreachable!(),
-            };
-            while ja < a.len() && a[ja].value <= v {
-                la = a[ja].rmin;
-                ja += 1;
-            }
-            while jb < b.len() && b[jb].value <= v {
-                lb = b[jb].rmin;
-                jb += 1;
-            }
-            let ha = a
-                .get(ja)
-                .map(|e| e.rmax.saturating_sub(1))
-                .unwrap_or(self.m);
-            let hb = b
-                .get(jb)
-                .map(|e| e.rmax.saturating_sub(1))
-                .unwrap_or(other.m);
-            // Per-side clamp, exactly as `rank_bounds` applies it.
-            let (a_lo, a_hi) = (la.min(ha), ha.max(la));
-            let (b_lo, b_hi) = (lb.min(hb), hb.max(lb));
-            entries.push(SsEntry {
-                value: v,
-                rmin: a_lo + b_lo,
-                rmax: a_hi + b_hi,
-            });
-        }
-        StreamSummary {
-            entries,
-            m: self.m + other.m,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -475,47 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_summaries_bound_union_ranks() {
-        // Two disjoint streams; the merged summary's bounds must bracket
-        // ranks in the union.
-        let a: Vec<u64> = (0..3000).map(|i| (i * 7) % 10_000).collect();
-        let b: Vec<u64> = (0..2000).map(|i| (i * 13 + 1) % 10_000).collect();
-        let sa = processor_with(&a, 0.1).summary();
-        let sb = processor_with(&b, 0.1).summary();
-        let merged = sa.merge(&sb);
-        assert_eq!(merged.stream_len(), 5000);
-        let mut union: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
-        union.sort_unstable();
-        for probe in (0..10_000).step_by(397) {
-            let truth = union.partition_point(|&x| x <= probe) as u64;
-            let (lo, hi) = merged.rank_bounds(probe);
-            assert!(
-                lo <= truth && truth <= hi,
-                "probe {probe}: {truth} outside [{lo},{hi}]"
-            );
-        }
-        // Merged uncertainty stays summary-quality: O(eps * total m).
-        let (mlo, mhi) = merged.rank_bounds(5000);
-        assert!(
-            mhi - mlo <= (0.25 * 5000.0) as u64,
-            "merged width {} too loose",
-            mhi - mlo
-        );
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a = processor_with(&[5, 7, 9], 0.25).summary();
-        let empty = StreamProcessor::<u64>::new(0.25, 5).summary();
-        let m1 = a.merge(&empty);
-        let m2 = empty.merge(&a);
-        assert_eq!(m1.stream_len(), 3);
-        assert_eq!(m2.stream_len(), 3);
-        assert_eq!(m1.entries(), a.entries());
-        assert_eq!(m2.entries(), a.entries());
-    }
-
-    #[test]
     fn summary_size_near_beta2() {
         let data: Vec<u64> = (0..100_000u64)
             .map(|i| i.wrapping_mul(2654435761))
@@ -626,66 +520,6 @@ mod tests {
                     lo <= truth && truth <= hi,
                     "{kind:?}: probe {probe} truth {truth} outside [{lo},{hi}]"
                 );
-            }
-        }
-    }
-
-    /// Regression for the linear merge rewrite: an N-way shard merge must
-    /// answer like single-stream insertion, within ε·m (plus the
-    /// per-shard quantization slack), for both backends.
-    #[test]
-    fn n_way_shard_merge_matches_single_stream() {
-        let eps2 = 0.1f64;
-        let m = 12_000u64;
-        let data: Vec<u64> = (0..m)
-            .map(|i| i.wrapping_mul(2654435761) % 50_000)
-            .collect();
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let beta2 = (1.0 / eps2 + 1.0).ceil() as usize;
-        for kind in [SketchKind::Gk, SketchKind::Kll] {
-            for shards in [2usize, 4, 8] {
-                let mut parts: Vec<StreamProcessor<u64>> = (0..shards)
-                    .map(|_| StreamProcessor::with_kind(kind, eps2, beta2))
-                    .collect();
-                for (i, &v) in data.iter().enumerate() {
-                    parts[i % shards].update(v);
-                }
-                let merged = parts
-                    .iter()
-                    .map(|p| p.summary())
-                    .reduce(|acc, s| acc.merge(&s))
-                    .unwrap();
-                assert_eq!(merged.stream_len(), m);
-                let single = if kind == SketchKind::Gk {
-                    processor_with(&data, eps2).summary()
-                } else {
-                    kll_processor_with(&data, eps2).summary()
-                };
-                // Each side's bound overshoots truth by at most one rank-
-                // target spacing (ε₂·m — Algorithm 4's extraction grid)
-                // plus its sketch interval (≤ ε₂·m/2 summed over shards),
-                // so two brackets of the same truth sit within 2·ε₂·m of
-                // each other, modulo per-shard rounding units.
-                let slack = 2 * (eps2 * m as f64).ceil() as u64 + 2 * shards as u64 + 2;
-                for probe in (0..50_000u64).step_by(701) {
-                    let truth = sorted.partition_point(|&x| x <= probe) as u64;
-                    let (mlo, mhi) = merged.rank_bounds(probe);
-                    let (slo, shi) = single.rank_bounds(probe);
-                    assert!(
-                        mlo <= truth && truth <= mhi,
-                        "{kind:?}/{shards}: merged [{mlo},{mhi}] misses {truth} at {probe}"
-                    );
-                    assert!(slo <= truth && truth <= shi);
-                    // Merged bounds within eps*m of the single-stream ones.
-                    assert!(
-                        mlo.abs_diff(slo) <= slack && mhi.abs_diff(shi) <= slack,
-                        "{kind:?}/{shards}: merged [{mlo},{mhi}] vs single [{slo},{shi}] \
-                         exceeds slack {slack} at {probe}"
-                    );
-                    // And the merged width stays summary-quality.
-                    assert!(mhi - mlo <= 2 * slack);
-                }
             }
         }
     }

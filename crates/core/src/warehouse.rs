@@ -468,20 +468,25 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// writes it as a level-0 partition with its summary built in-stream,
     /// then cascades merges while any level holds more than `κ` partitions.
     pub fn add_batch(&mut self, mut batch: Vec<T>) -> io::Result<UpdateReport> {
+        self.add_unsorted_batch(&mut batch)
+    }
+
+    /// [`Warehouse::add_batch`] over a borrowed batch, sorted in place
+    /// (chunk by chunk past the sort budget) and taken once its run is
+    /// written: if the step fails before that, the caller keeps the items.
+    /// The step counts — `steps` and `n` advance — only with the run.
+    pub(crate) fn add_unsorted_batch(&mut self, batch: &mut Vec<T>) -> io::Result<UpdateReport> {
         if batch.len() <= self.config.sort_budget_items {
             // In-memory sort (radix for radix-keyed items), then the
             // shared sorted-store path.
             let t0 = Instant::now();
-            hsq_storage::sort_items(&mut batch);
+            hsq_storage::sort_items(batch);
             let sort_time = t0.elapsed();
             let mut report = self.add_sorted_batch(batch)?;
             report.sort_time += sort_time;
             return Ok(report);
         }
         let mut report = UpdateReport::default();
-        self.steps += 1;
-        let eta = batch.len() as u64;
-        self.total_len += eta;
 
         // External sort: spill budget-sized sorted runs, then stream one
         // multi-way merge into the final partition, tapping it for the
@@ -512,8 +517,10 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
         deleted?;
         report.load_io = self.dev.stats().snapshot() - before_load;
         report.load_time = t1.elapsed();
-        drop(batch);
 
+        self.steps += 1;
+        self.total_len += batch.len() as u64;
+        drop(std::mem::take(batch));
         self.push_level0(StoredPartition {
             run,
             summary,
@@ -535,36 +542,38 @@ impl<T: Item, D: BlockDevice> Warehouse<T, D> {
     /// (nondecreasing), skipping the sort entirely. This is the fast path
     /// the engine's batched ingestion uses: staged stream batches are kept
     /// as sorted segments, so archiving costs one merge of the segments
-    /// plus this sorted store — no `O(η log η)` re-sort.
-    pub fn add_sorted_batch(&mut self, batch: Vec<T>) -> io::Result<UpdateReport> {
+    /// plus this sorted store — no `O(η log η)` re-sort. The batch is
+    /// taken, and the step counts, only once its run is written; after an
+    /// earlier error the items are still in `batch`.
+    pub fn add_sorted_batch(&mut self, batch: &mut Vec<T>) -> io::Result<UpdateReport> {
         debug_assert!(batch.windows(2).all(|w| w[0] <= w[1]), "batch not sorted");
         let mut report = UpdateReport::default();
-        self.steps += 1;
-        let eta = batch.len() as u64;
-        if eta == 0 {
+        if batch.is_empty() {
             // A step with no data stores nothing, but the step clock still
             // advances, so age-based retention may expire partitions.
+            self.steps += 1;
             report.retention = self.apply_retention()?;
             return Ok(report);
         }
-        self.total_len += eta;
 
         // Load = writing the sorted blocks.
         let t1 = Instant::now();
         let before = self.dev.stats().snapshot();
-        let run = hsq_storage::write_run(&*self.dev, &batch)?;
+        let run = hsq_storage::write_run(&*self.dev, batch)?;
         report.load_io = self.dev.stats().snapshot() - before;
         report.load_time = t1.elapsed();
+        self.steps += 1;
+        self.total_len += batch.len() as u64;
 
         let t2 = Instant::now();
         let summary = summarize_sorted(
-            &batch,
+            batch,
             self.config.epsilon1,
             self.config.beta1,
             self.dev.block_size(),
         );
         report.summary_time = t2.elapsed();
-        drop(batch);
+        drop(std::mem::take(batch));
 
         self.push_level0(StoredPartition {
             run,

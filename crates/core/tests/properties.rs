@@ -446,8 +446,10 @@ proptest! {
 
     /// One algorithm, three surfaces: the live engine, its pinned
     /// snapshot and a 1-shard sharded snapshot over the same data return
-    /// the same outcome (everything but `io`) for every rank, full union
-    /// and every aligned window, and each answer meets Theorem 2.
+    /// the same outcome for every rank, full union and every aligned
+    /// window — reads and bytes read included; only `io`'s seq/rand split
+    /// is left out, since it depends on the device's previous read
+    /// position — and each answer meets Theorem 2.
     #[test]
     fn surfaces_agree_on_every_outcome(
         steps in proptest::collection::vec(
@@ -474,6 +476,7 @@ proptest! {
         let key = |o: hsq_core::QueryOutcome<u64>| (
             o.value, o.estimated_rank, o.bisection_steps,
             o.rank_lo, o.rank_hi, o.degraded, o.quarantined,
+            o.io.total_reads(), o.io.bytes_read,
         );
 
         let windows = h.available_windows();

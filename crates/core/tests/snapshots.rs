@@ -147,7 +147,7 @@ fn sharded_snapshot_reads_race_ingestion() {
     assert!(checked > 0, "reader never observed a snapshot");
 }
 
-/// Expiry-under-query stress: reader threads hold `EngineSnapshot`s while
+/// Expiry-under-query stress: reader threads hold engine snapshots while
 /// an aggressive TTL policy retires the very partitions they pin. Every
 /// snapshot's answers must be byte-for-byte unchanged by concurrent
 /// expiry, and the retired files must stay on the device until the last

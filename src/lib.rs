@@ -407,9 +407,10 @@
 //! tightest bracket, which cuts p50 probe counts from ~45 (domain-seeded)
 //! to ~3 on the headline workload.
 //!
-//! **One query path.** Every surface — [`HistStreamQuantiles`],
-//! [`hsq_core::EngineSnapshot`], [`ShardedEngine`] / [`ShardedSnapshot`],
-//! a served node and [`service::TenantSession`] — answers through the
+//! **One query path.** Every surface — [`HistStreamQuantiles`] and
+//! [`ShardedEngine`], their one snapshot type [`ShardedSnapshot`] (a single
+//! engine's is over its one shard), a served node and
+//! [`service::TenantSession`] — answers through the
 //! same three pieces in [`hsq_core::query`]: a *scope* (the combined
 //! summary of the selected partitions plus the stream, with `N`, `m`,
 //! `ε`, the quarantined mass and `strict`; a window is just another
@@ -417,12 +418,12 @@
 //! for a value, and the *driver* `accurate_response` that seeds a
 //! bracket from the scope and bisects over the source (Algorithms 6–8).
 //! The surfaces only build the scope and the source; recovery
-//! (quarantine-and-retry on the live engine, failover restarts on the
-//! coordinator) wraps the path from outside.
+//! (one quarantine-and-retry loop shared by both engines, failover
+//! restarts on the coordinator) wraps the path from outside.
 //!
-//! **Scopes build once per view.** A snapshot — [`hsq_core::EngineSnapshot`]
-//! or [`ShardedSnapshot`] — caches each window's scope (combined summary
-//! included) on first use, and the engines hand out the *same* view, which
+//! **Scopes build once per view.** A [`ShardedSnapshot`] caches each
+//! window's scope (combined summary included) on first use, and the
+//! engines hand out the *same* view, which
 //! their own queries answer through too, until the data changes: any
 //! ingest, step close or scrub retires it, and so does a quarantine. A
 //! dashboard between two ingests therefore pays for each window's `TS`

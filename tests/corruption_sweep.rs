@@ -372,3 +372,45 @@ fn strict_is_honoured_by_sharded_and_snapshot_surfaces() {
     assert_eq!(o.quarantined, mass);
     assert_eq!(o.rank_hi, o.estimated_rank + eps_m + mass);
 }
+
+/// A sharded engine self-heals like a single one: rot on one shard
+/// quarantines the partition on *that* shard, even though the same file
+/// id names a healthy partition on another shard's device.
+#[test]
+fn sharded_queries_quarantine_the_rotted_shard_only() {
+    let cfg = HsqConfig::builder().epsilon(EPS).merge_threshold(3).build();
+    let mut e = ShardedEngine::<u64, _>::with_shards(2, cfg, |_| MemDevice::new(256));
+    let mut oracle = Vec::new();
+    for s in 0..STEPS {
+        let batch: Vec<u64> = (0..2 * STEP_ITEMS)
+            .map(|i| value(3, s * 1_000 + i))
+            .collect();
+        oracle.extend_from_slice(&batch);
+        e.ingest_step(&batch).unwrap();
+    }
+    let live: Vec<u64> = (0..2 * STREAM_ITEMS).map(|i| value(5, i)).collect();
+    oracle.extend_from_slice(&live);
+    e.stream_extend(&live);
+    oracle.sort_unstable();
+
+    let newest = |i: usize| e.shard(i).warehouse().partitions_newest_first()[0].run;
+    let (rotted, twin) = (newest(0), newest(1));
+    assert_eq!(rotted.file(), twin.file(), "the file id must repeat");
+    let dev = Arc::clone(e.shard(0).warehouse().device());
+    let bs = dev.block_size();
+    for b in 0..rotted.len().div_ceil(rotted.items_per_block(bs) as u64) {
+        rot(&dev, rotted.file(), b);
+    }
+
+    let n = e.total_len();
+    let eps_m = (e.config().query_epsilon() * e.stream_len() as f64).floor() as u64;
+    for i in 1..=20u64 {
+        let r = i * n / 20;
+        let o = e.rank_query(r).unwrap().unwrap();
+        assert_sound(&oracle, &o, r, eps_m);
+        assert_eq!(o.quarantined, rotted.len(), "rank {r}");
+    }
+    assert!(e.shard(0).warehouse().is_quarantined(rotted.file()));
+    assert!(!e.shard(1).warehouse().is_quarantined(twin.file()));
+    assert_eq!(e.shard(1).warehouse().quarantined_mass(), 0);
+}

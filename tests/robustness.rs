@@ -5,8 +5,8 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hsq::core::{HistStreamQuantiles, HsqConfig};
-use hsq::storage::{BlockDevice, FileId, IoStats, MemDevice, F64};
+use hsq::core::{HistStreamQuantiles, HsqConfig, QueryOutcome};
+use hsq::storage::{BlockDevice, Fault, FaultDevice, FileId, IoSnapshot, IoStats, MemDevice, F64};
 
 /// A device that starts failing reads after a fuse burns out.
 struct FlakyDevice {
@@ -206,4 +206,60 @@ fn empty_steps_interleaved() {
     assert_eq!(h.warehouse().steps(), 6);
     assert_eq!(h.total_len(), 300);
     assert!(h.quantile(0.5).unwrap().is_some());
+}
+
+/// A transient write error while a step closes loses nothing: the step
+/// stays open with its items staged and its stream intact, the warehouse
+/// counts only what it holds, and a retry answers like an engine that
+/// never saw the fault.
+#[test]
+fn a_failed_step_close_keeps_its_items_for_the_retry() {
+    let build = || {
+        let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(3).build();
+        let dev = FaultDevice::new(MemDevice::new(256));
+        let mut h = HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), cfg);
+        for step in 0..2u64 {
+            h.ingest_step(&(0..100).map(|i| step * 100 + i).collect::<Vec<_>>())
+                .unwrap();
+        }
+        h.stream_extend(&(200..300u64).rev().collect::<Vec<_>>());
+        (h, dev)
+    };
+    let (mut twin, twin_dev) = build();
+    let before = twin_dev.mutations();
+    twin.end_time_step().unwrap();
+    let mutations = twin_dev.mutations() - before;
+    assert!(mutations >= 5, "the sweep must be real: {mutations}");
+    let answers = |h: &HistStreamQuantiles<u64, FaultDevice<MemDevice>>| {
+        (1..=h.total_len())
+            .step_by(7)
+            .map(|r| {
+                let o = h.rank_query(r).unwrap().unwrap();
+                QueryOutcome {
+                    io: IoSnapshot::default(),
+                    ..o
+                }
+            })
+            .collect::<Vec<_>>()
+    };
+    let expected = answers(&twin);
+
+    for k in 0..mutations {
+        let (mut h, dev) = build();
+        dev.arm(Fault::FailOp(dev.mutations() + k));
+        assert!(h.end_time_step().is_err(), "k = {k}");
+        let stored: u64 = h
+            .warehouse()
+            .partitions_newest_first()
+            .iter()
+            .map(|p| p.run.len())
+            .sum();
+        assert_eq!(h.historical_len(), stored, "k = {k}");
+        assert_eq!(h.warehouse().steps(), 2, "k = {k}");
+        assert_eq!(h.stream_len(), 100, "k = {k}");
+
+        h.end_time_step().unwrap();
+        assert_eq!(h.warehouse().steps(), 3, "k = {k}");
+        assert_eq!(answers(&h), expected, "k = {k}");
+    }
 }
