@@ -21,16 +21,16 @@ use std::process::Command;
 /// Every knob the sweep scrubs before injecting a case: exactly the
 /// `HSQ_*` names in the workspace's sources (`knob_list_matches_sources`
 /// checks it). CI legs export several of these, and a leaked one would
-/// cross-talk into an unrelated probe (e.g. a leaked `HSQ_FLEET` flips
-/// the `fleet` probe's no-fleet cases). `HSQ_BENCH_JSON` is scrubbed but
+/// cross-talk into an unrelated probe (e.g. a leaked `HSQ_SKETCH` flips
+/// the `sketch` probe's unset case). `HSQ_BENCH_JSON` is scrubbed but
 /// never probed: it is a free-form output path, so every value is
-/// well-formed.
+/// well-formed. `HSQ_CHAOS_SEED` is scrubbed but not probed either: only
+/// the service crate's chaos test binary reads it, and it panics on
+/// garbage itself (same loud-failure convention).
 const ALL_KNOBS: &[&str] = &[
     "HSQ_WORKERS",
     "HSQ_SKETCH",
     "HSQ_BENCH_JSON",
-    "HSQ_FLEET",
-    "HSQ_FLEET_STRICT",
     "HSQ_CHAOS_SEED",
     "HSQ_KNOB_PROBE",
 ];
@@ -50,10 +50,6 @@ fn env_knob_probe() {
         "sketch" => {
             let k = hsq_sketch::SketchKind::from_env();
             println!("probe ok: sketch = {k:?}");
-        }
-        "fleet" => {
-            let f = hsq_service::FleetConfig::from_env();
-            println!("probe ok: fleet = {f:?}");
         }
         other => panic!("unknown probe {other:?}"),
     }
@@ -117,38 +113,6 @@ fn hsq_sketch_sweep() {
     accepts("sketch", &[("HSQ_SKETCH", "KLL")]);
     for garbage in ["klll", "gk2", "", "quantile"] {
         rejects("sketch", &[("HSQ_SKETCH", garbage)], "HSQ_SKETCH");
-    }
-}
-
-#[test]
-fn hsq_fleet_sweep() {
-    // HSQ_CHAOS_SEED is scrubbed but not probed here: it is read only by
-    // the service crate's chaos test binary, which panics on garbage
-    // itself (same loud-failure convention).
-    accepts("fleet", &[]);
-    accepts("fleet", &[("HSQ_FLEET", "")]);
-    accepts("fleet", &[("HSQ_FLEET", "a:7001,b:7001;a:7002,b:7002")]);
-    accepts("fleet", &[("HSQ_FLEET", "localhost:9000")]);
-    accepts(
-        "fleet",
-        &[("HSQ_FLEET", "a:1;b:1"), ("HSQ_FLEET_STRICT", "1")],
-    );
-    accepts(
-        "fleet",
-        &[("HSQ_FLEET", "a:1"), ("HSQ_FLEET_STRICT", "false")],
-    );
-    // A strict flag with no fleet is inert (the knob reader never runs),
-    // matching how single-node deployments ignore fleet knobs.
-    accepts("fleet", &[("HSQ_FLEET_STRICT", "1")]);
-    for garbage in ["noport", ";", "a:1;noport", ","] {
-        rejects("fleet", &[("HSQ_FLEET", garbage)], "HSQ_FLEET");
-    }
-    for garbage in ["2", "strict", "yes please"] {
-        rejects(
-            "fleet",
-            &[("HSQ_FLEET", "a:1"), ("HSQ_FLEET_STRICT", garbage)],
-            "HSQ_FLEET_STRICT",
-        );
     }
 }
 

@@ -49,8 +49,6 @@ pub struct HistStreamQuantiles<T: Item, D: BlockDevice> {
     /// folded into the next `UpdateReport::sort_time`.
     staging_sort_time: std::time::Duration,
     config: HsqConfig,
-    /// Optional heavy-hitter tracking (extension; see [`crate::heavy`]).
-    heavy: Option<crate::heavy::HeavyTracker<T>>,
     /// The view queries and [`Self::snapshot`] share until the data
     /// changes; `None` until first asked for.
     view: Mutex<Option<ShardedSnapshot<T, D>>>,
@@ -68,29 +66,22 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             staging_segments: Vec::new(),
             staging_sort_time: std::time::Duration::ZERO,
             config,
-            heavy: None,
             view: Mutex::new(None),
         }
     }
 
-    /// Enable φ-heavy-hitter queries over the union (extension beyond the
-    /// paper's figures; see [`crate::heavy`]). Call before streaming data:
-    /// the stream-side sketch only sees elements from this point on.
-    pub fn enable_heavy_hitters(&mut self, config: crate::heavy::HeavyHitterConfig) {
-        self.heavy = Some(crate::heavy::HeavyTracker::new(config));
-    }
-
-    /// Values occurring more than `phi * N` times in `T = H ∪ R`, most
-    /// frequent first, with exact historical counts and bounded stream
-    /// counts. Requires [`Self::enable_heavy_hitters`].
+    /// φ-heavy hitters (extension beyond the paper's figures; see
+    /// [`crate::heavy`]): every value occurring at least `⌈φN⌉` times
+    /// (and at least once) in `T = H ∪ R`, most frequent first, with
+    /// exact counts — historical ones from the sorted partitions, stream
+    /// ones from the staged items. Needs no setup, and answers alike
+    /// after [`Self::persist`] and [`Self::recover`], which carry the
+    /// staged items.
     pub fn heavy_hitters(&self, phi: f64) -> io::Result<Vec<crate::heavy::HeavyHitter<T>>> {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
-        let tracker = self
-            .heavy
-            .as_ref()
-            .expect("call enable_heavy_hitters() before querying heavy hitters");
         let threshold = ((phi * self.total_len() as f64).ceil() as u64).max(1);
-        tracker.heavy_hitters(&self.warehouse, threshold, self.config.cache_blocks)
+        let cache_blocks = self.config.cache_blocks;
+        crate::heavy::heavy_hitters(&self.warehouse, &self.staging, threshold, cache_blocks)
     }
 
     /// The configuration in effect.
@@ -134,9 +125,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     pub fn stream_update(&mut self, e: T) {
         self.invalidate();
         self.stream.update(e);
-        if let Some(h) = &mut self.heavy {
-            h.update(e);
-        }
         self.staging.push(e);
     }
 
@@ -154,11 +142,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             return;
         }
         self.invalidate();
-        if let Some(h) = &mut self.heavy {
-            for &e in batch {
-                h.update(e);
-            }
-        }
         self.seal_staging_tail();
         let start = self.staging.len();
         self.staging.extend_from_slice(batch);
@@ -180,11 +163,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         }
         self.invalidate();
         self.stream.update_weighted(e, w);
-        if let Some(h) = &mut self.heavy {
-            for _ in 0..w {
-                h.update(e);
-            }
-        }
         self.staging.extend(std::iter::repeat_n(e, w as usize));
     }
 
@@ -201,13 +179,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             return;
         }
         self.invalidate();
-        if let Some(h) = &mut self.heavy {
-            for &(e, w) in batch {
-                for _ in 0..w {
-                    h.update(e);
-                }
-            }
-        }
         self.seal_staging_tail();
         let mut pairs: Vec<(T, u64)> = batch.iter().copied().filter(|&(_, w)| w > 0).collect();
         let t0 = Instant::now();
@@ -280,9 +251,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         }
         self.staging_segments.clear();
         self.stream.reset();
-        if let Some(h) = &mut self.heavy {
-            h.reset();
-        }
         let staging_sort = std::mem::take(&mut self.staging_sort_time);
         let mut report = archived?;
         report.sort_time += staging_sort;
@@ -429,9 +397,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// Persist the full engine state (see [`crate::manifest`]): the
     /// warehouse's metadata plus the live stream — sketch and staging
     /// buffer — so [`Self::recover`] resumes *mid-step* with identical
-    /// query answers, under either sketch backend. The optional
-    /// heavy-hitter tracker is not persisted; re-enable it after
-    /// recovery (it sees elements from that point on).
+    /// query answers, under either sketch backend.
     pub fn persist(&self) -> io::Result<hsq_storage::FileId> {
         crate::manifest::persist_engine(
             &self.warehouse,
@@ -468,7 +434,6 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
             staging_segments,
             staging_sort_time: std::time::Duration::ZERO,
             config,
-            heavy: None,
             view: Mutex::new(None),
         })
     }
@@ -1316,21 +1281,19 @@ mod tests {
     #[test]
     fn heavy_hitters_see_batched_updates() {
         let mut h = engine(0.1, 3);
-        h.enable_heavy_hitters(crate::heavy::HeavyHitterConfig::default());
         let mut batch = vec![7u64; 300];
         batch.extend(0..700u64);
         h.stream_extend(&batch);
         let hits = h.heavy_hitters(0.2).unwrap();
         let top = hits.first().expect("7 must be reported");
-        assert_eq!(top.value, 7);
-        assert!(top.stream_lo <= 301 && 301 <= top.stream_hi);
+        assert_eq!((top.value, top.hist_count, top.stream_count), (7, 0, 301));
     }
 
     #[test]
-    fn heavy_hitter_tracker_survives_time_steps() {
+    fn heavy_hitters_count_archived_steps_once() {
         let mut h = engine(0.1, 3);
-        h.enable_heavy_hitters(crate::heavy::HeavyHitterConfig::default());
-        // Heavy value spread across archived steps AND the live stream.
+        // Heavy value spread across archived steps AND the live stream:
+        // a closed step's copies move from the stream count to history.
         for _ in 0..3 {
             let mut batch = vec![99u64; 300];
             batch.extend(0..700u64);
@@ -1343,8 +1306,8 @@ mod tests {
         let top = hits.first().expect("99 must be reported");
         assert_eq!(top.value, 99);
         // 300 planted copies + one natural 99 from 0..700, per batch.
-        assert_eq!(top.hist_count, 903);
-        assert!(top.stream_lo <= 100 && 100 <= top.stream_hi);
+        assert_eq!((top.hist_count, top.stream_count), (903, 100));
+        assert_eq!(top.count(), 1003);
     }
 
     /// `TS` of the engine's current full-union scope.

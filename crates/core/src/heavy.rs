@@ -4,48 +4,38 @@
 //! names heavy hitters next to quantiles as the fundamental primitives
 //! with "no prior work … in this setting" (§1), and its conclusion lists
 //! "other classes of aggregates" as future work (§4). This module answers
-//! φ-heavy-hitter queries — *which values occur more than `φN` times in
-//! `T = H ∪ R`?* — reusing exactly the machinery the quantile path built:
+//! φ-heavy-hitter queries — *which values occur at least `⌈φN⌉` times in
+//! `T = H ∪ R`?* — from data the engine already holds, with exact counts:
 //!
-//! * **streaming side**: a Misra–Gries sketch over `R` (reset each time
-//!   step like the GK sketch) yields candidates and count bounds;
+//! * **streaming side**: exact count of the staged items (the live step's
+//!   raw data, kept for archival and persisted with the stream), sorted
+//!   once per query;
 //! * **historical side**: partitions are *sorted*, so the exact
 //!   multiplicity of any value `v` in a partition is
 //!   `rank(v) − rank(pred(v))` — two summary-narrowed, block-cached
 //!   searches (the same [`hsq_storage::SortedRun::rank_in`] the accurate
-//!   quantile response uses). Candidate generation is also free:
-//!   any value with ≥ `ε₁·η + 1` duplicates in a partition must occupy
-//!   one of the `β₁` evenly spaced summary positions, so the summary
-//!   values themselves are a complete historical candidate set.
+//!   quantile response uses).
 //!
-//! The result is sound and complete: every value with
-//! `count > φN` is returned (given `φ ≥ threshold floor`, see
-//! [`HeavyHitterConfig`]), with exact historical counts and rigorously
-//! bounded stream counts.
+//! Candidates are every partition-summary value plus each staged value
+//! with `stream_count + slack ≥ threshold`. `slack = Σ_P slack_P`, where
+//! `slack_P` is the longest run a value missing from `P`'s summary can
+//! have in `P`: the widest gap `r_{i+1} − r_i − 1` between adjacent
+//! summary ranks (or `η − r_last` past the last entry). A value in no
+//! summary has at most `slack` historical copies, so a heavy one is
+//! staged — unless `slack ≥ threshold`, when it may live in history
+//! alone. Then one of its `k` partition counts is at least
+//! `⌈threshold / k⌉`, and every partition whose slack reaches that is
+//! scanned for runs at least as long. The answer is exact and complete
+//! for every φ ∈ (0, 1]; only a `φN ≤ slack` (about `ε₁·n`) query reads
+//! partitions end to end.
 
 use std::collections::BTreeSet;
 use std::io;
 
-use hsq_sketch::MisraGries;
 use hsq_storage::{BlockCache, BlockDevice, Item};
 
+use crate::summary::PartitionSummary;
 use crate::warehouse::{StoredPartition, Warehouse};
-
-/// Configuration for the heavy-hitter tracker.
-#[derive(Clone, Copy, Debug)]
-pub struct HeavyHitterConfig {
-    /// Misra–Gries counters for the live stream: catches every value with
-    /// stream frequency `> m/(counters+1)`.
-    pub stream_counters: usize,
-}
-
-impl Default for HeavyHitterConfig {
-    fn default() -> Self {
-        HeavyHitterConfig {
-            stream_counters: 256,
-        }
-    }
-}
 
 /// A reported heavy hitter with its count decomposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,101 +44,104 @@ pub struct HeavyHitter<T> {
     pub value: T,
     /// Exact occurrences in the historical warehouse.
     pub hist_count: u64,
-    /// Lower bound on occurrences in the live stream.
-    pub stream_lo: u64,
-    /// Upper bound on occurrences in the live stream.
-    pub stream_hi: u64,
+    /// Exact occurrences in the live stream.
+    pub stream_count: u64,
 }
 
 impl<T> HeavyHitter<T> {
-    /// Guaranteed total count lower bound.
-    pub fn count_lo(&self) -> u64 {
-        self.hist_count + self.stream_lo
-    }
-
-    /// Total count upper bound.
-    pub fn count_hi(&self) -> u64 {
-        self.hist_count + self.stream_hi
+    /// Exact occurrences in `T = H ∪ R`.
+    pub fn count(&self) -> u64 {
+        self.hist_count + self.stream_count
     }
 }
 
-/// Streaming-side state: a Misra–Gries sketch kept alongside the GK
-/// sketch and reset at each time-step boundary.
-#[derive(Clone, Debug)]
-pub struct HeavyTracker<T> {
-    mg: MisraGries<T>,
-}
+/// Every value occurring at least `threshold` times in
+/// `warehouse ∪ staged`, most frequent first, with exact per-side counts
+/// (see the module docs for why the candidate set is complete).
+pub(crate) fn heavy_hitters<T: Item, D: BlockDevice>(
+    warehouse: &Warehouse<T, D>,
+    staged: &[T],
+    threshold: u64,
+    cache_blocks: usize,
+) -> io::Result<Vec<HeavyHitter<T>>> {
+    let partitions = warehouse.partitions_newest_first();
+    let dev = &**warehouse.device();
+    let mut stream = staged.to_vec();
+    hsq_storage::sort_items(&mut stream);
 
-impl<T: Item> HeavyTracker<T> {
-    /// New tracker.
-    pub fn new(config: HeavyHitterConfig) -> Self {
-        HeavyTracker {
-            mg: MisraGries::new(config.stream_counters),
-        }
-    }
-
-    /// Observe one streaming element.
-    #[inline]
-    pub fn update(&mut self, v: T) {
-        self.mg.insert(v);
-    }
-
-    /// Reset at the end of a time step (the batch moves to the warehouse,
-    /// where its duplicates become exactly countable).
-    pub fn reset(&mut self) {
-        self.mg.reset();
-    }
-
-    /// Words of memory used.
-    pub fn memory_words(&self) -> usize {
-        self.mg.memory_words()
-    }
-
-    /// Report every value whose total count in `warehouse ∪ stream` may
-    /// exceed `threshold` occurrences, with per-side counts. Sound
-    /// (`count_hi ≥ true count ≥ count_lo`) and complete for any
-    /// `threshold ≥ Σ_P ⌈ε₁·η_P⌉ + m/(counters+1)` (candidate coverage;
-    /// in φN terms: φ ≳ ε₁ + 1/counters).
-    pub fn heavy_hitters<D: BlockDevice>(
-        &self,
-        warehouse: &Warehouse<T, D>,
-        threshold: u64,
-        cache_blocks: usize,
-    ) -> io::Result<Vec<HeavyHitter<T>>> {
-        let partitions = warehouse.partitions_newest_first();
-
-        // Candidate set: stream MG candidates + every summary value that
-        // repeats or could hide a long duplicate run. (Taking *all*
-        // summary values is complete and cheap — |HS| values.)
-        let mut candidates: BTreeSet<T> = self.mg.candidates().map(|(v, _)| v).collect();
+    let slack: u64 = partitions.iter().map(|p| partition_slack(&p.summary)).sum();
+    let mut candidates: BTreeSet<T> = partitions
+        .iter()
+        .flat_map(|p| p.summary.entries())
+        .map(|e| e.value)
+        .collect();
+    candidates.extend(long_runs(
+        stream.iter().map(|&v| Ok(v)),
+        threshold.saturating_sub(slack),
+    )?);
+    if slack >= threshold {
+        // A heavy value may be in history alone and in no summary: then
+        // one of its partition counts reaches `⌈threshold / k⌉`.
+        let floor = threshold.div_ceil(partitions.len() as u64);
         for p in &partitions {
-            for e in p.summary.entries() {
-                candidates.insert(e.value);
+            if partition_slack(&p.summary) >= floor {
+                candidates.extend(long_runs(p.run.iter(dev), floor)?);
             }
         }
-
-        let dev = &**warehouse.device();
-        let mut cache: BlockCache<T> = BlockCache::new(cache_blocks.max(2));
-        let mut out = Vec::new();
-        for v in candidates {
-            let mut hist = 0u64;
-            for p in &partitions {
-                hist += count_in_partition(dev, p, v, &mut cache)?;
-            }
-            let (slo, shi) = self.mg.count_bounds(v);
-            if hist + shi >= threshold {
-                out.push(HeavyHitter {
-                    value: v,
-                    hist_count: hist,
-                    stream_lo: slo,
-                    stream_hi: shi,
-                });
-            }
-        }
-        // Most frequent first (by guaranteed count).
-        out.sort_by_key(|h| std::cmp::Reverse(h.count_lo()));
-        Ok(out)
     }
+
+    let mut cache: BlockCache<T> = BlockCache::new(cache_blocks.max(2));
+    let mut out = Vec::new();
+    for v in candidates {
+        let mut hist_count = 0u64;
+        for p in &partitions {
+            hist_count += count_in_partition(dev, p, v, &mut cache)?;
+        }
+        let stream_count =
+            (stream.partition_point(|&x| x <= v) - stream.partition_point(|&x| x < v)) as u64;
+        let hit = HeavyHitter {
+            value: v,
+            hist_count,
+            stream_count,
+        };
+        if hit.count() >= threshold {
+            out.push(hit);
+        }
+    }
+    // Most frequent first; ties stay in value order.
+    out.sort_by_key(|h| std::cmp::Reverse(h.count()));
+    Ok(out)
+}
+
+/// The longest run a value missing from `s`'s entries can have in its
+/// partition: the widest gap between adjacent entry ranks, counting the
+/// stretches before the first entry and after the last.
+fn partition_slack<T: Item>(s: &PartitionSummary<T>) -> u64 {
+    let ends = s.entries().iter().map(|e| e.rank);
+    let (mut prev, mut widest) = (0, 0);
+    for rank in ends.chain([s.partition_len() + 1]) {
+        widest = widest.max(rank - prev - 1);
+        prev = rank;
+    }
+    widest
+}
+
+/// The values whose run in the sorted `items` is at least `min_len` long.
+fn long_runs<T: Item>(
+    items: impl Iterator<Item = io::Result<T>>,
+    min_len: u64,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::new();
+    let mut run: Option<(T, u64)> = None;
+    for v in items {
+        let v = v?;
+        match &mut run {
+            Some((u, n)) if *u == v => *n += 1,
+            _ => out.extend(run.replace((v, 1)).filter(|r| r.1 >= min_len).map(|r| r.0)),
+        }
+    }
+    out.extend(run.filter(|r| r.1 >= min_len).map(|r| r.0));
+    Ok(out)
 }
 
 /// Exact multiplicity of `v` in one sorted partition:
@@ -194,6 +187,7 @@ fn predecessor<T: Item>(v: T) -> Option<T> {
 mod tests {
     use super::*;
     use crate::config::HsqConfig;
+    use crate::summary::SummaryEntry;
     use hsq_storage::MemDevice;
 
     fn warehouse_with(batches: Vec<Vec<u64>>, kappa: usize) -> Warehouse<u64, MemDevice> {
@@ -204,6 +198,15 @@ mod tests {
             w.add_batch(b).unwrap();
         }
         w
+    }
+
+    /// `(value, hist_count, stream_count)` of every reported hitter.
+    fn hits(w: &Warehouse<u64, MemDevice>, staged: &[u64], threshold: u64) -> Vec<(u64, u64, u64)> {
+        heavy_hitters(w, staged, threshold, 16)
+            .unwrap()
+            .iter()
+            .map(|h| (h.value, h.hist_count, h.stream_count))
+            .collect()
     }
 
     #[test]
@@ -237,27 +240,17 @@ mod tests {
             batches.push(b);
         }
         let w = warehouse_with(batches, 2);
-        let tracker = HeavyTracker::<u64>::new(HeavyHitterConfig::default());
-        let n = w.total_len();
-        let hits = tracker.heavy_hitters(&w, n / 10, 16).unwrap();
-        let top = hits.first().expect("777 must be found");
-        assert_eq!(top.value, 777);
-        assert_eq!(top.hist_count, 2400);
-        assert_eq!(top.stream_lo, 0);
+        assert_eq!(hits(&w, &[], w.total_len() / 10), [(777, 2400, 0)]);
     }
 
     #[test]
     fn finds_stream_heavy_hitter() {
         let w = warehouse_with(vec![(0..1000u64).collect()], 3);
-        let mut tracker = HeavyTracker::<u64>::new(HeavyHitterConfig::default());
-        for i in 0..900u64 {
-            tracker.update(if i % 3 == 0 { 42 } else { 10_000 + i });
-        }
-        let hits = tracker.heavy_hitters(&w, 250, 16).unwrap();
-        let hit = hits.iter().find(|h| h.value == 42).expect("42 missing");
-        assert!(hit.stream_lo <= 300 && 300 <= hit.stream_hi);
+        let staged: Vec<u64> = (0..900u64)
+            .map(|i| if i % 3 == 0 { 42 } else { 10_000 + i })
+            .collect();
         // 42 also appears once in history (value 42 in 0..1000).
-        assert_eq!(hit.hist_count, 1);
+        assert_eq!(hits(&w, &staged, 250), [(42, 1, 300)]);
     }
 
     #[test]
@@ -270,14 +263,8 @@ mod tests {
             batches.push(b);
         }
         let w = warehouse_with(batches, 2);
-        let mut tracker = HeavyTracker::<u64>::new(HeavyHitterConfig::default());
-        for _ in 0..150 {
-            tracker.update(5u64);
-        }
-        let hits = tracker.heavy_hitters(&w, 500, 16).unwrap();
-        let hit = hits.iter().find(|h| h.value == 5).expect("5 missing");
-        assert_eq!(hit.hist_count, 600 + 3); // 3 extra: value 5 in 0..800 per batch
-        assert!(hit.count_lo() >= 700 && hit.count_hi() >= 750);
+        // 3 extra: value 5 in 0..800 per batch.
+        assert_eq!(hits(&w, &[5; 150], 500), [(5, 603, 150)]);
     }
 
     #[test]
@@ -287,25 +274,43 @@ mod tests {
             .map(|s| (0..1000u64).map(|i| s * 1000 + i).collect())
             .collect();
         let w = warehouse_with(batches, 3);
-        let tracker = HeavyTracker::<u64>::new(HeavyHitterConfig::default());
-        let hits = tracker.heavy_hitters(&w, 100, 16).unwrap();
-        assert!(
-            hits.is_empty(),
-            "uniform data produced {} supposed heavy hitters",
-            hits.len()
-        );
+        assert_eq!(hits(&w, &[], 100), []);
     }
 
     #[test]
-    fn reset_clears_stream_side() {
-        let w = warehouse_with(vec![(0..100u64).collect()], 3);
-        let mut tracker = HeavyTracker::<u64>::new(HeavyHitterConfig::default());
-        for _ in 0..500 {
-            tracker.update(9u64);
-        }
-        tracker.reset();
-        let hits = tracker.heavy_hitters(&w, 50, 16).unwrap();
-        assert!(hits.iter().all(|h| h.value != 9 || h.count_hi() < 50));
+    fn finds_a_run_hidden_between_summary_entries() {
+        // 20 copies of 5 at ranks 2..=21: between the summary's entries at
+        // ranks 1 and 25 (ε₁ = 0.025, η = 1000), so 5 is no summary value.
+        let mut batch = vec![0u64];
+        batch.extend([5u64; 20]);
+        batch.extend(100..1079u64);
+        let w = warehouse_with(vec![batch], 3);
+        let p = w.partitions_newest_first()[0];
+        assert!(p.summary.entries().iter().all(|e| e.value != 5));
+        assert_eq!(partition_slack(&p.summary), 24);
+        // History alone: only the scan can find it.
+        assert_eq!(hits(&w, &[], 20), [(5, 20, 0)]);
+        assert_eq!(hits(&w, &[], 21), []);
+        // Staged copies make it a candidate without a scan (30 > slack).
+        assert_eq!(hits(&w, &[5; 10], 30), [(5, 20, 10)]);
+        assert_eq!(hits(&w, &[5; 10], 31), []);
+    }
+
+    #[test]
+    fn slack_is_the_widest_gap_between_entry_ranks() {
+        let entry = |rank| SummaryEntry {
+            value: rank,
+            rank,
+            block: 0,
+        };
+        let s = PartitionSummary::from_raw_parts(vec![entry(1), entry(5), entry(6)], 10);
+        assert_eq!(partition_slack(&s), 4); // ranks 7..=10, past the last entry
+        let s = PartitionSummary::from_raw_parts(vec![entry(3), entry(10)], 10);
+        assert_eq!(partition_slack(&s), 6); // ranks 4..=9
+        assert_eq!(
+            partition_slack(&PartitionSummary::<u64>::from_raw_parts(vec![], 0)),
+            0
+        );
     }
 
     #[test]

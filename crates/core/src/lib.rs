@@ -105,7 +105,7 @@ pub use bounds::{CombinedSummary, SourceView};
 pub use budget::{plan_memory, MemoryPlan};
 pub use config::{validate_epsilon, ConfigError, HsqConfig, HsqConfigBuilder};
 pub use engine::{EngineSnapshot, HistStreamQuantiles};
-pub use heavy::{HeavyHitter, HeavyHitterConfig, HeavyTracker};
+pub use heavy::HeavyHitter;
 // The storage error taxonomy, re-exported so downstream layers (the
 // networked service's `NetRetryPolicy` mirrors `RetryPolicy`) classify
 // failures with one vocabulary.

@@ -584,19 +584,21 @@ fn summary_seeding_monotone_vs_domain_for_seed_matrix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Heavy hitters: sound count brackets and complete detection on
-    /// arbitrary data with planted frequencies.
+    /// Heavy hitters: exact counts and complete detection on arbitrary
+    /// data with planted frequencies, down to φ = 0.001, with the live
+    /// step fed through every ingest path.
     #[test]
     fn heavy_hitters_sound_and_complete(
         batches in proptest::collection::vec(
             proptest::collection::vec(0u64..50, 20..200), 1..6),
-        stream in proptest::collection::vec(0u64..50, 0..200),
-        phi_milli in 20u64..300,
+        values in proptest::collection::vec(0u64..50, 0..200),
+        weights in proptest::collection::vec(1u64..4, 200..201),
+        phi_milli in 1u64..300,
     ) {
         use std::collections::HashMap;
+        let stream: Vec<(u64, u64)> = values.into_iter().zip(weights).collect();
         let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(3).build();
         let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        h.enable_heavy_hitters(hsq_core::HeavyHitterConfig { stream_counters: 64 });
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for b in &batches {
             for &v in b {
@@ -604,9 +606,22 @@ proptest! {
             }
             h.ingest_step(b).unwrap();
         }
-        for &v in &stream {
-            *truth.entry(v).or_insert(0) += 1;
-            h.stream_update(v);
+        for &(v, w) in &stream {
+            *truth.entry(v).or_insert(0) += w;
+        }
+        // Thirds of the live step through each path: plain batch,
+        // weighted batch, scalar updates (one per unit of weight).
+        let third = stream.len() / 3;
+        let plain: Vec<u64> = stream[..third]
+            .iter()
+            .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
+            .collect();
+        h.stream_extend(&plain);
+        h.stream_extend_weighted(&stream[third..2 * third]);
+        for &(v, w) in &stream[2 * third..] {
+            for _ in 0..w {
+                h.stream_update(v);
+            }
         }
         let n = h.total_len();
         let phi = phi_milli as f64 / 1000.0;
@@ -614,11 +629,8 @@ proptest! {
         let reported = h.heavy_hitters(phi).unwrap();
         for hh in &reported {
             let t = truth.get(&hh.value).copied().unwrap_or(0);
-            prop_assert!(
-                hh.count_lo() <= t && t <= hh.count_hi(),
-                "value {}: true {t} outside [{},{}]",
-                hh.value, hh.count_lo(), hh.count_hi()
-            );
+            prop_assert_eq!(hh.count(), t, "value {}: counted {}", hh.value, hh.count());
+            prop_assert!(t >= threshold, "value {} below {threshold}", hh.value);
         }
         for (&v, &c) in &truth {
             if c >= threshold {

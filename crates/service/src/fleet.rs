@@ -11,17 +11,15 @@
 //!
 //! Three ways to build one:
 //! * programmatically — [`FleetConfig::new`];
-//! * from a spec string (the `HSQ_FLEET` env var, see
-//!   [`FleetConfig::from_env`]) — groups separated by `;`, replicas
-//!   within a group by `,`: `"a:7001,b:7001;a:7002,b:7002"` is two
-//!   groups × two replicas;
+//! * from a spec string ([`FleetConfig::parse`]) — groups separated by
+//!   `;`, replicas within a group by `,`: `"a:7001,b:7001;a:7002,b:7002"`
+//!   is two groups × two replicas;
 //! * from a config file ([`FleetConfig::from_file`]) — one group per
 //!   line, `#` comments and blank lines ignored.
 //!
-//! `strict` mode (the `HSQ_FLEET_STRICT` env var, or
-//! [`FleetConfig::strict`]) controls what happens when *every* replica
-//! of a group is down: degraded bound-widened answers (default) or a
-//! typed refusal.
+//! [`FleetConfig::strict`] controls what happens when *every* replica of
+//! a group is down: degraded bound-widened answers (default) or a typed
+//! refusal.
 
 use std::fs;
 use std::io;
@@ -101,21 +99,6 @@ impl FleetConfig {
         FleetConfig::new(groups).map_err(|e| bad(format!("{}: {e}", path.display())))
     }
 
-    /// Read `HSQ_FLEET` (a [`FleetConfig::parse`] spec) and
-    /// `HSQ_FLEET_STRICT` (`0`/`false` or `1`/`true`). Returns `None`
-    /// when `HSQ_FLEET` is unset or empty. A set-but-garbage value
-    /// panics, naming the variable — a typo must not silently run a
-    /// different topology.
-    pub fn from_env() -> Option<FleetConfig> {
-        let spec = std::env::var("HSQ_FLEET").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let config = FleetConfig::parse(&spec)
-            .unwrap_or_else(|e| panic!("HSQ_FLEET={spec:?} is not a valid fleet spec: {e}"));
-        Some(config.strict(strict_from_env()))
-    }
-
     /// Set strict mode: refuse (typed) instead of answering degraded
     /// when a whole replica group is unreachable.
     pub fn strict(mut self, strict: bool) -> FleetConfig {
@@ -131,22 +114,6 @@ impl FleetConfig {
     /// Whether degraded answers are refused.
     pub fn is_strict(&self) -> bool {
         self.strict
-    }
-}
-
-/// Parse `HSQ_FLEET_STRICT`; unset/empty means `false`, garbage panics
-/// naming the variable.
-pub(crate) fn strict_from_env() -> bool {
-    match std::env::var("HSQ_FLEET_STRICT") {
-        Err(_) => false,
-        Ok(v) if v.trim().is_empty() => false,
-        Ok(v) => match v.trim() {
-            "0" | "false" | "no" => false,
-            "1" | "true" | "yes" => true,
-            other => panic!(
-                "HSQ_FLEET_STRICT={other:?} is not a valid flag (want 0/false/no or 1/true/yes)"
-            ),
-        },
     }
 }
 

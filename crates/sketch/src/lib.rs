@@ -17,8 +17,6 @@
 //!   pure-streaming baseline;
 //! * [`ReservoirQuantiles`] — the RANDOM baseline of Wang et al. (paper
 //!   ref \[26\]); extension baseline;
-//! * [`MisraGries`] — frequent-elements sketch powering the heavy-hitter
-//!   extension (`hsq_core::heavy`);
 //! * [`ExactQuantiles`] — O(n)-memory ground-truth oracle used to measure
 //!   relative error exactly as the paper's §3.1 defines it;
 //! * [`radix`] — the LSD radix-sort kernel and [`RadixKey`] trait shared
@@ -33,7 +31,6 @@
 pub mod exact;
 pub mod gk;
 pub mod kll;
-pub mod misra_gries;
 pub mod qdigest;
 pub mod quantile;
 pub mod radix;
@@ -42,7 +39,6 @@ pub mod sampler;
 pub use exact::ExactQuantiles;
 pub use gk::{GkSketch, RankEstimate};
 pub use kll::{KllCumulative, KllSketch};
-pub use misra_gries::MisraGries;
 pub use qdigest::QDigest;
 pub use quantile::{AnySketch, QuantileSketch, SketchKind};
 pub use radix::{radix_sort_u64, sort_radixable, RadixKey, RADIX_MIN_LEN};

@@ -13,11 +13,13 @@
 //! 3. uses partition-aligned *window queries* to compare the most recent
 //!    hours against the long-run distribution — a shift in the flow-pair
 //!    quantiles indicates traffic redistribution (e.g. a scan or DDoS
-//!    concentrating on one destination).
+//!    concentrating on one destination);
+//! 4. lists the top talkers — flow pairs frequent across the archived
+//!    hours *and* the hour still streaming in.
 //!
 //! Run with: `cargo run --release --example network_monitor`
 
-use hsq::core::{HeavyHitterConfig, HistStreamQuantiles, HsqConfig};
+use hsq::core::{HistStreamQuantiles, HsqConfig};
 use hsq::storage::MemDevice;
 use hsq::workload::{DataGen, NetTraceGen};
 
@@ -30,9 +32,6 @@ fn main() {
         .merge_threshold(5)
         .build();
     let mut hsq = HistStreamQuantiles::<u64, _>::new(MemDevice::new(8192), config);
-    // Track frequent flow pairs ("top talkers") across the union too —
-    // the other primitive the paper's intro calls for.
-    hsq.enable_heavy_hitters(HeavyHitterConfig::default());
 
     let mut normal_traffic = NetTraceGen::new(42);
     // "Attack" traffic: a much more concentrated host distribution.
@@ -66,8 +65,27 @@ fn main() {
         };
         println!("{hour:>4} | {q1:>19} {med:>19} {q3:>19} | {note}");
 
-        hsq.end_time_step().unwrap();
+        if hour + 1 < HOURS {
+            hsq.end_time_step().unwrap();
+        }
     }
+
+    // Top talkers while the last hour is still live — the other primitive
+    // the paper's intro calls for: flow pairs with at least 0.1% of all
+    // traffic, counted exactly in the archived hours and the live one.
+    let hitters = hsq.heavy_hitters(0.001).unwrap();
+    println!("\ntop talkers (>= 0.1% of {} flows):", hsq.total_len());
+    for h in hitters.iter().take(5) {
+        println!(
+            "  flow {:>20}: {:>6} archived + {:>5} streaming",
+            h.value, h.hist_count, h.stream_count
+        );
+    }
+    assert!(
+        hitters.iter().any(|h| h.stream_count > 0),
+        "the Zipf trace must have top talkers in the live hour"
+    );
+    hsq.end_time_step().unwrap();
 
     // Interquartile skewness of the full trace (the paper's RTT-skewness
     // use case, transplanted to flow keys).
@@ -92,18 +110,4 @@ fn main() {
         hsq.warehouse().num_partitions(),
         hsq.memory_words()
     );
-
-    // Top talkers: flow pairs exceeding 0.1% of all traffic (historical
-    // counts exact via sorted-partition probes, stream counts bounded).
-    let hitters = hsq.heavy_hitters(0.001).unwrap();
-    println!("\ntop talkers (> 0.1% of {} flows):", hsq.total_len());
-    for h in hitters.iter().take(5) {
-        println!(
-            "  flow {:>20}: {:>6} archived + [{}, {}] streaming",
-            h.value, h.hist_count, h.stream_lo, h.stream_hi
-        );
-    }
-    if hitters.is_empty() {
-        println!("  (none above threshold)");
-    }
 }

@@ -521,14 +521,15 @@
 //! backoff, per-op deadlines), and errors are classified
 //! transient / node-down / fatal like the storage layer's taxonomy.
 //! Topology comes from [`service::FleetConfig::new`], a spec string
-//! (`HSQ_FLEET=a:7001,b:7001;a:7002,b:7002` — `;` between groups, `,`
-//! between replicas), or a config file.
+//! ([`service::FleetConfig::parse`]: `a:7001,b:7001;a:7002,b:7002` — `;`
+//! between groups, `,` between replicas), or a config file
+//! ([`service::FleetConfig::from_file`]).
 //!
 //! When *every* replica of a group is unreachable, queries keep
 //! answering over the reachable union, `degraded`, with `rank_hi`
 //! widened by exactly the missing group's recorded weight — the same
 //! honest-bounds contract quarantined corruption uses. Strict fleets
-//! (`FleetConfig::strict(true)` / `HSQ_FLEET_STRICT=1`) refuse instead
+//! (`FleetConfig::strict(true)`) refuse instead
 //! with a typed error carrying that weight
 //! ([`service::strict_refusal_weight`]).
 //!

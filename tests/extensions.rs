@@ -5,20 +5,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hsq::core::{HeavyHitterConfig, HistStreamQuantiles, HsqConfig};
+use hsq::core::{HistStreamQuantiles, HsqConfig};
 use hsq::storage::{FileDevice, MemDevice};
 use hsq::workload::{Dataset, TimeStepDriver};
 
 #[test]
 fn heavy_hitters_on_skewed_trace() {
-    // The Zipf-skewed network trace has true heavy flow pairs; the tracker
-    // must find them with sound counts.
+    // The Zipf-skewed network trace has true heavy flow pairs; the query
+    // must find every one of them with its exact count.
     let cfg = HsqConfig::builder()
         .epsilon(0.01)
         .merge_threshold(4)
         .build();
     let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(1024), cfg);
-    h.enable_heavy_hitters(HeavyHitterConfig::default());
 
     let mut truth: HashMap<u64, u64> = HashMap::new();
     let mut driver = TimeStepDriver::new(Dataset::NetTrace, 3, 5_000, 9);
@@ -39,16 +38,11 @@ fn heavy_hitters_on_skewed_trace() {
     let threshold = (phi * n as f64).ceil() as u64;
     let reported = h.heavy_hitters(phi).unwrap();
 
-    // Soundness: reported counts bracket the truth.
+    // Exactness: reported counts are the truth.
     for hh in &reported {
         let t = truth.get(&hh.value).copied().unwrap_or(0);
-        assert!(
-            hh.count_lo() <= t && t <= hh.count_hi(),
-            "value {}: true {t} outside [{}, {}]",
-            hh.value,
-            hh.count_lo(),
-            hh.count_hi()
-        );
+        assert_eq!(hh.count(), t, "value {} miscounted", hh.value);
+        assert!(t >= threshold, "value {} below {threshold}", hh.value);
     }
     // Completeness: every true heavy hitter is reported.
     for (&v, &c) in &truth {
@@ -113,6 +107,34 @@ fn recovered_engine_keeps_streaming_and_archiving() {
     h2.end_time_step().unwrap();
     h2.warehouse().check_invariants().unwrap();
     assert!(h2.quantile(0.5).unwrap().is_some());
+}
+
+#[test]
+fn heavy_hitters_survive_mid_step_recovery() {
+    // Three archived steps hold one 7; the live step is two thirds 7s.
+    let dev = MemDevice::new(512);
+    let cfg = HsqConfig::builder()
+        .epsilon(0.05)
+        .merge_threshold(3)
+        .build();
+    let mut h = HistStreamQuantiles::<u64, _>::new(Arc::clone(&dev), cfg.clone());
+    for s in 0..3u64 {
+        let batch: Vec<u64> = (s * 1_000..(s + 1) * 1_000).collect();
+        h.ingest_step(&batch).unwrap();
+    }
+    let mut live = vec![7u64; 2_000];
+    live.extend(10_000..11_000u64);
+    h.stream_extend(&live);
+    let manifest = h.persist().unwrap();
+
+    let h2 = HistStreamQuantiles::<u64, _>::recover(dev, cfg, manifest).unwrap();
+    assert_eq!((h2.historical_len(), h2.stream_len()), (3_000, 3_000));
+    let hits = h2.heavy_hitters(0.2).unwrap();
+    assert_eq!(hits.len(), 1, "only 7 reaches 1,200 of 6,000: {hits:?}");
+    assert_eq!(hits[0].value, 7);
+    assert_eq!((hits[0].hist_count, hits[0].stream_count), (1, 2_000));
+    assert_eq!(hits[0].count(), 2_001);
+    assert_eq!(hits, h.heavy_hitters(0.2).unwrap());
 }
 
 #[test]
