@@ -644,7 +644,7 @@ struct SketchRow {
 /// unweighted and weighted (asserted `< 1` for both backends — the union
 /// guarantee's in-bin gate), and the memory footprint.
 fn sketch_metrics() -> Vec<SketchRow> {
-    use hsq_sketch::{AnySketch, QuantileSketch, SketchKind};
+    use hsq_sketch::{AnySketch, SketchKind};
     const EPS: f64 = 0.01;
     const N: usize = 1 << 19;
     let data: Vec<u64> = Dataset::Uniform.generator(4242).take_vec(N);

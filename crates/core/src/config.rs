@@ -89,9 +89,9 @@ pub struct HsqConfig {
     /// corruption error instead of a degraded answer with widened rank
     /// bounds. Default `false` (answer with explicit bound widening).
     pub strict: bool,
-    /// Which [`hsq_sketch::QuantileSketch`] backend absorbs the live
+    /// Which [`hsq_sketch::AnySketch`] backend absorbs the live
     /// stream: [`SketchKind::Gk`] (the paper-faithful default) or
-    /// [`SketchKind::Kll`] (O(1) amortized updates, exact merges). The
+    /// [`SketchKind::Kll`] (O(1) amortized updates, more memory). The
     /// builder default honors the `HSQ_SKETCH` environment variable
     /// (`"gk"` / `"kll"`), which is how CI runs the whole property suite
     /// under both backends without per-test plumbing. KLL compacts on one

@@ -131,7 +131,7 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// Batched `StreamUpdate`: absorb a whole slice of streaming elements
     /// at once. The batch is sorted once; the sorted copy feeds the stream
     /// sketch in one sorted-batch absorption (a linear merge for GK, a
-    /// buffered append for KLL — see [`hsq_sketch::QuantileSketch`])
+    /// buffered append for KLL — see [`hsq_sketch::AnySketch`])
     /// and is kept as a sorted staging segment, so the following
     /// [`HistStreamQuantiles::end_time_step`] archives without re-sorting
     /// it. Equivalent (same multiset, same `ε` guarantees) to calling

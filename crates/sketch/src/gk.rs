@@ -32,9 +32,9 @@ struct Tuple<T> {
 
 /// Result of a rank query: the chosen value and its tracked rank interval.
 ///
-/// The true rank of `value` in the stream lies in `[rmin, rmax]`
-/// (1-based, rank = number of elements ≤ value... per the tuple semantics
-/// the rank of the i-th smallest occurrence).
+/// The true 1-based rank of one copy of `value` in the stream lies in
+/// `[rmin, rmax]`. With duplicates that is the copy the estimate answers
+/// for: a GK tuple's own copy, or KLL's copy nearest the target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankEstimate<T> {
     /// The answering element (some element that appeared in the stream).
@@ -337,9 +337,9 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// have produced them; only same-or-newer bands may be absorbed.
     #[inline]
     fn band(delta: u64, cap: u64) -> u32 {
-        // Tuples produced by [`GkSketch::merge_from`] may carry Δ above
-        // the current cap; clamp for banding only — the absorption test
-        // uses the real Δ, so soundness is unaffected.
+        // A sketch rebuilt by [`GkSketch::from_tuple_parts`] may carry Δ
+        // above the current cap; clamp for banding only — the absorption
+        // test uses the real Δ, so soundness is unaffected.
         let delta = delta.min(cap);
         if delta == cap {
             0
@@ -515,128 +515,6 @@ impl<T: Copy + Ord> GkSketch<T> {
         Ok(())
     }
 
-    /// Fold `other` into `self`, producing a sketch whose tracked
-    /// intervals bracket ranks in the union of both streams.
-    ///
-    /// GK has no exact merge: each merged tuple's interval is its own
-    /// absolute interval shifted by the other side's rank bounds at that
-    /// value, so tracked widths **add** — the folded sketch answers
-    /// within `ε_a·n_a + ε_b·n_b` rather than `ε·(n_a + n_b)`. Every
-    /// query on the result is sound (it reads only the tracked values),
-    /// but the per-tuple capacity `g + Δ ≤ ⌊2εn⌋` may be exceeded until
-    /// further inserts raise `n`, so [`GkSketch::check_invariants`] is
-    /// not meaningful on a freshly merged sketch. This is the structural
-    /// contrast with the KLL backend, whose merge is exact.
-    pub fn merge_from(&mut self, other: &Self) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        // Each side's tuples as absolute-rank intervals.
-        fn abs<T: Copy>(tuples: &[Tuple<T>]) -> Vec<(T, u64, u64)> {
-            let mut rmin = 0u64;
-            tuples
-                .iter()
-                .map(|t| {
-                    rmin += t.g;
-                    (t.v, rmin, rmin + t.delta)
-                })
-                .collect()
-        }
-        // Bounds the OTHER side contributes at probe `v`: rmin of its
-        // last tuple ≤ v, and rmax − 1 of its first tuple > v (or n when
-        // none). `j` only ever advances — probes arrive in value order.
-        fn other_bounds<T: Copy + Ord>(
-            side: &[(T, u64, u64)],
-            j: &mut usize,
-            v: T,
-            n: u64,
-        ) -> (u64, u64) {
-            while *j < side.len() && side[*j].0 <= v {
-                *j += 1;
-            }
-            let lo = if *j == 0 { 0 } else { side[*j - 1].1 };
-            let hi = if *j < side.len() { side[*j].2 - 1 } else { n };
-            (lo, hi)
-        }
-        let a = abs(&self.tuples);
-        let b = abs(&other.tuples);
-        let mut entries: Vec<(T, u64, u64)> = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (0usize, 0usize);
-        let (mut ja, mut jb) = (0usize, 0usize);
-        while ia < a.len() || ib < b.len() {
-            let take_a = match (a.get(ia), b.get(ib)) {
-                (Some(x), Some(y)) => x.0 <= y.0,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let (v, own_lo, own_hi) = if take_a {
-                let x = a[ia];
-                ia += 1;
-                x
-            } else {
-                let y = b[ib];
-                ib += 1;
-                y
-            };
-            let (olo, ohi) = if take_a {
-                other_bounds(&b, &mut jb, v, other.n)
-            } else {
-                other_bounds(&a, &mut ja, v, self.n)
-            };
-            entries.push((v, own_lo + olo, own_hi + ohi));
-        }
-        // Equal values from the two sides can emit in either order;
-        // restore monotone lower bounds so g = loᵢ − loᵢ₋₁ is sound.
-        entries.sort_by_key(|x| (x.0, x.1));
-        // The union minimum has rank exactly 1; pin it so the leading
-        // tuple keeps Δ = 0 even when both sides share the minimum.
-        if entries.first().map(|e| e.1 > 1).unwrap_or(false) {
-            let union_min = match (self.min, other.min) {
-                (Some(x), Some(y)) => x.min(y),
-                _ => unreachable!("both sides are non-empty"),
-            };
-            entries.insert(0, (union_min, 1, 1));
-        }
-        let n = self.n + other.n;
-        let mut tuples: Vec<Tuple<T>> = Vec::with_capacity(entries.len());
-        let mut prev_lo = 0u64;
-        for (v, lo, hi) in entries {
-            debug_assert!(lo >= prev_lo, "merged lower bounds must be monotone");
-            let hi = hi.max(lo);
-            if prev_lo == lo && hi == lo {
-                // Zero-width duplicate of the previous bound: redundant.
-                if tuples.last().map(|t: &Tuple<T>| t.v == v).unwrap_or(false) {
-                    continue;
-                }
-            }
-            tuples.push(Tuple {
-                v,
-                g: lo.saturating_sub(prev_lo),
-                delta: hi - lo,
-            });
-            prev_lo = lo;
-        }
-        debug_assert_eq!(prev_lo, n, "merged rank mass must equal n_a + n_b");
-        self.tuples = tuples;
-        self.n = n;
-        self.min = match (self.min, other.min) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        };
-        // The weaker guarantee governs future capacity computations.
-        self.epsilon = self.epsilon.max(other.epsilon);
-        self.compress_period = Self::period_for(self.epsilon);
-        self.since_compress = 0;
-    }
-
     /// Insert one element carrying integer weight `w` — semantically `w`
     /// repeated [`GkSketch::insert`] calls. See
     /// [`GkSketch::insert_weighted_sorted_batch`] for the mechanism and
@@ -662,12 +540,12 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// surgery*: the batch, being fully known, is an **exact** summary
     /// of itself, and folding it in widens nothing that was not already
     /// wide. Existing tuples are shifted by the exact batch mass at or
-    /// below their value (zero added width — this is where the generic
-    /// [`GkSketch::merge_from`], which must assume the other side's gap
-    /// mass can sit anywhere, would pay `Δ`-width per fold and compound
-    /// over repeated batches). Batch values enter with the sketch's own
-    /// local rank width, split into invariant-sized (`⌊2εn⌋`) same-value
-    /// chunks so heavy weights cannot wreck rank-query navigation. All
+    /// below their value (zero added width — folding in a second *sketch*
+    /// instead would have to assume its gap mass can sit anywhere, paying
+    /// `Δ`-width per fold, compounded over repeated batches). Batch values
+    /// enter with the sketch's own local rank width, split into
+    /// invariant-sized (`⌊2εn⌋`) same-value chunks so heavy weights cannot
+    /// wreck rank-query navigation. All
     /// tracked intervals on the result remain within the pre-existing
     /// `ε·n_old ≤ ε·W` widths, for total weight `W = n_old + Σw`; cost
     /// is `O(tuples + pairs + Σ⌈w/⌊2εW⌋⌉)`, independent of the weight
@@ -803,8 +681,8 @@ impl<T: Copy + Ord> GkSketch<T> {
 
     /// Rebuild a sketch from serialized parts, validating ordering, rank
     /// mass and min/max consistency. The capacity invariant is *not*
-    /// enforced: sketches that went through [`GkSketch::merge_from`]
-    /// legitimately exceed it while staying sound.
+    /// enforced: it bounds space, not soundness — every query reads only
+    /// the tracked `g` and `Δ`, which stay sound above the cap.
     pub fn from_tuple_parts(
         epsilon: f64,
         n: u64,

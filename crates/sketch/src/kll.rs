@@ -39,13 +39,6 @@
 //! `H ≤ 24` premise holds for any `n ≤ k·2^24` (for ε = 0.005 that is
 //! ≈ 1.6·10¹¹ elements); beyond it the a-priori bound degrades gracefully
 //! by `H/24` while the *tracked* bounds remain sound regardless.
-//!
-//! ## Mergeability
-//!
-//! Unlike GK, merging is exact and associative by construction:
-//! concatenate the two ladders level-wise, add the tracked errors, and
-//! compact any level now over capacity ([`KllSketch::merge_from`]). No
-//! estimate is degraded beyond what `err` records.
 
 use crate::gk::RankEstimate;
 use crate::radix::{sort_radixable, RadixKey};
@@ -106,7 +99,7 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
     }
 
     /// Per-level capacity `k = max(8, ⌈2·LEVEL_BUDGET/ε⌉)`. Callers
-    /// (constructors, merge, deserialization) must have validated
+    /// (constructor, deserialization) must have validated
     /// `epsilon` already: a non-finite or out-of-range value would turn
     /// the `f64 → usize` cast into a garbage capacity.
     fn capacity_for(epsilon: f64) -> usize {
@@ -365,42 +358,6 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
         self.err += 1u64 << h;
     }
 
-    /// Merge `other` into `self`: concatenate compactor levels (sorted
-    /// levels via a linear merge), add the tracked errors, and compact
-    /// any level now over capacity. Exact and associative: the merged
-    /// sketch's estimates carry precisely the summed tracked error, with
-    /// no further degradation.
-    pub fn merge_from(&mut self, other: &Self) {
-        if other.n == 0 {
-            return;
-        }
-        if let (Some(lo), Some(hi)) = (other.min, other.max) {
-            self.touch_minmax(lo, hi);
-        }
-        self.n += other.n;
-        self.err += other.err;
-        // The weaker (larger-ε, smaller-k) configuration governs the
-        // merged sketch; the tracked error keeps bounds sound either way.
-        if other.epsilon > self.epsilon {
-            self.epsilon = other.epsilon;
-            self.cap = Self::capacity_for(self.epsilon);
-        }
-        for (h, lvl) in other.levels.iter().enumerate() {
-            if lvl.is_empty() {
-                continue;
-            }
-            while self.levels.len() <= h {
-                self.levels.push(Vec::new());
-            }
-            if h == 0 {
-                self.levels[0].extend_from_slice(lvl);
-            } else {
-                self.levels[h] = merge_sorted(&self.levels[h], lvl);
-            }
-        }
-        self.compact_pending();
-    }
-
     /// Compile the ladder into a [`KllCumulative`]: one sorted pass over
     /// every retained item. Extract loops that probe hundreds of targets
     /// (the stream-summary builder upstream) should call
@@ -415,7 +372,8 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
         }
         pairs.sort_unstable_by_key(|a| a.0);
         // Collapse duplicates; store the cumulative weight through the
-        // LAST retained occurrence of each value.
+        // last retained occurrence of each value. The weight before its
+        // first occurrence is the previous item's.
         let mut items: Vec<(T, u64)> = Vec::with_capacity(pairs.len());
         let mut cum = 0u64;
         for (v, w) in pairs {
@@ -570,7 +528,9 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
 #[derive(Clone, Debug)]
 pub struct KllCumulative<T> {
     /// `(value, cumulative weight through the last retained occurrence)`,
-    /// strictly increasing in both components.
+    /// strictly increasing in both components. An item's weight *before*
+    /// its value is the previous item's cumulative weight (0 for the
+    /// first).
     items: Vec<(T, u64)>,
     err: u64,
     n: u64,
@@ -591,9 +551,12 @@ impl<T: Copy + Ord> KllCumulative<T> {
 
     /// Answer a query for 1-based rank `r` (clamped into `[1, n]`);
     /// `None` iff empty. The answer is the first distinct value whose
-    /// cumulative weight reaches `r` (the largest if none does), and the
-    /// returned interval brackets the rank of that value's last stream
-    /// occurrence, widened by the tracked error. The one-target case of
+    /// cumulative weight `c` reaches `r` (the largest if none does). Its
+    /// retained copies span the estimated ranks `c_before + 1 ..= c`,
+    /// `c_before` the weight below the value; the returned interval is
+    /// the one of those ranks nearest `r`, widened by the tracked error.
+    /// So it brackets the true rank of the copy nearest `r`, as a GK
+    /// tuple brackets the rank of its own copy. The one-target case of
     /// [`KllCumulative::rank_queries`].
     pub fn rank_query(&self, r: u64) -> Option<RankEstimate<T>> {
         self.sweep(std::iter::once(r)).next()
@@ -629,14 +592,18 @@ impl<T: Copy + Ord> KllCumulative<T> {
                 idx += 1;
             }
             let (value, c) = self.items[idx];
-            // The `.max(1)` clamp is sound precisely because this point
+            let c_before = idx.checked_sub(1).map_or(0, |i| self.items[i].1);
+            // Every true count moves at most `err` from its estimate, so
+            // some copy of `value` has a true rank within `err` of
+            // `nearest`. The `.max(1)` clamp is sound because this point
             // is unreachable for an empty sketch (`n == 0` answers
             // nothing): the reported value was retained, hence inserted,
             // hence its true rank is at least 1.
+            let nearest = r.clamp(c_before + 1, c);
             RankEstimate {
                 value,
-                rmin: c.saturating_sub(self.err).max(1),
-                rmax: (c + self.err).min(self.n),
+                rmin: nearest.saturating_sub(self.err).max(1),
+                rmax: (nearest + self.err).min(self.n),
             }
         })
     }
@@ -704,7 +671,16 @@ mod tests {
         }
     }
 
-    /// Every reported interval must contain the true rank, and the
+    /// The rank of the copy of `v` nearest target `r`: `r` clamped to
+    /// the ranks `[count(<v) + 1, count(≤v)]` that `v`'s copies occupy.
+    /// This is the rank a KLL interval brackets.
+    fn nearest_copy_rank(exact: &mut ExactQuantiles<u64>, v: u64, r: u64) -> u64 {
+        let below = if v == 0 { 0 } else { exact.rank_of(v - 1) };
+        r.clamp(below + 1, exact.rank_of(v))
+    }
+
+    /// Every reported interval must contain the nearest copy's rank, the
+    /// answer's last copy must lie within ε·n of the target, and the
     /// tracked error must stay within the a-priori ε·n/2 analysis.
     #[test]
     fn tracked_bounds_are_sound_and_within_epsilon() {
@@ -729,9 +705,10 @@ mod tests {
                 let r = (i * n as u64 / 100).max(1);
                 let est = cum.rank_query(r).unwrap();
                 let true_rank = exact.rank_of(est.value);
+                let nearest = nearest_copy_rank(&mut exact, est.value, r);
                 assert!(
-                    est.rmin <= true_rank && true_rank <= est.rmax,
-                    "rank {true_rank} of {} outside [{}, {}]",
+                    est.rmin <= nearest && nearest <= est.rmax,
+                    "rank {nearest} of {} outside [{}, {}]",
                     est.value,
                     est.rmin,
                     est.rmax
@@ -783,45 +760,6 @@ mod tests {
         }
     }
 
-    /// Merging equals tracking both streams in one sketch, error-wise:
-    /// merged tracked error = sum of parts + any merge compactions, and
-    /// the merged bounds bracket union ranks.
-    #[test]
-    fn merge_is_exact_and_sound() {
-        let mut rng = lcg(23);
-        let mut parts: Vec<KllSketch<u64>> = Vec::new();
-        let mut exact = ExactQuantiles::new();
-        for _ in 0..8 {
-            let mut kll = KllSketch::new(0.02);
-            for _ in 0..5_000 {
-                let v = rng() % 100_000;
-                kll.insert(v);
-                exact.insert(v);
-            }
-            parts.push(kll);
-        }
-        let mut merged = parts[0].clone();
-        for p in &parts[1..] {
-            merged.merge_from(p);
-        }
-        merged.check_invariants().unwrap();
-        assert_eq!(merged.len(), 40_000);
-        let n = merged.len();
-        assert!(
-            merged.tracked_err() as f64 <= 0.02 * n as f64 / 2.0 + 1.0,
-            "merged tracked err {} breaks the eps*n/2 budget",
-            merged.tracked_err()
-        );
-        let cum = merged.cumulative();
-        for i in 1..=50u64 {
-            let r = i * n / 50;
-            let est = cum.rank_query(r).unwrap();
-            let truth = exact.rank_of(est.value);
-            assert!(est.rmin <= truth && truth <= est.rmax);
-            assert!(truth.abs_diff(r) <= (0.02 * n as f64) as u64 + 1);
-        }
-    }
-
     #[test]
     fn batch_scalar_equivalence_in_bounds() {
         let mut rng = lcg(5);
@@ -845,8 +783,8 @@ mod tests {
             let r = i * 30_000 / 20;
             for sk in [&scalar, &batched] {
                 let est = sk.rank_query(r).unwrap();
-                let truth = exact.rank_of(est.value);
-                assert!(est.rmin <= truth && truth <= est.rmax);
+                let nearest = nearest_copy_rank(&mut exact, est.value, r);
+                assert!(est.rmin <= nearest && nearest <= est.rmax);
             }
         }
     }
@@ -882,8 +820,9 @@ mod tests {
     }
 
     /// Weighted insertion is exact: it must agree with w-fold replicated
-    /// insertion on n/min/max, add no tracked error of its own, and keep
-    /// every reported interval sound against the replicated multiset.
+    /// insertion on n/min/max, add no tracked error of its own, and every
+    /// reported interval must bracket the rank, in the replicated
+    /// multiset, of the answer's copy nearest the target.
     #[test]
     fn weighted_insert_matches_replicated() {
         let mut rng = lcg(41);
@@ -916,9 +855,10 @@ mod tests {
                 let r = i * total / 40;
                 let est = cum.rank_query(r).unwrap();
                 let truth = exact.rank_of(est.value);
+                let nearest = nearest_copy_rank(&mut exact, est.value, r);
                 assert!(
-                    est.rmin <= truth && truth <= est.rmax,
-                    "weighted rank {truth} outside [{}, {}]",
+                    est.rmin <= nearest && nearest <= est.rmax,
+                    "weighted rank {nearest} outside [{}, {}]",
                     est.rmin,
                     est.rmax
                 );

@@ -79,15 +79,15 @@
 //!
 //! ## Choosing a sketch backend
 //!
-//! The stream-side summary `SS` is built against a pluggable
-//! [`hsq_sketch::QuantileSketch`] layer. Two backends ship:
+//! The stream-side summary `SS` is built from one
+//! [`hsq_sketch::AnySketch`], which runs one of two backends:
 //!
 //! * [`SketchKind::Gk`] (default) — the Greenwald–Khanna sketch the
 //!   paper specifies: the smallest memory footprint at a given `ε`;
 //! * [`SketchKind::Kll`] — a deterministic KLL compactor ladder: O(1)
-//!   amortized updates, batch inserts that skip the per-element merge,
-//!   and *exact* mergeability, at somewhat more memory for the same
-//!   observed error.
+//!   amortized updates and batch inserts that skip the per-element
+//!   merge, at far more memory: 45,068 words against GK's 2.0–2.7k for a
+//!   65,536-item step.
 //!
 //! Both honour the same tracked rank-bound contract, so Theorem 2's
 //! `ε·m` union guarantee holds unchanged under either (A/B'd by the
@@ -593,5 +593,5 @@ pub use hsq_workload as workload;
 pub use hsq_core::{
     EngineSnapshot, HistStreamQuantiles, HsqConfig, RetentionPolicy, ShardedEngine, ShardedSnapshot,
 };
-pub use hsq_sketch::{GkSketch, KllSketch, QDigest, QuantileSketch, SketchKind};
+pub use hsq_sketch::{GkSketch, KllSketch, QDigest, SketchKind};
 pub use hsq_storage::{FileDevice, MemDevice};
