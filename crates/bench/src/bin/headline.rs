@@ -631,7 +631,8 @@ fn robustness_metrics() -> (f64, f64, f64) {
 
 /// One backend's row in the sketch A/B section.
 struct SketchRow {
-    name: &'static str,
+    name: String,
+    /// Observed max rank error against exact, in units of `ε·n`.
     max_rel_err: f64,
     memory_words: usize,
     /// Observed max rank error of the weighted sketch against exact over
@@ -639,10 +640,36 @@ struct SketchRow {
     weighted_max_rel_err: f64,
 }
 
+/// `s`'s observed max rank error against the sorted multiset it holds,
+/// over 200 evenly spread ranks, in units of the promised `ε·n`: the
+/// distance from each rank to the answer's occupied ranks. More than 1
+/// (+1 rank of discreteness slack) would break Theorem 2's union bound,
+/// so every backend asserts it in-bin.
+fn checked_rel_err(s: &hsq_sketch::AnySketch<u64>, sorted: &[u64], eps: f64, label: &str) -> f64 {
+    let n = sorted.len() as u64;
+    let mut max_dist = 0u64;
+    for i in 1..=200u64 {
+        let r = (n * i) / 201 + 1;
+        let est = s.rank_query(r).expect("non-empty sketch");
+        let lo = sorted.partition_point(|&x| x < est.value) as u64 + 1;
+        let hi = sorted.partition_point(|&x| x <= est.value) as u64;
+        max_dist = max_dist.max(if r < lo { lo - r } else { r.saturating_sub(hi) });
+    }
+    assert!(
+        max_dist as f64 <= eps * n as f64 + 1.0,
+        "{label}: observed rank error {max_dist} breaks the eps*n = {} bound",
+        eps * n as f64
+    );
+    max_dist as f64 / (eps * n as f64)
+}
+
 /// Pluggable-sketch A/B: for each backend (GK, KLL) at the same ε, the
 /// observed max rank error against exact in units of the promised `ε·n`,
 /// unweighted and weighted (asserted `< 1` for both backends — the union
-/// guarantee's in-bin gate), and the memory footprint.
+/// guarantee's in-bin gate), and the memory footprint. Uniform rows take
+/// scalar inserts and geometric weights; the heavy-duplicate rows (a
+/// log-uniform head `⌊2^(20u)⌋` and a 20-value domain) take batches of
+/// 4,096, and weight-1 pairs on the weighted side.
 fn sketch_metrics() -> Vec<SketchRow> {
     use hsq_sketch::{AnySketch, SketchKind};
     const EPS: f64 = 0.01;
@@ -650,81 +677,70 @@ fn sketch_metrics() -> Vec<SketchRow> {
     let data: Vec<u64> = Dataset::Uniform.generator(4242).take_vec(N);
     let mut sorted = data.clone();
     sorted.sort_unstable();
+    let mut lcg = 0x1357_9BDFu64;
+    let mut next = move || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lcg >> 33
+    };
+    // Weighted inserts: geometric weights (mean ~8.5 weight units per
+    // pair), ingested natively; gated against exact-over-replicated.
+    const PAIRS: usize = 1 << 17;
+    let pairs: Vec<(u64, u64)> = data[..PAIRS]
+        .iter()
+        .map(|&v| (v, next() % 16 + 1))
+        .collect();
+    let mut replicated: Vec<u64> = pairs
+        .iter()
+        .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
+        .collect();
+    replicated.sort_unstable();
+    let head: Vec<u64> = (0..PAIRS)
+        .map(|_| 2f64.powf(20.0 * (next() as f64 / (1u64 << 31) as f64)) as u64)
+        .collect();
+    let twenty: Vec<u64> = (0..PAIRS).map(|_| next() % 20).collect();
 
     let mut rows = Vec::new();
     for kind in [SketchKind::Gk, SketchKind::Kll] {
         let mut s = AnySketch::<u64>::new(kind, EPS);
-        for &v in &data {
-            s.insert(v);
-        }
-
-        // Observed accuracy vs exact ranks, normalized by the promised
-        // eps*n: > 1 would break Theorem 2's union bound, so both
-        // backends gate on it in-bin.
-        let mut max_dist = 0u64;
-        for i in 1..=200u64 {
-            let r = (N as u64 * i) / 201 + 1;
-            let est = s.rank_query(r).expect("non-empty sketch");
-            let lo = sorted.partition_point(|&x| x < est.value) as u64 + 1;
-            let hi = sorted.partition_point(|&x| x <= est.value) as u64;
-            let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
-            max_dist = max_dist.max(dist);
-        }
-        // The promise is dist <= eps*n (+1 rank of discreteness slack).
-        assert!(
-            max_dist as f64 <= EPS * N as f64 + 1.0,
-            "{kind}: observed rank error {max_dist} breaks the eps*n = {} bound",
-            EPS * N as f64
-        );
-        let max_err = max_dist as f64 / (EPS * N as f64);
-
-        // Weighted inserts: geometric weights (mean ~8.5 weight units per
-        // pair), ingested natively; the observed rank error against
-        // exact-over-replicated gates within eps*W.
-        const PAIRS: usize = 1 << 17;
-        let mut lcg = 0x1357_9BDFu64;
-        let pairs: Vec<(u64, u64)> = data[..PAIRS]
-            .iter()
-            .map(|&v| {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (v, (lcg >> 33) % 16 + 1)
-            })
-            .collect();
-        let big_w: u64 = pairs.iter().map(|&(_, w)| w).sum();
+        data.iter().for_each(|&v| s.insert(v));
         let mut ws = AnySketch::<u64>::new(kind, EPS);
-        let mut buf = pairs.clone();
-        for chunk in buf.chunks_mut(4096) {
+        for chunk in pairs.clone().chunks_mut(4096) {
             ws.insert_weighted_batch(chunk);
         }
-        assert_eq!(ws.len(), big_w, "{kind}: weighted mass lost");
-        let mut replicated: Vec<u64> = Vec::with_capacity(big_w as usize);
-        for &(v, w) in &pairs {
-            replicated.extend(std::iter::repeat_n(v, w as usize));
-        }
-        replicated.sort_unstable();
-        let mut weighted_max_dist = 0u64;
-        for i in 1..=200u64 {
-            let r = (big_w * i) / 201 + 1;
-            let est = ws.rank_query(r).expect("non-empty sketch");
-            let lo = replicated.partition_point(|&x| x < est.value) as u64 + 1;
-            let hi = replicated.partition_point(|&x| x <= est.value) as u64;
-            let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
-            weighted_max_dist = weighted_max_dist.max(dist);
-        }
-        assert!(
-            weighted_max_dist as f64 <= EPS * big_w as f64 + 1.0,
-            "{kind}: weighted rank error {weighted_max_dist} breaks the eps*W = {} bound",
-            EPS * big_w as f64
+        assert_eq!(
+            ws.len(),
+            replicated.len() as u64,
+            "{kind}: weighted mass lost"
         );
-
         rows.push(SketchRow {
-            name: kind.as_str(),
-            max_rel_err: max_err,
+            name: kind.as_str().into(),
+            max_rel_err: checked_rel_err(&s, &sorted, EPS, kind.as_str()),
             memory_words: s.memory_words(),
-            weighted_max_rel_err: weighted_max_dist as f64 / (EPS * big_w as f64),
+            weighted_max_rel_err: checked_rel_err(&ws, &replicated, EPS, kind.as_str()),
         });
+        for (shape, values) in [("log-uniform head", &head), ("20 values", &twenty)] {
+            let name = format!("{kind} {shape}");
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let (mut s, mut ws) = (AnySketch::new(kind, EPS), AnySketch::new(kind, EPS));
+            for chunk in values.chunks(4096) {
+                s.insert_batch(&mut chunk.to_vec());
+                ws.insert_weighted_batch(&mut chunk.iter().map(|&v| (v, 1)).collect::<Vec<_>>());
+            }
+            rows.push(SketchRow {
+                max_rel_err: checked_rel_err(&s, &sorted, EPS, &name),
+                memory_words: s.memory_words(),
+                weighted_max_rel_err: checked_rel_err(
+                    &ws,
+                    &sorted,
+                    EPS,
+                    &format!("{name} weighted"),
+                ),
+                name,
+            });
+        }
     }
     rows
 }
@@ -974,7 +990,7 @@ fn main() {
                             .iter()
                             .map(|r| {
                                 obj([
-                                    ("name", Json::Str(r.name.into())),
+                                    ("name", Json::Str(r.name.clone())),
                                     ("weighted_max_rel_err", num(r.weighted_max_rel_err)),
                                     ("max_rel_err", num(r.max_rel_err)),
                                     ("memory_words", num(r.memory_words as f64)),

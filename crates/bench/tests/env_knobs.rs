@@ -2,7 +2,7 @@
 //!
 //! The repo's convention: a *set but garbage* knob must fail the process
 //! loudly, naming the variable — never silently fall back to a default
-//! (a typo'd `HSQ_WORKERS=eight` running single-threaded would corrupt a
+//! (a typo'd `HSQ_SKETCH=klll` silently running GK would corrupt a
 //! benchmark with zero signal). This sweep drives every knob's
 //! reader with garbage and with good values and checks both directions.
 //!
@@ -28,7 +28,6 @@ use std::process::Command;
 /// the service crate's chaos test binary reads it, and it panics on
 /// garbage itself (same loud-failure convention).
 const ALL_KNOBS: &[&str] = &[
-    "HSQ_WORKERS",
     "HSQ_SKETCH",
     "HSQ_BENCH_JSON",
     "HSQ_CHAOS_SEED",
@@ -43,10 +42,6 @@ const ALL_KNOBS: &[&str] = &[
 fn env_knob_probe() {
     let knob = std::env::var("HSQ_KNOB_PROBE").expect("probe needs HSQ_KNOB_PROBE");
     match knob.as_str() {
-        "workers" => {
-            let w = hsq_core::parallel::worker_count(64);
-            println!("probe ok: worker_count = {w}");
-        }
         "sketch" => {
             let k = hsq_sketch::SketchKind::from_env();
             println!("probe ok: sketch = {k:?}");
@@ -94,16 +89,6 @@ fn rejects(knob: &str, vars: &[(&str, &str)], var: &str) {
         out.contains(var),
         "probe {knob} failed on {vars:?} without naming {var}:\n{out}"
     );
-}
-
-#[test]
-fn hsq_workers_sweep() {
-    accepts("workers", &[]);
-    accepts("workers", &[("HSQ_WORKERS", "1")]);
-    accepts("workers", &[("HSQ_WORKERS", " 8 ")]);
-    for garbage in ["0", "eight", "-3", "1.5", ""] {
-        rejects("workers", &[("HSQ_WORKERS", garbage)], "HSQ_WORKERS");
-    }
 }
 
 #[test]

@@ -76,9 +76,13 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// exact counts — historical ones from the sorted partitions, stream
     /// ones from the staged items. Needs no setup, and answers alike
     /// after [`Self::persist`] and [`Self::recover`], which carry the
-    /// staged items.
+    /// staged items. Quarantined partitions are skipped, as the quantile
+    /// queries skip them: the counts exclude their mass (the threshold
+    /// does not). Under [`HsqConfig::strict`] any quarantined mass
+    /// refuses the query instead.
     pub fn heavy_hitters(&self, phi: f64) -> io::Result<Vec<crate::heavy::HeavyHitter<T>>> {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0, 1]");
+        crate::query::strict_gate(self.config.strict, self.warehouse.quarantined_mass())?;
         let threshold = ((phi * self.total_len() as f64).ceil() as u64).max(1);
         let cache_blocks = self.config.cache_blocks;
         crate::heavy::heavy_hitters(&self.warehouse, &self.staging, threshold, cache_blocks)
@@ -120,7 +124,10 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
         self.warehouse.summary_memory_words() + self.stream.memory_words()
     }
 
-    /// `StreamUpdate(e)`: one streaming element arrives.
+    /// `StreamUpdate(e)`: one streaming element arrives. Under GK each
+    /// call is a whole merge pass over the sketch's tuples (O(tuples));
+    /// callers with many items should batch them through
+    /// [`HistStreamQuantiles::stream_extend`].
     #[inline]
     pub fn stream_update(&mut self, e: T) {
         self.invalidate();
@@ -156,7 +163,9 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
     /// (sampled or pre-aggregated telemetry). Counts `w` toward the
     /// stream size `m` and stages `w` raw copies for archival, so every
     /// guarantee stays `ε·m` with `m` the summed weight and the archived
-    /// multiset is exactly what the sketch absorbed.
+    /// multiset is exactly what the sketch absorbed. KLL places the
+    /// weight in O(log w); GK merges it as one run in a pass over its
+    /// tuples (O(tuples)).
     pub fn stream_update_weighted(&mut self, e: T, w: u64) {
         if w == 0 {
             return;
@@ -168,8 +177,8 @@ impl<T: Item, D: BlockDevice> HistStreamQuantiles<T, D> {
 
     /// Batched weighted `StreamUpdate`: absorb `(value, weight)` pairs at
     /// once. The sketch ingests the weights natively — KLL decomposes each
-    /// onto its levels in O(log w), GK splices with exact rank arithmetic
-    /// — while staging expands them into replicated raw copies (sorted,
+    /// onto its levels in O(log w), GK merges the pairs as runs in one
+    /// linear pass — while staging expands them into replicated raw copies (sorted,
     /// recorded as one segment) so archival and recovery see the exact
     /// multiset. Equivalent to `w`-fold [`HistStreamQuantiles::stream_update`]
     /// per pair, without paying `Σw` sketch updates.

@@ -42,7 +42,8 @@ use crate::warehouse::{StoredPartition, Warehouse};
 pub struct HeavyHitter<T> {
     /// The value.
     pub value: T,
-    /// Exact occurrences in the historical warehouse.
+    /// Exact occurrences in the historical warehouse's healthy
+    /// partitions (quarantined ones are not read).
     pub hist_count: u64,
     /// Exact occurrences in the live stream.
     pub stream_count: u64,
@@ -55,16 +56,18 @@ impl<T> HeavyHitter<T> {
     }
 }
 
-/// Every value occurring at least `threshold` times in
-/// `warehouse ∪ staged`, most frequent first, with exact per-side counts
-/// (see the module docs for why the candidate set is complete).
+/// Every value occurring at least `threshold` times in the warehouse's
+/// healthy partitions and `staged`, most frequent first, with exact
+/// per-side counts (see the module docs for why the candidate set is
+/// complete). Quarantined partitions are skipped, as degraded quantile
+/// queries skip them, so `hist_count` excludes their mass.
 pub(crate) fn heavy_hitters<T: Item, D: BlockDevice>(
     warehouse: &Warehouse<T, D>,
     staged: &[T],
     threshold: u64,
     cache_blocks: usize,
 ) -> io::Result<Vec<HeavyHitter<T>>> {
-    let partitions = warehouse.partitions_newest_first();
+    let partitions = warehouse.healthy_partitions_newest_first();
     let dev = &**warehouse.device();
     let mut stream = staged.to_vec();
     hsq_storage::sort_items(&mut stream);

@@ -1,38 +1,14 @@
 //! Bounded-thread fan-out: the generic [`par_map_mut`] pool the sharded
 //! engine uses for per-shard ingestion and step close.
 //!
-//! The pool bounds its thread count by [`worker_count`]:
-//! `available_parallelism()` unless the `HSQ_WORKERS` environment
-//! variable overrides it (raise it to overlap blocking device I/O across
-//! shards even on few cores).
+//! The pool bounds its thread count by [`worker_count`].
 
-/// Worker-thread bound of [`par_map_mut`]:
-/// `available_parallelism()`, clamped to `[1, tasks]`, overridable with
-/// the `HSQ_WORKERS` environment variable (useful to overlap blocking
-/// device I/O across shards even on few cores).
-///
-/// An unset variable falls back to `available_parallelism()`; a set but
-/// invalid one (non-numeric, or `0`) panics. Silently ignoring a typo'd
-/// override would run a benchmark at the wrong width and corrupt its
-/// numbers without any signal.
+/// Worker-thread bound of [`par_map_mut`]: `available_parallelism()`,
+/// clamped to `[1, tasks]`.
 pub fn worker_count(tasks: usize) -> usize {
-    let default = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let workers = std::env::var("HSQ_WORKERS")
-        .ok()
-        .map(|s| parse_workers(&s))
-        .unwrap_or(default);
-    workers.clamp(1, tasks.max(1))
-}
-
-/// Parse an `HSQ_WORKERS` override; panics loudly on anything that is not
-/// a positive integer.
-fn parse_workers(s: &str) -> usize {
-    match s.trim().parse::<usize>() {
-        Ok(w) if w > 0 => w,
-        _ => panic!("invalid HSQ_WORKERS {s:?} (want a positive integer)"),
-    }
+    std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .clamp(1, tasks.max(1))
 }
 
 /// Apply `f` to every item of `items` (with its index), running up to
@@ -103,23 +79,5 @@ mod tests {
         assert_eq!(worker_count(0), 1);
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(64) >= 1);
-    }
-
-    #[test]
-    fn worker_override_parses_positive() {
-        assert_eq!(parse_workers("1"), 1);
-        assert_eq!(parse_workers(" 8 "), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_WORKERS")]
-    fn worker_override_zero_panics() {
-        let _ = parse_workers("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "HSQ_WORKERS")]
-    fn worker_override_garbage_panics() {
-        let _ = parse_workers("eight");
     }
 }

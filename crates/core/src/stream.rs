@@ -182,7 +182,7 @@ impl<T: Item> StreamProcessor<T> {
     /// element at once (sampled/pre-aggregated telemetry). Counts `w`
     /// toward the stream size `m`; every downstream guarantee is `ε·m`
     /// with `m` the *summed weight*. KLL decomposes the weight onto its
-    /// levels in O(log w); GK splices it in with exact rank arithmetic.
+    /// levels in O(log w); GK merges it as one run.
     #[inline]
     pub fn update_weighted(&mut self, e: T, w: u64) {
         self.sketch.insert_weighted(e, w);

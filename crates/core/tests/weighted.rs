@@ -8,6 +8,7 @@
 //! engine, sharded engines at 1/2/8 shards, and windowed queries.
 
 use hsq_core::{HistStreamQuantiles, HsqConfig, ShardedEngine, SketchKind};
+use hsq_sketch::AnySketch;
 use hsq_storage::MemDevice;
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -179,6 +180,65 @@ fn weighted_windowed_matches_replicated() {
                 let phi = phi_pct as f64 / 100.0;
                 let v = h.quantile_in_window(w, phi).unwrap().unwrap();
                 assert_within(&win, v, phi, allowed, &format!("{kind}/window={w}"));
+            }
+        }
+    }
+}
+
+/// The heavy-duplicate shapes GK's weighted merge once broke its
+/// invariant on: a log-uniform head `⌊2^(20u)⌋` and a 20-value domain.
+fn heavy_values(shape: u8, seed: u64, len: usize) -> Vec<u64> {
+    let mut gen = lcg(seed);
+    (0..len)
+        .map(|_| match shape {
+            0 => 2f64.powf(20.0 * (gen() as f64 / (1u64 << 31) as f64)) as u64,
+            _ => gen() % 20,
+        })
+        .collect()
+}
+
+/// Every engine entry point of the live step keeps GK's invariant
+/// `g + Δ ≤ ⌊2εm⌋` after every batch of 4,096 items on heavy heads
+/// (the sketch runs at ε₂/2 = 0.00125 for ε = 0.01), and the step's
+/// answers stay within `ε·m` of exact.
+#[test]
+fn heavy_heads_keep_the_gk_invariant_on_every_entry_point() {
+    type Feed = fn(&mut HistStreamQuantiles<u64, MemDevice>, &[u64]);
+    let feeds: [(&str, Feed); 4] = [
+        ("stream_extend_weighted", |h, b| {
+            h.stream_extend_weighted(&b.iter().map(|&v| (v, 1)).collect::<Vec<_>>())
+        }),
+        ("stream_update_weighted", |h, b| {
+            b.iter().for_each(|&v| h.stream_update_weighted(v, 1))
+        }),
+        ("stream_extend", |h, b| h.stream_extend(b)),
+        ("stream_update", |h, b| {
+            b.iter().for_each(|&v| h.stream_update(v))
+        }),
+    ];
+    for shape in 0..2u8 {
+        let values = heavy_values(shape, 11 + shape as u64, 4 * 4_096);
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for (name, feed) in feeds {
+            let mut h = HistStreamQuantiles::<u64, _>::new(
+                MemDevice::new(4096),
+                config(0.01, SketchKind::Gk),
+            );
+            for (i, batch) in values.chunks(4_096).enumerate() {
+                feed(&mut h, batch);
+                let AnySketch::Gk(gk) = h.stream().sketch() else {
+                    panic!("the configured backend is GK");
+                };
+                if let Err(e) = gk.check_invariants() {
+                    panic!("shape {shape}/{name}: batch {i}: {e}");
+                }
+            }
+            let allowed = (h.config().query_epsilon() * h.stream_len() as f64) as u64;
+            for pct in 1..=50u32 {
+                let phi = pct as f64 / 50.0;
+                let v = h.quantile(phi).unwrap().unwrap();
+                assert_within(&sorted, v, phi, allowed, &format!("shape {shape}/{name}"));
             }
         }
     }

@@ -14,6 +14,9 @@
 //!   [`GkSketch::check_invariants`]), which guarantees any rank query is
 //!   answerable within `εn`.
 //!
+//! Every insert — scalar, batched, weighted — goes through one merge
+//! (`merge_runs`): a backward linear pass over the tuples and the
+//! batch's sorted `(value, weight)` runs, with COMPRESS fused into it.
 //! COMPRESS merges a tuple into its right neighbour when capacity allows
 //! and the *band* condition holds (newer tuples, with larger Δ, may only
 //! absorb tuples from the same or newer band), preserving the
@@ -64,10 +67,8 @@ pub struct GkSketch<T> {
     n: u64,
     min: Option<T>,
     max: Option<T>,
-    since_compress: u64,
-    compress_period: u64,
     /// Spare buffer for the fused merge+compress pass (double-buffered
-    /// with `tuples` so steady-state batch ingestion never allocates).
+    /// with `tuples` so steady-state ingestion never allocates).
     scratch: Vec<Tuple<T>>,
 }
 
@@ -85,21 +86,8 @@ impl<T: Copy + Ord> GkSketch<T> {
             n: 0,
             min: None,
             max: None,
-            since_compress: 0,
-            compress_period: Self::period_for(epsilon),
             scratch: Vec::new(),
         }
-    }
-
-    /// COMPRESS cadence `max(1, ⌊1/2ε⌋)`. Like the KLL capacity formula,
-    /// this `f64 → u64` cast turns garbage for a non-finite or
-    /// out-of-range `epsilon`; callers must have validated it.
-    fn period_for(epsilon: f64) -> u64 {
-        debug_assert!(
-            epsilon.is_finite() && epsilon > 0.0 && epsilon <= 1.0,
-            "period_for needs a validated epsilon, got {epsilon}"
-        );
-        ((1.0 / (2.0 * epsilon)).floor() as u64).max(1)
     }
 
     /// The error parameter.
@@ -144,25 +132,19 @@ impl<T: Copy + Ord> GkSketch<T> {
         (2.0 * self.epsilon * self.n as f64).floor() as u64
     }
 
-    /// Insert one element.
-    ///
-    /// Routed through [`GkSketch::insert_sorted_batch`] with a batch of
-    /// one, so the scalar and batched paths share a single merge
-    /// implementation. Cost is unchanged from a direct insert: one binary
-    /// search plus one tail move.
+    /// Insert one element: a batch of one run, through the one merge
+    /// every insert takes (a pass over the tuples).
     #[inline]
     pub fn insert(&mut self, v: T) {
-        self.insert_sorted_batch(&[v]);
+        self.merge_runs(1, [(v, 1)]);
     }
 
     /// Insert a whole batch at once: sorts `batch` in place (via the LSD
     /// radix path of [`crate::radix::sort_radixable`] for radix-keyed
-    /// types, comparison sort otherwise), then merges it into the tuple
-    /// list in **one linear pass** with a single amortized COMPRESS —
-    /// replacing `batch.len()` binary-search-plus-`Vec`-shift insertions.
-    /// The resulting sketch satisfies the same GK invariant
-    /// (`g + Δ ≤ ⌊2εn⌋`) and therefore the same `εn` rank guarantee as
-    /// element-wise insertion.
+    /// types, comparison sort otherwise), then merges it in one linear
+    /// pass ([`GkSketch::insert_sorted_batch`]) instead of `batch.len()`
+    /// scalar inserts, with the same `g + Δ ≤ ⌊2εn⌋` invariant and `εn`
+    /// rank guarantee.
     ///
     /// The [`crate::radix::RadixKey`] bound is how the sort picks its
     /// path: types without an order-preserving `u64` key implement the
@@ -177,160 +159,131 @@ impl<T: Copy + Ord> GkSketch<T> {
     }
 
     /// [`GkSketch::insert_batch`] for a batch the caller has already
-    /// sorted (nondecreasing). Skips the sort.
-    ///
-    /// Two merge strategies behind one API, picked by whether this batch
-    /// crosses the COMPRESS cadence:
-    /// * below the cadence (every scalar insert except each
-    ///   `compress_period`-th lands here) — an in-place back-to-front
-    ///   merge moving each existing tuple at most once, which for a batch
-    ///   of one degenerates to exactly the classic binary-search-plus-
-    ///   tail-move insert;
-    /// * at or above it — a fused forward merge+COMPRESS writing each
-    ///   surviving tuple once into a double-buffered scratch vector, so a
-    ///   large batch never materializes `s + b` tuples nor takes a
-    ///   separate compression sweep.
+    /// sorted (nondecreasing). Skips the sort; the batch's runs of equal
+    /// values are read on the fly as `(value, count)` runs.
     pub fn insert_sorted_batch(&mut self, batch: &[T]) {
-        let b = batch.len();
-        if b == 0 {
+        debug_assert!(batch.windows(2).all(|w| w[0] <= w[1]), "batch not sorted");
+        self.merge_runs(batch.len() as u64, batch.iter().rev().map(|&v| (v, 1)));
+    }
+
+    /// Insert one element carrying integer weight `w` — the same multiset
+    /// as `w` [`GkSketch::insert`] calls, merged as one run. `w = 0` is a
+    /// no-op.
+    pub fn insert_weighted(&mut self, v: T, w: u64) {
+        self.merge_runs(w, [(v, w)]);
+    }
+
+    /// Insert a batch of `(value, weight)` pairs, unsorted: sorts by
+    /// value (comparison sort — the weight payload cannot ride along an
+    /// order-preserving `u64` radix key, so the pair is not
+    /// [`crate::radix::RadixKey`] material) and merges through
+    /// [`GkSketch::insert_weighted_sorted_batch`].
+    pub fn insert_weighted_batch(&mut self, batch: &mut [(T, u64)]) {
+        batch.sort_unstable_by_key(|a| a.0);
+        self.insert_weighted_sorted_batch(batch);
+    }
+
+    /// Weighted batch insert for pairs the caller has already sorted by
+    /// value (nondecreasing; zero weights are skipped). Pairs of one value
+    /// are summed into one run on the fly. Cost is `O(tuples + pairs +
+    /// 1/ε)`, independent of the weight magnitudes.
+    pub fn insert_weighted_sorted_batch(&mut self, batch: &[(T, u64)]) {
+        debug_assert!(
+            batch.windows(2).all(|w| w[0].0 <= w[1].0),
+            "batch not sorted by value"
+        );
+        let total = batch.iter().map(|p| p.1).sum();
+        self.merge_runs(total, batch.iter().rev().copied());
+    }
+
+    /// The one merge, behind every insert. `descending` lists
+    /// `(value, weight)` pairs from the largest value down, summing to
+    /// `total`; pairs of one value are summed into one run and zero
+    /// weights skipped as they are read. The runs are merged into the
+    /// tuple list in one backward linear pass with COMPRESS fused into it,
+    /// and the output is written once into the `scratch` double buffer.
+    ///
+    /// A run's copies of `u` go *before* the sketch's own copies of `u`,
+    /// so every existing tuple keeps its `(g, Δ)`: the new mass below it
+    /// arrives as new tuples between it and its predecessor. The sketch
+    /// holds between `rmin(s)` and `rmax(t) − 1` items below `u`, for `s`
+    /// the last tuple under `u` and `t` the first at or above it, so the
+    /// run enters with that local width `Δ = g_t + Δ_t − 1` (exactly 0 when
+    /// no tuple is at or above `u`, or when `u` is at or below the exact
+    /// minimum), in chunks of `g ≤ ⌊2εn⌋ − Δ` at the new `n`. Every new
+    /// tuple thus keeps `g + Δ ≤ ⌊2εn⌋`, and no Δ is wider than the
+    /// classic insert's `⌊2εn⌋ − 1`.
+    ///
+    /// Streaming largest to smallest, the accumulator `right` absorbs its
+    /// left neighbour while `g_left + g + Δ < ⌊2εn⌋` and the band rule
+    /// allow; the minimum tuple is never absorbed. Cost is one pass over
+    /// the tuples plus one step per pair and per chunk, whatever the batch
+    /// size: a scalar insert pays the whole pass.
+    fn merge_runs(&mut self, total: u64, descending: impl IntoIterator<Item = (T, u64)>) {
+        if total == 0 {
             return;
         }
-        debug_assert!(batch.windows(2).all(|w| w[0] <= w[1]), "batch not sorted");
-        self.min = Some(match self.min {
-            Some(m) => m.min(batch[0]),
-            None => batch[0],
-        });
-        self.max = Some(match self.max {
-            Some(m) => m.max(batch[b - 1]),
-            None => batch[b - 1],
-        });
-        self.n += b as u64;
-        self.since_compress += b as u64;
-        if self.since_compress >= self.compress_period {
-            self.merge_fused(batch);
-            self.since_compress = 0;
-        } else {
-            self.back_merge(batch);
-        }
-    }
-
-    /// In-place back-to-front merge of a sorted `batch` into the tuple
-    /// list, no compression. Each existing tuple moves at most once
-    /// (whole runs via `copy_within`).
-    fn back_merge(&mut self, batch: &[T]) {
-        let b = batch.len();
-        // Δ for interior inserts, computed at the final n. For elements of
-        // the batch this can only over-state the uncertainty relative to
-        // element-wise insertion (cap is nondecreasing in n), so the
-        // tracked intervals stay sound and the invariant holds at n.
-        let delta_mid = self.cap().saturating_sub(1);
-
-        let s = self.tuples.len();
-        let filler = Tuple {
-            v: batch[0],
-            g: 0,
-            delta: 0,
-        };
-        self.tuples.resize(s + b, filler);
-        // Old tuples occupy [0, src_end); the space [src_end, dst_end) is
-        // free; merged output grows down from s + b.
-        let mut src_end = s;
-        let mut dst_end = s + b;
-        for j in (0..b).rev() {
-            let v = batch[j];
-            // Old tuples with value >= v go after v (the scalar path's
-            // `partition_point(|t| t.v < v)` position), moved as one run.
-            let cut = self.tuples[..src_end].partition_point(|t| t.v < v);
-            if cut < src_end {
-                let run = src_end - cut;
-                self.tuples.copy_within(cut..src_end, dst_end - run);
-                dst_end -= run;
-                src_end = cut;
-            }
-            dst_end -= 1;
-            // Δ = 0 is sound in exactly two spots (mirroring the scalar
-            // path): the global minimum position, and elements greater
-            // than every existing value — behind those sit only batch
-            // elements with g = 1 and Δ = 0, so their rank is exact.
-            let delta = if dst_end == 0 || src_end == s {
-                0
-            } else {
-                delta_mid
-            };
-            self.tuples[dst_end] = Tuple { v, g: 1, delta };
-        }
-        debug_assert_eq!(src_end, dst_end);
-    }
-
-    /// Backward merge of a sorted `batch` with COMPRESS fused into the
-    /// same pass. Streaming largest-to-smallest lets absorption work
-    /// exactly like [`GkSketch::compress`]'s right-to-left sweep — the
-    /// accumulator `right` soaks up whole runs of left tuples while the
-    /// invariant and band rule allow — so the output lands already
-    /// compressed in the scratch buffer: one write per surviving tuple
-    /// plus a reverse of the (compressed, small) result.
-    fn merge_fused(&mut self, batch: &[T]) {
-        let b = batch.len();
+        self.n += total;
         let cap = self.cap();
-        let delta_mid = cap.saturating_sub(1);
-        let s = self.tuples.len();
+        let old_min = self.min;
+        let mut pairs = descending.into_iter().filter(|p| p.1 > 0).peekable();
+        let (mut lo, mut hi) = (None, None);
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        out.reserve(s + b);
-        {
-            let old = &self.tuples;
-            let mut i = s as isize - 1;
-            let mut j = b as isize - 1;
-            // `right` = the accumulating right neighbour, as in compress().
-            let mut right: Option<Tuple<T>> = None;
-            while i >= 0 || j >= 0 {
-                // Ties emit the old tuple first (we run back to front), so
-                // after the final reverse a new element sits before equal
-                // old tuples — the scalar path's insertion position.
-                let take_old = i >= 0 && (j < 0 || old[i as usize].v >= batch[j as usize]);
-                let t = if take_old {
-                    let t = old[i as usize];
-                    i -= 1;
-                    t
-                } else {
-                    let v = batch[j as usize];
-                    j -= 1;
-                    // Δ = 0 is sound in two spots (mirroring the scalar
-                    // path): elements greater than every existing value —
-                    // no old tuple emitted yet, so behind them sit only
-                    // batch elements whose g/Δ keep ranks exact — and the
-                    // global minimum position.
-                    let delta = if i == s as isize - 1 || (i < 0 && j < 0) {
-                        0
-                    } else {
-                        delta_mid
-                    };
-                    Tuple { v, g: 1, delta }
-                };
-                // The left-most (minimum) tuple must never be merged away.
-                let is_min = i < 0 && j < 0;
-                match right.take() {
-                    None => right = Some(t),
-                    Some(mut r) => {
-                        let absorb = !is_min
-                            && t.g + r.g + r.delta < cap
-                            && Self::band(t.delta, cap) <= Self::band(r.delta, cap);
-                        if absorb {
-                            r.g += t.g;
-                            right = Some(r);
-                        } else {
-                            out.push(r);
-                            right = Some(t);
-                        }
-                    }
+        let old = &self.tuples;
+        let mut i = old.len();
+        let mut right: Option<Tuple<T>> = None;
+        let mut emit = |t: Tuple<T>, is_min: bool| match right.take() {
+            Some(mut r)
+                if !is_min
+                    && t.g + r.g + r.delta < cap
+                    && Self::band(t.delta, cap) <= Self::band(r.delta, cap) =>
+            {
+                r.g += t.g;
+                right = Some(r);
+            }
+            r => {
+                if let Some(r) = r {
+                    out.push(r);
                 }
+                right = Some(t);
             }
-            if let Some(r) = right {
-                out.push(r);
+        };
+        while let Some((u, mut w)) = pairs.next() {
+            while let Some((_, more)) = pairs.next_if(|p| p.0 == u) {
+                w += more;
             }
+            debug_assert!(lo.is_none_or(|l| u < l), "pairs not descending");
+            hi = hi.or(Some(u));
+            lo = Some(u);
+            while i > 0 && old[i - 1].v >= u {
+                i -= 1;
+                emit(old[i], false);
+            }
+            let delta = match old.get(i) {
+                Some(t) if old_min < Some(u) => (t.g + t.delta).saturating_sub(1),
+                _ => 0,
+            };
+            let chunk = cap.saturating_sub(delta).max(1);
+            let is_min = i == 0 && pairs.peek().is_none();
+            // Full chunks from the right, the remainder leftmost.
+            let tuple = |g| Tuple { v: u, g, delta };
+            let mut rest = w;
+            while rest > chunk {
+                rest -= chunk;
+                emit(tuple(chunk), false);
+            }
+            emit(tuple(rest), is_min);
         }
+        while i > 0 {
+            i -= 1;
+            emit(old[i], i == 0);
+        }
+        out.extend(right);
         out.reverse();
         self.scratch = std::mem::replace(&mut self.tuples, out);
+        self.min = self.min.min(lo).or(lo);
+        self.max = self.max.max(hi);
     }
 
     /// Band of a tuple: groups Δ values by the insertion epoch that could
@@ -347,38 +300,6 @@ impl<T: Copy + Ord> GkSketch<T> {
             // floor(log2(cap - delta + 1)) + 1: monotone decreasing in delta.
             64 - (cap - delta + 1).leading_zeros()
         }
-    }
-
-    /// COMPRESS: one right-to-left pass merging tuples into their right
-    /// neighbours where the invariant and band condition allow.
-    pub fn compress(&mut self) {
-        if self.tuples.len() < 3 {
-            return;
-        }
-        let cap = self.cap();
-        let old = std::mem::take(&mut self.tuples);
-        let len = old.len();
-        let mut out: Vec<Tuple<T>> = Vec::with_capacity(len);
-        let mut iter = old.into_iter().rev();
-        // The right-most (maximum) tuple is always kept.
-        let mut right = iter.next().expect("len >= 3");
-        for (k, t) in iter.enumerate() {
-            // The left-most (minimum) tuple is yielded last (k == len - 2)
-            // and must never be merged away.
-            let is_min_tuple = k == len - 2;
-            let mergeable = !is_min_tuple
-                && t.g + right.g + right.delta < cap
-                && Self::band(t.delta, cap) <= Self::band(right.delta, cap);
-            if mergeable {
-                right.g += t.g;
-            } else {
-                out.push(right);
-                right = t;
-            }
-        }
-        out.push(right);
-        out.reverse();
-        self.tuples = out;
     }
 
     /// Answer a query for 1-based rank `r` (clamped into `[1, n]`).
@@ -515,165 +436,6 @@ impl<T: Copy + Ord> GkSketch<T> {
         Ok(())
     }
 
-    /// Insert one element carrying integer weight `w` — semantically `w`
-    /// repeated [`GkSketch::insert`] calls. See
-    /// [`GkSketch::insert_weighted_sorted_batch`] for the mechanism and
-    /// error accounting. `w = 0` is a no-op.
-    pub fn insert_weighted(&mut self, v: T, w: u64) {
-        self.insert_weighted_sorted_batch(&[(v, w)]);
-    }
-
-    /// Insert a batch of `(value, weight)` pairs, unsorted: sorts by
-    /// value (comparison sort — the weight payload cannot ride along an
-    /// order-preserving `u64` radix key, so the pair is not
-    /// [`crate::radix::RadixKey`] material) and folds through
-    /// [`GkSketch::insert_weighted_sorted_batch`].
-    pub fn insert_weighted_batch(&mut self, batch: &mut [(T, u64)]) {
-        batch.sort_unstable_by_key(|a| a.0);
-        self.insert_weighted_sorted_batch(batch);
-    }
-
-    /// Weighted batch insert for pairs the caller has already sorted by
-    /// value (nondecreasing; zero weights are skipped).
-    ///
-    /// GK has no weight-carrying levels to exploit, so this is *bound
-    /// surgery*: the batch, being fully known, is an **exact** summary
-    /// of itself, and folding it in widens nothing that was not already
-    /// wide. Existing tuples are shifted by the exact batch mass at or
-    /// below their value (zero added width — folding in a second *sketch*
-    /// instead would have to assume its gap mass can sit anywhere, paying
-    /// `Δ`-width per fold, compounded over repeated batches). Batch values
-    /// enter with the sketch's own local rank width, split into
-    /// invariant-sized (`⌊2εn⌋`) same-value chunks so heavy weights cannot
-    /// wreck rank-query navigation. All
-    /// tracked intervals on the result remain within the pre-existing
-    /// `ε·n_old ≤ ε·W` widths, for total weight `W = n_old + Σw`; cost
-    /// is `O(tuples + pairs + Σ⌈w/⌊2εW⌋⌉)`, independent of the weight
-    /// magnitudes. A COMPRESS pass then re-bounds the tuple count.
-    pub fn insert_weighted_sorted_batch(&mut self, batch: &[(T, u64)]) {
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].0 <= w[1].0),
-            "batch not sorted by value"
-        );
-        let total: u64 = batch.iter().map(|p| p.1).sum();
-        if total == 0 {
-            return;
-        }
-        let n_new = self.n + total;
-        let cap_new = (2.0 * self.epsilon * n_new as f64).floor() as u64;
-        // Self tuples as absolute-rank intervals.
-        let mut rmin = 0u64;
-        let a: Vec<(T, u64, u64)> = self
-            .tuples
-            .iter()
-            .map(|t| {
-                rmin += t.g;
-                (t.v, rmin, rmin + t.delta)
-            })
-            .collect();
-        // The batch as (value, cumulative weight through value).
-        let mut b: Vec<(T, u64)> = Vec::with_capacity(batch.len());
-        let mut cum = 0u64;
-        for &(v, w) in batch {
-            if w == 0 {
-                continue;
-            }
-            cum += w;
-            match b.last_mut() {
-                Some(last) if last.0 == v => last.1 = cum,
-                _ => b.push((v, cum)),
-            }
-        }
-        // Cumulative batch weight ≤ v — exact, because the batch has no
-        // uncertainty. `j` only advances: probes arrive in value order.
-        fn batch_le<T: Copy + Ord>(b: &[(T, u64)], j: &mut usize, v: T) -> u64 {
-            while *j < b.len() && b[*j].0 <= v {
-                *j += 1;
-            }
-            if *j == 0 {
-                0
-            } else {
-                b[*j - 1].1
-            }
-        }
-        // Self's rank bounds at v, from the absolute intervals.
-        fn self_bounds<T: Copy + Ord>(
-            a: &[(T, u64, u64)],
-            j: &mut usize,
-            v: T,
-            n: u64,
-        ) -> (u64, u64) {
-            while *j < a.len() && a[*j].0 <= v {
-                *j += 1;
-            }
-            let lo = if *j == 0 { 0 } else { a[*j - 1].1 };
-            let hi = if *j < a.len() { a[*j].2 - 1 } else { n };
-            (lo, hi)
-        }
-        let mut entries: Vec<(T, u64, u64)> = Vec::with_capacity(a.len() + b.len());
-        let (mut ja, mut jb) = (0usize, 0usize);
-        for &(v, lo, hi) in &a {
-            let m = batch_le(&b, &mut jb, v);
-            entries.push((v, lo + m, hi + m));
-        }
-        let mut prev_cum = 0u64;
-        for &(v, c) in &b {
-            let (slo, shi) = self_bounds(&a, &mut ja, v, self.n);
-            // Chunk the weight so each resulting tuple satisfies the
-            // invariant at the new n: its Δ is the sketch's local width
-            // `shi − slo`, so a chunk `g ≤ cap − Δ` keeps `g + Δ ≤ cap`.
-            // Existing tuples keep their own (g, Δ) — the batch mass
-            // between any two of them telescopes through these chunk
-            // entries — so the whole result obeys `g + Δ ≤ ⌊2εn⌋` and
-            // rank queries retain their full εn (= ε·W) navigation
-            // guarantee. The i-th chunk's last copy has batch-rank `ci`,
-            // hence union rank in [ci + slo, ci + shi].
-            let chunk = cap_new.saturating_sub(shi - slo).max(1);
-            let mut ci = prev_cum;
-            while ci < c {
-                ci = (ci + chunk).min(c);
-                entries.push((v, ci + slo, ci + shi));
-            }
-            prev_cum = c;
-        }
-        entries.sort_by_key(|x| (x.0, x.1));
-        // The union minimum has rank exactly 1; pin it so the leading
-        // tuple keeps Δ = 0 even when both sides share the minimum.
-        if entries.first().map(|e| e.1 > 1).unwrap_or(false) {
-            let union_min = match self.min {
-                Some(x) => x.min(b[0].0),
-                None => b[0].0,
-            };
-            entries.insert(0, (union_min, 1, 1));
-        }
-        let mut tuples: Vec<Tuple<T>> = Vec::with_capacity(entries.len());
-        let mut prev_lo = 0u64;
-        for (v, lo, hi) in entries {
-            debug_assert!(lo >= prev_lo, "merged lower bounds must be monotone");
-            let hi = hi.max(lo);
-            if prev_lo == lo && hi == lo {
-                // Zero-width duplicate of the previous bound: redundant.
-                if tuples.last().map(|t: &Tuple<T>| t.v == v).unwrap_or(false) {
-                    continue;
-                }
-            }
-            tuples.push(Tuple {
-                v,
-                g: lo.saturating_sub(prev_lo),
-                delta: hi - lo,
-            });
-            prev_lo = lo;
-        }
-        debug_assert_eq!(prev_lo, n_new, "weighted rank mass must equal n + W");
-        self.tuples = tuples;
-        self.n = n_new;
-        let (blo, bhi) = (b[0].0, b[b.len() - 1].0);
-        self.min = Some(self.min.map_or(blo, |x| x.min(blo)));
-        self.max = Some(self.max.map_or(bhi, |x| x.max(bhi)));
-        self.since_compress = 0;
-        self.compress();
-    }
-
     /// The summary tuples as `(value, g, Δ)` triples, for serialization.
     pub fn tuple_parts(&self) -> impl Iterator<Item = (T, u64, u64)> + '_ {
         self.tuples.iter().map(|t| (t.v, t.g, t.delta))
@@ -681,8 +443,10 @@ impl<T: Copy + Ord> GkSketch<T> {
 
     /// Rebuild a sketch from serialized parts, validating ordering, rank
     /// mass and min/max consistency. The capacity invariant is *not*
-    /// enforced: it bounds space, not soundness — every query reads only
-    /// the tracked `g` and `Δ`, which stay sound above the cap.
+    /// enforced; every insert keeps it, so a sketch this crate wrote meets
+    /// it. Above the cap the tracked intervals stay sound, since every
+    /// query reads only the tuples' `g` and `Δ`, but answers lose the `εn`
+    /// guarantee, which rests on the cap.
     pub fn from_tuple_parts(
         epsilon: f64,
         n: u64,
@@ -740,8 +504,6 @@ impl<T: Copy + Ord> GkSketch<T> {
             n,
             min,
             max,
-            since_compress: 0,
-            compress_period: Self::period_for(epsilon),
             scratch: Vec::new(),
         })
     }
@@ -753,7 +515,6 @@ impl<T: Copy + Ord> GkSketch<T> {
         self.n = 0;
         self.min = None;
         self.max = None;
-        self.since_compress = 0;
     }
 }
 
@@ -952,76 +713,142 @@ mod tests {
         assert!(med.abs() <= 100);
     }
 
-    /// Weighted insertion must bound ranks of the replicated multiset
-    /// within ε·W, for both the scalar and the batch entry points.
-    #[test]
-    fn weighted_insert_matches_replicated() {
+    /// `(label, ε, pairs, batch length)`.
+    type Input = (&'static str, f64, Vec<(u64, u64)>, usize);
+
+    /// One entry point fed one batch of pairs.
+    type Feed = fn(&mut GkSketch<u64>, &[(u64, u64)]);
+
+    /// The inputs of [`weighted_insert_matches_replicated`]: random
+    /// weights < 40 over 50,000 values, and two heavy-duplicate shapes of
+    /// weight-1 pairs at the engine's ε₂/2 for ε = 0.01: a log-uniform
+    /// head `⌊2^(20u)⌋` and a 20-value domain.
+    fn weighted_inputs() -> Vec<Input> {
         let mut rng = StdRng::seed_from_u64(17);
-        let pairs: Vec<(u64, u64)> = (0..3_000)
+        let random = (0..3_000)
             .map(|_| (rng.gen_range(0..50_000), rng.gen_range(0..40)))
             .collect();
-        let total: u64 = pairs.iter().map(|p| p.1).sum();
-        let mut data = Vec::with_capacity(total as usize);
-        for &(v, w) in &pairs {
-            for _ in 0..w {
-                data.push(v);
+        let head = (0..4 * 4_096)
+            .map(|_| (2f64.powf(20.0 * rng.gen::<f64>()) as u64, 1))
+            .collect();
+        let twenty = (0..4 * 4_096).map(|_| (rng.gen::<u64>() % 20, 1)).collect();
+        vec![
+            ("random weights", 0.02, random, 491),
+            ("log-uniform head", 0.00125, head, 4_096),
+            ("20 values", 0.00125, twenty, 4_096),
+        ]
+    }
+
+    /// Every weighted and unweighted entry point over `pairs` (the
+    /// unweighted ones take the replicated copies, batch by batch), each
+    /// sketch checked against the GK invariant after every batch.
+    fn every_entry_point(
+        eps: f64,
+        pairs: &[(u64, u64)],
+        batch: usize,
+    ) -> Vec<(&'static str, GkSketch<u64>)> {
+        let feeds: [(&str, Feed); 6] = [
+            ("insert_weighted", |gk, b| {
+                b.iter().for_each(|&(v, w)| gk.insert_weighted(v, w))
+            }),
+            ("insert_weighted_batch", |gk, b| {
+                gk.insert_weighted_batch(&mut b.to_vec())
+            }),
+            ("insert_weighted_sorted_batch", |gk, b| {
+                let mut sorted = b.to_vec();
+                sorted.sort_unstable();
+                gk.insert_weighted_sorted_batch(&sorted);
+            }),
+            ("insert", |gk, b| {
+                replicated(b).into_iter().for_each(|v| gk.insert(v))
+            }),
+            ("insert_batch", |gk, b| gk.insert_batch(&mut replicated(b))),
+            ("insert_sorted_batch", |gk, b| {
+                let mut sorted = replicated(b);
+                sorted.sort_unstable();
+                gk.insert_sorted_batch(&sorted);
+            }),
+        ];
+        feeds
+            .into_iter()
+            .map(|(name, feed)| {
+                let mut gk = GkSketch::new(eps);
+                for (i, b) in pairs.chunks(batch).enumerate() {
+                    feed(&mut gk, b);
+                    if let Err(e) = gk.check_invariants() {
+                        panic!("{name}: batch {i}: {e}");
+                    }
+                }
+                (name, gk)
+            })
+            .collect()
+    }
+
+    fn replicated(pairs: &[(u64, u64)]) -> Vec<u64> {
+        pairs
+            .iter()
+            .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
+            .collect()
+    }
+
+    /// Weighted insertion must bound ranks of the replicated multiset
+    /// within ε·W and keep the GK invariant after every batch, through
+    /// every entry point, on heavy heads too.
+    #[test]
+    fn weighted_insert_matches_replicated() {
+        for (shape, eps, pairs, batch) in weighted_inputs() {
+            let mut data = replicated(&pairs);
+            data.sort_unstable();
+            let total = data.len() as u64;
+            let slack = eps * total as f64;
+            for (name, gk) in every_entry_point(eps, &pairs, batch) {
+                let label = format!("{shape}/{name}");
+                assert_eq!(gk.len(), total, "{label}");
+                assert_eq!(gk.min(), data.first().copied(), "{label}");
+                assert_eq!(gk.max(), data.last().copied(), "{label}");
+                for i in 1..=200u64 {
+                    let r = i * total / 200;
+                    let est = gk.rank_query(r).unwrap();
+                    // Occurrence-rank semantics: the weighted copies of
+                    // est.value span [count(<v) + 1, count(≤v)] and the
+                    // tracked interval brackets one of them.
+                    let truth_hi = data.partition_point(|&x| x <= est.value) as u64;
+                    let truth_lo = data.partition_point(|&x| x < est.value) as u64 + 1;
+                    assert!(
+                        est.rmin <= truth_hi && truth_lo <= est.rmax,
+                        "{label}: interval [{}, {}] misses occurrence ranks [{truth_lo}, {truth_hi}]",
+                        est.rmin,
+                        est.rmax
+                    );
+                    let dist = if r < truth_lo {
+                        truth_lo - r
+                    } else {
+                        r.saturating_sub(truth_hi)
+                    };
+                    assert!(
+                        dist as f64 <= slack + 1.0,
+                        "{label}: rank_query off by {dist} at target {r} (ε·W = {slack})"
+                    );
+                }
+                for probe in (0..50_000).step_by(1_733) {
+                    let (lo, hi) = gk.rank_bounds_of(probe);
+                    let truth = data.partition_point(|&x| x <= probe) as u64;
+                    assert!(
+                        lo <= truth && truth <= hi,
+                        "{label}: probe {probe}: truth {truth} not in [{lo},{hi}]"
+                    );
+                    assert!(
+                        (hi - lo) as f64 <= 2.0 * slack + 2.0,
+                        "{label}: bounds wider than 2·ε·W: [{lo},{hi}]"
+                    );
+                }
+                // Weighted folding must not blow up the summary size.
+                assert!(
+                    gk.num_tuples() < 4_000,
+                    "{label}: {} tuples",
+                    gk.num_tuples()
+                );
             }
-        }
-        let mut scalar = GkSketch::new(0.02);
-        for &(v, w) in &pairs {
-            scalar.insert_weighted(v, w);
-        }
-        let mut batched = GkSketch::new(0.02);
-        let mut shuffled = pairs.clone();
-        shuffled.shuffle(&mut rng);
-        for chunk in shuffled.chunks_mut(491) {
-            batched.insert_weighted_batch(chunk);
-        }
-        for gk in [&scalar, &batched] {
-            // The weighted fold preserves the full GK invariant, not just
-            // interval soundness.
-            gk.check_invariants().unwrap();
-            assert_eq!(gk.len(), total);
-            assert_eq!(gk.min(), data.iter().min().copied());
-            assert_eq!(gk.max(), data.iter().max().copied());
-            for i in 1..=20u64 {
-                let r = i * total / 20;
-                let est = gk.rank_query(r).unwrap();
-                // Occurrence-rank semantics: the weighted copies of
-                // est.value span [count(<v) + 1, count(≤v)] and the
-                // tracked interval brackets one of them.
-                let truth_hi = exact_rank(&data, est.value);
-                let truth_lo = data.iter().filter(|&&x| x < est.value).count() as u64 + 1;
-                assert!(
-                    est.rmin <= truth_hi && truth_lo <= est.rmax,
-                    "interval [{}, {}] misses occurrence ranks [{truth_lo}, {truth_hi}]",
-                    est.rmin,
-                    est.rmax
-                );
-                let dist = if r < truth_lo {
-                    truth_lo - r
-                } else {
-                    r.saturating_sub(truth_hi)
-                };
-                assert!(
-                    dist as f64 <= 0.02 * total as f64 + 1.0,
-                    "weighted rank_query off by {dist} at target {r}"
-                );
-            }
-            for probe in (0..50_000).step_by(1_733) {
-                let (lo, hi) = gk.rank_bounds_of(probe);
-                let truth = exact_rank(&data, probe);
-                assert!(
-                    lo <= truth && truth <= hi,
-                    "probe {probe}: truth {truth} not in [{lo},{hi}]"
-                );
-                assert!(
-                    (hi - lo) as f64 <= 2.0 * 0.02 * total as f64 + 2.0,
-                    "weighted bounds wider than 2·ε·W: [{lo},{hi}]"
-                );
-            }
-            // Weighted folding must not blow up the summary size.
-            assert!(gk.num_tuples() < 4_000, "{} tuples", gk.num_tuples());
         }
     }
 

@@ -11,7 +11,7 @@
 //!   O(log w) weighted inserts and one deterministic compaction schedule
 //!   (alternating per-level parity), selectable as the stream backend.
 //!   It costs far more memory than GK: 45,068 words against GK's
-//!   2.0–2.7k for a 65,536-item step;
+//!   1.9–2.0k for a 65,536-item step;
 //! * [`AnySketch`] / [`SketchKind`] — the one sketch surface the engine's
 //!   stream processor holds, dispatching to the configured backend;
 //! * [`QDigest`] — Shrivastava et al. (paper ref \[24\]); the second

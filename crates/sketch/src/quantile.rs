@@ -20,7 +20,7 @@ use crate::radix::RadixKey;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SketchKind {
     /// Greenwald–Khanna — the paper-faithful default (§2.2): tightest
-    /// per-tuple deterministic bounds and the smallest footprint: 2.0–2.7k
+    /// per-tuple deterministic bounds and the smallest footprint: 1.9–2.0k
     /// words for a 65,536-item step (`hsq_benchmark`'s
     /// `sketch.gk.memory_words`).
     Gk,
@@ -202,8 +202,8 @@ impl<T: Copy + Ord + RadixKey> AnySketch<T> {
     /// as `w` [`AnySketch::insert`] calls, so every tracked interval and
     /// guarantee reads `ε·W` for total weight `W = Σw`. `w = 0` is a
     /// no-op. KLL places the binary decomposition of `w` onto its
-    /// weight-`2^h` levels at O(log w); GK folds an exact chunked summary
-    /// in at O(tuples).
+    /// weight-`2^h` levels at O(log w); GK merges it as one run at
+    /// O(tuples).
     pub fn insert_weighted(&mut self, v: T, w: u64) {
         match self {
             AnySketch::Gk(s) => s.insert_weighted(v, w),

@@ -209,25 +209,6 @@ proptest! {
         }
     }
 
-    /// GK invariant survives interleaved inserts and compresses.
-    #[test]
-    fn gk_invariant_with_explicit_compress(
-        data in proptest::collection::vec(any::<i64>(), 1..2000),
-        compress_every in 1usize..50,
-    ) {
-        let mut gk = GkSketch::new(0.02);
-        for (i, &v) in data.iter().enumerate() {
-            gk.insert(v);
-            if i % compress_every == 0 {
-                gk.compress();
-            }
-            if i % 97 == 0 {
-                gk.check_invariants().unwrap();
-            }
-        }
-        gk.check_invariants().unwrap();
-    }
-
     /// GK tracked bounds always contain the true rank of the answer.
     #[test]
     fn gk_tracked_bounds_sound(

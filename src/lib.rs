@@ -86,7 +86,7 @@
 //!   paper specifies: the smallest memory footprint at a given `ε`;
 //! * [`SketchKind::Kll`] — a deterministic KLL compactor ladder: O(1)
 //!   amortized updates and batch inserts that skip the per-element
-//!   merge, at far more memory: 45,068 words against GK's 2.0–2.7k for a
+//!   merge, at far more memory: 45,068 words against GK's 1.9–2.0k for a
 //!   65,536-item step.
 //!
 //! Both honour the same tracked rank-bound contract, so Theorem 2's
@@ -131,7 +131,7 @@
 //! `stream_extend_weighted`, on both the single and the sharded engine)
 //! absorb the weight *natively* in the stream sketch — KLL places a
 //! weight-`w` item directly onto its weight-`2^h` compactor levels in
-//! `O(log w)`, GK splices it in with an exact-shift merge — so a
+//! `O(log w)`, GK merges it as one run in a linear pass — so a
 //! weight-million record costs nothing like a million updates, while
 //! every rank, size (`m`, `N`) and error bound simply reads *summed
 //! weight*: answers stay within `ε·W` of exact over the replicated
@@ -151,7 +151,7 @@
 //! let mut telemetry = SampledTelemetryGen::new(Dataset::Uniform, 42, 64);
 //! let pairs = telemetry.take_pairs(10_000);
 //! hsq.stream_extend_weighted(&pairs);          // batched
-//! hsq.stream_update_weighted(123_456_789, 1_000_000); // scalar, O(log w)
+//! hsq.stream_update_weighted(123_456_789, 1_000_000); // scalar: O(log w) in KLL, O(tuples) in GK
 //!
 //! let total_w: u64 = pairs.iter().map(|&(_, w)| w).sum::<u64>() + 1_000_000;
 //! assert_eq!(hsq.stream_len(), total_w); // m is the summed weight W

@@ -175,6 +175,8 @@ fn strict_mode_refuses_quarantined_data_until_repaired() {
     assert!(err.to_string().contains("strict"), "{err}");
     assert!(h.rank_query(10).is_err());
     assert!(h.quantile_in_window(1, 0.5).is_err());
+    let err = h.heavy_hitters(0.05).unwrap_err();
+    assert!(err.to_string().contains("strict"), "{err}");
     // Quick (in-memory) responses never touch disk and stay available.
     assert!(h.quantile_quick(0.5).is_some());
 
@@ -184,6 +186,7 @@ fn strict_mode_refuses_quarantined_data_until_repaired() {
     assert_eq!(h.warehouse().lost_items(), 0);
     assert_eq!(h.warehouse().quarantined_mass(), 0);
     assert!(h.quantile(0.5).unwrap().is_some());
+    assert!(h.heavy_hitters(0.05).is_ok());
 }
 
 #[test]
@@ -413,4 +416,64 @@ fn sharded_queries_quarantine_the_rotted_shard_only() {
     assert!(e.shard(0).warehouse().is_quarantined(rotted.file()));
     assert!(!e.shard(1).warehouse().is_quarantined(twin.file()));
     assert_eq!(e.shard(1).warehouse().quarantined_mass(), 0);
+}
+
+/// Heavy hitters skip quarantined partitions, as quantile queries do:
+/// once a rank query has quarantined the rotted newest partition, the
+/// query answers over the healthy ones, and its counts are exact there.
+#[test]
+fn heavy_hitters_skip_quarantined_partitions() {
+    let cfg = HsqConfig::builder().epsilon(EPS).merge_threshold(5).build();
+    let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+    for s in 0..STEPS {
+        let batch: Vec<u64> = (0..STEP_ITEMS)
+            .map(|i| value(7, s * STEP_ITEMS + i))
+            .collect();
+        h.ingest_step(&batch).unwrap();
+    }
+    h.stream_extend(
+        &(0..STREAM_ITEMS)
+            .map(|i| value(7, STEPS * STEP_ITEMS + i))
+            .collect::<Vec<_>>(),
+    );
+    let newest = h.warehouse().partitions_newest_first()[0].run;
+    assert_eq!(
+        newest.len(),
+        STEP_ITEMS,
+        "the newest partition is the last step"
+    );
+    let dev = Arc::clone(h.warehouse().device());
+    for b in 0..newest
+        .len()
+        .div_ceil(newest.items_per_block(dev.block_size()) as u64)
+    {
+        rot(&dev, newest.file(), b);
+    }
+    let n = h.total_len();
+    for i in 1..=20u64 {
+        h.rank_query(i * n / 20).unwrap();
+    }
+    assert!(h.warehouse().is_quarantined(newest.file()));
+
+    assert!(h.heavy_hitters(0.05).is_ok());
+    // Threshold 1 reports every value: exact over the healthy steps and
+    // the live stream, nothing from the quarantined step.
+    let mut healthy: Vec<u64> = (0..(STEPS - 1) * STEP_ITEMS)
+        .chain(STEPS * STEP_ITEMS..STEPS * STEP_ITEMS + STREAM_ITEMS)
+        .map(|i| value(7, i))
+        .collect();
+    healthy.sort_unstable();
+    let mut got: Vec<(u64, u64)> = h
+        .heavy_hitters(1.0 / n as f64)
+        .unwrap()
+        .iter()
+        .map(|hit| (hit.value, hit.count()))
+        .collect();
+    got.sort_unstable();
+    let mut want: Vec<(u64, u64)> = healthy
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
+        .collect();
+    want.sort_unstable();
+    assert_eq!(got, want);
 }

@@ -4,10 +4,12 @@
 
 use std::sync::Arc;
 
-use hsq::core::{HistStreamQuantiles, HsqConfig};
+use hsq::core::{HistStreamQuantiles, HsqConfig, SketchKind};
 use hsq::sketch::ExactQuantiles;
 use hsq::storage::{BlockDevice, FileDevice, MemDevice};
 use hsq::workload::{Dataset, TimeStepDriver};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const PHIS: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.95, 0.99];
 
@@ -232,4 +234,96 @@ fn update_costs_match_lemma6_shape() {
         per_step >= batch_blocks,
         "amortized {per_step} below write floor"
     );
+}
+
+/// Draws one value of a shape.
+type Gen = fn(&mut StdRng) -> u64;
+
+/// The two heavy-duplicate shapes behind GK's weighted-path regression:
+/// a log-uniform head `⌊2^(20u)⌋` (value 1 holds ~5 % of the mass,
+/// value 2 ~3 %, …) and a 20-value domain.
+const HEAVY_SHAPES: [(&str, Gen); 2] = [
+    ("log-uniform head", |rng| {
+        2f64.powf(20.0 * rng.gen::<f64>()) as u64
+    }),
+    ("20 values", |rng| rng.gen::<u64>() % 20),
+];
+
+/// Theorem 2 on heavy duplicates, both backends, both live-ingest paths:
+/// four archived steps, then a live step of 16 × 4,096 items fed once
+/// through `stream_extend_weighted` (weight 1) and once through
+/// `stream_extend`. Every one of 500 uniform ranks must land within
+/// `query_epsilon · m` of the answer's occupied ranks in a sorted copy.
+/// One thread per shape.
+#[test]
+fn heavy_duplicates_meet_theorem2_on_both_ingest_paths() {
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let shapes: Vec<_> = HEAVY_SHAPES
+            .into_iter()
+            .map(|(shape, gen)| s.spawn(move || heavy_shape_failures(shape, gen)))
+            .collect();
+        shapes.into_iter().flat_map(|t| t.join().unwrap()).collect()
+    });
+    assert!(failures.is_empty(), "Theorem 2 broken: {failures:#?}");
+}
+
+/// One shape of [`heavy_duplicates_meet_theorem2_on_both_ingest_paths`]
+/// under every backend and ingest path, seeds 1–10: a line per
+/// combination with seeds over `ε·m`.
+fn heavy_shape_failures(shape: &str, gen: Gen) -> Vec<String> {
+    const BATCH: usize = 4_096;
+    let mut failures = Vec::new();
+    for kind in [SketchKind::Gk, SketchKind::Kll] {
+        for weighted in [true, false] {
+            let label = format!("{shape}/{kind}/weighted={weighted}");
+            let (mut worst, mut failed) = (0f64, 0);
+            for seed in 1..=10u64 {
+                let cfg = HsqConfig::builder()
+                    .epsilon(0.01)
+                    .merge_threshold(4)
+                    .sketch(kind)
+                    .build();
+                let eps = cfg.query_epsilon();
+                let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(4096), cfg);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut all: Vec<u64> = Vec::new();
+                for _ in 0..4 {
+                    let step: Vec<u64> = (0..BATCH).map(|_| gen(&mut rng)).collect();
+                    all.extend(&step);
+                    h.ingest_step(&step).unwrap();
+                }
+                for _ in 0..16 {
+                    let batch: Vec<u64> = (0..BATCH).map(|_| gen(&mut rng)).collect();
+                    all.extend(&batch);
+                    if weighted {
+                        let pairs: Vec<(u64, u64)> = batch.iter().map(|&v| (v, 1)).collect();
+                        h.stream_extend_weighted(&pairs);
+                    } else {
+                        h.stream_extend(&batch);
+                    }
+                }
+                all.sort_unstable();
+                let n = all.len() as u64;
+                let eps_m = eps * h.stream_len() as f64;
+                let mut ranks = StdRng::seed_from_u64(seed ^ 0xA5A5);
+                let mut seed_worst = 0u64;
+                for _ in 0..500 {
+                    let r = ranks.gen_range(1..=n);
+                    let v = h.rank_query(r).unwrap().unwrap().value;
+                    let lo = all.partition_point(|&x| x < v) as u64 + 1;
+                    let hi = all.partition_point(|&x| x <= v) as u64;
+                    seed_worst = seed_worst.max(if r < lo { lo - r } else { r.saturating_sub(hi) });
+                }
+                worst = worst.max(seed_worst as f64 / eps_m);
+                failed += usize::from(seed_worst as f64 > eps_m);
+            }
+            println!("{label}: worst {worst:.3} eps*m, {failed}/10 seeds over");
+            if failed > 0 {
+                failures.push(format!(
+                    "{label}: {failed}/10 seeds over eps*m, worst {worst:.3}"
+                ));
+            }
+        }
+    }
+    failures
 }
