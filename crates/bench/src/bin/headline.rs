@@ -4,10 +4,10 @@
 //! while using the same amount of main memory, with the additional cost
 //! of a few hundred disk accesses" (§1.2).
 //!
-//! Run: `cargo run --release -p hsq-bench --bin headline`
+//! Run: `cargo run --release -p hsq-bench --bin headline [-- OUT.json]`
 //!
-//! Besides the console report, writes `BENCH_headline.json` (override the
-//! path with `HSQ_BENCH_JSON`) with what the repo's benchmark
+//! Besides the console report, writes `BENCH_headline.json` (or the path
+//! given as the first argument) with what the repo's benchmark
 //! (`hsq_benchmark/`) cannot say: the §1.2 accuracy rows, the κ
 //! trade-off of §3.2 (Figures 7 and 10), sketch A/B error and memory,
 //! probe counts, retention, robustness and failover widening. Every one
@@ -25,9 +25,10 @@ use std::time::Instant;
 use hsq_bench::trend::Json;
 use hsq_bench::*;
 use hsq_core::baseline::StreamingAlgo;
+use hsq_core::query::{bisect_summed_rank, ProbeState};
 use hsq_core::{
-    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, SeedMode,
-    ShardedEngine, SketchKind, SourceView, StreamProcessor,
+    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, RetentionPolicy, ShardedEngine,
+    SketchKind, SourceView, StreamProcessor,
 };
 use hsq_service::{
     Coordinator, FaultConnector, FaultPlan, FleetConfig, NetFault, NetRetryPolicy, QuantileServer,
@@ -247,29 +248,38 @@ fn query_metrics() -> (f64, f64, f64, f64) {
     let ranks: Vec<u64> = (1..=100).map(|i| (n * i) / 101 + 1).collect();
     let ss = h.stream().summary();
     let cfg = h.config().clone();
-    let run_sweep = |mode: SeedMode| -> Vec<u32> {
+    // Every rank is answered on a fresh context (cold caches).
+    let sweep = |bisections: &dyn Fn(&QueryContext<'_, u64, MemDevice>, u64) -> u32| {
         let mut steps: Vec<u32> = ranks
             .iter()
             .map(|&r| {
-                QueryContext::new(
+                let ctx = QueryContext::new(
                     &**h.warehouse().device(),
                     h.warehouse().partitions_newest_first(),
                     &ss,
                     cfg.epsilon(),
                     cfg.cache_blocks,
-                )
-                .with_seed_mode(mode)
-                .accurate_rank(r)
-                .expect("query")
-                .expect("non-empty")
-                .bisection_steps
+                );
+                bisections(&ctx, r)
             })
             .collect();
         steps.sort_unstable();
         steps
     };
-    let summary_steps = run_sweep(SeedMode::Summary);
-    let domain_steps = run_sweep(SeedMode::Domain);
+    let summary_steps = sweep(&|ctx, r| {
+        let out = ctx.accurate_rank(r).expect("query").expect("non-empty");
+        out.bisection_steps
+    });
+    // The unoptimized Algorithm 8 baseline: the same bisection seeded
+    // from the whole universe instead of the summary's bracket.
+    let eps_m = (cfg.epsilon() * ss.stream_len() as f64).floor() as u64;
+    let domain_steps = sweep(&|ctx, r| {
+        let mut state = ProbeState::default();
+        let mut fan = ctx.fan_in(&mut state);
+        bisect_summed_rank(r, eps_m, u64::MIN, u64::MAX, &mut fan)
+            .expect("query")
+            .2
+    });
     let (s_p50, s_p99) = (
         percentile(&summary_steps, 0.50),
         percentile(&summary_steps, 0.99),
@@ -1052,8 +1062,9 @@ fn main() {
         ),
     ]);
 
-    let path =
-        std::env::var("HSQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_headline.json".to_string());
+    let path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_headline.json".to_string());
     if let Err(e) = std::fs::write(&path, json.render()) {
         eprintln!("could not write {path}: {e}");
         std::process::exit(1);

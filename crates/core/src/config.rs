@@ -91,12 +91,10 @@ pub struct HsqConfig {
     pub strict: bool,
     /// Which [`hsq_sketch::AnySketch`] backend absorbs the live
     /// stream: [`SketchKind::Gk`] (the paper-faithful default) or
-    /// [`SketchKind::Kll`] (O(1) amortized updates, more memory). The
-    /// builder default honors the `HSQ_SKETCH` environment variable
-    /// (`"gk"` / `"kll"`), which is how CI runs the whole property suite
-    /// under both backends without per-test plumbing. KLL compacts on one
-    /// deterministic schedule (alternating per-level parity), so either
-    /// backend replays byte-identically from the same inputs.
+    /// [`SketchKind::Kll`] (O(1) amortized updates, more memory). Default
+    /// GK; the builder's `.sketch(..)` names the other. KLL compacts on
+    /// one deterministic schedule (alternating per-level parity), so
+    /// either backend replays byte-identically from the same inputs.
     pub sketch: SketchKind,
 }
 
@@ -149,7 +147,7 @@ impl HsqConfig {
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
-            sketch: SketchKind::from_env_or(SketchKind::Gk),
+            sketch: SketchKind::Gk,
         }
     }
 }
@@ -177,7 +175,7 @@ impl Default for HsqConfigBuilder {
             retention: RetentionPolicy::unbounded(),
             retry: RetryPolicy::none(),
             strict: false,
-            sketch: SketchKind::from_env_or(SketchKind::Gk),
+            sketch: SketchKind::Gk,
         }
     }
 }
@@ -328,10 +326,9 @@ mod tests {
             .sketch(SketchKind::Gk)
             .build();
         assert_eq!(gk.sketch, SketchKind::Gk);
-        // The default honors HSQ_SKETCH (the CI matrix may set it), with
-        // GK as the fallback.
-        let default = HsqConfig::with_epsilon(0.1);
-        assert_eq!(default.sketch, SketchKind::from_env_or(SketchKind::Gk));
+        // The default is the paper's GK.
+        assert_eq!(HsqConfig::with_epsilon(0.1).sketch, SketchKind::Gk);
+        assert_eq!(HsqConfig::with_epsilons(0.1, 0.1).sketch, SketchKind::Gk);
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub use hsq_sketch::SketchKind;
 pub use hsq_storage::{
     corruption_in, is_transient, RetryDevice, RetryPolicy, StorageError, StorageErrorKind,
 };
-pub use query::{QueryContext, QueryOutcome, QueryScope, RankProbeSource, SeedMode};
+pub use query::{QueryContext, QueryOutcome, QueryScope, RankProbeSource};
 pub use retention::{RetentionPolicy, RetentionReport};
 pub use sharded::{ShardedEngine, ShardedSnapshot};
 pub use stream::{StreamProcessor, StreamSummary};

@@ -93,19 +93,6 @@ pub struct QueryOutcome<T> {
     pub quarantined: u64,
 }
 
-/// How [`accurate_response`] seeds its bisection bracket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SeedMode {
-    /// Seed `[u, v]` from the combined summary's tightest bracket
-    /// (Algorithm 7 filters with extreme-value fallback) — the default.
-    #[default]
-    Summary,
-    /// Seed from the full universe `[T::MIN, T::MAX]`, ignoring the
-    /// summary (the unoptimized Algorithm 8 baseline; kept for the
-    /// step-count comparison in tests and benches).
-    Domain,
-}
-
 /// What one query answers over: the data selected (all partitions or a
 /// window's worth, plus the stream) reduced to what the bisection needs.
 /// Built once per pinned view and window, shared by every query on it.
@@ -118,7 +105,6 @@ pub struct QueryScope<T> {
     quarantined: u64,
     missing: u64,
     strict: bool,
-    seed: SeedMode,
 }
 
 impl<T: Item> QueryScope<T> {
@@ -134,7 +120,6 @@ impl<T: Item> QueryScope<T> {
             quarantined: 0,
             missing: 0,
             strict: false,
-            seed: SeedMode::default(),
         }
     }
 
@@ -278,10 +263,7 @@ pub fn accurate_response<T: Item>(
         return Ok(None);
     }
     let r = r.clamp(1, scope.total);
-    let (u, v) = match scope.seed {
-        SeedMode::Summary => scope.ts.seed_bracket(r),
-        SeedMode::Domain => (T::MIN, T::MAX),
-    };
+    let (u, v) = scope.ts.seed_bracket(r);
     let eps_m = (scope.epsilon * scope.stream_weight as f64).floor() as u64;
     let (value, estimated_rank, bisection_steps) = bisect_summed_rank(r, eps_m, u, v, source)?;
     let excluded = scope.quarantined + scope.missing;
@@ -626,13 +608,6 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         }
     }
 
-    /// Select the bisection bracket seeding (default
-    /// [`SeedMode::Summary`]).
-    pub fn with_seed_mode(mut self, seed: SeedMode) -> Self {
-        self.scope.seed = seed;
-        self
-    }
-
     /// The scope queries on this context answer over.
     pub fn scope(&self) -> &QueryScope<T> {
         &self.scope
@@ -953,28 +928,24 @@ mod tests {
     fn summary_seeding_never_bisects_more_than_domain() {
         let (w, sp, _, cfg) = build_scene(3, 10, 300, 0.05);
         let ss = sp.summary();
-        let ctx = |seed| {
-            QueryContext::new(
-                &**w.device(),
-                w.partitions_newest_first(),
-                &ss,
-                cfg.epsilon(),
-                cfg.cache_blocks,
-            )
-            .with_seed_mode(seed)
-        };
+        let ctx = QueryContext::new(
+            &**w.device(),
+            w.partitions_newest_first(),
+            &ss,
+            cfg.epsilon(),
+            cfg.cache_blocks,
+        );
+        let eps_m = (cfg.epsilon() * ss.stream_len() as f64).floor() as u64;
         let n = 33 * 100; // just query across the range
         let mut strictly_fewer = false;
         for r in [1u64, n / 10, n / 4, n / 2, 3 * n / 4, n] {
-            let s = ctx(SeedMode::Summary).accurate_rank(r).unwrap().unwrap();
-            let d = ctx(SeedMode::Domain).accurate_rank(r).unwrap().unwrap();
-            assert!(
-                s.bisection_steps <= d.bisection_steps,
-                "r={r}: summary {} > domain {} steps",
-                s.bisection_steps,
-                d.bisection_steps
-            );
-            strictly_fewer |= s.bisection_steps < d.bisection_steps;
+            let s = ctx.accurate_rank(r).unwrap().unwrap().bisection_steps;
+            // The same bisection seeded from the whole universe.
+            let mut state = ProbeState::default();
+            let mut fan = ctx.fan_in(&mut state);
+            let (_, _, d) = bisect_summed_rank(r, eps_m, u64::MIN, u64::MAX, &mut fan).unwrap();
+            assert!(s <= d, "r={r}: summary {s} > domain {d} steps");
+            strictly_fewer |= s < d;
         }
         assert!(strictly_fewer, "summary seeding never saved a step");
     }

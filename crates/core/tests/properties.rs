@@ -3,15 +3,19 @@
 
 use std::sync::Arc;
 
+use hsq_core::query::{bisect_summed_rank, ProbeState};
 use hsq_core::summary::SummaryBuilder;
 use hsq_core::{
     CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, ShardedEngine, SourceView,
     StreamProcessor, Warehouse,
 };
-use hsq_core::{PartitionSummary, SummaryEntry};
+use hsq_core::{PartitionSummary, SketchKind, SummaryEntry};
 use hsq_sketch::{AnySketch, ExactQuantiles, GkSketch, KllSketch};
 use hsq_storage::{items_per_block, write_run, BlockDevice, FileId, MemDevice, RunWriter};
 use proptest::prelude::*;
+
+/// Every engine-building test runs once per stream-sketch backend.
+const KINDS: [SketchKind; 2] = [SketchKind::Gk, SketchKind::Kll];
 
 /// Rank distance from target `r` to the rank(s) of `v`: zero if `v`'s
 /// occupied rank interval covers `r`; for values not in the data the rank
@@ -229,30 +233,32 @@ proptest! {
         eps_pct in 2u32..20,
         phi_pct in 1u32..=100,
     ) {
-        let eps = eps_pct as f64 / 100.0;
-        let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        let mut all: Vec<u64> = Vec::new();
-        for b in &batches {
-            all.extend(b);
-            h.ingest_step(b).unwrap();
+        for kind in KINDS {
+            let eps = eps_pct as f64 / 100.0;
+            let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).sketch(kind).build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            let mut all: Vec<u64> = Vec::new();
+            for b in &batches {
+                all.extend(b);
+                h.ingest_step(b).unwrap();
+            }
+            for &v in &stream {
+                all.push(v);
+                h.stream_update(v);
+            }
+            all.sort_unstable();
+            let n = all.len() as u64;
+            let m = stream.len() as u64;
+            let phi = phi_pct as f64 / 100.0;
+            let r = ((phi * n as f64).ceil() as u64).clamp(1, n);
+            let v = h.quantile(phi).unwrap().unwrap();
+            let allowed = (eps * m as f64).ceil() as u64 + 1;
+            let dist = rank_distance(&all, v, r);
+            prop_assert!(
+                dist <= allowed,
+                "{kind} phi={phi}: value {v} off by {dist} ranks (allowed {allowed}, m={m})"
+            );
         }
-        for &v in &stream {
-            all.push(v);
-            h.stream_update(v);
-        }
-        all.sort_unstable();
-        let n = all.len() as u64;
-        let m = stream.len() as u64;
-        let phi = phi_pct as f64 / 100.0;
-        let r = ((phi * n as f64).ceil() as u64).clamp(1, n);
-        let v = h.quantile(phi).unwrap().unwrap();
-        let allowed = (eps * m as f64).ceil() as u64 + 1;
-        let dist = rank_distance(&all, v, r);
-        prop_assert!(
-            dist <= allowed,
-            "phi={phi}: value {v} off by {dist} ranks (allowed {allowed}, m={m})"
-        );
     }
 
     /// Lemma 3: quick responses within 1.5*eps*N.
@@ -263,25 +269,27 @@ proptest! {
         stream in proptest::collection::vec(0u64..100_000, 1..300),
         kappa in 2usize..5,
     ) {
-        let eps = 0.1;
-        let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        let mut all: Vec<u64> = Vec::new();
-        for b in &batches {
-            all.extend(b);
-            h.ingest_step(b).unwrap();
-        }
-        for &v in &stream {
-            all.push(v);
-            h.stream_update(v);
-        }
-        all.sort_unstable();
-        let n = all.len() as u64;
-        let allowed = (1.5 * eps * n as f64).ceil() as u64 + 1;
-        for r in [1, n / 2, n] {
-            let v = h.rank_query_quick(r.max(1)).unwrap();
-            let dist = rank_distance(&all, v, r.max(1));
-            prop_assert!(dist <= allowed, "r={r}: off by {dist} > {allowed}");
+        for kind in KINDS {
+            let eps = 0.1;
+            let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).sketch(kind).build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            let mut all: Vec<u64> = Vec::new();
+            for b in &batches {
+                all.extend(b);
+                h.ingest_step(b).unwrap();
+            }
+            for &v in &stream {
+                all.push(v);
+                h.stream_update(v);
+            }
+            all.sort_unstable();
+            let n = all.len() as u64;
+            let allowed = (1.5 * eps * n as f64).ceil() as u64 + 1;
+            for r in [1, n / 2, n] {
+                let v = h.rank_query_quick(r.max(1)).unwrap();
+                let dist = rank_distance(&all, v, r.max(1));
+                prop_assert!(dist <= allowed, "{kind} r={r}: off by {dist} > {allowed}");
+            }
         }
     }
 
@@ -302,34 +310,36 @@ proptest! {
             all.extend(b);
             w.add_batch(b.clone()).unwrap();
         }
-        let mut sp = StreamProcessor::with_kind(cfg.sketch, cfg.epsilon2, cfg.beta2);
-        for &v in &stream {
-            all.push(v);
-            sp.update(v);
-        }
-        let ss = sp.summary();
-        let mut sources: Vec<SourceView<u64>> = w
-            .partitions_newest_first()
-            .iter()
-            .map(|p| SourceView::from_partition(&p.summary))
-            .collect();
-        sources.push(SourceView::from_stream(&ss));
-        let ts = CombinedSummary::build(&sources);
+        all.extend(&stream);
         all.sort_unstable();
         let n = all.len() as u64;
-        for i in 0..ts.len() {
-            let v = ts.value(i);
-            let rank = all.partition_point(|&x| x <= v) as u64;
-            prop_assert!(
-                ts.lower(i) <= rank && rank <= ts.upper(i),
-                "TS[{i}]={v}: rank {rank} outside [{}, {}]",
-                ts.lower(i),
-                ts.upper(i)
-            );
-            prop_assert!(
-                ts.upper(i) - ts.lower(i) <= (eps * n as f64).ceil() as u64 + 1,
-                "width violation at {i}"
-            );
+        for kind in KINDS {
+            let mut sp = StreamProcessor::with_kind(kind, cfg.epsilon2, cfg.beta2);
+            for &v in &stream {
+                sp.update(v);
+            }
+            let ss = sp.summary();
+            let mut sources: Vec<SourceView<u64>> = w
+                .partitions_newest_first()
+                .iter()
+                .map(|p| SourceView::from_partition(&p.summary))
+                .collect();
+            sources.push(SourceView::from_stream(&ss));
+            let ts = CombinedSummary::build(&sources);
+            for i in 0..ts.len() {
+                let v = ts.value(i);
+                let rank = all.partition_point(|&x| x <= v) as u64;
+                prop_assert!(
+                    ts.lower(i) <= rank && rank <= ts.upper(i),
+                    "{kind} TS[{i}]={v}: rank {rank} outside [{}, {}]",
+                    ts.lower(i),
+                    ts.upper(i)
+                );
+                prop_assert!(
+                    ts.upper(i) - ts.lower(i) <= (eps * n as f64).ceil() as u64 + 1,
+                    "{kind} width violation at {i}"
+                );
+            }
         }
     }
 
@@ -363,38 +373,42 @@ proptest! {
     }
 
     /// The one-sweep `StreamProcessor::summary` is byte-identical to the
-    /// per-target extract on the configured backend (`HSQ_SKETCH` selects
-    /// it): uniform, duplicate-heavy and weighted streams, mixed ingest
-    /// paths, and streams shorter than `β₂` or empty.
+    /// per-target extract on both backends: uniform, duplicate-heavy and
+    /// weighted streams, mixed ingest paths, and streams shorter than `β₂`
+    /// or empty.
     #[test]
     fn stream_summary_matches_per_target_extract(
         data in proptest::collection::vec(any::<u64>(), 0..5000),
         shape in 0u8..3,
         eps_pct in 1u32..30,
     ) {
-        let cfg = HsqConfig::builder().epsilon(eps_pct as f64 / 100.0).build();
-        let mut sp = StreamProcessor::<u64>::with_kind(cfg.sketch, cfg.epsilon2, cfg.beta2);
-        let (head, tail) = data.split_at(data.len() / 4);
-        match shape {
-            0 => {
-                head.iter().for_each(|&v| sp.update(v));
-                sp.ingest_batch(&mut tail.to_vec());
+        for kind in KINDS {
+            let cfg = HsqConfig::builder().epsilon(eps_pct as f64 / 100.0).build();
+            let mut sp = StreamProcessor::<u64>::with_kind(kind, cfg.epsilon2, cfg.beta2);
+            let (head, tail) = data.split_at(data.len() / 4);
+            match shape {
+                0 => {
+                    head.iter().for_each(|&v| sp.update(v));
+                    sp.ingest_batch(&mut tail.to_vec());
+                }
+                1 => {
+                    head.iter().for_each(|&v| sp.update(v % 8));
+                    sp.ingest_batch(&mut tail.iter().map(|v| v % 8).collect::<Vec<_>>());
+                }
+                _ => {
+                    head.iter().for_each(|&v| sp.update_weighted(v % 500, v % 29));
+                    let mut pairs: Vec<(u64, u64)> =
+                        tail.iter().map(|&v| (v % 500, v % 29)).collect();
+                    sp.ingest_weighted_batch(&mut pairs);
+                }
             }
-            1 => {
-                head.iter().for_each(|&v| sp.update(v % 8));
-                sp.ingest_batch(&mut tail.iter().map(|v| v % 8).collect::<Vec<_>>());
-            }
-            _ => {
-                head.iter().for_each(|&v| sp.update_weighted(v % 500, v % 29));
-                let mut pairs: Vec<(u64, u64)> = tail.iter().map(|&v| (v % 500, v % 29)).collect();
-                sp.ingest_weighted_batch(&mut pairs);
-            }
+            let ss = sp.summary();
+            let got: Vec<(u64, u64, u64)> =
+                ss.entries().iter().map(|e| (e.value, e.rmin, e.rmax)).collect();
+            let want = per_target_extract(sp.sketch(), cfg.epsilon2, cfg.beta2);
+            prop_assert_eq!(got, want, "{} shape {} m {}", sp.sketch().kind(), shape, sp.len());
+            prop_assert_eq!(ss.stream_len(), sp.len());
         }
-        let ss = sp.summary();
-        let got: Vec<(u64, u64, u64)> = ss.entries().iter().map(|e| (e.value, e.rmin, e.rmax)).collect();
-        let want = per_target_extract(sp.sketch(), cfg.epsilon2, cfg.beta2);
-        prop_assert_eq!(got, want, "{} shape {} m {}", sp.sketch().kind(), shape, sp.len());
-        prop_assert_eq!(ss.stream_len(), sp.len());
     }
 
     /// Warehouse invariants hold across any update sequence; the stored
@@ -430,24 +444,26 @@ proptest! {
             proptest::collection::vec(0u64..10_000, 10..60), 3..10),
         kappa in 2usize..5,
     ) {
-        let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(kappa).build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(128), cfg);
-        for b in &step_vals {
-            h.ingest_step(b).unwrap();
-        }
-        for w in h.available_windows() {
-            let mut win_data: Vec<u64> = step_vals
-                [(step_vals.len() - w as usize)..]
-                .iter()
-                .flatten()
-                .copied()
-                .collect();
-            win_data.sort_unstable();
-            let med = h.quantile_in_window(w, 0.5).unwrap().unwrap();
-            // Stream empty -> m = 0 -> exact (Definition 1).
-            let r = (0.5 * win_data.len() as f64).ceil() as u64;
-            let dist = rank_distance(&win_data, med, r);
-            prop_assert!(dist == 0, "window {w}: median {med} off by {dist}");
+        for kind in KINDS {
+            let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(kappa).sketch(kind).build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(128), cfg);
+            for b in &step_vals {
+                h.ingest_step(b).unwrap();
+            }
+            for w in h.available_windows() {
+                let mut win_data: Vec<u64> = step_vals
+                    [(step_vals.len() - w as usize)..]
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .collect();
+                win_data.sort_unstable();
+                let med = h.quantile_in_window(w, 0.5).unwrap().unwrap();
+                // Stream empty -> m = 0 -> exact (Definition 1).
+                let r = (0.5 * win_data.len() as f64).ceil() as u64;
+                let dist = rank_distance(&win_data, med, r);
+                prop_assert!(dist == 0, "{kind} window {w}: median {med} off by {dist}");
+            }
         }
     }
 
@@ -464,127 +480,129 @@ proptest! {
         stream in proptest::collection::vec(0u64..1_000_000, 1..300),
         kappa in 2usize..4,
     ) {
-        let cfg = HsqConfig::builder()
-            .epsilon(0.05)
-            .merge_threshold(kappa)
-            .build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        let mut e = ShardedEngine::<u64, _>::with_shards(1, cfg.clone(), |_| MemDevice::new(256));
-        for s in &steps {
-            h.ingest_step(s).unwrap();
-            e.ingest_step(s).unwrap();
-        }
-        h.stream_extend(&stream);
-        e.stream_extend(&stream);
-        let snap = h.snapshot();
-        let sharded = e.snapshot();
-        let m = stream.len() as u64;
-        let allowed = (cfg.query_epsilon() * m as f64).ceil() as u64 + 1;
-        let key = |o: hsq_core::QueryOutcome<u64>| (
-            o.value, o.estimated_rank, o.bisection_steps,
-            o.rank_lo, o.rank_hi, o.degraded, o.quarantined,
-            o.io.total_reads(), o.io.bytes_read,
-        );
+        for kind in KINDS {
+            let cfg = HsqConfig::builder()
+                .epsilon(0.05)
+                .merge_threshold(kappa)
+                .sketch(kind)
+                .build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
+            let mut e =
+                ShardedEngine::<u64, _>::with_shards(1, cfg.clone(), |_| MemDevice::new(256));
+            for s in &steps {
+                h.ingest_step(s).unwrap();
+                e.ingest_step(s).unwrap();
+            }
+            h.stream_extend(&stream);
+            e.stream_extend(&stream);
+            let snap = h.snapshot();
+            let sharded = e.snapshot();
+            let m = stream.len() as u64;
+            let allowed = (cfg.query_epsilon() * m as f64).ceil() as u64 + 1;
+            let key = |o: hsq_core::QueryOutcome<u64>| (
+                o.value, o.estimated_rank, o.bisection_steps,
+                o.rank_lo, o.rank_hi, o.degraded, o.quarantined,
+                o.io.total_reads(), o.io.bytes_read,
+            );
 
-        let windows = h.available_windows();
-        prop_assert_eq!(&windows, &snap.available_windows());
-        prop_assert_eq!(&windows, &sharded.available_windows());
-        for window in std::iter::once(None).chain(windows.into_iter().map(Some)) {
-            let history = match window {
-                None => &steps[..],
-                Some(w) => &steps[steps.len() - w as usize..],
-            };
-            let mut exact = ExactQuantiles::from_data(
-                history.iter().flatten().chain(&stream).copied().collect());
-            let n = exact.len();
-            for r in [1, n / 7 + 1, n / 3, n / 2, 2 * n / 3, n - n / 9, n] {
-                let (live, pinned, fan_in) = match window {
-                    None => (h.rank_query(r), snap.rank_query(r), sharded.rank_query(r)),
-                    Some(w) => (
-                        h.rank_in_window(w, r),
-                        snap.rank_in_window(w, r),
-                        sharded.rank_in_window(w, r),
-                    ),
+            let windows = h.available_windows();
+            prop_assert_eq!(&windows, &snap.available_windows());
+            prop_assert_eq!(&windows, &sharded.available_windows());
+            for window in std::iter::once(None).chain(windows.into_iter().map(Some)) {
+                let history = match window {
+                    None => &steps[..],
+                    Some(w) => &steps[steps.len() - w as usize..],
                 };
-                let live = live.unwrap().unwrap();
-                prop_assert_eq!(key(live), key(pinned.unwrap().unwrap()), "{:?} r={}", window, r);
-                prop_assert_eq!(key(live), key(fan_in.unwrap().unwrap()), "{:?} r={}", window, r);
-                // Theorem 2: some true rank of the value is within eps*m of r.
-                let r = r.clamp(1, n);
-                // (An absent value holds exactly the rank `hi`.)
-                let hi = exact.rank_of(live.value);
-                let below = live.value.checked_sub(1).map_or(0, |p| exact.rank_of(p));
-                let lo = (below + 1).min(hi);
-                let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(
-                    dist <= allowed,
-                    "{:?} r={}: value {} off by {} ranks (allowed {})",
-                    window, r, live.value, dist, allowed
-                );
+                let mut exact = ExactQuantiles::from_data(
+                    history.iter().flatten().chain(&stream).copied().collect());
+                let n = exact.len();
+                for r in [1, n / 7 + 1, n / 3, n / 2, 2 * n / 3, n - n / 9, n] {
+                    let (live, pinned, fan_in) = match window {
+                        None => (h.rank_query(r), snap.rank_query(r), sharded.rank_query(r)),
+                        Some(w) => (
+                            h.rank_in_window(w, r),
+                            snap.rank_in_window(w, r),
+                            sharded.rank_in_window(w, r),
+                        ),
+                    };
+                    let live = live.unwrap().unwrap();
+                    let got = key(pinned.unwrap().unwrap());
+                    prop_assert_eq!(key(live), got, "{kind} {:?} r={}", window, r);
+                    let got = key(fan_in.unwrap().unwrap());
+                    prop_assert_eq!(key(live), got, "{kind} {:?} r={}", window, r);
+                    // Theorem 2: some true rank of the value is within eps*m of r.
+                    let r = r.clamp(1, n);
+                    // (An absent value holds exactly the rank `hi`.)
+                    let hi = exact.rank_of(live.value);
+                    let below = live.value.checked_sub(1).map_or(0, |p| exact.rank_of(p));
+                    let lo = (below + 1).min(hi);
+                    let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
+                    prop_assert!(
+                        dist <= allowed,
+                        "{kind} {:?} r={}: value {} off by {} ranks (allowed {})",
+                        window, r, live.value, dist, allowed
+                    );
+                }
             }
         }
     }
 }
 
-/// Summary-seeded bisection never takes more steps than domain-seeded
-/// bisection, and strictly fewer somewhere, for the fixed seed matrix
-/// {0, 7, 23} (the same seeds the CI fault-injection matrix sweeps).
+/// Summary-seeded bisection never takes more steps than the same
+/// bisection seeded from the whole universe (Algorithm 8 unoptimized),
+/// and strictly fewer somewhere, on both backends over four seeded scenes
+/// of ten archived steps plus a live one.
 #[test]
 fn summary_seeding_monotone_vs_domain_for_seed_matrix() {
-    for seed in [0u64, 7, 23] {
-        let mut x = seed | 1;
-        let mut gen = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        let cfg = HsqConfig::builder()
-            .epsilon(0.05)
-            .merge_threshold(3)
-            .build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        for _ in 0..10 {
-            let batch: Vec<u64> = (0..400).map(|_| gen()).collect();
-            h.ingest_step(&batch).unwrap();
-        }
-        let stream: Vec<u64> = (0..400).map(|_| gen()).collect();
-        h.stream_extend(&stream);
+    for kind in KINDS {
+        for (seed, step_items) in [(0u64, 400), (7, 400), (23, 400), (12345, 300)] {
+            let mut x = seed | 1;
+            let mut gen = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            let cfg = HsqConfig::builder()
+                .epsilon(0.05)
+                .merge_threshold(3)
+                .sketch(kind)
+                .build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
+            for _ in 0..10 {
+                let batch: Vec<u64> = (0..step_items).map(|_| gen()).collect();
+                h.ingest_step(&batch).unwrap();
+            }
+            let stream: Vec<u64> = (0..step_items).map(|_| gen()).collect();
+            h.stream_extend(&stream);
 
-        let ss = h.stream().summary();
-        let ctx = |mode| {
-            QueryContext::new(
+            let ss = h.stream().summary();
+            let ctx = QueryContext::new(
                 &**h.warehouse().device(),
                 h.warehouse().partitions_newest_first(),
                 &ss,
                 cfg.epsilon(),
                 cfg.cache_blocks,
-            )
-            .with_seed_mode(mode)
-        };
-        let n = h.total_len();
-        let mut strictly_fewer = false;
-        for r in [1, n / 10, n / 4, n / 2, 3 * n / 4, 9 * n / 10, n] {
-            let s = ctx(hsq_core::SeedMode::Summary)
-                .accurate_rank(r)
-                .unwrap()
-                .unwrap();
-            let d = ctx(hsq_core::SeedMode::Domain)
-                .accurate_rank(r)
-                .unwrap()
-                .unwrap();
-            assert!(
-                s.bisection_steps <= d.bisection_steps,
-                "seed {seed} r={r}: summary {} steps > domain {}",
-                s.bisection_steps,
-                d.bisection_steps
             );
-            strictly_fewer |= s.bisection_steps < d.bisection_steps;
+            let eps_m = (cfg.epsilon() * ss.stream_len() as f64).floor() as u64;
+            let n = h.total_len();
+            let mut strictly_fewer = false;
+            for r in [1, n / 10, n / 4, n / 2, 3 * n / 4, 9 * n / 10, n] {
+                let s = ctx.accurate_rank(r).unwrap().unwrap().bisection_steps;
+                let mut state = ProbeState::default();
+                let mut fan = ctx.fan_in(&mut state);
+                let (_, _, d) = bisect_summed_rank(r, eps_m, u64::MIN, u64::MAX, &mut fan).unwrap();
+                assert!(
+                    s <= d,
+                    "{kind} seed {seed} r={r}: summary {s} steps > domain {d}"
+                );
+                strictly_fewer |= s < d;
+            }
+            assert!(
+                strictly_fewer,
+                "{kind} seed {seed}: summary seeding never saved a bisection step"
+            );
         }
-        assert!(
-            strictly_fewer,
-            "seed {seed}: summary seeding never saved a bisection step"
-        );
     }
 }
 
@@ -604,47 +622,49 @@ proptest! {
     ) {
         use std::collections::HashMap;
         let stream: Vec<(u64, u64)> = values.into_iter().zip(weights).collect();
-        let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(3).build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for b in &batches {
-            for &v in b {
-                *truth.entry(v).or_insert(0) += 1;
+        for kind in KINDS {
+            let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(3).sketch(kind).build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            let mut truth: HashMap<u64, u64> = HashMap::new();
+            for b in &batches {
+                for &v in b {
+                    *truth.entry(v).or_insert(0) += 1;
+                }
+                h.ingest_step(b).unwrap();
             }
-            h.ingest_step(b).unwrap();
-        }
-        for &(v, w) in &stream {
-            *truth.entry(v).or_insert(0) += w;
-        }
-        // Thirds of the live step through each path: plain batch,
-        // weighted batch, scalar updates (one per unit of weight).
-        let third = stream.len() / 3;
-        let plain: Vec<u64> = stream[..third]
-            .iter()
-            .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
-            .collect();
-        h.stream_extend(&plain);
-        h.stream_extend_weighted(&stream[third..2 * third]);
-        for &(v, w) in &stream[2 * third..] {
-            for _ in 0..w {
-                h.stream_update(v);
+            for &(v, w) in &stream {
+                *truth.entry(v).or_insert(0) += w;
             }
-        }
-        let n = h.total_len();
-        let phi = phi_milli as f64 / 1000.0;
-        let threshold = ((phi * n as f64).ceil() as u64).max(1);
-        let reported = h.heavy_hitters(phi).unwrap();
-        for hh in &reported {
-            let t = truth.get(&hh.value).copied().unwrap_or(0);
-            prop_assert_eq!(hh.count(), t, "value {}: counted {}", hh.value, hh.count());
-            prop_assert!(t >= threshold, "value {} below {threshold}", hh.value);
-        }
-        for (&v, &c) in &truth {
-            if c >= threshold {
-                prop_assert!(
-                    reported.iter().any(|hh| hh.value == v),
-                    "missing heavy hitter {v} (count {c} >= {threshold})"
-                );
+            // Thirds of the live step through each path: plain batch,
+            // weighted batch, scalar updates (one per unit of weight).
+            let third = stream.len() / 3;
+            let plain: Vec<u64> = stream[..third]
+                .iter()
+                .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
+                .collect();
+            h.stream_extend(&plain);
+            h.stream_extend_weighted(&stream[third..2 * third]);
+            for &(v, w) in &stream[2 * third..] {
+                for _ in 0..w {
+                    h.stream_update(v);
+                }
+            }
+            let n = h.total_len();
+            let phi = phi_milli as f64 / 1000.0;
+            let threshold = ((phi * n as f64).ceil() as u64).max(1);
+            let reported = h.heavy_hitters(phi).unwrap();
+            for hh in &reported {
+                let t = truth.get(&hh.value).copied().unwrap_or(0);
+                prop_assert_eq!(hh.count(), t, "{kind} value {}: counted {}", hh.value, hh.count());
+                prop_assert!(t >= threshold, "{kind} value {} below {threshold}", hh.value);
+            }
+            for (&v, &c) in &truth {
+                if c >= threshold {
+                    prop_assert!(
+                        reported.iter().any(|hh| hh.value == v),
+                        "{kind} missing heavy hitter {v} (count {c} >= {threshold})"
+                    );
+                }
             }
         }
     }
@@ -706,47 +726,54 @@ proptest! {
         chunk in 1usize..150,
         kappa in 2usize..5,
     ) {
-        let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(kappa).build();
-        let mut scalar = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        let mut batched = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        for (si, step) in steps.iter().enumerate() {
-            for &v in step {
-                scalar.stream_update(v);
-            }
-            scalar.end_time_step().unwrap();
-            // Batched side: alternate stream_extend chunks with a few
-            // scalar updates to exercise the mixed staging tail.
-            for (ci, c) in step.chunks(chunk).enumerate() {
-                if (si + ci) % 3 == 0 && c.len() > 1 {
-                    batched.stream_update(c[0]);
-                    batched.stream_extend(&c[1..]);
-                } else {
-                    batched.stream_extend(c);
+        for kind in KINDS {
+            let cfg = HsqConfig::builder()
+                .epsilon(0.05)
+                .merge_threshold(kappa)
+                .sketch(kind)
+                .build();
+            let mut scalar = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
+            let mut batched = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            for (si, step) in steps.iter().enumerate() {
+                for &v in step {
+                    scalar.stream_update(v);
                 }
+                scalar.end_time_step().unwrap();
+                // Batched side: alternate stream_extend chunks with a few
+                // scalar updates to exercise the mixed staging tail.
+                for (ci, c) in step.chunks(chunk).enumerate() {
+                    if (si + ci) % 3 == 0 && c.len() > 1 {
+                        batched.stream_update(c[0]);
+                        batched.stream_extend(&c[1..]);
+                    } else {
+                        batched.stream_extend(c);
+                    }
+                }
+                batched.end_time_step().unwrap();
             }
-            batched.end_time_step().unwrap();
-        }
-        prop_assert_eq!(scalar.total_len(), batched.total_len());
+            prop_assert_eq!(scalar.total_len(), batched.total_len());
 
-        let sp = scalar.warehouse().partitions_newest_first();
-        let bp = batched.warehouse().partitions_newest_first();
-        prop_assert_eq!(sp.len(), bp.len());
-        let sdev = &**scalar.warehouse().device();
-        let bdev = &**batched.warehouse().device();
-        for (a, b) in sp.iter().zip(&bp) {
-            prop_assert_eq!(a.run.len(), b.run.len());
-            prop_assert_eq!((a.first_step, a.last_step), (b.first_step, b.last_step));
-            prop_assert_eq!(a.summary.entries(), b.summary.entries());
-            // Compare the raw device blocks, not just decoded items.
-            let nblocks = sdev.num_blocks(a.run.file()).unwrap();
-            prop_assert_eq!(nblocks, bdev.num_blocks(b.run.file()).unwrap());
-            let mut abuf = vec![0u8; sdev.block_size()];
-            let mut bbuf = vec![0u8; bdev.block_size()];
-            for blk in 0..nblocks {
-                let alen = sdev.read_block(a.run.file(), blk, &mut abuf).unwrap();
-                let blen = bdev.read_block(b.run.file(), blk, &mut bbuf).unwrap();
-                prop_assert_eq!(alen, blen, "block {} length differs", blk);
-                prop_assert_eq!(&abuf[..alen], &bbuf[..blen], "block {} bytes differ", blk);
+            let sp = scalar.warehouse().partitions_newest_first();
+            let bp = batched.warehouse().partitions_newest_first();
+            prop_assert_eq!(sp.len(), bp.len());
+            let sdev = &**scalar.warehouse().device();
+            let bdev = &**batched.warehouse().device();
+            for (a, b) in sp.iter().zip(&bp) {
+                prop_assert_eq!(a.run.len(), b.run.len());
+                prop_assert_eq!((a.first_step, a.last_step), (b.first_step, b.last_step));
+                prop_assert_eq!(a.summary.entries(), b.summary.entries());
+                // Compare the raw device blocks, not just decoded items.
+                let nblocks = sdev.num_blocks(a.run.file()).unwrap();
+                prop_assert_eq!(nblocks, bdev.num_blocks(b.run.file()).unwrap());
+                let mut abuf = vec![0u8; sdev.block_size()];
+                let mut bbuf = vec![0u8; bdev.block_size()];
+                for blk in 0..nblocks {
+                    let alen = sdev.read_block(a.run.file(), blk, &mut abuf).unwrap();
+                    let blen = bdev.read_block(b.run.file(), blk, &mut bbuf).unwrap();
+                    prop_assert_eq!(alen, blen, "{kind} block {} length differs", blk);
+                    let (a, b) = (&abuf[..alen], &bbuf[..blen]);
+                    prop_assert_eq!(a, b, "{kind} block {} bytes differ", blk);
+                }
             }
         }
     }
@@ -760,25 +787,27 @@ proptest! {
         stream in proptest::collection::vec(0u64..500_000, 1..300),
         chunk in 1usize..120,
     ) {
-        let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(3).build();
-        let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        let mut all: Vec<u64> = Vec::new();
-        for b in &batches {
-            all.extend(b);
-            h.ingest_step(b).unwrap();
-        }
-        for c in stream.chunks(chunk) {
-            h.stream_extend(c);
-        }
-        all.extend(&stream);
-        all.sort_unstable();
-        let n = all.len() as u64;
-        let m = stream.len() as u64;
-        let allowed = (0.1 * m as f64).ceil() as u64 + 1;
-        for r in [1, n / 2, n] {
-            let out = h.rank_query(r.max(1)).unwrap().unwrap();
-            let dist = rank_distance(&all, out.value, r.max(1));
-            prop_assert!(dist <= allowed, "r={r}: off by {dist} > {allowed}");
+        for kind in KINDS {
+            let cfg = HsqConfig::builder().epsilon(0.1).merge_threshold(3).sketch(kind).build();
+            let mut h = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            let mut all: Vec<u64> = Vec::new();
+            for b in &batches {
+                all.extend(b);
+                h.ingest_step(b).unwrap();
+            }
+            for c in stream.chunks(chunk) {
+                h.stream_extend(c);
+            }
+            all.extend(&stream);
+            all.sort_unstable();
+            let n = all.len() as u64;
+            let m = stream.len() as u64;
+            let allowed = (0.1 * m as f64).ceil() as u64 + 1;
+            for r in [1, n / 2, n] {
+                let out = h.rank_query(r.max(1)).unwrap().unwrap();
+                let dist = rank_distance(&all, out.value, r.max(1));
+                prop_assert!(dist <= allowed, "{kind} r={r}: off by {dist} > {allowed}");
+            }
         }
     }
 
@@ -794,39 +823,46 @@ proptest! {
             proptest::collection::vec(any::<u64>(), 1..600), 1..7),
         kappa in 2usize..5,
     ) {
-        let cfg = HsqConfig::builder().epsilon(0.05).merge_threshold(kappa).build();
-        let mut radix = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        let mut comparison = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
-        for step in &steps {
-            // Radix side: raw batch, sorted by the radix path whenever the
-            // segment crosses RADIX_MIN_LEN.
-            radix.stream_extend(step);
-            radix.end_time_step().unwrap();
-            // Comparison side: the batch pre-sorted with the stdlib
-            // comparison sort (stream_extend's own sort then sees sorted
-            // input and cannot reorder anything).
-            let mut sorted = step.clone();
-            sorted.sort_unstable();
-            comparison.stream_extend(&sorted);
-            comparison.end_time_step().unwrap();
-        }
-        let rp = radix.warehouse().partitions_newest_first();
-        let cp = comparison.warehouse().partitions_newest_first();
-        prop_assert_eq!(rp.len(), cp.len());
-        let rdev = &**radix.warehouse().device();
-        let cdev = &**comparison.warehouse().device();
-        for (a, b) in rp.iter().zip(&cp) {
-            prop_assert_eq!(a.run.len(), b.run.len());
-            prop_assert_eq!(a.summary.entries(), b.summary.entries());
-            let nblocks = rdev.num_blocks(a.run.file()).unwrap();
-            prop_assert_eq!(nblocks, cdev.num_blocks(b.run.file()).unwrap());
-            let mut abuf = vec![0u8; rdev.block_size()];
-            let mut bbuf = vec![0u8; cdev.block_size()];
-            for blk in 0..nblocks {
-                let alen = rdev.read_block(a.run.file(), blk, &mut abuf).unwrap();
-                let blen = cdev.read_block(b.run.file(), blk, &mut bbuf).unwrap();
-                prop_assert_eq!(alen, blen);
-                prop_assert_eq!(&abuf[..alen], &bbuf[..blen], "block {} bytes differ", blk);
+        for kind in KINDS {
+            let cfg = HsqConfig::builder()
+                .epsilon(0.05)
+                .merge_threshold(kappa)
+                .sketch(kind)
+                .build();
+            let mut radix = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
+            let mut comparison = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg);
+            for step in &steps {
+                // Radix side: raw batch, sorted by the radix path whenever the
+                // segment crosses RADIX_MIN_LEN.
+                radix.stream_extend(step);
+                radix.end_time_step().unwrap();
+                // Comparison side: the batch pre-sorted with the stdlib
+                // comparison sort (stream_extend's own sort then sees sorted
+                // input and cannot reorder anything).
+                let mut sorted = step.clone();
+                sorted.sort_unstable();
+                comparison.stream_extend(&sorted);
+                comparison.end_time_step().unwrap();
+            }
+            let rp = radix.warehouse().partitions_newest_first();
+            let cp = comparison.warehouse().partitions_newest_first();
+            prop_assert_eq!(rp.len(), cp.len());
+            let rdev = &**radix.warehouse().device();
+            let cdev = &**comparison.warehouse().device();
+            for (a, b) in rp.iter().zip(&cp) {
+                prop_assert_eq!(a.run.len(), b.run.len());
+                prop_assert_eq!(a.summary.entries(), b.summary.entries());
+                let nblocks = rdev.num_blocks(a.run.file()).unwrap();
+                prop_assert_eq!(nblocks, cdev.num_blocks(b.run.file()).unwrap());
+                let mut abuf = vec![0u8; rdev.block_size()];
+                let mut bbuf = vec![0u8; cdev.block_size()];
+                for blk in 0..nblocks {
+                    let alen = rdev.read_block(a.run.file(), blk, &mut abuf).unwrap();
+                    let blen = cdev.read_block(b.run.file(), blk, &mut bbuf).unwrap();
+                    prop_assert_eq!(alen, blen);
+                    let (a, b) = (&abuf[..alen], &bbuf[..blen]);
+                    prop_assert_eq!(a, b, "{kind} block {} bytes differ", blk);
+                }
             }
         }
     }
@@ -902,44 +938,47 @@ proptest! {
         kappa in 2usize..5,
         phi_pct in 1u32..=100,
     ) {
-        let eps = 0.1;
-        let phi = phi_pct as f64 / 100.0;
-        let mut all: Vec<u64> = batches.iter().flatten().copied().collect();
-        all.extend(&stream);
-        all.sort_unstable();
-        let n = all.len() as u64;
-        let m = stream.len() as u64;
-        let r = ((phi * n as f64).ceil() as u64).clamp(1, n);
-        // The guarantee both layouts must meet (Theorem 2).
-        let allowed = (eps * m as f64).ceil() as u64 + 1;
+        for kind in KINDS {
+            let eps = 0.1;
+            let phi = phi_pct as f64 / 100.0;
+            let mut all: Vec<u64> = batches.iter().flatten().copied().collect();
+            all.extend(&stream);
+            all.sort_unstable();
+            let n = all.len() as u64;
+            let m = stream.len() as u64;
+            let r = ((phi * n as f64).ceil() as u64).clamp(1, n);
+            // The guarantee both layouts must meet (Theorem 2).
+            let allowed = (eps * m as f64).ceil() as u64 + 1;
 
-        let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).build();
-        let mut single = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
-        for b in &batches {
-            single.ingest_step(b).unwrap();
-        }
-        single.stream_extend(&stream);
-        let sv = single.quantile(phi).unwrap().unwrap();
-        let sdist = rank_distance(&all, sv, r);
-        prop_assert!(sdist <= allowed, "single: off by {sdist} > {allowed}");
-
-        for shards in [1usize, 2, 8] {
-            let mut e = hsq_core::ShardedEngine::<u64, _>::with_shards(
-                shards,
-                cfg.clone(),
-                |_| MemDevice::new(256),
-            );
+            let cfg = HsqConfig::builder().epsilon(eps).merge_threshold(kappa).sketch(kind).build();
+            let mut single = HistStreamQuantiles::<u64, _>::new(MemDevice::new(256), cfg.clone());
             for b in &batches {
-                e.ingest_step(b).unwrap();
+                single.ingest_step(b).unwrap();
             }
-            e.stream_extend(&stream);
-            prop_assert_eq!(e.total_len(), n);
-            let v = e.quantile(phi).unwrap().unwrap();
-            let dist = rank_distance(&all, v, r);
-            prop_assert!(
-                dist <= allowed,
-                "shards={shards} phi={phi}: value {v} off by {dist} ranks (allowed {allowed}, m={m})"
-            );
+            single.stream_extend(&stream);
+            let sv = single.quantile(phi).unwrap().unwrap();
+            let sdist = rank_distance(&all, sv, r);
+            prop_assert!(sdist <= allowed, "{kind} single: off by {sdist} > {allowed}");
+
+            for shards in [1usize, 2, 8] {
+                let mut e = hsq_core::ShardedEngine::<u64, _>::with_shards(
+                    shards,
+                    cfg.clone(),
+                    |_| MemDevice::new(256),
+                );
+                for b in &batches {
+                    e.ingest_step(b).unwrap();
+                }
+                e.stream_extend(&stream);
+                prop_assert_eq!(e.total_len(), n);
+                let v = e.quantile(phi).unwrap().unwrap();
+                let dist = rank_distance(&all, v, r);
+                prop_assert!(
+                    dist <= allowed,
+                    "{kind} shards={shards} phi={phi}: value {v} off by {dist} ranks \
+                     (allowed {allowed}, m={m})"
+                );
+            }
         }
     }
 }

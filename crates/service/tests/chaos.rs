@@ -25,8 +25,8 @@
 //!
 //! Fleets: 1×1 (no replication: transient faults must still be
 //! invisible via reconnect), 2×2, and 3×2. Seeds {0, 7, 23} vary the
-//! ingested data and the queried ranks; `HSQ_CHAOS_SEED` pins one seed
-//! (the CI matrix splits the sweep that way).
+//! ingested data and the queried ranks; each fleet shape is its own test,
+//! so a test-name filter splits the sweep.
 
 use std::io;
 use std::net::TcpListener;
@@ -63,18 +63,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 11
 }
 
-/// Seeds to sweep: all three by default; `HSQ_CHAOS_SEED` pins one (a
-/// garbage value panics naming the variable).
-fn seeds() -> Vec<u64> {
-    match std::env::var("HSQ_CHAOS_SEED") {
-        Err(_) => vec![0, 7, 23],
-        Ok(v) if v.trim().is_empty() => vec![0, 7, 23],
-        Ok(v) => vec![v
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("HSQ_CHAOS_SEED={v:?} is not a valid seed (want a u64)"))],
-    }
-}
+/// Data seeds every sweep runs.
+const SEEDS: [u64; 3] = [0, 7, 23];
 
 static NEXT_TENANT: AtomicU64 = AtomicU64::new(1000);
 
@@ -495,28 +485,28 @@ fn memo_dropped_on_group_loss(seed: u64) {
 
 #[test]
 fn probe_memo_never_outlives_a_membership_change() {
-    for seed in seeds() {
+    for seed in SEEDS {
         memo_dropped_on_group_loss(seed);
     }
 }
 
 #[test]
 fn chaos_sweep_fleet_1x1() {
-    for seed in seeds() {
+    for seed in SEEDS {
         sweep(1, 1, seed);
     }
 }
 
 #[test]
 fn chaos_sweep_fleet_2x2() {
-    for seed in seeds() {
+    for seed in SEEDS {
         sweep(2, 2, seed);
     }
 }
 
 #[test]
 fn chaos_sweep_fleet_3x2() {
-    for seed in seeds() {
+    for seed in SEEDS {
         sweep(3, 2, seed);
     }
 }

@@ -10,7 +10,6 @@
 //! `hsq-core`), hence the enum dispatcher rather than a generic engine.
 
 use std::fmt;
-use std::str::FromStr;
 
 use crate::gk::{GkSketch, RankEstimate};
 use crate::kll::KllSketch;
@@ -31,55 +30,18 @@ pub enum SketchKind {
 }
 
 impl SketchKind {
-    /// Stable lowercase name, matching what [`SketchKind::from_str`]
-    /// parses and the `HSQ_SKETCH` environment variable accepts.
+    /// Stable lowercase name, as test and bench reports print the kind.
     pub fn as_str(self) -> &'static str {
         match self {
             SketchKind::Gk => "gk",
             SketchKind::Kll => "kll",
         }
     }
-
-    /// Parse an `HSQ_SKETCH` value, panicking (with the variable name in
-    /// the message) on anything [`SketchKind::from_str`] rejects.
-    fn parse_env(value: &str) -> SketchKind {
-        value
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid HSQ_SKETCH: {e}"))
-    }
-
-    /// Read the `HSQ_SKETCH` environment variable (`"gk"` / `"kll"`,
-    /// case-insensitive). `None` when unset; **panics** when set to an
-    /// unparsable value — a typo like `HSQ_SKETCH=klll` must fail the
-    /// run loudly rather than silently selecting the GK default
-    /// fleet-wide.
-    pub fn from_env() -> Option<SketchKind> {
-        std::env::var("HSQ_SKETCH")
-            .ok()
-            .map(|s| Self::parse_env(&s))
-    }
-
-    /// [`SketchKind::from_env`] with a fallback default.
-    pub fn from_env_or(default: SketchKind) -> SketchKind {
-        SketchKind::from_env().unwrap_or(default)
-    }
 }
 
 impl fmt::Display for SketchKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for SketchKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "gk" => Ok(SketchKind::Gk),
-            "kll" => Ok(SketchKind::Kll),
-            other => Err(format!("unknown sketch kind {other:?} (want gk|kll)")),
-        }
     }
 }
 
@@ -348,29 +310,8 @@ mod tests {
 
     #[test]
     fn kind_parsing_and_display() {
-        assert_eq!("gk".parse::<SketchKind>().unwrap(), SketchKind::Gk);
-        assert_eq!("KLL".parse::<SketchKind>().unwrap(), SketchKind::Kll);
-        assert_eq!(" Gk ".parse::<SketchKind>().unwrap(), SketchKind::Gk);
-        assert!("tdigest".parse::<SketchKind>().is_err());
         assert_eq!(SketchKind::Kll.to_string(), "kll");
         assert_eq!(SketchKind::Gk.as_str(), "gk");
-    }
-
-    /// `HSQ_SKETCH` parsing goes through this helper; valid values (any
-    /// case, surrounding whitespace) select the backend...
-    #[test]
-    fn env_parsing_accepts_valid_kinds() {
-        assert_eq!(SketchKind::parse_env("gk"), SketchKind::Gk);
-        assert_eq!(SketchKind::parse_env("KLL"), SketchKind::Kll);
-        assert_eq!(SketchKind::parse_env(" Kll "), SketchKind::Kll);
-    }
-
-    /// ...and a typo panics with the variable name in the message rather
-    /// than silently degrading to the GK default fleet-wide.
-    #[test]
-    #[should_panic(expected = "HSQ_SKETCH")]
-    fn env_parsing_panics_on_typo() {
-        SketchKind::parse_env("klll");
     }
 
     /// The weighted surface: every backend must agree with w-fold

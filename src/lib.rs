@@ -91,9 +91,8 @@
 //!
 //! Both honour the same tracked rank-bound contract, so Theorem 2's
 //! `ε·m` union guarantee holds unchanged under either (A/B'd by the
-//! `headline` bench's `sketch` section and CI's `sketch-ab` matrix).
-//! Select per engine with the builder knob — or fleet-wide with
-//! `HSQ_SKETCH=gk|kll`, which the builder reads as its default:
+//! `headline` bench's `sketch` section and CI's `sketch-ab` job).
+//! Select per engine with the builder knob; the default is always GK:
 //!
 //! ```
 //! use hsq::core::{HsqConfig, HistStreamQuantiles};
@@ -582,7 +581,7 @@
 //! [`service::FaultPlan`] schedules of dropped connections, delays, torn
 //! frames, partitions, and slow nodes injected at exact op indices — is
 //! swept in `crates/service/tests/chaos.rs` (every schedule point ×
-//! seeds × fleet shapes; CI's `service-chaos` matrix splits the seeds),
+//! seeds {0, 7, 23} × fleet shapes, one test per shape),
 //! and `examples/failover_fleet.rs` demonstrates the operational story.
 pub use hsq_core as core;
 pub use hsq_service as service;
