@@ -15,8 +15,9 @@
 //! wall-clock leaves are the four CPU-cost gates
 //! `ingest.merge_ns_per_item`, `storage.crc64_ns_per_kib`,
 //! `query.combined_build_ns_per_entry` and
-//! `query.stream_extract_ns_per_tuple`. `bench_trend` diffs the file
-//! against the committed baseline.
+//! `query.stream_extract_ns_per_tuple`, each the median of five
+//! independent min-of-k samples ([`stable`]). `bench_trend` diffs the
+//! file against the committed baseline.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -39,6 +40,14 @@ use hsq_storage::{
     RetryDevice, RetryPolicy,
 };
 use hsq_workload::Dataset;
+
+/// A wall-clock leaf: the median of five independent min-of-k samples
+/// of `sample`, so that no single noisy sample sets or hides a baseline.
+fn stable(sample: impl Fn() -> f64) -> f64 {
+    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[2]
+}
 
 /// CPU cost of the step-close merge kernel: nanoseconds per item of one
 /// `merge_runs` over the level-0 cascade of the `ingest_heavy` benchmark
@@ -180,9 +189,9 @@ fn stream_extract_ns_per_tuple() -> f64 {
 /// shape, scaled down: each step extends the stream, asks four φ on the
 /// live engine, opens a snapshot with one full and four windowed queries,
 /// then ends the step. The live engine and its snapshot share one view
-/// until the data changes, so a step builds the full union's scope and
-/// the window's scope once each (asserted in-bin); a scope per query
-/// would be 9.
+/// until the data changes, and the window's `TS` derives from the full
+/// union's without a sort, so a step sorts one `TS` (asserted in-bin); a
+/// scope per query would be 9.
 fn ts_builds_per_step() -> f64 {
     const WARM: u64 = 8;
     const STEPS: u64 = 24;
@@ -218,7 +227,10 @@ fn ts_builds_per_step() -> f64 {
         }
     }
     let per_step = builds as f64 / STEPS as f64;
-    assert_eq!(per_step, 2.0, "one full and one window scope per step");
+    assert_eq!(
+        per_step, 1.0,
+        "one sorted TS per step, the window's derived"
+    );
     per_step
 }
 
@@ -900,9 +912,9 @@ fn main() {
         );
     }
 
-    let merge_ns = merge_ns_per_item();
+    let merge_ns = stable(merge_ns_per_item);
     println!("step-close merge (11 x 65536): {merge_ns:.1} ns/item");
-    let crc_ns = crc64_ns_per_kib();
+    let crc_ns = stable(crc64_ns_per_kib);
     println!("block checksum (crc64, 4088-byte payloads): {crc_ns:.1} ns/KiB");
 
     let sketch_rows = sketch_metrics();
@@ -914,8 +926,8 @@ fn main() {
     }
 
     let (q_s_p50, q_s_p99, q_d_p50, q_d_p99) = query_metrics();
-    let build_ns = combined_build_ns_per_entry();
-    let extract_ns = stream_extract_ns_per_tuple();
+    let build_ns = stable(combined_build_ns_per_entry);
+    let extract_ns = stable(stream_extract_ns_per_tuple);
     let ts_builds = ts_builds_per_step();
     println!(
         "query: bisection probes p50/p99 {q_s_p50:.0}/{q_s_p99:.0} summary-seeded vs \

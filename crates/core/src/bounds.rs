@@ -19,22 +19,42 @@
 //!   versus Lemma 2's safe variant), used to replay the Figure 3 worked
 //!   example verbatim and as documentation of the original arithmetic.
 //!
-//! ## One sort for all sources
+//! ## One radix sort, derived windows
 //!
 //! A source's term in `Lᵢ` (its `lo` at the last entry `≤ x`) and in `Uᵢ`
 //! (its `hi − 1` at the first entry `> x`, or its total past the end) is a
 //! step function of `x` that moves only at that source's own entries. So
-//! each entry becomes one event `(value, ΔL, ΔU)` carrying the step it
-//! makes, the δ events are sorted by value once, and a single prefix-sum
-//! sweep yields every `Lᵢ` and `Uᵢ`: O(δ log δ) however many sources
-//! there are, instead of one pass over `TS` per source. Equal values share
-//! one sum — the one reached after their whole group — because "entries
-//! `≤ x`" counts every entry of value `x`, whichever source it came from.
-//! Since the sums are order-independent and ties are grouped, the result
-//! does not depend on the order of the sources or of the sort.
+//! each entry makes one step `(ΔL, ΔU)` at its value, the δ entries are
+//! sorted by value once, and a single prefix-sum sweep yields every `Lᵢ`
+//! and `Uᵢ`, however many sources there are, instead of one pass over `TS`
+//! per source. Equal values share one sum — the one reached after their
+//! whole group — because "entries `≤ x`" counts every entry of value `x`,
+//! whichever source it came from. Since the sums are order-independent
+//! and ties are grouped, the result does not depend on the order of the
+//! sources or of the sort.
+//!
+//! The sort is an LSD radix sort over the occupied bits of the values'
+//! order-preserving keys (`hsq_sketch::radix`, the kernel that sorts
+//! ingest batches, with each entry as payload): O(δ) per pass, three
+//! 10-bit passes for values of up to 30 bits. Each entry is sorted tagged
+//! with the index of its source, and the tags are kept. A source's entries
+//! come out of the sort in its own order (up to ties, which the sweep
+//! groups), so each source's steps are read off its view by a cursor.
+//!
+//! The same facts make a sub-union's `TS` a filter of the union's:
+//! [`CombinedSummary::restrict`] walks the sorted entries, keeps those
+//! whose tag names a kept source, reads their steps off the kept views,
+//! starts `U` from the kept sources' `Σ cap(0)` and re-runs the sweep, in
+//! O(δ) and with no sort. The result is exact — entry for entry what
+//! [`CombinedSummary::build`] returns over the kept sources — so a pinned
+//! view sorts its full union's entries once and derives every window's
+//! `TS` from them. The tags cost 4 bytes per entry; keeping the steps too
+//! would be 32, and the larger buffer showed up as page faults on every
+//! build.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hsq_sketch::sort_radixable_by_key;
 use hsq_storage::Item;
 
 use crate::stream::StreamSummary;
@@ -128,15 +148,40 @@ impl<T: Item> SourceView<T> {
     pub fn total(&self) -> u64 {
         self.total
     }
+
+    /// `cap(j) = hi_j − 1` (saturating), and the total past the last
+    /// entry: the source's term in `U` below entry `j`.
+    fn cap(&self, j: usize) -> u64 {
+        self.entries
+            .get(j)
+            .map_or(self.total, |e| e.2.saturating_sub(1))
+    }
+
+    /// The step `(ΔL, ΔU)` each entry makes, in entry order: entry `j`
+    /// steps `L` by `lo_j − lo_{j−1}` and `U` by `cap(j+1) − cap(j)`.
+    fn steps(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut prev_lo = 0;
+        self.entries
+            .iter()
+            .enumerate()
+            .map(move |(j, &(_, lo, _))| {
+                // Wrapping steps sum to the exact terms whatever the view's
+                // shape; validated views only ever step up.
+                let dl = lo.wrapping_sub(prev_lo);
+                prev_lo = lo;
+                (dl, self.cap(j + 1).wrapping_sub(self.cap(j)))
+            })
+    }
 }
 
 /// [`CombinedSummary::build`] calls so far in this process.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// How many times [`CombinedSummary::build`] has run in this process. A
-/// query view builds each window's `TS` once, however many queries it
-/// answers, so this counts views × windows queried; `headline` reports it
-/// per step of a dashboard replay (`query.ts_builds_per_step`).
+/// How many times [`CombinedSummary::build`] has run in this process —
+/// how many times entries were sorted. A query view builds the full
+/// union's `TS` once, however many queries it answers, and derives each
+/// window's from it without a sort (not counted); `headline` reports
+/// the count per step of a dashboard replay (`query.ts_builds_per_step`).
 pub fn combined_summary_builds() -> u64 {
     BUILDS.load(Ordering::Relaxed)
 }
@@ -147,55 +192,88 @@ pub struct CombinedSummary<T> {
     /// `(TS[i], Lᵢ, Uᵢ)`, sorted by value.
     entries: Vec<(T, u64, u64)>,
     total: u64,
+    /// `tags[i]`: the index, among the build's sources, of the source
+    /// `TS[i]` came from; what [`CombinedSummary::restrict`] filters on.
+    /// Empty in a derived summary.
+    tags: Vec<u32>,
+    /// How many sources the build had (0 in a derived summary).
+    sources: usize,
 }
 
 impl<T: Item> CombinedSummary<T> {
     /// Assemble `TS` from all sources and compute `Lᵢ`/`Uᵢ` in one sort and
-    /// one prefix-sum sweep (module docs, "One sort for all sources").
+    /// one prefix-sum sweep (module docs, "One radix sort, derived
+    /// windows").
     ///
     /// Source `s` contributes `lo` of its last entry `≤ x` to `L` (0 before
     /// its first entry) and `cap` of its first entry `> x` to `U`, where
     /// `cap(j) = hi_j − 1` (saturating) and `cap` past the last entry is the
     /// source's total. Entry `j` therefore steps `L` by `lo_j − lo_{j−1}`
     /// and `U` by `cap(j+1) − cap(j)` at its value, and `U` starts from
-    /// `Σ cap(0)`. Time is O(δ log δ); the event buffer becomes `TS` in
-    /// place, so the build allocates one δ-length buffer.
+    /// `Σ cap(0)`. The entries are radix-sorted over their values'
+    /// occupied key bits, so time is O(δ) per pass; `TS` is built in the
+    /// one δ-length buffer the sort ran in, and keeps each entry's source
+    /// tag for [`CombinedSummary::restrict`].
     pub fn build(sources: &[SourceView<T>]) -> Self {
         BUILDS.fetch_add(1, Ordering::Relaxed);
-        let total = sources.iter().map(|s| s.total).sum();
+        u32::try_from(sources.len()).expect("fewer than 2^32 sources");
         let delta = sources.iter().map(|s| s.entries.len()).sum();
+        // Sort `(value, source, _)`: the tag rides in the `ΔL` slot until
+        // the steps replace it.
         let mut entries: Vec<(T, u64, u64)> = Vec::with_capacity(delta);
-        let mut upper = 0u64;
-        for src in sources {
-            let cap = |j: usize| {
-                src.entries
-                    .get(j)
-                    .map_or(src.total, |e| e.2.saturating_sub(1))
-            };
-            upper = upper.wrapping_add(cap(0));
-            let mut prev_lo = 0;
-            for (j, &(value, lo, _)) in src.entries.iter().enumerate() {
-                // Wrapping steps sum to the exact terms whatever the view's
-                // shape; validated views only ever step up.
-                let dl = lo.wrapping_sub(prev_lo);
-                let du = cap(j + 1).wrapping_sub(cap(j));
-                entries.push((value, dl, du));
-                prev_lo = lo;
-            }
+        for (s, src) in sources.iter().enumerate() {
+            entries.extend(src.entries.iter().map(|e| (e.0, s as u64, 0)));
         }
-        entries.sort_unstable_by_key(|e| e.0);
+        sort_radixable_by_key(&mut entries, |e| e.0);
+        let tags = entries.iter().map(|e| e.1 as u32).collect();
+        let mut steps: Vec<_> = sources.iter().map(SourceView::steps).collect();
+        for e in &mut entries {
+            (e.1, e.2) = steps[e.1 as usize].next().expect("one step per entry");
+        }
+        sweep(&mut entries, sources.iter());
+        CombinedSummary {
+            entries,
+            total: sources.iter().map(|s| s.total).sum(),
+            tags,
+            sources: sources.len(),
+        }
+    }
 
-        let mut lower = 0u64;
-        for run in entries.chunk_by_mut(|a, b| a.0 == b.0) {
-            for e in run.iter() {
-                lower = lower.wrapping_add(e.1);
-                upper = upper.wrapping_add(e.2);
-            }
-            for e in run {
-                (e.1, e.2) = (lower, upper);
+    /// `TS` over the sources of this build that `kept` names — `kept[s]`
+    /// is the build's `sources[s]` to keep it, `None` to drop it — in one
+    /// linear pass: no sort, not counted by [`combined_summary_builds`].
+    /// The kept entries are already in value order, a kept source's come
+    /// in its own order up to ties, and the sweep groups ties, so the
+    /// result is entry for entry what [`CombinedSummary::build`] returns
+    /// over the kept sources (module docs). It keeps no tags of its own.
+    ///
+    /// # Panics
+    ///
+    /// If this is a derived summary, or `kept` does not have one slot per
+    /// source of the build, or a kept view has fewer entries than the
+    /// build's.
+    pub(crate) fn restrict(&self, kept: &[Option<SourceView<T>>]) -> Self {
+        assert_eq!(self.tags.len(), self.entries.len(), "a built summary");
+        assert_eq!(kept.len(), self.sources, "one slot per source");
+        let mut steps: Vec<_> = kept
+            .iter()
+            .map(|v| v.as_ref().map(SourceView::steps))
+            .collect();
+        let delta = kept.iter().flatten().map(|v| v.entries.len()).sum();
+        let mut entries = Vec::with_capacity(delta);
+        for (&(value, ..), &s) in self.entries.iter().zip(&self.tags) {
+            if let Some(steps) = &mut steps[s as usize] {
+                let (dl, du) = steps.next().expect("a kept view is the build's");
+                entries.push((value, dl, du));
             }
         }
-        CombinedSummary { entries, total }
+        sweep(&mut entries, kept.iter().flatten());
+        CombinedSummary {
+            entries,
+            total: kept.iter().flatten().map(|v| v.total).sum(),
+            tags: Vec::new(),
+            sources: 0,
+        }
     }
 
     /// Number of entries `δ`.
@@ -270,6 +348,27 @@ impl<T: Item> CombinedSummary<T> {
             v.or_else(|| self.entries.last().map(|e| e.0))
                 .unwrap_or(T::MAX),
         )
+    }
+}
+
+/// The tie-grouped prefix sweep (module docs): turns `entries`, in value
+/// order and each holding its step `(ΔL, ΔU)`, into `TS` over `sources`.
+/// `U` starts from their `Σ cap(0)`; equal values all take the sums
+/// reached after their whole group.
+fn sweep<'s, T: Item>(
+    entries: &mut [(T, u64, u64)],
+    sources: impl Iterator<Item = &'s SourceView<T>>,
+) {
+    let mut lower = 0u64;
+    let mut upper = sources.fold(0u64, |u, s| u.wrapping_add(s.cap(0)));
+    for run in entries.chunk_by_mut(|a, b| a.0 == b.0) {
+        for e in run.iter() {
+            lower = lower.wrapping_add(e.1);
+            upper = upper.wrapping_add(e.2);
+        }
+        for e in run {
+            (e.1, e.2) = (lower, upper);
+        }
     }
 }
 
@@ -545,6 +644,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The entries and total of a combined summary.
+    fn parts(ts: &CombinedSummary<u64>) -> (Vec<(u64, u64, u64)>, u64) {
+        (ts.entries.clone(), ts.total())
+    }
+
+    #[test]
+    fn restrict_equals_build_over_every_subset() {
+        let (summaries, ss) = figure3();
+        let mut sources: Vec<SourceView<u64>> =
+            summaries.iter().map(SourceView::from_partition).collect();
+        sources.push(SourceView::from_stream(&ss));
+        // Duplicate-heavy views: every entry of a source shares a value
+        // with another source's, and one source repeats a value.
+        sources.push(SourceView::from_raw(
+            vec![(101, 2, 3), (101, 4, 5), (200, 9, 9)],
+            9,
+        ));
+        sources.push(SourceView::from_raw(vec![], 4));
+        let ts = CombinedSummary::build(&sources);
+        for mask in 0u32..1 << sources.len() {
+            let kept: Vec<Option<SourceView<u64>>> = (0..sources.len())
+                .map(|s| (mask >> s & 1 == 1).then(|| sources[s].clone()))
+                .collect();
+            let fresh: Vec<SourceView<u64>> = kept.iter().flatten().cloned().collect();
+            let derived = ts.restrict(&kept);
+            assert_eq!(
+                parts(&derived),
+                parts(&CombinedSummary::build(&fresh)),
+                "{mask:b}"
+            );
+            assert!(derived.tags.is_empty() && derived.sources == 0);
+        }
+    }
+
+    /// `TS` by its definition (module docs): at each value `x`, `L` sums
+    /// every source's `lo` at its last entry `≤ x`, and `U` every
+    /// source's `cap` at its first entry `> x`.
+    fn by_definition<T: Item>(sources: &[SourceView<T>]) -> Vec<(T, u64, u64)> {
+        let mut values: Vec<T> = sources
+            .iter()
+            .flat_map(|s| s.entries.iter().map(|e| e.0))
+            .collect();
+        values.sort();
+        let at = |x: T| {
+            let (mut lower, mut upper) = (0, 0);
+            for s in sources {
+                let j = s.entries.partition_point(|e| e.0 <= x);
+                lower += j.checked_sub(1).map_or(0, |j| s.entries[j].1);
+                upper += s.cap(j);
+            }
+            (x, lower, upper)
+        };
+        values.into_iter().map(at).collect()
+    }
+
+    /// The radix-sorted build gives `TS` as defined for unsigned, signed
+    /// and float keys (negative values, ±0), on duplicate-heavy sources:
+    /// 7 views of 430 entries drawn from at most 40 distinct values.
+    #[test]
+    fn build_matches_the_definition_for_every_key_type() {
+        use hsq_storage::F64;
+        fn check<T: Item>(values: &[T]) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            assert!(T::RADIXABLE);
+            let mut rng = StdRng::seed_from_u64(values.len() as u64);
+            let sources: Vec<SourceView<T>> = (0..7u64)
+                .map(|s| {
+                    let mut v: Vec<T> = (0..430)
+                        .map(|_| values[rng.gen_range(0..values.len())])
+                        .collect();
+                    v.sort();
+                    let entries = (0..).zip(v).map(|(i, x)| (x, 3 * i + 1, 3 * i + 1 + s % 3));
+                    SourceView::from_raw(entries.collect(), 3 * 430)
+                })
+                .collect();
+            assert_eq!(
+                CombinedSummary::build(&sources).entries,
+                by_definition(&sources)
+            );
+        }
+        check(&(0..40u64).map(|v| v * v * 1_000_003).collect::<Vec<_>>());
+        check(&(-20..20i64).map(|v| v * 1_000_000_007).collect::<Vec<_>>());
+        let floats = [-1e300, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.5, 1e300];
+        check(&floats.map(F64::new));
     }
 
     #[test]

@@ -401,10 +401,12 @@ fn decode_stream_state<T: Item>(
                 let delta = r.u64()?;
                 parts.push((v, g, delta));
             }
-            AnySketch::Gk(
-                GkSketch::from_tuple_parts(epsilon, n, min, max, parts)
-                    .map_err(|e| corrupt(&format!("stream sketch invalid: {e}")))?,
-            )
+            let mut gk = GkSketch::from_tuple_parts(epsilon, n, min, max, parts)
+                .map_err(|e| corrupt(&format!("stream sketch invalid: {e}")))?;
+            // A tail an older build's weighted fold wrote may hold tuples
+            // over the cap.
+            gk.restore_cap();
+            AnySketch::Gk(gk)
         }
         SketchKind::Kll => {
             let err = r.u64()?;
@@ -1702,6 +1704,64 @@ mod tests {
             .unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn over_cap_gk_tail_recovers_under_the_cap() {
+        // A heavy head as an older build's weighted fold persisted it: a
+        // tuple per pair, weight and all (g = 400 and 300 against a cap of
+        // ⌊2 · 0.01 · 1,000⌋ = 20), then 300 distinct items.
+        let dev = MemDevice::new(256);
+        let mut data = vec![1u64; 400];
+        data.extend([2; 300]);
+        data.extend(3..=302);
+        let n = data.len() as u64;
+        let mut tuples = vec![(1u64, 400, 0), (2, 300, 0)];
+        tuples.extend((3..=302).map(|v| (v, 1, 0)));
+        let tail = GkSketch::from_tuple_parts(0.01, n, Some(1), Some(302), tuples.clone()).unwrap();
+        assert!(
+            tail.check_invariants().is_err(),
+            "the tail starts over the cap"
+        );
+
+        let mut out = empty_base();
+        out.u64(SKETCH_GK);
+        out.u64(0.01f64.to_bits());
+        out.u64(n);
+        out.item(1u64); // min
+        out.item(302u64); // max
+        out.u64(tuples.len() as u64);
+        for (v, g, d) in tuples {
+            out.item(v);
+            out.u64(g);
+            out.u64(d);
+        }
+        out.u64(n); // staging
+        for &v in &data {
+            out.item(v);
+        }
+        out.u64(1); // segments
+        out.u64(n);
+        let file = write_image(&dev, &log_image(&[(REC_BASE, &out)]));
+        let cfg = HsqConfig::with_epsilon(0.1);
+        let h = crate::engine::HistStreamQuantiles::<u64, _>::recover(dev, cfg, file).unwrap();
+        let gk = h.stream().sketch().as_gk().expect("GK tail");
+        gk.check_invariants().unwrap();
+        assert_eq!(gk.len(), n);
+
+        let eps_m = (0.01 * n as f64).floor() as u64;
+        for k in 1..=50u64 {
+            let r = (k * n).div_ceil(50);
+            let v = gk.rank_query(r).unwrap().value;
+            // The ranks `v`'s copies occupy in the data (sorted).
+            let lo = data.partition_point(|&x| x < v) as u64 + 1;
+            let hi = data.partition_point(|&x| x <= v) as u64;
+            let dist = if r < lo { lo - r } else { r.saturating_sub(hi) };
+            assert!(
+                dist <= eps_m,
+                "rank {r}: {v} is {dist} ranks off (ε·m = {eps_m})"
+            );
+        }
     }
 
     #[test]

@@ -108,12 +108,13 @@ pub struct QueryScope<T> {
 }
 
 impl<T: Item> QueryScope<T> {
-    /// A healthy scope: `TS` built over `sources`, total size `total`
-    /// (`N`: the selected partitions, readable or not, plus the stream),
-    /// stream weight `stream_weight` (`m`) and error parameter `epsilon`.
-    pub fn new(sources: &[SourceView<T>], total: u64, stream_weight: u64, epsilon: f64) -> Self {
+    /// A healthy scope: the combined summary `ts` of the selected sources,
+    /// total size `total` (`N`: the selected partitions, readable or not,
+    /// plus the stream), stream weight `stream_weight` (`m`) and error
+    /// parameter `epsilon`.
+    pub fn new(ts: CombinedSummary<T>, total: u64, stream_weight: u64, epsilon: f64) -> Self {
         QueryScope {
-            ts: Arc::new(CombinedSummary::build(sources)),
+            ts: Arc::new(ts),
             total,
             stream_weight,
             epsilon,
@@ -171,7 +172,9 @@ impl<T: Item> QueryScope<T> {
 /// One window's plan over a pinned view: the scope's size `N`, what to
 /// probe (`parts`: per shard, positions in that shard's partition list),
 /// and the scope itself — the expensive part, `TS`, left unbuilt until a
-/// query needs it (a serving node only probes and never does).
+/// query needs it (a serving node only probes and never does). A window
+/// plan's `TS` derives from the full plan's (see
+/// [`crate::ShardedSnapshot`]).
 pub(crate) struct Plan<T> {
     pub(crate) total: u64,
     pub(crate) parts: Vec<Vec<usize>>,
@@ -600,7 +603,12 @@ impl<'a, T: Item, D: BlockDevice> QueryContext<'a, T, D> {
         let sources = source_views(&partitions, stream);
         let total = sources.iter().map(SourceView::total).sum();
         QueryContext {
-            scope: QueryScope::new(&sources, total, stream.stream_len(), epsilon),
+            scope: QueryScope::new(
+                CombinedSummary::build(&sources),
+                total,
+                stream.stream_len(),
+                epsilon,
+            ),
             dev,
             partitions,
             stream,

@@ -375,9 +375,12 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 /// of each window (the scope — every in-window partition summary plus
 /// every shard's stream summary, sorted and bounded, the expensive
 /// per-query setup — and the partitions to probe) is built once on first
-/// use. Repeated quantile/rank/window queries against one snapshot
-/// therefore skip straight to the bisection. Clones are cheap handles to
-/// the same view.
+/// use. Only the full union's `TS` is sorted; a window plan derives its
+/// `TS` from the full plan's in one linear pass
+/// ([`CombinedSummary::restrict`], exact), building the full plan's first
+/// if the window is asked about first. Repeated quantile/rank/window
+/// queries against one snapshot therefore skip straight to the
+/// bisection. Clones are cheap handles to the same view.
 pub struct ShardedSnapshot<T: Item, D: BlockDevice> {
     view: Arc<ShardedView<T, D>>,
 }
@@ -521,24 +524,54 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
         Some((self.sources(&plan.parts), plan.total))
     }
 
-    /// The plan's scope, built on first use.
-    fn plan_scope<'p>(&self, plan: &'p Plan<T>) -> &'p QueryScope<T> {
+    /// The scope of `window`'s plan, built on first use. The full union's
+    /// `TS` is sorted from its sources; a window's derives from it
+    /// ([`ShardedSnapshot::window_summary`]).
+    fn plan_scope<'p>(&self, window: Option<u64>, plan: &'p Plan<T>) -> &'p QueryScope<T> {
         plan.scope(|plan| {
-            QueryScope::new(
-                &self.sources(&plan.parts),
-                plan.total,
-                self.stream_len(),
-                self.view.epsilon,
-            )
-            .with_excluded(self.quarantined_total(), 0)
-            .with_strict(self.view.strict)
+            let ts = match window {
+                None => CombinedSummary::build(&self.sources(&plan.parts)),
+                Some(_) => self.window_summary(&plan.parts),
+            };
+            QueryScope::new(ts, plan.total, self.stream_len(), self.view.epsilon)
+                .with_excluded(self.quarantined_total(), 0)
+                .with_strict(self.view.strict)
         })
+    }
+
+    /// The `TS` of a window selecting `parts`, derived in one linear pass
+    /// from the full union's (built first if it does not exist yet):
+    /// [`CombinedSummary::restrict`] to the window's partitions and every
+    /// shard's stream, entry for entry what a build over the window's
+    /// sources gives.
+    fn window_summary(&self, parts: &[Vec<usize>]) -> CombinedSummary<T> {
+        let full = self.plan(None).expect("the full union always aligns");
+        let ts = self.plan_scope(None, &full).combined_summary();
+        // The full union's sources, shard by shard: its partitions (in
+        // ascending position), then the stream. A view's quarantine set is
+        // pinned, so every partition a window selects is among them.
+        let mut kept = Vec::new();
+        let shards = self.view.shards.iter().zip(&full.parts);
+        for ((shard, all), selected) in shards.zip(parts) {
+            let base = kept.len();
+            kept.resize_with(base + all.len(), || None);
+            // The selected partitions' views in `selected` order, then the
+            // stream's.
+            let mut views = shard.source_views(selected).into_iter();
+            for p in selected {
+                let i = all.binary_search(p).expect("window within the full union");
+                kept[base + i] = views.next();
+            }
+            kept.extend(views.map(Some));
+        }
+        ts.restrict(&kept)
     }
 
     /// The cross-shard scope of `window` (`None` = the full union), built
     /// once per (snapshot, window); `None` when the window misaligns.
     pub fn scope(&self, window: Option<u64>) -> Option<QueryScope<T>> {
-        self.plan(window).map(|p| self.plan_scope(&p).clone())
+        self.plan(window)
+            .map(|p| self.plan_scope(window, &p).clone())
     }
 
     /// The combined summary `TS` over **all** shards' sources — every
@@ -609,7 +642,8 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
             return Ok(None);
         };
         let mut states = self.new_cache_set();
-        query(self.plan_scope(&plan), &mut self.fan_in(&plan, &mut states))
+        let scope = self.plan_scope(window, &plan);
+        query(scope, &mut self.fan_in(&plan, &mut states))
     }
 
     /// Quick φ-quantile over all shards (Algorithm 5 over the cross-shard

@@ -3,11 +3,11 @@
 
 use std::sync::Arc;
 
-use hsq_core::query::{bisect_summed_rank, ProbeState};
+use hsq_core::query::{accurate_response, bisect_summed_rank, ProbeState};
 use hsq_core::summary::SummaryBuilder;
 use hsq_core::{
-    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, ShardedEngine, SourceView,
-    StreamProcessor, Warehouse,
+    CombinedSummary, HistStreamQuantiles, HsqConfig, QueryContext, QueryScope, ShardedEngine,
+    SourceView, StreamProcessor, Warehouse,
 };
 use hsq_core::{PartitionSummary, SketchKind, SummaryEntry};
 use hsq_sketch::{AnySketch, ExactQuantiles, GkSketch, KllSketch};
@@ -543,6 +543,84 @@ proptest! {
                         window, r, live.value, dist, allowed
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A pinned view sorts `TS` once and derives each window's from it:
+    /// on 1 and 4 shards with one partition quarantined, the first query
+    /// of a view is a windowed one, and every available window's `TS` then
+    /// equals `CombinedSummary::build` over that window's source views,
+    /// entry for entry, with the same outcome as a scope seeded from that
+    /// build.
+    #[test]
+    fn window_summaries_derive_from_the_full_union(
+        steps in proptest::collection::vec(
+            proptest::collection::vec(0u64..1_000_000, 10..200), 2..9),
+        stream in proptest::collection::vec(0u64..1_000_000, 1..200),
+        kappa in 2usize..4,
+        rotten in 0usize..64,
+        phi_pct in 1u64..=100,
+    ) {
+        for kind in KINDS {
+            for shards in [1usize, 4] {
+                let cfg = HsqConfig::builder()
+                    .epsilon(0.05)
+                    .merge_threshold(kappa)
+                    .sketch(kind)
+                    .build();
+                let mut e = ShardedEngine::<u64, _>::with_shards(
+                    shards,
+                    cfg.clone(),
+                    |_| MemDevice::new(256),
+                );
+                for s in &steps {
+                    e.ingest_step(s).unwrap();
+                }
+                e.stream_extend(&stream);
+                let files: Vec<_> = e.shards().iter().flat_map(|h| {
+                    let parts = h.warehouse().partitions_newest_first();
+                    parts.into_iter().map(move |p| (h, p.run.file()))
+                }).collect();
+                let (shard, file) = files[rotten % files.len()];
+                prop_assert!(shard.warehouse().quarantine(file));
+
+                let snap = e.snapshot();
+                let windows = snap.available_windows();
+                for (i, &w) in windows.iter().enumerate() {
+                    let (sources, total) = snap.source_views(Some(w)).unwrap();
+                    let fresh = CombinedSummary::build(&sources);
+                    let n = total.max(1);
+                    let r = (phi_pct * n).div_ceil(100);
+                    // The view's first query (i == 0) is this windowed one.
+                    let got = snap.rank_in_window(w, r).unwrap();
+                    let scope = snap.scope(Some(w)).unwrap();
+                    prop_assert_eq!(
+                        ts_parts(scope.combined_summary()),
+                        ts_parts(&fresh),
+                        "{} shards={} window {} (query {})", kind, shards, w, i
+                    );
+                    prop_assert_eq!(scope.total(), total);
+                    let seeded = QueryScope::new(fresh, total, snap.stream_len(), snap.query_epsilon())
+                        .with_excluded(snap.quarantined_total(), 0);
+                    let mut states = snap.new_cache_set();
+                    let mut probes = snap.probes(Some(w), &mut states).unwrap();
+                    let want = accurate_response(&seeded, r, &mut probes).unwrap();
+                    let key = |o: Option<hsq_core::QueryOutcome<u64>>| o.map(|o| (
+                        o.value, o.estimated_rank, o.bisection_steps,
+                        o.rank_lo, o.rank_hi, o.degraded, o.quarantined,
+                    ));
+                    prop_assert_eq!(key(got), key(want), "{} shards={} window {}", kind, shards, w);
+                }
+                let (sources, _) = snap.source_views(None).unwrap();
+                prop_assert_eq!(
+                    ts_parts(&snap.combined_summary()),
+                    ts_parts(&CombinedSummary::build(&sources))
+                );
             }
         }
     }

@@ -78,7 +78,7 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
 use hsq_core::query::{accurate_response, QueryScope};
-use hsq_core::{QueryOutcome, RankProbeSource};
+use hsq_core::{CombinedSummary, QueryOutcome, RankProbeSource};
 use hsq_storage::Item;
 
 use crate::fleet::FleetConfig;
@@ -962,7 +962,8 @@ impl<T: Item> TenantSession<'_, T> {
         // in-process: the stream is entirely inside every window.
         let v = &self.vitals;
         let scope = available.then(|| {
-            let scope = QueryScope::new(&sources, total, v.stream_weight, v.epsilon)
+            let ts = CombinedSummary::build(&sources);
+            let scope = QueryScope::new(ts, total, v.stream_weight, v.epsilon)
                 .with_excluded(v.quarantined, v.missing_weight);
             (scope, ProbeMemo::new())
         });

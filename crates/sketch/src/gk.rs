@@ -446,7 +446,8 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// enforced; every insert keeps it, so a sketch this crate wrote meets
     /// it. Above the cap the tracked intervals stay sound, since every
     /// query reads only the tuples' `g` and `Δ`, but answers lose the `εn`
-    /// guarantee, which rests on the cap.
+    /// guarantee, which rests on the cap; [`GkSketch::restore_cap`]
+    /// restores it.
     pub fn from_tuple_parts(
         epsilon: f64,
         n: u64,
@@ -506,6 +507,30 @@ impl<T: Copy + Ord> GkSketch<T> {
             max,
             scratch: Vec::new(),
         })
+    }
+
+    /// Bring a sketch rebuilt by [`GkSketch::from_tuple_parts`] back under
+    /// the `⌊2εn⌋` cap through the one insert path. Each tuple `(v, g, Δ)`
+    /// over the cap keeps one item of its `g`; the other `g − 1` re-enter
+    /// as one run of copies of `v` through the merge every insert takes,
+    /// chunked under the cap and compressed like any insert. That reads an
+    /// over-cap tuple's mass as copies of its value, which is what an
+    /// older build's weighted fold wrote: it put a heavy pair's weight in
+    /// one tuple. A sketch within the cap is left exactly as it is, and so
+    /// is a tuple whose `Δ` alone exceeds half the cap (chunks under it
+    /// could number one per item).
+    pub fn restore_cap(&mut self) {
+        let cap = self.cap().max(1);
+        let mut excess = Vec::new();
+        for t in self.tuples.iter_mut().rev() {
+            if t.g > 1 && t.g + t.delta > cap && 2 * t.delta <= cap {
+                excess.push((t.v, t.g - 1));
+                t.g = 1;
+            }
+        }
+        let total = excess.iter().map(|p| p.1).sum();
+        self.n -= total;
+        self.merge_runs(total, excess);
     }
 
     /// Drop all state, keeping the error parameter (paper Algorithm 4,

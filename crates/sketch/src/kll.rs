@@ -41,7 +41,7 @@
 //! by `H/24` while the *tracked* bounds remain sound regardless.
 
 use crate::gk::RankEstimate;
-use crate::radix::{sort_radixable, RadixKey};
+use crate::radix::{sort_radixable, sort_radixable_by_key, RadixKey};
 
 /// Levels at or above this budget exceed the a-priori `ε·n/2` error
 /// analysis (tracked bounds stay sound); see the module docs.
@@ -359,7 +359,9 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
     }
 
     /// Compile the ladder into a [`KllCumulative`]: one sorted pass over
-    /// every retained item. Extract loops that probe hundreds of targets
+    /// every retained item, its `(value, weight)` pairs sorted by value
+    /// through the radix kernel with the weight as payload
+    /// ([`crate::radix::sort_radixable_by_key`]). Extract loops that probe hundreds of targets
     /// (the stream-summary builder upstream) should call
     /// [`KllSketch::rank_queries`], which compiles once and answers every
     /// ascending target with one forward cursor, rather than calling
@@ -370,7 +372,7 @@ impl<T: Copy + Ord + RadixKey> KllSketch<T> {
             let w = 1u64 << h;
             pairs.extend(lvl.iter().map(|&v| (v, w)));
         }
-        pairs.sort_unstable_by_key(|a| a.0);
+        sort_radixable_by_key(&mut pairs, |a| a.0);
         // Collapse duplicates; store the cumulative weight through the
         // last retained occurrence of each value. The weight before its
         // first occurrence is the previous item's.

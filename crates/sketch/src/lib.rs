@@ -42,5 +42,5 @@ pub use gk::{GkSketch, RankEstimate};
 pub use kll::{KllCumulative, KllSketch};
 pub use qdigest::QDigest;
 pub use quantile::{AnySketch, SketchKind};
-pub use radix::{radix_sort_u64, sort_radixable, RadixKey, RADIX_MIN_LEN};
+pub use radix::{radix_sort_u64, sort_radixable, sort_radixable_by_key, RadixKey, RADIX_MIN_LEN};
 pub use sampler::ReservoirQuantiles;

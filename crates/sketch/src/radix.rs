@@ -1,4 +1,4 @@
-//! LSD radix sorting for `u64`-keyed values.
+//! LSD radix sorting over order-preserving `u64` keys.
 //!
 //! The batched ingest path is sort-bound: every staged stream segment and
 //! every level-0 batch is sorted before it feeds the GK sketch and the
@@ -6,15 +6,20 @@
 //! Time" (Ivkin et al.) motivates trading per-item compare-sort work for
 //! cheap bucketed passes; for the fixed-width item universes this system
 //! stores, a least-significant-digit radix sort over an order-preserving
-//! `u64` key does exactly that — `O(n)` byte-bucket passes instead of
-//! `O(n log n)` unpredictable comparisons.
+//! `u64` key does exactly that — `O(n)` bucket passes over the occupied
+//! key bits instead of `O(n log n)` unpredictable comparisons.
 //!
 //! [`RadixKey`] is the opt-in: a type maps itself to a `u64` whose
 //! unsigned order equals the value order (the same trick as
 //! `hsq_storage::Item::to_ordered_u64`). Types without such a key — wider
 //! than 64 bits, or with payload that a key round-trip would lose — set
-//! [`RadixKey::RADIXABLE`] to `false` and [`sort_radixable`] falls back to
-//! the comparison sort, so callers need no per-type dispatch.
+//! [`RadixKey::RADIXABLE`] to `false` and the sorts fall back to the
+//! comparison sort, so callers need no per-type dispatch.
+//!
+//! One kernel serves two entry points: [`sort_radixable`] sorts bare keys
+//! (the ingest batches), and [`sort_radixable_by_key`] carries a payload
+//! along with each key (the combined summary's source-tagged entries,
+//! `hsq_core::bounds`, and KLL's `(value, weight)` pairs).
 //!
 //! The kernel lives here (not in `hsq-storage`) because [`crate::GkSketch`]
 //! sits below the storage crate in the dependency graph and sorts batches
@@ -34,7 +39,7 @@ pub const RADIX_MIN_LEN: usize = 64;
 /// When `RADIXABLE` is `false` the key methods are never called; sorts
 /// take the comparison path. This is the escape hatch for types whose
 /// universe does not fit 64 bits.
-pub trait RadixKey: Copy {
+pub trait RadixKey: Copy + 'static {
     /// Whether this type supports the radix path at all.
     const RADIXABLE: bool;
 
@@ -113,12 +118,46 @@ impl_radix_fallback!(u128, i128);
 /// cases: the key is a total-order bijection, so equal elements are
 /// indistinguishable and stability is moot.
 pub fn sort_radixable<T: RadixKey + Ord>(items: &mut [T]) -> bool {
-    if !T::RADIXABLE || items.len() < RADIX_MIN_LEN || items.len() > u32::MAX as usize {
+    if !radix_applies::<T>(items.len()) {
         items.sort_unstable();
         return false;
     }
-    run_radix(items);
+    sort_keys(items);
     true
+}
+
+/// Sort `items` by `key(item)` in nondecreasing key order, carrying each
+/// whole element through the same kernel as [`sort_radixable`] (the
+/// payload rides along with its key), or through
+/// `sort_unstable_by_key` when `K` is not radix-keyed or the slice is
+/// short. Returns `true` iff the radix path ran.
+///
+/// Elements with equal keys may come out in any order, as with any
+/// unstable sort; callers that need a tie order must not rely on it.
+pub fn sort_radixable_by_key<E: Copy + 'static, K: RadixKey + Ord>(
+    items: &mut [E],
+    key: impl Fn(&E) -> K + Copy,
+) -> bool {
+    if !radix_applies::<K>(items.len()) {
+        items.sort_unstable_by_key(key);
+        return false;
+    }
+    PAYLOAD_BUFFERS.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        let mut bufs: Box<(Vec<E>, Vec<E>)> = slot
+            .take()
+            .and_then(|b| b.downcast().ok())
+            .unwrap_or_default();
+        let (a, b) = &mut *bufs;
+        run_radix(items, a, b, |e| e, |e| key(e).radix_key(), |e| e);
+        *slot = Some(bufs);
+    });
+    true
+}
+
+/// Whether the radix path pays for a slice of `len` keys of type `K`.
+fn radix_applies<K: RadixKey>(len: usize) -> bool {
+    K::RADIXABLE && (RADIX_MIN_LEN..=u32::MAX as usize).contains(&len)
 }
 
 /// LSD radix sort of a `u64` slice, in place (unsigned order). The raw
@@ -130,7 +169,16 @@ pub fn radix_sort_u64(keys: &mut [u64]) {
         keys.len() <= u32::MAX as usize,
         "key count exceeds u32 range"
     );
-    run_radix(keys);
+    sort_keys(keys);
+}
+
+/// The key-only sort: [`run_radix`] over bare keys, in the thread's key
+/// buffers.
+fn sort_keys<T: RadixKey>(items: &mut [T]) {
+    BUFFERS.with(|cell| {
+        let (a, b) = &mut *cell.borrow_mut();
+        run_radix(items, a, b, T::radix_key, |&k| k, T::from_radix_key);
+    });
 }
 
 /// Digit width of the wide kernel instantiation (see [`run_radix`]).
@@ -141,13 +189,25 @@ thread_local! {
     /// ingest path never allocates.
     static BUFFERS: std::cell::RefCell<(Vec<u64>, Vec<u64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+
+    /// The payload sort's ping-pong buffers, reused like the key buffers
+    /// while one element type is sorted (a buffer the allocator hands out
+    /// fresh is paid again in page faults on every sort).
+    static PAYLOAD_BUFFERS: std::cell::RefCell<Option<Box<dyn std::any::Any>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
-/// The shared kernel: one scan plans the passes, then the passes
-/// themselves move each element exactly `passes + 1` times in total — the
-/// first scatter extracts keys straight out of `items`, and the last one
-/// writes decoded values straight back in, so no separate key-extraction
-/// or write-back pass exists.
+/// The one kernel. It sorts `items` through the ping-pong buffers `a` and
+/// `b` (grown to `items.len()` as needed) of *working* elements: `load`
+/// turns an item into one, `key` reads its order-preserving `u64` key and
+/// `store` turns it back. A key-only sort works on bare keys (`load` is
+/// `radix_key`, `store` its inverse); a payload sort works on the items
+/// themselves (`load` and `store` are the identity).
+///
+/// One scan plans the passes, then the passes themselves move each
+/// element exactly `passes + 1` times in total — the first scatter loads
+/// straight out of `items`, and the last one stores straight back in, so
+/// no separate extraction or write-back pass exists.
 ///
 /// The cost adapts to the *occupied key width*: the planning scan finds
 /// the bits that actually vary (OR/AND accumulation), constant digits
@@ -158,7 +218,14 @@ thread_local! {
 /// passes. Each scatter pass also builds the next pass's histogram on
 /// the fly, so every digit of the input is histogrammed exactly once, in
 /// cache.
-fn run_radix<T: RadixKey>(items: &mut [T]) {
+fn run_radix<I: Copy, W: Copy>(
+    items: &mut [I],
+    a: &mut Vec<W>,
+    b: &mut Vec<W>,
+    load: impl Fn(I) -> W + Copy,
+    key: impl Fn(&W) -> u64 + Copy,
+    store: impl Fn(W) -> I + Copy,
+) {
     let n = items.len();
     if n < 2 {
         return;
@@ -169,7 +236,7 @@ fn run_radix<T: RadixKey>(items: &mut [T]) {
     let mut and_acc = !0u64;
     let mut hist0 = [0u32; 1 << WIDE_BITS];
     for &v in items.iter() {
-        let k = v.radix_key();
+        let k = key(&load(v));
         or_acc |= k;
         and_acc &= k;
         hist0[(k & ((1 << WIDE_BITS) - 1)) as usize] += 1;
@@ -191,17 +258,16 @@ fn run_radix<T: RadixKey>(items: &mut [T]) {
         .collect();
     let cost_wide = passes_wide as usize * (n + (1 << WIDE_BITS));
     let cost_8 = bytes_needed.len() * (n + 256);
-    BUFFERS.with(|cell| {
-        let (a, b) = &mut *cell.borrow_mut();
-        a.resize(n, 0);
-        b.resize(n, 0);
-        if cost_wide <= cost_8 {
-            let shifts: Vec<u32> = (0..passes_wide).map(|p| lo + WIDE_BITS * p).collect();
-            digit_passes_10(items, a, b, &shifts, (lo == 0).then_some(&hist0));
-        } else {
-            digit_passes_8(items, a, b, &bytes_needed, None);
-        }
-    });
+    let fill = load(items[0]);
+    a.resize(n, fill);
+    b.resize(n, fill);
+    let lane = (load, key, store);
+    if cost_wide <= cost_8 {
+        let shifts: Vec<u32> = (0..passes_wide).map(|p| lo + WIDE_BITS * p).collect();
+        digit_passes_10(items, a, b, &shifts, (lo == 0).then_some(&hist0), lane);
+    } else {
+        digit_passes_8(items, a, b, &bytes_needed, None, lane);
+    }
 }
 
 /// One pipeline instantiation per digit width: the bucket count is a
@@ -210,15 +276,21 @@ fn run_radix<T: RadixKey>(items: &mut [T]) {
 /// lists the bit offset of each pass's digit, least-significant first
 /// (at least one); `first_hist` optionally supplies the first pass's
 /// histogram when the caller already counted it (only valid for the
-/// 10-bit instantiation with `shifts[0] == 0`).
+/// 10-bit instantiation with `shifts[0] == 0`); `(load, key, store)` are
+/// [`run_radix`]'s.
 macro_rules! digit_pipeline {
     ($name:ident, $bits:expr) => {
-        fn $name<T: RadixKey>(
-            items: &mut [T],
-            a: &mut [u64],
-            b: &mut [u64],
+        fn $name<I: Copy, W: Copy>(
+            items: &mut [I],
+            a: &mut [W],
+            b: &mut [W],
             shifts: &[u32],
             first_hist: Option<&[u32; 1 << $bits]>,
+            (load, key, store): (
+                impl Fn(I) -> W + Copy,
+                impl Fn(&W) -> u64 + Copy,
+                impl Fn(W) -> I + Copy,
+            ),
         ) {
             const NB: usize = 1 << $bits;
             const MASK: u64 = (NB - 1) as u64;
@@ -238,57 +310,59 @@ macro_rules! digit_pipeline {
                 None => {
                     let mut h = [0u32; NB];
                     for &v in items.iter() {
-                        h[((v.radix_key() >> shifts[0]) & MASK) as usize] += 1;
+                        h[((key(&load(v)) >> shifts[0]) & MASK) as usize] += 1;
                     }
                     h
                 }
             };
             if np == 1 {
-                // Single digit: scatter out, decode back in.
+                // Single digit: scatter out, store back in.
                 let mut offs = prefix(&hist);
                 for &v in items.iter() {
-                    let k = v.radix_key();
-                    let d = ((k >> shifts[0]) & MASK) as usize;
-                    a[offs[d] as usize] = k;
+                    let w = load(v);
+                    let d = ((key(&w) >> shifts[0]) & MASK) as usize;
+                    a[offs[d] as usize] = w;
                     offs[d] += 1;
                 }
-                for (dst, &k) in items.iter_mut().zip(a.iter()) {
-                    *dst = T::from_radix_key(k);
+                for (dst, &w) in items.iter_mut().zip(a.iter()) {
+                    *dst = store(w);
                 }
                 return;
             }
-            // First pass: extract keys out of `items` while scattering,
-            // and count the next digit in the same sweep.
+            // First pass: load out of `items` while scattering, and count
+            // the next digit in the same sweep.
             let mut offs = prefix(&hist);
             hist = [0u32; NB];
             for &v in items.iter() {
-                let k = v.radix_key();
+                let w = load(v);
+                let k = key(&w);
                 let d = ((k >> shifts[0]) & MASK) as usize;
-                a[offs[d] as usize] = k;
+                a[offs[d] as usize] = w;
                 offs[d] += 1;
                 hist[((k >> shifts[1]) & MASK) as usize] += 1;
             }
-            // Middle passes ping-pong between the two key buffers.
-            let mut src: &mut [u64] = a;
-            let mut dst: &mut [u64] = b;
+            // Middle passes ping-pong between the two buffers.
+            let mut src: &mut [W] = a;
+            let mut dst: &mut [W] = b;
             for i in 1..np - 1 {
                 let mut offs = prefix(&hist);
                 hist = [0u32; NB];
                 let (sh, nsh) = (shifts[i], shifts[i + 1]);
-                for &k in src.iter() {
+                for &w in src.iter() {
+                    let k = key(&w);
                     let d = ((k >> sh) & MASK) as usize;
-                    dst[offs[d] as usize] = k;
+                    dst[offs[d] as usize] = w;
                     offs[d] += 1;
                     hist[((k >> nsh) & MASK) as usize] += 1;
                 }
                 std::mem::swap(&mut src, &mut dst);
             }
-            // Final pass decodes straight back into `items`.
+            // Final pass stores straight back into `items`.
             let mut offs = prefix(&hist);
             let sh = shifts[np - 1];
-            for &k in src.iter() {
-                let d = ((k >> sh) & MASK) as usize;
-                items[offs[d] as usize] = T::from_radix_key(k);
+            for &w in src.iter() {
+                let d = ((key(&w) >> sh) & MASK) as usize;
+                items[offs[d] as usize] = store(w);
                 offs[d] += 1;
             }
         }
@@ -366,6 +440,28 @@ mod tests {
         let mut data: Vec<u128> = (0..1000u128).rev().map(|v| v << 70).collect();
         assert!(!sort_radixable(&mut data));
         assert!(data.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The payload sort orders by key and carries each element whole, on
+    /// duplicate-heavy keys (at most 40 distinct among 3,000), through the
+    /// radix path for `u64`/`i64` and the comparison fallback for `u128`.
+    #[test]
+    fn payload_sort_carries_elements_with_their_keys() {
+        fn check<K: RadixKey + Ord + std::fmt::Debug>(keys: &[K]) {
+            let mut rng = StdRng::seed_from_u64(keys.len() as u64);
+            let mut data: Vec<(K, u64, u32)> = (0..3_000)
+                .map(|i| (keys[rng.gen_range(0..keys.len())], rng.gen(), i))
+                .collect();
+            let mut expect = data.clone();
+            expect.sort_unstable();
+            assert_eq!(sort_radixable_by_key(&mut data, |e| e.0), K::RADIXABLE);
+            assert!(data.windows(2).all(|w| w[0].0 <= w[1].0));
+            data.sort_unstable();
+            assert_eq!(data, expect);
+        }
+        check(&(0..40u64).map(|v| v * v * 1_000_003).collect::<Vec<_>>());
+        check(&(-20..20i64).map(|v| v * 1_000_000_007).collect::<Vec<_>>());
+        check(&(0..40u128).map(|v| v << 70 | v).collect::<Vec<_>>());
     }
 
     #[test]
