@@ -37,12 +37,14 @@
 //! order-preserving keys (`hsq_sketch::radix`, the kernel that sorts
 //! ingest batches, with each entry as payload): O(δ) per pass, three
 //! 10-bit passes for values of up to 30 bits. Each entry is sorted tagged
-//! with the index of its source, and the tags are kept. A source's entries
-//! come out of the sort in its own order (up to ties, which the sweep
-//! groups), so each source's steps are read off its view by a cursor.
+//! with the index of its source, and a build that sub-unions will be
+//! derived from (`CombinedSummary::build_tagged`) keeps the tags. A
+//! source's entries come out of the sort in its own order (up to ties,
+//! which the sweep groups), so each source's steps are read off its view
+//! by a cursor.
 //!
 //! The same facts make a sub-union's `TS` a filter of the union's:
-//! [`CombinedSummary::restrict`] walks the sorted entries, keeps those
+//! `CombinedSummary::restrict` walks the sorted entries, keeps those
 //! whose tag names a kept source, reads their steps off the kept views,
 //! starts `U` from the kept sources' `Σ cap(0)` and re-runs the sweep, in
 //! O(δ) and with no sort. The result is exact — entry for entry what
@@ -194,10 +196,8 @@ pub struct CombinedSummary<T> {
     total: u64,
     /// `tags[i]`: the index, among the build's sources, of the source
     /// `TS[i]` came from; what [`CombinedSummary::restrict`] filters on.
-    /// Empty in a derived summary.
+    /// Kept only by [`CombinedSummary::build_tagged`].
     tags: Vec<u32>,
-    /// How many sources the build had (0 in a derived summary).
-    sources: usize,
 }
 
 impl<T: Item> CombinedSummary<T> {
@@ -212,9 +212,18 @@ impl<T: Item> CombinedSummary<T> {
     /// and `U` by `cap(j+1) − cap(j)` at its value, and `U` starts from
     /// `Σ cap(0)`. The entries are radix-sorted over their values'
     /// occupied key bits, so time is O(δ) per pass; `TS` is built in the
-    /// one δ-length buffer the sort ran in, and keeps each entry's source
-    /// tag for [`CombinedSummary::restrict`].
+    /// one δ-length buffer the sort ran in.
     pub fn build(sources: &[SourceView<T>]) -> Self {
+        Self::build_with(sources, false)
+    }
+
+    /// [`CombinedSummary::build`], keeping each entry's source tag so
+    /// [`CombinedSummary::restrict`] can derive sub-unions from it.
+    pub(crate) fn build_tagged(sources: &[SourceView<T>]) -> Self {
+        Self::build_with(sources, true)
+    }
+
+    fn build_with(sources: &[SourceView<T>], tagged: bool) -> Self {
         BUILDS.fetch_add(1, Ordering::Relaxed);
         u32::try_from(sources.len()).expect("fewer than 2^32 sources");
         let delta = sources.iter().map(|s| s.entries.len()).sum();
@@ -225,7 +234,11 @@ impl<T: Item> CombinedSummary<T> {
             entries.extend(src.entries.iter().map(|e| (e.0, s as u64, 0)));
         }
         sort_radixable_by_key(&mut entries, |e| e.0);
-        let tags = entries.iter().map(|e| e.1 as u32).collect();
+        let tags = if tagged {
+            entries.iter().map(|e| e.1 as u32).collect()
+        } else {
+            Vec::new()
+        };
         let mut steps: Vec<_> = sources.iter().map(SourceView::steps).collect();
         for e in &mut entries {
             (e.1, e.2) = steps[e.1 as usize].next().expect("one step per entry");
@@ -235,12 +248,12 @@ impl<T: Item> CombinedSummary<T> {
             entries,
             total: sources.iter().map(|s| s.total).sum(),
             tags,
-            sources: sources.len(),
         }
     }
 
-    /// `TS` over the sources of this build that `kept` names — `kept[s]`
-    /// is the build's `sources[s]` to keep it, `None` to drop it — in one
+    /// `TS` over the sources of this tagged build that `kept` names —
+    /// `kept[s]` is the build's `sources[s]` to keep it, `None` to drop it,
+    /// one slot per source of the build — in one
     /// linear pass: no sort, not counted by [`combined_summary_builds`].
     /// The kept entries are already in value order, a kept source's come
     /// in its own order up to ties, and the sweep groups ties, so the
@@ -249,12 +262,11 @@ impl<T: Item> CombinedSummary<T> {
     ///
     /// # Panics
     ///
-    /// If this is a derived summary, or `kept` does not have one slot per
-    /// source of the build, or a kept view has fewer entries than the
+    /// If this is not a [`CombinedSummary::build_tagged`] summary, or
+    /// `kept` has too few slots, or a kept view has fewer entries than the
     /// build's.
     pub(crate) fn restrict(&self, kept: &[Option<SourceView<T>>]) -> Self {
-        assert_eq!(self.tags.len(), self.entries.len(), "a built summary");
-        assert_eq!(kept.len(), self.sources, "one slot per source");
+        assert_eq!(self.tags.len(), self.entries.len(), "a tagged build");
         let mut steps: Vec<_> = kept
             .iter()
             .map(|v| v.as_ref().map(SourceView::steps))
@@ -272,7 +284,6 @@ impl<T: Item> CombinedSummary<T> {
             entries,
             total: kept.iter().flatten().map(|v| v.total).sum(),
             tags: Vec::new(),
-            sources: 0,
         }
     }
 
@@ -664,7 +675,9 @@ mod tests {
             9,
         ));
         sources.push(SourceView::from_raw(vec![], 4));
-        let ts = CombinedSummary::build(&sources);
+        let ts = CombinedSummary::build_tagged(&sources);
+        assert_eq!(parts(&ts), parts(&CombinedSummary::build(&sources)));
+        assert!(CombinedSummary::build(&sources).tags.is_empty());
         for mask in 0u32..1 << sources.len() {
             let kept: Vec<Option<SourceView<u64>>> = (0..sources.len())
                 .map(|s| (mask >> s & 1 == 1).then(|| sources[s].clone()))
@@ -676,7 +689,7 @@ mod tests {
                 parts(&CombinedSummary::build(&fresh)),
                 "{mask:b}"
             );
-            assert!(derived.tags.is_empty() && derived.sources == 0);
+            assert!(derived.tags.is_empty());
         }
     }
 

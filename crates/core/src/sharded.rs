@@ -377,7 +377,7 @@ impl<T: Item, D: BlockDevice> ShardedEngine<T, D> {
 /// per-query setup — and the partitions to probe) is built once on first
 /// use. Only the full union's `TS` is sorted; a window plan derives its
 /// `TS` from the full plan's in one linear pass
-/// ([`CombinedSummary::restrict`], exact), building the full plan's first
+/// (`CombinedSummary::restrict`, exact), building the full plan's first
 /// if the window is asked about first. Repeated quantile/rank/window
 /// queries against one snapshot therefore skip straight to the
 /// bisection. Clones are cheap handles to the same view.
@@ -530,7 +530,7 @@ impl<T: Item, D: BlockDevice> ShardedSnapshot<T, D> {
     fn plan_scope<'p>(&self, window: Option<u64>, plan: &'p Plan<T>) -> &'p QueryScope<T> {
         plan.scope(|plan| {
             let ts = match window {
-                None => CombinedSummary::build(&self.sources(&plan.parts)),
+                None => CombinedSummary::build_tagged(&self.sources(&plan.parts)),
                 Some(_) => self.window_summary(&plan.parts),
             };
             QueryScope::new(ts, plan.total, self.stream_len(), self.view.epsilon)

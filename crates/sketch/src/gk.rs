@@ -514,11 +514,14 @@ impl<T: Copy + Ord> GkSketch<T> {
     /// over the cap keeps one item of its `g`; the other `g − 1` re-enter
     /// as one run of copies of `v` through the merge every insert takes,
     /// chunked under the cap and compressed like any insert. That reads an
-    /// over-cap tuple's mass as copies of its value, which is what an
-    /// older build's weighted fold wrote: it put a heavy pair's weight in
-    /// one tuple. A sketch within the cap is left exactly as it is, and so
-    /// is a tuple whose `Δ` alone exceeds half the cap (chunks under it
-    /// could number one per item).
+    /// over-cap tuple's mass as copies of its value, and soundness rests
+    /// on that reading: `g` only places those items in `(v_{i−1}, v]`, and
+    /// where some are smaller values the new tuples at `v` claim ranks
+    /// below `v`'s true rank. An older build's weighted fold made its
+    /// over-cap tuples out of a heavy pair's copies of `v` plus one gap of
+    /// at most the old cap. A sketch within the cap is left exactly as it
+    /// is, and so is a tuple whose `Δ` alone exceeds half the cap (chunks
+    /// under it could number one per item).
     pub fn restore_cap(&mut self) {
         let cap = self.cap().max(1);
         let mut excess = Vec::new();

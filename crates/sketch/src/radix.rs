@@ -11,19 +11,23 @@
 //!
 //! [`RadixKey`] is the opt-in: a type maps itself to a `u64` whose
 //! unsigned order equals the value order (the same trick as
-//! `hsq_storage::Item::to_ordered_u64`). Types without such a key — wider
-//! than 64 bits, or with payload that a key round-trip would lose — set
-//! [`RadixKey::RADIXABLE`] to `false` and the sorts fall back to the
-//! comparison sort, so callers need no per-type dispatch.
+//! `hsq_storage::Item::to_ordered_u64`). Types without such a key (wider
+//! than 64 bits) set [`RadixKey::RADIXABLE`] to `false` and the sorts
+//! fall back to the comparison sort, so callers need no per-type
+//! dispatch.
 //!
-//! One kernel serves two entry points: [`sort_radixable`] sorts bare keys
-//! (the ingest batches), and [`sort_radixable_by_key`] carries a payload
-//! along with each key (the combined summary's source-tagged entries,
-//! `hsq_core::bounds`, and KLL's `(value, weight)` pairs).
+//! One kernel serves every caller: [`sort_radixable_by_key`] moves whole
+//! elements through the passes by a radix key of theirs (the combined
+//! summary's source-tagged entries, `hsq_core::bounds`, and KLL's
+//! `(value, weight)` pairs), and [`sort_radixable`] is that sort keyed by
+//! the element itself (the ingest batches).
 //!
 //! The kernel lives here (not in `hsq-storage`) because [`crate::GkSketch`]
 //! sits below the storage crate in the dependency graph and sorts batches
 //! too; `hsq_storage::sort_items` re-exposes it for `Item` slices.
+
+use std::any::Any;
+use std::cell::RefCell;
 
 /// Smallest slice length where the radix path is engaged; below it the
 /// comparison sort wins on constant factors and [`sort_radixable`] falls
@@ -33,8 +37,7 @@ pub const RADIX_MIN_LEN: usize = 64;
 /// A value with an order-preserving `u64` radix key.
 ///
 /// Contract when [`RadixKey::RADIXABLE`] is `true`:
-/// * `a <= b` iff `a.radix_key() <= b.radix_key()` (unsigned order);
-/// * [`RadixKey::from_radix_key`] inverts [`RadixKey::radix_key`] exactly.
+/// `a <= b` iff `a.radix_key() <= b.radix_key()` (unsigned order).
 ///
 /// When `RADIXABLE` is `false` the key methods are never called; sorts
 /// take the comparison path. This is the escape hatch for types whose
@@ -45,9 +48,6 @@ pub trait RadixKey: Copy + 'static {
 
     /// The order-preserving key (only called when `RADIXABLE`).
     fn radix_key(self) -> u64;
-
-    /// Inverse of [`RadixKey::radix_key`] (only called when `RADIXABLE`).
-    fn from_radix_key(key: u64) -> Self;
 }
 
 macro_rules! impl_radix_unsigned {
@@ -58,11 +58,6 @@ macro_rules! impl_radix_unsigned {
             #[inline]
             fn radix_key(self) -> u64 {
                 self as u64
-            }
-
-            #[inline]
-            fn from_radix_key(key: u64) -> Self {
-                key as $t
             }
         }
     )*};
@@ -80,11 +75,6 @@ macro_rules! impl_radix_signed {
                 // Flip the sign bit: unsigned key order = signed value order.
                 ((self as $u) ^ (1 << (<$t>::BITS - 1))) as u64
             }
-
-            #[inline]
-            fn from_radix_key(key: u64) -> Self {
-                ((key as $u) ^ (1 << (<$t>::BITS - 1))) as $t
-            }
         }
     )*};
 }
@@ -97,10 +87,6 @@ macro_rules! impl_radix_fallback {
             const RADIXABLE: bool = false;
 
             fn radix_key(self) -> u64 {
-                unreachable!("128-bit universe has no u64 radix key")
-            }
-
-            fn from_radix_key(_key: u64) -> Self {
                 unreachable!("128-bit universe has no u64 radix key")
             }
         }
@@ -118,17 +104,11 @@ impl_radix_fallback!(u128, i128);
 /// cases: the key is a total-order bijection, so equal elements are
 /// indistinguishable and stability is moot.
 pub fn sort_radixable<T: RadixKey + Ord>(items: &mut [T]) -> bool {
-    if !radix_applies::<T>(items.len()) {
-        items.sort_unstable();
-        return false;
-    }
-    sort_keys(items);
-    true
+    sort_radixable_by_key(items, |&x| x)
 }
 
-/// Sort `items` by `key(item)` in nondecreasing key order, carrying each
-/// whole element through the same kernel as [`sort_radixable`] (the
-/// payload rides along with its key), or through
+/// Sort `items` by `key(item)` in nondecreasing key order, each whole
+/// element moving through the radix passes with its key, or through
 /// `sort_unstable_by_key` when `K` is not radix-keyed or the slice is
 /// short. Returns `true` iff the radix path ran.
 ///
@@ -138,26 +118,12 @@ pub fn sort_radixable_by_key<E: Copy + 'static, K: RadixKey + Ord>(
     items: &mut [E],
     key: impl Fn(&E) -> K + Copy,
 ) -> bool {
-    if !radix_applies::<K>(items.len()) {
+    if !K::RADIXABLE || !(RADIX_MIN_LEN..=u32::MAX as usize).contains(&items.len()) {
         items.sort_unstable_by_key(key);
         return false;
     }
-    PAYLOAD_BUFFERS.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let mut bufs: Box<(Vec<E>, Vec<E>)> = slot
-            .take()
-            .and_then(|b| b.downcast().ok())
-            .unwrap_or_default();
-        let (a, b) = &mut *bufs;
-        run_radix(items, a, b, |e| e, |e| key(e).radix_key(), |e| e);
-        *slot = Some(bufs);
-    });
+    with_buffers(|a, b| run_radix(items, a, b, |e| key(e).radix_key()));
     true
-}
-
-/// Whether the radix path pays for a slice of `len` keys of type `K`.
-fn radix_applies<K: RadixKey>(len: usize) -> bool {
-    K::RADIXABLE && (RADIX_MIN_LEN..=u32::MAX as usize).contains(&len)
 }
 
 /// LSD radix sort of a `u64` slice, in place (unsigned order). The raw
@@ -169,45 +135,46 @@ pub fn radix_sort_u64(keys: &mut [u64]) {
         keys.len() <= u32::MAX as usize,
         "key count exceeds u32 range"
     );
-    sort_keys(keys);
-}
-
-/// The key-only sort: [`run_radix`] over bare keys, in the thread's key
-/// buffers.
-fn sort_keys<T: RadixKey>(items: &mut [T]) {
-    BUFFERS.with(|cell| {
-        let (a, b) = &mut *cell.borrow_mut();
-        run_radix(items, a, b, T::radix_key, |&k| k, T::from_radix_key);
-    });
+    with_buffers(|a, b| run_radix(keys, a, b, |&k| k));
 }
 
 /// Digit width of the wide kernel instantiation (see [`run_radix`]).
 const WIDE_BITS: u32 = 10;
 
 thread_local! {
-    /// Reused ping-pong key buffers: steady-state batch sorting on the
-    /// ingest path never allocates.
-    static BUFFERS: std::cell::RefCell<(Vec<u64>, Vec<u64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-
-    /// The payload sort's ping-pong buffers, reused like the key buffers
-    /// while one element type is sorted (a buffer the allocator hands out
-    /// fresh is paid again in page faults on every sort).
-    static PAYLOAD_BUFFERS: std::cell::RefCell<Option<Box<dyn std::any::Any>>> =
-        const { std::cell::RefCell::new(None) };
+    /// Reused ping-pong buffers, one pair per element type this thread
+    /// sorts (ingest batches, combined-summary entries, KLL pairs): a
+    /// thread that alternates types keeps each pair, so steady-state
+    /// sorting never allocates (a buffer the allocator hands out fresh is
+    /// paid again in page faults on every sort).
+    static BUFFERS: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The one kernel. It sorts `items` through the ping-pong buffers `a` and
-/// `b` (grown to `items.len()` as needed) of *working* elements: `load`
-/// turns an item into one, `key` reads its order-preserving `u64` key and
-/// `store` turns it back. A key-only sort works on bare keys (`load` is
-/// `radix_key`, `store` its inverse); a payload sort works on the items
-/// themselves (`load` and `store` are the identity).
+/// Run `f` on this thread's ping-pong buffers for elements of type `E`.
+fn with_buffers<E: Copy + 'static, R>(f: impl FnOnce(&mut Vec<E>, &mut Vec<E>) -> R) -> R {
+    BUFFERS.with(|cell| {
+        let mut slots = cell.borrow_mut();
+        let i = match slots.iter().position(|s| s.is::<(Vec<E>, Vec<E>)>()) {
+            Some(i) => i,
+            None => {
+                slots.push(Box::new((Vec::<E>::new(), Vec::<E>::new())));
+                slots.len() - 1
+            }
+        };
+        let (a, b) = slots[i]
+            .downcast_mut::<(Vec<E>, Vec<E>)>()
+            .expect("slot holds its element type");
+        f(a, b)
+    })
+}
+
+/// The one kernel: sorts `items` by the order-preserving `u64` key
+/// `key`, through the ping-pong buffers `a` and `b` (grown to
+/// `items.len()` as needed).
 ///
-/// One scan plans the passes, then the passes themselves move each
-/// element exactly `passes + 1` times in total — the first scatter loads
-/// straight out of `items`, and the last one stores straight back in, so
-/// no separate extraction or write-back pass exists.
+/// One scan plans the passes; each pass then moves every element once —
+/// the first scatters straight out of `items` and the last straight back
+/// in, so no separate copy pass exists.
 ///
 /// The cost adapts to the *occupied key width*: the planning scan finds
 /// the bits that actually vary (OR/AND accumulation), constant digits
@@ -218,13 +185,11 @@ thread_local! {
 /// passes. Each scatter pass also builds the next pass's histogram on
 /// the fly, so every digit of the input is histogrammed exactly once, in
 /// cache.
-fn run_radix<I: Copy, W: Copy>(
-    items: &mut [I],
-    a: &mut Vec<W>,
-    b: &mut Vec<W>,
-    load: impl Fn(I) -> W + Copy,
-    key: impl Fn(&W) -> u64 + Copy,
-    store: impl Fn(W) -> I + Copy,
+fn run_radix<E: Copy>(
+    items: &mut [E],
+    a: &mut Vec<E>,
+    b: &mut Vec<E>,
+    key: impl Fn(&E) -> u64 + Copy,
 ) {
     let n = items.len();
     if n < 2 {
@@ -235,8 +200,8 @@ fn run_radix<I: Copy, W: Copy>(
     let mut or_acc = 0u64;
     let mut and_acc = !0u64;
     let mut hist0 = [0u32; 1 << WIDE_BITS];
-    for &v in items.iter() {
-        let k = key(&load(v));
+    for e in items.iter() {
+        let k = key(e);
         or_acc |= k;
         and_acc &= k;
         hist0[(k & ((1 << WIDE_BITS) - 1)) as usize] += 1;
@@ -258,15 +223,13 @@ fn run_radix<I: Copy, W: Copy>(
         .collect();
     let cost_wide = passes_wide as usize * (n + (1 << WIDE_BITS));
     let cost_8 = bytes_needed.len() * (n + 256);
-    let fill = load(items[0]);
-    a.resize(n, fill);
-    b.resize(n, fill);
-    let lane = (load, key, store);
+    a.resize(n, items[0]);
+    b.resize(n, items[0]);
     if cost_wide <= cost_8 {
         let shifts: Vec<u32> = (0..passes_wide).map(|p| lo + WIDE_BITS * p).collect();
-        digit_passes_10(items, a, b, &shifts, (lo == 0).then_some(&hist0), lane);
+        digit_passes_10(items, a, b, &shifts, (lo == 0).then_some(&hist0), key);
     } else {
-        digit_passes_8(items, a, b, &bytes_needed, None, lane);
+        digit_passes_8(items, a, b, &bytes_needed, None, key);
     }
 }
 
@@ -276,21 +239,16 @@ fn run_radix<I: Copy, W: Copy>(
 /// lists the bit offset of each pass's digit, least-significant first
 /// (at least one); `first_hist` optionally supplies the first pass's
 /// histogram when the caller already counted it (only valid for the
-/// 10-bit instantiation with `shifts[0] == 0`); `(load, key, store)` are
-/// [`run_radix`]'s.
+/// 10-bit instantiation with `shifts[0] == 0`); `key` is [`run_radix`]'s.
 macro_rules! digit_pipeline {
     ($name:ident, $bits:expr) => {
-        fn $name<I: Copy, W: Copy>(
-            items: &mut [I],
-            a: &mut [W],
-            b: &mut [W],
+        fn $name<E: Copy>(
+            items: &mut [E],
+            a: &mut [E],
+            b: &mut [E],
             shifts: &[u32],
             first_hist: Option<&[u32; 1 << $bits]>,
-            (load, key, store): (
-                impl Fn(I) -> W + Copy,
-                impl Fn(&W) -> u64 + Copy,
-                impl Fn(W) -> I + Copy,
-            ),
+            key: impl Fn(&E) -> u64 + Copy,
         ) {
             const NB: usize = 1 << $bits;
             const MASK: u64 = (NB - 1) as u64;
@@ -309,41 +267,37 @@ macro_rules! digit_pipeline {
                 Some(h) => *h,
                 None => {
                     let mut h = [0u32; NB];
-                    for &v in items.iter() {
-                        h[((key(&load(v)) >> shifts[0]) & MASK) as usize] += 1;
+                    for e in items.iter() {
+                        h[((key(e) >> shifts[0]) & MASK) as usize] += 1;
                     }
                     h
                 }
             };
             if np == 1 {
-                // Single digit: scatter out, store back in.
+                // Single digit: scatter out, copy back in.
                 let mut offs = prefix(&hist);
-                for &v in items.iter() {
-                    let w = load(v);
-                    let d = ((key(&w) >> shifts[0]) & MASK) as usize;
-                    a[offs[d] as usize] = w;
+                for &e in items.iter() {
+                    let d = ((key(&e) >> shifts[0]) & MASK) as usize;
+                    a[offs[d] as usize] = e;
                     offs[d] += 1;
                 }
-                for (dst, &w) in items.iter_mut().zip(a.iter()) {
-                    *dst = store(w);
-                }
+                items.copy_from_slice(a);
                 return;
             }
-            // First pass: load out of `items` while scattering, and count
-            // the next digit in the same sweep.
+            // First pass: scatter out of `items`, and count the next digit
+            // in the same sweep.
             let mut offs = prefix(&hist);
             hist = [0u32; NB];
-            for &v in items.iter() {
-                let w = load(v);
-                let k = key(&w);
+            for &e in items.iter() {
+                let k = key(&e);
                 let d = ((k >> shifts[0]) & MASK) as usize;
-                a[offs[d] as usize] = w;
+                a[offs[d] as usize] = e;
                 offs[d] += 1;
                 hist[((k >> shifts[1]) & MASK) as usize] += 1;
             }
             // Middle passes ping-pong between the two buffers.
-            let mut src: &mut [W] = a;
-            let mut dst: &mut [W] = b;
+            let mut src: &mut [E] = a;
+            let mut dst: &mut [E] = b;
             for i in 1..np - 1 {
                 let mut offs = prefix(&hist);
                 hist = [0u32; NB];
@@ -357,12 +311,12 @@ macro_rules! digit_pipeline {
                 }
                 std::mem::swap(&mut src, &mut dst);
             }
-            // Final pass stores straight back into `items`.
+            // Final pass scatters straight back into `items`.
             let mut offs = prefix(&hist);
             let sh = shifts[np - 1];
             for &w in src.iter() {
                 let d = ((key(&w) >> sh) & MASK) as usize;
-                items[offs[d] as usize] = store(w);
+                items[offs[d] as usize] = w;
                 offs[d] += 1;
             }
         }
@@ -424,10 +378,9 @@ mod tests {
         expect.sort_unstable();
         assert!(sort_radixable(&mut data));
         assert_eq!(data, expect);
-        // Round-trip of extreme keys.
-        for v in [i64::MIN, -1, 0, 1, i64::MAX] {
-            assert_eq!(i64::from_radix_key(v.radix_key()), v);
-        }
+        // Extreme keys keep their order.
+        let extremes = [i64::MIN, -1, 0, 1, i64::MAX].map(RadixKey::radix_key);
+        assert!(extremes.windows(2).all(|w| w[0] < w[1]));
         let mut small: Vec<i32> = (0..2000).map(|_| rng.gen::<i32>()).collect();
         let mut sexp = small.clone();
         sexp.sort_unstable();

@@ -209,11 +209,6 @@ impl RadixKey for F64 {
     fn radix_key(self) -> u64 {
         self.0
     }
-
-    #[inline]
-    fn from_radix_key(key: u64) -> Self {
-        F64(key)
-    }
 }
 
 impl Item for F64 {
